@@ -232,6 +232,9 @@ def nash_solve(cfg: GameConfig) -> NashResult:
 
     Non-convergence within br_max_iters is a reported outcome, never an
     assertion: the result carries converged=False and the residual series.
+    So is a best response that hits inner_max_iters: the sweeps stop, the
+    last completed sweep's controls are kept and certified, and the inner
+    projected-gradient residual is appended to br_residuals.
     """
     zero = GridFunction.zeros(cfg.grid)
     f1, f2 = zero, zero
@@ -240,8 +243,12 @@ def nash_solve(cfg: GameConfig) -> NashResult:
     sweeps = 0
     alpha = cfg.grid.alpha
     for sweeps in range(1, cfg.br_max_iters + 1):
-        f1_new = best_response(cfg, 1, f2)
-        f2_new = best_response(cfg, 2, f1_new)
+        try:
+            f1_new = best_response(cfg, 1, f2)
+            f2_new = best_response(cfg, 2, f1_new)
+        except BestResponseError as err:
+            residuals.append(err.residual)
+            break
         res = math.sqrt(
             control_norm(f1_new - f1, alpha) ** 2 + control_norm(f2_new - f2, alpha) ** 2
         )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_field
 from degenash.fields import bump_from_parameters, bump_parameter_sets
 from degenash.game import (
+    BestResponseError,
     GameConfig,
     benchmark_config,
     best_response,
@@ -245,6 +246,18 @@ class TestNashSolve:
         b2 = best_response(mini_cfg, 2, res.f1_star)
         assert control_norm(b1 - res.f1_star, alpha) <= 10 * mini_cfg.br_tol
         assert control_norm(b2 - res.f2_star, alpha) <= 10 * mini_cfg.br_tol
+
+    def test_inner_cap_reported_not_raised(self):
+        cfg = benchmark_config(nx=16, ny=16, deviation_samples=10, seed=5)
+        cfg.inner_max_iters = 1
+        with pytest.raises(BestResponseError) as err:
+            best_response(cfg, 1, GridFunction.zeros(cfg.grid))
+        res = nash_solve(cfg)
+        assert not res.converged
+        assert res.br_iterations == 1
+        assert res.br_residuals == [err.value.residual]
+        assert np.all(res.f1_star.values == 0.0) and np.all(res.f2_star.values == 0.0)
+        assert math.isfinite(res.j1) and math.isfinite(res.j2)
 
     def test_deterministic(self, mini_cfg):
         r1 = nash_solve(mini_cfg)

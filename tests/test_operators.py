@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,9 @@ from conftest import random_field
 from degenash.fields import bump_parameter_sets, bump_from_parameters, manufactured_pair
 from degenash.grid import GridFunction, build_grid, weighted_inner
 from degenash.operators import (
+    DirichletSolver,
     Scheme,
+    SolverError,
     assemble,
     dx,
     dy,
@@ -121,6 +124,13 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_dirichlet(op, GridFunction.zeros(small_grid), tol=0.0)
 
+    def test_unattainable_tol_raises_solver_error(self, small_grid):
+        op = assemble(small_grid)
+        f = GridFunction.from_callable(small_grid, lambda X, Y: np.sin(3 * X + Y))
+        with pytest.raises(SolverError) as err:
+            solve_dirichlet(op, f, tol=1e-300)
+        assert math.isfinite(err.value.residual) and err.value.residual > 0.0
+
     @pytest.mark.parametrize("scheme,lo,hi", [(Scheme.UPWIND_Y, 1.5, 2.6), (Scheme.CENTERED_Y, 3.2, 4.6)])
     def test_manufactured_error_shrinks(self, scheme, lo, hi):
         errs = []
@@ -138,6 +148,48 @@ class TestSolve:
         f = GridFunction(g, -np.abs(rng.standard_normal(g.n)))
         u, _ = solve_dirichlet(op, f)
         assert np.max(u.values) <= 1e-12
+
+
+def _assert_march_matches_superlu(nx, ny, alpha, seed, columns=None):
+    op = assemble(build_grid(nx, ny, alpha), Scheme.UPWIND_Y)
+    solver = DirichletSolver(op)
+    shape = (op.grid.n,) if columns is None else (op.grid.n, columns)
+    rhs = np.random.default_rng(seed).standard_normal(shape)
+    A = op.matrix.tocsc()
+    for got, ref in (
+        (solver.solve(rhs), spla.spsolve(A, rhs)),
+        (solver.solve_adjoint(rhs), spla.spsolve(A.T.tocsc(), rhs)),
+    ):
+        assert got.shape == shape
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestYMarch:
+    @pytest.mark.parametrize(
+        "nx,ny,alpha,columns",
+        [(2, 2, 0.25, None), (2, 2, 1.0, None), (7, 19, 0.25, None), (23, 6, 1.0, None), (9, 14, 0.5, 3)],
+    )
+    def test_matches_superlu(self, nx, ny, alpha, columns):
+        _assert_march_matches_superlu(nx, ny, alpha, seed=nx * ny, columns=columns)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        nx=st.integers(2, 24),
+        ny=st.integers(2, 24),
+        alpha=st.floats(0.05, 1.0),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_superlu_property(self, nx, ny, alpha, seed):
+        _assert_march_matches_superlu(nx, ny, alpha, seed)
+
+    @pytest.mark.parametrize("scheme", [Scheme.UPWIND_Y, Scheme.CENTERED_Y])
+    @pytest.mark.parametrize("length", [12 * 12 - 1, 2 * 12 * 12])
+    def test_wrong_length_rejected(self, small_grid, scheme, length):
+        solver = DirichletSolver(assemble(small_grid, scheme))
+        with pytest.raises(ValueError):
+            solver.solve(np.ones(length))
+        with pytest.raises(ValueError):
+            solver.solve_adjoint(np.ones(length))
 
 
 class TestWeakForm:
