@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -224,8 +225,16 @@ def parse_config(text: str) -> RunConfig:
             "inner_tol": _get(sec, "inner_tol", 1e-9, "game", float),
             "deviation_samples": _get(sec, "deviation_samples", 200, "game", int),
         }
-        if cfg.game["m1"] < 0 or cfg.game["m2"] < 0:
-            raise ConfigError("game.m1/m2: ball radii must be nonnegative")
+        g = cfg.game
+        for key in ("m1", "m2"):
+            if not (math.isfinite(g[key]) and g[key] >= 0):
+                raise ConfigError(f"game.{key}: ball radius must be finite and nonnegative, got {g[key]}")
+        for key in ("br_tol", "inner_tol"):
+            if not (math.isfinite(g[key]) and g[key] > 0):
+                raise ConfigError(f"game.{key}: must be finite and positive, got {g[key]}")
+        for key in ("br_max_iters", "deviation_samples"):
+            if g[key] < 1:
+                raise ConfigError(f"game.{key}: must be at least 1, got {g[key]}")
     return cfg
 
 
@@ -260,6 +269,17 @@ def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
     lines = ["\t".join(header)]
     for row in rows:
         lines.append("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write the table whose k-th row holds the k-th entry of every column.
+
+    Renders a column at a time with repr on the Python scalars of
+    .tolist(); for ints repr equals str, so the bytes equal those of
+    _write_table on the same rows."""
+    cells = [map(repr, np.ravel(c).tolist()) for c in columns]
+    lines = ["\t".join(header), *map("\t".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -374,12 +394,12 @@ def _run_game(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     )
     grid = game_cfg.grid
     X, Y = grid.meshgrid()
-    rows = []
-    f1v, f2v, yv = res.f1_star.values2d(), res.f2_star.values2d(), res.state.values2d()
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            rows.append([i, j, float(X[i, j]), float(Y[i, j]), float(f1v[i, j]), float(f2v[i, j]), float(yv[i, j])])
-    _write_table(out / "game_fields.tsv", ["i", "j", "x", "y", "f1", "f2", "state"], rows)
+    I, J = np.indices((grid.nx, grid.ny))
+    _write_columns(
+        out / "game_fields.tsv",
+        ["i", "j", "x", "y", "f1", "f2", "state"],
+        [I, J, X, Y, res.f1_star.values, res.f2_star.values, res.state.values],
+    )
     results = {
         "j1": res.j1,
         "j2": res.j2,

@@ -70,27 +70,6 @@ def boundary_cutoff(X: np.ndarray, Y: np.ndarray, lo: float = 0.05, hi: float = 
     return ramp(X) * ramp(1 - X) * ramp(Y) * ramp(1 - Y)
 
 
-def random_bump(grid: Grid, rng: np.random.Generator, n_bumps: int = 4) -> GridFunction:
-    """Superposition of Gaussian bumps windowed to vanish identically near
-    the boundary (so that all trace terms drop out exactly)."""
-    centers = rng.uniform(0.25, 0.75, size=(n_bumps, 2))
-    widths = rng.uniform(0.05, 0.2, size=n_bumps)
-    amps = rng.uniform(-1.0, 1.0, size=n_bumps)
-
-    def fn(X, Y):
-        out = np.zeros_like(X)
-        for (cx, cy), s, a in zip(centers, widths, amps):
-            out += a * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
-        return out * boundary_cutoff(X, Y)
-
-    return sample(grid, fn)
-
-
-def bump_family(grid: Grid, n: int, seed: int, n_bumps: int = 4) -> list[GridFunction]:
-    rng = np.random.default_rng(seed)
-    return [random_bump(grid, rng, n_bumps) for _ in range(n)]
-
-
 def bump_parameter_sets(n: int, seed: int, n_bumps: int = 4) -> list[dict]:
     """Draw bump parameters once so the same smooth functions can be
     re-sampled on several grids (refinement studies)."""
@@ -108,6 +87,8 @@ def bump_parameter_sets(n: int, seed: int, n_bumps: int = 4) -> list[dict]:
 
 
 def bump_from_parameters(grid: Grid, params: dict) -> GridFunction:
+    """Superposition of Gaussian bumps windowed to vanish identically near
+    the boundary (so that all trace terms drop out exactly)."""
     def fn(X, Y):
         out = np.zeros_like(X)
         for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):

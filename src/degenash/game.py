@@ -19,11 +19,13 @@ finite-difference oracle and the projection geometry are consistent to
 round-off.  The existence proof is nonconstructive; best responses are
 computed by projected gradient descent and the Nash pair by Gauss-Seidel
 sweeps, with a-posteriori sampling certification replacing the fixed-point
-argument.
+argument.  Certification deviations are drawn on the follower's control
+region only; every other node is zero.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -68,8 +70,18 @@ class GameConfig:
     _solver: DirichletSolver | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.m1 < 0 or self.m2 < 0:
-            raise ValueError("ball radii must be nonnegative")
+        for name in ("m1", "m2"):
+            m = getattr(self, name)
+            if not (math.isfinite(m) and m >= 0):
+                raise ValueError(f"ball radius {name} must be finite and nonnegative, got {m}")
+        for name in ("br_tol", "inner_tol"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"{name} must be finite and positive, got {tol}")
+        for name in ("br_max_iters", "inner_max_iters", "deviation_samples"):
+            count = getattr(self, name)
+            if count < 1:
+                raise ValueError(f"{name} must be at least 1, got {count}")
         for name, mask in (("omega", self.omega), ("omega1", self.omega1),
                            ("omega2", self.omega2), ("g1_obs", self.g1_obs),
                            ("g2_obs", self.g2_obs)):
@@ -107,11 +119,19 @@ class NashResult:
     sweep_order: str = "f1-then-f2"
 
 
+@functools.lru_cache(maxsize=16)
+def _nodal_x_power(grid: Grid, exponent: float) -> np.ndarray:
+    """Read-only flat array of x**exponent at every interior node."""
+    w = np.repeat(grid.x**exponent, grid.ny)
+    w.flags.writeable = False
+    return w
+
+
 def control_inner(u: GridFunction, v: GridFunction, alpha: float) -> float:
     """Lumped weighted inner product hx*hy * sum x^-alpha u v."""
+    u._check_same_grid(v)
     g = u.grid
-    w = g.x ** (-alpha)
-    return float(g.hx * g.hy * np.sum(w[:, None] * u.values2d() * v.values2d()))
+    return float(g.hx * g.hy * np.sum(_nodal_x_power(g, -alpha) * u.values * v.values))
 
 
 def control_norm(f: GridFunction, alpha: float) -> float:
@@ -126,8 +146,14 @@ def _tracking_sq(y: GridFunction, yd: GridFunction, region: RegionMask) -> float
 
 def state_solve(cfg: GameConfig, g: GridFunction, f1: GridFunction, f2: GridFunction) -> GridFunction:
     """State y(g, f1, f2) with masked sources."""
-    rhs = cfg.omega.apply(g) + cfg.omega1.apply(f1) + cfg.omega2.apply(f2)
-    return GridFunction(cfg.grid, cfg.solver().solve(rhs.values))
+    if not (g.grid == f1.grid == f2.grid == cfg.grid):
+        raise ValueError("mask and GridFunction live on different grids")
+    rhs = (
+        np.where(cfg.omega.indicator, g.values, 0.0)
+        + np.where(cfg.omega1.indicator, f1.values, 0.0)
+        + np.where(cfg.omega2.indicator, f2.values, 0.0)
+    )
+    return GridFunction(cfg.grid, cfg.solver().solve(rhs))
 
 
 def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
@@ -135,10 +161,11 @@ def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
     region_ctrl, region_obs, yd, _ = cfg.follower(i)
     y = state_solve(cfg, cfg.g, f1, f2)
     f_own = f1 if i == 1 else f2
-    penalty = cfg.grid.hx * cfg.grid.hy * float(
+    grid = cfg.grid
+    penalty = grid.hx * grid.hy * float(
         np.sum(
             np.where(region_ctrl.indicator, f_own.values, 0.0) ** 2
-            * np.repeat(cfg.grid.x ** (-cfg.grid.alpha), cfg.grid.ny)
+            * _nodal_x_power(grid, -grid.alpha)
         )
     )
     return _tracking_sq(y, yd, region_obs) + penalty
@@ -153,7 +180,7 @@ def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> Gri
     source = np.where(region_obs.indicator, 2.0 * (y.values - yd.values), 0.0)
     p = cfg.solver().solve_adjoint(source)
     f_own = f1 if i == 1 else f2
-    xa = np.repeat(cfg.grid.x**cfg.grid.alpha, cfg.grid.ny)
+    xa = _nodal_x_power(cfg.grid, cfg.grid.alpha)
     vals = np.where(region_ctrl.indicator, xa * p + 2.0 * f_own.values, 0.0)
     return GridFunction(cfg.grid, vals)
 
@@ -280,16 +307,19 @@ def _feasible_deviations(
     cfg: GameConfig, i: int, rng: np.random.Generator
 ) -> list[GridFunction]:
     """Zero control, boundary-sphere points, and interior points with
-    uniform directions and radii up to M_i."""
+    uniform directions and radii up to M_i.  Directions are standard
+    normal on the control region's nodes and zero elsewhere."""
     region_ctrl, _, _, m = cfg.follower(i)
     alpha = cfg.grid.alpha
     out = [GridFunction.zeros(cfg.grid)]
     if m == 0.0:
         return out
     n = cfg.deviation_samples
+    count = region_ctrl.count
     for k in range(n):
-        d = GridFunction(cfg.grid, rng.standard_normal(cfg.grid.n))
-        d = region_ctrl.apply(d)
+        vals = np.zeros(cfg.grid.n)
+        vals[region_ctrl.indicator] = rng.standard_normal(count)
+        d = GridFunction(cfg.grid, vals)
         nd = control_norm(d, alpha)
         if nd == 0.0:
             continue
@@ -302,7 +332,9 @@ def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tu
     """Sampled a-posteriori check of the two Nash inequalities.
 
     Each follower's cost at the candidate must not exceed the cost of any
-    sampled feasible unilateral deviation by more than cert_tol.  Returns
+    sampled feasible unilateral deviation by more than cert_tol.  The
+    deviations are supported on the follower's control region and drawn
+    there only, from the seeded stream (cfg.seed, i).  Returns
     (all-pass flag, minimum margin J_i(deviation) - J_i(candidate)).
     """
     ok = True

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from degenash.cli import ConfigError, RunReport, build_game_config, main, parse_config, run
-from degenash.game import benchmark_config
+from degenash.game import benchmark_config, nash_solve
 from degenash.operators import Scheme
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -58,6 +58,28 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="game.omega"):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "line, value",
+        [
+            ("m1: 1.0", ".nan"),
+            ("m2: 1.0", ".inf"),
+            ("m1: 1.0", "-1.0"),
+            ("br_tol: 1.0e-8", "-1.0"),
+            ("br_tol: 1.0e-8", "0.0"),
+            ("inner_tol: 1.0e-9", ".nan"),
+            ("inner_tol: 1.0e-9", "0.0"),
+            ("br_max_iters: 200", "0"),
+            ("deviation_samples: 200", "-5"),
+            ("deviation_samples: 200", "0"),
+        ],
+    )
+    def test_unusable_game_value_names_field(self, line, value):
+        key = line.split(":")[0]
+        text = (CONFIG_DIR / "benchmark_game.yaml").read_text()
+        assert line in text
+        with pytest.raises(ConfigError, match=f"game.{key}"):
+            parse_config(text.replace(line, f"{key}: {value}"))
 
     def test_benchmark_golden_roundtrip(self):
         # the shipped config must reconstruct the library's benchmark game
@@ -125,6 +147,27 @@ class TestRun:
         assert (tmp_path / "game_fields.tsv").exists()
         n_rows = len((tmp_path / "game_fields.tsv").read_text().strip().splitlines())
         assert n_rows == 1 + 16 * 16
+
+    def test_game_fields_match_row_rendering(self, tmp_path):
+        # the column-wise writer reproduces the row-by-row rendering exactly
+        cfg = parse_config(
+            (CONFIG_DIR / "benchmark_game.yaml")
+            .read_text()
+            .replace("nx: 64, ny: 64", "nx: 16, ny: 16")
+            .replace("deviation_samples: 200", "deviation_samples: 10")
+        )
+        cfg.output_dir = str(tmp_path)
+        run(cfg)
+        game = build_game_config(cfg)
+        res = nash_solve(game)
+        X, Y = game.grid.meshgrid()
+        f1v, f2v, yv = res.f1_star.values2d(), res.f2_star.values2d(), res.state.values2d()
+        expected = ["\t".join(["i", "j", "x", "y", "f1", "f2", "state"])]
+        for i in range(game.grid.nx):
+            for j in range(game.grid.ny):
+                cells = (X[i, j], Y[i, j], f1v[i, j], f2v[i, j], yv[i, j])
+                expected.append("\t".join([str(i), str(j)] + [repr(float(c)) for c in cells]))
+        assert (tmp_path / "game_fields.tsv").read_text() == "\n".join(expected) + "\n"
 
     def test_report_roundtrip(self, tmp_path):
         cfg = parse_config(MINIMAL_SOLVE)

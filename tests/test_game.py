@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from degenash.fields import bump_from_parameters, bump_parameter_sets
 from degenash.game import (
     BestResponseError,
     GameConfig,
+    _feasible_deviations,
     benchmark_config,
     best_response,
     certify,
@@ -304,6 +306,26 @@ class TestGameConfigValidation:
         with pytest.raises(ValueError):
             benchmark_config(nx=16, ny=16, m1=-1.0, seed=1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("m1", math.nan),
+            ("m2", math.inf),
+            ("br_tol", -1.0),
+            ("br_tol", 0.0),
+            ("br_tol", math.nan),
+            ("inner_tol", 0.0),
+            ("inner_tol", math.inf),
+            ("br_max_iters", 0),
+            ("inner_max_iters", 0),
+            ("deviation_samples", -5),
+        ],
+    )
+    def test_unusable_value_rejected(self, name, value):
+        cfg = benchmark_config(nx=16, ny=16, seed=1)
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(cfg, **{name: value})
+
     def test_equal_targets_warn(self):
         grid = build_grid(8, 8, 0.5)
         sin = GridFunction.from_callable(grid, lambda X, Y: np.sin(np.pi * X) * np.sin(np.pi * Y))
@@ -335,3 +357,62 @@ class TestGameConfigValidation:
     def test_follower_index_validated(self, mini_cfg):
         with pytest.raises(ValueError):
             mini_cfg.follower(3)
+
+
+class TestArrayLevelEquivalence:
+    """The array-level game kernels reproduce the GridFunction-level
+    formulas they replaced bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def cfg16(self):
+        return benchmark_config(nx=16, ny=16, deviation_samples=30, seed=9)
+
+    def test_state_solve_matches_masked_sum(self, cfg16):
+        cfg = cfg16
+        g, f1, f2 = (random_field(cfg.grid, s) for s in (1, 2, 3))
+        rhs = cfg.omega.apply(g) + cfg.omega1.apply(f1) + cfg.omega2.apply(f2)
+        expected = cfg.solver().solve(rhs.values)
+        assert np.array_equal(state_solve(cfg, g, f1, f2).values, expected)
+
+    def test_state_solve_rejects_foreign_grid(self, cfg16):
+        z = GridFunction.zeros(cfg16.grid)
+        other = GridFunction.zeros(build_grid(16, 16, 1.0))
+        for args in ((other, z, z), (z, other, z), (z, z, other)):
+            with pytest.raises(ValueError, match="different grids"):
+                state_solve(cfg16, *args)
+
+    @pytest.mark.parametrize("shape, alpha", [((16, 16), 0.5), ((16, 32), 1.0), ((7, 5), 0.25)])
+    def test_control_inner_matches_2d_formula(self, shape, alpha):
+        grid = build_grid(*shape, alpha)
+        u, v = random_field(grid, 4), random_field(grid, 5)
+        w = grid.x ** (-alpha)
+        old = float(grid.hx * grid.hy * np.sum(w[:, None] * u.values2d() * v.values2d()))
+        assert control_inner(u, v, alpha) == old
+
+    @pytest.mark.parametrize(
+        "shape_u, alpha_u, shape_v, alpha_v",
+        [((16, 16), 0.5, (16, 16), 1.0), ((16, 32), 0.5, (32, 16), 0.5)],
+    )
+    def test_control_inner_rejects_mixed_grids(self, shape_u, alpha_u, shape_v, alpha_v):
+        u = GridFunction.zeros(build_grid(*shape_u, alpha_u))
+        v = GridFunction.zeros(build_grid(*shape_v, alpha_v))
+        with pytest.raises(ValueError, match="different grids"):
+            control_inner(u, v, alpha_u)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_deviations_sampled_on_control_region(self, cfg16, i):
+        cfg = cfg16
+        region, _, _, m = cfg.follower(i)
+        n = cfg.deviation_samples
+        devs = _feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
+        assert len(devs) == n + 1
+        assert np.all(devs[0].values == 0.0)
+        alpha = cfg.grid.alpha
+        for d in devs:
+            assert not np.any(d.values[~region.indicator])
+        for d in devs[1 : n // 2 + 1]:
+            assert abs(control_norm(d, alpha) - m) <= 1e-12 * m
+        for d in devs[n // 2 + 1 :]:
+            assert control_norm(d, alpha) <= m * (1.0 + 1e-12)
+        again = _feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(devs, again))
