@@ -4,7 +4,11 @@
 import sys
 from pathlib import Path
 
-from degenash.cli import main
+ROOT = Path(__file__).resolve().parent.parent
+# run from a source checkout without installing, as pytest does via pyproject.toml
+sys.path.insert(0, str(ROOT / "src"))
+
+from degenash.cli import main  # noqa: E402
 
 STUDIES = [
     "study_convergence.yaml",
@@ -16,9 +20,8 @@ STUDIES = [
 ]
 
 if __name__ == "__main__":
-    root = Path(__file__).resolve().parent.parent
     worst = 0
     for name in STUDIES:
-        code = main(["study", "--config", str(root / "configs" / name)])
+        code = main(["study", "--config", str(ROOT / "configs" / name)])
         worst = max(worst, code)
     sys.exit(worst)

@@ -4,8 +4,11 @@
 import sys
 from pathlib import Path
 
-from degenash.cli import main
+ROOT = Path(__file__).resolve().parent.parent
+# run from a source checkout without installing, as pytest does via pyproject.toml
+sys.path.insert(0, str(ROOT / "src"))
+
+from degenash.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    root = Path(__file__).resolve().parent.parent
-    sys.exit(main(["game", "--config", str(root / "configs" / "benchmark_game.yaml")]))
+    sys.exit(main(["game", "--config", str(ROOT / "configs" / "benchmark_game.yaml")]))

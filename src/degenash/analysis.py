@@ -140,8 +140,8 @@ def coercivity_check(
     near the boundary, so the trace terms the constant derivation relies
     on drop out exactly.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     grid = build_grid(nx, ny, alpha)
     params = bump_parameter_sets(n_samples, seed)
     vs = [bump_from_parameters(grid, p) for p in params]
@@ -154,7 +154,8 @@ def coercivity_check(
     mu_h = safety * max(mu_samples)
     delta_h = coercivity_delta(theta, mu_h)
     margins = [coercivity_margin(v, theta, mu_h) for v in vs]
-    violations = sum(1 for m in margins if m < 0.0)
+    # a NaN margin certifies nothing, so it counts as a violation
+    violations = sum(1 for m in margins if not m >= 0.0)
     return StudyResult(
         levels=[nx],
         metrics={

@@ -102,6 +102,14 @@ def _get(section: dict, key: str, default, path: str, kind=None):
     return value
 
 
+def _get_list(section: dict, key: str, default: list, path: str, kind) -> list:
+    raw = section.get(key, default)
+    try:
+        return [kind(v) for v in raw]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.{key}: expected a list of numbers, got {raw!r}") from None
+
+
 def _field_spec(section: dict, key: str, default_kind: str, path: str) -> FieldSpec:
     raw = section.get(key, {"kind": default_kind})
     if not isinstance(raw, dict) or "kind" not in raw:
@@ -120,6 +128,17 @@ def _rect(section: dict, key: str, path: str) -> tuple[float, float, float, floa
     if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
         raise ConfigError(f"{path}.{key}: rectangle must satisfy 0 <= x0 < x1 <= 1, 0 <= y0 < y1 <= 1")
     return x0, x1, y0, y1
+
+
+def _check_study_levels(study: dict) -> None:
+    """Reject study levels the study kind cannot run on."""
+    levels = study["levels"]
+    if any(lv < 2 for lv in levels):
+        raise ConfigError("study.levels: every level needs at least 2 interior nodes")
+    if study["kind"] == "convergence" and len(levels) < 3:
+        raise ConfigError(f"study.levels: a convergence study needs at least 3 levels, got {levels}")
+    if study["kind"] == "inclusion" and any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"study.levels: inclusion levels must be strictly increasing, got {levels}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -155,8 +174,8 @@ def parse_config(text: str) -> RunConfig:
     except ValueError:
         raise ConfigError(f"config.scheme: must be 'upwind' or 'centered', got {scheme_name!r}") from None
     theta = _get(raw, "theta", 1.0, "config", float)
-    if theta < 0:
-        raise ConfigError(f"config.theta: must be nonnegative, got {theta}")
+    if not (math.isfinite(theta) and theta >= 0):
+        raise ConfigError(f"config.theta: must be finite and nonnegative, got {theta}")
 
     needs_seed = command == "game" or (
         command == "study" and raw.get("study", {}).get("kind") in SAMPLING_STUDY_KINDS
@@ -194,19 +213,27 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"study.kind: must be one of {STUDY_KINDS}, got {kind!r}")
         cfg.study = {
             "kind": kind,
-            "levels": [int(v) for v in sec.get("levels", [16, 32, 64, 128])],
+            "levels": _get_list(sec, "levels", [16, 32, 64, 128], "study", int),
             "manufactured": str(sec.get("manufactured", "sinsin")),
-            "ratio_cap": float(sec.get("ratio_cap", 1.2)),
-            "plateau_tol": float(sec.get("plateau_tol", 0.05)),
-            "plateau_from": int(sec.get("plateau_from", 32)),
-            "n_samples": int(sec.get("n_samples", 200 if kind == "coercivity" else 100)),
-            "q_values": [float(q) for q in sec.get("q_values", [2, 3, 4])],
-            "n_balls": int(sec.get("n_balls", 500)),
-            "growth_cap": float(sec.get("growth_cap", 1.1)),
-            "safety": float(sec.get("safety", 1.5)),
+            "ratio_cap": _get(sec, "ratio_cap", 1.2, "study", float),
+            "plateau_tol": _get(sec, "plateau_tol", 0.05, "study", float),
+            "plateau_from": _get(sec, "plateau_from", 32, "study", int),
+            "n_samples": _get(sec, "n_samples", 200 if kind == "coercivity" else 100, "study", int),
+            "q_values": _get_list(sec, "q_values", [2, 3, 4], "study", float),
+            "n_balls": _get(sec, "n_balls", 500, "study", int),
+            "growth_cap": _get(sec, "growth_cap", 1.1, "study", float),
+            "safety": _get(sec, "safety", 1.5, "study", float),
         }
-        if any(lv < 2 for lv in cfg.study["levels"]):
-            raise ConfigError("study.levels: every level needs at least 2 interior nodes")
+        s = cfg.study
+        _check_study_levels(s)
+        for key in ("n_samples", "n_balls"):
+            if s[key] < 1:
+                raise ConfigError(f"study.{key}: must be at least 1, got {s[key]}")
+        for key in ("ratio_cap", "growth_cap", "safety", "plateau_tol"):
+            if not (math.isfinite(s[key]) and s[key] > 0):
+                raise ConfigError(f"study.{key}: must be finite and positive, got {s[key]}")
+        if not s["q_values"] or not all(2.0 <= q <= 4.0 for q in s["q_values"]):
+            raise ConfigError(f"study.q_values: need at least one q, each in [2, 4], got {s['q_values']}")
     elif command == "game":
         sec = raw.get("game", {})
         cfg.game = {
@@ -333,16 +360,18 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
         f = FieldSpec(**cfg.verify["f"]).build(grid)
         op = assemble(grid, cfg.scheme)
         u, _ = solve_dirichlet(op, f)
-        worst = 0.0
+        residuals = []
         for k, p in enumerate(params):
             phi = bump_from_parameters(grid, p)
             r = weak_form_residual(u, f, phi)
             rt = theta_weak_form_residual(u, f, phi, cfg.theta)
             rows.append([level, k, r, rt])
-            worst = max(worst, abs(r), abs(rt))
-        max_by_level.append(worst)
+            residuals += [r, rt]
+        # np.max keeps a NaN, where Python's max would drop it
+        max_by_level.append(float(np.max(np.abs(residuals))))
     _write_table(out / "verify_residuals.tsv", ["level", "test_fn", "residual", "theta_residual"], rows)
-    decreasing = max_by_level[-1] < max_by_level[0]
+    finite = all(math.isfinite(m) for m in max_by_level)
+    decreasing = finite and max_by_level[-1] < max_by_level[0]
     results = {"levels": levels, "max_residual_by_level": max_by_level, "theta": cfg.theta}
     return results, (Verdict.PASS if decreasing else Verdict.FAIL).value
 
@@ -475,6 +504,7 @@ def main(argv: list[str] | None = None) -> int:
                 if not kept:
                     raise ConfigError(f"--level-override {n} drops every study level")
                 cfg.study["levels"] = kept
+                _check_study_levels(cfg.study)
             else:
                 if n < 2:
                     raise ConfigError("--level-override needs at least 2 interior nodes")

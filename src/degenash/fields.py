@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grid import Grid, GridFunction
@@ -86,13 +88,23 @@ def bump_parameter_sets(n: int, seed: int, n_bumps: int = 4) -> list[dict]:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _bump_frame(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (X, Y, boundary_cutoff(X, Y)) at the nodes of grid."""
+    X, Y = grid.meshgrid()
+    frame = (X, Y, boundary_cutoff(X, Y))
+    for a in frame:
+        a.flags.writeable = False
+    return frame
+
+
 def bump_from_parameters(grid: Grid, params: dict) -> GridFunction:
     """Superposition of Gaussian bumps windowed to vanish identically near
-    the boundary (so that all trace terms drop out exactly)."""
-    def fn(X, Y):
-        out = np.zeros_like(X)
-        for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
-            out += a * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
-        return out * boundary_cutoff(X, Y)
+    the boundary (so that all trace terms drop out exactly).
 
-    return sample(grid, fn)
+    The node coordinates and the window are computed once per grid."""
+    X, Y, window = _bump_frame(grid)
+    out = np.zeros_like(X)
+    for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
+        out += a * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
+    return GridFunction(grid, out * window)

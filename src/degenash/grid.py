@@ -4,10 +4,15 @@ The domain is (0,1) x (0,1) with homogeneous Dirichlet data.  Only interior
 nodes carry unknowns; boundary values are implicitly zero everywhere.  The
 x-direction carries the degeneracy weight x**alpha with alpha in (0,1], and
 all quadrature is midpoint-in-cell so the weight is never evaluated at x=0.
+
+The x-part hx*hy * xc**exponent of the quadrature weights is computed once
+per (grid, exponent) and handed out as a read-only array; a self-pairing
+weighted_inner(u, u, ...) interpolates u once.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -181,16 +186,31 @@ def cell_averages(u: GridFunction) -> np.ndarray:
     g = u.grid
     padded = np.zeros((g.nx + 2, g.ny + 2))
     padded[1:-1, 1:-1] = u.values2d()
-    return 0.25 * (padded[:-1, :-1] + padded[1:, :-1] + padded[:-1, 1:] + padded[1:, 1:])
+    # same left-to-right sum as 0.25 * (a + b + c + d), in one output array
+    out = padded[:-1, :-1] + padded[1:, :-1]
+    out += padded[:-1, 1:]
+    out += padded[1:, 1:]
+    out *= 0.25
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _x_weights(grid: Grid, exponent: float) -> np.ndarray:
+    """Read-only hx*hy * xc**exponent broadcast to shape (nx+1, ny+1)."""
+    w = grid.hx * grid.hy * np.power(grid.xc, exponent)[:, None]
+    w.flags.writeable = False
+    return np.broadcast_to(w, (grid.nx + 1, grid.ny + 1))
 
 
 def cell_weights(grid: Grid, exponent: float, y_weight=None) -> np.ndarray:
-    """Quadrature weights hx*hy * xc**exponent (* y_weight(yc)), shape (nx+1, ny+1)."""
-    w = grid.hx * grid.hy * np.power(grid.xc, exponent)[:, None]
+    """Quadrature weights hx*hy * xc**exponent (* y_weight(yc)), shape (nx+1, ny+1).
+
+    Without y_weight the result is a read-only view shared by every caller
+    with the same grid and exponent; with y_weight it is a fresh array.
+    """
+    w = _x_weights(grid, exponent)
     if y_weight is not None:
-        w = w * np.asarray(y_weight(grid.yc))[None, :]
-    else:
-        w = np.broadcast_to(w, (grid.nx + 1, grid.ny + 1))
+        return w * np.asarray(y_weight(grid.yc))[None, :]
     return w
 
 
@@ -210,7 +230,7 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, y_weight=N
     u._check_same_grid(v)
     g = u.grid
     ub = cell_averages(u)
-    vb = cell_averages(v)
+    vb = ub if v is u else cell_averages(v)
     if exponent <= -1.0 and np.any(ub[0, :] * vb[0, :] != 0.0):
         warnings.warn(
             f"x**({exponent}) is not integrable at x=0 and the integrand is "

@@ -4,7 +4,10 @@ Discrete derivatives reuse the operator module's difference conventions so
 that norm ratios compare like with like.  Ball-average quantities for the
 Muckenhoupt checks integrate x-power weights exactly in y (the chord length
 of the ball inside the square is closed-form) and by midpoint quadrature
-in x, which keeps the x=0 singularity off the evaluation points.
+in x, which keeps the x=0 singularity off the evaluation points.  Each
+ball's chord is computed once and shared by every weight integrated over
+that ball.  Quadrature weights come from grid.cell_weights, which caches
+them per (grid, exponent).
 """
 
 from __future__ import annotations
@@ -114,23 +117,25 @@ def embedding_ratio(u: GridFunction, q: float) -> float:
 
 
 def _ball_integral(
-    cx: float, cy: float, r: float, exponent: float, n_quad: int
-) -> tuple[float, float]:
-    """(integral of x**exponent over B((cx,cy),r) cap Omega, area of that set).
+    cx: float, cy: float, r: float, exponents: tuple[float, ...], n_quad: int
+) -> tuple[list[float], float]:
+    """([integral of x**e over B((cx,cy),r) cap Omega for e in exponents],
+    area of that set).
 
     The y-extent of the intersection at abscissa x is a closed-form chord,
     so only the x-integration is numerical (midpoint rule, never at x=0).
+    The chord is computed once for all exponents.
     """
     x_lo, x_hi = max(0.0, cx - r), min(1.0, cx + r)
     if x_hi <= x_lo:
-        return 0.0, 0.0
+        return [0.0] * len(exponents), 0.0
     step = (x_hi - x_lo) / n_quad
     x = x_lo + (np.arange(n_quad) + 0.5) * step
     half = np.sqrt(np.maximum(r * r - (x - cx) ** 2, 0.0))
     chord = np.maximum(np.minimum(cy + half, 1.0) - np.maximum(cy - half, 0.0), 0.0)
     area = float(np.sum(chord) * step)
-    value = float(np.sum(np.power(x, exponent) * chord) * step)
-    return value, area
+    values = [float(np.sum(np.power(x, e) * chord) * step) for e in exponents]
+    return values, area
 
 
 def _sample_balls(
@@ -170,9 +175,11 @@ def muckenhoupt_ap(
     if n_balls < 1:
         raise ValueError("need at least one ball")
     cxs, cys, rs = _sample_balls(n_balls, seed, r_min, r_max)
+    exponents = (weight_exponent,) if p == 1.0 else (weight_exponent, -weight_exponent / (p - 1.0))
     products = np.empty(n_balls)
     for k in range(n_balls):
-        w_int, area = _ball_integral(cxs[k], cys[k], rs[k], weight_exponent, n_quad)
+        integrals, area = _ball_integral(cxs[k], cys[k], rs[k], exponents, n_quad)
+        w_int = integrals[0]
         if area == 0.0:
             products[k] = 0.0
             continue
@@ -183,8 +190,7 @@ def muckenhoupt_ap(
             essinf = min(x_lo**weight_exponent, x_hi**weight_exponent)
             products[k] = avg_w / essinf if essinf > 0 else math.inf
         else:
-            winv_int, _ = _ball_integral(cxs[k], cys[k], rs[k], -weight_exponent / (p - 1.0), n_quad)
-            products[k] = avg_w * (winv_int / area) ** (p - 1.0)
+            products[k] = avg_w * (integrals[1] / area) ** (p - 1.0)
     finite = np.isfinite(products)
     diverged = bool(np.any(~finite) or np.any(products[finite] > overflow))
     constant = float(np.max(products)) if np.all(finite) else math.inf
@@ -217,19 +223,16 @@ def sobolev_ball_condition(
     if not (1.0 <= p <= q < math.inf):
         raise ValueError(f"need 1 <= p <= q < inf, got p={p}, q={q}")
     cxs, cys, rs = _sample_balls(n_balls, seed, r_min, r_max)
+    exponents = () if p == 1.0 else tuple(-e / (p - 1.0) for e in weights)
     worst = 0.0
     for k in range(n_balls):
         r = rs[k]
-        _, area = _ball_integral(cxs[k], cys[k], r, 0.0, n_quad)
+        winv_ints, area = _ball_integral(cxs[k], cys[k], r, exponents, n_quad)
         if area == 0.0:
             continue
         geom = (2.0 * r) / (math.pi * r * r) * area ** (1.0 / q)
-        for e in weights:
-            if p == 1.0:
-                value = geom
-            else:
-                winv_int, _ = _ball_integral(cxs[k], cys[k], r, -e / (p - 1.0), n_quad)
-                value = geom * winv_int ** ((p - 1.0) / p)
+        values = [geom] * len(weights) if p == 1.0 else [geom * w ** ((p - 1.0) / p) for w in winv_ints]
+        for value in values:
             if not math.isfinite(value) or value > overflow:
                 return math.inf
             worst = max(worst, value)

@@ -26,6 +26,7 @@ couples both y-neighbours and is solved by a SuperLU factorization.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -199,14 +200,15 @@ def solve_dirichlet(
 
 
 def _diff_along(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    v = np.moveaxis(values, axis, 0)
+    """Differences of a 2-D array along axis 0 or 1."""
+    v = values if axis == 0 else values.T
     out = np.empty_like(v)
     if v.shape[0] < 2:
         raise ValueError("need at least 2 nodes along the differenced axis")
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     out[0] = (v[1] - v[0]) / h
     out[-1] = (v[-1] - v[-2]) / h
-    return np.moveaxis(out, 0, axis)
+    return out if axis == 0 else out.T
 
 
 def dx(u: GridFunction) -> GridFunction:
@@ -245,8 +247,8 @@ def theta_weak_form_residual(u: GridFunction, f: GridFunction, phi: GridFunction
         (x**alpha u_y, phi_y)_theta + 1/2 (u_x, (phi_y)_x)_theta - (f, phi_y)_theta.
     At theta = 0 this is exactly the unweighted d_y-test form.
     """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    if not (math.isfinite(theta) and theta >= 0):
+        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
     alpha = u.grid.alpha
     yw = lambda y: np.exp(-theta * y)
     dphi = dy(phi)

@@ -86,6 +86,23 @@ class TestCoercivity:
         with pytest.raises(ValueError):
             coercivity_check(0.0, 5, seed=1)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_nonfinite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            coercivity_check(theta, 5, seed=1, nx=12, ny=12)
+
+    def test_nan_margin_counts_as_violation(self, monkeypatch):
+        import degenash.analysis as analysis
+
+        monkeypatch.setattr(analysis, "coercivity_margin", lambda v, theta, mu: math.nan)
+        r = coercivity_check(1.0, 4, seed=2, nx=12, ny=12)
+        assert r.metrics["violations"] == [4.0]
+        assert r.verdict is Verdict.FAIL
+
+    def test_golden_min_margin(self):
+        r = coercivity_check(1.0, 20, seed=2, nx=24, ny=24)
+        assert r.metrics["min_margin"] == [0.18998597104966225]
+
     def test_small_run_no_violations(self):
         r = coercivity_check(1.0, 20, seed=2, nx=24, ny=24)
         assert r.metrics["violations"] == [0.0]

@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +85,43 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"game.{key}"):
             parse_config(text.replace(line, f"{key}: {value}"))
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-1.0"])
+    def test_unusable_theta_rejected(self, value):
+        with pytest.raises(ConfigError, match="config.theta"):
+            parse_config(MINIMAL_SOLVE + f"theta: {value}\n")
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("coercivity", "n_samples", "0"),
+            ("embedding", "n_samples", "-3"),
+            ("muckenhoupt", "n_balls", "0"),
+            ("embedding", "q_values", "[1, 5]"),
+            ("embedding", "q_values", "[2, 4.5]"),
+            ("embedding", "q_values", "[]"),
+            ("energy", "ratio_cap", "0"),
+            ("energy", "ratio_cap", ".nan"),
+            ("embedding", "growth_cap", "-1.1"),
+            ("embedding", "growth_cap", ".inf"),
+            ("coercivity", "safety", "0"),
+            ("inclusion", "plateau_tol", ".nan"),
+            ("convergence", "levels", "[16, 32]"),
+            ("inclusion", "levels", "[32, 16, 64]"),
+            ("inclusion", "levels", "[16, 16, 32]"),
+            ("convergence", "levels", "5"),
+            ("embedding", "q_values", "[2, x]"),
+            ("muckenhoupt", "n_balls", "abc"),
+            ("energy", "ratio_cap", "high"),
+        ],
+    )
+    def test_unusable_study_value_names_field(self, kind, key, value):
+        with pytest.raises(ConfigError, match=f"study.{key}"):
+            parse_config(f"command: study\nseed: 1\nstudy: {{kind: {kind}, {key}: {value}}}\n")
+
+    def test_shipped_configs_parse(self):
+        for path in sorted(CONFIG_DIR.glob("*.yaml")):
+            parse_config(path.read_text())
+
     def test_benchmark_golden_roundtrip(self):
         # the shipped config must reconstruct the library's benchmark game
         cfg = parse_config((CONFIG_DIR / "benchmark_game.yaml").read_text())
@@ -132,6 +173,19 @@ class TestRun:
         assert report.verdict == "pass"
         rows = (tmp_path / "verify_residuals.tsv").read_text().strip().splitlines()
         assert len(rows) == 1 + 2 * 4  # two levels x four test functions
+
+    def test_verify_fails_on_nonfinite_residual(self, tmp_path, monkeypatch):
+        import degenash.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "theta_weak_form_residual", lambda u, f, phi, theta: math.nan)
+        cfg = parse_config(
+            "command: verify\nseed: 3\ngrid: {nx: 12, ny: 12, alpha: 0.5}\n"
+            "verify: {n_test_functions: 2}\n"
+        )
+        cfg.output_dir = str(tmp_path)
+        report = run(cfg)
+        assert report.verdict == "fail"
+        assert all(math.isnan(m) for m in report.results["max_residual_by_level"])
 
     def test_game_persists_tables(self, tmp_path):
         cfg = parse_config(
@@ -254,6 +308,11 @@ class TestMain:
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["levels"] == [8, 16]
 
+    def test_level_override_leaving_two_convergence_levels_exits_2(self, tmp_path):
+        p = tmp_path / "study.yaml"
+        p.write_text("command: study\nstudy: {kind: convergence, levels: [8, 16, 32]}\n")
+        assert main(["study", "--config", str(p), "--out", str(tmp_path / "out"), "--level-override", "16"]) == 2
+
     def test_level_override_game_grid(self, tmp_path):
         p = tmp_path / "game.yaml"
         p.write_text(
@@ -275,3 +334,17 @@ class TestMain:
         ta = (out_a / "study_samples.tsv").read_bytes()
         tb = (out_b / "study_samples.tsv").read_bytes()
         assert ta != tb
+
+
+class TestScripts:
+    def test_benchmark_game_script_runs_from_source_checkout(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmark_game.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "verdict=pass" in proc.stdout
+        report = json.loads((tmp_path / "out" / "benchmark_game" / "report.json").read_text())
+        assert report["verdict"] == "pass"

@@ -4,14 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field
+from degenash.fields import _bump_frame, boundary_cutoff, bump_from_parameters, bump_parameter_sets, sample
 from degenash.grid import (
     DegenerateWeightWarning,
     GridFunction,
     RegionMask,
     build_grid,
+    cell_averages,
+    cell_weights,
     rect_mask,
     weighted_inner,
 )
+
+SHAPES = [(12, 12), (9, 7), (5, 16)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
 
 
 class TestBuildGrid:
@@ -159,3 +168,64 @@ class TestWeightedInner:
         with _w.catch_warnings():
             _w.simplefilter("error", DegenerateWeightWarning)
             weighted_inner(u, u, -1.0)
+
+
+class TestQuadratureCaches:
+    """The cached and in-place quadrature paths reproduce the plain
+    formulas bit for bit."""
+
+    @pytest.mark.parametrize("nx,ny", SHAPES)
+    def test_cell_averages_match_four_corner_sum(self, nx, ny):
+        g = build_grid(nx, ny, 0.5)
+        u = random_field(g, nx * ny)
+        padded = np.zeros((nx + 2, ny + 2))
+        padded[1:-1, 1:-1] = u.values2d()
+        ref = 0.25 * (padded[:-1, :-1] + padded[1:, :-1] + padded[:-1, 1:] + padded[1:, 1:])
+        assert _bits(cell_averages(u)) == _bits(ref)
+
+    @pytest.mark.parametrize("nx,ny", SHAPES)
+    @pytest.mark.parametrize("exponent", [-1.0, -0.5, 0.0, 0.5])
+    def test_cell_weights_match_formula(self, nx, ny, exponent):
+        g = build_grid(nx, ny, 0.5)
+        col = g.hx * g.hy * np.power(g.xc, exponent)[:, None]
+        assert _bits(cell_weights(g, exponent)) == _bits(np.broadcast_to(col, (nx + 1, ny + 1)))
+        yw = lambda y: np.exp(-2.0 * y)
+        assert _bits(cell_weights(g, exponent, yw)) == _bits(col * yw(g.yc)[None, :])
+
+    @pytest.mark.parametrize("nx,ny", SHAPES)
+    @pytest.mark.parametrize("exponent", [-0.5, 0.0, 0.5])
+    def test_self_pairing_equals_pairing_with_copy(self, nx, ny, exponent):
+        g = build_grid(nx, ny, 0.5)
+        u = random_field(g, 3)
+        yw = lambda y: np.exp(-y)
+        assert weighted_inner(u, u, exponent) == weighted_inner(u, u.copy(), exponent)
+        assert weighted_inner(u, u, exponent, yw) == weighted_inner(u, u.copy(), exponent, yw)
+
+    def test_self_pairing_still_warns_on_divergent_weight(self, small_grid):
+        one = GridFunction(small_grid, np.ones(small_grid.n))
+        with pytest.warns(DegenerateWeightWarning):
+            weighted_inner(one, one, -1.5)
+
+    @pytest.mark.parametrize("nx,ny", SHAPES)
+    def test_bump_matches_sampled_formula(self, nx, ny):
+        g = build_grid(nx, ny, 0.5)
+        for params in bump_parameter_sets(3, seed=nx):
+            def fn(X, Y):
+                out = np.zeros_like(X)
+                for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
+                    out += a * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
+                return out * boundary_cutoff(X, Y)
+
+            assert _bits(bump_from_parameters(g, params).values) == _bits(sample(g, fn).values)
+
+    def test_cached_arrays_are_read_only(self, small_grid):
+        w = cell_weights(small_grid, 0.5)
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+        for a in _bump_frame(small_grid):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        # the y-weighted path hands out a fresh array
+        fresh = cell_weights(small_grid, 0.5, lambda y: np.ones_like(y))
+        fresh[0, 0] = 1.0
+        assert cell_weights(small_grid, 0.5)[0, 0] < 1.0

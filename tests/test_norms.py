@@ -182,11 +182,23 @@ class TestMuckenhoupt:
         b = muckenhoupt_ap(0.5, 2.0, 100, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "exponent, p, n_balls, seed, constant",
+        [(0.5, 2.0, 100, 9, 1.3330609022850584), (0.5, 1.0, 50, 4, 44.26186919708928)],
+    )
+    def test_golden_constant(self, exponent, p, n_balls, seed, constant):
+        # recorded before the chord was shared between the two weights
+        assert muckenhoupt_ap(exponent, p, n_balls, seed=seed).constant == constant
+
 
 class TestSobolevBallCondition:
     def test_admissible_configuration_finite(self):
         value = sobolev_ball_condition(2.0, 2.0, (0.0, 0.5), 300, seed=11)
         assert math.isfinite(value) and value > 0
+
+    def test_golden_value(self):
+        # recorded before one chord served every weight of a ball
+        assert sobolev_ball_condition(2.0, 2.0, (0.0, 0.5), 300, seed=11) == 1.382747075714835
 
     def test_unweighted_q4_finite(self):
         value = sobolev_ball_condition(4.0, 2.0, (0.0, 0.0), 300, seed=11)

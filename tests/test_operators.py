@@ -13,6 +13,7 @@ from degenash.operators import (
     DirichletSolver,
     Scheme,
     SolverError,
+    _diff_along,
     assemble,
     dx,
     dy,
@@ -258,3 +259,34 @@ class TestWeakForm:
         z = GridFunction.zeros(small_grid)
         with pytest.raises(ValueError):
             theta_weak_form_residual(z, z, z, -0.5)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_nonfinite_theta_rejected(self, small_grid, theta):
+        z = GridFunction.zeros(small_grid)
+        with pytest.raises(ValueError, match="finite"):
+            theta_weak_form_residual(z, z, z, theta)
+
+
+def _diff_along_moveaxis(values, h, axis):
+    """The differences written with np.moveaxis, as the reference."""
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (v[1] - v[0]) / h
+    out[-1] = (v[-1] - v[-2]) / h
+    return np.moveaxis(out, 0, axis)
+
+
+class TestDiffAlong:
+    @pytest.mark.parametrize("nx,ny", [(12, 12), (9, 7), (5, 16), (2, 3)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_moveaxis_formula(self, nx, ny, axis):
+        g = build_grid(nx, ny, 0.5)
+        values = random_field(g, nx + ny).values2d()
+        h = (g.hx, g.hy)[axis]
+        got, ref = _diff_along(values, h, axis), _diff_along_moveaxis(values, h, axis)
+        assert got.shape == ref.shape
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+        # dx and dy flatten the result in the grid's C order
+        d = (dx, dy)[axis](GridFunction(g, values))
+        assert d.values.tobytes() == np.ascontiguousarray(ref).reshape(g.n).tobytes()
