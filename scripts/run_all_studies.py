@@ -10,18 +10,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from degenash.cli import main  # noqa: E402
 
-STUDIES = [
-    "study_convergence.yaml",
-    "study_energy.yaml",
-    "study_coercivity.yaml",
-    "study_inclusion.yaml",
-    "study_embedding.yaml",
-    "study_muckenhoupt.yaml",
-]
-
 if __name__ == "__main__":
     worst = 0
-    for name in STUDIES:
-        code = main(["study", "--config", str(ROOT / "configs" / name)])
-        worst = max(worst, code)
+    for config in sorted((ROOT / "configs").glob("study_*.yaml")):
+        worst = max(worst, main(["study", "--config", str(config)]))
     sys.exit(worst)

@@ -38,7 +38,6 @@ from .norms import (
     WeightConvention,
     embedding_ratio,
     l2_weighted_norm,
-    sobolev_ball_condition,
     lq_norm,
     muckenhoupt_ap,
     norms_of,

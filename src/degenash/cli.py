@@ -14,7 +14,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +34,22 @@ from .analysis import (
     muckenhoupt_study,
     strict_inclusion_demo,
 )
-from .fields import FIELD_KINDS, bump_from_parameters, bump_parameter_sets, named_field
-from .game import GameConfig, NashResult, benchmark_config, control_norm, nash_solve
-from .grid import GridFunction, build_grid, rect_mask
+from .fields import FIELD_KINDS, MANUFACTURED_KINDS, bump_from_parameters, bump_parameter_sets, named_field
+from .game import (
+    AT_LEAST_ONE,
+    FINITE_NONNEGATIVE,
+    FINITE_POSITIVE,
+    GameConfig,
+    NashResult,
+    Rule,
+    control_norm,
+    nash_solve,
+)
+from .grid import build_grid, rect_mask
 from .norms import norms_of
 from .operators import Scheme, assemble, solve_dirichlet, theta_weak_form_residual, weak_form_residual
 
 COMMANDS = ("solve", "verify", "study", "game")
-STUDY_KINDS = ("convergence", "energy", "coercivity", "inclusion", "embedding", "muckenhoupt")
 SAMPLING_STUDY_KINDS = ("coercivity", "embedding", "muckenhoupt")
 
 
@@ -48,13 +57,106 @@ class ConfigError(ValueError):
     """Malformed or out-of-range configuration, with a field path."""
 
 
-@dataclass
-class FieldSpec:
-    kind: str
-    amplitude: float = 1.0
+@dataclass(frozen=True)
+class Key:
+    """One config key: the reader that converts its raw value (a dict
+    instead is the table of a nested section), its default (None: the
+    key is required) and the rule the converted value must meet."""
 
-    def build(self, grid):
-        return named_field(grid, self.kind, self.amplitude)
+    read: Callable | dict
+    default: object = None
+    rule: Rule | None = None
+
+
+def _one_of(choices) -> Rule:
+    choices = tuple(choices)  # tuple membership also accepts unhashable values
+    return Rule(f"must be one of {choices}", lambda v: v in choices)
+
+
+def _list_of(kind) -> Callable:
+    def read(raw):
+        if not isinstance(raw, list):
+            raise TypeError(raw)
+        return [kind(v) for v in raw]
+
+    return read
+
+
+def _levels(text: str = "", holds=lambda levels: True) -> Key:
+    rule = Rule(
+        f"must be a non-empty list of levels, each at least 2{text}",
+        lambda levels: bool(levels) and all(lv >= 2 for lv in levels) and holds(levels),
+    )
+    return Key(_list_of(int), [16, 32, 64, 128], rule)
+
+
+TOP = {
+    "command": Key(str, None, _one_of(COMMANDS)),
+    "seed": Key(int, 0),
+    "output_dir": Key(str, "out"),
+    "scheme": Key(str, Scheme.UPWIND_Y.value, _one_of([s.value for s in Scheme])),
+    "theta": Key(float, 1.0, FINITE_NONNEGATIVE),
+}
+NODES = Rule("must be at least 2 interior nodes", lambda n: n >= 2)
+GRID = {
+    "nx": Key(int, 64, NODES),
+    "ny": Key(int, 64, NODES),
+    "alpha": Key(float, 0.5, Rule("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)),
+}
+FIELD = {"kind": Key(str, None, _one_of(FIELD_KINDS)), "amplitude": Key(float, 1.0)}
+SINSIN = {"kind": "sinsin"}
+RECT = Key(
+    _list_of(float),
+    None,
+    Rule(
+        "must be [x0, x1, y0, y1] with 0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1",
+        lambda r: len(r) == 4 and 0.0 <= r[0] < r[1] <= 1.0 and 0.0 <= r[2] < r[3] <= 1.0,
+    ),
+)
+SECTIONS = {
+    "solve": {"f": Key(FIELD, SINSIN), "tol": Key(float, 1e-10, FINITE_POSITIVE)},
+    "verify": {"f": Key(FIELD, SINSIN), "n_test_functions": Key(int, 10, AT_LEAST_ONE)},
+    "game": {
+        **dict.fromkeys(("omega", "omega1", "omega2", "g1_obs", "g2_obs"), RECT),
+        **dict.fromkeys(("g", "yd1", "yd2"), Key(FIELD, SINSIN)),
+        # the scalar settings take default and rule from GameConfig;
+        # inner_max_iters has no config key
+        **{
+            f.name: Key(type(f.default), f.default, f.metadata["rule"])
+            for f in fields(GameConfig)
+            if "rule" in f.metadata and f.name != "inner_max_iters"
+        },
+    },
+}
+# A study section holds its kind and the keys of that kind's study only;
+# each key is a keyword argument of the kind's study function.
+STUDIES = {
+    "convergence": {
+        "levels": _levels(", at least 3 of them", lambda levels: len(levels) >= 3),
+        "manufactured": Key(str, "sinsin", _one_of(MANUFACTURED_KINDS)),
+    },
+    "energy": {"levels": _levels(), "ratio_cap": Key(float, 1.2, FINITE_POSITIVE)},
+    "coercivity": {
+        "n_samples": Key(int, 200, AT_LEAST_ONE),
+        "safety": Key(float, 1.5, FINITE_POSITIVE),
+    },
+    "inclusion": {
+        "levels": _levels(", strictly increasing", lambda levels: all(b > a for a, b in zip(levels, levels[1:]))),
+        "plateau_tol": Key(float, 0.05, FINITE_POSITIVE),
+        "plateau_from": Key(int, 32),
+    },
+    "embedding": {
+        "levels": _levels(),
+        "q_values": Key(_list_of(float), [2, 3, 4], Rule(
+            "must be a non-empty list of q, each in [2, 4]",
+            lambda qs: bool(qs) and all(2.0 <= q <= 4.0 for q in qs),
+        )),
+        "n_samples": Key(int, 100, AT_LEAST_ONE),
+        "growth_cap": Key(float, 1.1, FINITE_POSITIVE),
+    },
+    "muckenhoupt": {"n_balls": Key(int, 500, AT_LEAST_ONE)},
+}
+STUDY_KIND = Key(str, None, _one_of(STUDIES))
 
 
 @dataclass
@@ -90,61 +192,43 @@ class RunReport:
         return cls(**json.loads(text))
 
 
-def _get(section: dict, key: str, default, path: str, kind=None):
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"{path}.{key}: required field is missing")
-    if kind is not None:
-        try:
-            value = kind(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.{key}: cannot interpret {value!r}") from None
+def _check(rule: Rule | None, value, where: str):
+    if rule is not None and not rule.holds(value):
+        raise ConfigError(f"{where}: {rule.text}, got {value!r}")
     return value
 
 
-def _get_list(section: dict, key: str, default: list, path: str, kind) -> list:
-    raw = section.get(key, default)
-    try:
-        return [kind(v) for v in raw]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}: expected a list of numbers, got {raw!r}") from None
-
-
-def _field_spec(section: dict, key: str, default_kind: str, path: str) -> FieldSpec:
-    raw = section.get(key, {"kind": default_kind})
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError(f"{path}.{key}: expected a mapping with a 'kind' entry")
-    kind = str(raw["kind"])
-    if kind not in FIELD_KINDS:
-        raise ConfigError(f"{path}.{key}.kind: unknown field {kind!r}, known: {FIELD_KINDS}")
-    return FieldSpec(kind=kind, amplitude=float(raw.get("amplitude", 1.0)))
-
-
-def _rect(section: dict, key: str, path: str) -> tuple[float, float, float, float]:
-    raw = section.get(key)
-    if raw is None or len(raw) != 4:
-        raise ConfigError(f"{path}.{key}: expected [x0, x1, y0, y1]")
-    x0, x1, y0, y1 = (float(v) for v in raw)
-    if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
-        raise ConfigError(f"{path}.{key}: rectangle must satisfy 0 <= x0 < x1 <= 1, 0 <= y0 < y1 <= 1")
-    return x0, x1, y0, y1
-
-
-def _check_study_levels(study: dict) -> None:
-    """Reject study levels the study kind cannot run on."""
-    levels = study["levels"]
-    if any(lv < 2 for lv in levels):
-        raise ConfigError("study.levels: every level needs at least 2 interior nodes")
-    if study["kind"] == "convergence" and len(levels) < 3:
-        raise ConfigError(f"study.levels: a convergence study needs at least 3 levels, got {levels}")
-    if study["kind"] == "inclusion" and any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError(f"study.levels: inclusion levels must be strictly increasing, got {levels}")
+def _read(raw, table: dict, path: str) -> dict:
+    """Read one section by its table: reject unknown keys, apply defaults,
+    convert values and check their rules.  Errors name path.key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {raw!r}")
+    for name in raw:
+        if name not in table:
+            raise ConfigError(f"{path}.{name}: unknown key, known: {', '.join(table)}")
+    out = {}
+    for name, key in table.items():
+        where = f"{path}.{name}"
+        value = raw.get(name, key.default)
+        if value is None:
+            raise ConfigError(f"{where}: required field is missing")
+        if isinstance(key.read, dict):
+            value = _read(value, key.read, where)
+        else:
+            try:
+                value = key.read(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{where}: cannot interpret {value!r}") from None
+        out[name] = _check(key.rule, value, where)
+    return out
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a YAML run config, applying defaults.
 
-    Defaults: scheme upwind, theta 1.0, solve tol 1e-10, output_dir 'out'.
+    The top level holds command, seed, output_dir, scheme, theta, the grid
+    section and the section named by the command; each section is read by
+    its table (TOP, GRID, SECTIONS, STUDIES), and unknown keys are errors.
     Sampling commands (game; coercivity/embedding/muckenhoupt studies)
     require an explicit seed for reproducibility.
     """
@@ -155,156 +239,63 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of sections")
 
-    command = _get(raw, "command", None, "config", str)
-    if command not in COMMANDS:
-        raise ConfigError(f"config.command: must be one of {COMMANDS}, got {command!r}")
-
-    grid_sec = raw.get("grid", {})
-    nx = _get(grid_sec, "nx", 64, "grid", int)
-    ny = _get(grid_sec, "ny", 64, "grid", int)
-    alpha = _get(grid_sec, "alpha", 0.5, "grid", float)
-    if nx < 2 or ny < 2:
-        raise ConfigError("grid.nx/ny: need at least 2 interior nodes per direction")
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"grid.alpha: must lie in (0, 1], got {alpha}")
-
-    scheme_name = _get(raw, "scheme", "upwind", "config", str)
-    try:
-        scheme = Scheme(scheme_name)
-    except ValueError:
-        raise ConfigError(f"config.scheme: must be 'upwind' or 'centered', got {scheme_name!r}") from None
-    theta = _get(raw, "theta", 1.0, "config", float)
-    if not (math.isfinite(theta) and theta >= 0):
-        raise ConfigError(f"config.theta: must be finite and nonnegative, got {theta}")
-
-    needs_seed = command == "game" or (
-        command == "study" and raw.get("study", {}).get("kind") in SAMPLING_STUDY_KINDS
-    )
-    if needs_seed and "seed" not in raw:
-        raise ConfigError("config.seed: sampling commands require an explicit seed")
-    seed = _get(raw, "seed", 0, "config", int)
-    output_dir = str(raw.get("output_dir", "out"))
-
-    cfg = RunConfig(
-        command=command, nx=nx, ny=ny, alpha=alpha, scheme=scheme, theta=theta,
-        seed=seed, output_dir=output_dir,
-    )
-
-    if command == "solve":
-        sec = raw.get("solve", {})
-        cfg.solve = {
-            "f": asdict(_field_spec(sec, "f", "sinsin", "solve")),
-            "tol": _get(sec, "tol", 1e-10, "solve", float),
-        }
-        if cfg.solve["tol"] <= 0:
-            raise ConfigError("solve.tol: must be positive")
-    elif command == "verify":
-        sec = raw.get("verify", {})
-        cfg.verify = {
-            "f": asdict(_field_spec(sec, "f", "sinsin", "verify")),
-            "n_test_functions": _get(sec, "n_test_functions", 10, "verify", int),
-        }
-        if cfg.verify["n_test_functions"] < 1:
-            raise ConfigError("verify.n_test_functions: need at least one test function")
-    elif command == "study":
+    command = _check(TOP["command"].rule, raw.get("command"), "config.command")
+    if command == "study":
         sec = raw.get("study", {})
-        kind = _get(sec, "kind", None, "study", str)
-        if kind not in STUDY_KINDS:
-            raise ConfigError(f"study.kind: must be one of {STUDY_KINDS}, got {kind!r}")
-        cfg.study = {
-            "kind": kind,
-            "levels": _get_list(sec, "levels", [16, 32, 64, 128], "study", int),
-            "manufactured": str(sec.get("manufactured", "sinsin")),
-            "ratio_cap": _get(sec, "ratio_cap", 1.2, "study", float),
-            "plateau_tol": _get(sec, "plateau_tol", 0.05, "study", float),
-            "plateau_from": _get(sec, "plateau_from", 32, "study", int),
-            "n_samples": _get(sec, "n_samples", 200 if kind == "coercivity" else 100, "study", int),
-            "q_values": _get_list(sec, "q_values", [2, 3, 4], "study", float),
-            "n_balls": _get(sec, "n_balls", 500, "study", int),
-            "growth_cap": _get(sec, "growth_cap", 1.1, "study", float),
-            "safety": _get(sec, "safety", 1.5, "study", float),
-        }
-        s = cfg.study
-        _check_study_levels(s)
-        for key in ("n_samples", "n_balls"):
-            if s[key] < 1:
-                raise ConfigError(f"study.{key}: must be at least 1, got {s[key]}")
-        for key in ("ratio_cap", "growth_cap", "safety", "plateau_tol"):
-            if not (math.isfinite(s[key]) and s[key] > 0):
-                raise ConfigError(f"study.{key}: must be finite and positive, got {s[key]}")
-        if not s["q_values"] or not all(2.0 <= q <= 4.0 for q in s["q_values"]):
-            raise ConfigError(f"study.q_values: need at least one q, each in [2, 4], got {s['q_values']}")
-    elif command == "game":
-        sec = raw.get("game", {})
-        cfg.game = {
-            "omega": list(_rect(sec, "omega", "game")),
-            "omega1": list(_rect(sec, "omega1", "game")),
-            "omega2": list(_rect(sec, "omega2", "game")),
-            "g1_obs": list(_rect(sec, "g1_obs", "game")),
-            "g2_obs": list(_rect(sec, "g2_obs", "game")),
-            "g": asdict(_field_spec(sec, "g", "sinsin", "game")),
-            "yd1": asdict(_field_spec(sec, "yd1", "sinsin", "game")),
-            "yd2": asdict(_field_spec(sec, "yd2", "sinsin", "game")),
-            "m1": _get(sec, "m1", 1.0, "game", float),
-            "m2": _get(sec, "m2", 1.0, "game", float),
-            "br_tol": _get(sec, "br_tol", 1e-8, "game", float),
-            "br_max_iters": _get(sec, "br_max_iters", 200, "game", int),
-            "inner_tol": _get(sec, "inner_tol", 1e-9, "game", float),
-            "deviation_samples": _get(sec, "deviation_samples", 200, "game", int),
-        }
-        g = cfg.game
-        for key in ("m1", "m2"):
-            if not (math.isfinite(g[key]) and g[key] >= 0):
-                raise ConfigError(f"game.{key}: ball radius must be finite and nonnegative, got {g[key]}")
-        for key in ("br_tol", "inner_tol"):
-            if not (math.isfinite(g[key]) and g[key] > 0):
-                raise ConfigError(f"game.{key}: must be finite and positive, got {g[key]}")
-        for key in ("br_max_iters", "deviation_samples"):
-            if g[key] < 1:
-                raise ConfigError(f"game.{key}: must be at least 1, got {g[key]}")
-    return cfg
+        kind = _check(STUDY_KIND.rule, sec.get("kind") if isinstance(sec, dict) else None, "study.kind")
+        tables = {"grid": GRID, "study": {"kind": STUDY_KIND, **STUDIES[kind]}}
+    else:
+        kind = None
+        tables = {"grid": GRID, command: SECTIONS[command]}
+    top = _read({k: v for k, v in raw.items() if k not in tables}, TOP, "config")
+    sections = {name: _read(raw.get(name, {}), table, name) for name, table in tables.items()}
+
+    if kind == "coercivity" and not top["theta"] > 0:
+        raise ConfigError(f"config.theta: a coercivity study needs theta > 0, got {top['theta']}")
+    if (command == "game" or kind in SAMPLING_STUDY_KINDS) and "seed" not in raw:
+        raise ConfigError("config.seed: sampling commands require an explicit seed")
+    grid = sections.pop("grid")
+    return RunConfig(
+        command=command, nx=grid["nx"], ny=grid["ny"], alpha=grid["alpha"],
+        scheme=Scheme(top["scheme"]), theta=top["theta"], seed=top["seed"],
+        output_dir=top["output_dir"], **sections,
+    )
+
+
+def _apply_level_override(cfg: RunConfig, n: int) -> None:
+    """--level-override n: drop the study levels above n; otherwise run on
+    an n x n grid.  A muckenhoupt study has neither."""
+    if "levels" in cfg.study:
+        kept = [lv for lv in cfg.study["levels"] if lv <= n]
+        rule = STUDIES[cfg.study["kind"]]["levels"].rule
+        cfg.study["levels"] = _check(rule, kept, f"study.levels after --level-override {n}")
+    elif cfg.study.get("kind") == "muckenhoupt":
+        raise ConfigError("--level-override: a muckenhoupt study has no levels or grid to act on")
+    else:
+        cfg.nx = cfg.ny = _check(NODES, n, "--level-override")
 
 
 def build_game_config(cfg: RunConfig) -> GameConfig:
+    """The game of a parsed config: its rectangles become region masks and
+    its field specs fields, on the config's grid."""
     grid = build_grid(cfg.nx, cfg.ny, cfg.alpha)
-    sec = cfg.game
 
-    def fs(key):
-        return FieldSpec(**sec[key]).build(grid)
+    def build(value):
+        if isinstance(value, dict):
+            return named_field(grid, **value)
+        if isinstance(value, list):
+            return rect_mask(grid, *value)
+        return value
 
-    return GameConfig(
-        grid=grid,
-        omega=rect_mask(grid, *sec["omega"]),
-        omega1=rect_mask(grid, *sec["omega1"]),
-        omega2=rect_mask(grid, *sec["omega2"]),
-        g1_obs=rect_mask(grid, *sec["g1_obs"]),
-        g2_obs=rect_mask(grid, *sec["g2_obs"]),
-        g=fs("g"),
-        yd1=fs("yd1"),
-        yd2=fs("yd2"),
-        m1=sec["m1"],
-        m2=sec["m2"],
-        br_tol=sec["br_tol"],
-        br_max_iters=sec["br_max_iters"],
-        inner_tol=sec["inner_tol"],
-        deviation_samples=sec["deviation_samples"],
-        seed=cfg.seed,
-    )
+    return GameConfig(grid=grid, seed=cfg.seed, **{k: build(v) for k, v in cfg.game.items()})
 
 
-def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def _write_columns(path: Path, header: list[str], columns: list) -> None:
     """Write the table whose k-th row holds the k-th entry of every column.
 
     Renders a column at a time with repr on the Python scalars of
-    .tolist(); for ints repr equals str, so the bytes equal those of
-    _write_table on the same rows."""
+    np.ravel(column).tolist(): floats round-trip and ints print as
+    integers."""
     cells = [map(repr, np.ravel(c).tolist()) for c in columns]
     lines = ["\t".join(header), *map("\t".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
@@ -312,27 +303,27 @@ def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> 
 
 def _study_tables(out: Path, result: StudyResult) -> None:
     names = sorted(result.metrics)
-    rows = [
-        [lvl] + [result.metrics[name][k] for name in names]
-        for k, lvl in enumerate(result.levels)
-    ]
-    _write_table(out / "study_levels.tsv", ["level"] + names, rows)
+    _write_columns(
+        out / "study_levels.tsv",
+        ["level"] + names,
+        [result.levels] + [result.metrics[name] for name in names],
+    )
     if result.observed_orders:
-        _write_table(
-            out / "study_orders.tsv",
-            ["pair", "observed_order"],
-            [[k, o] for k, o in enumerate(result.observed_orders)],
-        )
+        orders = result.observed_orders
+        _write_columns(out / "study_orders.tsv", ["pair", "observed_order"], [np.arange(len(orders)), orders])
     if result.samples:
         names = sorted(result.samples)
         n = len(next(iter(result.samples.values())))
-        rows = [[k] + [result.samples[name][k] for name in names] for k in range(n)]
-        _write_table(out / "study_samples.tsv", ["sample"] + names, rows)
+        _write_columns(
+            out / "study_samples.tsv",
+            ["sample"] + names,
+            [np.arange(n)] + [result.samples[name] for name in names],
+        )
 
 
 def _run_solve(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid = build_grid(cfg.nx, cfg.ny, cfg.alpha)
-    f = FieldSpec(**cfg.solve["f"]).build(grid)
+    f = named_field(grid, **cfg.solve["f"])
     op = assemble(grid, cfg.scheme)
     u, rep = solve_dirichlet(op, f, cfg.solve["tol"])
     report = norms_of(u, include_mixed=True)
@@ -342,10 +333,10 @@ def _run_solve(cfg: RunConfig, out: Path) -> tuple[dict, str]:
         "wall_time": rep.wall_time,
         "norms": {k: v for k, v in asdict(report).items() if v is not None},
     }
-    _write_table(
+    _write_columns(
         out / "solve_norms.tsv",
         ["l2", "dx_l2", "weighted_dy_l2", "w11"],
-        [[report.l2, report.dx_l2, report.weighted_dy_l2, report.w11]],
+        [report.l2, report.dx_l2, report.weighted_dy_l2, report.w11],
     )
     return results, Verdict.PASS.value
 
@@ -357,7 +348,7 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     rows, max_by_level = [], []
     for level in levels:
         grid = build_grid(level, level, cfg.alpha)
-        f = FieldSpec(**cfg.verify["f"]).build(grid)
+        f = named_field(grid, **cfg.verify["f"])
         op = assemble(grid, cfg.scheme)
         u, _ = solve_dirichlet(op, f)
         residuals = []
@@ -369,7 +360,7 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
             residuals += [r, rt]
         # np.max keeps a NaN, where Python's max would drop it
         max_by_level.append(float(np.max(np.abs(residuals))))
-    _write_table(out / "verify_residuals.tsv", ["level", "test_fn", "residual", "theta_residual"], rows)
+    _write_columns(out / "verify_residuals.tsv", ["level", "test_fn", "residual", "theta_residual"], list(zip(*rows)))
     finite = all(math.isfinite(m) for m in max_by_level)
     decreasing = finite and max_by_level[-1] < max_by_level[0]
     results = {"levels": levels, "max_residual_by_level": max_by_level, "theta": cfg.theta}
@@ -377,30 +368,20 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 
 
 def _run_study(cfg: RunConfig, out: Path) -> tuple[dict, str]:
-    s = cfg.study
-    kind = s["kind"]
+    kind = cfg.study["kind"]
+    keys = {k: v for k, v in cfg.study.items() if k != "kind"}
     if kind == "convergence":
-        result = convergence_study(cfg.scheme, s["levels"], s["manufactured"], alpha=cfg.alpha)
+        result = convergence_study(cfg.scheme, alpha=cfg.alpha, **keys)
     elif kind == "energy":
-        result = energy_estimate_study(
-            default_energy_family(cfg.alpha), s["levels"], cfg.alpha, ratio_cap=s["ratio_cap"]
-        )
+        result = energy_estimate_study(default_energy_family(cfg.alpha), alpha=cfg.alpha, **keys)
     elif kind == "coercivity":
-        result = coercivity_check(
-            cfg.theta, s["n_samples"], cfg.seed, nx=cfg.nx, ny=cfg.ny,
-            alpha=cfg.alpha, safety=s["safety"],
-        )
+        result = coercivity_check(cfg.theta, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, alpha=cfg.alpha, **keys)
     elif kind == "inclusion":
-        result = strict_inclusion_demo(
-            s["levels"], alpha=cfg.alpha, plateau_tol=s["plateau_tol"], plateau_from=s["plateau_from"]
-        )
+        result = strict_inclusion_demo(alpha=cfg.alpha, **keys)
     elif kind == "embedding":
-        result = embedding_study(
-            levels=s["levels"], q_values=s["q_values"], n_samples=s["n_samples"],
-            seed=cfg.seed, alpha=cfg.alpha, growth_cap=s["growth_cap"],
-        )
+        result = embedding_study(seed=cfg.seed, alpha=cfg.alpha, **keys)
     else:
-        result = muckenhoupt_study(n_balls=s["n_balls"], seed=cfg.seed)
+        result = muckenhoupt_study(seed=cfg.seed, **keys)
     _study_tables(out, result)
     results = {
         "kind": kind,
@@ -416,10 +397,10 @@ def _run_game(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     game_cfg = build_game_config(cfg)
     res: NashResult = nash_solve(game_cfg)
     alpha = game_cfg.grid.alpha
-    _write_table(
+    _write_columns(
         out / "game_residuals.tsv",
         ["sweep", "residual"],
-        [[k + 1, r] for k, r in enumerate(res.br_residuals)],
+        [np.arange(1, len(res.br_residuals) + 1), res.br_residuals],
     )
     grid = game_cfg.grid
     X, Y = grid.meshgrid()
@@ -439,7 +420,6 @@ def _run_game(cfg: RunConfig, out: Path) -> tuple[dict, str]:
         "certification_margin": res.certification_margin,
         "f1_norm": control_norm(res.f1_star, alpha),
         "f2_norm": control_norm(res.f2_star, alpha),
-        "sweep_order": res.sweep_order,
     }
     verdict = Verdict.PASS if (res.converged and res.certified) else Verdict.FAIL
     return results, verdict.value
@@ -485,7 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--level-override", type=int, default=None,
-                       help="set grid to n x n (solve/verify/game) or drop study levels above n")
+                       help="drop study levels above n, or set the grid to n x n (solve, verify, game, "
+                            "coercivity study); a muckenhoupt study rejects it")
     args = parser.parse_args(argv)
 
     try:
@@ -498,17 +479,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.level_override is not None:
-            n = args.level_override
-            if cfg.command == "study":
-                kept = [lv for lv in cfg.study["levels"] if lv <= n]
-                if not kept:
-                    raise ConfigError(f"--level-override {n} drops every study level")
-                cfg.study["levels"] = kept
-                _check_study_levels(cfg.study)
-            else:
-                if n < 2:
-                    raise ConfigError("--level-override needs at least 2 interior nodes")
-                cfg.nx = cfg.ny = n
+            _apply_level_override(cfg, args.level_override)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ def sample(grid: Grid, fn) -> GridFunction:
 
 
 FIELD_KINDS = ("zero", "one", "sinsin", "poly", "xalpha_siny", "right_half")
+MANUFACTURED_KINDS = ("sinsin", "poly")
 
 
 def named_field(grid: Grid, kind: str, amplitude: float = 1.0) -> GridFunction:

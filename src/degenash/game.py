@@ -28,7 +28,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +48,25 @@ class BestResponseError(RuntimeError):
         self.residual = residual
 
 
+@dataclass(frozen=True)
+class Rule:
+    """A condition a setting must meet, and the words that state it."""
+
+    text: str
+    holds: Callable[[object], bool]
+
+
+FINITE_NONNEGATIVE = Rule("must be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0)
+FINITE_POSITIVE = Rule("must be finite and positive", lambda v: math.isfinite(v) and v > 0)
+AT_LEAST_ONE = Rule("must be at least 1", lambda v: v >= 1)
+
+
+def _setting(default, rule: Rule):
+    """A scalar GameConfig field: its default and its rule, stated once.
+    __post_init__ checks the rule; the CLI's game table reads both."""
+    return field(default=default, metadata={"rule": rule})
+
+
 @dataclass
 class GameConfig:
     grid: Grid
@@ -58,30 +78,22 @@ class GameConfig:
     g: GridFunction
     yd1: GridFunction
     yd2: GridFunction
-    m1: float
-    m2: float
-    br_tol: float = 1e-8
-    br_max_iters: int = 200
-    inner_tol: float = 1e-9
-    inner_max_iters: int = 500
-    deviation_samples: int = 200
+    m1: float = _setting(1.0, FINITE_NONNEGATIVE)  # admissible-ball radii
+    m2: float = _setting(1.0, FINITE_NONNEGATIVE)
+    br_tol: float = _setting(1e-8, FINITE_POSITIVE)
+    br_max_iters: int = _setting(200, AT_LEAST_ONE)
+    inner_tol: float = _setting(1e-9, FINITE_POSITIVE)
+    inner_max_iters: int = _setting(500, AT_LEAST_ONE)
+    deviation_samples: int = _setting(200, AT_LEAST_ONE)
     seed: int = 0
-    cert_tol: float | None = None  # None: relative rule 1e-8 * (1 + J_i*)
     _solver: DirichletSolver | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("m1", "m2"):
-            m = getattr(self, name)
-            if not (math.isfinite(m) and m >= 0):
-                raise ValueError(f"ball radius {name} must be finite and nonnegative, got {m}")
-        for name in ("br_tol", "inner_tol"):
-            tol = getattr(self, name)
-            if not (math.isfinite(tol) and tol > 0):
-                raise ValueError(f"{name} must be finite and positive, got {tol}")
-        for name in ("br_max_iters", "inner_max_iters", "deviation_samples"):
-            count = getattr(self, name)
-            if count < 1:
-                raise ValueError(f"{name} must be at least 1, got {count}")
+        for f in fields(self):
+            rule = f.metadata.get("rule")
+            value = getattr(self, f.name)
+            if rule is not None and not rule.holds(value):
+                raise ValueError(f"{f.name} {rule.text}, got {value}")
         for name, mask in (("omega", self.omega), ("omega1", self.omega1),
                            ("omega2", self.omega2), ("g1_obs", self.g1_obs),
                            ("g2_obs", self.g2_obs)):
@@ -116,7 +128,6 @@ class NashResult:
     converged: bool
     certified: bool
     certification_margin: float
-    sweep_order: str = "f1-then-f2"
 
 
 @functools.lru_cache(maxsize=16)
@@ -332,17 +343,18 @@ def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tu
     """Sampled a-posteriori check of the two Nash inequalities.
 
     Each follower's cost at the candidate must not exceed the cost of any
-    sampled feasible unilateral deviation by more than cert_tol.  The
-    deviations are supported on the follower's control region and drawn
-    there only, from the seeded stream (cfg.seed, i).  Returns
-    (all-pass flag, minimum margin J_i(deviation) - J_i(candidate)).
+    sampled feasible unilateral deviation by more than 1e-8 * (1 + J_i*),
+    where J_i* is its cost at the candidate.  The deviations are
+    supported on the follower's control region and drawn there only,
+    from the seeded stream (cfg.seed, i).  Returns (all-pass flag,
+    minimum margin J_i(deviation) - J_i(candidate)).
     """
     ok = True
     min_margin = math.inf
     for i in (1, 2):
         rng = np.random.default_rng([cfg.seed, i])
         j_star = cost(cfg, i, f1_star, f2_star)
-        tol = cfg.cert_tol if cfg.cert_tol is not None else 1e-8 * (1.0 + j_star)
+        tol = 1e-8 * (1.0 + j_star)
         for v in _feasible_deviations(cfg, i, rng):
             pair = (v, f2_star) if i == 1 else (f1_star, v)
             margin = cost(cfg, i, *pair) - j_star

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import Grid, GridFunction, cell_averages, cell_weights, weighted_inner
+from .grid import GridFunction, cell_averages, cell_weights, weighted_inner
 from .operators import dx, dxdy, dy
 
 DIAM = math.sqrt(2.0)
@@ -195,45 +195,3 @@ def muckenhoupt_ap(
     diverged = bool(np.any(~finite) or np.any(products[finite] > overflow))
     constant = float(np.max(products)) if np.all(finite) else math.inf
     return ApEstimate(p=float(p), constant=constant, samples=n_balls, diverged=diverged)
-
-
-def sobolev_ball_condition(
-    q: float,
-    p: float,
-    weights: tuple[float, float],
-    n_balls: int,
-    seed: int,
-    n_quad: int = 2048,
-    r_min: float = 1e-3,
-    r_max: float = DIAM,
-    overflow: float = 1e4,
-) -> float:
-    """Sample supremum of the weighted-Sobolev-inequality ball condition.
-
-    For each ball evaluates, with v identically 1 and each weight
-    w_j = x**e_j,
-
-        |B|**-1 * diam(B) * |B cap Omega|**(1/q)
-            * (integral of w_j**(-1/(p-1)) over B cap Omega)**((p-1)/p),
-
-    and returns the largest value over balls and j.  Divergence folds into
-    a +inf sentinel.  At p = 1 the exponent (p-1)/p vanishes and the last
-    factor is 1.
-    """
-    if not (1.0 <= p <= q < math.inf):
-        raise ValueError(f"need 1 <= p <= q < inf, got p={p}, q={q}")
-    cxs, cys, rs = _sample_balls(n_balls, seed, r_min, r_max)
-    exponents = () if p == 1.0 else tuple(-e / (p - 1.0) for e in weights)
-    worst = 0.0
-    for k in range(n_balls):
-        r = rs[k]
-        winv_ints, area = _ball_integral(cxs[k], cys[k], r, exponents, n_quad)
-        if area == 0.0:
-            continue
-        geom = (2.0 * r) / (math.pi * r * r) * area ** (1.0 / q)
-        values = [geom] * len(weights) if p == 1.0 else [geom * w ** ((p - 1.0) / p) for w in winv_ints]
-        for value in values:
-            if not math.isfinite(value) or value > overflow:
-                return math.inf
-            worst = max(worst, value)
-    return worst

@@ -57,7 +57,6 @@ class SparseOperator:
     grid: Grid
     scheme: Scheme
     matrix: sp.csr_matrix
-    theta: float | None = None
 
     def apply(self, u: GridFunction) -> GridFunction:
         return GridFunction(self.grid, self.matrix @ u.values)

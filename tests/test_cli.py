@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import degenash.cli as cli_mod
 from degenash.cli import ConfigError, RunReport, build_game_config, main, parse_config, run
-from degenash.game import benchmark_config, nash_solve
+from degenash.game import GameConfig, benchmark_config, nash_solve
 from degenash.operators import Scheme
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -20,6 +23,41 @@ grid: {nx: 16, ny: 16, alpha: 0.5}
 solve:
   f: {kind: sinsin}
 """
+
+GAME = (CONFIG_DIR / "benchmark_game.yaml").read_text()
+STUDY = "command: study\nseed: 1\nstudy: {{kind: {}}}\n"
+
+# The keys each study kind's section may carry besides `kind`.
+STUDY_KEYS = {
+    "convergence": {"levels", "manufactured"},
+    "energy": {"levels", "ratio_cap"},
+    "coercivity": {"n_samples", "safety"},
+    "inclusion": {"levels", "plateau_tol", "plateau_from"},
+    "embedding": {"levels", "q_values", "n_samples", "growth_cap"},
+    "muckenhoupt": {"n_balls"},
+}
+
+# Small, fast study configs, one per kind.
+SMALL_STUDIES = {
+    "convergence": "grid: {alpha: 0.5}\nstudy: {kind: convergence, levels: [8, 16, 24]}",
+    "energy": "grid: {alpha: 0.5}\nstudy: {kind: energy, levels: [8, 16]}",
+    "coercivity": "grid: {nx: 12, ny: 12, alpha: 0.5}\nstudy: {kind: coercivity, n_samples: 6}",
+    "inclusion": "grid: {alpha: 0.5}\nstudy: {kind: inclusion, levels: [8, 16, 24]}",
+    "embedding": "grid: {alpha: 0.5}\nstudy: {kind: embedding, levels: [8, 16], n_samples: 4}",
+    "muckenhoupt": "study: {kind: muckenhoupt, n_balls: 20}",
+}
+
+
+def small_study(kind: str) -> str:
+    return f"command: study\nseed: 2\n{SMALL_STUDIES[kind]}\n"
+
+
+def row_rendering(header, rows) -> str:
+    """Tab-separated rows, floats by repr and everything else by str."""
+    lines = ["\t".join(header)]
+    for row in rows:
+        lines.append("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 class TestParseConfig:
@@ -112,11 +150,57 @@ class TestParseConfig:
             ("embedding", "q_values", "[2, x]"),
             ("muckenhoupt", "n_balls", "abc"),
             ("energy", "ratio_cap", "high"),
+            ("convergence", "manufactured", "bogus"),
         ],
     )
     def test_unusable_study_value_names_field(self, kind, key, value):
         with pytest.raises(ConfigError, match=f"study.{key}"):
             parse_config(f"command: study\nseed: 1\nstudy: {{kind: {kind}, {key}: {value}}}\n")
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            pytest.param(MINIMAL_SOLVE + "tolerance: 1.0e-8\n", "config.tolerance", id="config"),
+            pytest.param(MINIMAL_SOLVE + "study: {kind: energy}\n", "config.study", id="config-other-section"),
+            pytest.param(MINIMAL_SOLVE.replace("alpha: 0.5}", "alpha: 0.5, nz: 4}"), "grid.nz", id="grid"),
+            pytest.param(MINIMAL_SOLVE.replace("sinsin}", "sinsin, scale: 2}"), "solve.f.scale", id="solve-field"),
+            pytest.param(MINIMAL_SOLVE + "  tol: 1.0e-9\n  maxiter: 5\n", "solve.maxiter", id="solve"),
+            pytest.param("command: verify\nverify: {n_test_functon: 3}\n", "verify.n_test_functon", id="verify"),
+            pytest.param(STUDY.format("convergence, n_balls: 5"), "study.n_balls", id="convergence"),
+            pytest.param(STUDY.format("energy, manufactured: poly"), "study.manufactured", id="energy"),
+            pytest.param(STUDY.format("coercivity, n_sample: 5"), "study.n_sample", id="coercivity-misspelt"),
+            pytest.param(STUDY.format("coercivity, levels: [16, 32]"), "study.levels", id="coercivity"),
+            pytest.param(STUDY.format("inclusion, q_values: [2]"), "study.q_values", id="inclusion"),
+            pytest.param(STUDY.format("embedding, safety: 2.0"), "study.safety", id="embedding"),
+            pytest.param(STUDY.format("muckenhoupt, levels: [16]"), "study.levels", id="muckenhoupt"),
+            pytest.param(GAME + "  inner_max_iters: 5\n", "game.inner_max_iters", id="game-unsettable"),
+            pytest.param(GAME.replace("  m2: 1.0\n", "  m3: 1.0\n"), "game.m3", id="game"),
+        ],
+    )
+    def test_unknown_key_names_field(self, text, path):
+        with pytest.raises(ConfigError, match=rf"{path}: unknown key"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("kind", sorted(STUDY_KEYS))
+    def test_study_holds_only_its_kinds_keys(self, kind):
+        assert set(parse_config(STUDY.format(kind)).study) == {"kind"} | STUDY_KEYS[kind]
+
+    @pytest.mark.parametrize("theta", ["0", "0.0"])
+    def test_coercivity_needs_positive_theta(self, theta):
+        with pytest.raises(ConfigError, match="config.theta"):
+            parse_config(f"command: study\nseed: 1\ntheta: {theta}\nstudy: {{kind: coercivity}}\n")
+
+    def test_zero_theta_allowed_outside_coercivity(self):
+        assert parse_config(MINIMAL_SOLVE + "theta: 0\n").theta == 0.0
+
+    def test_game_scalars_default_to_game_config(self):
+        keys = ("m1", "m2", "br_tol", "br_max_iters", "inner_tol", "deviation_samples")
+        text = "\n".join(line for line in GAME.splitlines() if line.split(":")[0].strip() not in keys)
+        cfg = parse_config(text)
+        defaults = {f.name: f.default for f in dataclasses.fields(GameConfig)}
+        for key in keys:
+            assert cfg.game[key] == defaults[key]
+            assert type(cfg.game[key]) is type(defaults[key])
 
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.yaml")):
@@ -222,6 +306,42 @@ class TestRun:
                 cells = (X[i, j], Y[i, j], f1v[i, j], f2v[i, j], yv[i, j])
                 expected.append("\t".join([str(i), str(j)] + [repr(float(c)) for c in cells]))
         assert (tmp_path / "game_fields.tsv").read_text() == "\n".join(expected) + "\n"
+        residual_rows = [[k + 1, r] for k, r in enumerate(res.br_residuals)]
+        assert (tmp_path / "game_residuals.tsv").read_text() == row_rendering(["sweep", "residual"], residual_rows)
+
+    @pytest.mark.parametrize(
+        "kind, study",
+        [
+            ("convergence", "convergence_study"),
+            ("energy", "energy_estimate_study"),
+            ("coercivity", "coercivity_check"),
+            ("inclusion", "strict_inclusion_demo"),
+            ("embedding", "embedding_study"),
+            ("muckenhoupt", "muckenhoupt_study"),
+        ],
+    )
+    def test_study_tables_match_row_rendering(self, tmp_path, monkeypatch, kind, study):
+        # the column-wise writer reproduces the row-by-row rendering exactly
+        results = []
+        original = getattr(cli_mod, study)
+        monkeypatch.setattr(cli_mod, study, lambda *a, **k: results.append(original(*a, **k)) or results[-1])
+        cfg = parse_config(small_study(kind))
+        cfg.output_dir = str(tmp_path)
+        run(cfg)
+        (result,) = results
+        names = sorted(result.metrics)
+        rows = [[lvl] + [result.metrics[name][k] for name in names] for k, lvl in enumerate(result.levels)]
+        assert (tmp_path / "study_levels.tsv").read_text() == row_rendering(["level"] + names, rows)
+        orders = [[k, o] for k, o in enumerate(result.observed_orders)]
+        if orders:
+            assert (tmp_path / "study_orders.tsv").read_text() == row_rendering(["pair", "observed_order"], orders)
+        assert (tmp_path / "study_orders.tsv").exists() == bool(orders)
+        if result.samples:
+            names = sorted(result.samples)
+            n = len(result.samples[names[0]])
+            rows = [[k] + [result.samples[name][k] for name in names] for k in range(n)]
+            assert (tmp_path / "study_samples.tsv").read_text() == row_rendering(["sample"] + names, rows)
+        assert (tmp_path / "study_samples.tsv").exists() == bool(result.samples)
 
     def test_report_roundtrip(self, tmp_path):
         cfg = parse_config(MINIMAL_SOLVE)
@@ -312,6 +432,46 @@ class TestMain:
         p = tmp_path / "study.yaml"
         p.write_text("command: study\nstudy: {kind: convergence, levels: [8, 16, 32]}\n")
         assert main(["study", "--config", str(p), "--out", str(tmp_path / "out"), "--level-override", "16"]) == 2
+
+    @pytest.mark.parametrize("kind", ["convergence", "energy", "inclusion", "embedding"])
+    def test_level_override_drops_levels(self, tmp_path, kind):
+        p = tmp_path / "study.yaml"
+        p.write_text(re.sub(r"levels: \[[^]]*\]", "levels: [8, 16, 24, 32]", small_study(kind)))
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "30"]) in (0, 1)
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["levels"] == report["config"]["study"]["levels"] == [8, 16, 24]
+
+    @pytest.mark.parametrize("n", [16, 8])
+    def test_level_override_sets_coercivity_grid(self, tmp_path, n):
+        p = tmp_path / "study.yaml"
+        p.write_text((CONFIG_DIR / "study_coercivity.yaml").read_text().replace("n_samples: 200", "n_samples: 5"))
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", str(n)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["config"]["nx"], report["config"]["ny"]) == (n, n)
+        assert report["results"]["levels"] == [n]
+
+    def test_level_override_rejected_for_muckenhoupt(self, tmp_path, capsys):
+        p = tmp_path / "study.yaml"
+        p.write_text(small_study("muckenhoupt"))
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "16"]) == 2
+        assert "--level-override" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "command: study\nstudy: {kind: convergence, levels: [8, 16, 24], manufactured: bogus}\n",
+            "command: study\nseed: 3\ntheta: 0\nstudy: {kind: coercivity, n_samples: 5}\n",
+        ],
+        ids=["manufactured", "coercivity-theta"],
+    )
+    def test_former_runtime_failures_exit_2(self, tmp_path, text):
+        p = tmp_path / "study.yaml"
+        p.write_text(text)
+        assert main(["study", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
 
     def test_level_override_game_grid(self, tmp_path):
         p = tmp_path / "game.yaml"

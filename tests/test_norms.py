@@ -11,7 +11,6 @@ from degenash.norms import (
     WeightConvention,
     embedding_ratio,
     l2_weighted_norm,
-    sobolev_ball_condition,
     lq_norm,
     muckenhoupt_ap,
     norms_of,
@@ -189,35 +188,3 @@ class TestMuckenhoupt:
     def test_golden_constant(self, exponent, p, n_balls, seed, constant):
         # recorded before the chord was shared between the two weights
         assert muckenhoupt_ap(exponent, p, n_balls, seed=seed).constant == constant
-
-
-class TestSobolevBallCondition:
-    def test_admissible_configuration_finite(self):
-        value = sobolev_ball_condition(2.0, 2.0, (0.0, 0.5), 300, seed=11)
-        assert math.isfinite(value) and value > 0
-
-    def test_golden_value(self):
-        # recorded before one chord served every weight of a ball
-        assert sobolev_ball_condition(2.0, 2.0, (0.0, 0.5), 300, seed=11) == 1.382747075714835
-
-    def test_unweighted_q4_finite(self):
-        value = sobolev_ball_condition(4.0, 2.0, (0.0, 0.0), 300, seed=11)
-        assert math.isfinite(value) and value > 0
-
-    def test_vanishing_radius_vanishing_value(self):
-        value = sobolev_ball_condition(2.0, 2.0, (0.0, 0.0), 20, seed=5, r_min=1e-6, r_max=2e-6)
-        assert value < 1e-4
-
-    def test_p_one_branch(self):
-        value = sobolev_ball_condition(2.0, 1.0, (0.0, 0.5), 100, seed=6)
-        assert math.isfinite(value)
-
-    def test_invalid_p_q(self):
-        with pytest.raises(ValueError):
-            sobolev_ball_condition(2.0, 3.0, (0.0, 0.0), 10, seed=0)
-        with pytest.raises(ValueError):
-            sobolev_ball_condition(2.0, 0.5, (0.0, 0.0), 10, seed=0)
-
-    def test_divergent_weight_returns_inf(self):
-        value = sobolev_ball_condition(2.0, 2.0, (3.0, 0.0), 300, seed=12)
-        assert value == math.inf
