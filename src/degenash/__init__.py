@@ -14,7 +14,6 @@ from .analysis import (
 from .game import (
     GameConfig,
     NashResult,
-    benchmark_config,
     best_response,
     certify,
     cost,
@@ -35,7 +34,6 @@ from .grid import (
 from .norms import (
     ApEstimate,
     NormReport,
-    WeightConvention,
     embedding_ratio,
     l2_weighted_norm,
     lq_norm,

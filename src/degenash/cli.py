@@ -73,6 +73,16 @@ def _one_of(choices) -> Rule:
     return Rule(f"must be one of {choices}", lambda v: v in choices)
 
 
+def _integer(raw) -> int:
+    """An integer, or a float with an integral value; 2.7 is an error,
+    never truncated to 2."""
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise TypeError(raw)
+    return int(raw)
+
+
 def _list_of(kind) -> Callable:
     def read(raw):
         if not isinstance(raw, list):
@@ -87,20 +97,20 @@ def _levels(text: str = "", holds=lambda levels: True) -> Key:
         f"must be a non-empty list of levels, each at least 2{text}",
         lambda levels: bool(levels) and all(lv >= 2 for lv in levels) and holds(levels),
     )
-    return Key(_list_of(int), [16, 32, 64, 128], rule)
+    return Key(_list_of(_integer), [16, 32, 64, 128], rule)
 
 
 TOP = {
     "command": Key(str, None, _one_of(COMMANDS)),
-    "seed": Key(int, 0),
+    "seed": Key(_integer, 0, Rule("must be nonnegative", lambda v: v >= 0)),
     "output_dir": Key(str, "out"),
     "scheme": Key(str, Scheme.UPWIND_Y.value, _one_of([s.value for s in Scheme])),
     "theta": Key(float, 1.0, FINITE_NONNEGATIVE),
 }
 NODES = Rule("must be at least 2 interior nodes", lambda n: n >= 2)
 GRID = {
-    "nx": Key(int, 64, NODES),
-    "ny": Key(int, 64, NODES),
+    "nx": Key(_integer, 64, NODES),
+    "ny": Key(_integer, 64, NODES),
     "alpha": Key(float, 0.5, Rule("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)),
 }
 FIELD = {"kind": Key(str, None, _one_of(FIELD_KINDS)), "amplitude": Key(float, 1.0)}
@@ -115,14 +125,14 @@ RECT = Key(
 )
 SECTIONS = {
     "solve": {"f": Key(FIELD, SINSIN), "tol": Key(float, 1e-10, FINITE_POSITIVE)},
-    "verify": {"f": Key(FIELD, SINSIN), "n_test_functions": Key(int, 10, AT_LEAST_ONE)},
+    "verify": {"f": Key(FIELD, SINSIN), "n_test_functions": Key(_integer, 10, AT_LEAST_ONE)},
     "game": {
         **dict.fromkeys(("omega", "omega1", "omega2", "g1_obs", "g2_obs"), RECT),
         **dict.fromkeys(("g", "yd1", "yd2"), Key(FIELD, SINSIN)),
         # the scalar settings take default and rule from GameConfig;
         # inner_max_iters has no config key
         **{
-            f.name: Key(type(f.default), f.default, f.metadata["rule"])
+            f.name: Key(_integer if type(f.default) is int else float, f.default, f.metadata["rule"])
             for f in fields(GameConfig)
             if "rule" in f.metadata and f.name != "inner_max_iters"
         },
@@ -137,13 +147,13 @@ STUDIES = {
     },
     "energy": {"levels": _levels(), "ratio_cap": Key(float, 1.2, FINITE_POSITIVE)},
     "coercivity": {
-        "n_samples": Key(int, 200, AT_LEAST_ONE),
+        "n_samples": Key(_integer, 200, AT_LEAST_ONE),
         "safety": Key(float, 1.5, FINITE_POSITIVE),
     },
     "inclusion": {
         "levels": _levels(", strictly increasing", lambda levels: all(b > a for a, b in zip(levels, levels[1:]))),
         "plateau_tol": Key(float, 0.05, FINITE_POSITIVE),
-        "plateau_from": Key(int, 32),
+        "plateau_from": Key(_integer, 32),
     },
     "embedding": {
         "levels": _levels(),
@@ -151,10 +161,10 @@ STUDIES = {
             "must be a non-empty list of q, each in [2, 4]",
             lambda qs: bool(qs) and all(2.0 <= q <= 4.0 for q in qs),
         )),
-        "n_samples": Key(int, 100, AT_LEAST_ONE),
+        "n_samples": Key(_integer, 100, AT_LEAST_ONE),
         "growth_cap": Key(float, 1.1, FINITE_POSITIVE),
     },
-    "muckenhoupt": {"n_balls": Key(int, 500, AT_LEAST_ONE)},
+    "muckenhoupt": {"n_balls": Key(_integer, 500, AT_LEAST_ONE)},
 }
 STUDY_KIND = Key(str, None, _one_of(STUDIES))
 
@@ -223,6 +233,17 @@ def _read(raw, table: dict, path: str) -> dict:
     return out
 
 
+def _check_plateau(study: dict, where: str) -> None:
+    """An inclusion study must check at least one refinement step, so its
+    plateau_from may not lie above the second-to-last level."""
+    levels, start = study["levels"], study["plateau_from"]
+    if len(levels) < 2 or start > levels[-2]:
+        raise ConfigError(
+            f"{where}: must be at most the second-to-last level, so that a refinement step "
+            f"is checked; got {start} with levels {levels}"
+        )
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a YAML run config, applying defaults.
 
@@ -252,6 +273,10 @@ def parse_config(text: str) -> RunConfig:
 
     if kind == "coercivity" and not top["theta"] > 0:
         raise ConfigError(f"config.theta: a coercivity study needs theta > 0, got {top['theta']}")
+    if kind == "inclusion":
+        _check_plateau(sections["study"], "study.plateau_from")
+    if command == "game" and top["scheme"] != Scheme.UPWIND_Y.value:
+        raise ConfigError(f"config.scheme: the game solves with the upwind scheme only, got {top['scheme']!r}")
     if (command == "game" or kind in SAMPLING_STUDY_KINDS) and "seed" not in raw:
         raise ConfigError("config.seed: sampling commands require an explicit seed")
     grid = sections.pop("grid")
@@ -269,6 +294,8 @@ def _apply_level_override(cfg: RunConfig, n: int) -> None:
         kept = [lv for lv in cfg.study["levels"] if lv <= n]
         rule = STUDIES[cfg.study["kind"]]["levels"].rule
         cfg.study["levels"] = _check(rule, kept, f"study.levels after --level-override {n}")
+        if cfg.study["kind"] == "inclusion":
+            _check_plateau(cfg.study, f"study.plateau_from after --level-override {n}")
     elif cfg.study.get("kind") == "muckenhoupt":
         raise ConfigError("--level-override: a muckenhoupt study has no levels or grid to act on")
     else:
@@ -373,7 +400,7 @@ def _run_study(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     if kind == "convergence":
         result = convergence_study(cfg.scheme, alpha=cfg.alpha, **keys)
     elif kind == "energy":
-        result = energy_estimate_study(default_energy_family(cfg.alpha), alpha=cfg.alpha, **keys)
+        result = energy_estimate_study(default_energy_family(), alpha=cfg.alpha, scheme=cfg.scheme, **keys)
     elif kind == "coercivity":
         result = coercivity_check(cfg.theta, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, alpha=cfg.alpha, **keys)
     elif kind == "inclusion":
@@ -477,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             cfg.output_dir = args.out
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _check(TOP["seed"].rule, args.seed, "--seed")
         if args.level_override is not None:
             _apply_level_override(cfg, args.level_override)
     except (OSError, ConfigError) as exc:

@@ -9,10 +9,6 @@ import numpy as np
 from .grid import Grid, GridFunction
 
 
-def sample(grid: Grid, fn) -> GridFunction:
-    return GridFunction.from_callable(grid, fn)
-
-
 FIELD_KINDS = ("zero", "one", "sinsin", "poly", "xalpha_siny", "right_half")
 MANUFACTURED_KINDS = ("sinsin", "poly")
 
@@ -36,7 +32,7 @@ def named_field(grid: Grid, kind: str, amplitude: float = 1.0) -> GridFunction:
     }
     if kind not in registry:
         raise ValueError(f"unknown field kind {kind!r}; known: {sorted(registry)}")
-    return a * sample(grid, registry[kind])
+    return a * GridFunction.from_callable(grid, registry[kind])
 
 
 def manufactured_pair(grid: Grid, kind: str = "sinsin") -> tuple[GridFunction, GridFunction]:
@@ -55,7 +51,7 @@ def manufactured_pair(grid: Grid, kind: str = "sinsin") -> tuple[GridFunction, G
         f_fn = lambda X, Y: Y * (1 - Y) + X**alpha * X * (1 - X) * (1 - 2 * Y)
     else:
         raise ValueError(f"unknown manufactured solution {kind!r}")
-    return sample(grid, u_fn), sample(grid, f_fn)
+    return GridFunction.from_callable(grid, u_fn), GridFunction.from_callable(grid, f_fn)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -63,17 +59,23 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def boundary_cutoff(X: np.ndarray, Y: np.ndarray, lo: float = 0.05, hi: float = 0.15) -> np.ndarray:
+# The bump window is 0 within CUTOFF_LO of the boundary and 1 beyond CUTOFF_HI.
+CUTOFF_LO, CUTOFF_HI = 0.05, 0.15
+# Gaussians per bump function.
+N_BUMPS = 4
+
+
+def boundary_cutoff(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Smooth window equal to 1 well inside the square and identically 0
-    within distance `lo` of the boundary."""
+    within distance CUTOFF_LO of the boundary."""
 
     def ramp(t):
-        return _smoothstep((t - lo) / (hi - lo))
+        return _smoothstep((t - CUTOFF_LO) / (CUTOFF_HI - CUTOFF_LO))
 
     return ramp(X) * ramp(1 - X) * ramp(Y) * ramp(1 - Y)
 
 
-def bump_parameter_sets(n: int, seed: int, n_bumps: int = 4) -> list[dict]:
+def bump_parameter_sets(n: int, seed: int) -> list[dict]:
     """Draw bump parameters once so the same smooth functions can be
     re-sampled on several grids (refinement studies)."""
     rng = np.random.default_rng(seed)
@@ -81,9 +83,9 @@ def bump_parameter_sets(n: int, seed: int, n_bumps: int = 4) -> list[dict]:
     for _ in range(n):
         out.append(
             dict(
-                centers=rng.uniform(0.25, 0.75, size=(n_bumps, 2)),
-                widths=rng.uniform(0.05, 0.2, size=n_bumps),
-                amps=rng.uniform(-1.0, 1.0, size=n_bumps),
+                centers=rng.uniform(0.25, 0.75, size=(N_BUMPS, 2)),
+                widths=rng.uniform(0.05, 0.2, size=N_BUMPS),
+                amps=rng.uniform(-1.0, 1.0, size=N_BUMPS),
             )
         )
     return out

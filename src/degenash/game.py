@@ -1,8 +1,8 @@
 """Constructive Stackelberg-Nash solver for the two-follower control game.
 
 The state equation is A y = chi_omega g + chi_omega1 f1 + chi_omega2 f2
-with the canonical discrete operator (upwind-in-y), and each follower
-minimizes
+with the upwind-in-y operator, the only scheme the game solves with, and
+each follower minimizes
 
     J_i = || y - yd_i ||^2_{L2(G_i)} + || f_i ||^2_{L2(omega_i; x^-alpha)}
 
@@ -21,6 +21,9 @@ computed by projected gradient descent and the Nash pair by Gauss-Seidel
 sweeps, with a-posteriori sampling certification replacing the fixed-point
 argument.  Certification deviations are drawn on the follower's control
 region only; every other node is zero.
+
+The shipped game is defined once, in configs/benchmark_game.yaml; the CLI
+builds its GameConfig through cli.parse_config and cli.build_game_config.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import Grid, GridFunction, RegionMask, build_grid, rect_mask
+from .grid import Grid, GridFunction, RegionMask
 from .operators import DirichletSolver, Scheme, assemble
 
 _FEAS_SLACK = 8 * np.finfo(float).eps
@@ -365,34 +368,3 @@ def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tu
         min_margin = 0.0
     return ok, min_margin
 
-
-def benchmark_config(
-    nx: int = 64,
-    ny: int = 64,
-    alpha: float = 0.5,
-    m1: float = 1.0,
-    m2: float = 1.0,
-    seed: int = 2024,
-    deviation_samples: int = 200,
-) -> GameConfig:
-    """Shipped default game: leader pushes sin*sin mass from the left band,
-    followers with opposed targets observe the right bands."""
-    grid = build_grid(nx, ny, alpha)
-    sinsin = GridFunction.from_callable(grid, lambda X, Y: np.sin(np.pi * X) * np.sin(np.pi * Y))
-    return GameConfig(
-        grid=grid,
-        omega=rect_mask(grid, 0.1, 0.3, 0.1, 0.9),
-        omega1=rect_mask(grid, 0.4, 0.6, 0.1, 0.45),
-        omega2=rect_mask(grid, 0.4, 0.6, 0.55, 0.9),
-        g1_obs=rect_mask(grid, 0.7, 0.9, 0.1, 0.45),
-        g2_obs=rect_mask(grid, 0.7, 0.9, 0.55, 0.9),
-        g=sinsin,
-        yd1=0.1 * sinsin,
-        yd2=-0.1 * sinsin,
-        m1=m1,
-        m2=m2,
-        br_tol=1e-8,
-        br_max_iters=200,
-        deviation_samples=deviation_samples,
-        seed=seed,
-    )

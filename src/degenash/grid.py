@@ -138,9 +138,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.grid, -self.values)
-
 
 @dataclass(frozen=True)
 class RegionMask:

@@ -1,20 +1,21 @@
 """Weighted norms, Muckenhoupt class estimates, and embedding ratios.
 
-Discrete derivatives reuse the operator module's difference conventions so
-that norm ratios compare like with like.  Ball-average quantities for the
-Muckenhoupt checks integrate x-power weights exactly in y (the chord length
-of the ball inside the square is closed-form) and by midpoint quadrature
-in x, which keeps the x=0 singularity off the evaluation points.  Each
-ball's chord is computed once and shared by every weight integrated over
-that ball.  Quadrature weights come from grid.cell_weights, which caches
-them per (grid, exponent).
+The data norm is the half-exponent form (integral of x**-alpha f^2)^(1/2),
+the one the energy estimate controls.  Discrete derivatives reuse the
+operator module's difference conventions so that norm ratios compare like
+with like.  Ball-average quantities for the Muckenhoupt checks integrate
+x-power weights exactly in y (the chord length of the ball inside the
+square is closed-form) and by midpoint quadrature in x, which keeps the
+x=0 singularity off the evaluation points.  Each ball's chord is computed
+once and shared by every weight integrated over that ball.  Quadrature
+weights come from grid.cell_weights, which caches them per (grid,
+exponent).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,6 +23,12 @@ from .grid import GridFunction, cell_averages, cell_weights, weighted_inner
 from .operators import dx, dxdy, dy
 
 DIAM = math.sqrt(2.0)
+# Muckenhoupt sampling: midpoint nodes per ball, the log-uniform radius
+# range, and the product above which a weight counts as diverged (well
+# below the quadrature saturation scale ~N_QUAD**2).
+N_QUAD = 2048
+R_MIN, R_MAX = 1e-3, DIAM
+OVERFLOW = 1e4
 
 
 @dataclass(frozen=True)
@@ -38,15 +45,6 @@ class NormReport:
     w11: float
     mixed_l2: float | None = None
     v_norm: float | None = None
-
-
-class WeightConvention(str, Enum):
-    # The space definition reads ||x**-alpha f||_L2 while the energy
-    # estimate is derived with (integral of x**-alpha f^2)^(1/2); the
-    # half-exponent form is the default because it is the one the
-    # estimate actually controls.
-    HALF_EXPONENT = "half"
-    FULL_EXPONENT = "full"
 
 
 @dataclass(frozen=True)
@@ -77,19 +75,13 @@ def norms_of(u: GridFunction, include_mixed: bool = False) -> NormReport:
     return NormReport(l2=l2, dx_l2=dx_l2, weighted_dy_l2=wdy, w11=w11, mixed_l2=mixed, v_norm=v_norm)
 
 
-def l2_weighted_norm(
-    f: GridFunction, convention: WeightConvention | str = WeightConvention.HALF_EXPONENT
-) -> float:
-    """Data-space norm of f with the degeneracy weight.
+def l2_weighted_norm(f: GridFunction) -> float:
+    """Data-space norm (integral of x**-alpha f^2)^(1/2) of f.
 
-    half: (integral of x**-alpha f^2)^(1/2); full: (integral of
-    x**-2alpha f^2)^(1/2).  A DegenerateWeightWarning fires when the
-    effective exponent is <= -1 and f carries mass next to x=0.
+    A DegenerateWeightWarning fires when alpha >= 1 and f carries mass
+    next to x=0.
     """
-    convention = WeightConvention(convention)
-    alpha = f.grid.alpha
-    e = -alpha if convention is WeightConvention.HALF_EXPONENT else -2.0 * alpha
-    return math.sqrt(max(weighted_inner(f, f, e), 0.0))
+    return math.sqrt(max(weighted_inner(f, f, -f.grid.alpha), 0.0))
 
 
 def lq_norm(u: GridFunction, q: float) -> float:
@@ -116,9 +108,7 @@ def embedding_ratio(u: GridFunction, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ball_integral(
-    cx: float, cy: float, r: float, exponents: tuple[float, ...], n_quad: int
-) -> tuple[list[float], float]:
+def _ball_integral(cx: float, cy: float, r: float, exponents: tuple[float, ...]) -> tuple[list[float], float]:
     """([integral of x**e over B((cx,cy),r) cap Omega for e in exponents],
     area of that set).
 
@@ -129,8 +119,8 @@ def _ball_integral(
     x_lo, x_hi = max(0.0, cx - r), min(1.0, cx + r)
     if x_hi <= x_lo:
         return [0.0] * len(exponents), 0.0
-    step = (x_hi - x_lo) / n_quad
-    x = x_lo + (np.arange(n_quad) + 0.5) * step
+    step = (x_hi - x_lo) / N_QUAD
+    x = x_lo + (np.arange(N_QUAD) + 0.5) * step
     half = np.sqrt(np.maximum(r * r - (x - cx) ** 2, 0.0))
     chord = np.maximum(np.minimum(cy + half, 1.0) - np.maximum(cy - half, 0.0), 0.0)
     area = float(np.sum(chord) * step)
@@ -138,60 +128,48 @@ def _ball_integral(
     return values, area
 
 
-def _sample_balls(
-    n_balls: int, seed: int, r_min: float, r_max: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sample_balls(n_balls: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     cx = rng.uniform(0.0, 1.0, n_balls)
     cy = rng.uniform(0.0, 1.0, n_balls)
     # Log-uniform radii probe the degeneracy scale and the domain scale alike.
-    r = np.exp(rng.uniform(math.log(r_min), math.log(r_max), n_balls))
+    r = np.exp(rng.uniform(math.log(R_MIN), math.log(R_MAX), n_balls))
     return cx, cy, r
 
 
-def muckenhoupt_ap(
-    weight_exponent: float,
-    p: float,
-    n_balls: int,
-    seed: int,
-    n_quad: int = 2048,
-    r_min: float = 1e-3,
-    r_max: float = DIAM,
-    overflow: float = 1e4,
-) -> ApEstimate:
+def muckenhoupt_ap(weight_exponent: float, p: float, n_balls: int, seed: int) -> ApEstimate:
     """Sampled A_p constant of the weight x**weight_exponent.
 
     Draws n_balls balls with centers uniform in the square and radii
-    log-uniform in [r_min, r_max], evaluates the A_p product
+    log-uniform in [R_MIN, R_MAX], evaluates the A_p product
     (avg of w) * (avg of w**(-1/(p-1)))**(p-1) over each B cap Omega, and
     returns the sample supremum.  p = 1 switches to the essential-infimum
     form (avg of w) / (essinf of w), with the essinf taken over the
     quadrature abscissas.  Divergence is data, not an error: the flag is
-    set when any product exceeds `overflow` or is nonfinite.  `overflow`
-    must stay well below the quadrature saturation scale ~n_quad**2.
+    set when any product exceeds OVERFLOW or is nonfinite.
     """
     if p < 1.0:
         raise ValueError(f"A_p requires p >= 1, got {p}")
     if n_balls < 1:
         raise ValueError("need at least one ball")
-    cxs, cys, rs = _sample_balls(n_balls, seed, r_min, r_max)
+    cxs, cys, rs = _sample_balls(n_balls, seed)
     exponents = (weight_exponent,) if p == 1.0 else (weight_exponent, -weight_exponent / (p - 1.0))
     products = np.empty(n_balls)
     for k in range(n_balls):
-        integrals, area = _ball_integral(cxs[k], cys[k], rs[k], exponents, n_quad)
+        integrals, area = _ball_integral(cxs[k], cys[k], rs[k], exponents)
         w_int = integrals[0]
         if area == 0.0:
             products[k] = 0.0
             continue
         avg_w = w_int / area
         if p == 1.0:
-            x_lo = max(0.0, cxs[k] - rs[k]) + 0.5 * (min(1.0, cxs[k] + rs[k]) - max(0.0, cxs[k] - rs[k])) / n_quad
+            x_lo = max(0.0, cxs[k] - rs[k]) + 0.5 * (min(1.0, cxs[k] + rs[k]) - max(0.0, cxs[k] - rs[k])) / N_QUAD
             x_hi = min(1.0, cxs[k] + rs[k])
             essinf = min(x_lo**weight_exponent, x_hi**weight_exponent)
             products[k] = avg_w / essinf if essinf > 0 else math.inf
         else:
             products[k] = avg_w * (integrals[1] / area) ** (p - 1.0)
     finite = np.isfinite(products)
-    diverged = bool(np.any(~finite) or np.any(products[finite] > overflow))
+    diverged = bool(np.any(~finite) or np.any(products[finite] > OVERFLOW))
     constant = float(np.max(products)) if np.all(finite) else math.inf
     return ApEstimate(p=float(p), constant=constant, samples=n_balls, diverged=diverged)

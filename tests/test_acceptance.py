@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import shipped_game
 from degenash.analysis import (
     Verdict,
     coercivity_check,
@@ -19,7 +20,6 @@ from degenash.analysis import (
 )
 from degenash.cli import parse_config, run
 from degenash.game import (
-    benchmark_config,
     best_response,
     certify,
     control_inner,
@@ -39,7 +39,7 @@ LEVELS = [16, 32, 64, 128]
 
 @pytest.fixture(scope="module")
 def bench_cfg():
-    return benchmark_config()
+    return shipped_game()
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ def test_criterion_1_manufactured_convergence():
 
 
 def test_criterion_2_energy_estimate():
-    r = energy_estimate_study(default_energy_family(0.5), LEVELS, alpha=0.5, ratio_cap=1.2)
+    r = energy_estimate_study(default_energy_family(), LEVELS, alpha=0.5, ratio_cap=1.2)
     growths = []
     for name, series in sorted(r.metrics.items()):
         growth = series[-1] / series[0]
@@ -176,12 +176,12 @@ def test_criterion_8_nash_pipeline(bench_cfg, bench_nash):
 
 
 def test_criterion_9_trivial_game_invariants():
-    singleton = benchmark_config(nx=32, ny=32, m1=0.0, m2=0.0, seed=21)
+    singleton = shipped_game(n=32, m1=0.0, m2=0.0, seed=21)
     res = nash_solve(singleton)
     assert np.all(res.f1_star.values == 0.0) and np.all(res.f2_star.values == 0.0)
     assert res.certified and res.certification_margin == 0.0
 
-    cfg = benchmark_config(nx=32, ny=32, seed=22)
+    cfg = shipped_game(n=32, seed=22)
     z = GridFunction.zeros(cfg.grid)
     assert np.all(state_solve(cfg, z, z, z).values == 0.0)
 

@@ -75,7 +75,7 @@ class TestEnergyStudy:
         assert all(abs(x - y) <= 1e-10 * abs(x) for x, y in zip(a, b))
 
     def test_default_family_bounded_small(self):
-        r = energy_estimate_study(default_energy_family(0.5), [16, 32, 64], alpha=0.5)
+        r = energy_estimate_study(default_energy_family(), [16, 32, 64], alpha=0.5)
         assert len(r.metrics) == 5
         assert all(math.isfinite(v) for series in r.metrics.values() for v in series)
         assert r.verdict is Verdict.PASS

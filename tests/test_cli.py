@@ -7,12 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import degenash.cli as cli_mod
+from degenash.analysis import default_energy_family, energy_estimate_study
 from degenash.cli import ConfigError, RunReport, build_game_config, main, parse_config, run
-from degenash.game import GameConfig, benchmark_config, nash_solve
+from degenash.game import GameConfig, nash_solve
 from degenash.operators import Scheme
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -42,7 +42,7 @@ SMALL_STUDIES = {
     "convergence": "grid: {alpha: 0.5}\nstudy: {kind: convergence, levels: [8, 16, 24]}",
     "energy": "grid: {alpha: 0.5}\nstudy: {kind: energy, levels: [8, 16]}",
     "coercivity": "grid: {nx: 12, ny: 12, alpha: 0.5}\nstudy: {kind: coercivity, n_samples: 6}",
-    "inclusion": "grid: {alpha: 0.5}\nstudy: {kind: inclusion, levels: [8, 16, 24]}",
+    "inclusion": "grid: {alpha: 0.5}\nstudy: {kind: inclusion, levels: [8, 16, 24], plateau_from: 8}",
     "embedding": "grid: {alpha: 0.5}\nstudy: {kind: embedding, levels: [8, 16], n_samples: 4}",
     "muckenhoupt": "study: {kind: muckenhoupt, n_balls: 20}",
 }
@@ -114,6 +114,8 @@ class TestParseConfig:
             ("br_max_iters: 200", "0"),
             ("deviation_samples: 200", "-5"),
             ("deviation_samples: 200", "0"),
+            ("br_max_iters: 200", "200.5"),
+            ("deviation_samples: 200", "2.7"),
         ],
     )
     def test_unusable_game_value_names_field(self, line, value):
@@ -151,6 +153,11 @@ class TestParseConfig:
             ("muckenhoupt", "n_balls", "abc"),
             ("energy", "ratio_cap", "high"),
             ("convergence", "manufactured", "bogus"),
+            ("coercivity", "n_samples", "2.7"),
+            ("embedding", "n_samples", "true"),
+            ("muckenhoupt", "n_balls", "20.5"),
+            ("inclusion", "plateau_from", "16.5"),
+            ("energy", "levels", "[8, 16.5]"),
         ],
     )
     def test_unusable_study_value_names_field(self, kind, key, value):
@@ -193,6 +200,38 @@ class TestParseConfig:
     def test_zero_theta_allowed_outside_coercivity(self):
         assert parse_config(MINIMAL_SOLVE + "theta: 0\n").theta == 0.0
 
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            pytest.param(STUDY.format("muckenhoupt").replace("seed: 1", "seed: -1"), "config.seed", id="seed-negative"),
+            pytest.param(STUDY.format("muckenhoupt").replace("seed: 1", "seed: 1.5"), "config.seed", id="seed"),
+            pytest.param(MINIMAL_SOLVE.replace("nx: 16", "nx: 16.5"), "grid.nx", id="nx"),
+            pytest.param(MINIMAL_SOLVE.replace("ny: 16", "ny: 2.7"), "grid.ny", id="ny"),
+            pytest.param("command: verify\nverify: {n_test_functions: 2.5}\n", "verify.n_test_functions", id="verify"),
+        ],
+    )
+    def test_unusable_integer_names_field(self, text, path):
+        with pytest.raises(ConfigError, match=path):
+            parse_config(text)
+
+    def test_integral_float_reads_as_integer(self):
+        cfg = parse_config(STUDY.format("coercivity, n_samples: 5.0"))
+        assert cfg.study["n_samples"] == 5 and type(cfg.study["n_samples"]) is int
+
+    @pytest.mark.parametrize("levels, start", [("[8, 16, 24]", 1000), ("[8, 16, 24]", 17), ("[16]", 8)])
+    def test_inclusion_must_check_a_refinement_step(self, levels, start):
+        with pytest.raises(ConfigError, match="study.plateau_from"):
+            parse_config(STUDY.format(f"inclusion, levels: {levels}, plateau_from: {start}"))
+
+    def test_inclusion_plateau_from_second_to_last_level(self):
+        cfg = parse_config(STUDY.format("inclusion, levels: [8, 16, 24], plateau_from: 16"))
+        assert cfg.study["plateau_from"] == 16
+
+    def test_game_rejects_other_scheme(self):
+        assert "scheme: upwind" in GAME
+        with pytest.raises(ConfigError, match="config.scheme"):
+            parse_config(GAME.replace("scheme: upwind", "scheme: centered"))
+
     def test_game_scalars_default_to_game_config(self):
         keys = ("m1", "m2", "br_tol", "br_max_iters", "inner_tol", "deviation_samples")
         text = "\n".join(line for line in GAME.splitlines() if line.split(":")[0].strip() not in keys)
@@ -205,20 +244,6 @@ class TestParseConfig:
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.yaml")):
             parse_config(path.read_text())
-
-    def test_benchmark_golden_roundtrip(self):
-        # the shipped config must reconstruct the library's benchmark game
-        cfg = parse_config((CONFIG_DIR / "benchmark_game.yaml").read_text())
-        built = build_game_config(cfg)
-        ref = benchmark_config()
-        assert built.grid == ref.grid
-        for name in ("omega", "omega1", "omega2", "g1_obs", "g2_obs"):
-            assert np.array_equal(getattr(built, name).indicator, getattr(ref, name).indicator)
-        for name in ("g", "yd1", "yd2"):
-            assert np.array_equal(getattr(built, name).values, getattr(ref, name).values)
-        assert (built.m1, built.m2) == (ref.m1, ref.m2)
-        assert (built.br_tol, built.br_max_iters) == (ref.br_tol, ref.br_max_iters)
-        assert built.seed == ref.seed
 
 
 class TestRun:
@@ -343,6 +368,18 @@ class TestRun:
             assert (tmp_path / "study_samples.tsv").read_text() == row_rendering(["sample"] + names, rows)
         assert (tmp_path / "study_samples.tsv").exists() == bool(result.samples)
 
+    def test_energy_study_honours_scheme(self, tmp_path):
+        tables = {}
+        for scheme in Scheme:
+            cfg = parse_config(f"scheme: {scheme.value}\n" + small_study("energy"))
+            cfg.output_dir = str(tmp_path / scheme.value)
+            report = run(cfg)
+            assert report.config["scheme"] == scheme.value
+            expected = energy_estimate_study(default_energy_family(), [8, 16], alpha=0.5, scheme=scheme)
+            assert report.results["metrics"] == expected.metrics
+            tables[scheme] = (tmp_path / scheme.value / "study_levels.tsv").read_bytes()
+        assert tables[Scheme.UPWIND_Y] != tables[Scheme.CENTERED_Y]
+
     def test_report_roundtrip(self, tmp_path):
         cfg = parse_config(MINIMAL_SOLVE)
         cfg.output_dir = str(tmp_path)
@@ -422,7 +459,7 @@ class TestMain:
 
     def test_level_override_study(self, tmp_path):
         p = tmp_path / "study.yaml"
-        p.write_text("command: study\nstudy: {kind: inclusion, levels: [8, 16, 32]}\n")
+        p.write_text("command: study\nstudy: {kind: inclusion, levels: [8, 16, 32], plateau_tol: 0.2, plateau_from: 8}\n")
         out = tmp_path / "out"
         assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "16"]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -484,6 +521,22 @@ class TestMain:
         assert main(["game", "--config", str(p), "--out", str(out), "--level-override", "12"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["nx"] == 12
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "study.yaml"
+        p.write_text(small_study("muckenhoupt"))
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(p), "--out", str(out), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_level_override_leaving_no_plateau_step_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "study.yaml"
+        p.write_text("command: study\nstudy: {kind: inclusion, levels: [8, 16, 32, 64], plateau_from: 16}\n")
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "16"]) == 2
+        assert "study.plateau_from after --level-override 16" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override(self, tmp_path):
         p = tmp_path / "study.yaml"

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_field
+from conftest import random_field, shipped_game
 from degenash.fields import bump_from_parameters, bump_parameter_sets
 from degenash.game import (
     BestResponseError,
     GameConfig,
     _feasible_deviations,
-    benchmark_config,
     best_response,
     certify,
     control_inner,
@@ -30,7 +29,7 @@ from degenash.operators import assemble
 @pytest.fixture(scope="module")
 def mini_cfg():
     """Benchmark geometry on a cheap 24x24 grid."""
-    return benchmark_config(nx=24, ny=24, deviation_samples=60, seed=77)
+    return shipped_game(n=24, deviation_samples=60, seed=77)
 
 
 def feasible_random(cfg, mask, m, seed, scale=0.3):
@@ -91,7 +90,7 @@ class TestCost:
 
     def test_quadratic_homogeneity_with_zero_data(self):
         # with g = 0 and zero targets the whole cost is 2-homogeneous
-        cfg = benchmark_config(nx=16, ny=16, seed=5)
+        cfg = shipped_game(n=16, seed=5)
         zero = GridFunction.zeros(cfg.grid)
         cfg.g = zero
         cfg.yd1 = zero
@@ -185,13 +184,13 @@ class TestProjectBall:
 
 class TestBestResponse:
     def test_zero_radius_returns_zero(self, mini_cfg):
-        cfg = benchmark_config(nx=16, ny=16, m1=0.0, seed=3)
+        cfg = shipped_game(n=16, m1=0.0, seed=3)
         out = best_response(cfg, 1, GridFunction.zeros(cfg.grid))
         assert np.all(out.values == 0.0)
 
     def test_global_minimum_at_zero(self):
         # g = 0 and zero targets: J_i(0) = 0 is the global minimum
-        cfg = benchmark_config(nx=16, ny=16, seed=3)
+        cfg = shipped_game(n=16, seed=3)
         zero = GridFunction.zeros(cfg.grid)
         cfg.g = zero
         cfg.yd1 = zero
@@ -221,7 +220,7 @@ class TestBestResponse:
 
 class TestNashSolve:
     def test_singleton_feasible_sets(self):
-        cfg = benchmark_config(nx=16, ny=16, m1=0.0, m2=0.0, seed=9)
+        cfg = shipped_game(n=16, m1=0.0, m2=0.0, seed=9)
         res = nash_solve(cfg)
         assert np.all(res.f1_star.values == 0.0) and np.all(res.f2_star.values == 0.0)
         assert res.converged and res.certified
@@ -229,7 +228,7 @@ class TestNashSolve:
         assert res.br_iterations == 1
 
     def test_weak_coupling_fast_convergence(self):
-        cfg = benchmark_config(nx=24, ny=24, deviation_samples=40, seed=13)
+        cfg = shipped_game(n=24, deviation_samples=40, seed=13)
         cfg.g = GridFunction.zeros(cfg.grid)
         res = nash_solve(cfg)
         assert res.converged and res.br_iterations <= 4
@@ -250,7 +249,7 @@ class TestNashSolve:
         assert control_norm(b2 - res.f2_star, alpha) <= 10 * mini_cfg.br_tol
 
     def test_inner_cap_reported_not_raised(self):
-        cfg = benchmark_config(nx=16, ny=16, deviation_samples=10, seed=5)
+        cfg = shipped_game(n=16, deviation_samples=10, seed=5)
         cfg.inner_max_iters = 1
         with pytest.raises(BestResponseError) as err:
             best_response(cfg, 1, GridFunction.zeros(cfg.grid))
@@ -304,7 +303,7 @@ class TestAdjointConsistency:
 class TestGameConfigValidation:
     def test_negative_radius_rejected(self, mini_cfg):
         with pytest.raises(ValueError):
-            benchmark_config(nx=16, ny=16, m1=-1.0, seed=1)
+            shipped_game(n=16, m1=-1.0, seed=1)
 
     @pytest.mark.parametrize(
         "name, value",
@@ -322,7 +321,7 @@ class TestGameConfigValidation:
         ],
     )
     def test_unusable_value_rejected(self, name, value):
-        cfg = benchmark_config(nx=16, ny=16, seed=1)
+        cfg = shipped_game(n=16, seed=1)
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(cfg, **{name: value})
 
@@ -365,7 +364,7 @@ class TestArrayLevelEquivalence:
 
     @pytest.fixture(scope="class")
     def cfg16(self):
-        return benchmark_config(nx=16, ny=16, deviation_samples=30, seed=9)
+        return shipped_game(n=16, deviation_samples=30, seed=9)
 
     def test_state_solve_matches_masked_sum(self, cfg16):
         cfg = cfg16

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field
-from degenash.fields import _bump_frame, boundary_cutoff, bump_from_parameters, bump_parameter_sets, sample
+from degenash.fields import _bump_frame, boundary_cutoff, bump_from_parameters, bump_parameter_sets
 from degenash.grid import (
     DegenerateWeightWarning,
     GridFunction,
@@ -216,7 +216,7 @@ class TestQuadratureCaches:
                     out += a * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
                 return out * boundary_cutoff(X, Y)
 
-            assert _bits(bump_from_parameters(g, params).values) == _bits(sample(g, fn).values)
+            assert _bits(bump_from_parameters(g, params).values) == _bits(GridFunction.from_callable(g, fn).values)
 
     def test_cached_arrays_are_read_only(self, small_grid):
         w = cell_weights(small_grid, 0.5)

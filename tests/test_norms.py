@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import random_field
 from degenash.grid import DegenerateWeightWarning, GridFunction, build_grid
 from degenash.norms import (
-    WeightConvention,
     embedding_ratio,
     l2_weighted_norm,
     lq_norm,
@@ -66,8 +65,7 @@ class TestNormsOf:
 class TestWeightedDataNorm:
     def test_zero(self, small_grid):
         z = GridFunction.zeros(small_grid)
-        assert l2_weighted_norm(z, WeightConvention.HALF_EXPONENT) == 0.0
-        assert l2_weighted_norm(z, WeightConvention.FULL_EXPONENT) == 0.0
+        assert l2_weighted_norm(z) == 0.0
 
     def test_x_alpha_half_exponent(self):
         # integral of x^-a (x^a)^2 = 1/(1+a)
@@ -80,27 +78,20 @@ class TestWeightedDataNorm:
 
                 with _w.catch_warnings():
                     _w.simplefilter("ignore", DegenerateWeightWarning)
-                    val = l2_weighted_norm(f, "half")
+                    val = l2_weighted_norm(f)
                 errs.append(abs(val - math.sqrt(1.0 / (1.0 + alpha))))
             assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_constant_half_exponent_sqrt_two(self):
         g = build_grid(96, 96, 0.5)
         f = GridFunction(g, np.ones(g.n))
-        assert l2_weighted_norm(f, "half") == pytest.approx(math.sqrt(2.0), abs=0.08)
+        assert l2_weighted_norm(f) == pytest.approx(math.sqrt(2.0), abs=0.08)
 
     def test_alpha_one_half_exponent_warns(self):
         g = build_grid(8, 8, 1.0)
         f = GridFunction(g, np.ones(g.n))
         with pytest.warns(DegenerateWeightWarning):
-            l2_weighted_norm(f, "half")
-
-    def test_full_exponent_is_stronger(self, small_grid):
-        # full exponent at alpha=1/2 is -1, which legitimately warns
-        f = GridFunction.from_callable(small_grid, lambda X, Y: X)
-        with pytest.warns(DegenerateWeightWarning):
-            full = l2_weighted_norm(f, "full")
-        assert full > l2_weighted_norm(f, "half")
+            l2_weighted_norm(f)
 
 
 class TestLqNorm:
