@@ -97,6 +97,9 @@ class GameConfig:
             value = getattr(self, f.name)
             if rule is not None and not rule.holds(value):
                 raise ValueError(f"{f.name} {rule.text}, got {value}")
+        # certify seeds numpy with [seed, i], which takes only integers >= 0
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name, mask in (("omega", self.omega), ("omega1", self.omega1),
                            ("omega2", self.omega2), ("g1_obs", self.g1_obs),
                            ("g2_obs", self.g2_obs)):

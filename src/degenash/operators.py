@@ -19,13 +19,20 @@ positive definite tridiagonal system
 from u_{-1} = 0 at the inflow edge y = 0.  T is factored once (LAPACK
 dpttrf), so a solve costs O(nx*ny) with no fill.  The adjoint A^T is
 block upper-bidiagonal and runs the same march backward from j = ny-1.
-The upwind scheme never uses u = 0 at y = 1: that edge is the outflow
-boundary, and no row of the matrix refers to it.  The centered scheme
-couples both y-neighbours and is solved by a SuperLU factorization.
+Each march starts at its first nonzero right-hand-side row; the rows
+before it are zero.  The upwind scheme never uses u = 0 at y = 1: that
+edge is the outflow boundary, and no row of the matrix refers to it.  The
+centered scheme couples both y-neighbours and is solved by a SuperLU
+factorization.
+
+A u is computed from the 5-point stencil, for both schemes.  The CSR
+matrix of A is assembled only when something reads SparseOperator.matrix:
+the centered SuperLU factorization does, and no upwind solve does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -54,12 +61,69 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SparseOperator:
+    """A = -1/2 d_xx + x**alpha d_y over the interior nodes of grid.
+
+    apply computes A u from the 5-point stencil.  matrix is the same
+    operator as a CSR matrix (flat index i*ny + j), built on first read
+    and cached; only the centered SuperLU factorization needs it.  apply
+    takes the matrix's own coefficients and sums them in its row order
+    (west, south, centre, north, east from 0.0), so A u equals
+    matrix @ u.values bit for bit.
+    """
+
     grid: Grid
     scheme: Scheme
-    matrix: sp.csr_matrix
 
     def apply(self, u: GridFunction) -> GridFunction:
-        return GridFunction(self.grid, self.matrix @ u.values)
+        if u.grid != self.grid:
+            raise ValueError("GridFunction lives on a different grid than the operator")
+        return GridFunction(self.grid, self._apply(u.values))
+
+    def _apply(self, values: np.ndarray) -> np.ndarray:
+        """A u for a flat array of nx*ny node values."""
+        g = self.grid
+        # each coefficient is the value the assembled matrix stores: a
+        # sparse matrix divided by a scalar h is multiplied by 1/h, and
+        # kron multiplies x**alpha into the y-difference entries
+        x_step = 1 / (2.0 * g.hx * g.hx)
+        c = (g.x**g.alpha)[:, None]
+        # (coefficient, neighbour's slice of u, receiving slice of A u) in
+        # the matrix's row order: west, south, centre, north, east
+        if self.scheme is Scheme.UPWIND_Y:
+            y_step = 1 / g.hy
+            centre = [(2.0 * x_step + c * y_step, np.s_[:], np.s_[:])]
+        else:
+            y_step = 1 / (2.0 * g.hy)
+            centre = [(2.0 * x_step, np.s_[:], np.s_[:]), (c * y_step, np.s_[:, 1:], np.s_[:, :-1])]
+        terms = [
+            (-1.0 * x_step, np.s_[:-1], np.s_[1:]),
+            (c * (-1.0 * y_step), np.s_[:, :-1], np.s_[:, 1:]),
+            *centre,
+            (-1.0 * x_step, np.s_[1:], np.s_[:-1]),
+        ]
+        u = values.reshape(g.nx, g.ny)
+        out = np.zeros_like(u)
+        term = np.empty_like(u)
+        for coeff, neighbour, row in terms:
+            np.multiply(coeff, u[neighbour], out=term[row])
+            out[row] += term[row]
+        return out.reshape(values.shape)
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        nx, ny, hx, hy = self.grid.nx, self.grid.ny, self.grid.hx, self.grid.hy
+        # -1/2 d_xx: tridiag(-1, 2, -1) / (2 hx^2)
+        dxx = sp.diags(
+            [np.full(nx - 1, -1.0), np.full(nx, 2.0), np.full(nx - 1, -1.0)],
+            offsets=[-1, 0, 1],
+        ) / (2.0 * hx * hx)
+        if self.scheme is Scheme.UPWIND_Y:
+            dy = sp.diags([np.full(ny - 1, -1.0), np.full(ny, 1.0)], offsets=[-1, 0]) / hy
+        else:
+            dy = sp.diags([np.full(ny - 1, -1.0), np.full(ny - 1, 1.0)], offsets=[-1, 1]) / (2.0 * hy)
+        coeff = sp.diags(self.grid.x**self.grid.alpha)
+        matrix = sp.kron(dxx, sp.identity(ny), format="csr") + sp.kron(coeff, dy, format="csr")
+        return matrix.tocsr()
 
 
 @dataclass(frozen=True)
@@ -72,25 +136,13 @@ class SolveReport:
 
 
 def assemble(grid: Grid, scheme: Scheme = Scheme.UPWIND_Y) -> SparseOperator:
-    """Assemble A = -1/2 d_xx + x**alpha d_y over interior nodes.
+    """The operator A = -1/2 d_xx + x**alpha d_y on grid under scheme.
 
     Dirichlet values are zero, so eliminated neighbors need no
-    right-hand-side correction.  Flat index is i*ny + j.
+    right-hand-side correction.  Builds no matrix: apply works from the
+    stencil, and op.matrix is assembled on first read.
     """
-    scheme = Scheme(scheme)
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    # -1/2 d_xx: tridiag(-1, 2, -1) / (2 hx^2)
-    dxx = sp.diags(
-        [np.full(nx - 1, -1.0), np.full(nx, 2.0), np.full(nx - 1, -1.0)],
-        offsets=[-1, 0, 1],
-    ) / (2.0 * hx * hx)
-    if scheme is Scheme.UPWIND_Y:
-        dy = sp.diags([np.full(ny - 1, -1.0), np.full(ny, 1.0)], offsets=[-1, 0]) / hy
-    else:
-        dy = sp.diags([np.full(ny - 1, -1.0), np.full(ny - 1, 1.0)], offsets=[-1, 1]) / (2.0 * hy)
-    coeff = sp.diags(grid.x**grid.alpha)
-    matrix = sp.kron(dxx, sp.identity(ny), format="csr") + sp.kron(coeff, dy, format="csr")
-    return SparseOperator(grid=grid, scheme=scheme, matrix=matrix.tocsr())
+    return SparseOperator(grid=grid, scheme=Scheme(scheme))
 
 
 class _YMarch:
@@ -113,15 +165,23 @@ class _YMarch:
         nx, ny = self._shape
         if rhs.ndim not in (1, 2) or rhs.shape[0] != nx * ny:
             raise ValueError(f"right-hand side has shape {rhs.shape}, operator has {nx * ny} unknowns")
-        # rows[j] is y-row j as a contiguous (nx, k) block
-        rows = np.ascontiguousarray(rhs.reshape(nx, ny, -1).transpose(1, 0, 2))
-        # A marches up from y = 0; A^T marches down from y = 1
-        march = rows if trans == "N" else rows[::-1]
-        for j in range(ny):
-            if j:
-                march[j] += self._c * march[j - 1]
-            march[j], _ = dpttrs(self._d, self._e, march[j], overwrite_b=True)
-        return rows.transpose(1, 0, 2).reshape(rhs.shape)
+        # blocks[j] is y-row j as a contiguous (k, nx) block, so rows[j] is
+        # the same memory as an (nx, k) Fortran-ordered block that dpttrs
+        # overwrites in place
+        blocks = np.ascontiguousarray(rhs.reshape(nx, ny, -1).transpose(1, 2, 0))
+        rows = blocks.transpose(0, 2, 1)
+        live = np.flatnonzero(blocks.reshape(ny, -1).any(axis=1))
+        if live.size:
+            # A marches up from y = 0, A^T down from y = 1, each from its
+            # first nonzero row: the rows before it solve to zero
+            march = rows[live[0]:] if trans == "N" else rows[live[-1]::-1]
+            coupling = np.empty(rows.shape[1:])
+            dpttrs(self._d, self._e, march[0], overwrite_b=True)
+            for prev, row in zip(march, march[1:]):
+                np.multiply(self._c, prev, coupling)
+                np.add(row, coupling, row)
+                dpttrs(self._d, self._e, row, overwrite_b=True)
+        return blocks.transpose(2, 0, 1).reshape(rhs.shape)
 
 
 def _factor(op: SparseOperator):
@@ -160,24 +220,25 @@ def solve_dirichlet(
 
     Factors op as DirichletSolver does (y-march for upwind, SuperLU for
     centered) and runs up to three rounds of iterative refinement while
-    the residual exceeds tol * max(1, ||f||).  Raises SolverError carrying
-    the achieved residual if refinement does not meet the contract.
+    the residual exceeds tol * max(1, ||f||).  Residuals come from the
+    stencil (op.apply), so an upwind solve never builds op.matrix.
+    Raises SolverError carrying the achieved residual if refinement does
+    not meet the contract.
     """
     if f.grid != op.grid:
         raise ValueError("right-hand side lives on a different grid")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     start = time.perf_counter()
-    A = op.matrix
     rhs = f.values
     scale = max(1.0, float(np.linalg.norm(rhs)))
     lu = _factor(op)
     u = lu.solve(rhs)
-    residual = float(np.linalg.norm(A @ u - rhs))
+    residual = float(np.linalg.norm(op._apply(u) - rhs))
     refinements = 0
     while residual > tol * scale and refinements < 3:
-        u = u + lu.solve(rhs - A @ u)
-        residual = float(np.linalg.norm(A @ u - rhs))
+        u = u + lu.solve(rhs - op._apply(u))
+        residual = float(np.linalg.norm(op._apply(u) - rhs))
         refinements += 1
     if residual > tol * scale:
         raise SolverError("solve did not meet the residual tolerance", residual)

@@ -318,12 +318,21 @@ class TestGameConfigValidation:
             ("br_max_iters", 0),
             ("inner_max_iters", 0),
             ("deviation_samples", -5),
+            ("seed", -3),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", "7"),
         ],
     )
     def test_unusable_value_rejected(self, name, value):
         cfg = shipped_game(n=16, seed=1)
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(cfg, **{name: value})
+
+    @pytest.mark.parametrize("seed", [0, 2**40, np.int64(5)])
+    def test_integer_seed_accepted(self, seed):
+        cfg = shipped_game(n=16, seed=1)
+        assert dataclasses.replace(cfg, seed=seed).seed == seed
 
     def test_equal_targets_warn(self):
         grid = build_grid(8, 8, 0.5)

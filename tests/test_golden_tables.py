@@ -2,13 +2,15 @@
 
 Every shipped config runs through the CLI at its own seed, as shipped,
 except the game, which runs at --level-override 24 to keep the test
-short.  The sha256 of every TSV it writes must equal the digest recorded
-here.  The digests were recorded with numpy 2.4 and scipy 1.17 on
-x86-64; a change that moves one of them changes a shipped result and
-must say why.
+short.  The solve example also runs at --level-override 512, the grid
+the solve benchmark times.  The sha256 of every TSV it writes must equal
+the digest recorded here.  The digests were recorded with numpy 2.4 and
+scipy 1.17 on x86-64; a change that moves one of them changes a shipped
+result and must say why.
 """
 
 import hashlib
+import json
 
 import pytest
 import yaml
@@ -17,6 +19,7 @@ from conftest import CONFIG_DIR
 from degenash.cli import main
 
 GAME_LEVEL = 24
+SOLVE_LEVEL = 512
 
 DIGESTS = {
     "benchmark_game": {
@@ -58,13 +61,27 @@ def test_every_shipped_config_has_digests():
     assert {p.stem for p in CONFIG_DIR.glob("*.yaml")} == set(DIGESTS)
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_shipped_config_tables_are_byte_identical(tmp_path, name):
+def _run(tmp_path, name, level=None):
+    """Run a shipped config through the CLI; sha256 of each TSV it writes."""
     config = CONFIG_DIR / f"{name}.yaml"
     verb = yaml.safe_load(config.read_text())["command"]
     argv = [verb, "--config", str(config), "--out", str(tmp_path)]
-    if verb == "game":
-        argv += ["--level-override", str(GAME_LEVEL)]
+    if level is not None:
+        argv += ["--level-override", str(level)]
     assert main(argv) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.tsv")}
-    assert digests == DIGESTS[name]
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.tsv")}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_shipped_config_tables_are_byte_identical(tmp_path, name):
+    level = GAME_LEVEL if name == "benchmark_game" else None
+    assert _run(tmp_path, name, level) == DIGESTS[name]
+
+
+def test_solve_example_at_512_is_byte_identical(tmp_path):
+    assert _run(tmp_path, "solve_example", SOLVE_LEVEL) == {
+        "solve_norms.tsv": "a54614225f00d7ffcb005a2b828af80f33d4aa84040189a3d3e6a6e29252d859",
+    }
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert results["residual_norm"] == 1.1689074754299419e-09
+    assert results["iterations"] == 0

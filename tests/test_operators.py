@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_field
+from conftest import random_field, shipped_game
 from degenash.fields import bump_parameter_sets, bump_from_parameters, manufactured_pair
 from degenash.grid import GridFunction, build_grid, weighted_inner
 from degenash.operators import (
@@ -81,6 +81,27 @@ class TestAssemble:
         Au = op.apply(u).values
         assert np.allclose(Au[interior_rows(small_grid)], 1.0, atol=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.integers(2, 40),
+        ny=st.integers(2, 40),
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        scheme=st.sampled_from(Scheme),
+        seed=st.integers(0, 10**6),
+        zero=st.booleans(),
+    )
+    def test_stencil_apply_is_the_matvec_bit_for_bit(self, nx, ny, alpha, scheme, seed, zero):
+        g = build_grid(nx, ny, alpha)
+        op = assemble(g, scheme)
+        u = GridFunction.zeros(g) if zero else random_field(g, seed)
+        assert op.apply(u).values.tobytes() == (op.matrix @ u.values).tobytes()
+
+    @pytest.mark.parametrize("other", [build_grid(32, 16, 0.5), build_grid(16, 32, 1.0)])
+    def test_apply_rejects_foreign_grid(self, other):
+        op = assemble(build_grid(16, 32, 0.5))
+        with pytest.raises(ValueError, match="different grid"):
+            op.apply(GridFunction.zeros(other))
+
     def test_centered_advection_of_linear_y(self, small_grid):
         # u = y in a single column: 3-point centered formula gives x^alpha * 1
         op = assemble(small_grid, Scheme.CENTERED_Y)
@@ -125,6 +146,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_dirichlet(op, GridFunction.zeros(small_grid), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_nonfinite_tol_rejected(self, small_grid, tol):
+        op = assemble(small_grid)
+        with pytest.raises(ValueError, match="finite"):
+            solve_dirichlet(op, GridFunction.zeros(small_grid), tol=tol)
+
     def test_unattainable_tol_raises_solver_error(self, small_grid):
         op = assemble(small_grid)
         f = GridFunction.from_callable(small_grid, lambda X, Y: np.sin(3 * X + Y))
@@ -151,18 +178,22 @@ class TestSolve:
         assert np.max(u.values) <= 1e-12
 
 
-def _assert_march_matches_superlu(nx, ny, alpha, seed, columns=None):
-    op = assemble(build_grid(nx, ny, alpha), Scheme.UPWIND_Y)
+def _assert_march_matches_superlu(op, rhs):
+    """Forward and adjoint march solves of rhs equal spsolve on A and A^T."""
     solver = DirichletSolver(op)
-    shape = (op.grid.n,) if columns is None else (op.grid.n, columns)
-    rhs = np.random.default_rng(seed).standard_normal(shape)
     A = op.matrix.tocsc()
     for got, ref in (
         (solver.solve(rhs), spla.spsolve(A, rhs)),
         (solver.solve_adjoint(rhs), spla.spsolve(A.T.tocsc(), rhs)),
     ):
-        assert got.shape == shape
+        assert got.shape == rhs.shape
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _random_rhs(nx, ny, alpha, seed, columns=None):
+    op = assemble(build_grid(nx, ny, alpha), Scheme.UPWIND_Y)
+    shape = (op.grid.n,) if columns is None else (op.grid.n, columns)
+    return op, np.random.default_rng(seed).standard_normal(shape)
 
 
 class TestYMarch:
@@ -171,7 +202,7 @@ class TestYMarch:
         [(2, 2, 0.25, None), (2, 2, 1.0, None), (7, 19, 0.25, None), (23, 6, 1.0, None), (9, 14, 0.5, 3)],
     )
     def test_matches_superlu(self, nx, ny, alpha, columns):
-        _assert_march_matches_superlu(nx, ny, alpha, seed=nx * ny, columns=columns)
+        _assert_march_matches_superlu(*_random_rhs(nx, ny, alpha, nx * ny, columns))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -181,7 +212,31 @@ class TestYMarch:
         seed=st.integers(0, 10**6),
     )
     def test_matches_superlu_property(self, nx, ny, alpha, seed):
-        _assert_march_matches_superlu(nx, ny, alpha, seed)
+        _assert_march_matches_superlu(*_random_rhs(nx, ny, alpha, seed))
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_zero_rows_skipped(self, columns):
+        # rows y_0..y_3 and y_9..y_13 are zero: the forward march starts at
+        # y_4, the adjoint march at y_8, and the rows before each start
+        # solve to exact zeros
+        op, rhs = _random_rhs(11, 14, 0.5, 5, columns)
+        by_row = rhs.reshape(11, 14, -1)
+        by_row[:, :4] = 0.0
+        by_row[:, 9:] = 0.0
+        _assert_march_matches_superlu(op, rhs)
+        solver = DirichletSolver(op)
+        forward = solver.solve(rhs).reshape(by_row.shape)
+        adjoint = solver.solve_adjoint(rhs).reshape(by_row.shape)
+        assert np.all(forward[:, :4] == 0.0) and np.all(forward[:, 4] != 0.0)
+        assert np.all(adjoint[:, 9:] == 0.0) and np.all(adjoint[:, 8] != 0.0)
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_zero_rhs_solves_to_zero(self, columns):
+        op, rhs = _random_rhs(6, 5, 0.5, 0, columns)
+        rhs[:] = 0.0
+        _assert_march_matches_superlu(op, rhs)
+        solver = DirichletSolver(op)
+        assert np.all(solver.solve(rhs) == 0.0) and np.all(solver.solve_adjoint(rhs) == 0.0)
 
     @pytest.mark.parametrize("scheme", [Scheme.UPWIND_Y, Scheme.CENTERED_Y])
     @pytest.mark.parametrize("length", [12 * 12 - 1, 2 * 12 * 12])
@@ -191,6 +246,35 @@ class TestYMarch:
             solver.solve(np.ones(length))
         with pytest.raises(ValueError):
             solver.solve_adjoint(np.ones(length))
+
+
+def _matrix_built(op):
+    """Whether op.matrix has been read (it is cached on first read)."""
+    return "matrix" in vars(op)
+
+
+class TestLazyMatrix:
+    def test_upwind_solves_build_no_matrix(self, small_grid):
+        op = assemble(small_grid, Scheme.UPWIND_Y)
+        f = random_field(small_grid, 3)
+        solve_dirichlet(op, f)
+        solver = DirichletSolver(op)
+        solver.solve(f.values)
+        solver.solve_adjoint(f.values)
+        op.apply(f)
+        assert not _matrix_built(op)
+
+    def test_game_solver_builds_no_matrix(self):
+        solver = shipped_game(n=12, seed=0).solver()
+        solver.solve(np.ones(12 * 12))
+        assert not _matrix_built(solver.op)
+
+    def test_centered_solve_builds_matrix_once(self, small_grid):
+        op = assemble(small_grid, Scheme.CENTERED_Y)
+        assert not _matrix_built(op)
+        solve_dirichlet(op, random_field(small_grid, 3))
+        assert _matrix_built(op)
+        assert op.matrix is op.matrix
 
 
 class TestWeakForm:
