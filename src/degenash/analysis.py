@@ -1,5 +1,6 @@
 """Verification campaigns: energy estimate, coercivity, strict inclusion,
-scheme convergence, embedding ratios, and Muckenhoupt sampling."""
+scheme convergence, embedding ratios, and Muckenhoupt sampling.  The caps
+a verdict is judged by are module constants, echoed in its thresholds."""
 
 from __future__ import annotations
 
@@ -19,6 +20,11 @@ from .operators import Scheme, assemble, dx, dxdy, dy, solve_dirichlet
 # constant of 1 to this tolerance.
 AP_P = 2.0
 UNIT_TOL = 1e-9
+# Growth caps of the energy ratio and the embedding constant under
+# refinement; the coercivity check inflates its Poincare constant by SAFETY.
+RATIO_CAP = 1.2
+GROWTH_CAP = 1.1
+SAFETY = 1.5
 
 
 class Verdict(str, Enum):
@@ -67,15 +73,18 @@ def energy_estimate_study(
     f_family: Sequence[FieldGenerator],
     levels: Sequence[int],
     alpha: float,
-    ratio_cap: float = 1.2,
     scheme: Scheme = Scheme.UPWIND_Y,
 ) -> StudyResult:
     """Ratio ||u_h||_W11 / ||f||_{L2,half-exponent} per family member and level.
 
     Passes when every member's ratio at the finest level stays within
-    ratio_cap times its coarsest-level value (the a priori estimate
+    RATIO_CAP times its coarsest-level value (the a priori estimate
     asserts a constant exists, not its value).
     """
+    if not f_family:
+        raise ValueError("f_family must hold at least one field generator")
+    if not levels:
+        raise ValueError("levels must hold at least one level")
     ratios: list[list[float]] = [[] for _ in f_family]
     for level in levels:
         grid = build_grid(level, level, alpha)
@@ -88,12 +97,12 @@ def energy_estimate_study(
             u, _ = solve_dirichlet(op, f)
             ratios[m].append(norms_of(u).w11 / denom)
     metrics = {f"ratio_{m}": series for m, series in enumerate(ratios)}
-    bounded = all(series[-1] <= ratio_cap * series[0] for series in ratios)
+    bounded = all(series[-1] <= RATIO_CAP * series[0] for series in ratios)
     return StudyResult(
         levels=list(levels),
         metrics=metrics,
         verdict=Verdict.PASS if bounded else Verdict.FAIL,
-        thresholds={"ratio_cap": ratio_cap},
+        thresholds={"ratio_cap": RATIO_CAP},
     )
 
 
@@ -128,18 +137,19 @@ def coercivity_check(
     nx: int = 64,
     ny: int = 64,
     alpha: float = 0.5,
-    safety: float = 1.5,
 ) -> StudyResult:
     """Check a(v,v) >= delta_h ||v||_W11^2 over random smooth bumps.
 
     The Poincare constant is estimated as the sample maximum of
-    ||v||^2/||v_x||^2, inflated by `safety` so the resulting delta_h is
+    ||v||^2/||v_x||^2, inflated by SAFETY so the resulting delta_h is
     not circularly tuned to the same family.  Bumps vanish identically
     near the boundary, so the trace terms the constant derivation relies
     on drop out exactly.
     """
     if not (math.isfinite(theta) and theta > 0):
         raise ValueError(f"theta must be finite and positive, got {theta}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     grid = build_grid(nx, ny, alpha)
     params = bump_parameter_sets(n_samples, seed)
     vs = [bump_from_parameters(grid, p) for p in params]
@@ -149,7 +159,7 @@ def coercivity_check(
         l2_sq = weighted_inner(v, v, 0.0)
         dx_sq = weighted_inner(dxv, dxv, 0.0)
         mu_samples.append(l2_sq / dx_sq)
-    mu_h = safety * max(mu_samples)
+    mu_h = SAFETY * max(mu_samples)
     delta_h = coercivity_delta(theta, mu_h)
     margins = [coercivity_margin(v, theta, mu_h) for v in vs]
     # a NaN margin certifies nothing, so it counts as a violation
@@ -164,7 +174,7 @@ def coercivity_check(
             "violations": [float(violations)],
         },
         verdict=Verdict.PASS if violations == 0 else Verdict.FAIL,
-        thresholds={"safety": safety, "theta": theta},
+        thresholds={"safety": SAFETY, "theta": theta},
         samples={"margin": margins, "mu_sample": mu_samples},
     )
 
@@ -266,13 +276,18 @@ def embedding_study(
     n_samples: int = 100,
     seed: int = 0,
     alpha: float = 0.5,
-    growth_cap: float = 1.1,
 ) -> StudyResult:
     """Max L^q/W11 ratio over a fixed random bump family, per level.
 
     The same smooth functions are re-sampled on every grid; the sampled
-    embedding constant must not grow past growth_cap under refinement.
+    embedding constant must not grow past GROWTH_CAP under refinement.
     """
+    if not levels:
+        raise ValueError("levels must hold at least one level")
+    if not q_values:
+        raise ValueError("q_values must hold at least one q")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     params = bump_parameter_sets(n_samples, seed)
     series: dict[str, list[float]] = {f"max_ratio_q{q:g}": [] for q in q_values}
     for level in levels:
@@ -280,12 +295,12 @@ def embedding_study(
         us = [bump_from_parameters(grid, p) for p in params]
         for q in q_values:
             series[f"max_ratio_q{q:g}"].append(max(embedding_ratio(u, q) for u in us))
-    ok = all(s[-1] <= growth_cap * s[0] for s in series.values())
+    ok = all(s[-1] <= GROWTH_CAP * s[0] for s in series.values())
     return StudyResult(
         levels=list(levels),
         metrics=series,
         verdict=Verdict.PASS if ok else Verdict.FAIL,
-        thresholds={"growth_cap": growth_cap},
+        thresholds={"growth_cap": GROWTH_CAP},
     )
 
 

@@ -35,22 +35,17 @@ from .analysis import (
     strict_inclusion_demo,
 )
 from .fields import FIELD_KINDS, MANUFACTURED_KINDS, bump_from_parameters, bump_parameter_sets, named_field
-from .game import (
-    AT_LEAST_ONE,
-    FINITE_NONNEGATIVE,
-    FINITE_POSITIVE,
-    GameConfig,
-    NashResult,
-    Rule,
-    control_norm,
-    nash_solve,
-)
+from .game import FINITE_NONNEGATIVE, GameConfig, NashResult, Rule, control_norm, nash_solve
 from .grid import build_grid, rect_mask
 from .norms import norms_of
 from .operators import Scheme, assemble, solve_dirichlet, theta_weak_form_residual, weak_form_residual
 
 COMMANDS = ("solve", "verify", "study", "game")
 SAMPLING_STUDY_KINDS = ("coercivity", "embedding", "muckenhoupt")
+
+
+FINITE_POSITIVE = Rule("must be finite and positive", lambda v: math.isfinite(v) and v > 0)
+AT_LEAST_ONE = Rule("must be at least 1", lambda v: v >= 1)
 
 
 class ConfigError(ValueError):
@@ -129,13 +124,8 @@ SECTIONS = {
     "game": {
         **dict.fromkeys(("omega", "omega1", "omega2", "g1_obs", "g2_obs"), RECT),
         **dict.fromkeys(("g", "yd1", "yd2"), Key(FIELD, SINSIN)),
-        # the scalar settings take default and rule from GameConfig;
-        # inner_max_iters has no config key
-        **{
-            f.name: Key(_integer if type(f.default) is int else float, f.default, f.metadata["rule"])
-            for f in fields(GameConfig)
-            if "rule" in f.metadata and f.name != "inner_max_iters"
-        },
+        # the ball radii take default and rule from GameConfig
+        **{f.name: Key(float, f.default, f.metadata["rule"]) for f in fields(GameConfig) if "rule" in f.metadata},
     },
 }
 # A study section holds its kind and the keys of that kind's study only;
@@ -145,11 +135,8 @@ STUDIES = {
         "levels": _levels(", at least 3 of them", lambda levels: len(levels) >= 3),
         "manufactured": Key(str, "sinsin", _one_of(MANUFACTURED_KINDS)),
     },
-    "energy": {"levels": _levels(), "ratio_cap": Key(float, 1.2, FINITE_POSITIVE)},
-    "coercivity": {
-        "n_samples": Key(_integer, 200, AT_LEAST_ONE),
-        "safety": Key(float, 1.5, FINITE_POSITIVE),
-    },
+    "energy": {"levels": _levels()},
+    "coercivity": {"n_samples": Key(_integer, 200, AT_LEAST_ONE)},
     "inclusion": {
         "levels": _levels(", strictly increasing", lambda levels: all(b > a for a, b in zip(levels, levels[1:]))),
         "plateau_tol": Key(float, 0.05, FINITE_POSITIVE),
@@ -162,7 +149,6 @@ STUDIES = {
             lambda qs: bool(qs) and all(2.0 <= q <= 4.0 for q in qs),
         )),
         "n_samples": Key(_integer, 100, AT_LEAST_ONE),
-        "growth_cap": Key(float, 1.1, FINITE_POSITIVE),
     },
     "muckenhoupt": {"n_balls": Key(_integer, 500, AT_LEAST_ONE)},
 }
@@ -196,10 +182,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
 
 
 def _check(rule: Rule | None, value, where: str):
@@ -460,23 +442,21 @@ def run(cfg: RunConfig) -> RunReport:
     runner = {"solve": _run_solve, "verify": _run_verify, "study": _run_study, "game": _run_game}
     config_echo = asdict(cfg)
     config_echo["scheme"] = cfg.scheme.value
-    versions = {"degenash": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    error = None
     try:
         results, verdict = runner[cfg.command](cfg, out)
     except Exception as exc:
-        report = RunReport(
-            command=cfg.command, config=config_echo,
-            results={"error": f"{type(exc).__name__}: {exc}"},
-            verdict=Verdict.FAIL.value, versions=versions, timestamp=timestamp,
-        )
-        (out / "report.json").write_text(report.to_json())
-        raise
+        error = exc
+        results, verdict = {"error": f"{type(exc).__name__}: {exc}"}, Verdict.FAIL.value
     report = RunReport(
-        command=cfg.command, config=config_echo, results=results,
-        verdict=verdict, versions=versions, timestamp=timestamp,
+        command=cfg.command, config=config_echo, results=results, verdict=verdict,
+        versions={"degenash": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        timestamp=timestamp,
     )
     (out / "report.json").write_text(report.to_json())
+    if error is not None:
+        raise error
     return report
 
 

@@ -20,7 +20,8 @@ round-off.  The existence proof is nonconstructive; best responses are
 computed by projected gradient descent and the Nash pair by Gauss-Seidel
 sweeps, with a-posteriori sampling certification replacing the fixed-point
 argument.  Certification deviations are drawn on the follower's control
-region only; every other node is zero.
+region only; every other node is zero.  The iteration tolerances and
+caps and the number of sampled deviations are module constants.
 
 The shipped game is defined once, in configs/benchmark_game.yaml; the CLI
 builds its GameConfig through cli.parse_config and cli.build_game_config.
@@ -40,6 +41,13 @@ from .grid import Grid, GridFunction, RegionMask
 from .operators import DirichletSolver, Scheme, assemble
 
 _FEAS_SLACK = 8 * np.finfo(float).eps
+# Stopping tolerances and caps of the sweeps and of each best response, and
+# the deviations certify samples per follower besides the zero control.
+BR_TOL = 1e-8
+BR_MAX_ITERS = 200
+INNER_TOL = 1e-9
+INNER_MAX_ITERS = 500
+DEVIATION_SAMPLES = 200
 
 
 class BestResponseError(RuntimeError):
@@ -60,14 +68,6 @@ class Rule:
 
 
 FINITE_NONNEGATIVE = Rule("must be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0)
-FINITE_POSITIVE = Rule("must be finite and positive", lambda v: math.isfinite(v) and v > 0)
-AT_LEAST_ONE = Rule("must be at least 1", lambda v: v >= 1)
-
-
-def _setting(default, rule: Rule):
-    """A scalar GameConfig field: its default and its rule, stated once.
-    __post_init__ checks the rule; the CLI's game table reads both."""
-    return field(default=default, metadata={"rule": rule})
 
 
 @dataclass
@@ -81,15 +81,11 @@ class GameConfig:
     g: GridFunction
     yd1: GridFunction
     yd2: GridFunction
-    m1: float = _setting(1.0, FINITE_NONNEGATIVE)  # admissible-ball radii
-    m2: float = _setting(1.0, FINITE_NONNEGATIVE)
-    br_tol: float = _setting(1e-8, FINITE_POSITIVE)
-    br_max_iters: int = _setting(200, AT_LEAST_ONE)
-    inner_tol: float = _setting(1e-9, FINITE_POSITIVE)
-    inner_max_iters: int = _setting(500, AT_LEAST_ONE)
-    deviation_samples: int = _setting(200, AT_LEAST_ONE)
+    # admissible-ball radii; __post_init__ checks the rule, the CLI's game
+    # table reads default and rule
+    m1: float = field(default=1.0, metadata={"rule": FINITE_NONNEGATIVE})
+    m2: float = field(default=1.0, metadata={"rule": FINITE_NONNEGATIVE})
     seed: int = 0
-    _solver: DirichletSolver | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for f in fields(self):
@@ -100,18 +96,20 @@ class GameConfig:
         # certify seeds numpy with [seed, i], which takes only integers >= 0
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        for name, mask in (("omega", self.omega), ("omega1", self.omega1),
-                           ("omega2", self.omega2), ("g1_obs", self.g1_obs),
-                           ("g2_obs", self.g2_obs)):
-            if mask.count == 0:
+        for name in ("omega", "omega1", "omega2", "g1_obs", "g2_obs", "g", "yd1", "yd2"):
+            other = getattr(self, name).grid
+            if other != self.grid:
+                raise ValueError(f"{name} lives on {other}, not on the game's grid {self.grid}")
+        for name in ("omega", "omega1", "omega2", "g1_obs", "g2_obs"):
+            if getattr(self, name).count == 0:
                 raise ValueError(f"region {name} contains no interior nodes")
         if np.array_equal(self.yd1.values, self.yd2.values):
             warnings.warn("follower targets coincide; the game degenerates", UserWarning)
 
+    @functools.cached_property
     def solver(self) -> DirichletSolver:
-        if self._solver is None:
-            self._solver = DirichletSolver(assemble(self.grid, Scheme.UPWIND_Y))
-        return self._solver
+        """The game's one upwind solver, factored on first use."""
+        return DirichletSolver(assemble(self.grid, Scheme.UPWIND_Y))
 
     def follower(self, i: int) -> tuple[RegionMask, RegionMask, GridFunction, float]:
         """(control region, observation region, target, radius) of follower i."""
@@ -170,7 +168,7 @@ def state_solve(cfg: GameConfig, g: GridFunction, f1: GridFunction, f2: GridFunc
         + np.where(cfg.omega1.indicator, f1.values, 0.0)
         + np.where(cfg.omega2.indicator, f2.values, 0.0)
     )
-    return GridFunction(cfg.grid, cfg.solver().solve(rhs))
+    return GridFunction(cfg.grid, cfg.solver.solve(rhs))
 
 
 def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
@@ -195,7 +193,7 @@ def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> Gri
     region_ctrl, region_obs, yd, _ = cfg.follower(i)
     y = state_solve(cfg, cfg.g, f1, f2)
     source = np.where(region_obs.indicator, 2.0 * (y.values - yd.values), 0.0)
-    p = cfg.solver().solve_adjoint(source)
+    p = cfg.solver.solve_adjoint(source)
     f_own = f1 if i == 1 else f2
     xa = _nodal_x_power(cfg.grid, cfg.grid.alpha)
     vals = np.where(region_ctrl.indicator, xa * p + 2.0 * f_own.values, 0.0)
@@ -226,7 +224,7 @@ def best_response(
     follower fixed, by projected gradient descent with backtracking.
 
     Terminates when the unit-step projected-gradient residual drops below
-    inner_tol; raises BestResponseError on cap exhaustion.  When given,
+    INNER_TOL; raises BestResponseError on cap exhaustion.  When given,
     `trace` collects the cost value at every accepted iterate.
     """
     region_ctrl, _, _, m = cfg.follower(i)
@@ -244,11 +242,11 @@ def best_response(
         trace.append(j)
     step = 0.5
     residual = math.inf
-    for _ in range(cfg.inner_max_iters):
+    for _ in range(INNER_MAX_ITERS):
         grad = gradient(cfg, i, *pack(f))
         trial_unit = project_ball(f - grad, m, region_ctrl, alpha)
         residual = control_norm(f - trial_unit, alpha)
-        if residual <= cfg.inner_tol:
+        if residual <= INNER_TOL:
             return f
         while True:
             f_new = project_ball(f - step * grad, m, region_ctrl, alpha)
@@ -265,7 +263,7 @@ def best_response(
                 trace.append(j)
         step = min(step * 1.25, 8.0)
     raise BestResponseError(
-        f"best response for follower {i} did not converge within {cfg.inner_max_iters} iterations",
+        f"best response for follower {i} did not converge within {INNER_MAX_ITERS} iterations",
         f,
         residual,
     )
@@ -274,9 +272,9 @@ def best_response(
 def nash_solve(cfg: GameConfig) -> NashResult:
     """Gauss-Seidel best-response iteration (f1 then f2) plus certification.
 
-    Non-convergence within br_max_iters is a reported outcome, never an
+    Non-convergence within BR_MAX_ITERS is a reported outcome, never an
     assertion: the result carries converged=False and the residual series.
-    So is a best response that hits inner_max_iters: the sweeps stop, the
+    So is a best response that hits INNER_MAX_ITERS: the sweeps stop, the
     last completed sweep's controls are kept and certified, and the inner
     projected-gradient residual is appended to br_residuals.
     """
@@ -286,7 +284,7 @@ def nash_solve(cfg: GameConfig) -> NashResult:
     converged = False
     sweeps = 0
     alpha = cfg.grid.alpha
-    for sweeps in range(1, cfg.br_max_iters + 1):
+    for sweeps in range(1, BR_MAX_ITERS + 1):
         try:
             f1_new = best_response(cfg, 1, f2)
             f2_new = best_response(cfg, 2, f1_new)
@@ -298,7 +296,7 @@ def nash_solve(cfg: GameConfig) -> NashResult:
         )
         residuals.append(res)
         f1, f2 = f1_new, f2_new
-        if res <= cfg.br_tol:
+        if res <= BR_TOL:
             converged = True
             break
     for f, m in ((f1, cfg.m1), (f2, cfg.m2)):
@@ -331,7 +329,7 @@ def _feasible_deviations(
     out = [GridFunction.zeros(cfg.grid)]
     if m == 0.0:
         return out
-    n = cfg.deviation_samples
+    n = DEVIATION_SAMPLES
     count = region_ctrl.count
     for k in range(n):
         vals = np.zeros(cfg.grid.n)

@@ -74,6 +74,14 @@ class TestEnergyStudy:
         a, b = r.metrics["ratio_0"], r.metrics["ratio_1"]
         assert all(abs(x - y) <= 1e-10 * abs(x) for x, y in zip(a, b))
 
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="f_family"):
+            energy_estimate_study([], [8, 16], alpha=0.5)
+
+    def test_no_levels_rejected(self):
+        with pytest.raises(ValueError, match="levels"):
+            energy_estimate_study(default_energy_family(), [], alpha=0.5)
+
     def test_default_family_bounded_small(self):
         r = energy_estimate_study(default_energy_family(), [16, 32, 64], alpha=0.5)
         assert len(r.metrics) == 5
@@ -85,6 +93,10 @@ class TestCoercivity:
     def test_requires_positive_theta(self):
         with pytest.raises(ValueError):
             coercivity_check(0.0, 5, seed=1)
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            coercivity_check(1.0, 0, seed=1, nx=12, ny=12)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf])
     def test_nonfinite_theta_rejected(self, theta):
@@ -186,6 +198,11 @@ class TestEmbeddingStudy:
         assert r.verdict is Verdict.PASS
         for series in r.metrics.values():
             assert series[-1] <= 1.1 * series[0]
+
+    @pytest.mark.parametrize("name, value", [("levels", ()), ("q_values", ()), ("n_samples", 0)])
+    def test_nothing_to_check_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            embedding_study(**{"levels": (8, 16), "n_samples": 4, name: value})
 
     def test_ratios_positive(self):
         r = embedding_study(levels=(16, 32), n_samples=5, seed=1)

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degenash.game as game_mod
 from conftest import random_field, shipped_game
 from degenash.fields import bump_from_parameters, bump_parameter_sets
 from degenash.game import (
+    BR_TOL,
+    DEVIATION_SAMPLES,
     BestResponseError,
     GameConfig,
     _feasible_deviations,
@@ -29,7 +32,7 @@ from degenash.operators import assemble
 @pytest.fixture(scope="module")
 def mini_cfg():
     """Benchmark geometry on a cheap 24x24 grid."""
-    return shipped_game(n=24, deviation_samples=60, seed=77)
+    return shipped_game(n=24, seed=77)
 
 
 def feasible_random(cfg, mask, m, seed, scale=0.3):
@@ -228,7 +231,7 @@ class TestNashSolve:
         assert res.br_iterations == 1
 
     def test_weak_coupling_fast_convergence(self):
-        cfg = shipped_game(n=24, deviation_samples=40, seed=13)
+        cfg = shipped_game(n=24, seed=13)
         cfg.g = GridFunction.zeros(cfg.grid)
         res = nash_solve(cfg)
         assert res.converged and res.br_iterations <= 4
@@ -236,7 +239,7 @@ class TestNashSolve:
     def test_benchmark_mini(self, mini_cfg):
         res = nash_solve(mini_cfg)
         assert res.converged and res.certified
-        assert res.br_residuals[-1] <= mini_cfg.br_tol
+        assert res.br_residuals[-1] <= BR_TOL
         alpha = mini_cfg.grid.alpha
         assert control_norm(res.f1_star, alpha) <= mini_cfg.m1 + 1e-12
         assert control_norm(res.f2_star, alpha) <= mini_cfg.m2 + 1e-12
@@ -245,12 +248,12 @@ class TestNashSolve:
         # fixed-point property
         b1 = best_response(mini_cfg, 1, res.f2_star)
         b2 = best_response(mini_cfg, 2, res.f1_star)
-        assert control_norm(b1 - res.f1_star, alpha) <= 10 * mini_cfg.br_tol
-        assert control_norm(b2 - res.f2_star, alpha) <= 10 * mini_cfg.br_tol
+        assert control_norm(b1 - res.f1_star, alpha) <= 10 * BR_TOL
+        assert control_norm(b2 - res.f2_star, alpha) <= 10 * BR_TOL
 
-    def test_inner_cap_reported_not_raised(self):
-        cfg = shipped_game(n=16, deviation_samples=10, seed=5)
-        cfg.inner_max_iters = 1
+    def test_inner_cap_reported_not_raised(self, monkeypatch):
+        cfg = shipped_game(n=16, seed=5)
+        monkeypatch.setattr(game_mod, "INNER_MAX_ITERS", 1)
         with pytest.raises(BestResponseError) as err:
             best_response(cfg, 1, GridFunction.zeros(cfg.grid))
         res = nash_solve(cfg)
@@ -310,14 +313,6 @@ class TestGameConfigValidation:
         [
             ("m1", math.nan),
             ("m2", math.inf),
-            ("br_tol", -1.0),
-            ("br_tol", 0.0),
-            ("br_tol", math.nan),
-            ("inner_tol", 0.0),
-            ("inner_tol", math.inf),
-            ("br_max_iters", 0),
-            ("inner_max_iters", 0),
-            ("deviation_samples", -5),
             ("seed", -3),
             ("seed", 1.5),
             ("seed", True),
@@ -328,6 +323,16 @@ class TestGameConfigValidation:
         cfg = shipped_game(n=16, seed=1)
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(cfg, **{name: value})
+
+    @pytest.mark.parametrize("name", ["omega", "omega1", "omega2", "g1_obs", "g2_obs", "g", "yd1", "yd2"])
+    def test_value_on_another_grid_rejected(self, name):
+        cfg = shipped_game(n=16, seed=1)
+        # same shape, other alpha: nothing downstream would notice
+        other_alpha = dataclasses.replace(getattr(cfg, name), grid=build_grid(16, 16, 1.0))
+        other_shape = getattr(shipped_game(n=24, seed=1), name)
+        for value in (other_alpha, other_shape):
+            with pytest.raises(ValueError, match=rf"^{name} lives on"):
+                dataclasses.replace(cfg, **{name: value})
 
     @pytest.mark.parametrize("seed", [0, 2**40, np.int64(5)])
     def test_integer_seed_accepted(self, seed):
@@ -373,13 +378,13 @@ class TestArrayLevelEquivalence:
 
     @pytest.fixture(scope="class")
     def cfg16(self):
-        return shipped_game(n=16, deviation_samples=30, seed=9)
+        return shipped_game(n=16, seed=9)
 
     def test_state_solve_matches_masked_sum(self, cfg16):
         cfg = cfg16
         g, f1, f2 = (random_field(cfg.grid, s) for s in (1, 2, 3))
         rhs = cfg.omega.apply(g) + cfg.omega1.apply(f1) + cfg.omega2.apply(f2)
-        expected = cfg.solver().solve(rhs.values)
+        expected = cfg.solver.solve(rhs.values)
         assert np.array_equal(state_solve(cfg, g, f1, f2).values, expected)
 
     def test_state_solve_rejects_foreign_grid(self, cfg16):
@@ -411,7 +416,7 @@ class TestArrayLevelEquivalence:
     def test_deviations_sampled_on_control_region(self, cfg16, i):
         cfg = cfg16
         region, _, _, m = cfg.follower(i)
-        n = cfg.deviation_samples
+        n = DEVIATION_SAMPLES
         devs = _feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
         assert len(devs) == n + 1
         assert np.all(devs[0].values == 0.0)

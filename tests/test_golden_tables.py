@@ -4,9 +4,12 @@ Every shipped config runs through the CLI at its own seed, as shipped,
 except the game, which runs at --level-override 24 to keep the test
 short.  The solve example also runs at --level-override 512, the grid
 the solve benchmark times.  The sha256 of every TSV it writes must equal
-the digest recorded here.  The digests were recorded with numpy 2.4 and
-scipy 1.17 on x86-64; a change that moves one of them changes a shipped
-result and must say why.
+the digest recorded here, and the results of its report.json, less the
+solve's wall time, must equal those recorded here; the results also hold
+the values no table shows, such as the game's certification margin and
+the thresholds a study checks against.  The digests and results were
+recorded with numpy 2.4 and scipy 1.17 on x86-64; a change that moves
+one of them changes a shipped result and must say why.
 """
 
 import hashlib
@@ -56,9 +59,143 @@ DIGESTS = {
     },
 }
 
+RESULTS = {
+    "benchmark_game": {
+        "br_iterations": 2,
+        "br_residuals": [0.00035316362105929555, 0.0],
+        "certification_margin": 5.3779363155603355e-08,
+        "certified": True,
+        "converged": True,
+        "f1_norm": 0.00023185203904719083,
+        "f2_norm": 0.00026640040395872825,
+        "j1": 0.0001242075815287578,
+        "j2": 0.0002065270941365577,
+    },
+    "solve_example": {
+        "iterations": 0,
+        "norms": {
+            "dx_l2": 0.28502327788627335,
+            "l2": 0.09290172827722099,
+            "mixed_l2": 0.7008101931274361,
+            "v_norm": 0.785464466324832,
+            "w11": 0.3547104467980029,
+            "weighted_dy_l2": 0.18960617345885247,
+        },
+        "residual_norm": 2.3600070494914674e-12,
+    },
+    "study_coercivity": {
+        "kind": "coercivity",
+        "levels": [64],
+        "metrics": {
+            "delta_h": [0.04598493014643029],
+            "mean_margin": [0.29381948840566935],
+            "min_margin": [0.1632419562648199],
+            "mu_h": [0.09431511806261068],
+            "violations": [0.0],
+        },
+        "observed_orders": [],
+        "thresholds": {
+            "safety": 1.5,
+            "theta": 1.0,
+        },
+    },
+    "study_convergence": {
+        "kind": "convergence",
+        "levels": [16, 32, 64, 128],
+        "metrics": {
+            "l2_err": [
+                0.01705038334918788,
+                0.009230781438705538,
+                0.004808591865411055,
+                0.0024549255279041485,
+            ],
+            "max_err": [
+                0.03419162653862373,
+                0.018442184625360625,
+                0.009605618790157311,
+                0.004902699401118982,
+            ],
+        },
+        "observed_orders": [0.9251233665956891, 0.9620282329640232, 0.9808625771902864],
+        "thresholds": {
+            "order_threshold": 0.9,
+        },
+    },
+    "study_embedding": {
+        "kind": "embedding",
+        "levels": [64, 128],
+        "metrics": {
+            "max_ratio_q2": [0.18539639616453948, 0.18364673686699903],
+            "max_ratio_q3": [0.23227662997738613, 0.23086969868454935],
+            "max_ratio_q4": [0.2698394129496536, 0.26823013793082706],
+        },
+        "observed_orders": [],
+        "thresholds": {
+            "growth_cap": 1.1,
+        },
+    },
+    "study_energy": {
+        "kind": "energy",
+        "levels": [16, 32, 64, 128],
+        "metrics": {
+            "ratio_0": [0.5008043223997728, 0.531529467786743, 0.5464693257917738, 0.553839995405767],
+            "ratio_1": [0.38406889586042975, 0.41298938638775, 0.4287876003559825, 0.43743190350916544],
+            "ratio_2": [0.5200700140877548, 0.5530958946811552, 0.5696037559048186, 0.5779320364092153],
+            "ratio_3": [0.5288918518684711, 0.5611194897030696, 0.5773202052891611, 0.5855032695432683],
+            "ratio_4": [0.495466680429663, 0.5267181766409632, 0.5418500395524455, 0.5493104348135724],
+        },
+        "observed_orders": [],
+        "thresholds": {
+            "ratio_cap": 1.2,
+        },
+    },
+    "study_inclusion": {
+        "kind": "inclusion",
+        "levels": [16, 32, 64, 128, 256],
+        "metrics": {
+            "dy_l2": [
+                0.37598200803390497,
+                0.43329202053888066,
+                0.48388247191876915,
+                0.5292266144262537,
+                0.5704947168738452,
+            ],
+            "w11": [
+                0.945345264797969,
+                0.9963709932485023,
+                1.0257670395176168,
+                1.0430664118512432,
+                1.053700226634875,
+            ],
+        },
+        "observed_orders": [],
+        "thresholds": {
+            "plateau_from": 32,
+            "plateau_tol": 0.05,
+        },
+    },
+    "study_muckenhoupt": {
+        "kind": "muckenhoupt",
+        "levels": [500],
+        "metrics": {
+            "n_balls": [500.0],
+        },
+        "observed_orders": [],
+        "thresholds": {
+            "p": 2.0,
+            "unit_tol": 1e-09,
+        },
+    },
+    "verify_weak_form": {
+        "levels": [32, 64],
+        "max_residual_by_level": [0.007332451984568958, 0.0037078168824669078],
+        "theta": 1.0,
+    },
+}
+
 
 def test_every_shipped_config_has_digests():
-    assert {p.stem for p in CONFIG_DIR.glob("*.yaml")} == set(DIGESTS)
+    assert {p.stem for p in CONFIG_DIR.glob("*.yaml")} == set(DIGESTS) == set(RESULTS)
 
 
 def _run(tmp_path, name, level=None):
@@ -72,16 +209,34 @@ def _run(tmp_path, name, level=None):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.tsv")}
 
 
+def _results(tmp_path):
+    """The results of the report.json a run wrote, less the solve's wall
+    time, which no two runs share."""
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    results.pop("wall_time", None)
+    return results
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_shipped_config_tables_are_byte_identical(tmp_path, name):
     level = GAME_LEVEL if name == "benchmark_game" else None
     assert _run(tmp_path, name, level) == DIGESTS[name]
+    assert _results(tmp_path) == RESULTS[name]
 
 
 def test_solve_example_at_512_is_byte_identical(tmp_path):
     assert _run(tmp_path, "solve_example", SOLVE_LEVEL) == {
         "solve_norms.tsv": "a54614225f00d7ffcb005a2b828af80f33d4aa84040189a3d3e6a6e29252d859",
     }
-    results = json.loads((tmp_path / "report.json").read_text())["results"]
-    assert results["residual_norm"] == 1.1689074754299419e-09
-    assert results["iterations"] == 0
+    assert _results(tmp_path) == {
+        "iterations": 0,
+        "norms": {
+            "dx_l2": 0.29321427519871124,
+            "l2": 0.09357145998086622,
+            "mixed_l2": 0.7317998976298634,
+            "v_norm": 0.8172151569115281,
+            "w11": 0.3637437594170586,
+            "weighted_dy_l2": 0.193853793389757,
+        },
+        "residual_norm": 1.1689074754299419e-09,
+    }

@@ -265,7 +265,7 @@ class TestLazyMatrix:
         assert not _matrix_built(op)
 
     def test_game_solver_builds_no_matrix(self):
-        solver = shipped_game(n=12, seed=0).solver()
+        solver = shipped_game(n=12, seed=0).solver
         solver.solve(np.ones(12 * 12))
         assert not _matrix_built(solver.op)
 
