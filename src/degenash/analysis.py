@@ -14,11 +14,10 @@ import numpy as np
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
 from .grid import Grid, GridFunction, build_grid, weighted_inner
 from .norms import embedding_ratio, l2_weighted_norm, muckenhoupt_ap, norms_of
-from .operators import Scheme, assemble, dx, dxdy, dy, solve_dirichlet
+from .operators import RESIDUAL_TOL, Scheme, assemble, bilinear_form, dx, dy, solve_dirichlet, theta_weight
 
-# The Muckenhoupt panel tests A_2 and asks the constant weight for a
-# constant of 1 to this tolerance.
-AP_P = 2.0
+# The Muckenhoupt panel asks the constant weight for an A_2 constant of 1
+# to this tolerance.
 UNIT_TOL = 1e-9
 # Growth caps of the energy ratio and the embedding constant under
 # refinement; the coercivity check inflates its Poincare constant by SAFETY.
@@ -79,13 +78,16 @@ def energy_estimate_study(
 
     Passes when every member's ratio at the finest level stays within
     RATIO_CAP times its coarsest-level value (the a priori estimate
-    asserts a constant exists, not its value).
+    asserts a constant exists, not its value), every ratio is finite and
+    positive, and every u_h meets ||A u_h - f|| <= RESIDUAL_TOL * max(1, ||f||),
+    the solve's contract, recomputed here from the stencil.
     """
     if not f_family:
         raise ValueError("f_family must hold at least one field generator")
-    if not levels:
-        raise ValueError("levels must hold at least one level")
+    if len(levels) < 2:
+        raise ValueError(f"levels must hold at least 2 levels to compare, got {list(levels)}")
     ratios: list[list[float]] = [[] for _ in f_family]
+    solved = True
     for level in levels:
         grid = build_grid(level, level, alpha)
         op = assemble(grid, scheme)
@@ -95,26 +97,24 @@ def energy_estimate_study(
             if denom == 0.0:
                 raise ValueError(f"family member {m} has zero weighted norm; ratio undefined")
             u, _ = solve_dirichlet(op, f)
+            residual = float(np.linalg.norm(op.apply(u).values - f.values))
+            solved = solved and residual <= RESIDUAL_TOL * max(1.0, float(np.linalg.norm(f.values)))
             ratios[m].append(norms_of(u).w11 / denom)
     metrics = {f"ratio_{m}": series for m, series in enumerate(ratios)}
+    positive = all(0.0 < r < math.inf for series in ratios for r in series)
     bounded = all(series[-1] <= RATIO_CAP * series[0] for series in ratios)
     return StudyResult(
         levels=list(levels),
         metrics=metrics,
-        verdict=Verdict.PASS if bounded else Verdict.FAIL,
+        verdict=Verdict.PASS if (solved and positive and bounded) else Verdict.FAIL,
         thresholds={"ratio_cap": RATIO_CAP},
     )
 
 
 def stabilized_form_value(v: GridFunction, theta: float) -> float:
-    """a(v,v) with the exp(-theta*y) stabilization:
+    """a(v,v) = bilinear_form(v, v_y) weighted by exp(-theta*y): the
     integral of [x**alpha v_y^2 + 1/2 v_x (v_x)_y] exp(-theta*y)."""
-    alpha = v.grid.alpha
-    yw = lambda y: np.exp(-theta * y)
-    dyv = dy(v)
-    return weighted_inner(dyv, dyv, alpha, y_weight=yw) + 0.5 * weighted_inner(
-        dx(v), dxdy(v), 0.0, y_weight=yw
-    )
+    return bilinear_form(v, dy(v), theta_weight(theta))
 
 
 def coercivity_delta(theta: float, mu: float) -> float:
@@ -192,6 +192,8 @@ def strict_inclusion_demo(
     but not in H^1).  For any other alpha the study is report-only.
     """
     levels = list(levels)
+    if not levels:
+        raise ValueError("levels must hold at least one level")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
     w11s, dy_norms = [], []
@@ -282,8 +284,8 @@ def embedding_study(
     The same smooth functions are re-sampled on every grid; the sampled
     embedding constant must not grow past GROWTH_CAP under refinement.
     """
-    if not levels:
-        raise ValueError("levels must hold at least one level")
+    if len(levels) < 2:
+        raise ValueError(f"levels must hold at least 2 levels to compare, got {list(levels)}")
     if not q_values:
         raise ValueError("q_values must hold at least one q")
     if n_samples < 1:
@@ -305,11 +307,11 @@ def embedding_study(
 
 
 def muckenhoupt_study(n_balls: int = 500, seed: int = 0) -> StudyResult:
-    """Three-weight A_p panel: constant weight, admissible degeneracy,
-    and a non-integrable weight that must flag divergence."""
-    est_unit = muckenhoupt_ap(0.0, AP_P, n_balls, seed)
-    est_half = muckenhoupt_ap(0.5, AP_P, n_balls, seed)
-    est_bad = muckenhoupt_ap(-3.0, AP_P, n_balls, seed)
+    """Three-weight A_2 (p = 2) panel: constant weight, admissible
+    degeneracy, and a non-integrable weight that must flag divergence."""
+    est_unit = muckenhoupt_ap(0.0, n_balls, seed)
+    est_half = muckenhoupt_ap(0.5, n_balls, seed)
+    est_bad = muckenhoupt_ap(-3.0, n_balls, seed)
     ok = (
         abs(est_unit.constant - 1.0) <= UNIT_TOL
         and not est_unit.diverged
@@ -321,7 +323,7 @@ def muckenhoupt_study(n_balls: int = 500, seed: int = 0) -> StudyResult:
         levels=[n_balls],
         metrics={"n_balls": [float(n_balls)]},
         verdict=Verdict.PASS if ok else Verdict.FAIL,
-        thresholds={"unit_tol": UNIT_TOL, "p": AP_P},
+        thresholds={"unit_tol": UNIT_TOL, "p": 2.0},
         samples={
             "weight_exponent": [0.0, 0.5, -3.0],
             "constant": [est_unit.constant, est_half.constant, est_bad.constant],

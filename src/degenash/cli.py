@@ -38,7 +38,7 @@ from .fields import FIELD_KINDS, MANUFACTURED_KINDS, bump_from_parameters, bump_
 from .game import FINITE_NONNEGATIVE, GameConfig, NashResult, Rule, control_norm, nash_solve
 from .grid import build_grid, rect_mask
 from .norms import norms_of
-from .operators import Scheme, assemble, solve_dirichlet, theta_weak_form_residual, weak_form_residual
+from .operators import RESIDUAL_TOL, Scheme, assemble, solve_dirichlet, theta_weak_form_residual, weak_form_residual
 
 COMMANDS = ("solve", "verify", "study", "game")
 SAMPLING_STUDY_KINDS = ("coercivity", "embedding", "muckenhoupt")
@@ -87,12 +87,16 @@ def _list_of(kind) -> Callable:
     return read
 
 
-def _levels(text: str = "", holds=lambda levels: True) -> Key:
+def _levels(text: str, holds) -> Key:
     rule = Rule(
         f"must be a non-empty list of levels, each at least 2{text}",
         lambda levels: bool(levels) and all(lv >= 2 for lv in levels) and holds(levels),
     )
     return Key(_list_of(_integer), [16, 32, 64, 128], rule)
+
+
+# the energy and embedding verdicts compare the finest level with the coarsest
+AT_LEAST_TWO_LEVELS = _levels(", at least 2 of them", lambda levels: len(levels) >= 2)
 
 
 TOP = {
@@ -119,7 +123,7 @@ RECT = Key(
     ),
 )
 SECTIONS = {
-    "solve": {"f": Key(FIELD, SINSIN), "tol": Key(float, 1e-10, FINITE_POSITIVE)},
+    "solve": {"f": Key(FIELD, SINSIN), "tol": Key(float, RESIDUAL_TOL, FINITE_POSITIVE)},
     "verify": {"f": Key(FIELD, SINSIN), "n_test_functions": Key(_integer, 10, AT_LEAST_ONE)},
     "game": {
         **dict.fromkeys(("omega", "omega1", "omega2", "g1_obs", "g2_obs"), RECT),
@@ -135,7 +139,7 @@ STUDIES = {
         "levels": _levels(", at least 3 of them", lambda levels: len(levels) >= 3),
         "manufactured": Key(str, "sinsin", _one_of(MANUFACTURED_KINDS)),
     },
-    "energy": {"levels": _levels()},
+    "energy": {"levels": AT_LEAST_TWO_LEVELS},
     "coercivity": {"n_samples": Key(_integer, 200, AT_LEAST_ONE)},
     "inclusion": {
         "levels": _levels(", strictly increasing", lambda levels: all(b > a for a, b in zip(levels, levels[1:]))),
@@ -143,7 +147,7 @@ STUDIES = {
         "plateau_from": Key(_integer, 32),
     },
     "embedding": {
-        "levels": _levels(),
+        "levels": AT_LEAST_TWO_LEVELS,
         "q_values": Key(_list_of(float), [2, 3, 4], Rule(
             "must be a non-empty list of q, each in [2, 4]",
             lambda qs: bool(qs) and all(2.0 <= q <= 4.0 for q in qs),

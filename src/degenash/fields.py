@@ -43,15 +43,13 @@ def manufactured_pair(grid: Grid, kind: str = "sinsin") -> tuple[GridFunction, G
               centered differencing.
     """
     alpha = grid.alpha
-    if kind == "sinsin":
-        u_fn = lambda X, Y: np.sin(np.pi * X) * np.sin(np.pi * Y)
-        f_fn = lambda X, Y: (np.pi**2 / 2) * np.sin(np.pi * X) * np.sin(np.pi * Y) + X**alpha * np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y)
-    elif kind == "poly":
-        u_fn = lambda X, Y: X * (1 - X) * Y * (1 - Y)
-        f_fn = lambda X, Y: Y * (1 - Y) + X**alpha * X * (1 - X) * (1 - 2 * Y)
-    else:
+    forcing = {
+        "sinsin": lambda X, Y: (np.pi**2 / 2) * np.sin(np.pi * X) * np.sin(np.pi * Y) + X**alpha * np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y),
+        "poly": lambda X, Y: Y * (1 - Y) + X**alpha * X * (1 - X) * (1 - 2 * Y),
+    }
+    if kind not in forcing:
         raise ValueError(f"unknown manufactured solution {kind!r}")
-    return GridFunction.from_callable(grid, u_fn), GridFunction.from_callable(grid, f_fn)
+    return named_field(grid, kind), GridFunction.from_callable(grid, forcing[kind])
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:

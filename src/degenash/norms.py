@@ -1,15 +1,15 @@
-"""Weighted norms, Muckenhoupt class estimates, and embedding ratios.
+"""Weighted norms, sampled Muckenhoupt A_2 constants, and embedding ratios.
 
 The data norm is the half-exponent form (integral of x**-alpha f^2)^(1/2),
 the one the energy estimate controls.  Discrete derivatives reuse the
 operator module's difference conventions so that norm ratios compare like
-with like.  Ball-average quantities for the Muckenhoupt checks integrate
-x-power weights exactly in y (the chord length of the ball inside the
-square is closed-form) and by midpoint quadrature in x, which keeps the
-x=0 singularity off the evaluation points.  Each ball's chord is computed
-once and shared by every weight integrated over that ball.  Quadrature
-weights come from grid.cell_weights, which caches them per (grid,
-exponent).
+with like.  The A_2 constant of a weight w = x**e is the supremum over
+balls of (avg of w) * (avg of 1/w).  Its ball averages integrate both
+x-powers exactly in y (the chord length of the ball inside the square is
+closed-form) and by midpoint quadrature in x, which keeps the x=0
+singularity off the evaluation points; each ball's chord is computed once
+and shared by both powers.  Quadrature weights come from
+grid.cell_weights, which caches them per (grid, exponent).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, cell_averages, cell_weights, weighted_inner
-from .operators import dx, dxdy, dy
+from .operators import dx, dy
 
 DIAM = math.sqrt(2.0)
 # Muckenhoupt sampling: midpoint nodes per ball, the log-uniform radius
@@ -49,14 +49,13 @@ class NormReport:
 
 @dataclass(frozen=True)
 class ApEstimate:
-    p: float
     constant: float
     samples: int
     diverged: bool
 
     def __post_init__(self):
         if not self.diverged and self.constant < 0:
-            raise ValueError("A_p constant cannot be negative")
+            raise ValueError("A_2 constant cannot be negative")
 
 
 def norms_of(u: GridFunction, include_mixed: bool = False) -> NormReport:
@@ -69,7 +68,7 @@ def norms_of(u: GridFunction, include_mixed: bool = False) -> NormReport:
     w11 = math.sqrt(l2**2 + dx_l2**2 + wdy**2)
     mixed = v_norm = None
     if include_mixed:
-        m = dxdy(u)
+        m = dx(dyu)
         mixed = math.sqrt(max(weighted_inner(m, m, 0.0), 0.0))
         v_norm = math.sqrt(w11**2 + mixed**2)
     return NormReport(l2=l2, dx_l2=dx_l2, weighted_dy_l2=wdy, w11=w11, mixed_l2=mixed, v_norm=v_norm)
@@ -137,39 +136,23 @@ def _sample_balls(n_balls: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.n
     return cx, cy, r
 
 
-def muckenhoupt_ap(weight_exponent: float, p: float, n_balls: int, seed: int) -> ApEstimate:
-    """Sampled A_p constant of the weight x**weight_exponent.
+def muckenhoupt_ap(weight_exponent: float, n_balls: int, seed: int) -> ApEstimate:
+    """Sampled A_2 constant of the weight w = x**weight_exponent.
 
     Draws n_balls balls with centers uniform in the square and radii
-    log-uniform in [R_MIN, R_MAX], evaluates the A_p product
-    (avg of w) * (avg of w**(-1/(p-1)))**(p-1) over each B cap Omega, and
-    returns the sample supremum.  p = 1 switches to the essential-infimum
-    form (avg of w) / (essinf of w), with the essinf taken over the
-    quadrature abscissas.  Divergence is data, not an error: the flag is
-    set when any product exceeds OVERFLOW or is nonfinite.
+    log-uniform in [R_MIN, R_MAX], evaluates the A_2 product
+    (avg of w) * (avg of 1/w) over each B cap Omega, and returns the
+    sample supremum.  Divergence is data, not an error: the flag is set
+    when any product exceeds OVERFLOW or is nonfinite.
     """
-    if p < 1.0:
-        raise ValueError(f"A_p requires p >= 1, got {p}")
     if n_balls < 1:
         raise ValueError("need at least one ball")
     cxs, cys, rs = _sample_balls(n_balls, seed)
-    exponents = (weight_exponent,) if p == 1.0 else (weight_exponent, -weight_exponent / (p - 1.0))
     products = np.empty(n_balls)
     for k in range(n_balls):
-        integrals, area = _ball_integral(cxs[k], cys[k], rs[k], exponents)
-        w_int = integrals[0]
-        if area == 0.0:
-            products[k] = 0.0
-            continue
-        avg_w = w_int / area
-        if p == 1.0:
-            x_lo = max(0.0, cxs[k] - rs[k]) + 0.5 * (min(1.0, cxs[k] + rs[k]) - max(0.0, cxs[k] - rs[k])) / N_QUAD
-            x_hi = min(1.0, cxs[k] + rs[k])
-            essinf = min(x_lo**weight_exponent, x_hi**weight_exponent)
-            products[k] = avg_w / essinf if essinf > 0 else math.inf
-        else:
-            products[k] = avg_w * (integrals[1] / area) ** (p - 1.0)
+        (w_int, inv_int), area = _ball_integral(cxs[k], cys[k], rs[k], (weight_exponent, -weight_exponent))
+        products[k] = (w_int / area) * (inv_int / area) if area > 0.0 else 0.0
     finite = np.isfinite(products)
     diverged = bool(np.any(~finite) or np.any(products[finite] > OVERFLOW))
     constant = float(np.max(products)) if np.all(finite) else math.inf
-    return ApEstimate(p=float(p), constant=constant, samples=n_balls, diverged=diverged)
+    return ApEstimate(constant=constant, samples=n_balls, diverged=diverged)

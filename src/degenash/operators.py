@@ -28,6 +28,10 @@ factorization.
 A u is computed from the 5-point stencil, for both schemes.  The CSR
 matrix of A is assembled only when something reads SparseOperator.matrix:
 the centered SuperLU factorization does, and no upwind solve does.
+
+bilinear_form states the weak form once; both weak-form residuals and
+the coercivity form of analysis evaluate it, weighted by theta_weight's
+exp(-theta*y) where the form is stabilized.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import Grid, GridFunction, weighted_inner
+
+# The residual contract of solve_dirichlet: ||A u - f|| <= RESIDUAL_TOL * max(1, ||f||).
+RESIDUAL_TOL = 1e-10
 
 
 class Scheme(str, Enum):
@@ -214,7 +221,7 @@ class DirichletSolver:
 
 
 def solve_dirichlet(
-    op: SparseOperator, f: GridFunction, tol: float = 1e-10
+    op: SparseOperator, f: GridFunction, tol: float = RESIDUAL_TOL
 ) -> tuple[GridFunction, SolveReport]:
     """Solve A u = f once, with a residual contract.
 
@@ -279,24 +286,31 @@ def dy(u: GridFunction) -> GridFunction:
     return GridFunction(u.grid, _diff_along(u.values2d(), u.grid.hy, axis=1).reshape(u.grid.n))
 
 
-def dxdy(u: GridFunction) -> GridFunction:
-    return dx(dy(u))
+def theta_weight(theta: float):
+    """The stabilizing y-weight y -> exp(-theta*y); theta must be finite and >= 0."""
+    if not (math.isfinite(theta) and theta >= 0):
+        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
+    return lambda y: np.exp(-theta * y)
+
+
+def bilinear_form(u: GridFunction, psi: GridFunction, y_weight=None) -> float:
+    """Quadrature value of the bilinear form of A against psi,
+        (x**alpha u_y, psi) + 1/2 (u_x, psi_x),
+    with every pairing weighted by y_weight(y) when one is given."""
+    alpha = u.grid.alpha
+    return weighted_inner(dy(u), psi, alpha, y_weight=y_weight) + 0.5 * weighted_inner(
+        dx(u), dx(psi), 0.0, y_weight=y_weight
+    )
 
 
 def weak_form_residual(u: GridFunction, f: GridFunction, phi: GridFunction) -> float:
     """Residual of the weak formulation against the test function phi.
 
-    Returns the quadrature value of
-        (x**alpha u_y, phi) + 1/2 (u_x, phi_x) - (f, phi),
-    zero (up to consistency error) when u weakly solves A u = f and phi
-    vanishes on the x = 0, 1 boundaries.
+    Returns bilinear_form(u, phi) - (f, phi), zero (up to consistency
+    error) when u weakly solves A u = f and phi vanishes on the x = 0, 1
+    boundaries.
     """
-    alpha = u.grid.alpha
-    return (
-        weighted_inner(dy(u), phi, alpha)
-        + 0.5 * weighted_inner(dx(u), dx(phi), 0.0)
-        - weighted_inner(f, phi, 0.0)
-    )
+    return bilinear_form(u, phi) - weighted_inner(f, phi, 0.0)
 
 
 def theta_weak_form_residual(u: GridFunction, f: GridFunction, phi: GridFunction, theta: float) -> float:
@@ -304,16 +318,9 @@ def theta_weak_form_residual(u: GridFunction, f: GridFunction, phi: GridFunction
 
     The test expression is d_y phi and every pairing carries the factor
     exp(-theta*y):
-        (x**alpha u_y, phi_y)_theta + 1/2 (u_x, (phi_y)_x)_theta - (f, phi_y)_theta.
+        bilinear_form(u, phi_y)_theta - (f, phi_y)_theta.
     At theta = 0 this is exactly the unweighted d_y-test form.
     """
-    if not (math.isfinite(theta) and theta >= 0):
-        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
-    alpha = u.grid.alpha
-    yw = lambda y: np.exp(-theta * y)
+    yw = theta_weight(theta)
     dphi = dy(phi)
-    return (
-        weighted_inner(dy(u), dphi, alpha, y_weight=yw)
-        + 0.5 * weighted_inner(dx(u), dx(dphi), 0.0, y_weight=yw)
-        - weighted_inner(f, dphi, 0.0, y_weight=yw)
-    )
+    return bilinear_form(u, dphi, yw) - weighted_inner(f, dphi, 0.0, y_weight=yw)

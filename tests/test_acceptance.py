@@ -116,11 +116,11 @@ def test_criterion_5_embedding():
 
 
 def test_criterion_6_muckenhoupt():
-    unit = muckenhoupt_ap(0.0, 2.0, 500, seed=7)
+    unit = muckenhoupt_ap(0.0, 500, seed=7)
     assert abs(unit.constant - 1.0) <= 1e-9 and not unit.diverged
-    half = muckenhoupt_ap(0.5, 2.0, 500, seed=7)
+    half = muckenhoupt_ap(0.5, 500, seed=7)
     assert math.isfinite(half.constant) and not half.diverged
-    bad = muckenhoupt_ap(-3.0, 2.0, 500, seed=7)
+    bad = muckenhoupt_ap(-3.0, 500, seed=7)
     assert bad.diverged
     print(
         "\nACCEPTANCE 6 (Muckenhoupt): PASS "

@@ -82,6 +82,11 @@ class TestEnergyStudy:
         with pytest.raises(ValueError, match="levels"):
             energy_estimate_study(default_energy_family(), [], alpha=0.5)
 
+    def test_one_level_rejected(self):
+        # one level compares its ratio with itself and could only pass
+        with pytest.raises(ValueError, match="levels"):
+            energy_estimate_study(default_energy_family(), [16], alpha=0.5)
+
     def test_default_family_bounded_small(self):
         r = energy_estimate_study(default_energy_family(), [16, 32, 64], alpha=0.5)
         assert len(r.metrics) == 5
@@ -93,6 +98,12 @@ class TestCoercivity:
     def test_requires_positive_theta(self):
         with pytest.raises(ValueError):
             coercivity_check(0.0, 5, seed=1)
+
+    @pytest.mark.parametrize("theta", [-1.0, math.nan])
+    def test_form_value_rejects_bad_theta(self, small_grid, theta):
+        v = GridFunction.from_callable(small_grid, lambda X, Y: X * (1 - X) * Y * (1 - Y))
+        with pytest.raises(ValueError, match="theta"):
+            stabilized_form_value(v, theta)
 
     def test_no_samples_rejected(self):
         with pytest.raises(ValueError, match="n_samples"):
@@ -180,6 +191,10 @@ class TestStrictInclusion:
         r = strict_inclusion_demo([64])
         assert r.verdict is Verdict.INCONCLUSIVE
 
+    def test_no_levels_rejected(self):
+        with pytest.raises(ValueError, match="levels"):
+            strict_inclusion_demo([])
+
     def test_alpha_one_report_only(self):
         r = strict_inclusion_demo([16, 32, 64], alpha=1.0)
         assert r.verdict is Verdict.INCONCLUSIVE
@@ -199,7 +214,7 @@ class TestEmbeddingStudy:
         for series in r.metrics.values():
             assert series[-1] <= 1.1 * series[0]
 
-    @pytest.mark.parametrize("name, value", [("levels", ()), ("q_values", ()), ("n_samples", 0)])
+    @pytest.mark.parametrize("name, value", [("levels", ()), ("q_values", ()), ("n_samples", 0), ("levels", (16,))])
     def test_nothing_to_check_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             embedding_study(**{"levels": (8, 16), "n_samples": 4, name: value})

@@ -460,6 +460,15 @@ class TestMain:
         p.write_text("command: study\nstudy: {kind: convergence, levels: [8, 16, 32]}\n")
         assert main(["study", "--config", str(p), "--out", str(tmp_path / "out"), "--level-override", "16"]) == 2
 
+    @pytest.mark.parametrize("kind, n", [("energy", "16"), ("embedding", "64")])
+    def test_level_override_leaving_one_level_exits_2(self, tmp_path, capsys, kind, n):
+        # one level would compare the finest level with itself and pass
+        p = CONFIG_DIR / f"study_{kind}.yaml"
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", n]) == 2
+        assert f"study.levels after --level-override {n}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["convergence", "energy", "inclusion", "embedding"])
     def test_level_override_drops_levels(self, tmp_path, kind):
         p = tmp_path / "study.yaml"
