@@ -14,7 +14,7 @@ import numpy as np
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
 from .grid import Grid, GridFunction, build_grid, weighted_inner
 from .norms import embedding_ratio, l2_weighted_norm, muckenhoupt_ap, norms_of
-from .operators import RESIDUAL_TOL, Scheme, assemble, bilinear_form, dx, dy, solve_dirichlet, theta_weight
+from .operators import RESIDUAL_TOL, Scheme, assemble, bilinear_form, dx, dy, euclidean_norm, solve_dirichlet, theta_weight
 
 # The Muckenhoupt panel asks the constant weight for an A_2 constant of 1
 # to this tolerance.
@@ -97,8 +97,8 @@ def energy_estimate_study(
             if denom == 0.0:
                 raise ValueError(f"family member {m} has zero weighted norm; ratio undefined")
             u, _ = solve_dirichlet(op, f)
-            residual = float(np.linalg.norm(op.apply(u).values - f.values))
-            solved = solved and residual <= RESIDUAL_TOL * max(1.0, float(np.linalg.norm(f.values)))
+            residual = euclidean_norm(op.apply(u).values - f.values)
+            solved = solved and residual <= RESIDUAL_TOL * max(1.0, euclidean_norm(f.values))
             ratios[m].append(norms_of(u).w11 / denom)
     metrics = {f"ratio_{m}": series for m, series in enumerate(ratios)}
     positive = all(0.0 < r < math.inf for series in ratios for r in series)

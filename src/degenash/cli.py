@@ -309,9 +309,18 @@ def _write_columns(path: Path, header: list[str], columns: list) -> None:
     Renders a column at a time with repr on the Python scalars of
     np.ravel(column).tolist(): floats round-trip and ints print as
     integers."""
-    cells = [map(repr, np.ravel(c).tolist()) for c in columns]
+    cells = [_render(np.ravel(c)) for c in columns]
     lines = ["\t".join(header), *map("\t".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _render(values: np.ndarray) -> list[str]:
+    """repr of each entry's Python scalar, called once per distinct value;
+    floats are told apart by their bits, so 0.0 and -0.0 stay apart."""
+    key = values.view(np.int64) if values.dtype == np.float64 else values
+    distinct, index = np.unique(key, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(values.dtype).tolist())), dtype=object)
+    return text[index].tolist()
 
 
 def _study_tables(out: Path, result: StudyResult) -> None:

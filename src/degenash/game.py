@@ -23,6 +23,12 @@ argument.  Certification deviations are drawn on the follower's control
 region only; every other node is zero.  The iteration tolerances and
 caps and the number of sampled deviations are module constants.
 
+cost and gradient read the state on the observation region G_i only, so
+their forward solve stops after the top y-row of G_i (RegionMask.top_row)
+and the state is zero above it; state_solve returns the full state.
+Successive solves differ only in the rows a control reaches, and the
+game's one solver re-marches only those (operators.DirichletSolver).
+
 The shipped game is defined once, in configs/benchmark_game.yaml; the CLI
 builds its GameConfig through cli.parse_config and cli.build_game_config.
 """
@@ -161,6 +167,13 @@ def _tracking_sq(y: GridFunction, yd: GridFunction, region: RegionMask) -> float
 
 def state_solve(cfg: GameConfig, g: GridFunction, f1: GridFunction, f2: GridFunction) -> GridFunction:
     """State y(g, f1, f2) with masked sources."""
+    return _state(cfg, g, f1, f2)
+
+
+def _state(
+    cfg: GameConfig, g: GridFunction, f1: GridFunction, f2: GridFunction, last_row: int | None = None
+) -> GridFunction:
+    """The state, or, given last_row, its y-rows up to last_row and zeros above."""
     if not (g.grid == f1.grid == f2.grid == cfg.grid):
         raise ValueError("mask and GridFunction live on different grids")
     rhs = (
@@ -168,13 +181,13 @@ def state_solve(cfg: GameConfig, g: GridFunction, f1: GridFunction, f2: GridFunc
         + np.where(cfg.omega1.indicator, f1.values, 0.0)
         + np.where(cfg.omega2.indicator, f2.values, 0.0)
     )
-    return GridFunction(cfg.grid, cfg.solver.solve(rhs))
+    return GridFunction(cfg.grid, cfg.solver.solve(rhs, last_row=last_row))
 
 
 def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
     """J_i: tracking over the observation region plus the weighted penalty."""
     region_ctrl, region_obs, yd, _ = cfg.follower(i)
-    y = state_solve(cfg, cfg.g, f1, f2)
+    y = _state(cfg, cfg.g, f1, f2, region_obs.top_row)
     f_own = f1 if i == 1 else f2
     grid = cfg.grid
     penalty = grid.hx * grid.hy * float(
@@ -191,7 +204,7 @@ def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> Gri
     inner product: solve A^T p = 2 chi_G_i (y - yd_i), return
     chi_omega_i (x^alpha p + 2 f_i)."""
     region_ctrl, region_obs, yd, _ = cfg.follower(i)
-    y = state_solve(cfg, cfg.g, f1, f2)
+    y = _state(cfg, cfg.g, f1, f2, region_obs.top_row)
     source = np.where(region_obs.indicator, 2.0 * (y.values - yd.values), 0.0)
     p = cfg.solver.solve_adjoint(source)
     f_own = f1 if i == 1 else f2

@@ -156,6 +156,14 @@ class RegionMask:
     def count(self) -> int:
         return int(self.indicator.sum())
 
+    @functools.cached_property
+    def top_row(self) -> int:
+        """Index j of the highest y-row holding a node of the region."""
+        rows = self.indicator.reshape(self.grid.nx, self.grid.ny).any(axis=0)
+        if not rows.any():
+            raise ValueError("region contains no interior nodes")
+        return int(np.flatnonzero(rows)[-1])
+
     def apply(self, u: GridFunction) -> GridFunction:
         """Multiply u by the characteristic function of the region."""
         if u.grid != self.grid:

@@ -19,11 +19,14 @@ positive definite tridiagonal system
 from u_{-1} = 0 at the inflow edge y = 0.  T is factored once (LAPACK
 dpttrf), so a solve costs O(nx*ny) with no fill.  The adjoint A^T is
 block upper-bidiagonal and runs the same march backward from j = ny-1.
-Each march starts at its first nonzero right-hand-side row; the rows
-before it are zero.  The upwind scheme never uses u = 0 at y = 1: that
-edge is the outflow boundary, and no row of the matrix refers to it.  The
-centered scheme couples both y-neighbours and is solved by a SuperLU
-factorization.
+Row j of a march depends on the right-hand-side rows up to j only, so
+each march starts at the first row that differs from the last solve in
+its direction and copies the rows before it (a first solve starts at its
+first nonzero row), and a forward solve given the last row its caller
+reads stops after that row.  The upwind scheme never uses u = 0 at
+y = 1: that edge is the outflow boundary, and no row of the matrix
+refers to it.  The centered scheme couples both y-neighbours and is
+solved by a SuperLU factorization.
 
 A u is computed from the 5-point stencil, for both schemes.  The CSR
 matrix of A is assembled only when something reads SparseOperator.matrix:
@@ -156,7 +159,15 @@ class _YMarch:
     """The upwind operator factored as the implicit-Euler march in y.
 
     Offers the solve(rhs, trans) call of a SuperLU factorization, for one
-    right-hand side of length nx*ny or for nx*ny by k columns.
+    right-hand side of length nx*ny or for nx*ny by k columns, plus a
+    bound on the rows the caller reads.
+
+    Keeps the last right-hand side and its solution per direction and
+    column count, and marches from the first row whose right-hand side
+    differs (!=) from the kept one or that the kept solution does not
+    hold, whichever is earlier; the rows before it are copied.  The store
+    starts as the zero right-hand side with the zero solution, so a first
+    solve marches from its first nonzero row.
     """
 
     def __init__(self, grid: Grid):
@@ -167,28 +178,54 @@ class _YMarch:
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")
         self._c = c[:, None]
+        # (trans, k) -> (rhs as (nx, ny, k), solution rows in march order
+        # as (ny, k, nx), count of leading march-order rows it holds)
+        self._last: dict[tuple[str, int], tuple] = {}
 
-    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+    def solve(self, rhs: np.ndarray, trans: str = "N", last_row: int | None = None) -> np.ndarray:
+        """A^-1 rhs (trans "N") or A^-T rhs (trans "T").
+
+        A marches up from y = 0, A^T down from y = 1.  last_row is the last
+        y-row in march order that the caller reads: the march stops after
+        it, and the rows it would reach later are returned as zero.
+        """
         nx, ny = self._shape
         if rhs.ndim not in (1, 2) or rhs.shape[0] != nx * ny:
             raise ValueError(f"right-hand side has shape {rhs.shape}, operator has {nx * ny} unknowns")
-        # blocks[j] is y-row j as a contiguous (k, nx) block, so rows[j] is
-        # the same memory as an (nx, k) Fortran-ordered block that dpttrs
-        # overwrites in place
-        blocks = np.ascontiguousarray(rhs.reshape(nx, ny, -1).transpose(1, 2, 0))
-        rows = blocks.transpose(0, 2, 1)
-        live = np.flatnonzero(blocks.reshape(ny, -1).any(axis=1))
-        if live.size:
-            # A marches up from y = 0, A^T down from y = 1, each from its
-            # first nonzero row: the rows before it solve to zero
-            march = rows[live[0]:] if trans == "N" else rows[live[-1]::-1]
+        if last_row is not None and not 0 <= last_row < ny:
+            raise ValueError(f"last_row must be a y-row index in [0, {ny}), got {last_row}")
+        new = rhs.reshape(nx, ny, -1)
+        k = new.shape[2]
+        order = np.s_[:] if trans == "N" else np.s_[::-1]
+        key = (trans, k)
+        if key not in self._last:
+            self._last[key] = (np.zeros((nx, ny, k)), np.zeros((ny, k, nx)), ny)
+        kept, solution, held = self._last[key]
+        differs = (new != kept).any(axis=(0, 2))[order]
+        start = min(int(differs.argmax()) if differs.any() else ny, held)
+        stop = ny if last_row is None else (last_row + 1 if trans == "N" else ny - last_row)
+        np.copyto(kept, new)
+        # solution[j] is march-order row j as a contiguous (k, nx) block,
+        # so rows[j] is the same memory as an (nx, k) Fortran-ordered block
+        # that dpttrs (4th argument overwrite_b) overwrites in place
+        rows = solution.transpose(0, 2, 1)
+        if start < stop:
+            solution[start:stop] = new.transpose(1, 2, 0)[order][start:stop]
+            march = rows[start:stop]
             coupling = np.empty(rows.shape[1:])
-            dpttrs(self._d, self._e, march[0], overwrite_b=True)
+            # a zero row before the start couples nothing
+            if start > 0 and rows[start - 1].any():
+                np.multiply(self._c, rows[start - 1], coupling)
+                np.add(march[0], coupling, march[0])
+            dpttrs(self._d, self._e, march[0], 1)
             for prev, row in zip(march, march[1:]):
                 np.multiply(self._c, prev, coupling)
                 np.add(row, coupling, row)
-                dpttrs(self._d, self._e, row, overwrite_b=True)
-        return blocks.transpose(2, 0, 1).reshape(rhs.shape)
+                dpttrs(self._d, self._e, row, 1)
+        self._last[key] = (kept, solution, max(start, stop))
+        out = np.zeros((nx, ny, k))
+        out.transpose(1, 2, 0)[order][:stop] = solution[:stop]
+        return out.reshape(rhs.shape)
 
 
 def _factor(op: SparseOperator):
@@ -206,18 +243,37 @@ class DirichletSolver:
     centered operator by SuperLU.  Forward and transpose (adjoint) solves
     share the factorization and take a right-hand side of length nx*ny or
     nx*ny by k columns.  No residual check: solve_dirichlet carries the
-    contract.  Not reentrant across threads.
+    contract.
+
+    The upwind march keeps one right-hand side and its solution per
+    direction and column count, the last it solved.  It compares the next
+    right-hand side with the kept one exactly (!=), copies the solution
+    rows before the first row that differs, and marches from there, so a
+    repeated or partly repeated solve returns the same bits as a fresh
+    one.  The store is mutated by every solve: not reentrant.
     """
 
     def __init__(self, op: SparseOperator):
         self.op = op
         self._lu = _factor(op)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(rhs, dtype=float))
+    def solve(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:
+        """A^-1 rhs.  Given last_row, the caller reads only y-rows j <=
+        last_row: an upwind solve marches no further and returns zeros
+        above it; a centered solve returns every row."""
+        rhs = np.asarray(rhs, dtype=float)
+        if self.op.scheme is Scheme.UPWIND_Y:
+            return self._lu.solve(rhs, last_row=last_row)
+        return self._lu.solve(rhs)
 
     def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(rhs, dtype=float), trans="T")
+
+
+def euclidean_norm(values: np.ndarray) -> float:
+    """||values||_2 by numpy's pairwise sum, not BLAS, so the last bit does
+    not depend on the BLAS thread count."""
+    return math.sqrt(float(np.sum(values * values)))
 
 
 def solve_dirichlet(
@@ -238,14 +294,14 @@ def solve_dirichlet(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     start = time.perf_counter()
     rhs = f.values
-    scale = max(1.0, float(np.linalg.norm(rhs)))
+    scale = max(1.0, euclidean_norm(rhs))
     lu = _factor(op)
     u = lu.solve(rhs)
-    residual = float(np.linalg.norm(op._apply(u) - rhs))
+    residual = euclidean_norm(op._apply(u) - rhs)
     refinements = 0
     while residual > tol * scale and refinements < 3:
         u = u + lu.solve(rhs - op._apply(u))
-        residual = float(np.linalg.norm(op._apply(u) - rhs))
+        residual = euclidean_norm(op._apply(u) - rhs)
         refinements += 1
     if residual > tol * scale:
         raise SolverError("solve did not meet the residual tolerance", residual)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import degenash.cli as cli_mod
@@ -424,6 +425,33 @@ class TestDeterminism:
             .replace("nx: 64, ny: 64", "nx: 12, ny: 12")
         )
         self._run_twice(text, tmp_path, ["game_residuals.tsv", "game_fields.tsv"])
+
+
+class TestWriteColumns:
+    SPECIAL = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-310, 0.1, 1e300]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_renders_as_repr_of_each_value(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = 60
+        pool = np.array(self.SPECIAL + list(rng.standard_normal(8)))
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)
+        columns = [
+            rng.choice(pool, n),
+            np.concatenate([rng.choice(pool, n - 2), [0.0, -0.0]]),
+            np.where(rng.random(n) < 0.5, payload_nan[0], rng.choice(pool, n)),
+            rng.choice(pool, (n // 4, 4)),
+            rng.integers(-3, 3, n),
+            rng.random(n) < 0.5,
+            rng.choice(pool, n).tolist(),
+            list(range(n)),
+        ]
+        header = [f"c{k}" for k in range(len(columns))]
+        path = tmp_path / "t.tsv"
+        cli_mod._write_columns(path, header, columns)
+        cells = [map(repr, np.ravel(c).tolist()) for c in columns]
+        expected = "\n".join(["\t".join(header), *map("\t".join, zip(*cells))]) + "\n"
+        assert path.read_text() == expected
 
 
 class TestMain:

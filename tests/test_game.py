@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import degenash.game as game_mod
+import degenash.operators as operators
 from conftest import random_field, shipped_game
 from degenash.fields import bump_from_parameters, bump_parameter_sets
 from degenash.game import (
@@ -268,6 +269,44 @@ class TestNashSolve:
         r2 = nash_solve(mini_cfg)
         assert np.array_equal(r1.f1_star.values, r2.f1_star.values)
         assert r1.j1 == r2.j1 and r1.certification_margin == r2.certification_margin
+
+
+# The coupled regions: follower 1 acts below y = 0.45 and observes above
+# y = 0.55, where follower 2's control reaches.
+COUPLED = {
+    "omega1": [0.35, 0.5, 0.1, 0.45],
+    "omega2": [0.5, 0.65, 0.1, 0.45],
+    "g1_obs": [0.3, 0.6, 0.55, 0.9],
+    "g2_obs": [0.4, 0.7, 0.55, 0.9],
+}
+
+
+def _result_bits(res):
+    arrays = (res.f1_star, res.f2_star, res.state)
+    floats = (res.j1, res.j2, res.certification_margin, *res.br_residuals)
+    return [a.values.tobytes() for a in arrays] + [repr(v) for v in floats]
+
+
+class TestMarchReuse:
+    @pytest.mark.parametrize("game", [{}, {"m1": 1e-4, "m2": 1e-4}, COUPLED], ids=["shipped", "active", "coupled"])
+    def test_equilibrium_equals_fresh_full_marches(self, monkeypatch, game):
+        reused = nash_solve(shipped_game(n=32, **game))
+        march = operators._YMarch.solve
+
+        def fresh(self, rhs, trans="N", last_row=None):
+            self._last.clear()
+            return march(self, rhs, trans)
+
+        monkeypatch.setattr(operators._YMarch, "solve", fresh)
+        assert _result_bits(reused) == _result_bits(nash_solve(shipped_game(n=32, **game)))
+
+    def test_shipped_game_marches_few_rows(self, monkeypatch):
+        # 29,812 rows when every solve marches from its first nonzero row to y = 1
+        calls = []
+        original = operators.dpttrs
+        monkeypatch.setattr(operators, "dpttrs", lambda *args: calls.append(1) or original(*args))
+        nash_solve(shipped_game(n=64))
+        assert len(calls) <= 12_000
 
 
 class TestCertify:

@@ -238,5 +238,5 @@ def test_solve_example_at_512_is_byte_identical(tmp_path):
             "w11": 0.3637437594170586,
             "weighted_dy_l2": 0.193853793389757,
         },
-        "residual_norm": 1.1689074754299419e-09,
+        "residual_norm": 1.168907475429942e-09,
     }

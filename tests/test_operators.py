@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degenash.operators as operators
 from conftest import random_field, shipped_game
 from degenash.fields import bump_parameter_sets, bump_from_parameters, manufactured_pair
 from degenash.grid import GridFunction, build_grid, weighted_inner
@@ -14,6 +19,7 @@ from degenash.operators import (
     Scheme,
     SolverError,
     _diff_along,
+    _YMarch,
     assemble,
     dx,
     dy,
@@ -141,6 +147,25 @@ class TestSolve:
         diff = np.linalg.norm(u12.values - a * u1.values - b * u2.values)
         assert diff <= 1e-9 * scale
 
+    def test_residual_norm_does_not_depend_on_blas_threads(self):
+        # at 512^2 a threaded BLAS dot product rounds ||A u - f|| differently
+        # from a single-threaded one; at 128^2 and 256^2 both agree
+        code = (
+            "from degenash.fields import named_field\n"
+            "from degenash.grid import build_grid\n"
+            "from degenash.operators import assemble, solve_dirichlet\n"
+            "g = build_grid(512, 512, 0.5)\n"
+            "print(repr(solve_dirichlet(assemble(g), named_field(g, 'sinsin', 1.0))[1].residual_norm))\n"
+        )
+        src = str(Path(operators.__file__).resolve().parent.parent)
+        printed = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            printed.add(proc.stdout)
+        assert len(printed) == 1, printed
+
     def test_invalid_tol(self, small_grid):
         op = assemble(small_grid)
         with pytest.raises(ValueError):
@@ -246,6 +271,91 @@ class TestYMarch:
             solver.solve(np.ones(length))
         with pytest.raises(ValueError):
             solver.solve_adjoint(np.ones(length))
+
+
+def _rows_read(trans, last_row):
+    """The y-rows a solve with this bound holds, as a slice of axis 1."""
+    if last_row is None:
+        return np.s_[:]
+    return np.s_[: last_row + 1] if trans == "N" else np.s_[last_row:]
+
+
+class TestMarchReuse:
+    NX, NY = 9, 11
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 10**6))
+    def test_reused_rows_equal_a_fresh_march(self, data, seed):
+        # each right-hand side equals the last one of its direction and
+        # column count except from a random row on in march order (a
+        # change row of ny is an exact repeat), and carries a random bound
+        nx, ny = self.NX, self.NY
+        grid = build_grid(nx, ny, 0.5)
+        march = _YMarch(grid)
+        rng = np.random.default_rng(seed)
+        last: dict = {}
+        steps = data.draw(st.lists(st.tuples(
+            st.sampled_from("NT"), st.sampled_from([1, 3]), st.integers(0, ny),
+            st.one_of(st.none(), st.integers(0, ny - 1)), st.booleans(),
+        ), min_size=1, max_size=12))
+        for trans, k, change, last_row, zero in steps:
+            rhs = last.get((trans, k), np.zeros((nx, ny, k))).copy()
+            changed = np.s_[:, change:] if trans == "N" else np.s_[:, : ny - change]
+            rhs[changed] = 0.0 if zero else rng.standard_normal(rhs[changed].shape)
+            last[trans, k] = rhs
+            flat = rhs.reshape(nx * ny) if k == 1 else rhs.reshape(nx * ny, k)
+            got = march.solve(flat, trans, last_row).reshape(nx, ny, k)
+            fresh = _YMarch(grid).solve(flat, trans, last_row).reshape(nx, ny, k)
+            full = _YMarch(grid).solve(flat, trans).reshape(nx, ny, k)
+            read = _rows_read(trans, last_row)
+            assert np.array_equal(got, fresh)
+            assert np.array_equal(got[:, read], full[:, read])
+            unread = np.ones(ny, dtype=bool)
+            unread[read] = False
+            assert np.all(got[:, unread] == 0.0)
+
+    def test_rows_marched(self, monkeypatch):
+        calls = []
+        original = operators.dpttrs
+        monkeypatch.setattr(operators, "dpttrs", lambda *args: calls.append(1) or original(*args))
+        nx, ny = self.NX, self.NY
+        march = _YMarch(build_grid(nx, ny, 0.5))
+        rng = np.random.default_rng(4)
+
+        def marched(rhs, trans="N", last_row=None):
+            calls.clear()
+            march.solve(rhs, trans, last_row)
+            return len(calls)
+
+        assert marched(np.zeros(nx * ny)) == 0
+        rhs = rng.standard_normal((nx, ny))
+        assert marched(rhs.ravel()) == ny
+        assert marched(rhs.ravel()) == 0
+        for k in (0, 4, ny - 1):
+            rhs[:, k:] = rng.standard_normal((nx, ny - k))
+            assert marched(rhs.ravel()) == ny - k
+        # A^T marches down from y = 1: a change up to row k marches k + 1 rows
+        adjoint = rhs.copy()
+        assert marched(adjoint.ravel(), "T") == ny
+        adjoint[:, :5] = 0.0
+        assert marched(adjoint.ravel(), "T") == 5
+        assert marched(adjoint.ravel(), "T") == 0
+        # a bound stops the march; rows past it are marched when read
+        rhs[:, 2:] = rng.standard_normal((nx, ny - 2))
+        assert marched(rhs.ravel(), last_row=5) == 4
+        assert marched(rhs.ravel(), last_row=3) == 0
+        assert marched(rhs.ravel()) == ny - 6
+
+    def test_bound_outside_the_grid_rejected(self, small_grid):
+        solver = DirichletSolver(assemble(small_grid))
+        for last_row in (-1, small_grid.ny):
+            with pytest.raises(ValueError, match="last_row"):
+                solver.solve(np.ones(small_grid.n), last_row=last_row)
+
+    def test_centered_solve_returns_every_row(self, small_grid):
+        solver = DirichletSolver(assemble(small_grid, Scheme.CENTERED_Y))
+        rhs = random_field(small_grid, 2).values
+        assert np.array_equal(solver.solve(rhs, last_row=3), solver.solve(rhs))
 
 
 def _matrix_built(op):
