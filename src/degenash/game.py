@@ -19,15 +19,29 @@ finite-difference oracle and the projection geometry are consistent to
 round-off.  The existence proof is nonconstructive; best responses are
 computed by projected gradient descent and the Nash pair by Gauss-Seidel
 sweeps, with a-posteriori sampling certification replacing the fixed-point
-argument.  Certification deviations are drawn on the follower's control
-region only; every other node is zero.  The iteration tolerances and
-caps and the number of sampled deviations are module constants.
+argument.  Certification rejects a candidate outside the admissible set
+and any non-finite cost; its deviations are drawn on the follower's
+control region only, and every other node is zero.  The iteration
+tolerances and caps and the number of sampled deviations are module
+constants.
 
 cost and gradient read the state on the observation region G_i only, so
 their forward solve stops after the top y-row of G_i (RegionMask.top_row)
 and the state is zero above it; state_solve returns the full state.
 Successive solves differ only in the rows a control reaches, and the
 game's one solver re-marches only those (operators.DirichletSolver).
+
+Inside the game the arithmetic runs on each region's node indices
+(RegionMask.nodes).  Each GameConfig masks the leader's source once
+(GameConfig.source); a state solve copies it and adds f1 and f2 on their
+own nodes.  The tracking term, the penalty and the norms certify takes
+write their per-node products into the game's scratch buffer and sum it
+whole.  The buffer is zero off the region in use and is zeroed again
+after each sum, so it holds the very array np.where(region, ..., 0.0)
+would build and every pairwise sum keeps its last bit.  Like the solver,
+the buffer is shared by every call on the game: not reentrant.  cost
+builds no GridFunction and certify one per deviation; each GridFunction
+keeps its finiteness scan.
 
 The shipped game is defined once, in configs/benchmark_game.yaml; the CLI
 builds its GameConfig through cli.parse_config and cli.build_game_config.
@@ -112,10 +126,26 @@ class GameConfig:
         if np.array_equal(self.yd1.values, self.yd2.values):
             warnings.warn("follower targets coincide; the game degenerates", UserWarning)
 
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in ("omega", "g"):
+            # the next state solve masks the new leader data
+            self.__dict__.pop("source", None)
+
     @functools.cached_property
     def solver(self) -> DirichletSolver:
         """The game's one upwind solver, factored on first use."""
         return DirichletSolver(assemble(self.grid, Scheme.UPWIND_Y))
+
+    @functools.cached_property
+    def source(self) -> np.ndarray:
+        """The leader's term chi_omega g of every state's right-hand side."""
+        return _masked_source(self.omega, self.g)
+
+    @functools.cached_property
+    def _scratch(self) -> np.ndarray:
+        """Full-grid buffer of _region_sum, zero between uses."""
+        return np.zeros(self.grid.n)
 
     def follower(self, i: int) -> tuple[RegionMask, RegionMask, GridFunction, float]:
         """(control region, observation region, target, radius) of follower i."""
@@ -159,44 +189,74 @@ def control_norm(f: GridFunction, alpha: float) -> float:
     return math.sqrt(max(control_inner(f, f, alpha), 0.0))
 
 
-def _tracking_sq(y: GridFunction, yd: GridFunction, region: RegionMask) -> float:
-    g = y.grid
-    diff = np.where(region.indicator, y.values - yd.values, 0.0)
-    return float(g.hx * g.hy * np.sum(diff**2))
+def _region_sum(cfg: GameConfig, region: RegionMask, products: np.ndarray) -> float:
+    """np.sum of the full-grid array that holds products on the region's
+    nodes and zero elsewhere: the array np.where(region.indicator, ..., 0.0)
+    builds, so the same pairwise sum to the last bit."""
+    buf = cfg._scratch
+    buf[region.nodes] = products
+    total = float(np.sum(buf))
+    buf[region.nodes] = 0.0
+    return total
+
+
+def _region_norm(cfg: GameConfig, region: RegionMask, values: np.ndarray) -> float:
+    """control_norm of the control that is values on the region's nodes and
+    zero elsewhere, bit for bit."""
+    g = cfg.grid
+    w = _nodal_x_power(g, -g.alpha)[region.nodes]
+    return math.sqrt(max(g.hx * g.hy * _region_sum(cfg, region, w * values * values), 0.0))
+
+
+def _within_ball(norm: float, m: float) -> bool:
+    """Whether a control norm is admissible for radius m: norms within
+    round-off of m count as feasible, so a projection is exactly idempotent."""
+    return norm <= m * (1.0 + _FEAS_SLACK)
+
+
+def _masked_source(omega: RegionMask, g: GridFunction) -> np.ndarray:
+    """Read-only chi_omega g + 0.0.  The + 0.0 turns -0.0 into +0.0, as
+    adding the zeros of the masked f1 and f2 terms did, so a state's
+    right-hand side keeps the bits of the full-grid three-term sum; only
+    where omega, omega1 and omega2 overlap and g, f1 and f2 are all -0.0
+    is the zero's sign now +."""
+    source = np.where(omega.indicator, g.values, 0.0) + 0.0
+    source.flags.writeable = False
+    return source
 
 
 def state_solve(cfg: GameConfig, g: GridFunction, f1: GridFunction, f2: GridFunction) -> GridFunction:
     """State y(g, f1, f2) with masked sources."""
-    return _state(cfg, g, f1, f2)
+    if g.grid != cfg.grid:
+        raise ValueError("mask and GridFunction live on different grids")
+    return GridFunction(cfg.grid, _state(cfg, _masked_source(cfg.omega, g), f1, f2))
 
 
 def _state(
-    cfg: GameConfig, g: GridFunction, f1: GridFunction, f2: GridFunction, last_row: int | None = None
-) -> GridFunction:
-    """The state, or, given last_row, its y-rows up to last_row and zeros above."""
-    if not (g.grid == f1.grid == f2.grid == cfg.grid):
+    cfg: GameConfig, source: np.ndarray, f1: GridFunction, f2: GridFunction, last_row: int | None = None
+) -> np.ndarray:
+    """Values of the state with leader term source, or, given last_row, its
+    y-rows up to last_row and zeros above."""
+    if not (f1.grid == f2.grid == cfg.grid):
         raise ValueError("mask and GridFunction live on different grids")
-    rhs = (
-        np.where(cfg.omega.indicator, g.values, 0.0)
-        + np.where(cfg.omega1.indicator, f1.values, 0.0)
-        + np.where(cfg.omega2.indicator, f2.values, 0.0)
-    )
-    return GridFunction(cfg.grid, cfg.solver.solve(rhs, last_row=last_row))
+    rhs = source.copy()
+    for region, f in ((cfg.omega1, f1), (cfg.omega2, f2)):
+        rhs[region.nodes] += f.values[region.nodes]
+    return cfg.solver.solve(rhs, last_row=last_row)
 
 
 def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
     """J_i: tracking over the observation region plus the weighted penalty."""
     region_ctrl, region_obs, yd, _ = cfg.follower(i)
-    y = _state(cfg, cfg.g, f1, f2, region_obs.top_row)
+    y = _state(cfg, cfg.source, f1, f2, region_obs.top_row)
+    obs, ctrl = region_obs.nodes, region_ctrl.nodes
     f_own = f1 if i == 1 else f2
     grid = cfg.grid
-    penalty = grid.hx * grid.hy * float(
-        np.sum(
-            np.where(region_ctrl.indicator, f_own.values, 0.0) ** 2
-            * _nodal_x_power(grid, -grid.alpha)
-        )
+    tracking = grid.hx * grid.hy * _region_sum(cfg, region_obs, (y[obs] - yd.values[obs]) ** 2)
+    penalty = grid.hx * grid.hy * _region_sum(
+        cfg, region_ctrl, f_own.values[ctrl] ** 2 * _nodal_x_power(grid, -grid.alpha)[ctrl]
     )
-    return _tracking_sq(y, yd, region_obs) + penalty
+    return tracking + penalty
 
 
 def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> GridFunction:
@@ -204,12 +264,14 @@ def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> Gri
     inner product: solve A^T p = 2 chi_G_i (y - yd_i), return
     chi_omega_i (x^alpha p + 2 f_i)."""
     region_ctrl, region_obs, yd, _ = cfg.follower(i)
-    y = _state(cfg, cfg.g, f1, f2, region_obs.top_row)
-    source = np.where(region_obs.indicator, 2.0 * (y.values - yd.values), 0.0)
+    y = _state(cfg, cfg.source, f1, f2, region_obs.top_row)
+    obs, ctrl = region_obs.nodes, region_ctrl.nodes
+    source = np.zeros(cfg.grid.n)
+    source[obs] = 2.0 * (y[obs] - yd.values[obs])
     p = cfg.solver.solve_adjoint(source)
     f_own = f1 if i == 1 else f2
-    xa = _nodal_x_power(cfg.grid, cfg.grid.alpha)
-    vals = np.where(region_ctrl.indicator, xa * p + 2.0 * f_own.values, 0.0)
+    vals = np.zeros(cfg.grid.n)
+    vals[ctrl] = _nodal_x_power(cfg.grid, cfg.grid.alpha)[ctrl] * p[ctrl] + 2.0 * f_own.values[ctrl]
     return GridFunction(cfg.grid, vals)
 
 
@@ -225,7 +287,7 @@ def project_ball(f: GridFunction, m: float, mask: RegionMask, alpha: float) -> G
     if m == 0.0:
         return GridFunction(f.grid, np.zeros(f.grid.n))
     n = control_norm(fm, alpha)
-    if n <= m * (1.0 + _FEAS_SLACK):
+    if _within_ball(n, m):
         return fm
     return fm * (m / n)
 
@@ -338,37 +400,51 @@ def _feasible_deviations(
     uniform directions and radii up to M_i.  Directions are standard
     normal on the control region's nodes and zero elsewhere."""
     region_ctrl, _, _, m = cfg.follower(i)
-    alpha = cfg.grid.alpha
     out = [GridFunction.zeros(cfg.grid)]
     if m == 0.0:
         return out
     n = DEVIATION_SAMPLES
-    count = region_ctrl.count
+    nodes = region_ctrl.nodes
     for k in range(n):
-        vals = np.zeros(cfg.grid.n)
-        vals[region_ctrl.indicator] = rng.standard_normal(count)
-        d = GridFunction(cfg.grid, vals)
-        nd = control_norm(d, alpha)
+        direction = rng.standard_normal(nodes.size)
+        nd = _region_norm(cfg, region_ctrl, direction)
         if nd == 0.0:
             continue
         radius = m if k < n // 2 else m * rng.uniform(0.0, 1.0)
-        out.append(d * (radius / nd))
+        vals = np.zeros(cfg.grid.n)
+        vals[nodes] = direction * (radius / nd)
+        out.append(GridFunction(cfg.grid, vals))
     return out
+
+
+def _admissible(cfg: GameConfig, i: int, f: GridFunction) -> bool:
+    """Whether f lies in follower i's admissible set: support in omega_i
+    and norm within the ball, by project_ball's rule."""
+    region_ctrl, _, _, m = cfg.follower(i)
+    on_region = f.values[region_ctrl.nodes]
+    if np.count_nonzero(on_region) != np.count_nonzero(f.values):
+        return False
+    return _within_ball(_region_norm(cfg, region_ctrl, on_region), m)
 
 
 def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tuple[bool, float]:
     """Sampled a-posteriori check of the two Nash inequalities.
 
-    Each follower's cost at the candidate must not exceed the cost of any
-    sampled feasible unilateral deviation by more than 1e-8 * (1 + J_i*),
-    where J_i* is its cost at the candidate.  The deviations are
-    supported on the follower's control region and drawn there only,
-    from the seeded stream (cfg.seed, i).  Returns (all-pass flag,
-    minimum margin J_i(deviation) - J_i(candidate)).
+    Each follower's control must be admissible (support in omega_i, norm
+    at most M_i by project_ball's rule), and its cost at the candidate
+    must not exceed the cost of any sampled feasible unilateral deviation
+    by more than 1e-8 * (1 + J_i*), where J_i* is its cost at the
+    candidate.  A non-finite J_i* or margin certifies nothing and counts
+    as a violation.  The deviations are supported on the follower's
+    control region and drawn there only, from the seeded stream
+    (cfg.seed, i).  Returns (all-pass flag, minimum margin
+    J_i(deviation) - J_i(candidate)).
     """
     ok = True
     min_margin = math.inf
-    for i in (1, 2):
+    for i, f_own in ((1, f1_star), (2, f2_star)):
+        if not _admissible(cfg, i, f_own):
+            ok = False
         rng = np.random.default_rng([cfg.seed, i])
         j_star = cost(cfg, i, f1_star, f2_star)
         tol = 1e-8 * (1.0 + j_star)
@@ -376,7 +452,8 @@ def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tu
             pair = (v, f2_star) if i == 1 else (f1_star, v)
             margin = cost(cfg, i, *pair) - j_star
             min_margin = min(min_margin, margin)
-            if margin < -tol:
+            # with J_i* = inf, tol is inf and every margin -inf or nan
+            if not (math.isfinite(margin) and margin >= -tol):
                 ok = False
     if not math.isfinite(min_margin):
         min_margin = 0.0

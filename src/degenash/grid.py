@@ -152,17 +152,23 @@ class RegionMask:
             raise ValueError("indicator length does not match grid")
         object.__setattr__(self, "indicator", ind)
 
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """Read-only ascending flat indices of the region's nodes."""
+        nodes = np.flatnonzero(self.indicator)
+        nodes.flags.writeable = False
+        return nodes
+
     @property
     def count(self) -> int:
-        return int(self.indicator.sum())
+        return int(self.nodes.size)
 
     @functools.cached_property
     def top_row(self) -> int:
         """Index j of the highest y-row holding a node of the region."""
-        rows = self.indicator.reshape(self.grid.nx, self.grid.ny).any(axis=0)
-        if not rows.any():
+        if self.nodes.size == 0:
             raise ValueError("region contains no interior nodes")
-        return int(np.flatnonzero(rows)[-1])
+        return int((self.nodes % self.grid.ny).max())
 
     def apply(self, u: GridFunction) -> GridFunction:
         """Multiply u by the characteristic function of the region."""

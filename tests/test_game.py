@@ -327,6 +327,29 @@ class TestCertify:
         assert not ok
         assert margin < 0
 
+    def test_candidate_outside_the_ball_fails(self):
+        # the free equilibrium's norms, 2.5e-4 and 2.8e-4, exceed M_i = 1e-4
+        free = nash_solve(shipped_game(n=64))
+        active = shipped_game(n=64, m1=1e-4, m2=1e-4)
+        assert not certify(active, free.f1_star, free.f2_star)[0]
+        assert nash_solve(active).certified
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_candidate_off_its_region_fails(self, mini_cfg, i):
+        res = nash_solve(mini_cfg)
+        pair = [res.f1_star.copy(), res.f2_star.copy()]
+        region = mini_cfg.follower(i)[0]
+        pair[i - 1].values[np.flatnonzero(~region.indicator)[0]] = 1e-9
+        assert not certify(mini_cfg, *pair)[0]
+
+    def test_non_finite_cost_fails(self):
+        cfg = shipped_game(n=16, yd1={"kind": "sinsin", "amplitude": 1.0e200})
+        z = GridFunction.zeros(cfg.grid)
+        with np.errstate(over="ignore"):
+            assert cost(cfg, 1, z, z) == math.inf
+            ok, _ = certify(cfg, z, z)
+        assert not ok
+
 
 class TestAdjointConsistency:
     @settings(max_examples=20, deadline=None)
@@ -411,9 +434,65 @@ class TestGameConfigValidation:
             mini_cfg.follower(3)
 
 
+# omega1 overlaps omega and omega2
+OVERLAP = {"omega1": [0.2, 0.6, 0.1, 0.7], "omega2": [0.4, 0.8, 0.5, 0.9]}
+
+
+# Full-grid np.where references of the game's region arithmetic.
+
+
+def _where_rhs(cfg, g, f1, f2):
+    return (
+        np.where(cfg.omega.indicator, g.values, 0.0)
+        + np.where(cfg.omega1.indicator, f1.values, 0.0)
+        + np.where(cfg.omega2.indicator, f2.values, 0.0)
+    )
+
+
+def _where_cost(cfg, i, f1, f2):
+    ctrl, obs, yd, _ = cfg.follower(i)
+    grid = cfg.grid
+    y = cfg.solver.solve(_where_rhs(cfg, cfg.g, f1, f2), last_row=obs.top_row)
+    tracking = float(grid.hx * grid.hy * np.sum(np.where(obs.indicator, y - yd.values, 0.0) ** 2))
+    f_own = f1 if i == 1 else f2
+    w = np.repeat(grid.x ** -grid.alpha, grid.ny)
+    penalty = grid.hx * grid.hy * float(np.sum(np.where(ctrl.indicator, f_own.values, 0.0) ** 2 * w))
+    return tracking + penalty
+
+
+def _where_gradient(cfg, i, f1, f2):
+    ctrl, obs, yd, _ = cfg.follower(i)
+    grid = cfg.grid
+    y = cfg.solver.solve(_where_rhs(cfg, cfg.g, f1, f2), last_row=obs.top_row)
+    p = cfg.solver.solve_adjoint(np.where(obs.indicator, 2.0 * (y - yd.values), 0.0))
+    f_own = f1 if i == 1 else f2
+    xa = np.repeat(grid.x**grid.alpha, grid.ny)
+    return np.where(ctrl.indicator, xa * p + 2.0 * f_own.values, 0.0)
+
+
+def _where_deviations(cfg, i, rng):
+    ctrl, _, _, m = cfg.follower(i)
+    out = [np.zeros(cfg.grid.n)]
+    n = DEVIATION_SAMPLES
+    for k in range(n):
+        vals = np.zeros(cfg.grid.n)
+        vals[ctrl.indicator] = rng.standard_normal(int(ctrl.indicator.sum()))
+        d = GridFunction(cfg.grid, vals)
+        nd = control_norm(d, cfg.grid.alpha)
+        if nd == 0.0:
+            continue
+        radius = m if k < n // 2 else m * rng.uniform(0.0, 1.0)
+        out.append((d * (radius / nd)).values)
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
 class TestArrayLevelEquivalence:
-    """The array-level game kernels reproduce the GridFunction-level
-    formulas they replaced bit for bit."""
+    """The array-level game kernels reproduce the full-grid formulas they
+    replaced bit for bit, the sign of every zero included."""
 
     @pytest.fixture(scope="class")
     def cfg16(self):
@@ -468,3 +547,61 @@ class TestArrayLevelEquivalence:
             assert control_norm(d, alpha) <= m * (1.0 + 1e-12)
         again = _feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
         assert all(np.array_equal(a.values, b.values) for a, b in zip(devs, again))
+
+    @pytest.fixture(
+        scope="class",
+        params=[{}, {"m1": 1e-4, "m2": 1e-4}, COUPLED, OVERLAP],
+        ids=["shipped", "active", "coupled", "overlap"],
+    )
+    def cfg(self, request):
+        return shipped_game(n=32, **request.param)
+
+    @pytest.fixture(params=["zero", "random"])
+    def controls(self, cfg, request):
+        if request.param == "zero":
+            return GridFunction.zeros(cfg.grid), GridFunction.zeros(cfg.grid)
+        rng = np.random.default_rng(17)
+        pair = []
+        for _ in range(2):
+            # values everywhere, so the masking matters, and some -0.0
+            vals = rng.standard_normal(cfg.grid.n)
+            vals[rng.random(cfg.grid.n) < 0.2] = -0.0
+            pair.append(GridFunction(cfg.grid, vals))
+        return tuple(pair)
+
+    def test_state_right_hand_side(self, cfg, controls, monkeypatch):
+        f1, f2 = controls
+        # the leader's source with -0.0 at some nodes too
+        g = cfg.g.copy()
+        g.values[np.random.default_rng(18).random(cfg.grid.n) < 0.2] = -0.0
+        game = dataclasses.replace(cfg, g=g)
+        seen = []
+        solve = game.solver.solve
+        monkeypatch.setattr(
+            game.solver, "solve", lambda rhs, last_row=None: seen.append(_bits(rhs)) or solve(rhs, last_row)
+        )
+        y = state_solve(game, g, f1, f2)
+        cost(game, 1, f1, f2)
+        expected = _where_rhs(game, g, f1, f2)
+        assert seen == [_bits(expected)] * 2
+        assert _bits(y.values) == _bits(solve(expected))
+
+    def test_source_follows_a_new_leader_source(self, cfg):
+        game = dataclasses.replace(cfg)
+        z = GridFunction.zeros(cfg.grid)
+        assert np.any(game.source != 0.0)
+        game.g = z
+        assert _bits(game.source) == _bits(z.values)
+        assert cost(game, 1, z, z) == _where_cost(game, 1, z, z)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_cost_and_gradient(self, cfg, controls, i):
+        f1, f2 = controls
+        assert _bits(cost(cfg, i, f1, f2)) == _bits(_where_cost(cfg, i, f1, f2))
+        assert _bits(gradient(cfg, i, f1, f2).values) == _bits(_where_gradient(cfg, i, f1, f2))
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_deviations_and_their_norms(self, cfg, i):
+        got = _feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
+        expected = _where_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
+        assert [_bits(d.values) for d in got] == [_bits(d) for d in expected]
