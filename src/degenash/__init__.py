@@ -38,6 +38,7 @@ from .norms import (
     l2_weighted_norm,
     lq_norm,
     muckenhoupt_ap,
+    muckenhoupt_panel,
     norms_of,
 )
 from .operators import (

@@ -13,7 +13,7 @@ import numpy as np
 
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
 from .grid import Grid, GridFunction, build_grid, weighted_inner
-from .norms import embedding_ratio, l2_weighted_norm, muckenhoupt_ap, norms_of
+from .norms import embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
 from .operators import RESIDUAL_TOL, Scheme, assemble, bilinear_form, dx, dy, euclidean_norm, solve_dirichlet, theta_weight
 
 # The Muckenhoupt panel asks the constant weight for an A_2 constant of 1
@@ -309,9 +309,7 @@ def embedding_study(
 def muckenhoupt_study(n_balls: int = 500, seed: int = 0) -> StudyResult:
     """Three-weight A_2 (p = 2) panel: constant weight, admissible
     degeneracy, and a non-integrable weight that must flag divergence."""
-    est_unit = muckenhoupt_ap(0.0, n_balls, seed)
-    est_half = muckenhoupt_ap(0.5, n_balls, seed)
-    est_bad = muckenhoupt_ap(-3.0, n_balls, seed)
+    est_unit, est_half, est_bad = muckenhoupt_panel((0.0, 0.5, -3.0), n_balls, seed)
     ok = (
         abs(est_unit.constant - 1.0) <= UNIT_TOL
         and not est_unit.diverged

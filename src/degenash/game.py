@@ -21,13 +21,16 @@ computed by projected gradient descent and the Nash pair by Gauss-Seidel
 sweeps, with a-posteriori sampling certification replacing the fixed-point
 argument.  Certification rejects a candidate outside the admissible set
 and any non-finite cost; its deviations are drawn on the follower's
-control region only, and every other node is zero.  The iteration
-tolerances and caps and the number of sampled deviations are module
-constants.
+control region only, and every other node is zero.  certify streams them:
+each is drawn when it is costed, so one is alive at a time.  The
+iteration tolerances and caps and the number of sampled deviations are
+module constants.
 
 cost and gradient read the state on the observation region G_i only, so
 their forward solve stops after the top y-row of G_i (RegionMask.top_row)
 and the state is zero above it; state_solve returns the full state.
+gradient reads the adjoint state on omega_i only, so its backward march
+stops at the lowest y-row of omega_i (RegionMask.bottom_row).
 Successive solves differ only in the rows a control reaches, and the
 game's one solver re-marches only those (operators.DirichletSolver).
 
@@ -52,7 +55,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -268,7 +271,7 @@ def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> Gri
     obs, ctrl = region_obs.nodes, region_ctrl.nodes
     source = np.zeros(cfg.grid.n)
     source[obs] = 2.0 * (y[obs] - yd.values[obs])
-    p = cfg.solver.solve_adjoint(source)
+    p = cfg.solver.solve_adjoint(source, last_row=region_ctrl.bottom_row)
     f_own = f1 if i == 1 else f2
     vals = np.zeros(cfg.grid.n)
     vals[ctrl] = _nodal_x_power(cfg.grid, cfg.grid.alpha)[ctrl] * p[ctrl] + 2.0 * f_own.values[ctrl]
@@ -395,14 +398,15 @@ def nash_solve(cfg: GameConfig) -> NashResult:
 
 def _feasible_deviations(
     cfg: GameConfig, i: int, rng: np.random.Generator
-) -> list[GridFunction]:
-    """Zero control, boundary-sphere points, and interior points with
-    uniform directions and radii up to M_i.  Directions are standard
-    normal on the control region's nodes and zero elsewhere."""
+) -> Iterator[GridFunction]:
+    """Yield the zero control, boundary-sphere points, and interior points
+    with uniform directions and radii up to M_i.  Directions are standard
+    normal on the control region's nodes and zero elsewhere.  Each is
+    drawn when the caller asks for it, so the caller holds one at a time."""
     region_ctrl, _, _, m = cfg.follower(i)
-    out = [GridFunction.zeros(cfg.grid)]
+    yield GridFunction.zeros(cfg.grid)
     if m == 0.0:
-        return out
+        return
     n = DEVIATION_SAMPLES
     nodes = region_ctrl.nodes
     for k in range(n):
@@ -413,8 +417,7 @@ def _feasible_deviations(
         radius = m if k < n // 2 else m * rng.uniform(0.0, 1.0)
         vals = np.zeros(cfg.grid.n)
         vals[nodes] = direction * (radius / nd)
-        out.append(GridFunction(cfg.grid, vals))
-    return out
+        yield GridFunction(cfg.grid, vals)
 
 
 def _admissible(cfg: GameConfig, i: int, f: GridFunction) -> bool:
@@ -436,12 +439,16 @@ def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tu
     by more than 1e-8 * (1 + J_i*), where J_i* is its cost at the
     candidate.  A non-finite J_i* or margin certifies nothing and counts
     as a violation.  The deviations are supported on the follower's
-    control region and drawn there only, from the seeded stream
-    (cfg.seed, i).  Returns (all-pass flag, minimum margin
-    J_i(deviation) - J_i(candidate)).
+    control region and drawn there only, one at a time, from the seeded
+    stream (cfg.seed, i).  Returns (all-pass flag, minimum margin
+    J_i(deviation) - J_i(candidate)).  The minimum is -inf when some
+    margin is; otherwise it is nan when some margin is nan or none is
+    below inf, so a candidate with a non-finite cost never reports a
+    finite margin.
     """
     ok = True
     min_margin = math.inf
+    undefined = False
     for i, f_own in ((1, f1_star), (2, f2_star)):
         if not _admissible(cfg, i, f_own):
             ok = False
@@ -452,10 +459,13 @@ def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tu
             pair = (v, f2_star) if i == 1 else (f1_star, v)
             margin = cost(cfg, i, *pair) - j_star
             min_margin = min(min_margin, margin)
+            undefined = undefined or math.isnan(margin)
             # with J_i* = inf, tol is inf and every margin -inf or nan
             if not (math.isfinite(margin) and margin >= -tol):
                 ok = False
-    if not math.isfinite(min_margin):
-        min_margin = 0.0
+    # min skips nan margins; one of them, or no margin below inf, leaves
+    # the minimum undefined unless some margin is -inf
+    if min_margin != -math.inf and (undefined or min_margin == math.inf):
+        min_margin = math.nan
     return ok, min_margin
 

@@ -170,6 +170,13 @@ class RegionMask:
             raise ValueError("region contains no interior nodes")
         return int((self.nodes % self.grid.ny).max())
 
+    @functools.cached_property
+    def bottom_row(self) -> int:
+        """Index j of the lowest y-row holding a node of the region."""
+        if self.nodes.size == 0:
+            raise ValueError("region contains no interior nodes")
+        return int((self.nodes % self.grid.ny).min())
+
     def apply(self, u: GridFunction) -> GridFunction:
         """Multiply u by the characteristic function of the region."""
         if u.grid != self.grid:

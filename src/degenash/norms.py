@@ -8,8 +8,9 @@ balls of (avg of w) * (avg of 1/w).  Its ball averages integrate both
 x-powers exactly in y (the chord length of the ball inside the square is
 closed-form) and by midpoint quadrature in x, which keeps the x=0
 singularity off the evaluation points; each ball's chord is computed once
-and shared by both powers.  Quadrature weights come from
-grid.cell_weights, which caches them per (grid, exponent).
+and shared by both powers of every weight of a panel (muckenhoupt_panel).
+Quadrature weights come from grid.cell_weights, which caches them per
+(grid, exponent).
 """
 
 from __future__ import annotations
@@ -145,14 +146,26 @@ def muckenhoupt_ap(weight_exponent: float, n_balls: int, seed: int) -> ApEstimat
     sample supremum.  Divergence is data, not an error: the flag is set
     when any product exceeds OVERFLOW or is nonfinite.
     """
+    return muckenhoupt_panel((weight_exponent,), n_balls, seed)[0]
+
+
+def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: int) -> list[ApEstimate]:
+    """muckenhoupt_ap of each weight exponent, bit for bit, on one draw of
+    the balls: each ball's chord is computed once for every weight."""
     if n_balls < 1:
         raise ValueError("need at least one ball")
     cxs, cys, rs = _sample_balls(n_balls, seed)
-    products = np.empty(n_balls)
+    # the integrals of w and 1/w of each weight, in that order
+    exponents = tuple(x for e in weight_exponents for x in (e, -e))
+    products = np.empty((len(weight_exponents), n_balls))
     for k in range(n_balls):
-        (w_int, inv_int), area = _ball_integral(cxs[k], cys[k], rs[k], (weight_exponent, -weight_exponent))
-        products[k] = (w_int / area) * (inv_int / area) if area > 0.0 else 0.0
-    finite = np.isfinite(products)
-    diverged = bool(np.any(~finite) or np.any(products[finite] > OVERFLOW))
-    constant = float(np.max(products)) if np.all(finite) else math.inf
-    return ApEstimate(constant=constant, samples=n_balls, diverged=diverged)
+        integrals, area = _ball_integral(cxs[k], cys[k], rs[k], exponents)
+        for w, (w_int, inv_int) in enumerate(zip(integrals[::2], integrals[1::2])):
+            products[w, k] = (w_int / area) * (inv_int / area) if area > 0.0 else 0.0
+    estimates = []
+    for row in products:
+        finite = np.isfinite(row)
+        diverged = bool(np.any(~finite) or np.any(row[finite] > OVERFLOW))
+        constant = float(np.max(row)) if np.all(finite) else math.inf
+        estimates.append(ApEstimate(constant=constant, samples=n_balls, diverged=diverged))
+    return estimates

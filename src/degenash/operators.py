@@ -22,8 +22,8 @@ block upper-bidiagonal and runs the same march backward from j = ny-1.
 Row j of a march depends on the right-hand-side rows up to j only, so
 each march starts at the first row that differs from the last solve in
 its direction and copies the rows before it (a first solve starts at its
-first nonzero row), and a forward solve given the last row its caller
-reads stops after that row.  The upwind scheme never uses u = 0 at
+first nonzero row), and a forward or adjoint solve given the last row
+its caller reads stops after that row.  The upwind scheme never uses u = 0 at
 y = 1: that edge is the outflow boundary, and no row of the matrix
 refers to it.  The centered scheme couples both y-neighbours and is
 solved by a SuperLU factorization.
@@ -186,8 +186,9 @@ class _YMarch:
         """A^-1 rhs (trans "N") or A^-T rhs (trans "T").
 
         A marches up from y = 0, A^T down from y = 1.  last_row is the last
-        y-row in march order that the caller reads: the march stops after
-        it, and the rows it would reach later are returned as zero.
+        y-row in march order that the caller reads (it reads j <= last_row
+        of A^-1 rhs, j >= last_row of A^-T rhs): the march stops after it,
+        and the rows it would reach later are returned as zero.
         """
         nx, ny = self._shape
         if rhs.ndim not in (1, 2) or rhs.shape[0] != nx * ny:
@@ -266,8 +267,15 @@ class DirichletSolver:
             return self._lu.solve(rhs, last_row=last_row)
         return self._lu.solve(rhs)
 
-    def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(rhs, dtype=float), trans="T")
+    def solve_adjoint(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:
+        """A^-T rhs.  Given last_row, the caller reads only y-rows j >=
+        last_row: an upwind solve, which marches down from y = 1, stops
+        there and returns zeros below it; a centered solve returns every
+        row."""
+        rhs = np.asarray(rhs, dtype=float)
+        if self.op.scheme is Scheme.UPWIND_Y:
+            return self._lu.solve(rhs, trans="T", last_row=last_row)
+        return self._lu.solve(rhs, trans="T")
 
 
 def euclidean_norm(values: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 import degenash.game as game_mod
 import degenash.operators as operators
-from conftest import random_field, shipped_game
+from conftest import CONFIG_DIR, random_field, shipped_game
+from degenash.cli import parse_config, run
 from degenash.fields import bump_from_parameters, bump_parameter_sets
 from degenash.game import (
     BR_TOL,
@@ -279,6 +282,9 @@ COUPLED = {
     "g1_obs": [0.3, 0.6, 0.55, 0.9],
     "g2_obs": [0.4, 0.7, 0.55, 0.9],
 }
+# omega1 overlaps omega and omega2
+OVERLAP = {"omega1": [0.2, 0.6, 0.1, 0.7], "omega2": [0.4, 0.8, 0.5, 0.9]}
+GAMES = {"shipped": {}, "active": {"m1": 1e-4, "m2": 1e-4}, "coupled": COUPLED, "overlap": OVERLAP}
 
 
 def _result_bits(res):
@@ -299,6 +305,17 @@ class TestMarchReuse:
 
         monkeypatch.setattr(operators._YMarch, "solve", fresh)
         assert _result_bits(reused) == _result_bits(nash_solve(shipped_game(n=32, **game)))
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_gradient_adjoint_stops_at_the_control_region(self, monkeypatch, mini_cfg, i):
+        bounds = []
+        adjoint = mini_cfg.solver.solve_adjoint
+        monkeypatch.setattr(
+            mini_cfg.solver, "solve_adjoint", lambda rhs, last_row=None: bounds.append(last_row) or adjoint(rhs, last_row)
+        )
+        z = GridFunction.zeros(mini_cfg.grid)
+        gradient(mini_cfg, i, z, z)
+        assert bounds == [mini_cfg.follower(i)[0].bottom_row]
 
     def test_shipped_game_marches_few_rows(self, monkeypatch):
         # 29,812 rows when every solve marches from its first nonzero row to y = 1
@@ -347,8 +364,50 @@ class TestCertify:
         z = GridFunction.zeros(cfg.grid)
         with np.errstate(over="ignore"):
             assert cost(cfg, 1, z, z) == math.inf
-            ok, _ = certify(cfg, z, z)
+            ok, margin = certify(cfg, z, z)
+        # follower 1's margins are inf - inf; follower 2's zero deviation
+        # alone would report 0.0
         assert not ok
+        assert math.isnan(margin)
+
+    def test_non_finite_margin_reaches_a_loadable_report(self, tmp_path):
+        run_cfg = parse_config((CONFIG_DIR / "benchmark_game.yaml").read_text())
+        run_cfg.nx = run_cfg.ny = 16
+        run_cfg.game["yd1"] = {"kind": "sinsin", "amplitude": 1.0e200}
+        run_cfg.output_dir = str(tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(run_cfg).verdict == "fail"
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert results["certified"] is False
+        assert math.isnan(results["certification_margin"])
+
+    @pytest.mark.parametrize("game", list(GAMES.values()), ids=list(GAMES))
+    def test_streamed_deviations_match_a_list(self, game):
+        cfg = shipped_game(n=32, **game)
+        z = GridFunction.zeros(cfg.grid)
+        feasible = (
+            feasible_random(cfg, cfg.omega1, cfg.m1, 5, scale=1e-3),
+            feasible_random(cfg, cfg.omega2, cfg.m2, 6, scale=1e-3),
+        )
+        for pair in ((z, z), feasible):
+            ok, margin = certify(cfg, *pair)
+            ref_ok, ref_margin = _list_certify(cfg, *pair)
+            assert (ok, _bits(margin)) == (ref_ok, _bits(ref_margin))
+
+    def test_certify_holds_one_deviation_at_a_time(self):
+        cfg = shipped_game(n=64)
+        z = GridFunction.zeros(cfg.grid)
+        # the first call builds the solver, its stores, the source and the
+        # scratch buffer
+        certify(cfg, z, z)
+        tracemalloc.start()
+        try:
+            certify(cfg, z, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all 201 deviations of a follower held at once take about 6.4 MB
+        assert peak < 4 * 8 * cfg.grid.n
 
 
 class TestAdjointConsistency:
@@ -434,10 +493,6 @@ class TestGameConfigValidation:
             mini_cfg.follower(3)
 
 
-# omega1 overlaps omega and omega2
-OVERLAP = {"omega1": [0.2, 0.6, 0.1, 0.7], "omega2": [0.4, 0.8, 0.5, 0.9]}
-
-
 # Full-grid np.where references of the game's region arithmetic.
 
 
@@ -490,6 +545,20 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def _list_certify(cfg, f1, f2):
+    """certify's verdict and minimum margin for an admissible candidate,
+    from every deviation of a follower built before any is costed."""
+    ok, margins = True, []
+    for i in (1, 2):
+        j_star = cost(cfg, i, f1, f2)
+        for v in _where_deviations(cfg, i, np.random.default_rng([cfg.seed, i])):
+            v = GridFunction(cfg.grid, v)
+            margin = cost(cfg, i, *((v, f2) if i == 1 else (f1, v))) - j_star
+            ok = ok and margin >= -1e-8 * (1.0 + j_star)
+            margins.append(margin)
+    return ok, min(margins)
+
+
 class TestArrayLevelEquivalence:
     """The array-level game kernels reproduce the full-grid formulas they
     replaced bit for bit, the sign of every zero included."""
@@ -535,7 +604,7 @@ class TestArrayLevelEquivalence:
         cfg = cfg16
         region, _, _, m = cfg.follower(i)
         n = DEVIATION_SAMPLES
-        devs = _feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
+        devs = list(_feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i])))
         assert len(devs) == n + 1
         assert np.all(devs[0].values == 0.0)
         alpha = cfg.grid.alpha
@@ -545,13 +614,13 @@ class TestArrayLevelEquivalence:
             assert abs(control_norm(d, alpha) - m) <= 1e-12 * m
         for d in devs[n // 2 + 1 :]:
             assert control_norm(d, alpha) <= m * (1.0 + 1e-12)
-        again = _feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
+        again = list(_feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i])))
         assert all(np.array_equal(a.values, b.values) for a, b in zip(devs, again))
 
     @pytest.fixture(
         scope="class",
-        params=[{}, {"m1": 1e-4, "m2": 1e-4}, COUPLED, OVERLAP],
-        ids=["shipped", "active", "coupled", "overlap"],
+        params=list(GAMES.values()),
+        ids=list(GAMES),
     )
     def cfg(self, request):
         return shipped_game(n=32, **request.param)
@@ -602,6 +671,6 @@ class TestArrayLevelEquivalence:
 
     @pytest.mark.parametrize("i", [1, 2])
     def test_deviations_and_their_norms(self, cfg, i):
-        got = _feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
+        got = list(_feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i])))
         expected = _where_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
         assert [_bits(d.values) for d in got] == [_bits(d) for d in expected]

@@ -101,6 +101,17 @@ class TestRectMask:
         assert np.array_equal(m.apply(once).values, once.values)
         assert np.array_equal(m.apply(3.5 * u).values, (3.5 * once).values)
 
+    def test_top_and_bottom_rows(self):
+        # 3x5 grid: y-rows j = 0..4 at y = (j + 1) / 6; (0, 1) x (0.3, 0.7)
+        # keeps rows 1 (y = 1/3) to 3 (y = 2/3)
+        g = build_grid(3, 5, 0.5)
+        m = rect_mask(g, 0.0, 1.0, 0.3, 0.7)
+        assert (m.bottom_row, m.top_row) == (1, 3)
+        empty = RegionMask(g, np.zeros(g.n, dtype=bool))
+        for row in ("bottom_row", "top_row"):
+            with pytest.raises(ValueError, match="no interior nodes"):
+                getattr(empty, row)
+
     def test_direct_indicator_escape_hatch(self, small_grid):
         ind = np.zeros(small_grid.n, dtype=bool)
         ind[::3] = True

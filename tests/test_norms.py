@@ -12,6 +12,7 @@ from degenash.norms import (
     l2_weighted_norm,
     lq_norm,
     muckenhoupt_ap,
+    muckenhoupt_panel,
     norms_of,
 )
 
@@ -160,6 +161,15 @@ class TestMuckenhoupt:
         a = muckenhoupt_ap(0.5, 100, seed=9)
         b = muckenhoupt_ap(0.5, 100, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("exponents, seed", [((0.0, 0.5, -3.0), 0), ((0.5,), 4), ((-0.0, 1.5, 0.5), 11)])
+    def test_panel_equals_one_weight_at_a_time(self, exponents, seed):
+        panel = muckenhoupt_panel(exponents, 60, seed)
+        assert panel == [muckenhoupt_ap(e, 60, seed) for e in exponents]
+
+    def test_panel_needs_a_ball(self):
+        with pytest.raises(ValueError, match="at least one ball"):
+            muckenhoupt_panel((0.5,), 0, 1)
 
     # p = 2 names the class muckenhoupt_ap samples; it is kept in the case id
     @pytest.mark.parametrize(

@@ -358,6 +358,44 @@ class TestMarchReuse:
         assert np.array_equal(solver.solve(rhs, last_row=3), solver.solve(rhs))
 
 
+class TestBoundedAdjoint:
+    NX, NY = 9, 11
+
+    @pytest.mark.parametrize("last_row", range(NY))
+    def test_rows_read_equal_the_unbounded_adjoint(self, last_row):
+        grid = build_grid(self.NX, self.NY, 0.5)
+        rhs = random_field(grid, last_row).values
+        bounded = DirichletSolver(assemble(grid)).solve_adjoint(rhs, last_row=last_row)
+        full = DirichletSolver(assemble(grid)).solve_adjoint(rhs)
+        b, f = bounded.reshape(self.NX, self.NY), full.reshape(self.NX, self.NY)
+        assert b[:, last_row:].tobytes() == f[:, last_row:].tobytes()
+        assert np.all(b[:, :last_row] == 0.0)
+
+    def test_rows_marched(self, monkeypatch):
+        calls = []
+        original = operators.dpttrs
+        monkeypatch.setattr(operators, "dpttrs", lambda *args: calls.append(1) or original(*args))
+        nx, ny = self.NX, self.NY
+        rhs = np.zeros((nx, ny))
+        # the march starts at the highest nonzero row, 7, and runs down to the bound
+        rhs[:, 2:8] = np.random.default_rng(3).standard_normal((nx, 6))
+        for last_row, rows in ((7, 1), (4, 4), (0, 8)):
+            calls.clear()
+            DirichletSolver(assemble(build_grid(nx, ny, 0.5))).solve_adjoint(rhs.ravel(), last_row=last_row)
+            assert len(calls) == rows
+
+    def test_bound_outside_the_grid_rejected(self, small_grid):
+        solver = DirichletSolver(assemble(small_grid))
+        for last_row in (-1, small_grid.ny):
+            with pytest.raises(ValueError, match="last_row"):
+                solver.solve_adjoint(np.ones(small_grid.n), last_row=last_row)
+
+    def test_centered_solve_returns_every_row(self, small_grid):
+        solver = DirichletSolver(assemble(small_grid, Scheme.CENTERED_Y))
+        rhs = random_field(small_grid, 2).values
+        assert np.array_equal(solver.solve_adjoint(rhs, last_row=3), solver.solve_adjoint(rhs))
+
+
 def _matrix_built(op):
     """Whether op.matrix has been read (it is cached on first read)."""
     return "matrix" in vars(op)
