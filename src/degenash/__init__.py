@@ -37,7 +37,6 @@ from .norms import (
     embedding_ratio,
     l2_weighted_norm,
     lq_norm,
-    muckenhoupt_ap,
     muckenhoupt_panel,
     norms_of,
 )

@@ -7,12 +7,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
-from .grid import Grid, GridFunction, build_grid, weighted_inner
+from .grid import GridFunction, build_grid, weighted_inner
 from .norms import embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
 from .operators import RESIDUAL_TOL, Scheme, assemble, bilinear_form, dx, dy, euclidean_norm, solve_dirichlet, theta_weight
 
@@ -54,52 +54,39 @@ class StudyResult:
                 raise ValueError(f"metric {name!r} has {len(series)} entries for {len(self.levels)} levels")
 
 
-FieldGenerator = Callable[[Grid], GridFunction]
+# The energy study's five forcing terms: each has a finite weighted data
+# norm for alpha in (0, 1] and is positive inside the square.
+_ENERGY_FAMILY = (
+    lambda g: named_field(g, "xalpha_siny"),
+    lambda g: named_field(g, "right_half"),
+    lambda g: named_field(g, "poly"),
+    lambda g: named_field(g, "sinsin"),
+    lambda g: GridFunction.from_callable(g, lambda X, Y: X**g.alpha * Y * (1 - Y)),
+)
 
 
-def default_energy_family() -> list[FieldGenerator]:
-    """Five forcing terms with finite weighted data norm for alpha in (0,1]."""
-    return [
-        lambda g: named_field(g, "xalpha_siny"),
-        lambda g: named_field(g, "right_half"),
-        lambda g: named_field(g, "poly"),
-        lambda g: named_field(g, "sinsin"),
-        lambda g: GridFunction.from_callable(g, lambda X, Y: X**g.alpha * Y * (1 - Y)),
-    ]
+def energy_estimate_study(levels: Sequence[int], alpha: float, scheme: Scheme = Scheme.UPWIND_Y) -> StudyResult:
+    """Ratio ||u_h||_W11 / ||f||_{L2,half-exponent} per forcing term and level.
 
-
-def energy_estimate_study(
-    f_family: Sequence[FieldGenerator],
-    levels: Sequence[int],
-    alpha: float,
-    scheme: Scheme = Scheme.UPWIND_Y,
-) -> StudyResult:
-    """Ratio ||u_h||_W11 / ||f||_{L2,half-exponent} per family member and level.
-
-    Passes when every member's ratio at the finest level stays within
+    Passes when every forcing term's ratio at the finest level stays within
     RATIO_CAP times its coarsest-level value (the a priori estimate
     asserts a constant exists, not its value), every ratio is finite and
     positive, and every u_h meets ||A u_h - f|| <= RESIDUAL_TOL * max(1, ||f||),
     the solve's contract, recomputed here from the stencil.
     """
-    if not f_family:
-        raise ValueError("f_family must hold at least one field generator")
     if len(levels) < 2:
         raise ValueError(f"levels must hold at least 2 levels to compare, got {list(levels)}")
-    ratios: list[list[float]] = [[] for _ in f_family]
+    ratios: list[list[float]] = [[] for _ in _ENERGY_FAMILY]
     solved = True
     for level in levels:
         grid = build_grid(level, level, alpha)
         op = assemble(grid, scheme)
-        for m, gen in enumerate(f_family):
+        for m, gen in enumerate(_ENERGY_FAMILY):
             f = gen(grid)
-            denom = l2_weighted_norm(f)
-            if denom == 0.0:
-                raise ValueError(f"family member {m} has zero weighted norm; ratio undefined")
             u, _ = solve_dirichlet(op, f)
             residual = euclidean_norm(op.apply(u).values - f.values)
             solved = solved and residual <= RESIDUAL_TOL * max(1.0, euclidean_norm(f.values))
-            ratios[m].append(norms_of(u).w11 / denom)
+            ratios[m].append(norms_of(u).w11 / l2_weighted_norm(f))
     metrics = {f"ratio_{m}": series for m, series in enumerate(ratios)}
     positive = all(0.0 < r < math.inf for series in ratios for r in series)
     bounded = all(series[-1] <= RATIO_CAP * series[0] for series in ratios)

@@ -28,7 +28,6 @@ from .analysis import (
     Verdict,
     coercivity_check,
     convergence_study,
-    default_energy_family,
     embedding_study,
     energy_estimate_study,
     muckenhoupt_study,
@@ -395,7 +394,7 @@ def _run_study(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     if kind == "convergence":
         result = convergence_study(cfg.scheme, alpha=cfg.alpha, **keys)
     elif kind == "energy":
-        result = energy_estimate_study(default_energy_family(), alpha=cfg.alpha, scheme=cfg.scheme, **keys)
+        result = energy_estimate_study(alpha=cfg.alpha, scheme=cfg.scheme, **keys)
     elif kind == "coercivity":
         result = coercivity_check(cfg.theta, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, alpha=cfg.alpha, **keys)
     elif kind == "inclusion":

@@ -9,8 +9,22 @@ import numpy as np
 from .grid import Grid, GridFunction
 
 
-FIELD_KINDS = ("zero", "one", "sinsin", "poly", "xalpha_siny", "right_half")
-MANUFACTURED_KINDS = ("sinsin", "poly")
+# named_field's kinds, each a function of the node coordinates and alpha.
+_FIELDS = {
+    "zero": lambda X, Y, alpha: 0.0 * X,
+    "one": lambda X, Y, alpha: np.ones_like(X),
+    "sinsin": lambda X, Y, alpha: np.sin(np.pi * X) * np.sin(np.pi * Y),
+    "poly": lambda X, Y, alpha: X * (1 - X) * Y * (1 - Y),
+    "xalpha_siny": lambda X, Y, alpha: X**alpha * np.sin(np.pi * Y),
+    "right_half": lambda X, Y, alpha: (X > 0.5).astype(float),
+}
+# manufactured_pair's forcings f* = -1/2 u*_xx + x**alpha u*_y, by kind.
+_FORCINGS = {
+    "sinsin": lambda X, Y, alpha: (np.pi**2 / 2) * np.sin(np.pi * X) * np.sin(np.pi * Y) + X**alpha * np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y),
+    "poly": lambda X, Y, alpha: Y * (1 - Y) + X**alpha * X * (1 - X) * (1 - 2 * Y),
+}
+FIELD_KINDS = tuple(_FIELDS)
+MANUFACTURED_KINDS = tuple(_FORCINGS)
 
 
 def named_field(grid: Grid, kind: str, amplitude: float = 1.0) -> GridFunction:
@@ -20,19 +34,9 @@ def named_field(grid: Grid, kind: str, amplitude: float = 1.0) -> GridFunction:
     (x(1-x)y(1-y)), xalpha_siny (x**alpha sin(pi y)), right_half
     (indicator of x > 1/2).
     """
-    a = float(amplitude)
-    alpha = grid.alpha
-    registry = {
-        "zero": lambda X, Y: 0.0 * X,
-        "one": lambda X, Y: np.ones_like(X),
-        "sinsin": lambda X, Y: np.sin(np.pi * X) * np.sin(np.pi * Y),
-        "poly": lambda X, Y: X * (1 - X) * Y * (1 - Y),
-        "xalpha_siny": lambda X, Y: X**alpha * np.sin(np.pi * Y),
-        "right_half": lambda X, Y: (X > 0.5).astype(float),
-    }
-    if kind not in registry:
-        raise ValueError(f"unknown field kind {kind!r}; known: {sorted(registry)}")
-    return a * GridFunction.from_callable(grid, registry[kind])
+    if kind not in _FIELDS:
+        raise ValueError(f"unknown field kind {kind!r}; known: {sorted(_FIELDS)}")
+    return float(amplitude) * GridFunction.from_callable(grid, functools.partial(_FIELDS[kind], alpha=grid.alpha))
 
 
 def manufactured_pair(grid: Grid, kind: str = "sinsin") -> tuple[GridFunction, GridFunction]:
@@ -42,14 +46,10 @@ def manufactured_pair(grid: Grid, kind: str = "sinsin") -> tuple[GridFunction, G
     'poly':   u* = x(1-x) y(1-y), whose diffusion part is exact under
               centered differencing.
     """
-    alpha = grid.alpha
-    forcing = {
-        "sinsin": lambda X, Y: (np.pi**2 / 2) * np.sin(np.pi * X) * np.sin(np.pi * Y) + X**alpha * np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y),
-        "poly": lambda X, Y: Y * (1 - Y) + X**alpha * X * (1 - X) * (1 - 2 * Y),
-    }
-    if kind not in forcing:
+    if kind not in _FORCINGS:
         raise ValueError(f"unknown manufactured solution {kind!r}")
-    return named_field(grid, kind), GridFunction.from_callable(grid, forcing[kind])
+    forcing = functools.partial(_FORCINGS[kind], alpha=grid.alpha)
+    return named_field(grid, kind), GridFunction.from_callable(grid, forcing)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:

@@ -19,12 +19,16 @@ finite-difference oracle and the projection geometry are consistent to
 round-off.  The existence proof is nonconstructive; best responses are
 computed by projected gradient descent and the Nash pair by Gauss-Seidel
 sweeps, with a-posteriori sampling certification replacing the fixed-point
-argument.  Certification rejects a candidate outside the admissible set
-and any non-finite cost; its deviations are drawn on the follower's
-control region only, and every other node is zero.  certify streams them:
-each is drawn when it is costed, so one is alive at a time.  The
-iteration tolerances and caps and the number of sampled deviations are
-module constants.
+argument.  The iteration tolerances and caps and the number of sampled
+deviations are module constants.
+
+One rule states the admissible set: a control is zero off omega_i and
+its norm is at most M_i up to round-off (_within_ball), which
+project_ball meets exactly.  certify is the one check of it; a candidate
+outside the set, like one with a non-finite cost, comes back
+uncertified, never as an exception.  certify draws its deviations on the
+follower's control region only, every other node zero, and streams
+them: each is drawn when it is costed, so one is alive at a time.
 
 cost and gradient read the state on the observation region G_i only, so
 their forward solve stops after the top y-row of G_i (RegionMask.top_row)
@@ -34,8 +38,11 @@ stops at the lowest y-row of omega_i (RegionMask.bottom_row).
 Successive solves differ only in the rows a control reaches, and the
 game's one solver re-marches only those (operators.DirichletSolver).
 
-Inside the game the arithmetic runs on each region's node indices
-(RegionMask.nodes).  Each GameConfig masks the leader's source once
+A GameConfig is frozen, so it is checked once, when it is built, and
+its solver, source and scratch buffer hold for its life; a different
+game is a new one (dataclasses.replace re-runs every check).  Inside the
+game the arithmetic runs on each region's node indices
+(RegionMask.nodes).  Each GameConfig masks the leader's source g once
 (GameConfig.source); a state solve copies it and adds f1 and f2 on their
 own nodes.  The tracking term, the penalty and the norms certify takes
 write their per-node products into the game's scratch buffer and sum it
@@ -93,7 +100,7 @@ class Rule:
 FINITE_NONNEGATIVE = Rule("must be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameConfig:
     grid: Grid
     omega: RegionMask
@@ -129,12 +136,6 @@ class GameConfig:
         if np.array_equal(self.yd1.values, self.yd2.values):
             warnings.warn("follower targets coincide; the game degenerates", UserWarning)
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name in ("omega", "g"):
-            # the next state solve masks the new leader data
-            self.__dict__.pop("source", None)
-
     @functools.cached_property
     def solver(self) -> DirichletSolver:
         """The game's one upwind solver, factored on first use."""
@@ -142,8 +143,15 @@ class GameConfig:
 
     @functools.cached_property
     def source(self) -> np.ndarray:
-        """The leader's term chi_omega g of every state's right-hand side."""
-        return _masked_source(self.omega, self.g)
+        """The leader's term of every state's right-hand side: read-only
+        chi_omega g + 0.0.  The + 0.0 turns -0.0 into +0.0, as adding the
+        zeros of the masked f1 and f2 terms did, so a state's right-hand
+        side keeps the bits of the full-grid three-term sum; only where
+        omega, omega1 and omega2 overlap and g, f1 and f2 are all -0.0 is
+        the zero's sign now +."""
+        source = np.where(self.omega.indicator, self.g.values, 0.0) + 0.0
+        source.flags.writeable = False
+        return source
 
     @functools.cached_property
     def _scratch(self) -> np.ndarray:
@@ -217,32 +225,17 @@ def _within_ball(norm: float, m: float) -> bool:
     return norm <= m * (1.0 + _FEAS_SLACK)
 
 
-def _masked_source(omega: RegionMask, g: GridFunction) -> np.ndarray:
-    """Read-only chi_omega g + 0.0.  The + 0.0 turns -0.0 into +0.0, as
-    adding the zeros of the masked f1 and f2 terms did, so a state's
-    right-hand side keeps the bits of the full-grid three-term sum; only
-    where omega, omega1 and omega2 overlap and g, f1 and f2 are all -0.0
-    is the zero's sign now +."""
-    source = np.where(omega.indicator, g.values, 0.0) + 0.0
-    source.flags.writeable = False
-    return source
+def state_solve(cfg: GameConfig, f1: GridFunction, f2: GridFunction) -> GridFunction:
+    """State y(cfg.g, f1, f2) with masked sources."""
+    return GridFunction(cfg.grid, _state(cfg, f1, f2))
 
 
-def state_solve(cfg: GameConfig, g: GridFunction, f1: GridFunction, f2: GridFunction) -> GridFunction:
-    """State y(g, f1, f2) with masked sources."""
-    if g.grid != cfg.grid:
-        raise ValueError("mask and GridFunction live on different grids")
-    return GridFunction(cfg.grid, _state(cfg, _masked_source(cfg.omega, g), f1, f2))
-
-
-def _state(
-    cfg: GameConfig, source: np.ndarray, f1: GridFunction, f2: GridFunction, last_row: int | None = None
-) -> np.ndarray:
-    """Values of the state with leader term source, or, given last_row, its
-    y-rows up to last_row and zeros above."""
+def _state(cfg: GameConfig, f1: GridFunction, f2: GridFunction, last_row: int | None = None) -> np.ndarray:
+    """Values of the state, or, given last_row, its y-rows up to last_row
+    and zeros above."""
     if not (f1.grid == f2.grid == cfg.grid):
         raise ValueError("mask and GridFunction live on different grids")
-    rhs = source.copy()
+    rhs = cfg.source.copy()
     for region, f in ((cfg.omega1, f1), (cfg.omega2, f2)):
         rhs[region.nodes] += f.values[region.nodes]
     return cfg.solver.solve(rhs, last_row=last_row)
@@ -251,7 +244,7 @@ def _state(
 def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
     """J_i: tracking over the observation region plus the weighted penalty."""
     region_ctrl, region_obs, yd, _ = cfg.follower(i)
-    y = _state(cfg, cfg.source, f1, f2, region_obs.top_row)
+    y = _state(cfg, f1, f2, region_obs.top_row)
     obs, ctrl = region_obs.nodes, region_ctrl.nodes
     f_own = f1 if i == 1 else f2
     grid = cfg.grid
@@ -267,7 +260,7 @@ def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> Gri
     inner product: solve A^T p = 2 chi_G_i (y - yd_i), return
     chi_omega_i (x^alpha p + 2 f_i)."""
     region_ctrl, region_obs, yd, _ = cfg.follower(i)
-    y = _state(cfg, cfg.source, f1, f2, region_obs.top_row)
+    y = _state(cfg, f1, f2, region_obs.top_row)
     obs, ctrl = region_obs.nodes, region_ctrl.nodes
     source = np.zeros(cfg.grid.n)
     source[obs] = 2.0 * (y[obs] - yd.values[obs])
@@ -354,7 +347,8 @@ def nash_solve(cfg: GameConfig) -> NashResult:
     assertion: the result carries converged=False and the residual series.
     So is a best response that hits INNER_MAX_ITERS: the sweeps stop, the
     last completed sweep's controls are kept and certified, and the inner
-    projected-gradient residual is appended to br_residuals.
+    projected-gradient residual is appended to br_residuals.  A control
+    outside its admissible set comes back as certified=False.
     """
     zero = GridFunction.zeros(cfg.grid)
     f1, f2 = zero, zero
@@ -377,11 +371,8 @@ def nash_solve(cfg: GameConfig) -> NashResult:
         if res <= BR_TOL:
             converged = True
             break
-    for f, m in ((f1, cfg.m1), (f2, cfg.m2)):
-        if control_norm(f, alpha) > m + 1e-12:
-            raise AssertionError("best-response iterate left the admissible ball")
     certified, margin = certify(cfg, f1, f2)
-    state = state_solve(cfg, cfg.g, f1, f2)
+    state = state_solve(cfg, f1, f2)
     return NashResult(
         f1_star=f1,
         f2_star=f2,
@@ -437,10 +428,11 @@ def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tu
     at most M_i by project_ball's rule), and its cost at the candidate
     must not exceed the cost of any sampled feasible unilateral deviation
     by more than 1e-8 * (1 + J_i*), where J_i* is its cost at the
-    candidate.  A non-finite J_i* or margin certifies nothing and counts
-    as a violation.  The deviations are supported on the follower's
-    control region and drawn there only, one at a time, from the seeded
-    stream (cfg.seed, i).  Returns (all-pass flag, minimum margin
+    candidate.  A non-finite J_i* and a nan margin certify nothing and
+    count as violations; a margin of +inf is a deviation that costs more
+    than the candidate and passes.  The deviations are supported on the
+    follower's control region and drawn there only, one at a time, from
+    the seeded stream (cfg.seed, i).  Returns (all-pass flag, minimum margin
     J_i(deviation) - J_i(candidate)).  The minimum is -inf when some
     margin is; otherwise it is nan when some margin is nan or none is
     below inf, so a candidate with a non-finite cost never reports a
@@ -450,18 +442,17 @@ def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tu
     min_margin = math.inf
     undefined = False
     for i, f_own in ((1, f1_star), (2, f2_star)):
-        if not _admissible(cfg, i, f_own):
-            ok = False
         rng = np.random.default_rng([cfg.seed, i])
         j_star = cost(cfg, i, f1_star, f2_star)
+        if not (_admissible(cfg, i, f_own) and math.isfinite(j_star)):
+            ok = False
         tol = 1e-8 * (1.0 + j_star)
         for v in _feasible_deviations(cfg, i, rng):
             pair = (v, f2_star) if i == 1 else (f1_star, v)
             margin = cost(cfg, i, *pair) - j_star
             min_margin = min(min_margin, margin)
             undefined = undefined or math.isnan(margin)
-            # with J_i* = inf, tol is inf and every margin -inf or nan
-            if not (math.isfinite(margin) and margin >= -tol):
+            if not margin >= -tol:
                 ok = False
     # min skips nan margins; one of them, or no margin below inf, leaves
     # the minimum undefined unless some margin is -inf

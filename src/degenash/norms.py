@@ -137,21 +137,17 @@ def _sample_balls(n_balls: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.n
     return cx, cy, r
 
 
-def muckenhoupt_ap(weight_exponent: float, n_balls: int, seed: int) -> ApEstimate:
-    """Sampled A_2 constant of the weight w = x**weight_exponent.
+def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: int) -> list[ApEstimate]:
+    """Sampled A_2 constant of each weight w = x**e, e in weight_exponents.
 
     Draws n_balls balls with centers uniform in the square and radii
     log-uniform in [R_MIN, R_MAX], evaluates the A_2 product
     (avg of w) * (avg of 1/w) over each B cap Omega, and returns the
-    sample supremum.  Divergence is data, not an error: the flag is set
-    when any product exceeds OVERFLOW or is nonfinite.
+    sample supremum per weight.  All weights share one draw of the balls,
+    and each ball's chord is computed once for every weight.  Divergence
+    is data, not an error: a weight's flag is set when any of its
+    products exceeds OVERFLOW or is nonfinite.
     """
-    return muckenhoupt_panel((weight_exponent,), n_balls, seed)[0]
-
-
-def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: int) -> list[ApEstimate]:
-    """muckenhoupt_ap of each weight exponent, bit for bit, on one draw of
-    the balls: each ball's chord is computed once for every weight."""
     if n_balls < 1:
         raise ValueError("need at least one ball")
     cxs, cys, rs = _sample_balls(n_balls, seed)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import degenash.cli as cli_mod
-from degenash.analysis import default_energy_family, energy_estimate_study
+from degenash.analysis import energy_estimate_study
 from degenash.cli import ConfigError, build_game_config, main, parse_config, run
 from degenash.game import GameConfig, nash_solve
 from degenash.operators import Scheme
@@ -370,7 +370,7 @@ class TestRun:
             cfg.output_dir = str(tmp_path / scheme.value)
             report = run(cfg)
             assert report.config["scheme"] == scheme.value
-            expected = energy_estimate_study(default_energy_family(), [8, 16], alpha=0.5, scheme=scheme)
+            expected = energy_estimate_study([8, 16], alpha=0.5, scheme=scheme)
             assert report.results["metrics"] == expected.metrics
             tables[scheme] = (tmp_path / scheme.value / "study_levels.tsv").read_bytes()
         assert tables[Scheme.UPWIND_Y] != tables[Scheme.CENTERED_Y]

@@ -45,31 +45,36 @@ def feasible_random(cfg, mask, m, seed, scale=0.3):
 
 
 class TestStateSolve:
-    def test_all_zero(self, mini_cfg):
-        z = GridFunction.zeros(mini_cfg.grid)
-        y = state_solve(mini_cfg, z, z, z)
+    @pytest.fixture(scope="class")
+    def no_leader(self, mini_cfg):
+        return dataclasses.replace(mini_cfg, g=GridFunction.zeros(mini_cfg.grid))
+
+    def test_all_zero(self, no_leader):
+        z = GridFunction.zeros(no_leader.grid)
+        y = state_solve(no_leader, z, z)
         assert np.all(y.values == 0.0)
 
-    def test_superposition(self, mini_cfg):
+    def test_superposition(self, mini_cfg, no_leader):
         cfg = mini_cfg
         rng = np.random.default_rng(3)
         g = GridFunction(cfg.grid, rng.standard_normal(cfg.grid.n))
         f1 = GridFunction(cfg.grid, rng.standard_normal(cfg.grid.n))
         f2 = GridFunction(cfg.grid, rng.standard_normal(cfg.grid.n))
         z = GridFunction.zeros(cfg.grid)
-        y_all = state_solve(cfg, g, f1, f2)
-        y_sum = state_solve(cfg, g, z, z) + state_solve(cfg, z, f1, z) + state_solve(cfg, z, z, f2)
+        leader = dataclasses.replace(cfg, g=g)
+        y_all = state_solve(leader, f1, f2)
+        y_sum = state_solve(leader, z, z) + state_solve(no_leader, f1, z) + state_solve(no_leader, z, f2)
         scale = np.linalg.norm(y_all.values) + 1.0
         assert np.linalg.norm(y_all.values - y_sum.values) <= 1e-10 * scale
 
-    def test_masked_source_outside_region_is_inert(self, mini_cfg):
-        cfg = mini_cfg
+    def test_masked_source_outside_region_is_inert(self, no_leader):
+        cfg = no_leader
         z = GridFunction.zeros(cfg.grid)
         # f1 supported entirely outside omega1
         outside = rect_mask(cfg.grid, 0.0, 0.35, 0.0, 1.0)
         f1 = outside.apply(GridFunction(cfg.grid, np.ones(cfg.grid.n)))
         assert not np.any(cfg.omega1.indicator & (f1.values != 0.0))
-        y = state_solve(cfg, z, f1, z)
+        y = state_solve(cfg, f1, z)
         assert np.all(y.values == 0.0)
 
 
@@ -77,18 +82,13 @@ class TestCost:
     def test_penalty_free_when_matched(self, mini_cfg):
         cfg = mini_cfg
         z = GridFunction.zeros(cfg.grid)
-        y = state_solve(cfg, cfg.g, z, z)
-        matched = GameConfig(
-            grid=cfg.grid, omega=cfg.omega, omega1=cfg.omega1, omega2=cfg.omega2,
-            g1_obs=cfg.g1_obs, g2_obs=cfg.g2_obs, g=cfg.g, yd1=y, yd2=cfg.yd2,
-            m1=cfg.m1, m2=cfg.m2, seed=cfg.seed,
-        )
+        matched = dataclasses.replace(cfg, yd1=state_solve(cfg, z, z))
         assert cost(matched, 1, z, z) == 0.0
 
     def test_zero_controls_tracking_only(self, mini_cfg):
         cfg = mini_cfg
         z = GridFunction.zeros(cfg.grid)
-        y = state_solve(cfg, cfg.g, z, z)
+        y = state_solve(cfg, z, z)
         g = cfg.grid
         expected = g.hx * g.hy * float(
             np.sum(np.where(cfg.g1_obs.indicator, y.values - cfg.yd1.values, 0.0) ** 2)
@@ -96,12 +96,9 @@ class TestCost:
         assert cost(cfg, 1, z, z) == pytest.approx(expected, rel=1e-14)
 
     def test_quadratic_homogeneity_with_zero_data(self):
-        # with g = 0 and zero targets the whole cost is 2-homogeneous
+        # with g = 0 and a zero target follower 1's cost is 2-homogeneous
         cfg = shipped_game(n=16, seed=5)
-        zero = GridFunction.zeros(cfg.grid)
-        cfg.g = zero
-        cfg.yd1 = zero
-        cfg.yd2 = 0.0 * cfg.yd2  # keep targets distinct objects
+        cfg = dataclasses.replace(cfg, g=GridFunction.zeros(cfg.grid), yd1=GridFunction.zeros(cfg.grid))
         f1 = feasible_random(cfg, cfg.omega1, cfg.m1, seed=8)
         f2 = feasible_random(cfg, cfg.omega2, cfg.m2, seed=9)
         j1 = cost(cfg, 1, f1, f2)
@@ -113,12 +110,7 @@ class TestGradient:
     def test_zero_mismatch_zero_gradient(self, mini_cfg):
         cfg = mini_cfg
         z = GridFunction.zeros(cfg.grid)
-        y = state_solve(cfg, cfg.g, z, z)
-        matched = GameConfig(
-            grid=cfg.grid, omega=cfg.omega, omega1=cfg.omega1, omega2=cfg.omega2,
-            g1_obs=cfg.g1_obs, g2_obs=cfg.g2_obs, g=cfg.g, yd1=y, yd2=cfg.yd2,
-            m1=cfg.m1, m2=cfg.m2, seed=cfg.seed,
-        )
+        matched = dataclasses.replace(cfg, yd1=state_solve(cfg, z, z))
         grad = gradient(matched, 1, z, z)
         assert np.all(grad.values == 0.0)
 
@@ -196,12 +188,10 @@ class TestBestResponse:
         assert np.all(out.values == 0.0)
 
     def test_global_minimum_at_zero(self):
-        # g = 0 and zero targets: J_i(0) = 0 is the global minimum
+        # g = 0 and a zero target: J_1(0) = 0 is the global minimum
         cfg = shipped_game(n=16, seed=3)
         zero = GridFunction.zeros(cfg.grid)
-        cfg.g = zero
-        cfg.yd1 = zero
-        cfg.yd2 = GridFunction.zeros(cfg.grid)
+        cfg = dataclasses.replace(cfg, g=zero, yd1=zero)
         out = best_response(cfg, 1, zero)
         assert np.all(out.values == 0.0)
 
@@ -236,8 +226,7 @@ class TestNashSolve:
 
     def test_weak_coupling_fast_convergence(self):
         cfg = shipped_game(n=24, seed=13)
-        cfg.g = GridFunction.zeros(cfg.grid)
-        res = nash_solve(cfg)
+        res = nash_solve(dataclasses.replace(cfg, g=GridFunction.zeros(cfg.grid)))
         assert res.converged and res.br_iterations <= 4
 
     def test_benchmark_mini(self, mini_cfg):
@@ -266,6 +255,22 @@ class TestNashSolve:
         assert res.br_residuals == [err.value.residual]
         assert np.all(res.f1_star.values == 0.0) and np.all(res.f2_star.values == 0.0)
         assert math.isfinite(res.j1) and math.isfinite(res.j2)
+
+    def test_control_just_outside_the_ball_reported_not_raised(self, monkeypatch):
+        # project_ball's output sits within round-off of M = 1e6, here by
+        # 1.2e-10 above it: admissible by certify's rule, though more than
+        # 1e-12 above M
+        m = 1e6
+        cfg = shipped_game(n=16, m1=m, m2=m)
+        big = GridFunction(cfg.grid, 1e7 * np.random.default_rng(3).standard_normal(cfg.grid.n))
+        f1 = project_ball(big, m, cfg.omega1, cfg.grid.alpha)
+        assert control_norm(f1, cfg.grid.alpha) > m + 1e-12
+        assert game_mod._admissible(cfg, 1, f1)
+        zero = GridFunction.zeros(cfg.grid)
+        monkeypatch.setattr(game_mod, "best_response", lambda cfg, i, f_other: f1 if i == 1 else zero)
+        res = nash_solve(cfg)
+        assert res.converged
+        assert np.array_equal(res.f1_star.values, f1.values)
 
     def test_deterministic(self, mini_cfg):
         r1 = nash_solve(mini_cfg)
@@ -369,6 +374,27 @@ class TestCertify:
         # alone would report 0.0
         assert not ok
         assert math.isnan(margin)
+
+    def test_non_finite_candidate_cost_fails_alone(self, monkeypatch):
+        # J_i* = inf with finite deviation costs: every margin is -inf,
+        # which meets -tol = -inf, so only the check of J_i* fails it
+        cfg = shipped_game(n=16)
+        z = GridFunction.zeros(cfg.grid)
+        finite_cost = game_mod.cost
+        monkeypatch.setattr(
+            game_mod, "cost", lambda cfg, i, f1, f2: math.inf if f1 is f2 is z else finite_cost(cfg, i, f1, f2)
+        )
+        assert certify(cfg, z, z) == (False, -math.inf)
+
+    def test_overflowing_deviation_passes(self):
+        # deviations of norm 1e200 cost inf, a margin of +inf: worse for
+        # the follower, so the equilibrium of radius 1 certifies again
+        unit = nash_solve(shipped_game(n=16, seed=7))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = nash_solve(shipped_game(n=16, seed=7, m1=1e200, m2=1e200))
+        assert res.certified and unit.certified
+        assert np.array_equal(res.f1_star.values, unit.f1_star.values)
+        assert res.certification_margin == unit.certification_margin == 1.0925893788088416e-07
 
     def test_non_finite_margin_reaches_a_loadable_report(self, tmp_path):
         run_cfg = parse_config((CONFIG_DIR / "benchmark_game.yaml").read_text())
@@ -488,6 +514,11 @@ class TestGameConfigValidation:
                 g=sin, yd1=sin, yd2=2.0 * sin, m1=1.0, m2=1.0, seed=0,
             )
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GameConfig)])
+    def test_fields_are_frozen(self, mini_cfg, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mini_cfg, name, getattr(mini_cfg, name))
+
     def test_follower_index_validated(self, mini_cfg):
         with pytest.raises(ValueError):
             mini_cfg.follower(3)
@@ -496,9 +527,9 @@ class TestGameConfigValidation:
 # Full-grid np.where references of the game's region arithmetic.
 
 
-def _where_rhs(cfg, g, f1, f2):
+def _where_rhs(cfg, f1, f2):
     return (
-        np.where(cfg.omega.indicator, g.values, 0.0)
+        np.where(cfg.omega.indicator, cfg.g.values, 0.0)
         + np.where(cfg.omega1.indicator, f1.values, 0.0)
         + np.where(cfg.omega2.indicator, f2.values, 0.0)
     )
@@ -507,7 +538,7 @@ def _where_rhs(cfg, g, f1, f2):
 def _where_cost(cfg, i, f1, f2):
     ctrl, obs, yd, _ = cfg.follower(i)
     grid = cfg.grid
-    y = cfg.solver.solve(_where_rhs(cfg, cfg.g, f1, f2), last_row=obs.top_row)
+    y = cfg.solver.solve(_where_rhs(cfg, f1, f2), last_row=obs.top_row)
     tracking = float(grid.hx * grid.hy * np.sum(np.where(obs.indicator, y - yd.values, 0.0) ** 2))
     f_own = f1 if i == 1 else f2
     w = np.repeat(grid.x ** -grid.alpha, grid.ny)
@@ -518,7 +549,7 @@ def _where_cost(cfg, i, f1, f2):
 def _where_gradient(cfg, i, f1, f2):
     ctrl, obs, yd, _ = cfg.follower(i)
     grid = cfg.grid
-    y = cfg.solver.solve(_where_rhs(cfg, cfg.g, f1, f2), last_row=obs.top_row)
+    y = cfg.solver.solve(_where_rhs(cfg, f1, f2), last_row=obs.top_row)
     p = cfg.solver.solve_adjoint(np.where(obs.indicator, 2.0 * (y - yd.values), 0.0))
     f_own = f1 if i == 1 else f2
     xa = np.repeat(grid.x**grid.alpha, grid.ny)
@@ -568,16 +599,16 @@ class TestArrayLevelEquivalence:
         return shipped_game(n=16, seed=9)
 
     def test_state_solve_matches_masked_sum(self, cfg16):
-        cfg = cfg16
-        g, f1, f2 = (random_field(cfg.grid, s) for s in (1, 2, 3))
+        g, f1, f2 = (random_field(cfg16.grid, s) for s in (1, 2, 3))
+        cfg = dataclasses.replace(cfg16, g=g)
         rhs = cfg.omega.apply(g) + cfg.omega1.apply(f1) + cfg.omega2.apply(f2)
         expected = cfg.solver.solve(rhs.values)
-        assert np.array_equal(state_solve(cfg, g, f1, f2).values, expected)
+        assert np.array_equal(state_solve(cfg, f1, f2).values, expected)
 
     def test_state_solve_rejects_foreign_grid(self, cfg16):
         z = GridFunction.zeros(cfg16.grid)
         other = GridFunction.zeros(build_grid(16, 16, 1.0))
-        for args in ((other, z, z), (z, other, z), (z, z, other)):
+        for args in ((other, z), (z, other)):
             with pytest.raises(ValueError, match="different grids"):
                 state_solve(cfg16, *args)
 
@@ -649,17 +680,16 @@ class TestArrayLevelEquivalence:
         monkeypatch.setattr(
             game.solver, "solve", lambda rhs, last_row=None: seen.append(_bits(rhs)) or solve(rhs, last_row)
         )
-        y = state_solve(game, g, f1, f2)
+        y = state_solve(game, f1, f2)
         cost(game, 1, f1, f2)
-        expected = _where_rhs(game, g, f1, f2)
+        expected = _where_rhs(game, f1, f2)
         assert seen == [_bits(expected)] * 2
         assert _bits(y.values) == _bits(solve(expected))
 
     def test_source_follows_a_new_leader_source(self, cfg):
-        game = dataclasses.replace(cfg)
         z = GridFunction.zeros(cfg.grid)
-        assert np.any(game.source != 0.0)
-        game.g = z
+        assert np.any(cfg.source != 0.0)
+        game = dataclasses.replace(cfg, g=z)
         assert _bits(game.source) == _bits(z.values)
         assert cost(game, 1, z, z) == _where_cost(game, 1, z, z)
 

@@ -11,7 +11,6 @@ from degenash.norms import (
     embedding_ratio,
     l2_weighted_norm,
     lq_norm,
-    muckenhoupt_ap,
     muckenhoupt_panel,
     norms_of,
 )
@@ -143,39 +142,39 @@ class TestEmbeddingRatio:
 
 class TestMuckenhoupt:
     def test_unit_weight_constant_one(self):
-        est = muckenhoupt_ap(0.0, 200, seed=1)
+        (est,) = muckenhoupt_panel((0.0,), 200, seed=1)
         assert est.constant == pytest.approx(1.0, abs=1e-12)
         assert not est.diverged
         assert est.samples == 200
 
     def test_admissible_degenerate_weight(self):
-        est = muckenhoupt_ap(0.5, 500, seed=2)
+        (est,) = muckenhoupt_panel((0.5,), 500, seed=2)
         assert math.isfinite(est.constant) and not est.diverged
         assert est.constant >= 1.0  # Cauchy-Schwarz on nonconstant weight
 
     def test_non_integrable_weight_flags_divergence(self):
-        est = muckenhoupt_ap(-3.0, 500, seed=3)
+        (est,) = muckenhoupt_panel((-3.0,), 500, seed=3)
         assert est.diverged
 
     def test_deterministic_given_seed(self):
-        a = muckenhoupt_ap(0.5, 100, seed=9)
-        b = muckenhoupt_ap(0.5, 100, seed=9)
+        a = muckenhoupt_panel((0.5,), 100, seed=9)
+        b = muckenhoupt_panel((0.5,), 100, seed=9)
         assert a == b
 
     @pytest.mark.parametrize("exponents, seed", [((0.0, 0.5, -3.0), 0), ((0.5,), 4), ((-0.0, 1.5, 0.5), 11)])
     def test_panel_equals_one_weight_at_a_time(self, exponents, seed):
         panel = muckenhoupt_panel(exponents, 60, seed)
-        assert panel == [muckenhoupt_ap(e, 60, seed) for e in exponents]
+        assert panel == [muckenhoupt_panel((e,), 60, seed)[0] for e in exponents]
 
     def test_panel_needs_a_ball(self):
         with pytest.raises(ValueError, match="at least one ball"):
             muckenhoupt_panel((0.5,), 0, 1)
 
-    # p = 2 names the class muckenhoupt_ap samples; it is kept in the case id
+    # p = 2 names the class muckenhoupt_panel samples; it is kept in the case id
     @pytest.mark.parametrize(
         "exponent, p, n_balls, seed, constant",
         [(0.5, 2.0, 100, 9, 1.3330609022850584)],
     )
     def test_golden_constant(self, exponent, p, n_balls, seed, constant):
         # recorded before the chord was shared between the two weights
-        assert muckenhoupt_ap(exponent, n_balls, seed=seed).constant == constant
+        assert muckenhoupt_panel((exponent,), n_balls, seed=seed)[0].constant == constant

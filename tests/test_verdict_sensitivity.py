@@ -11,7 +11,7 @@ import pytest
 
 import degenash.analysis as analysis_mod
 import degenash.cli as cli_mod
-from degenash.analysis import Verdict, convergence_study, default_energy_family, energy_estimate_study
+from degenash.analysis import Verdict, convergence_study, energy_estimate_study
 from degenash.cli import parse_config, run
 from degenash.grid import GridFunction, build_grid
 from degenash.operators import RESIDUAL_TOL, DirichletSolver, Scheme, assemble, solve_dirichlet
@@ -51,7 +51,7 @@ def verdicts(tmp_path) -> dict[str, Verdict]:
     return {
         "verify": Verdict(run(cfg).verdict),
         "convergence": convergence_study(Scheme.UPWIND_Y, [8, 16, 32]).verdict,
-        "energy": energy_estimate_study(default_energy_family(), [16, 32, 64], alpha=0.5).verdict,
+        "energy": energy_estimate_study([16, 32, 64], alpha=0.5).verdict,
     }
 
 
