@@ -28,6 +28,7 @@ from .analysis import (
     Verdict,
     coercivity_check,
     convergence_study,
+    embedding_metric,
     embedding_study,
     energy_estimate_study,
     muckenhoupt_study,
@@ -106,6 +107,7 @@ TOP = {
     "theta": Key(float, 1.0, FINITE_NONNEGATIVE),
 }
 NODES = Rule("must be at least 2 interior nodes", lambda n: n >= 2)
+VERIFY_NODES = Rule("must be at least 5 for verify, whose coarse level is max(4, nx // 2)", lambda n: n >= 5)
 GRID = {
     "nx": Key(_integer, 64, NODES),
     "ny": Key(_integer, 64, NODES),
@@ -148,8 +150,9 @@ STUDIES = {
     "embedding": {
         "levels": AT_LEAST_TWO_LEVELS,
         "q_values": Key(_list_of(float), [2, 3, 4], Rule(
-            "must be a non-empty list of q, each in [2, 4]",
-            lambda qs: bool(qs) and all(2.0 <= q <= 4.0 for q in qs),
+            "must be a non-empty list of q, each in [2, 4], with distinct metric names max_ratio_q{q:g}",
+            lambda qs: bool(qs) and all(2.0 <= q <= 4.0 for q in qs)
+            and len(set(map(embedding_metric, qs))) == len(qs),
         )),
         "n_samples": Key(_integer, 100, AT_LEAST_ONE),
     },
@@ -260,6 +263,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config.theta: a coercivity study needs theta > 0, got {top['theta']}")
     if kind == "inclusion":
         _check_plateau(sections["study"], "study.plateau_from")
+    if command == "verify":
+        _check(VERIFY_NODES, sections["grid"]["nx"], "grid.nx")
     if command == "game" and top["scheme"] != Scheme.UPWIND_Y.value:
         raise ConfigError(f"config.scheme: the game solves with the upwind scheme only, got {top['scheme']!r}")
     if (command == "game" or kind in SAMPLING_STUDY_KINDS) and "seed" not in raw:
@@ -284,7 +289,7 @@ def _apply_level_override(cfg: RunConfig, n: int) -> None:
     elif cfg.study.get("kind") == "muckenhoupt":
         raise ConfigError("--level-override: a muckenhoupt study has no levels or grid to act on")
     else:
-        cfg.nx = cfg.ny = _check(NODES, n, "--level-override")
+        cfg.nx = cfg.ny = _check(VERIFY_NODES if cfg.command == "verify" else NODES, n, "--level-override")
 
 
 def build_game_config(cfg: RunConfig) -> GameConfig:

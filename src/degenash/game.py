@@ -39,19 +39,18 @@ Successive solves differ only in the rows a control reaches, and the
 game's one solver re-marches only those (operators.DirichletSolver).
 
 A GameConfig is frozen, so it is checked once, when it is built, and
-its solver, source and scratch buffer hold for its life; a different
-game is a new one (dataclasses.replace re-runs every check).  Inside the
-game the arithmetic runs on each region's node indices
-(RegionMask.nodes).  Each GameConfig masks the leader's source g once
-(GameConfig.source); a state solve copies it and adds f1 and f2 on their
-own nodes.  The tracking term, the penalty and the norms certify takes
-write their per-node products into the game's scratch buffer and sum it
-whole.  The buffer is zero off the region in use and is zeroed again
-after each sum, so it holds the very array np.where(region, ..., 0.0)
-would build and every pairwise sum keeps its last bit.  Like the solver,
-the buffer is shared by every call on the game: not reentrant.  cost
-builds no GridFunction and certify one per deviation; each GridFunction
-keeps its finiteness scan.
+its solver and source hold for its life; a different game is a new one
+(dataclasses.replace re-runs every check).  Inside the game the
+arithmetic runs on each region's node indices (RegionMask.nodes).  Each
+GameConfig masks the leader's source g once (GameConfig.source); a state
+solve copies it and adds f1 and f2 on their own nodes.  The tracking
+term, the penalty and the norms certify takes scatter their per-node
+products into a fresh full-grid array of zeros and sum it whole: the
+very array np.where(region, ..., 0.0) would build, so every pairwise sum
+keeps its last bit, and a sum that raises leaves nothing behind.  Only
+the solver's march store is shared by every call on the game: not
+reentrant.  cost builds no GridFunction and certify one per deviation;
+each GridFunction keeps its finiteness scan.
 
 The shipped game is defined once, in configs/benchmark_game.yaml; the CLI
 builds its GameConfig through cli.parse_config and cli.build_game_config.
@@ -102,6 +101,12 @@ FINITE_NONNEGATIVE = Rule("must be finite and nonnegative", lambda v: math.isfin
 
 @dataclass(frozen=True)
 class GameConfig:
+    """One game: its grid, regions, fields, ball radii and certify seed.
+
+    Frozen, so its checks run once, when it is built.  Besides its fields
+    it holds only the cached solver and leader source; the solver's march
+    store is the one state that calls on the game share."""
+
     grid: Grid
     omega: RegionMask
     omega1: RegionMask
@@ -153,11 +158,6 @@ class GameConfig:
         source.flags.writeable = False
         return source
 
-    @functools.cached_property
-    def _scratch(self) -> np.ndarray:
-        """Full-grid buffer of _region_sum, zero between uses."""
-        return np.zeros(self.grid.n)
-
     def follower(self, i: int) -> tuple[RegionMask, RegionMask, GridFunction, float]:
         """(control region, observation region, target, radius) of follower i."""
         if i == 1:
@@ -200,23 +200,21 @@ def control_norm(f: GridFunction, alpha: float) -> float:
     return math.sqrt(max(control_inner(f, f, alpha), 0.0))
 
 
-def _region_sum(cfg: GameConfig, region: RegionMask, products: np.ndarray) -> float:
+def _region_sum(region: RegionMask, products: np.ndarray) -> float:
     """np.sum of the full-grid array that holds products on the region's
     nodes and zero elsewhere: the array np.where(region.indicator, ..., 0.0)
     builds, so the same pairwise sum to the last bit."""
-    buf = cfg._scratch
-    buf[region.nodes] = products
-    total = float(np.sum(buf))
-    buf[region.nodes] = 0.0
-    return total
+    full = np.zeros(region.grid.n)
+    full[region.nodes] = products
+    return float(np.sum(full))
 
 
-def _region_norm(cfg: GameConfig, region: RegionMask, values: np.ndarray) -> float:
+def _region_norm(region: RegionMask, values: np.ndarray) -> float:
     """control_norm of the control that is values on the region's nodes and
     zero elsewhere, bit for bit."""
-    g = cfg.grid
+    g = region.grid
     w = _nodal_x_power(g, -g.alpha)[region.nodes]
-    return math.sqrt(max(g.hx * g.hy * _region_sum(cfg, region, w * values * values), 0.0))
+    return math.sqrt(max(g.hx * g.hy * _region_sum(region, w * values * values), 0.0))
 
 
 def _within_ball(norm: float, m: float) -> bool:
@@ -248,9 +246,9 @@ def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
     obs, ctrl = region_obs.nodes, region_ctrl.nodes
     f_own = f1 if i == 1 else f2
     grid = cfg.grid
-    tracking = grid.hx * grid.hy * _region_sum(cfg, region_obs, (y[obs] - yd.values[obs]) ** 2)
+    tracking = grid.hx * grid.hy * _region_sum(region_obs, (y[obs] - yd.values[obs]) ** 2)
     penalty = grid.hx * grid.hy * _region_sum(
-        cfg, region_ctrl, f_own.values[ctrl] ** 2 * _nodal_x_power(grid, -grid.alpha)[ctrl]
+        region_ctrl, f_own.values[ctrl] ** 2 * _nodal_x_power(grid, -grid.alpha)[ctrl]
     )
     return tracking + penalty
 
@@ -322,7 +320,8 @@ def best_response(
         while True:
             f_new = project_ball(f - step * grad, m, region_ctrl, alpha)
             j_new = cost(cfg, i, *pack(f_new))
-            move_sq = control_inner(f_new - f, f_new - f, alpha)
+            move = f_new - f
+            move_sq = control_inner(move, move, alpha)
             if j_new <= j - 1e-4 / step * move_sq or move_sq == 0.0:
                 break
             step *= 0.5
@@ -402,7 +401,7 @@ def _feasible_deviations(
     nodes = region_ctrl.nodes
     for k in range(n):
         direction = rng.standard_normal(nodes.size)
-        nd = _region_norm(cfg, region_ctrl, direction)
+        nd = _region_norm(region_ctrl, direction)
         if nd == 0.0:
             continue
         radius = m if k < n // 2 else m * rng.uniform(0.0, 1.0)
@@ -418,7 +417,7 @@ def _admissible(cfg: GameConfig, i: int, f: GridFunction) -> bool:
     on_region = f.values[region_ctrl.nodes]
     if np.count_nonzero(on_region) != np.count_nonzero(f.values):
         return False
-    return _within_ball(_region_norm(cfg, region_ctrl, on_region), m)
+    return _within_ball(_region_norm(region_ctrl, on_region), m)
 
 
 def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tuple[bool, float]:

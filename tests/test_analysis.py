@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from degenash.analysis import (
+    ROUNDOFF_L2,
     Verdict,
     coercivity_check,
     coercivity_delta,
@@ -55,6 +56,13 @@ class TestConvergenceStudy:
         u_exact, f = manufactured_pair(g, "poly")
         u, _ = solve_dirichlet(assemble(g, Scheme.CENTERED_Y), f)
         assert np.max(np.abs(u.values - u_exact.values)) < 1e-12
+
+    def test_exact_solve_passes_on_its_roundoff(self):
+        # the errors are round-off, so their orders are noise (-1.1, -1.6)
+        r = convergence_study(Scheme.CENTERED_Y, [8, 16, 32], manufactured="poly", alpha=0.5)
+        assert r.metrics["l2_err"][-1] <= ROUNDOFF_L2
+        assert r.observed_orders[-1] < 0
+        assert r.verdict is Verdict.PASS
 
     def test_errors_decrease(self):
         r = convergence_study(Scheme.UPWIND_Y, [8, 16, 32], alpha=1.0)
@@ -214,6 +222,15 @@ class TestEmbeddingStudy:
     def test_nothing_to_check_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             embedding_study(**{"levels": (8, 16), "n_samples": 4, name: value})
+
+    @pytest.mark.parametrize("q_values", [(2, 2), (2, 2.0000001)])
+    def test_q_values_sharing_a_metric_rejected_before_any_work(self, monkeypatch, q_values):
+        # both give the series max_ratio_q2
+        import degenash.analysis as analysis
+
+        monkeypatch.setattr(analysis, "bump_parameter_sets", lambda *args: pytest.fail("sampled bumps"))
+        with pytest.raises(ValueError, match="q_values"):
+            embedding_study(levels=(8, 16), q_values=q_values, n_samples=4)
 
     def test_ratios_positive(self):
         r = embedding_study(levels=(16, 32), n_samples=5, seed=1)

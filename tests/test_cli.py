@@ -131,6 +131,8 @@ class TestParseConfig:
             ("embedding", "q_values", "[1, 5]"),
             ("embedding", "q_values", "[2, 4.5]"),
             ("embedding", "q_values", "[]"),
+            ("embedding", "q_values", "[2, 2]"),
+            ("embedding", "q_values", "[2, 2.0000001]"),
             ("energy", "ratio_cap", "0"),
             ("energy", "ratio_cap", ".nan"),
             ("embedding", "growth_cap", "-1.1"),
@@ -536,6 +538,26 @@ class TestMain:
         p = tmp_path / "study.yaml"
         p.write_text(text)
         assert main(["study", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("where", ["grid.nx", "--level-override"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_verify_without_a_coarser_level_exits_2(self, tmp_path, capsys, where, n):
+        # the levels would be [4, n]: nothing to refine, so the verdict could only fail
+        nx = n if where == "grid.nx" else 16
+        p = tmp_path / "verify.yaml"
+        p.write_text(f"command: verify\nseed: 3\ngrid: {{nx: {nx}, ny: {nx}}}\nverify: {{n_test_functions: 2}}\n")
+        out = tmp_path / "out"
+        flags = ["--level-override", str(n)] if where == "--level-override" else []
+        assert main(["verify", "--config", str(p), "--out", str(out), *flags]) == 2
+        assert f"{where}: must be at least 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_on_five_nodes_passes(self, tmp_path):
+        p = tmp_path / "verify.yaml"
+        p.write_text("command: verify\nseed: 3\nverify: {n_test_functions: 2}\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(p), "--out", str(out), "--level-override", "5"]) == 0
+        assert json.loads((out / "report.json").read_text())["results"]["levels"] == [4, 5]
 
     def test_level_override_game_grid(self, tmp_path):
         p = tmp_path / "game.yaml"

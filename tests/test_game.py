@@ -105,6 +105,17 @@ class TestCost:
         j4 = cost(cfg, 1, 2.0 * f1, f2)
         assert j4 == pytest.approx(4.0 * j1, rel=1e-12)
 
+    def test_an_error_inside_a_region_sum_leaves_no_trace(self):
+        cfg = shipped_game(n=16, seed=7)
+        z = GridFunction.zeros(cfg.grid)
+        before = cost(cfg, 1, z, z)
+        # every penalty product is finite; their sum overflows
+        huge = cfg.omega1.apply(GridFunction(cfg.grid, np.full(cfg.grid.n, 5e153)))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as err:
+            cost(cfg, 1, huge, z)
+        assert any(entry.name == "_region_sum" for entry in err.traceback)
+        assert _bits(cost(cfg, 1, z, z)) == _bits(before)
+
 
 class TestGradient:
     def test_zero_mismatch_zero_gradient(self, mini_cfg):
@@ -423,8 +434,7 @@ class TestCertify:
     def test_certify_holds_one_deviation_at_a_time(self):
         cfg = shipped_game(n=64)
         z = GridFunction.zeros(cfg.grid)
-        # the first call builds the solver, its stores, the source and the
-        # scratch buffer
+        # the first call builds the solver, its stores and the source
         certify(cfg, z, z)
         tracemalloc.start()
         try:
