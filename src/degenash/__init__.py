@@ -42,7 +42,6 @@ from .norms import (
 )
 from .operators import (
     DirichletSolver,
-    Scheme,
     SolveReport,
     SolverError,
     SparseOperator,

@@ -14,7 +14,7 @@ import numpy as np
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
 from .grid import GridFunction, build_grid, weighted_inner
 from .norms import embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
-from .operators import RESIDUAL_TOL, Scheme, assemble, bilinear_form, dx, dy, euclidean_norm, solve_dirichlet, theta_weight
+from .operators import RESIDUAL_TOL, assemble, bilinear_form, dx, dy, euclidean_norm, solve_dirichlet, theta_weight
 
 # The Muckenhoupt panel asks the constant weight for an A_2 constant of 1
 # to this tolerance.
@@ -24,9 +24,9 @@ UNIT_TOL = 1e-9
 RATIO_CAP = 1.2
 GROWTH_CAP = 1.1
 SAFETY = 1.5
-# A convergence study whose finest L2 error is at most this has reproduced
-# its unit-scale manufactured solution to round-off, where no order shows.
-ROUNDOFF_L2 = 1e-10
+# The last observed L2 order a convergence study must reach: the upwind
+# scheme is first order in y.
+ORDER_THRESHOLD = 0.9
 
 
 class Verdict(str, Enum):
@@ -68,7 +68,7 @@ _ENERGY_FAMILY = (
 )
 
 
-def energy_estimate_study(levels: Sequence[int], alpha: float, scheme: Scheme = Scheme.UPWIND_Y) -> StudyResult:
+def energy_estimate_study(levels: Sequence[int], alpha: float) -> StudyResult:
     """Ratio ||u_h||_W11 / ||f||_{L2,half-exponent} per forcing term and level.
 
     Passes when every forcing term's ratio at the finest level stays within
@@ -83,7 +83,7 @@ def energy_estimate_study(levels: Sequence[int], alpha: float, scheme: Scheme = 
     solved = True
     for level in levels:
         grid = build_grid(level, level, alpha)
-        op = assemble(grid, scheme)
+        op = assemble(grid)
         for m, gen in enumerate(_ENERGY_FAMILY):
             f = gen(grid)
             u, _ = solve_dirichlet(op, f)
@@ -217,29 +217,18 @@ def strict_inclusion_demo(
     return result
 
 
-def convergence_study(
-    scheme: Scheme,
-    levels: Sequence[int],
-    manufactured: str = "sinsin",
-    alpha: float = 0.5,
-) -> StudyResult:
+def convergence_study(levels: Sequence[int], manufactured: str = "sinsin", alpha: float = 0.5) -> StudyResult:
     """Manufactured-solution errors and observed orders per level.
 
-    Passes when the last observed L2 order reaches the scheme's order
-    threshold, 0.9 for upwind and 1.5 for centered, or when the finest
-    level's L2 error is at most ROUNDOFF_L2: an exact scheme (centered on
-    a polynomial) leaves only round-off, whose orders are noise."""
+    Passes when the last observed L2 order reaches ORDER_THRESHOLD."""
     levels = list(levels)
     if len(levels) < 3:
         raise ValueError("need at least 3 levels for a convergence study")
-    scheme = Scheme(scheme)
-    order_threshold = 0.9 if scheme is Scheme.UPWIND_Y else 1.5
     max_errs, l2_errs = [], []
     for level in levels:
         grid = build_grid(level, level, alpha)
         u_exact, f = manufactured_pair(grid, manufactured)
-        op = assemble(grid, scheme)
-        u_h, _ = solve_dirichlet(op, f)
+        u_h, _ = solve_dirichlet(assemble(grid), f)
         err = u_h.values - u_exact.values
         max_errs.append(float(np.max(np.abs(err))))
         l2_errs.append(float(math.sqrt(grid.hx * grid.hy * np.sum(err**2))))
@@ -253,14 +242,13 @@ def convergence_study(
 
     l2_orders = orders(l2_errs)
     max_orders = orders(max_errs)
-    exact = l2_errs[-1] <= ROUNDOFF_L2
-    verdict = Verdict.PASS if (l2_orders[-1] >= order_threshold or exact) else Verdict.FAIL
+    verdict = Verdict.PASS if l2_orders[-1] >= ORDER_THRESHOLD else Verdict.FAIL
     return StudyResult(
         levels=levels,
         metrics={"max_err": max_errs, "l2_err": l2_errs},
         observed_orders=l2_orders,
         verdict=verdict,
-        thresholds={"order_threshold": order_threshold},
+        thresholds={"order_threshold": ORDER_THRESHOLD},
         samples={"order_l2": l2_orders, "order_max": max_orders},
     )
 

@@ -38,7 +38,7 @@ from .fields import FIELD_KINDS, MANUFACTURED_KINDS, bump_from_parameters, bump_
 from .game import FINITE_NONNEGATIVE, GameConfig, NashResult, Rule, control_norm, nash_solve
 from .grid import build_grid, rect_mask
 from .norms import norms_of
-from .operators import RESIDUAL_TOL, Scheme, assemble, solve_dirichlet, theta_weak_form_residual, weak_form_residual
+from .operators import RESIDUAL_TOL, assemble, solve_dirichlet, theta_weak_form_residual, weak_form_residual
 
 COMMANDS = ("solve", "verify", "study", "game")
 SAMPLING_STUDY_KINDS = ("coercivity", "embedding", "muckenhoupt")
@@ -103,7 +103,6 @@ TOP = {
     "command": Key(str, None, _one_of(COMMANDS)),
     "seed": Key(_integer, 0, Rule("must be nonnegative", lambda v: v >= 0)),
     "output_dir": Key(str, "out"),
-    "scheme": Key(str, Scheme.UPWIND_Y.value, _one_of([s.value for s in Scheme])),
     "theta": Key(float, 1.0, FINITE_NONNEGATIVE),
 }
 NODES = Rule("must be at least 2 interior nodes", lambda n: n >= 2)
@@ -167,7 +166,6 @@ class RunConfig:
     nx: int
     ny: int
     alpha: float
-    scheme: Scheme
     theta: float
     seed: int
     output_dir: str
@@ -235,7 +233,7 @@ def _check_plateau(study: dict, where: str) -> None:
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a YAML run config, applying defaults.
 
-    The top level holds command, seed, output_dir, scheme, theta, the grid
+    The top level holds command, seed, output_dir, theta, the grid
     section and the section named by the command; each section is read by
     its table (TOP, GRID, SECTIONS, STUDIES), and unknown keys are errors.
     Sampling commands (game; coercivity/embedding/muckenhoupt studies)
@@ -263,17 +261,16 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config.theta: a coercivity study needs theta > 0, got {top['theta']}")
     if kind == "inclusion":
         _check_plateau(sections["study"], "study.plateau_from")
+    grid = sections.pop("grid")
     if command == "verify":
-        _check(VERIFY_NODES, sections["grid"]["nx"], "grid.nx")
-    if command == "game" and top["scheme"] != Scheme.UPWIND_Y.value:
-        raise ConfigError(f"config.scheme: the game solves with the upwind scheme only, got {top['scheme']!r}")
+        _check(VERIFY_NODES, grid["nx"], "grid.nx")
+        if grid["ny"] != grid["nx"]:
+            raise ConfigError(f"grid.ny: verify runs square grids, so ny must equal nx = {grid['nx']}, got {grid['ny']}")
     if (command == "game" or kind in SAMPLING_STUDY_KINDS) and "seed" not in raw:
         raise ConfigError("config.seed: sampling commands require an explicit seed")
-    grid = sections.pop("grid")
     return RunConfig(
-        command=command, nx=grid["nx"], ny=grid["ny"], alpha=grid["alpha"],
-        scheme=Scheme(top["scheme"]), theta=top["theta"], seed=top["seed"],
-        output_dir=top["output_dir"], **sections,
+        command=command, nx=grid["nx"], ny=grid["ny"], alpha=grid["alpha"], theta=top["theta"],
+        seed=top["seed"], output_dir=top["output_dir"], **sections,
     )
 
 
@@ -350,8 +347,7 @@ def _study_tables(out: Path, result: StudyResult) -> None:
 def _run_solve(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid = build_grid(cfg.nx, cfg.ny, cfg.alpha)
     f = named_field(grid, **cfg.solve["f"])
-    op = assemble(grid, cfg.scheme)
-    u, rep = solve_dirichlet(op, f, cfg.solve["tol"])
+    u, rep = solve_dirichlet(assemble(grid), f, cfg.solve["tol"])
     report = norms_of(u, include_mixed=True)
     results = {
         "residual_norm": rep.residual_norm,
@@ -375,8 +371,7 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     for level in levels:
         grid = build_grid(level, level, cfg.alpha)
         f = named_field(grid, **cfg.verify["f"])
-        op = assemble(grid, cfg.scheme)
-        u, _ = solve_dirichlet(op, f)
+        u, _ = solve_dirichlet(assemble(grid), f)
         residuals = []
         for k, p in enumerate(params):
             phi = bump_from_parameters(grid, p)
@@ -397,9 +392,9 @@ def _run_study(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     kind = cfg.study["kind"]
     keys = {k: v for k, v in cfg.study.items() if k != "kind"}
     if kind == "convergence":
-        result = convergence_study(cfg.scheme, alpha=cfg.alpha, **keys)
+        result = convergence_study(alpha=cfg.alpha, **keys)
     elif kind == "energy":
-        result = energy_estimate_study(alpha=cfg.alpha, scheme=cfg.scheme, **keys)
+        result = energy_estimate_study(alpha=cfg.alpha, **keys)
     elif kind == "coercivity":
         result = coercivity_check(cfg.theta, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, alpha=cfg.alpha, **keys)
     elif kind == "inclusion":
@@ -458,7 +453,6 @@ def run(cfg: RunConfig) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     runner = {"solve": _run_solve, "verify": _run_verify, "study": _run_study, "game": _run_game}
     config_echo = asdict(cfg)
-    config_echo["scheme"] = cfg.scheme.value
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     error = None
     try:

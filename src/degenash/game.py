@@ -1,8 +1,7 @@
 """Constructive Stackelberg-Nash solver for the two-follower control game.
 
 The state equation is A y = chi_omega g + chi_omega1 f1 + chi_omega2 f2
-with the upwind-in-y operator, the only scheme the game solves with, and
-each follower minimizes
+with the upwind-in-y operator, and each follower minimizes
 
     J_i = || y - yd_i ||^2_{L2(G_i)} + || f_i ||^2_{L2(omega_i; x^-alpha)}
 
@@ -67,7 +66,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .grid import Grid, GridFunction, RegionMask
-from .operators import DirichletSolver, Scheme, assemble
+from .operators import DirichletSolver, assemble
 
 _FEAS_SLACK = 8 * np.finfo(float).eps
 # Stopping tolerances and caps of the sweeps and of each best response, and
@@ -143,8 +142,8 @@ class GameConfig:
 
     @functools.cached_property
     def solver(self) -> DirichletSolver:
-        """The game's one upwind solver, factored on first use."""
-        return DirichletSolver(assemble(self.grid, Scheme.UPWIND_Y))
+        """The game's one solver, factored on first use."""
+        return DirichletSolver(assemble(self.grid))
 
     @functools.cached_property
     def source(self) -> np.ndarray:

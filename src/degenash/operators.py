@@ -6,10 +6,10 @@ The canonical sign convention is
 
 which is the operator the weak form actually characterizes (integrating
 the x-term by parts gives the +1/2 (u_x, phi_x) pairing).  The advection
-coefficient x**alpha is nonnegative, so the upwind variant differences
-backward in y and the resulting matrix is an M-matrix.
+coefficient x**alpha is nonnegative, so the scheme differences backward
+in y (upwind) and the resulting matrix is an M-matrix.
 
-Under the upwind scheme x**alpha u_y acts as the time derivative of a
+With no y-diffusion, x**alpha u_y acts as the time derivative of a
 degenerate Kolmogorov-type parabolic equation, and A u = f is an
 implicit-Euler march in y.  Every y-row j solves the same symmetric
 positive definite tridiagonal system
@@ -23,14 +23,14 @@ Row j of a march depends on the right-hand-side rows up to j only, so
 each march starts at the first row that differs from the last solve in
 its direction and copies the rows before it (a first solve starts at its
 first nonzero row), and a forward or adjoint solve given the last row
-its caller reads stops after that row.  The upwind scheme never uses u = 0 at
+its caller reads stops after that row.  The scheme never uses u = 0 at
 y = 1: that edge is the outflow boundary, and no row of the matrix
-refers to it.  The centered scheme couples both y-neighbours and is
-solved by a SuperLU factorization.
+refers to it.  (Centered differencing in y would make the march a
+leapfrog scheme, whose computational mode does not shrink under
+refinement, and would impose u = 0 at the outflow edge.)
 
-A u is computed from the 5-point stencil, for both schemes.  The CSR
-matrix of A is assembled only when something reads SparseOperator.matrix:
-the centered SuperLU factorization does, and no upwind solve does.
+A u is computed from the 5-point stencil.  The CSR matrix of A is
+assembled only when something reads SparseOperator.matrix; no solve does.
 
 bilinear_form states the weak form once; both weak-form residuals and
 the coercivity form of analysis evaluate it, weighted by theta_weight's
@@ -43,11 +43,9 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import Grid, GridFunction, weighted_inner
@@ -56,13 +54,8 @@ from .grid import Grid, GridFunction, weighted_inner
 RESIDUAL_TOL = 1e-10
 
 
-class Scheme(str, Enum):
-    UPWIND_Y = "upwind"
-    CENTERED_Y = "centered"
-
-
 class SolverError(RuntimeError):
-    """Linear solve failed; carries the best residual reached."""
+    """Linear solve failed its residual contract; carries the residual reached."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
@@ -75,14 +68,13 @@ class SparseOperator:
 
     apply computes A u from the 5-point stencil.  matrix is the same
     operator as a CSR matrix (flat index i*ny + j), built on first read
-    and cached; only the centered SuperLU factorization needs it.  apply
-    takes the matrix's own coefficients and sums them in its row order
-    (west, south, centre, north, east from 0.0), so A u equals
-    matrix @ u.values bit for bit.
+    and cached; no solve needs it: it is the reference the stencil and
+    the march are checked against.  apply takes the matrix's own
+    coefficients and sums them in its row order (west, south, centre,
+    east from 0.0), so A u equals matrix @ u.values bit for bit.
     """
 
     grid: Grid
-    scheme: Scheme
 
     def apply(self, u: GridFunction) -> GridFunction:
         if u.grid != self.grid:
@@ -96,19 +88,14 @@ class SparseOperator:
         # sparse matrix divided by a scalar h is multiplied by 1/h, and
         # kron multiplies x**alpha into the y-difference entries
         x_step = 1 / (2.0 * g.hx * g.hx)
+        y_step = 1 / g.hy
         c = (g.x**g.alpha)[:, None]
         # (coefficient, neighbour's slice of u, receiving slice of A u) in
-        # the matrix's row order: west, south, centre, north, east
-        if self.scheme is Scheme.UPWIND_Y:
-            y_step = 1 / g.hy
-            centre = [(2.0 * x_step + c * y_step, np.s_[:], np.s_[:])]
-        else:
-            y_step = 1 / (2.0 * g.hy)
-            centre = [(2.0 * x_step, np.s_[:], np.s_[:]), (c * y_step, np.s_[:, 1:], np.s_[:, :-1])]
+        # the matrix's row order: west, south, centre, east
         terms = [
             (-1.0 * x_step, np.s_[:-1], np.s_[1:]),
             (c * (-1.0 * y_step), np.s_[:, :-1], np.s_[:, 1:]),
-            *centre,
+            (2.0 * x_step + c * y_step, np.s_[:], np.s_[:]),
             (-1.0 * x_step, np.s_[1:], np.s_[:-1]),
         ]
         u = values.reshape(g.nx, g.ny)
@@ -127,10 +114,7 @@ class SparseOperator:
             [np.full(nx - 1, -1.0), np.full(nx, 2.0), np.full(nx - 1, -1.0)],
             offsets=[-1, 0, 1],
         ) / (2.0 * hx * hx)
-        if self.scheme is Scheme.UPWIND_Y:
-            dy = sp.diags([np.full(ny - 1, -1.0), np.full(ny, 1.0)], offsets=[-1, 0]) / hy
-        else:
-            dy = sp.diags([np.full(ny - 1, -1.0), np.full(ny - 1, 1.0)], offsets=[-1, 1]) / (2.0 * hy)
+        dy = sp.diags([np.full(ny - 1, -1.0), np.full(ny, 1.0)], offsets=[-1, 0]) / hy
         coeff = sp.diags(self.grid.x**self.grid.alpha)
         matrix = sp.kron(dxx, sp.identity(ny), format="csr") + sp.kron(coeff, dy, format="csr")
         return matrix.tocsr()
@@ -138,29 +122,30 @@ class SparseOperator:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of solve_dirichlet; iterations counts refinement rounds."""
+    """Outcome of solve_dirichlet.  iterations is always 0: the one march
+    solve is checked, never refined.  The field stays because report.json
+    and perfbench read it, until run telemetry takes its place."""
 
     residual_norm: float
     iterations: int
     wall_time: float
 
 
-def assemble(grid: Grid, scheme: Scheme = Scheme.UPWIND_Y) -> SparseOperator:
-    """The operator A = -1/2 d_xx + x**alpha d_y on grid under scheme.
+def assemble(grid: Grid) -> SparseOperator:
+    """The operator A = -1/2 d_xx + x**alpha d_y on grid.
 
     Dirichlet values are zero, so eliminated neighbors need no
     right-hand-side correction.  Builds no matrix: apply works from the
     stencil, and op.matrix is assembled on first read.
     """
-    return SparseOperator(grid=grid, scheme=Scheme(scheme))
+    return SparseOperator(grid=grid)
 
 
 class _YMarch:
-    """The upwind operator factored as the implicit-Euler march in y.
+    """The operator factored as the implicit-Euler march in y.
 
-    Offers the solve(rhs, trans) call of a SuperLU factorization, for one
-    right-hand side of length nx*ny or for nx*ny by k columns, plus a
-    bound on the rows the caller reads.
+    solve(rhs, trans, last_row) takes one right-hand side of length nx*ny
+    or nx*ny by k columns, plus a bound on the rows the caller reads.
 
     Keeps the last right-hand side and its solution per direction and
     column count, and marches from the first row whose right-hand side
@@ -229,24 +214,16 @@ class _YMarch:
         return out.reshape(rhs.shape)
 
 
-def _factor(op: SparseOperator):
-    """Factor op once: the y-march for upwind, SuperLU for centered."""
-    if op.scheme is Scheme.UPWIND_Y:
-        return _YMarch(op.grid)
-    return spla.splu(op.matrix.tocsc())
-
-
 class DirichletSolver:
     """Factored operator for repeated forward and adjoint solves.
 
-    An upwind operator is factored as the implicit-Euler march in y (one
-    tridiagonal Cholesky factorization, O(nx*ny) per solve, no fill); a
-    centered operator by SuperLU.  Forward and transpose (adjoint) solves
-    share the factorization and take a right-hand side of length nx*ny or
-    nx*ny by k columns.  No residual check: solve_dirichlet carries the
-    contract.
+    The operator is factored as the implicit-Euler march in y (one
+    tridiagonal Cholesky factorization, O(nx*ny) per solve, no fill).
+    Forward and transpose (adjoint) solves share the factorization and
+    take a right-hand side of length nx*ny or nx*ny by k columns.  No
+    residual check: solve_dirichlet carries the contract.
 
-    The upwind march keeps one right-hand side and its solution per
+    The march keeps one right-hand side and its solution per
     direction and column count, the last it solved.  It compares the next
     right-hand side with the kept one exactly (!=), copies the solution
     rows before the first row that differs, and marches from there, so a
@@ -256,26 +233,18 @@ class DirichletSolver:
 
     def __init__(self, op: SparseOperator):
         self.op = op
-        self._lu = _factor(op)
+        self._march = _YMarch(op.grid)
 
     def solve(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:
         """A^-1 rhs.  Given last_row, the caller reads only y-rows j <=
-        last_row: an upwind solve marches no further and returns zeros
-        above it; a centered solve returns every row."""
-        rhs = np.asarray(rhs, dtype=float)
-        if self.op.scheme is Scheme.UPWIND_Y:
-            return self._lu.solve(rhs, last_row=last_row)
-        return self._lu.solve(rhs)
+        last_row: the march goes no further and returns zeros above it."""
+        return self._march.solve(np.asarray(rhs, dtype=float), last_row=last_row)
 
     def solve_adjoint(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:
         """A^-T rhs.  Given last_row, the caller reads only y-rows j >=
-        last_row: an upwind solve, which marches down from y = 1, stops
-        there and returns zeros below it; a centered solve returns every
-        row."""
-        rhs = np.asarray(rhs, dtype=float)
-        if self.op.scheme is Scheme.UPWIND_Y:
-            return self._lu.solve(rhs, trans="T", last_row=last_row)
-        return self._lu.solve(rhs, trans="T")
+        last_row: the march, which goes down from y = 1, stops there and
+        returns zeros below it."""
+        return self._march.solve(np.asarray(rhs, dtype=float), trans="T", last_row=last_row)
 
 
 def euclidean_norm(values: np.ndarray) -> float:
@@ -289,12 +258,12 @@ def solve_dirichlet(
 ) -> tuple[GridFunction, SolveReport]:
     """Solve A u = f once, with a residual contract.
 
-    Factors op as DirichletSolver does (y-march for upwind, SuperLU for
-    centered) and runs up to three rounds of iterative refinement while
-    the residual exceeds tol * max(1, ||f||).  Residuals come from the
-    stencil (op.apply), so an upwind solve never builds op.matrix.
-    Raises SolverError carrying the achieved residual if refinement does
-    not meet the contract.
+    Factors op as the y-march DirichletSolver uses, solves once and checks
+    ||A u - f|| <= tol * max(1, ||f||), with A u from the stencil
+    (op.apply), so no solve builds op.matrix.  Raises SolverError
+    carrying the achieved residual if the contract is not met.  There is
+    no refinement: the march's residual is the stencil's round-off floor,
+    and a refinement round does not lower it.
     """
     if f.grid != op.grid:
         raise ValueError("right-hand side lives on a different grid")
@@ -303,19 +272,11 @@ def solve_dirichlet(
     start = time.perf_counter()
     rhs = f.values
     scale = max(1.0, euclidean_norm(rhs))
-    lu = _factor(op)
-    u = lu.solve(rhs)
+    u = _YMarch(op.grid).solve(rhs)
     residual = euclidean_norm(op._apply(u) - rhs)
-    refinements = 0
-    while residual > tol * scale and refinements < 3:
-        u = u + lu.solve(rhs - op._apply(u))
-        residual = euclidean_norm(op._apply(u) - rhs)
-        refinements += 1
     if residual > tol * scale:
         raise SolverError("solve did not meet the residual tolerance", residual)
-    report = SolveReport(
-        residual_norm=residual, iterations=refinements, wall_time=time.perf_counter() - start
-    )
+    report = SolveReport(residual_norm=residual, iterations=0, wall_time=time.perf_counter() - start)
     return GridFunction(op.grid, u), report
 
 

@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 import degenash.cli as cli_mod
-from degenash.analysis import energy_estimate_study
 from degenash.cli import ConfigError, build_game_config, main, parse_config, run
 from degenash.game import GameConfig, nash_solve
-from degenash.operators import Scheme
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -65,7 +63,6 @@ class TestParseConfig:
     def test_defaults_applied(self):
         cfg = parse_config(MINIMAL_SOLVE)
         assert cfg.theta == 1.0
-        assert cfg.scheme is Scheme.UPWIND_Y
         assert cfg.solve["tol"] == 1e-10
         assert cfg.seed == 0
 
@@ -226,10 +223,15 @@ class TestParseConfig:
         cfg = parse_config(STUDY.format("inclusion, levels: [8, 16, 24], plateau_from: 16"))
         assert cfg.study["plateau_from"] == 16
 
-    def test_game_rejects_other_scheme(self):
-        assert "scheme: upwind" in GAME
-        with pytest.raises(ConfigError, match="config.scheme"):
-            parse_config(GAME.replace("scheme: upwind", "scheme: centered"))
+    @pytest.mark.parametrize("text", [GAME, MINIMAL_SOLVE], ids=["game", "solve"])
+    def test_scheme_is_an_unknown_key(self, text, tmp_path, capsys):
+        # one scheme is left, so no config selects it
+        p = tmp_path / "config.yaml"
+        p.write_text("scheme: upwind\n" + text)
+        verb = parse_config(text).command
+        assert main([verb, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "config.scheme: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_game_scalars_default_to_game_config(self):
         keys = ("m1", "m2")
@@ -364,18 +366,6 @@ class TestRun:
             rows = [[k] + [result.samples[name][k] for name in names] for k in range(n)]
             assert (tmp_path / "study_samples.tsv").read_text() == row_rendering(["sample"] + names, rows)
         assert (tmp_path / "study_samples.tsv").exists() == bool(result.samples)
-
-    def test_energy_study_honours_scheme(self, tmp_path):
-        tables = {}
-        for scheme in Scheme:
-            cfg = parse_config(f"scheme: {scheme.value}\n" + small_study("energy"))
-            cfg.output_dir = str(tmp_path / scheme.value)
-            report = run(cfg)
-            assert report.config["scheme"] == scheme.value
-            expected = energy_estimate_study([8, 16], alpha=0.5, scheme=scheme)
-            assert report.results["metrics"] == expected.metrics
-            tables[scheme] = (tmp_path / scheme.value / "study_levels.tsv").read_bytes()
-        assert tables[Scheme.UPWIND_Y] != tables[Scheme.CENTERED_Y]
 
     def test_report_roundtrip(self, tmp_path):
         cfg = parse_config(MINIMAL_SOLVE)
@@ -550,6 +540,16 @@ class TestMain:
         flags = ["--level-override", str(n)] if where == "--level-override" else []
         assert main(["verify", "--config", str(p), "--out", str(out), *flags]) == 2
         assert f"{where}: must be at least 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ny", [16, 64])
+    def test_verify_on_a_non_square_grid_exits_2(self, tmp_path, capsys, ny):
+        # verify runs square grids at the levels [max(4, nx // 2), nx]
+        p = tmp_path / "verify.yaml"
+        p.write_text(f"command: verify\nseed: 3\ngrid: {{nx: 32, ny: {ny}}}\nverify: {{n_test_functions: 2}}\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(p), "--out", str(out)]) == 2
+        assert "grid.ny: verify runs square grids" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_on_five_nodes_passes(self, tmp_path):

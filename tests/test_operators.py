@@ -16,7 +16,6 @@ from degenash.fields import bump_parameter_sets, bump_from_parameters, manufactu
 from degenash.grid import GridFunction, build_grid, weighted_inner
 from degenash.operators import (
     DirichletSolver,
-    Scheme,
     SolverError,
     _diff_along,
     _YMarch,
@@ -40,16 +39,15 @@ def interior_rows(grid, x_margin=1, y_lo=1, y_hi=0):
 
 
 class TestAssemble:
-    @pytest.mark.parametrize("scheme", [Scheme.UPWIND_Y, Scheme.CENTERED_Y])
-    def test_five_point_stencil(self, small_grid, scheme):
-        op = assemble(small_grid, scheme)
+    def test_five_point_stencil(self, small_grid):
+        op = assemble(small_grid)
         nnz_per_row = np.diff(op.matrix.indptr)
         assert nnz_per_row.max() <= 5
         assert op.matrix.shape == (small_grid.n, small_grid.n)
 
     def test_upwind_row_matches_hand_stencil(self):
         g = build_grid(5, 5, 0.5)
-        op = assemble(g, Scheme.UPWIND_Y)
+        op = assemble(g)
         i, j = 2, 2
         row = op.matrix.getrow(i * g.ny + j).toarray().ravel()
         c = g.x[i] ** 0.5
@@ -63,18 +61,8 @@ class TestAssemble:
             assert row[ii * g.ny + jj] == pytest.approx(val, rel=1e-14)
         assert np.count_nonzero(row) == 4
 
-    def test_centered_row_matches_hand_stencil(self):
-        g = build_grid(5, 5, 0.5)
-        op = assemble(g, Scheme.CENTERED_Y)
-        i, j = 1, 3
-        row = op.matrix.getrow(i * g.ny + j).toarray().ravel()
-        c = g.x[i] ** 0.5
-        assert row[i * g.ny + j] == pytest.approx(1.0 / g.hx**2, rel=1e-14)
-        assert row[i * g.ny + j - 1] == pytest.approx(-c / (2 * g.hy), rel=1e-14)
-        assert row[i * g.ny + j + 1] == pytest.approx(c / (2 * g.hy), rel=1e-14)
-
     def test_constant_annihilated_away_from_boundary(self, small_grid):
-        op = assemble(small_grid, Scheme.UPWIND_Y)
+        op = assemble(small_grid)
         one = GridFunction(small_grid, np.ones(small_grid.n))
         Au = op.apply(one).values
         assert np.max(np.abs(Au[interior_rows(small_grid)])) < 1e-10
@@ -82,7 +70,7 @@ class TestAssemble:
     def test_quadratic_diffusion_exact(self, small_grid):
         # -1/2 (x(1-x))'' = 1, no y-dependence: centered differencing is
         # exact for quadratics
-        op = assemble(small_grid, Scheme.UPWIND_Y)
+        op = assemble(small_grid)
         u = GridFunction.from_callable(small_grid, lambda X, Y: X * (1 - X))
         Au = op.apply(u).values
         assert np.allclose(Au[interior_rows(small_grid)], 1.0, atol=1e-10)
@@ -92,13 +80,12 @@ class TestAssemble:
         nx=st.integers(2, 40),
         ny=st.integers(2, 40),
         alpha=st.floats(0.0, 1.0, exclude_min=True),
-        scheme=st.sampled_from(Scheme),
         seed=st.integers(0, 10**6),
         zero=st.booleans(),
     )
-    def test_stencil_apply_is_the_matvec_bit_for_bit(self, nx, ny, alpha, scheme, seed, zero):
+    def test_stencil_apply_is_the_matvec_bit_for_bit(self, nx, ny, alpha, seed, zero):
         g = build_grid(nx, ny, alpha)
-        op = assemble(g, scheme)
+        op = assemble(g)
         u = GridFunction.zeros(g) if zero else random_field(g, seed)
         assert op.apply(u).values.tobytes() == (op.matrix @ u.values).tobytes()
 
@@ -107,16 +94,6 @@ class TestAssemble:
         op = assemble(build_grid(16, 32, 0.5))
         with pytest.raises(ValueError, match="different grid"):
             op.apply(GridFunction.zeros(other))
-
-    def test_centered_advection_of_linear_y(self, small_grid):
-        # u = y in a single column: 3-point centered formula gives x^alpha * 1
-        op = assemble(small_grid, Scheme.CENTERED_Y)
-        u = GridFunction.from_callable(small_grid, lambda X, Y: Y)
-        Au = op.apply(u).values2d()
-        for i in (3, 7):
-            expected = small_grid.x[i] ** small_grid.alpha
-            assert np.allclose(Au[i, 1:-1], expected, atol=1e-10)
-
 
 class TestSolve:
     def test_zero_rhs_zero_solution(self, small_grid):
@@ -166,6 +143,14 @@ class TestSolve:
             printed.add(proc.stdout)
         assert len(printed) == 1, printed
 
+    def test_library_imports_no_sparse_solver(self):
+        # every solve is the march, so no SuperLU factorization is reachable
+        code = "import sys, degenash, degenash.cli\nassert 'scipy.sparse.linalg' not in sys.modules\n"
+        src = str(Path(operators.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_invalid_tol(self, small_grid):
         op = assemble(small_grid)
         with pytest.raises(ValueError):
@@ -184,19 +169,33 @@ class TestSolve:
             solve_dirichlet(op, f, tol=1e-300)
         assert math.isfinite(err.value.residual) and err.value.residual > 0.0
 
-    @pytest.mark.parametrize("scheme,lo,hi", [(Scheme.UPWIND_Y, 1.5, 2.6), (Scheme.CENTERED_Y, 3.2, 4.6)])
-    def test_manufactured_error_shrinks(self, scheme, lo, hi):
+    def test_contract_is_one_check(self, small_grid, monkeypatch):
+        # below the round-off floor the one march solve is checked and
+        # reported, never refined
+        op = assemble(small_grid)
+        f = GridFunction.from_callable(small_grid, lambda X, Y: np.sin(3 * X + Y))
+        u = GridFunction(small_grid, DirichletSolver(op).solve(f.values))
+        floor = operators.euclidean_norm(op.apply(u).values - f.values)
+        calls = []
+        original = _YMarch.solve
+        monkeypatch.setattr(_YMarch, "solve", lambda self, *args, **kw: calls.append(1) or original(self, *args, **kw))
+        with pytest.raises(SolverError) as err:
+            solve_dirichlet(op, f, tol=1e-300)
+        assert len(calls) == 1
+        assert err.value.residual == floor
+
+    def test_manufactured_error_shrinks(self):
         errs = []
         for n in (16, 32):
             g = build_grid(n, n, 0.5)
             u_exact, f = manufactured_pair(g)
-            u, _ = solve_dirichlet(assemble(g, scheme), f)
+            u, _ = solve_dirichlet(assemble(g), f)
             errs.append(np.max(np.abs(u.values - u_exact.values)))
-        assert lo <= errs[0] / errs[1] <= hi
+        assert 1.5 <= errs[0] / errs[1] <= 2.6
 
     def test_discrete_maximum_principle_upwind(self):
         g = build_grid(24, 24, 0.5)
-        op = assemble(g, Scheme.UPWIND_Y)
+        op = assemble(g)
         rng = np.random.default_rng(11)
         f = GridFunction(g, -np.abs(rng.standard_normal(g.n)))
         u, _ = solve_dirichlet(op, f)
@@ -216,7 +215,7 @@ def _assert_march_matches_superlu(op, rhs):
 
 
 def _random_rhs(nx, ny, alpha, seed, columns=None):
-    op = assemble(build_grid(nx, ny, alpha), Scheme.UPWIND_Y)
+    op = assemble(build_grid(nx, ny, alpha))
     shape = (op.grid.n,) if columns is None else (op.grid.n, columns)
     return op, np.random.default_rng(seed).standard_normal(shape)
 
@@ -263,10 +262,9 @@ class TestYMarch:
         solver = DirichletSolver(op)
         assert np.all(solver.solve(rhs) == 0.0) and np.all(solver.solve_adjoint(rhs) == 0.0)
 
-    @pytest.mark.parametrize("scheme", [Scheme.UPWIND_Y, Scheme.CENTERED_Y])
     @pytest.mark.parametrize("length", [12 * 12 - 1, 2 * 12 * 12])
-    def test_wrong_length_rejected(self, small_grid, scheme, length):
-        solver = DirichletSolver(assemble(small_grid, scheme))
+    def test_wrong_length_rejected(self, small_grid, length):
+        solver = DirichletSolver(assemble(small_grid))
         with pytest.raises(ValueError):
             solver.solve(np.ones(length))
         with pytest.raises(ValueError):
@@ -352,11 +350,6 @@ class TestMarchReuse:
             with pytest.raises(ValueError, match="last_row"):
                 solver.solve(np.ones(small_grid.n), last_row=last_row)
 
-    def test_centered_solve_returns_every_row(self, small_grid):
-        solver = DirichletSolver(assemble(small_grid, Scheme.CENTERED_Y))
-        rhs = random_field(small_grid, 2).values
-        assert np.array_equal(solver.solve(rhs, last_row=3), solver.solve(rhs))
-
 
 class TestBoundedAdjoint:
     NX, NY = 9, 11
@@ -390,11 +383,6 @@ class TestBoundedAdjoint:
             with pytest.raises(ValueError, match="last_row"):
                 solver.solve_adjoint(np.ones(small_grid.n), last_row=last_row)
 
-    def test_centered_solve_returns_every_row(self, small_grid):
-        solver = DirichletSolver(assemble(small_grid, Scheme.CENTERED_Y))
-        rhs = random_field(small_grid, 2).values
-        assert np.array_equal(solver.solve_adjoint(rhs, last_row=3), solver.solve_adjoint(rhs))
-
 
 def _matrix_built(op):
     """Whether op.matrix has been read (it is cached on first read)."""
@@ -403,7 +391,7 @@ def _matrix_built(op):
 
 class TestLazyMatrix:
     def test_upwind_solves_build_no_matrix(self, small_grid):
-        op = assemble(small_grid, Scheme.UPWIND_Y)
+        op = assemble(small_grid)
         f = random_field(small_grid, 3)
         solve_dirichlet(op, f)
         solver = DirichletSolver(op)
@@ -416,13 +404,6 @@ class TestLazyMatrix:
         solver = shipped_game(n=12, seed=0).solver
         solver.solve(np.ones(12 * 12))
         assert not _matrix_built(solver.op)
-
-    def test_centered_solve_builds_matrix_once(self, small_grid):
-        op = assemble(small_grid, Scheme.CENTERED_Y)
-        assert not _matrix_built(op)
-        solve_dirichlet(op, random_field(small_grid, 3))
-        assert _matrix_built(op)
-        assert op.matrix is op.matrix
 
 
 class TestWeakForm:

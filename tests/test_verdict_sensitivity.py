@@ -14,7 +14,7 @@ import degenash.cli as cli_mod
 from degenash.analysis import Verdict, convergence_study, energy_estimate_study
 from degenash.cli import parse_config, run
 from degenash.grid import GridFunction, build_grid
-from degenash.operators import RESIDUAL_TOL, DirichletSolver, Scheme, assemble, solve_dirichlet
+from degenash.operators import RESIDUAL_TOL, DirichletSolver, assemble, solve_dirichlet
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -32,7 +32,7 @@ def doubled_solver(op, f, tol=RESIDUAL_TOL):
 def alpha_one_solver(op, f, tol=RESIDUAL_TOL):
     # solves on the alpha = 1 grid and relabels the result as this grid's
     grid = build_grid(op.grid.nx, op.grid.ny, 1.0)
-    u, report = solve_dirichlet(assemble(grid, op.scheme), GridFunction(grid, f.values), tol)
+    u, report = solve_dirichlet(assemble(grid), GridFunction(grid, f.values), tol)
     return GridFunction(op.grid, u.values), report
 
 
@@ -45,12 +45,12 @@ WRONG_SOLVERS = [zero_solver, doubled_solver, alpha_one_solver, adjoint_solver]
 
 
 def verdicts(tmp_path) -> dict[str, Verdict]:
-    """The verify (shipped 64x64 config), upwind convergence and energy verdicts."""
+    """The verify (shipped 64x64 config), convergence and energy verdicts."""
     cfg = parse_config((CONFIG_DIR / "verify_weak_form.yaml").read_text())
     cfg.output_dir = str(tmp_path)
     return {
         "verify": Verdict(run(cfg).verdict),
-        "convergence": convergence_study(Scheme.UPWIND_Y, [8, 16, 32]).verdict,
+        "convergence": convergence_study([8, 16, 32]).verdict,
         "energy": energy_estimate_study([16, 32, 64], alpha=0.5).verdict,
     }
 
