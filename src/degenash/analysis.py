@@ -29,6 +29,16 @@ SAFETY = 1.5
 ORDER_THRESHOLD = 0.9
 
 
+def _check_levels(levels: Sequence[int], least: int) -> list[int]:
+    """levels as a list, at least `least` of them and strictly increasing."""
+    levels = list(levels)
+    if len(levels) < least:
+        raise ValueError(f"levels must hold at least {least} levels, got {levels}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be strictly increasing, got {levels}")
+    return levels
+
+
 class Verdict(str, Enum):
     PASS = "pass"
     FAIL = "fail"
@@ -77,8 +87,7 @@ def energy_estimate_study(levels: Sequence[int], alpha: float) -> StudyResult:
     positive, and every u_h meets ||A u_h - f|| <= RESIDUAL_TOL * max(1, ||f||),
     the solve's contract, recomputed here from the stencil.
     """
-    if len(levels) < 2:
-        raise ValueError(f"levels must hold at least 2 levels to compare, got {list(levels)}")
+    levels = _check_levels(levels, 2)
     ratios: list[list[float]] = [[] for _ in _ENERGY_FAMILY]
     solved = True
     for level in levels:
@@ -94,7 +103,7 @@ def energy_estimate_study(levels: Sequence[int], alpha: float) -> StudyResult:
     positive = all(0.0 < r < math.inf for series in ratios for r in series)
     bounded = all(series[-1] <= RATIO_CAP * series[0] for series in ratios)
     return StudyResult(
-        levels=list(levels),
+        levels=levels,
         metrics=metrics,
         verdict=Verdict.PASS if (solved and positive and bounded) else Verdict.FAIL,
         thresholds={"ratio_cap": RATIO_CAP},
@@ -181,11 +190,7 @@ def strict_inclusion_demo(
     d_y seminorm keeps growing (the function lies in the weighted space
     but not in H^1).  For any other alpha the study is report-only.
     """
-    levels = list(levels)
-    if not levels:
-        raise ValueError("levels must hold at least one level")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+    levels = _check_levels(levels, 1)
     w11s, dy_norms = [], []
     for level in levels:
         grid = build_grid(level, level, alpha)
@@ -221,9 +226,7 @@ def convergence_study(levels: Sequence[int], manufactured: str = "sinsin", alpha
     """Manufactured-solution errors and observed orders per level.
 
     Passes when the last observed L2 order reaches ORDER_THRESHOLD."""
-    levels = list(levels)
-    if len(levels) < 3:
-        raise ValueError("need at least 3 levels for a convergence study")
+    levels = _check_levels(levels, 3)
     max_errs, l2_errs = [], []
     for level in levels:
         grid = build_grid(level, level, alpha)
@@ -271,8 +274,7 @@ def embedding_study(
     The same smooth functions are re-sampled on every grid; the sampled
     embedding constant must not grow past GROWTH_CAP under refinement.
     """
-    if len(levels) < 2:
-        raise ValueError(f"levels must hold at least 2 levels to compare, got {list(levels)}")
+    levels = _check_levels(levels, 2)
     if not q_values:
         raise ValueError("q_values must hold at least one q")
     if n_samples < 1:
@@ -289,7 +291,7 @@ def embedding_study(
             series[name].append(max(embedding_ratio(u, q) for u in us))
     ok = all(s[-1] <= GROWTH_CAP * s[0] for s in series.values())
     return StudyResult(
-        levels=list(levels),
+        levels=levels,
         metrics=series,
         verdict=Verdict.PASS if ok else Verdict.FAIL,
         thresholds={"growth_cap": GROWTH_CAP},

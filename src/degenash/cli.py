@@ -44,6 +44,7 @@ COMMANDS = ("solve", "verify", "study", "game")
 SAMPLING_STUDY_KINDS = ("coercivity", "embedding", "muckenhoupt")
 
 
+FINITE = Rule("must be finite", math.isfinite)
 FINITE_POSITIVE = Rule("must be finite and positive", lambda v: math.isfinite(v) and v > 0)
 AT_LEAST_ONE = Rule("must be at least 1", lambda v: v >= 1)
 
@@ -87,16 +88,15 @@ def _list_of(kind) -> Callable:
     return read
 
 
-def _levels(text: str, holds) -> Key:
+def _levels(least: int) -> Key:
+    """A study's levels, each at least 2: at least `least` of them, and
+    strictly increasing, so that no verdict compares a level with itself."""
     rule = Rule(
-        f"must be a non-empty list of levels, each at least 2{text}",
-        lambda levels: bool(levels) and all(lv >= 2 for lv in levels) and holds(levels),
+        f"must be a strictly increasing list of levels, each at least 2, at least {least} of them",
+        lambda levels: len(levels) >= least and all(lv >= 2 for lv in levels)
+        and all(b > a for a, b in zip(levels, levels[1:])),
     )
     return Key(_list_of(_integer), [16, 32, 64, 128], rule)
-
-
-# the energy and embedding verdicts compare the finest level with the coarsest
-AT_LEAST_TWO_LEVELS = _levels(", at least 2 of them", lambda levels: len(levels) >= 2)
 
 
 TOP = {
@@ -112,7 +112,7 @@ GRID = {
     "ny": Key(_integer, 64, NODES),
     "alpha": Key(float, 0.5, Rule("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)),
 }
-FIELD = {"kind": Key(str, None, _one_of(FIELD_KINDS)), "amplitude": Key(float, 1.0)}
+FIELD = {"kind": Key(str, None, _one_of(FIELD_KINDS)), "amplitude": Key(float, 1.0, FINITE)}
 SINSIN = {"kind": "sinsin"}
 RECT = Key(
     _list_of(float),
@@ -136,18 +136,18 @@ SECTIONS = {
 # each key is a keyword argument of the kind's study function.
 STUDIES = {
     "convergence": {
-        "levels": _levels(", at least 3 of them", lambda levels: len(levels) >= 3),
+        "levels": _levels(3),
         "manufactured": Key(str, "sinsin", _one_of(MANUFACTURED_KINDS)),
     },
-    "energy": {"levels": AT_LEAST_TWO_LEVELS},
+    "energy": {"levels": _levels(2)},
     "coercivity": {"n_samples": Key(_integer, 200, AT_LEAST_ONE)},
     "inclusion": {
-        "levels": _levels(", strictly increasing", lambda levels: all(b > a for a, b in zip(levels, levels[1:]))),
+        "levels": _levels(1),
         "plateau_tol": Key(float, 0.05, FINITE_POSITIVE),
         "plateau_from": Key(_integer, 32),
     },
     "embedding": {
-        "levels": AT_LEAST_TWO_LEVELS,
+        "levels": _levels(2),
         "q_values": Key(_list_of(float), [2, 3, 4], Rule(
             "must be a non-empty list of q, each in [2, 4], with distinct metric names max_ratio_q{q:g}",
             lambda qs: bool(qs) and all(2.0 <= q <= 4.0 for q in qs)

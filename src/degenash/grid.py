@@ -35,13 +35,19 @@ class Grid:
 
     nx: int
     ny: int
-    hx: float
-    hy: float
     alpha: float
 
     @property
     def n(self) -> int:
         return self.nx * self.ny
+
+    @property
+    def hx(self) -> float:
+        return 1.0 / (self.nx + 1)
+
+    @property
+    def hy(self) -> float:
+        return 1.0 / (self.ny + 1)
 
     @property
     def x(self) -> np.ndarray:
@@ -80,7 +86,7 @@ def build_grid(nx: int, ny: int, alpha: float) -> Grid:
         raise ValueError(f"need nx >= 2 and ny >= 2, got nx={nx}, ny={ny}")
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    return Grid(nx=int(nx), ny=int(ny), hx=1.0 / (nx + 1), hy=1.0 / (ny + 1), alpha=float(alpha))
+    return Grid(nx=int(nx), ny=int(ny), alpha=float(alpha))
 
 
 @dataclass

@@ -145,27 +145,28 @@ class _YMarch:
     """The operator factored as the implicit-Euler march in y.
 
     solve(rhs, trans, last_row) takes one right-hand side of length nx*ny
-    or nx*ny by k columns, plus a bound on the rows the caller reads.
+    and a bound on the rows the caller reads.
 
-    Keeps the last right-hand side and its solution per direction and
-    column count, and marches from the first row whose right-hand side
-    differs (!=) from the kept one or that the kept solution does not
-    hold, whichever is earlier; the rows before it are copied.  The store
-    starts as the zero right-hand side with the zero solution, so a first
-    solve marches from its first nonzero row.
+    Keeps the last right-hand side and its solution per direction, and
+    marches from the first row whose right-hand side differs (!=) from
+    the kept one or that the kept solution does not hold, whichever is
+    earlier; the rows before it are copied, so a repeated or partly
+    repeated solve returns the same bits as a fresh one.  The store starts
+    as the zero right-hand side with the zero solution, so a first solve
+    marches from its first nonzero row.  Every solve mutates the store:
+    not reentrant.
     """
 
     def __init__(self, grid: Grid):
         self._shape = (grid.nx, grid.ny)
-        c = grid.x**grid.alpha / grid.hy
+        self._c = grid.x**grid.alpha / grid.hy
         e = np.full(grid.nx - 1, -0.5 / grid.hx**2)
-        self._d, self._e, info = dpttrf(1.0 / grid.hx**2 + c, e)
+        self._d, self._e, info = dpttrf(1.0 / grid.hx**2 + self._c, e)
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")
-        self._c = c[:, None]
-        # (trans, k) -> (rhs as (nx, ny, k), solution rows in march order
-        # as (ny, k, nx), count of leading march-order rows it holds)
-        self._last: dict[tuple[str, int], tuple] = {}
+        # trans -> (rhs as (nx, ny), solution rows in march order as a
+        # C-contiguous (ny, nx), count of leading march-order rows it holds)
+        self._last: dict[str, tuple] = {}
 
     def solve(self, rhs: np.ndarray, trans: str = "N", last_row: int | None = None) -> np.ndarray:
         """A^-1 rhs (trans "N") or A^-T rhs (trans "T").
@@ -176,42 +177,34 @@ class _YMarch:
         and the rows it would reach later are returned as zero.
         """
         nx, ny = self._shape
-        if rhs.ndim not in (1, 2) or rhs.shape[0] != nx * ny:
-            raise ValueError(f"right-hand side has shape {rhs.shape}, operator has {nx * ny} unknowns")
+        if rhs.shape != (nx * ny,):
+            raise ValueError(f"right-hand side has shape {rhs.shape}, operator takes one of shape ({nx * ny},)")
         if last_row is not None and not 0 <= last_row < ny:
             raise ValueError(f"last_row must be a y-row index in [0, {ny}), got {last_row}")
-        new = rhs.reshape(nx, ny, -1)
-        k = new.shape[2]
+        new = rhs.reshape(nx, ny)
         order = np.s_[:] if trans == "N" else np.s_[::-1]
-        key = (trans, k)
-        if key not in self._last:
-            self._last[key] = (np.zeros((nx, ny, k)), np.zeros((ny, k, nx)), ny)
-        kept, solution, held = self._last[key]
-        differs = (new != kept).any(axis=(0, 2))[order]
+        kept, solution, held = self._last.get(trans) or (np.zeros((nx, ny)), np.zeros((ny, nx)), ny)
+        differs = (new != kept).any(axis=0)[order]
         start = min(int(differs.argmax()) if differs.any() else ny, held)
         stop = ny if last_row is None else (last_row + 1 if trans == "N" else ny - last_row)
         np.copyto(kept, new)
-        # solution[j] is march-order row j as a contiguous (k, nx) block,
-        # so rows[j] is the same memory as an (nx, k) Fortran-ordered block
-        # that dpttrs (4th argument overwrite_b) overwrites in place
-        rows = solution.transpose(0, 2, 1)
         if start < stop:
-            solution[start:stop] = new.transpose(1, 2, 0)[order][start:stop]
-            march = rows[start:stop]
-            coupling = np.empty(rows.shape[1:])
+            solution[start:stop] = new.T[order][start:stop]
+            march = solution[start:stop]
+            coupling = np.empty(nx)
             # a zero row before the start couples nothing
-            if start > 0 and rows[start - 1].any():
-                np.multiply(self._c, rows[start - 1], coupling)
+            if start > 0 and solution[start - 1].any():
+                np.multiply(self._c, solution[start - 1], coupling)
                 np.add(march[0], coupling, march[0])
             dpttrs(self._d, self._e, march[0], 1)
             for prev, row in zip(march, march[1:]):
                 np.multiply(self._c, prev, coupling)
                 np.add(row, coupling, row)
                 dpttrs(self._d, self._e, row, 1)
-        self._last[key] = (kept, solution, max(start, stop))
-        out = np.zeros((nx, ny, k))
-        out.transpose(1, 2, 0)[order][:stop] = solution[:stop]
-        return out.reshape(rhs.shape)
+        self._last[trans] = (kept, solution, max(start, stop))
+        out = np.zeros((nx, ny))
+        out.T[order][:stop] = solution[:stop]
+        return out.ravel()
 
 
 class DirichletSolver:
@@ -220,19 +213,12 @@ class DirichletSolver:
     The operator is factored as the implicit-Euler march in y (one
     tridiagonal Cholesky factorization, O(nx*ny) per solve, no fill).
     Forward and transpose (adjoint) solves share the factorization and
-    take a right-hand side of length nx*ny or nx*ny by k columns.  No
-    residual check: solve_dirichlet carries the contract.
-
-    The march keeps one right-hand side and its solution per
-    direction and column count, the last it solved.  It compares the next
-    right-hand side with the kept one exactly (!=), copies the solution
-    rows before the first row that differs, and marches from there, so a
-    repeated or partly repeated solve returns the same bits as a fresh
-    one.  The store is mutated by every solve: not reentrant.
+    its store of the last solve per direction (see _YMarch), and take one
+    right-hand side of length nx*ny.  No residual check: solve_dirichlet
+    carries the contract.
     """
 
     def __init__(self, op: SparseOperator):
-        self.op = op
         self._march = _YMarch(op.grid)
 
     def solve(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:
@@ -261,9 +247,10 @@ def solve_dirichlet(
     Factors op as the y-march DirichletSolver uses, solves once and checks
     ||A u - f|| <= tol * max(1, ||f||), with A u from the stencil
     (op.apply), so no solve builds op.matrix.  Raises SolverError
-    carrying the achieved residual if the contract is not met.  There is
-    no refinement: the march's residual is the stencil's round-off floor,
-    and a refinement round does not lower it.
+    carrying the achieved residual if the contract is not met; a residual
+    that is not finite (say, from an ||f|| that overflows) meets no
+    contract.  There is no refinement: the march's residual is the
+    stencil's round-off floor, and a refinement round does not lower it.
     """
     if f.grid != op.grid:
         raise ValueError("right-hand side lives on a different grid")
@@ -271,10 +258,12 @@ def solve_dirichlet(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     start = time.perf_counter()
     rhs = f.values
-    scale = max(1.0, euclidean_norm(rhs))
     u = _YMarch(op.grid).solve(rhs)
-    residual = euclidean_norm(op._apply(u) - rhs)
-    if residual > tol * scale:
+    # a residual that overflows is inf or NaN, which fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(1.0, euclidean_norm(rhs))
+        residual = euclidean_norm(op._apply(u) - rhs)
+    if not (math.isfinite(residual) and residual <= tol * scale):
         raise SolverError("solve did not meet the residual tolerance", residual)
     report = SolveReport(residual_norm=residual, iterations=0, wall_time=time.perf_counter() - start)
     return GridFunction(op.grid, u), report

@@ -44,6 +44,21 @@ class TestConvergenceStudy:
         assert errs[0] > errs[1] > errs[2]
 
 
+@pytest.mark.parametrize(
+    "study, levels",
+    [
+        (convergence_study, [16, 16, 32]),
+        (convergence_study, [64, 32, 16]),
+        (energy_estimate_study, [32, 32]),
+        (embedding_study, [32, 32]),
+    ],
+    ids=["convergence-repeated", "convergence-falling", "energy", "embedding"],
+)
+def test_levels_must_strictly_increase(study, levels):
+    with pytest.raises(ValueError, match="levels must be strictly increasing"):
+        study(levels, alpha=0.5)
+
+
 class TestEnergyStudy:
     def test_scaling_invariance(self):
         # ratio_0 is the study's ratio for x**alpha sin(pi y); 3.7 times

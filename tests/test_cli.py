@@ -219,6 +219,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="study.plateau_from"):
             parse_config(STUDY.format(f"inclusion, levels: {levels}, plateau_from: {start}"))
 
+    @pytest.mark.parametrize(
+        "kind, levels",
+        [
+            ("convergence", "[16, 16, 32]"),
+            ("convergence", "[64, 32, 16]"),
+            ("energy", "[32, 32]"),
+            ("embedding", "[32, 32]"),
+            ("inclusion", "[32, 16]"),
+        ],
+    )
+    def test_levels_must_strictly_increase(self, kind, levels):
+        # a repeated level divides by log 1 in a convergence order or
+        # compares a level with itself; a falling list judges a coarsening
+        with pytest.raises(ConfigError, match=r"study.levels: must be a strictly increasing list"):
+            parse_config(STUDY.format(f"{kind}, levels: {levels}"))
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("where", ["solve.f", "verify.f", "game.g", "game.yd1", "game.yd2"])
+    def test_nonfinite_amplitude_names_field(self, where, value):
+        section, name = where.split(".")
+        if section == "game":
+            text = re.sub(rf"(  {name}: +{{kind: sinsin, amplitude: )[^}}]*", rf"\g<1>{value}", GAME)
+        else:
+            text = f"command: {section}\n{section}: {{{name}: {{kind: sinsin, amplitude: {value}}}}}\n"
+        assert text != GAME
+        with pytest.raises(ConfigError, match=rf"{where}.amplitude: must be finite"):
+            parse_config(text)
+
     def test_inclusion_plateau_from_second_to_last_level(self):
         cfg = parse_config(STUDY.format("inclusion, levels: [8, 16, 24], plateau_from: 16"))
         assert cfg.study["plateau_from"] == 16
@@ -521,8 +549,9 @@ class TestMain:
         [
             "command: study\nstudy: {kind: convergence, levels: [8, 16, 24], manufactured: bogus}\n",
             "command: study\nseed: 3\ntheta: 0\nstudy: {kind: coercivity, n_samples: 5}\n",
+            "command: study\nstudy: {kind: convergence, levels: [16, 16, 32]}\n",
         ],
-        ids=["manufactured", "coercivity-theta"],
+        ids=["manufactured", "coercivity-theta", "convergence-repeated-level"],
     )
     def test_former_runtime_failures_exit_2(self, tmp_path, text):
         p = tmp_path / "study.yaml"
@@ -551,6 +580,16 @@ class TestMain:
         assert main(["verify", "--config", str(p), "--out", str(out)]) == 2
         assert "grid.ny: verify runs square grids" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unmeasurable_residual_exits_1(self, tmp_path, capsys):
+        # ||f|| overflows, so the residual contract cannot be checked
+        p = tmp_path / "solve.yaml"
+        p.write_text(MINIMAL_SOLVE.replace("{kind: sinsin}", "{kind: sinsin, amplitude: 1.0e200}"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
+        assert "SolverError" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"] == "fail"
 
     def test_verify_on_five_nodes_passes(self, tmp_path):
         p = tmp_path / "verify.yaml"

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degenash.game as game
 import degenash.operators as operators
 from conftest import random_field, shipped_game
-from degenash.fields import bump_parameter_sets, bump_from_parameters, manufactured_pair
+from degenash.fields import bump_parameter_sets, bump_from_parameters, manufactured_pair, named_field
 from degenash.grid import GridFunction, build_grid, weighted_inner
 from degenash.operators import (
     DirichletSolver,
@@ -169,6 +171,17 @@ class TestSolve:
             solve_dirichlet(op, f, tol=1e-300)
         assert math.isfinite(err.value.residual) and err.value.residual > 0.0
 
+    @pytest.mark.parametrize("amplitude", [1.0e200, 1.0e308])
+    def test_unmeasurable_residual_raises_solver_error(self, amplitude):
+        # at 1e200 ||f|| and ||A u - f|| both overflow to inf, and
+        # inf <= 1e-10 * inf holds; at 1e308 A u overflows and the residual
+        # is NaN: a residual that is not finite must fail the contract
+        g = build_grid(16, 16, 0.5)
+        f = named_field(g, "sinsin", amplitude)
+        with pytest.raises(SolverError) as err:
+            solve_dirichlet(assemble(g), f)
+        assert not math.isfinite(err.value.residual)
+
     def test_contract_is_one_check(self, small_grid, monkeypatch):
         # below the round-off floor the one march solve is checked and
         # reported, never refined
@@ -202,31 +215,38 @@ class TestSolve:
         assert np.max(u.values) <= 1e-12
 
 
-def _assert_march_matches_superlu(op, rhs):
-    """Forward and adjoint march solves of rhs equal spsolve on A and A^T."""
+def _assert_march_matches_superlu(op, rhs, last_row=None):
+    """Forward and adjoint march solves of rhs equal spsolve on A and A^T
+    on the y-rows a solve bounded by last_row reads, and are zero on the
+    others."""
     solver = DirichletSolver(op)
     A = op.matrix.tocsc()
-    for got, ref in (
-        (solver.solve(rhs), spla.spsolve(A, rhs)),
-        (solver.solve_adjoint(rhs), spla.spsolve(A.T.tocsc(), rhs)),
+    shape = (op.grid.nx, op.grid.ny)
+    for trans, got, ref in (
+        ("N", solver.solve(rhs, last_row), spla.spsolve(A, rhs)),
+        ("T", solver.solve_adjoint(rhs, last_row), spla.spsolve(A.T.tocsc(), rhs)),
     ):
         assert got.shape == rhs.shape
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        read = np.zeros(shape, dtype=bool)
+        read[:, _rows_read(trans, last_row)] = True
+        got, ref = got.reshape(shape), ref.reshape(shape)
+        assert np.linalg.norm(got[read] - ref[read]) <= 1e-12 * np.linalg.norm(ref[read])
+        assert np.all(got[~read] == 0.0)
 
 
-def _random_rhs(nx, ny, alpha, seed, columns=None):
+def _random_rhs(nx, ny, alpha, seed):
     op = assemble(build_grid(nx, ny, alpha))
-    shape = (op.grid.n,) if columns is None else (op.grid.n, columns)
-    return op, np.random.default_rng(seed).standard_normal(shape)
+    return op, np.random.default_rng(seed).standard_normal(op.grid.n)
 
 
 class TestYMarch:
     @pytest.mark.parametrize(
-        "nx,ny,alpha,columns",
-        [(2, 2, 0.25, None), (2, 2, 1.0, None), (7, 19, 0.25, None), (23, 6, 1.0, None), (9, 14, 0.5, 3)],
+        "nx,ny,alpha,last_row",
+        [(2, 2, 0.25, None), (2, 2, 1.0, None), (7, 19, 0.25, None), (23, 6, 1.0, None), (9, 14, 0.5, 5)],
     )
-    def test_matches_superlu(self, nx, ny, alpha, columns):
-        _assert_march_matches_superlu(*_random_rhs(nx, ny, alpha, nx * ny, columns))
+    def test_matches_superlu(self, nx, ny, alpha, last_row):
+        op, rhs = _random_rhs(nx, ny, alpha, nx * ny)
+        _assert_march_matches_superlu(op, rhs, last_row)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -238,29 +258,29 @@ class TestYMarch:
     def test_matches_superlu_property(self, nx, ny, alpha, seed):
         _assert_march_matches_superlu(*_random_rhs(nx, ny, alpha, seed))
 
-    @pytest.mark.parametrize("columns", [None, 3])
-    def test_zero_rows_skipped(self, columns):
+    @pytest.mark.parametrize("last_row", [None, 6])
+    def test_zero_rows_skipped(self, last_row):
         # rows y_0..y_3 and y_9..y_13 are zero: the forward march starts at
         # y_4, the adjoint march at y_8, and the rows before each start
         # solve to exact zeros
-        op, rhs = _random_rhs(11, 14, 0.5, 5, columns)
-        by_row = rhs.reshape(11, 14, -1)
+        op, rhs = _random_rhs(11, 14, 0.5, 5)
+        by_row = rhs.reshape(11, 14)
         by_row[:, :4] = 0.0
         by_row[:, 9:] = 0.0
-        _assert_march_matches_superlu(op, rhs)
+        _assert_march_matches_superlu(op, rhs, last_row)
         solver = DirichletSolver(op)
-        forward = solver.solve(rhs).reshape(by_row.shape)
-        adjoint = solver.solve_adjoint(rhs).reshape(by_row.shape)
+        forward = solver.solve(rhs, last_row).reshape(by_row.shape)
+        adjoint = solver.solve_adjoint(rhs, last_row).reshape(by_row.shape)
         assert np.all(forward[:, :4] == 0.0) and np.all(forward[:, 4] != 0.0)
         assert np.all(adjoint[:, 9:] == 0.0) and np.all(adjoint[:, 8] != 0.0)
 
-    @pytest.mark.parametrize("columns", [None, 3])
-    def test_zero_rhs_solves_to_zero(self, columns):
-        op, rhs = _random_rhs(6, 5, 0.5, 0, columns)
-        rhs[:] = 0.0
-        _assert_march_matches_superlu(op, rhs)
+    @pytest.mark.parametrize("last_row", [None, 2])
+    def test_zero_rhs_solves_to_zero(self, last_row):
+        op = assemble(build_grid(6, 5, 0.5))
+        rhs = np.zeros(op.grid.n)
+        _assert_march_matches_superlu(op, rhs, last_row)
         solver = DirichletSolver(op)
-        assert np.all(solver.solve(rhs) == 0.0) and np.all(solver.solve_adjoint(rhs) == 0.0)
+        assert np.all(solver.solve(rhs, last_row) == 0.0) and np.all(solver.solve_adjoint(rhs, last_row) == 0.0)
 
     @pytest.mark.parametrize("length", [12 * 12 - 1, 2 * 12 * 12])
     def test_wrong_length_rejected(self, small_grid, length):
@@ -269,6 +289,15 @@ class TestYMarch:
             solver.solve(np.ones(length))
         with pytest.raises(ValueError):
             solver.solve_adjoint(np.ones(length))
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_column_block_rejected(self, small_grid, columns):
+        # a solve takes one right-hand side; the error names the shape given
+        rhs = np.ones((small_grid.n, columns))
+        solver = DirichletSolver(assemble(small_grid))
+        for solve in (_YMarch(small_grid).solve, solver.solve, solver.solve_adjoint):
+            with pytest.raises(ValueError, match=re.escape(str(rhs.shape))):
+                solve(rhs)
 
 
 def _rows_read(trans, last_row):
@@ -284,27 +313,27 @@ class TestMarchReuse:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 10**6))
     def test_reused_rows_equal_a_fresh_march(self, data, seed):
-        # each right-hand side equals the last one of its direction and
-        # column count except from a random row on in march order (a
-        # change row of ny is an exact repeat), and carries a random bound
+        # each right-hand side equals the last one of its direction except
+        # from a random row on in march order (a change row of ny is an
+        # exact repeat), and carries a random bound
         nx, ny = self.NX, self.NY
         grid = build_grid(nx, ny, 0.5)
         march = _YMarch(grid)
         rng = np.random.default_rng(seed)
         last: dict = {}
         steps = data.draw(st.lists(st.tuples(
-            st.sampled_from("NT"), st.sampled_from([1, 3]), st.integers(0, ny),
+            st.sampled_from("NT"), st.integers(0, ny),
             st.one_of(st.none(), st.integers(0, ny - 1)), st.booleans(),
         ), min_size=1, max_size=12))
-        for trans, k, change, last_row, zero in steps:
-            rhs = last.get((trans, k), np.zeros((nx, ny, k))).copy()
+        for trans, change, last_row, zero in steps:
+            rhs = last.get(trans, np.zeros((nx, ny))).copy()
             changed = np.s_[:, change:] if trans == "N" else np.s_[:, : ny - change]
             rhs[changed] = 0.0 if zero else rng.standard_normal(rhs[changed].shape)
-            last[trans, k] = rhs
-            flat = rhs.reshape(nx * ny) if k == 1 else rhs.reshape(nx * ny, k)
-            got = march.solve(flat, trans, last_row).reshape(nx, ny, k)
-            fresh = _YMarch(grid).solve(flat, trans, last_row).reshape(nx, ny, k)
-            full = _YMarch(grid).solve(flat, trans).reshape(nx, ny, k)
+            last[trans] = rhs
+            flat = rhs.ravel()
+            got = march.solve(flat, trans, last_row).reshape(nx, ny)
+            fresh = _YMarch(grid).solve(flat, trans, last_row).reshape(nx, ny)
+            full = _YMarch(grid).solve(flat, trans).reshape(nx, ny)
             read = _rows_read(trans, last_row)
             assert np.array_equal(got, fresh)
             assert np.array_equal(got[:, read], full[:, read])
@@ -400,10 +429,13 @@ class TestLazyMatrix:
         op.apply(f)
         assert not _matrix_built(op)
 
-    def test_game_solver_builds_no_matrix(self):
+    def test_game_solver_builds_no_matrix(self, monkeypatch):
+        ops = []
+        monkeypatch.setattr(game, "assemble", lambda grid: ops.append(assemble(grid)) or ops[-1])
         solver = shipped_game(n=12, seed=0).solver
         solver.solve(np.ones(12 * 12))
-        assert not _matrix_built(solver.op)
+        (op,) = ops
+        assert not _matrix_built(op)
 
 
 class TestWeakForm:

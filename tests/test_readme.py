@@ -1,0 +1,28 @@
+"""The README's statements of module constants match the code."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import degenash.analysis as analysis
+import degenash.game as game
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+# Each constant whose value the README states as `NAME = value`.
+CONSTANTS = {
+    **dict.fromkeys(("BR_TOL", "BR_MAX_ITERS", "INNER_TOL", "INNER_MAX_ITERS", "DEVIATION_SAMPLES"), game),
+    **dict.fromkeys(("RATIO_CAP", "SAFETY", "GROWTH_CAP", "ORDER_THRESHOLD"), analysis),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANTS))
+def test_readme_states_the_constant_in_the_code(name):
+    stated = re.findall(rf"`{name} = ([^`]+)`", README)
+    assert stated, f"README states no value for {name}"
+    value = getattr(CONSTANTS[name], name)
+    for text in stated:
+        stated_value = ast.literal_eval(text)
+        assert (stated_value, type(stated_value)) == (value, type(value)), text
