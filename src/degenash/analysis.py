@@ -16,8 +16,9 @@ from .grid import GridFunction, build_grid, weighted_inner
 from .norms import embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
 from .operators import RESIDUAL_TOL, assemble, bilinear_form, dx, dy, euclidean_norm, solve_dirichlet, theta_weight
 
-# The Muckenhoupt panel asks the constant weight for an A_2 constant of 1
-# to this tolerance.
+# The Muckenhoupt panel asks the constant weight for an A_2 constant of 1,
+# and every ball product of a weight that did not diverge to be at least 1
+# (Cauchy-Schwarz), to this tolerance.
 UNIT_TOL = 1e-9
 # Growth caps of the energy ratio and the embedding constant under
 # refinement; the coercivity check inflates its Poincare constant by SAFETY.
@@ -300,14 +301,18 @@ def embedding_study(
 
 def muckenhoupt_study(n_balls: int = 500, seed: int = 0) -> StudyResult:
     """Three-weight A_2 (p = 2) panel: constant weight, admissible
-    degeneracy, and a non-integrable weight that must flag divergence."""
-    est_unit, est_half, est_bad = muckenhoupt_panel((0.0, 0.5, -3.0), n_balls, seed)
+    degeneracy, and a non-integrable weight that must flag divergence.
+    Every weight that did not diverge must also keep each ball's product
+    avg(w) * avg(1/w) at 1 or above (Cauchy-Schwarz), to UNIT_TOL."""
+    estimates = muckenhoupt_panel((0.0, 0.5, -3.0), n_balls, seed)
+    est_unit, est_half, est_bad = estimates
     ok = (
         abs(est_unit.constant - 1.0) <= UNIT_TOL
         and not est_unit.diverged
         and not est_half.diverged
         and math.isfinite(est_half.constant)
         and est_bad.diverged
+        and all(est.diverged or est.least >= 1.0 - UNIT_TOL for est in estimates)
     )
     return StudyResult(
         levels=[n_balls],

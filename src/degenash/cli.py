@@ -424,8 +424,9 @@ def _run_game(cfg: RunConfig, out: Path) -> tuple[dict, str]:
         [np.arange(1, len(res.br_residuals) + 1), res.br_residuals],
     )
     grid = game_cfg.grid
-    X, Y = grid.meshgrid()
-    I, J = np.indices((grid.nx, grid.ny))
+    shape = (grid.nx, grid.ny)
+    I, J = np.indices(shape)
+    X, Y = np.broadcast_to(grid.x[:, None], shape), np.broadcast_to(grid.y[None, :], shape)
     _write_columns(
         out / "game_fields.tsv",
         ["i", "j", "x", "y", "f1", "f2", "state"],

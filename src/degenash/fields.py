@@ -9,7 +9,8 @@ import numpy as np
 from .grid import Grid, GridFunction
 
 
-# named_field's kinds, each a function of the node coordinates and alpha.
+# named_field's kinds, each a function of the node coordinates and alpha,
+# sampled on the open grid (GridFunction.from_callable).
 _FIELDS = {
     "zero": lambda X, Y, alpha: 0.0 * X,
     "one": lambda X, Y, alpha: np.ones_like(X),
@@ -91,9 +92,10 @@ def bump_parameter_sets(n: int, seed: int) -> list[dict]:
 
 @functools.lru_cache(maxsize=8)
 def _bump_frame(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (X, Y, boundary_cutoff(X, Y)) at the nodes of grid."""
-    X, Y = grid.meshgrid()
-    frame = (X, Y, boundary_cutoff(X, Y))
+    """Read-only (x, y, window) of grid: the open grid, x of shape (nx, 1)
+    and y of shape (1, ny), and boundary_cutoff(x, y) of shape (nx, ny)."""
+    x, y = grid.x[:, None], grid.y[None, :]
+    frame = (x, y, boundary_cutoff(x, y))
     for a in frame:
         a.flags.writeable = False
     return frame
@@ -103,9 +105,9 @@ def bump_from_parameters(grid: Grid, params: dict) -> GridFunction:
     """Superposition of Gaussian bumps windowed to vanish identically near
     the boundary (so that all trace terms drop out exactly).
 
-    The node coordinates and the window are computed once per grid."""
-    X, Y, window = _bump_frame(grid)
-    out = np.zeros_like(X)
+    The open grid and the window are computed once per grid."""
+    x, y, window = _bump_frame(grid)
+    out = np.zeros(window.shape)
     for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
-        out += a * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
+        out += a * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * s * s))
     return GridFunction(grid, out * window)

@@ -345,8 +345,9 @@ def nash_solve(cfg: GameConfig) -> NashResult:
     assertion: the result carries converged=False and the residual series.
     So is a best response that hits INNER_MAX_ITERS: the sweeps stop, the
     last completed sweep's controls are kept and certified, and the inner
-    projected-gradient residual is appended to br_residuals.  A control
-    outside its admissible set comes back as certified=False.
+    projected-gradient residual is appended to br_residuals.  converged
+    also requires a finite J1 and J2.  A control outside its admissible
+    set comes back as certified=False.
     """
     zero = GridFunction.zeros(cfg.grid)
     f1, f2 = zero, zero
@@ -371,15 +372,17 @@ def nash_solve(cfg: GameConfig) -> NashResult:
             break
     certified, margin = certify(cfg, f1, f2)
     state = state_solve(cfg, f1, f2)
+    j1, j2 = cost(cfg, 1, f1, f2), cost(cfg, 2, f1, f2)
     return NashResult(
         f1_star=f1,
         f2_star=f2,
         state=state,
-        j1=cost(cfg, 1, f1, f2),
-        j2=cost(cfg, 2, f1, f2),
+        j1=j1,
+        j2=j2,
         br_iterations=sweeps,
         br_residuals=residuals,
-        converged=converged,
+        # sweeps that settle on a non-finite cost have found no equilibrium
+        converged=converged and math.isfinite(j1) and math.isfinite(j2),
         certified=certified,
         certification_margin=margin,
     )

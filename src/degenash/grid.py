@@ -69,10 +69,6 @@ class Grid:
         """Cell-center y-coordinates of the (ny+1) cell rows."""
         return (np.arange(self.ny + 1) + 0.5) * self.hy
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, Y) arrays of shape (nx, ny) at the interior nodes."""
-        return np.meshgrid(self.x, self.y, indexing="ij")
-
 
 def build_grid(nx: int, ny: int, alpha: float) -> Grid:
     """Build the interior grid, rejecting out-of-theory parameters.
@@ -116,9 +112,23 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        """Sample fn(X, Y) at the interior nodes (fn must broadcast)."""
-        X, Y = grid.meshgrid()
-        return cls(grid, np.asarray(fn(X, Y), dtype=float).reshape(grid.n))
+        """Sample fn at the interior nodes on the open grid.
+
+        fn receives x of shape (nx, 1) and y of shape (1, ny), never full
+        (nx, ny) coordinate arrays, and its result must broadcast to
+        (nx, ny): a function of x alone is evaluated nx times, not
+        nx*ny.  Elementwise numpy arithmetic on the open grid gives the
+        same bits as on full coordinate arrays.  A result that does not
+        broadcast raises ValueError.
+        """
+        shape = (grid.nx, grid.ny)
+        values = np.asarray(fn(grid.x[:, None], grid.y[None, :]), dtype=float)
+        if values.shape != shape:
+            try:
+                values = np.array(np.broadcast_to(values, shape))
+            except ValueError:
+                raise ValueError(f"fn returned shape {values.shape}, which does not broadcast to {shape}") from None
+        return cls(grid, values.reshape(grid.n))
 
     def values2d(self) -> np.ndarray:
         """View of the values as an (nx, ny) array indexed [i, j]."""
@@ -196,9 +206,9 @@ def rect_mask(grid: Grid, x0: float, x1: float, y0: float, y1: float) -> RegionM
         raise ValueError(
             f"rectangle ({x0},{x1}) x ({y0},{y1}) must satisfy 0 <= x0 < x1 <= 1, 0 <= y0 < y1 <= 1"
         )
-    X, Y = grid.meshgrid()
-    ind = (X > x0) & (X < x1) & (Y > y0) & (Y < y1)
-    return RegionMask(grid, ind.reshape(grid.n))
+    inside_x = (grid.x > x0) & (grid.x < x1)
+    inside_y = (grid.y > y0) & (grid.y < y1)
+    return RegionMask(grid, (inside_x[:, None] & inside_y[None, :]).reshape(grid.n))
 
 
 def cell_averages(u: GridFunction) -> np.ndarray:

@@ -50,9 +50,13 @@ class NormReport:
 
 @dataclass(frozen=True)
 class ApEstimate:
+    """A weight's sampled A_2 constant (the largest ball product), its
+    smallest ball product, the number of balls, and the divergence flag."""
+
     constant: float
     samples: int
     diverged: bool
+    least: float
 
     def __post_init__(self):
         if not self.diverged and self.constant < 0:
@@ -146,7 +150,12 @@ def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: i
     sample supremum per weight.  All weights share one draw of the balls,
     and each ball's chord is computed once for every weight.  Divergence
     is data, not an error: a weight's flag is set when any of its
-    products exceeds OVERFLOW or is nonfinite.
+    products exceeds OVERFLOW or is nonfinite.  least is the smallest
+    product, at least 1 by Cauchy-Schwarz for the positive quadrature
+    weights of _ball_integral.  A ball that meets the square in zero area
+    has no averages: it records the product 0.0 and is left out of least
+    (inf if no ball is left).  None is drawn here, since every radius is
+    at least R_MIN and every centre lies in the square.
     """
     if n_balls < 1:
         raise ValueError("need at least one ball")
@@ -154,8 +163,10 @@ def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: i
     # the integrals of w and 1/w of each weight, in that order
     exponents = tuple(x for e in weight_exponents for x in (e, -e))
     products = np.empty((len(weight_exponents), n_balls))
+    measured = np.empty(n_balls, dtype=bool)
     for k in range(n_balls):
         integrals, area = _ball_integral(cxs[k], cys[k], rs[k], exponents)
+        measured[k] = area > 0.0
         for w, (w_int, inv_int) in enumerate(zip(integrals[::2], integrals[1::2])):
             products[w, k] = (w_int / area) * (inv_int / area) if area > 0.0 else 0.0
     estimates = []
@@ -163,5 +174,6 @@ def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: i
         finite = np.isfinite(row)
         diverged = bool(np.any(~finite) or np.any(row[finite] > OVERFLOW))
         constant = float(np.max(row)) if np.all(finite) else math.inf
-        estimates.append(ApEstimate(constant=constant, samples=n_balls, diverged=diverged))
+        least = float(np.min(row, where=measured, initial=math.inf))
+        estimates.append(ApEstimate(constant=constant, samples=n_balls, diverged=diverged, least=least))
     return estimates

@@ -23,10 +23,12 @@ Row j of a march depends on the right-hand-side rows up to j only, so
 each march starts at the first row that differs from the last solve in
 its direction and copies the rows before it (a first solve starts at its
 first nonzero row), and a forward or adjoint solve given the last row
-its caller reads stops after that row.  The scheme never uses u = 0 at
-y = 1: that edge is the outflow boundary, and no row of the matrix
-refers to it.  (Centered differencing in y would make the march a
-leapfrog scheme, whose computational mode does not shrink under
+its caller reads stops after that row.  Keeping the last solve serves
+repeated solves (DirichletSolver); a one-shot solve (solve_dirichlet)
+keeps none and marches its own copy of the rows in place.  The scheme
+never uses u = 0 at y = 1: that edge is the outflow boundary, and no row
+of the matrix refers to it.  (Centered differencing in y would make the
+march a leapfrog scheme, whose computational mode does not shrink under
 refinement, and would impose u = 0 at the outflow edge.)
 
 A u is computed from the 5-point stencil.  The CSR matrix of A is
@@ -144,8 +146,11 @@ def assemble(grid: Grid) -> SparseOperator:
 class _YMarch:
     """The operator factored as the implicit-Euler march in y.
 
+    march(rows, before) solves march-order rows in place; it keeps
+    nothing, which is all a one-shot solve needs (solve_dirichlet).
     solve(rhs, trans, last_row) takes one right-hand side of length nx*ny
-    and a bound on the rows the caller reads.
+    and a bound on the rows the caller reads, and marches through a
+    store that repeated solves share (DirichletSolver).
 
     Keeps the last right-hand side and its solution per direction, and
     marches from the first row whose right-hand side differs (!=) from
@@ -190,21 +195,30 @@ class _YMarch:
         np.copyto(kept, new)
         if start < stop:
             solution[start:stop] = new.T[order][start:stop]
-            march = solution[start:stop]
-            coupling = np.empty(nx)
-            # a zero row before the start couples nothing
-            if start > 0 and solution[start - 1].any():
-                np.multiply(self._c, solution[start - 1], coupling)
-                np.add(march[0], coupling, march[0])
-            dpttrs(self._d, self._e, march[0], 1)
-            for prev, row in zip(march, march[1:]):
-                np.multiply(self._c, prev, coupling)
-                np.add(row, coupling, row)
-                dpttrs(self._d, self._e, row, 1)
+            self.march(solution[start:stop], solution[start - 1] if start > 0 else None)
         self._last[trans] = (kept, solution, max(start, stop))
         out = np.zeros((nx, ny))
         out.T[order][:stop] = solution[:stop]
         return out.ravel()
+
+    def march(self, rows: np.ndarray, before: np.ndarray | None = None) -> None:
+        """Solve C-contiguous march-order rows (k, nx) in place.
+
+        Each row holds its right-hand side and is overwritten by its
+        solution.  before is the solved row just below rows[0] in march
+        order; None, like a zero row, couples nothing into rows[0].
+        """
+        if len(rows) == 0:
+            return
+        coupling = np.empty(self._shape[0])
+        if before is not None and before.any():
+            np.multiply(self._c, before, coupling)
+            np.add(rows[0], coupling, rows[0])
+        dpttrs(self._d, self._e, rows[0], 1)
+        for prev, row in zip(rows, rows[1:]):
+            np.multiply(self._c, prev, coupling)
+            np.add(row, coupling, row)
+            dpttrs(self._d, self._e, row, 1)
 
 
 class DirichletSolver:
@@ -244,7 +258,10 @@ def solve_dirichlet(
 ) -> tuple[GridFunction, SolveReport]:
     """Solve A u = f once, with a residual contract.
 
-    Factors op as the y-march DirichletSolver uses, solves once and checks
+    Factors op as the y-march DirichletSolver uses, copies f into
+    march-order rows and solves them in place (_YMarch.march), without the
+    store that repeated solves share; the bits are those of
+    DirichletSolver(op).solve(f.values).  Checks
     ||A u - f|| <= tol * max(1, ||f||), with A u from the stencil
     (op.apply), so no solve builds op.matrix.  Raises SolverError
     carrying the achieved residual if the contract is not met; a residual
@@ -258,7 +275,13 @@ def solve_dirichlet(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     start = time.perf_counter()
     rhs = f.values
-    u = _YMarch(op.grid).solve(rhs)
+    rows = np.ascontiguousarray(f.values2d().T)
+    # leading zero rows solve to +0.0 (a -0.0 there would stay -0.0), and
+    # the first nonzero row couples nothing, as in a first store solve
+    first = next((j for j, row in enumerate(rows) if row.any()), len(rows))
+    rows[:first] = 0.0
+    _YMarch(op.grid).march(rows[first:])
+    u = rows.T.reshape(op.grid.n)
     # a residual that overflows is inf or NaN, which fails the check below
     with np.errstate(over="ignore", invalid="ignore"):
         scale = max(1.0, euclidean_norm(rhs))
@@ -286,9 +309,15 @@ def _diff_along(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     out = np.empty_like(v)
     if v.shape[0] < 2:
         raise ValueError("need at least 2 nodes along the differenced axis")
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (v[1] - v[0]) / h
-    out[-1] = (v[-1] - v[-2]) / h
+    # each difference is written into out and divided there: the same
+    # operations as (a - b) / h, with no temporaries
+    for rows, ahead, behind, step in (
+        (out[1:-1], v[2:], v[:-2], 2.0 * h),
+        (out[0], v[1], v[0], h),
+        (out[-1], v[-1], v[-2], h),
+    ):
+        np.subtract(ahead, behind, out=rows)
+        rows /= step
     return out if axis == 0 else out.T
 
 

@@ -350,7 +350,7 @@ class TestRun:
         run(cfg)
         game = build_game_config(cfg)
         res = nash_solve(game)
-        X, Y = game.grid.meshgrid()
+        X, Y = np.meshgrid(game.grid.x, game.grid.y, indexing="ij")
         f1v, f2v, yv = res.f1_star.values2d(), res.f2_star.values2d(), res.state.values2d()
         expected = ["\t".join(["i", "j", "x", "y", "f1", "f2", "state"])]
         for i in range(game.grid.nx):
@@ -590,6 +590,23 @@ class TestMain:
         assert "SolverError" in capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert report["verdict"] == "fail"
+
+    def test_infinite_follower_cost_is_not_converged_and_exits_1(self, tmp_path):
+        # yd1 = 1e200 sin sin squares to inf in the tracking term: sweeps
+        # that settle on an infinite J1 have found no equilibrium
+        p = tmp_path / "game.yaml"
+        p.write_text(
+            (CONFIG_DIR / "benchmark_game.yaml")
+            .read_text()
+            .replace("yd1: {kind: sinsin, amplitude: 0.1}", "yd1: {kind: sinsin, amplitude: 1.0e200}")
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["game", "--config", str(p), "--out", str(out), "--level-override", "16"])
+        assert code == 1
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results["j1"] == math.inf
+        assert results["converged"] is False
 
     def test_verify_on_five_nodes_passes(self, tmp_path):
         p = tmp_path / "verify.yaml"

@@ -1,12 +1,27 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degenash
 from conftest import random_field
-from degenash.fields import _bump_frame, boundary_cutoff, bump_from_parameters, bump_parameter_sets
+from degenash.analysis import _ENERGY_FAMILY
+from degenash.fields import (
+    FIELD_KINDS,
+    MANUFACTURED_KINDS,
+    _bump_frame,
+    boundary_cutoff,
+    bump_from_parameters,
+    bump_parameter_sets,
+    manufactured_pair,
+    named_field,
+)
 from degenash.grid import (
     DegenerateWeightWarning,
+    Grid,
     GridFunction,
     RegionMask,
     build_grid,
@@ -21,6 +36,19 @@ SHAPES = [(12, 12), (9, 7), (5, 16)]
 
 def _bits(a):
     return np.ascontiguousarray(a).tobytes()
+
+
+def bump_formula(params):
+    """The bump function of params as a formula in (X, Y), which may be
+    the open grid or full coordinate arrays."""
+
+    def fn(X, Y):
+        out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
+        for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
+            out += a * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
+        return out * boundary_cutoff(X, Y)
+
+    return fn
 
 
 class TestBuildGrid:
@@ -69,6 +97,75 @@ class TestGridFunction:
         # flat index i*ny + j
         assert u.values[0] == pytest.approx(g.x[0] + 10 * g.y[0])
         assert u.values[g.ny] == pytest.approx(g.x[1] + 10 * g.y[0])
+
+    def test_from_callable_rejects_a_result_that_does_not_broadcast(self):
+        g = build_grid(3, 4, 0.5)
+        with pytest.raises(ValueError, match=r"shape \(12,\), which does not broadcast to \(3, 4\)"):
+            GridFunction.from_callable(g, lambda x, y: np.zeros(g.n))
+        with pytest.raises(ValueError, match="does not broadcast"):
+            GridFunction.from_callable(g, lambda x, y: np.zeros((3, 4, 2)))
+
+    def test_from_callable_broadcasts_a_function_of_one_coordinate(self):
+        g = build_grid(3, 4, 0.5)
+        u = GridFunction.from_callable(g, lambda x, y: x)
+        assert u.values2d().shape == (3, 4) and u.values.flags.writeable
+        assert np.array_equal(u.values2d(), np.repeat(g.x[:, None], 4, axis=1))
+        assert np.array_equal(GridFunction.from_callable(g, lambda x, y: 2.0).values, np.full(g.n, 2.0))
+
+
+# Open-grid sampling against the same formula on full coordinate arrays
+OPEN_GRID_SHAPES = [(12, 12), (13, 7), (64, 64), (127, 129)]
+
+
+def full_grid(grid, fn):
+    """fn sampled on full (nx, ny) coordinate arrays, flat: the reference
+    that open-grid sampling must match bit for bit."""
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    return np.asarray(fn(X, Y), dtype=float).reshape(grid.n)
+
+
+class TestOpenGrid:
+    @pytest.mark.parametrize("nx,ny", OPEN_GRID_SHAPES)
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_fields_match_full_grid(self, nx, ny, alpha, monkeypatch):
+        g = build_grid(nx, ny, alpha)
+
+        def sampled():
+            out = [named_field(g, kind, -0.7) for kind in FIELD_KINDS]
+            out += [u for kind in MANUFACTURED_KINDS for u in manufactured_pair(g, kind)]
+            out += [gen(g) for gen in _ENERGY_FAMILY]
+            out.append(GridFunction.from_callable(g, lambda X, Y: (X**2 + Y) ** 0.25))
+            return [_bits(u.values) for u in out]
+
+        open_grid = sampled()
+        monkeypatch.setattr(GridFunction, "from_callable", classmethod(lambda cls, g, fn: cls(g, full_grid(g, fn))))
+        assert sampled() == open_grid
+
+    @pytest.mark.parametrize("nx,ny", OPEN_GRID_SHAPES)
+    def test_rect_mask_matches_full_grid(self, nx, ny):
+        g = build_grid(nx, ny, 0.5)
+        for x0, x1, y0, y1 in [(0.0, 1.0, 0.0, 1.0), (0.4, 0.6, 0.1, 0.45), (0.2, 0.8, 0.5, 0.5 + 1e-9)]:
+            expected = full_grid(g, lambda X, Y: (X > x0) & (X < x1) & (Y > y0) & (Y < y1)).astype(bool)
+            assert np.array_equal(rect_mask(g, x0, x1, y0, y1).indicator, expected)
+
+    @pytest.mark.parametrize("nx,ny", OPEN_GRID_SHAPES)
+    def test_bump_matches_full_grid(self, nx, ny):
+        g = build_grid(nx, ny, 0.5)
+        for params in bump_parameter_sets(3, seed=nx + ny):
+            assert _bits(bump_from_parameters(g, params).values) == _bits(full_grid(g, bump_formula(params)))
+
+    def test_bump_frame_holds_the_open_grid(self, small_grid):
+        x, y, window = _bump_frame(small_grid)
+        assert (x.shape, y.shape, window.shape) == ((12, 1), (1, 12), (12, 12))
+
+    def test_no_full_coordinate_arrays_in_the_package(self):
+        # every field and mask samples the open grid; none evaluates its
+        # coordinates at every node
+        assert not hasattr(Grid, "meshgrid")
+        for path in sorted(Path(degenash.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                assert name != "meshgrid", f"{path.name} line {node.lineno} reaches a meshgrid"
 
 
 class TestRectMask:
@@ -221,12 +318,7 @@ class TestQuadratureCaches:
     def test_bump_matches_sampled_formula(self, nx, ny):
         g = build_grid(nx, ny, 0.5)
         for params in bump_parameter_sets(3, seed=nx):
-            def fn(X, Y):
-                out = np.zeros_like(X)
-                for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
-                    out += a * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
-                return out * boundary_cutoff(X, Y)
-
+            fn = bump_formula(params)
             assert _bits(bump_from_parameters(g, params).values) == _bits(GridFunction.from_callable(g, fn).values)
 
     def test_cached_arrays_are_read_only(self, small_grid):

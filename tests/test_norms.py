@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degenash.norms as norms_mod
 from conftest import random_field
 from degenash.grid import DegenerateWeightWarning, GridFunction, build_grid
 from degenash.norms import (
@@ -165,6 +166,23 @@ class TestMuckenhoupt:
     def test_panel_equals_one_weight_at_a_time(self, exponents, seed):
         panel = muckenhoupt_panel(exponents, 60, seed)
         assert panel == [muckenhoupt_panel((e,), 60, seed)[0] for e in exponents]
+
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, -0.5])
+    def test_every_ball_product_at_least_one(self, exponent):
+        # Cauchy-Schwarz: avg(w) * avg(1/w) >= 1 for positive quadrature weights
+        (est,) = muckenhoupt_panel((exponent,), 300, seed=5)
+        assert 1.0 - 1e-12 <= est.least <= est.constant
+
+    def test_zero_area_ball_records_zero_and_is_left_out_of_least(self, monkeypatch):
+        # a ball centred at x = 5 misses the square; the sampler never draws one
+        balls = (np.array([0.5, 5.0]), np.array([0.5, 0.5]), np.array([0.1, 0.1]))
+        monkeypatch.setattr(norms_mod, "_sample_balls", lambda n_balls, seed: balls)
+        (est,) = muckenhoupt_panel((0.5,), 2, seed=0)
+        (alone,) = muckenhoupt_panel((0.5,), 1, seed=0)  # reads the first ball only
+        assert est.least == est.constant == alone.constant > 1.0
+        monkeypatch.setattr(norms_mod, "_sample_balls", lambda n_balls, seed: tuple(a[1:] for a in balls))
+        (none,) = muckenhoupt_panel((0.5,), 1, seed=0)
+        assert (none.constant, none.least, none.diverged) == (0.0, math.inf, False)
 
     def test_panel_needs_a_ball(self):
         with pytest.raises(ValueError, match="at least one ball"):

@@ -98,6 +98,26 @@ class TestAssemble:
             op.apply(GridFunction.zeros(other))
 
 class TestSolve:
+    @pytest.mark.parametrize("nx,ny", [(12, 12), (13, 7), (64, 64), (127, 129)])
+    def test_one_shot_solve_matches_the_store_solve(self, nx, ny):
+        # solve_dirichlet marches without DirichletSolver's store, to the
+        # same bits, zeros and their signs included
+        g = build_grid(nx, ny, 0.5)
+        op = assemble(g)
+        rough = random_field(g, nx).values2d()
+        rough[:, : ny // 2] = 0.0  # the first rows that couple anything sit halfway up
+        rough[::2, 1] = -0.0
+        fields = [
+            named_field(g, "sinsin"),
+            random_field(g, ny),
+            GridFunction(g, rough),
+            named_field(g, "zero", -1.0),  # -0.0 at every node
+            GridFunction.zeros(g),
+        ]
+        for f in fields:
+            u, _ = solve_dirichlet(op, f)
+            assert u.values.tobytes() == DirichletSolver(op).solve(f.values).tobytes()
+
     def test_zero_rhs_zero_solution(self, small_grid):
         op = assemble(small_grid)
         u, rep = solve_dirichlet(op, GridFunction.zeros(small_grid))
@@ -190,8 +210,8 @@ class TestSolve:
         u = GridFunction(small_grid, DirichletSolver(op).solve(f.values))
         floor = operators.euclidean_norm(op.apply(u).values - f.values)
         calls = []
-        original = _YMarch.solve
-        monkeypatch.setattr(_YMarch, "solve", lambda self, *args, **kw: calls.append(1) or original(self, *args, **kw))
+        original = _YMarch.march
+        monkeypatch.setattr(_YMarch, "march", lambda self, *args, **kw: calls.append(1) or original(self, *args, **kw))
         with pytest.raises(SolverError) as err:
             solve_dirichlet(op, f, tol=1e-300)
         assert len(calls) == 1

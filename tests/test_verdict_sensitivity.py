@@ -1,4 +1,5 @@
-"""Every verdict that consumes the Dirichlet solve must fail a wrong solve.
+"""Every verdict that consumes the Dirichlet solve must fail a wrong solve,
+and the Muckenhoupt verdict must fail a wrong A_2 product.
 
 Each wrong solver replaces solve_dirichlet where the studies and the CLI
 look it up; the verify, convergence and energy verdicts must then all
@@ -11,7 +12,8 @@ import pytest
 
 import degenash.analysis as analysis_mod
 import degenash.cli as cli_mod
-from degenash.analysis import Verdict, convergence_study, energy_estimate_study
+import degenash.norms as norms_mod
+from degenash.analysis import Verdict, convergence_study, energy_estimate_study, muckenhoupt_study
 from degenash.cli import parse_config, run
 from degenash.grid import GridFunction, build_grid
 from degenash.operators import RESIDUAL_TOL, DirichletSolver, assemble, solve_dirichlet
@@ -64,3 +66,18 @@ def test_wrong_solver_fails_every_verdict(tmp_path, monkeypatch, solver):
     monkeypatch.setattr(analysis_mod, "solve_dirichlet", solver)
     monkeypatch.setattr(cli_mod, "solve_dirichlet", solver)
     assert verdicts(tmp_path) == dict.fromkeys(["verify", "convergence", "energy"], Verdict.FAIL)
+
+
+def test_muckenhoupt_fails_the_product_of_w_with_itself(monkeypatch):
+    # the (e, e) mutant: avg(w) * avg(w) in place of avg(w) * avg(1/w).
+    # Every constant it reports looks plausible (x^0.5 gives at most 1,
+    # x^-3 still diverges); only the Cauchy-Schwarz floor of 1 sees it.
+    assert muckenhoupt_study(n_balls=500, seed=7).verdict == Verdict.PASS
+    ball_integral = norms_mod._ball_integral
+
+    def same_sign(cx, cy, r, exponents):
+        # muckenhoupt_panel asks for (e, -e) per weight; integrate (e, e)
+        return ball_integral(cx, cy, r, tuple(e for e in exponents[::2] for _ in (0, 1)))
+
+    monkeypatch.setattr(norms_mod, "_ball_integral", same_sign)
+    assert muckenhoupt_study(n_balls=500, seed=7).verdict == Verdict.FAIL
