@@ -118,8 +118,9 @@ def stabilized_form_value(v: GridFunction, theta: float) -> float:
 
 
 def coercivity_delta(theta: float, mu: float) -> float:
-    """min{e**-theta, theta e**-theta / 8, theta e**-theta / (8 mu)}."""
-    return min(math.exp(-theta), theta * math.exp(-theta) / 8.0, theta * math.exp(-theta) / (8.0 * mu))
+    """min{e**-theta, theta e**-theta / 8, theta e**-theta / (8 mu)}; NaN
+    when mu is NaN."""
+    return float(np.min([math.exp(-theta), theta * math.exp(-theta) / 8.0, theta * math.exp(-theta) / (8.0 * mu)]))
 
 
 def coercivity_margin(v: GridFunction, theta: float, mu: float) -> float:
@@ -159,7 +160,9 @@ def coercivity_check(
         l2_sq = weighted_inner(v, v, 0.0)
         dx_sq = weighted_inner(dxv, dxv, 0.0)
         mu_samples.append(l2_sq / dx_sq)
-    mu_h = SAFETY * max(mu_samples)
+    # np.max and np.min keep a NaN, where Python's max and min drop one
+    # that is not first
+    mu_h = SAFETY * float(np.max(mu_samples))
     delta_h = coercivity_delta(theta, mu_h)
     margins = [coercivity_margin(v, theta, mu_h) for v in vs]
     # a NaN margin certifies nothing, so it counts as a violation
@@ -169,7 +172,7 @@ def coercivity_check(
         metrics={
             "mu_h": [mu_h],
             "delta_h": [delta_h],
-            "min_margin": [min(margins)],
+            "min_margin": [float(np.min(margins))],
             "mean_margin": [float(np.mean(margins))],
             "violations": [float(violations)],
         },
@@ -289,7 +292,8 @@ def embedding_study(
         grid = build_grid(level, level, alpha)
         us = [bump_from_parameters(grid, p) for p in params]
         for name, q in zip(names, q_values):
-            series[name].append(max(embedding_ratio(u, q) for u in us))
+            # np.max keeps a NaN ratio, where Python's max would drop it
+            series[name].append(float(np.max([embedding_ratio(u, q) for u in us])))
     ok = all(s[-1] <= GROWTH_CAP * s[0] for s in series.values())
     return StudyResult(
         levels=levels,

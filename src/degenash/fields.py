@@ -10,7 +10,8 @@ from .grid import Grid, GridFunction
 
 
 # named_field's kinds, each a function of the node coordinates and alpha,
-# sampled on the open grid (GridFunction.from_callable).
+# sampled on the open grid (GridFunction.from_callable).  Each returns a
+# fresh array, which named_field scales in place.
 _FIELDS = {
     "zero": lambda X, Y, alpha: 0.0 * X,
     "one": lambda X, Y, alpha: np.ones_like(X),
@@ -37,7 +38,15 @@ def named_field(grid: Grid, kind: str, amplitude: float = 1.0) -> GridFunction:
     """
     if kind not in _FIELDS:
         raise ValueError(f"unknown field kind {kind!r}; known: {sorted(_FIELDS)}")
-    return float(amplitude) * GridFunction.from_callable(grid, functools.partial(_FIELDS[kind], alpha=grid.alpha))
+    field, scale = _FIELDS[kind], float(amplitude)
+
+    def scaled(X, Y):
+        # the bits of the scaled unit field, in one GridFunction
+        values = field(X, Y, grid.alpha)
+        values *= scale
+        return values
+
+    return GridFunction.from_callable(grid, scaled)
 
 
 def manufactured_pair(grid: Grid, kind: str = "sinsin") -> tuple[GridFunction, GridFunction]:
@@ -108,6 +117,16 @@ def bump_from_parameters(grid: Grid, params: dict) -> GridFunction:
     The open grid and the window are computed once per grid."""
     x, y, window = _bump_frame(grid)
     out = np.zeros(window.shape)
+    # each Gaussian a * exp(-(dx**2 + dy**2) / (2 s s)) is formed in one
+    # term buffer, in the order of the formula
+    term = np.empty(window.shape)
     for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
-        out += a * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * s * s))
-    return GridFunction(grid, out * window)
+        np.copyto(term, (x - cx) ** 2)
+        term += (y - cy) ** 2
+        np.negative(term, out=term)
+        term /= 2 * s * s
+        np.exp(term, out=term)
+        term *= a
+        out += term
+    out *= window
+    return GridFunction(grid, out)

@@ -7,12 +7,15 @@ all quadrature is midpoint-in-cell so the weight is never evaluated at x=0.
 
 The x-part hx*hy * xc**exponent of the quadrature weights is computed once
 per (grid, exponent) and handed out as a read-only array; a self-pairing
-weighted_inner(u, u, ...) interpolates u once.
+weighted_inner(u, u, ...) interpolates u once.  Cell averages are formed
+in a flat row layout (_cell_sums) by contiguous passes that keep the bits
+of the plain four-corner formula.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -211,21 +214,56 @@ def rect_mask(grid: Grid, x0: float, x1: float, y0: float, y1: float) -> RegionM
     return RegionMask(grid, (inside_x[:, None] & inside_y[None, :]).reshape(grid.n))
 
 
+def _cell_sums(u: GridFunction) -> np.ndarray:
+    """Cell averages of u in the flat row layout, in a fresh array.
+
+    Cell (i, j) sits at flat index i*(ny+2) + j: rows of width ny+2, whose
+    last entry is a spare 0.0 (_cells drops it).  The nodal values are
+    copied once into a zero buffer in the same layout, padded by the
+    implicit zero boundary and one trailing zero, so the four corners of
+    every cell are the buffer shifted by 0, ny+2, 1 and ny+3 entries.
+    The sum ((a + b) + c) + d and the scale by 0.25 are contiguous 1-D
+    passes with the order of 0.25 * (a + b + c + d), so every average
+    keeps its bits.  The caller owns the result and may work in place on
+    it.
+    """
+    g = u.grid
+    width = g.ny + 2
+    size = (g.nx + 1) * width
+    buf = np.zeros(size + width + 1)
+    buf[width:size].reshape(g.nx, width)[:, 1:-1] = u.values2d()
+    out = buf[:size] + buf[width : width + size]
+    out += buf[1 : size + 1]
+    out += buf[width + 1 :]
+    out *= 0.25
+    return out
+
+
+def _cells(flat: np.ndarray, grid: Grid) -> np.ndarray:
+    """The (nx+1, ny+1) cell view of a flat row-layout array."""
+    return flat.reshape(grid.nx + 1, grid.ny + 2)[:, :-1]
+
+
+def _quadrature(w: np.ndarray, flat: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.float64:
+    """np.sum(w * cells) of the cells of a flat row-layout array.
+
+    The product goes into one C-contiguous (nx+1, ny+1) array, out when
+    given (a fresh weight array may be its own), so numpy's pairwise sum
+    sees the same array as in np.sum(w * cells); ndarray.sum is that sum
+    without np.sum's dispatch.
+    """
+    if out is None:
+        out = np.empty((grid.nx + 1, grid.ny + 1))
+    return np.multiply(w, _cells(flat, grid), out=out).sum()
+
+
 def cell_averages(u: GridFunction) -> np.ndarray:
     """Bilinear interpolant of u at all cell centers, shape (nx+1, ny+1).
 
     Equals the mean of the four cell-corner nodal values, with the
     implicit zero boundary supplying the outer corners.
     """
-    g = u.grid
-    padded = np.zeros((g.nx + 2, g.ny + 2))
-    padded[1:-1, 1:-1] = u.values2d()
-    # same left-to-right sum as 0.25 * (a + b + c + d), in one output array
-    out = padded[:-1, :-1] + padded[1:, :-1]
-    out += padded[:-1, 1:]
-    out += padded[1:, 1:]
-    out *= 0.25
-    return out
+    return _cells(_cell_sums(u), u.grid)
 
 
 @functools.lru_cache(maxsize=32)
@@ -241,10 +279,17 @@ def cell_weights(grid: Grid, exponent: float, y_weight=None) -> np.ndarray:
 
     Without y_weight the result is a read-only view shared by every caller
     with the same grid and exponent; with y_weight it is a fresh array.
+    A non-finite exponent, or a y_weight that is not finite at every cell
+    centre, raises ValueError.
     """
+    if not math.isfinite(exponent):
+        raise ValueError(f"exponent must be finite, got {exponent}")
     w = _x_weights(grid, exponent)
     if y_weight is not None:
-        return w * np.asarray(y_weight(grid.yc))[None, :]
+        yw = np.asarray(y_weight(grid.yc))
+        if not np.all(np.isfinite(yw)):
+            raise ValueError("y_weight must be finite at every cell centre")
+        return w * yw[None, :]
     return w
 
 
@@ -259,13 +304,17 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, y_weight=N
     the singular column correctly; with exponent <= -1 the value is still
     defined but the underlying integral may diverge, and a
     DegenerateWeightWarning is emitted whenever the integrand carries
-    mass in the first cell column.
+    mass in the first cell column.  A non-finite exponent or y_weight
+    raises ValueError (cell_weights).
     """
     u._check_same_grid(v)
     g = u.grid
-    ub = cell_averages(u)
-    vb = ub if v is u else cell_averages(v)
-    if exponent <= -1.0 and np.any(ub[0, :] * vb[0, :] != 0.0):
+    w = cell_weights(g, exponent, y_weight)
+    # ub * vb first, in ub's own buffer: elementwise products commute
+    # exactly, so the pairing is symmetric to the last bit
+    prod = _cell_sums(u)
+    prod *= prod if v is u else _cell_sums(v)
+    if exponent <= -1.0 and np.any(_cells(prod, g)[0] != 0.0):
         warnings.warn(
             f"x**({exponent}) is not integrable at x=0 and the integrand is "
             "nonzero in the first cell column; the quadrature value does not "
@@ -273,7 +322,4 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, y_weight=N
             DegenerateWeightWarning,
             stacklevel=2,
         )
-    w = cell_weights(g, exponent, y_weight)
-    # (ub * vb) first: elementwise products commute exactly, so the
-    # pairing is symmetric to the last bit
-    return float(np.sum(w * (ub * vb)))
+    return float(_quadrature(w, prod, g, out=w if y_weight is not None else None))

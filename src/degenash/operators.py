@@ -84,28 +84,35 @@ class SparseOperator:
         return GridFunction(self.grid, self._apply(u.values))
 
     def _apply(self, values: np.ndarray) -> np.ndarray:
-        """A u for a flat array of nx*ny node values."""
+        """A u for a flat array of nx*ny node values, in a fresh array."""
         g = self.grid
+        ny = g.ny
         # each coefficient is the value the assembled matrix stores: a
         # sparse matrix divided by a scalar h is multiplied by 1/h, and
         # kron multiplies x**alpha into the y-difference entries
         x_step = 1 / (2.0 * g.hx * g.hx)
         y_step = 1 / g.hy
         c = (g.x**g.alpha)[:, None]
-        # (coefficient, neighbour's slice of u, receiving slice of A u) in
-        # the matrix's row order: west, south, centre, east
-        terms = [
-            (-1.0 * x_step, np.s_[:-1], np.s_[1:]),
-            (c * (-1.0 * y_step), np.s_[:, :-1], np.s_[:, 1:]),
-            (2.0 * x_step + c * y_step, np.s_[:], np.s_[:]),
-            (-1.0 * x_step, np.s_[1:], np.s_[:-1]),
-        ]
-        u = values.reshape(g.nx, g.ny)
-        out = np.zeros_like(u)
-        term = np.empty_like(u)
-        for coeff, neighbour, row in terms:
-            np.multiply(coeff, u[neighbour], out=term[row])
-            out[row] += term[row]
+        u = values.reshape(g.n)
+        out = np.empty(g.n)
+        term = np.empty(g.n)
+        rows = term.reshape(g.nx, ny)
+        # the matrix's row order, west, south, centre, east, each term a
+        # flat pass added to out; the matrix product sums from 0.0, which
+        # the last pass adds (it turns a -0.0 sum into +0.0, and leaves
+        # every other sum as it is)
+        out[:ny] = 0.0
+        np.multiply(-1.0 * x_step, u[:-ny], out=out[ny:])
+        # node k's south term is term[k-1]; a row's first node has none,
+        # and takes the previous row's last entry, -0.0: x + -0.0 is x
+        np.multiply(c * (-1.0 * y_step), u.reshape(g.nx, ny), out=rows)
+        rows[:, -1] = -0.0
+        out[1:] += term[:-1]
+        np.multiply(2.0 * x_step + c * y_step, u.reshape(g.nx, ny), out=rows)
+        out += term
+        np.multiply(-1.0 * x_step, u[ny:], out=term[:-ny])
+        out[:-ny] += term[:-ny]
+        out += 0.0
         return out.reshape(values.shape)
 
     @functools.cached_property
@@ -282,10 +289,15 @@ def solve_dirichlet(
     rows[:first] = 0.0
     _YMarch(op.grid).march(rows[first:])
     u = rows.T.reshape(op.grid.n)
+    del rows  # u is a copy in the grid's C order
     # a residual that overflows is inf or NaN, which fails the check below
     with np.errstate(over="ignore", invalid="ignore"):
         scale = max(1.0, euclidean_norm(rhs))
-        residual = euclidean_norm(op._apply(u) - rhs)
+        # euclidean_norm(A u - rhs), subtracted and squared in A u's own array
+        r = op._apply(u)
+        r -= rhs
+        r *= r
+        residual = math.sqrt(float(np.sum(r)))
     if not (math.isfinite(residual) and residual <= tol * scale):
         raise SolverError("solve did not meet the residual tolerance", residual)
     report = SolveReport(residual_norm=residual, iterations=0, wall_time=time.perf_counter() - start)
@@ -304,21 +316,32 @@ def solve_dirichlet(
 
 
 def _diff_along(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Differences of a 2-D array along axis 0 or 1."""
-    v = values if axis == 0 else values.T
-    out = np.empty_like(v)
-    if v.shape[0] < 2:
+    """Differences of a 2-D array along axis 0 or 1, in a C-contiguous array.
+
+    The centered differences are one flat pass over the C-order values,
+    shifted by a row (axis 0) or by one entry (axis 1), written into out
+    and divided there: the same operations as (a - b) / h, with no
+    temporaries.  Along axis 1 the pass also writes the first and last
+    column of every row, from entries of the neighbouring rows; the
+    one-sided differences then overwrite both edges.
+    """
+    if values.shape[axis] < 2:
         raise ValueError("need at least 2 nodes along the differenced axis")
-    # each difference is written into out and divided there: the same
-    # operations as (a - b) / h, with no temporaries
-    for rows, ahead, behind, step in (
-        (out[1:-1], v[2:], v[:-2], 2.0 * h),
-        (out[0], v[1], v[0], h),
-        (out[-1], v[-1], v[-2], h),
-    ):
-        np.subtract(ahead, behind, out=rows)
-        rows /= step
-    return out if axis == 0 else out.T
+    shift = values.shape[1] if axis == 0 else 1
+    flat = values.reshape(-1)
+    out = np.empty(values.shape)
+    inner = out.reshape(-1)[shift:-shift]
+    # an overflow in an edge entry of the pass is overwritten below, and
+    # one elsewhere is an inf that GridFunction rejects: the pass warns of
+    # neither
+    with np.errstate(over="ignore"):
+        np.subtract(flat[2 * shift :], flat[: -2 * shift], out=inner)
+    inner /= 2.0 * h
+    v, edges = (values, out) if axis == 0 else (values.T, out.T)
+    for edge, ahead, behind in ((edges[0], v[1], v[0]), (edges[-1], v[-1], v[-2])):
+        np.subtract(ahead, behind, out=edge)
+        edge /= h
+    return out
 
 
 def dx(u: GridFunction) -> GridFunction:

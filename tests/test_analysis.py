@@ -115,6 +115,37 @@ class TestCoercivity:
         assert r.metrics["violations"] == [4.0]
         assert r.verdict is Verdict.FAIL
 
+    def test_nan_at_a_later_position_is_kept(self, monkeypatch):
+        # Python's min and max drop a NaN that is not first
+        import degenash.analysis as analysis
+
+        margins = iter([1.0, math.nan, 2.0])
+        monkeypatch.setattr(analysis, "coercivity_margin", lambda v, theta, mu: next(margins))
+        r = coercivity_check(1.0, 3, seed=2, nx=12, ny=12)
+        assert math.isnan(r.metrics["min_margin"][0])
+        assert r.verdict is Verdict.FAIL
+
+    def test_nan_poincare_sample_is_kept_and_fails(self, monkeypatch):
+        # the second sample's ||v||^2 is NaN, so its ratio is NaN
+        import degenash.analysis as analysis
+
+        calls = []
+        inner = analysis.weighted_inner
+
+        def nan_third(*args, **kwargs):
+            calls.append(1)
+            return math.nan if len(calls) == 3 else inner(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "weighted_inner", nan_third)
+        r = coercivity_check(1.0, 3, seed=2, nx=12, ny=12)
+        assert math.isnan(r.samples["mu_sample"][1]) and math.isfinite(r.samples["mu_sample"][0])
+        assert math.isnan(r.metrics["mu_h"][0]) and math.isnan(r.metrics["delta_h"][0])
+        assert r.verdict is Verdict.FAIL
+
+    def test_delta_keeps_a_nan_mu(self):
+        assert math.isnan(coercivity_delta(1.0, math.nan))
+        assert coercivity_delta(1.0, 0.1) == min(math.exp(-1.0), math.exp(-1.0) / 8.0, math.exp(-1.0) / 0.8)
+
     def test_golden_min_margin(self):
         r = coercivity_check(1.0, 20, seed=2, nx=24, ny=24)
         assert r.metrics["min_margin"] == [0.18998597104966225]
@@ -220,6 +251,21 @@ class TestEmbeddingStudy:
         monkeypatch.setattr(analysis, "bump_parameter_sets", lambda *args: pytest.fail("sampled bumps"))
         with pytest.raises(ValueError, match="q_values"):
             embedding_study(levels=(8, 16), q_values=q_values, n_samples=4)
+
+    def test_nan_ratio_at_a_later_position_is_kept(self, monkeypatch):
+        import degenash.analysis as analysis
+
+        ratio = analysis.embedding_ratio
+        calls = []
+
+        def nan_second(u, q):
+            calls.append(1)
+            return math.nan if len(calls) == 2 else ratio(u, q)
+
+        monkeypatch.setattr(analysis, "embedding_ratio", nan_second)
+        r = embedding_study(levels=(8, 16), q_values=(2.0,), n_samples=3, seed=1)
+        assert math.isnan(r.metrics["max_ratio_q2"][0]) and math.isfinite(r.metrics["max_ratio_q2"][1])
+        assert r.verdict is Verdict.FAIL
 
     def test_ratios_positive(self):
         r = embedding_study(levels=(16, 32), n_samples=5, seed=1)

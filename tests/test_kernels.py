@@ -1,0 +1,244 @@
+"""The flat in-place kernels against the plain formulas they replaced, bit
+for bit, and their peak allocation.
+
+Each reference below is the formula the kernel computed before it worked
+in place on flat buffers, written out with numpy's plain operators; the
+kernels must reproduce it to the last bit, -0.0 included.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import degenash.grid as grid
+from degenash.fields import _FIELDS, FIELD_KINDS, bump_from_parameters, bump_parameter_sets, named_field
+from degenash.grid import GridFunction, build_grid, cell_averages, cell_weights, weighted_inner
+from degenash.norms import lq_norm, norms_of
+from degenash.operators import assemble, dy, solve_dirichlet
+from test_grid import SHAPES
+
+KERNEL_SHAPES = SHAPES + [(2, 2), (2, 9), (9, 2)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def signed_zero_field(g, seed):
+    """Random values with an exact +0.0 row, a -0.0 column and scattered
+    -0.0 entries."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((g.nx, g.ny))
+    v[rng.random((g.nx, g.ny)) < 0.2] = -0.0
+    v[rng.integers(g.nx), :] = 0.0
+    v[:, rng.integers(g.ny)] = -0.0
+    return GridFunction(g, v)
+
+
+def ref_averages(u):
+    g = u.grid
+    padded = np.zeros((g.nx + 2, g.ny + 2))
+    padded[1:-1, 1:-1] = u.values2d()
+    return 0.25 * (padded[:-1, :-1] + padded[1:, :-1] + padded[:-1, 1:] + padded[1:, 1:])
+
+
+def ref_weights(g, exponent, y_weight=None):
+    w = np.broadcast_to(g.hx * g.hy * np.power(g.xc, exponent)[:, None], (g.nx + 1, g.ny + 1))
+    return w if y_weight is None else w * np.asarray(y_weight(g.yc))[None, :]
+
+
+def ref_inner(u, v, exponent, y_weight=None):
+    return float(np.sum(ref_weights(u.grid, exponent, y_weight) * (ref_averages(u) * ref_averages(v))))
+
+
+def ref_dy(u):
+    v, h = u.values2d(), u.grid.hy
+    out = np.empty_like(v)
+    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * h)
+    out[:, 0] = (v[:, 1] - v[:, 0]) / h
+    out[:, -1] = (v[:, -1] - v[:, -2]) / h
+    return out.reshape(u.grid.n)
+
+
+def ref_apply(g, values):
+    """The 5-point stencil summed from 0.0 in the matrix's row order."""
+    x_step, y_step = 1 / (2.0 * g.hx * g.hx), 1 / g.hy
+    c = (g.x**g.alpha)[:, None]
+    u = values.reshape(g.nx, g.ny)
+    out = np.zeros_like(u)
+    out[1:] += -1.0 * x_step * u[:-1]
+    out[:, 1:] += c * (-1.0 * y_step) * u[:, :-1]
+    out += (2.0 * x_step + c * y_step) * u
+    out[:-1] += -1.0 * x_step * u[1:]
+    return out.reshape(g.n)
+
+
+class TestBitForBit:
+    @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
+    @pytest.mark.parametrize("exponent", [-0.5, 0.0, 0.5])
+    def test_weighted_inner(self, nx, ny, exponent):
+        g = build_grid(nx, ny, 0.5)
+        u, v = signed_zero_field(g, nx), signed_zero_field(g, ny + 100)
+        yw = lambda y: np.exp(-1.5 * y)
+        assert _bits(cell_averages(u)) == _bits(ref_averages(u))
+        assert weighted_inner(u, u, exponent) == ref_inner(u, u, exponent)
+        assert weighted_inner(u, v, exponent) == ref_inner(u, v, exponent)
+        assert weighted_inner(u, v, exponent, yw) == ref_inner(u, v, exponent, yw)
+        assert weighted_inner(u, u, exponent, yw) == ref_inner(u, u, exponent, yw)
+
+    @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
+    @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 4.0])
+    def test_lq_norm(self, nx, ny, q):
+        g = build_grid(nx, ny, 0.5)
+        u = signed_zero_field(g, nx * ny)
+        ref = float(np.sum(ref_weights(g, 0.0) * np.abs(ref_averages(u)) ** q) ** (1.0 / q))
+        assert lq_norm(u, q) == ref
+
+    @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
+    def test_dy(self, nx, ny):
+        g = build_grid(nx, ny, 0.5)
+        u = signed_zero_field(g, nx + 7 * ny)
+        assert _bits(dy(u).values) == _bits(ref_dy(u))
+
+    @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_apply(self, nx, ny, alpha):
+        g = build_grid(nx, ny, alpha)
+        op = assemble(g)
+        for u in (signed_zero_field(g, nx * ny + 1), GridFunction(g, np.full(g.n, -0.0)), GridFunction.zeros(g)):
+            got = op.apply(u).values
+            assert _bits(got) == _bits(ref_apply(g, u.values))
+            assert _bits(got) == _bits(op.matrix @ u.values)
+
+    @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
+    def test_solve_dirichlet_residual(self, nx, ny):
+        g = build_grid(nx, ny, 0.5)
+        op = assemble(g)
+        f = signed_zero_field(g, 3 * nx + ny)
+        u, report = solve_dirichlet(op, f)
+        r = ref_apply(g, u.values) - f.values
+        assert report.residual_norm == math.sqrt(float(np.sum(r * r)))
+
+    @pytest.mark.parametrize("kind", FIELD_KINDS)
+    @pytest.mark.parametrize("amplitude", [-0.7, 0.0, -0.0])
+    def test_named_field_builds_one_gridfunction(self, kind, amplitude, monkeypatch):
+        g = build_grid(9, 7, 0.5)
+        unit = GridFunction.from_callable(g, lambda X, Y: _FIELDS[kind](X, Y, g.alpha))
+        built = []
+        post_init = GridFunction.__post_init__
+        monkeypatch.setattr(GridFunction, "__post_init__", lambda self: built.append(1) or post_init(self))
+        got = named_field(g, kind, amplitude)
+        assert len(built) == 1
+        assert _bits(got.values) == _bits(unit.values * float(amplitude))
+
+
+class TestRejectsNonFiniteWeights:
+    @pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+    def test_exponent(self, exponent):
+        g = build_grid(8, 8, 0.5)
+        one = GridFunction(g, np.ones(g.n))
+        with pytest.raises(ValueError, match="exponent"):
+            weighted_inner(one, one, exponent)
+        with pytest.raises(ValueError, match="exponent"):
+            cell_weights(g, exponent)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_y_weight(self, bad):
+        g = build_grid(8, 8, 0.5)
+        one = GridFunction(g, np.ones(g.n))
+
+        def yw(y):
+            out = np.exp(-y)
+            out[3] = bad
+            return out
+
+        with pytest.raises(ValueError, match="y_weight"):
+            weighted_inner(one, one, 0.5, yw)
+        with pytest.raises(ValueError, match="y_weight"):
+            cell_weights(g, 0.5, yw)
+
+
+# Peak traced allocation at 128^2 of the kernels before they worked in
+# place, in arrays of (nx+1)(ny+1) cells or of nx*ny nodes (8 bytes each),
+# rounded down to two decimals so that the old kernels fail the bound.
+PARENT_PEAKS_IN_CELLS = {
+    "cell_averages": 3.00,
+    "self_pairing": 3.49,
+    "pairing": 4.49,
+    "y_weighted": 5.00,
+    "lq_norm_q3": 3.49,
+    "norms_of": 5.47,
+}
+PARENT_PEAKS_IN_NODES = {
+    "dy": 2.51,
+    "apply": 3.53,
+    "solve_dirichlet": 5.53,
+    "bump": 3.02,
+    "named_field": 2.13,
+}
+
+
+def peak_bytes(fn):
+    """Peak traced allocation of fn(), after a first call fills the
+    per-grid caches."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def at_128():
+    g = build_grid(128, 128, 0.5)
+    rng = np.random.default_rng(0)
+    u, v = (GridFunction(g, rng.standard_normal(g.n)) for _ in range(2))
+    return g, u, v
+
+
+class TestPeakAllocation:
+    @pytest.mark.parametrize("name", PARENT_PEAKS_IN_CELLS)
+    def test_quadrature_kernels(self, name, at_128):
+        g, u, v = at_128
+        yw = lambda y: np.exp(-y)
+        fn = {
+            "cell_averages": lambda: cell_averages(u),
+            "self_pairing": lambda: weighted_inner(u, u, 0.5),
+            "pairing": lambda: weighted_inner(u, v, 0.5),
+            "y_weighted": lambda: weighted_inner(u, v, 0.5, yw),
+            "lq_norm_q3": lambda: lq_norm(u, 3.0),
+            "norms_of": lambda: norms_of(u),
+        }[name]
+        assert peak_bytes(fn) / (8 * (g.nx + 1) * (g.ny + 1)) < PARENT_PEAKS_IN_CELLS[name]
+
+    @pytest.mark.parametrize("name", PARENT_PEAKS_IN_NODES)
+    def test_nodal_kernels(self, name, at_128):
+        g, u, _ = at_128
+        op = assemble(g)
+        f = named_field(g, "sinsin")
+        params = bump_parameter_sets(1, seed=3)[0]
+        fn = {
+            "dy": lambda: dy(u),
+            "apply": lambda: op.apply(u),
+            "solve_dirichlet": lambda: solve_dirichlet(op, f),
+            "bump": lambda: bump_from_parameters(g, params),
+            "named_field": lambda: named_field(g, "sinsin", -0.7),
+        }[name]
+        assert peak_bytes(fn) / (8 * g.n) < PARENT_PEAKS_IN_NODES[name]
+
+
+def test_cell_sums_keep_a_zero_spare_entry_per_row():
+    g = build_grid(5, 4, 0.5)
+    flat = grid._cell_sums(signed_zero_field(g, 1))
+    rows = flat.reshape(g.nx + 1, g.ny + 2)
+    assert flat.flags.c_contiguous and flat.size == (g.nx + 1) * (g.ny + 2)
+    assert _bits(rows[:, -1]) == _bits(np.zeros(g.nx + 1))
