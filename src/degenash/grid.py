@@ -279,14 +279,20 @@ def cell_weights(grid: Grid, exponent: float, y_weight=None) -> np.ndarray:
 
     Without y_weight the result is a read-only view shared by every caller
     with the same grid and exponent; with y_weight it is a fresh array.
-    A non-finite exponent, or a y_weight that is not finite at every cell
-    centre, raises ValueError.
+    y_weight's result must broadcast to (ny+1,), so a constant will do.
+    A non-finite exponent, a y_weight result that does not broadcast, or
+    one that is not finite at every cell centre, raises ValueError.
     """
     if not math.isfinite(exponent):
         raise ValueError(f"exponent must be finite, got {exponent}")
     w = _x_weights(grid, exponent)
     if y_weight is not None:
         yw = np.asarray(y_weight(grid.yc))
+        shape = grid.yc.shape
+        try:
+            yw = np.broadcast_to(yw, shape)
+        except ValueError:
+            raise ValueError(f"y_weight returned shape {yw.shape}, which does not broadcast to {shape}") from None
         if not np.all(np.isfinite(yw)):
             raise ValueError("y_weight must be finite at every cell centre")
         return w * yw[None, :]

@@ -52,7 +52,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import Grid, GridFunction, weighted_inner
 
-# The residual contract of solve_dirichlet: ||A u - f|| <= RESIDUAL_TOL * max(1, ||f||).
+# The residual contract (_check_residual): ||A u - f|| <= RESIDUAL_TOL * max(1, ||f||).
 RESIDUAL_TOL = 1e-10
 
 
@@ -150,108 +150,94 @@ def assemble(grid: Grid) -> SparseOperator:
     return SparseOperator(grid=grid)
 
 
-class _YMarch:
-    """The operator factored as the implicit-Euler march in y.
+def _factor(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factored y-march: the coupling x**alpha / h_y and T's dpttrf factors."""
+    c = grid.x**grid.alpha / grid.hy
+    d, e, info = dpttrf(1.0 / grid.hx**2 + c, np.full(grid.nx - 1, -0.5 / grid.hx**2))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")
+    return c, d, e
 
-    march(rows, before) solves march-order rows in place; it keeps
+
+def _march(factors: tuple, rows: np.ndarray, before: np.ndarray | None = None) -> None:
+    """Solve C-contiguous march-order rows (k, nx) in place over _factor's factors.
+
+    Each row holds its right-hand side and is overwritten by its
+    solution.  before is the solved row just below rows[0] in march
+    order; None, like a zero row, couples nothing into rows[0].  Keeps
     nothing, which is all a one-shot solve needs (solve_dirichlet).
-    solve(rhs, trans, last_row) takes one right-hand side of length nx*ny
-    and a bound on the rows the caller reads, and marches through a
-    store that repeated solves share (DirichletSolver).
-
-    Keeps the last right-hand side and its solution per direction, and
-    marches from the first row whose right-hand side differs (!=) from
-    the kept one or that the kept solution does not hold, whichever is
-    earlier; the rows before it are copied, so a repeated or partly
-    repeated solve returns the same bits as a fresh one.  The store starts
-    as the zero right-hand side with the zero solution, so a first solve
-    marches from its first nonzero row.  Every solve mutates the store:
-    not reentrant.
     """
-
-    def __init__(self, grid: Grid):
-        self._shape = (grid.nx, grid.ny)
-        self._c = grid.x**grid.alpha / grid.hy
-        e = np.full(grid.nx - 1, -0.5 / grid.hx**2)
-        self._d, self._e, info = dpttrf(1.0 / grid.hx**2 + self._c, e)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")
-        # trans -> (rhs as (nx, ny), solution rows in march order as a
-        # C-contiguous (ny, nx), count of leading march-order rows it holds)
-        self._last: dict[str, tuple] = {}
-
-    def solve(self, rhs: np.ndarray, trans: str = "N", last_row: int | None = None) -> np.ndarray:
-        """A^-1 rhs (trans "N") or A^-T rhs (trans "T").
-
-        A marches up from y = 0, A^T down from y = 1.  last_row is the last
-        y-row in march order that the caller reads (it reads j <= last_row
-        of A^-1 rhs, j >= last_row of A^-T rhs): the march stops after it,
-        and the rows it would reach later are returned as zero.
-        """
-        nx, ny = self._shape
-        if rhs.shape != (nx * ny,):
-            raise ValueError(f"right-hand side has shape {rhs.shape}, operator takes one of shape ({nx * ny},)")
-        if last_row is not None and not 0 <= last_row < ny:
-            raise ValueError(f"last_row must be a y-row index in [0, {ny}), got {last_row}")
-        new = rhs.reshape(nx, ny)
-        order = np.s_[:] if trans == "N" else np.s_[::-1]
-        kept, solution, held = self._last.get(trans) or (np.zeros((nx, ny)), np.zeros((ny, nx)), ny)
-        differs = (new != kept).any(axis=0)[order]
-        start = min(int(differs.argmax()) if differs.any() else ny, held)
-        stop = ny if last_row is None else (last_row + 1 if trans == "N" else ny - last_row)
-        np.copyto(kept, new)
-        if start < stop:
-            solution[start:stop] = new.T[order][start:stop]
-            self.march(solution[start:stop], solution[start - 1] if start > 0 else None)
-        self._last[trans] = (kept, solution, max(start, stop))
-        out = np.zeros((nx, ny))
-        out.T[order][:stop] = solution[:stop]
-        return out.ravel()
-
-    def march(self, rows: np.ndarray, before: np.ndarray | None = None) -> None:
-        """Solve C-contiguous march-order rows (k, nx) in place.
-
-        Each row holds its right-hand side and is overwritten by its
-        solution.  before is the solved row just below rows[0] in march
-        order; None, like a zero row, couples nothing into rows[0].
-        """
-        if len(rows) == 0:
-            return
-        coupling = np.empty(self._shape[0])
-        if before is not None and before.any():
-            np.multiply(self._c, before, coupling)
-            np.add(rows[0], coupling, rows[0])
-        dpttrs(self._d, self._e, rows[0], 1)
-        for prev, row in zip(rows, rows[1:]):
-            np.multiply(self._c, prev, coupling)
-            np.add(row, coupling, row)
-            dpttrs(self._d, self._e, row, 1)
+    if len(rows) == 0:
+        return
+    c, d, e = factors
+    coupling = np.empty(len(c))
+    if before is not None and before.any():
+        np.multiply(c, before, coupling)
+        np.add(rows[0], coupling, rows[0])
+    dpttrs(d, e, rows[0], 1)
+    for prev, row in zip(rows, rows[1:]):
+        np.multiply(c, prev, coupling)
+        np.add(row, coupling, row)
+        dpttrs(d, e, row, 1)
 
 
 class DirichletSolver:
     """Factored operator for repeated forward and adjoint solves.
 
     The operator is factored as the implicit-Euler march in y (one
-    tridiagonal Cholesky factorization, O(nx*ny) per solve, no fill).
-    Forward and transpose (adjoint) solves share the factorization and
-    its store of the last solve per direction (see _YMarch), and take one
-    right-hand side of length nx*ny.  No residual check: solve_dirichlet
-    carries the contract.
+    tridiagonal Cholesky factorization, O(nx*ny) per solve, no fill), and
+    a solve takes one right-hand side of length nx*ny.  Forward and
+    adjoint solves share the factors; each direction keeps its last
+    right-hand side and solution, and marches from the first row whose
+    right-hand side differs (!=) from the kept one or that the kept
+    solution does not hold, whichever is earlier.  The rows before it are
+    copied, so a repeated or partly repeated solve returns the same bits
+    as a fresh one.  The store starts as the zero right-hand side with
+    the zero solution, so a first solve marches from its first nonzero
+    row.  Every solve mutates the store: not reentrant.  No residual
+    check: solve_dirichlet carries the contract.
     """
 
     def __init__(self, op: SparseOperator):
-        self._march = _YMarch(op.grid)
+        self._shape = (op.grid.nx, op.grid.ny)
+        self._factors = _factor(op.grid)
+        # adjoint -> (rhs as (nx, ny), solution rows in march order as a
+        # C-contiguous (ny, nx), count of leading march-order rows it holds)
+        self._last: dict[bool, tuple] = {}
 
     def solve(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:
-        """A^-1 rhs.  Given last_row, the caller reads only y-rows j <=
-        last_row: the march goes no further and returns zeros above it."""
-        return self._march.solve(np.asarray(rhs, dtype=float), last_row=last_row)
+        """A^-1 rhs, marched up from y = 0.  Given last_row, the caller reads
+        only y-rows j <= last_row: the march goes no further and returns
+        zeros above it."""
+        return self._solve(rhs, last_row, adjoint=False)
 
     def solve_adjoint(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:
-        """A^-T rhs.  Given last_row, the caller reads only y-rows j >=
-        last_row: the march, which goes down from y = 1, stops there and
-        returns zeros below it."""
-        return self._march.solve(np.asarray(rhs, dtype=float), trans="T", last_row=last_row)
+        """A^-T rhs, marched down from y = 1.  Given last_row, the caller
+        reads only y-rows j >= last_row: the march stops there and returns
+        zeros below it."""
+        return self._solve(rhs, last_row, adjoint=True)
+
+    def _solve(self, rhs: np.ndarray, last_row: int | None, adjoint: bool) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        nx, ny = self._shape
+        if rhs.shape != (nx * ny,):
+            raise ValueError(f"right-hand side has shape {rhs.shape}, operator takes one of shape ({nx * ny},)")
+        if last_row is not None and not 0 <= last_row < ny:
+            raise ValueError(f"last_row must be a y-row index in [0, {ny}), got {last_row}")
+        new = rhs.reshape(nx, ny)
+        order = np.s_[::-1] if adjoint else np.s_[:]
+        kept, solution, held = self._last.get(adjoint) or (np.zeros((nx, ny)), np.zeros((ny, nx)), ny)
+        differs = (new != kept).any(axis=0)[order]
+        start = min(int(differs.argmax()) if differs.any() else ny, held)
+        stop = ny if last_row is None else (ny - last_row if adjoint else last_row + 1)
+        np.copyto(kept, new)
+        if start < stop:
+            solution[start:stop] = new.T[order][start:stop]
+            _march(self._factors, solution[start:stop], solution[start - 1] if start > 0 else None)
+        self._last[adjoint] = (kept, solution, max(start, stop))
+        out = np.zeros((nx, ny))
+        out.T[order][:stop] = solution[:stop]
+        return out.ravel()
 
 
 def euclidean_norm(values: np.ndarray) -> float:
@@ -260,45 +246,54 @@ def euclidean_norm(values: np.ndarray) -> float:
     return math.sqrt(float(np.sum(values * values)))
 
 
+def _check_residual(
+    op: SparseOperator, u: np.ndarray, f: np.ndarray, tol: float = RESIDUAL_TOL
+) -> tuple[float, bool]:
+    """The residual contract: ||A u - f|| and whether it is finite and
+    <= tol * max(1, ||f||), for flat node values u and f.
+
+    A u comes from the stencil, so no check builds op.matrix.  A residual
+    that overflows (say, from an ||f|| that overflows) is inf or NaN, and
+    meets no contract.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(1.0, euclidean_norm(f))
+        # euclidean_norm(A u - f), subtracted and squared in A u's own array
+        r = op._apply(u)
+        r -= f
+        r *= r
+        residual = math.sqrt(float(np.sum(r)))
+    return residual, math.isfinite(residual) and residual <= tol * scale
+
+
 def solve_dirichlet(
     op: SparseOperator, f: GridFunction, tol: float = RESIDUAL_TOL
 ) -> tuple[GridFunction, SolveReport]:
     """Solve A u = f once, with a residual contract.
 
-    Factors op as the y-march DirichletSolver uses, copies f into
-    march-order rows and solves them in place (_YMarch.march), without the
-    store that repeated solves share; the bits are those of
-    DirichletSolver(op).solve(f.values).  Checks
-    ||A u - f|| <= tol * max(1, ||f||), with A u from the stencil
-    (op.apply), so no solve builds op.matrix.  Raises SolverError
-    carrying the achieved residual if the contract is not met; a residual
-    that is not finite (say, from an ||f|| that overflows) meets no
-    contract.  There is no refinement: the march's residual is the
-    stencil's round-off floor, and a refinement round does not lower it.
+    Factors op as DirichletSolver does, copies f into march-order rows and
+    solves them in place (_march), without the store that repeated solves
+    share; the bits are those of DirichletSolver(op).solve(f.values).
+    Raises SolverError carrying the achieved residual if u does not meet
+    the contract of _check_residual at tol.  There is no refinement: the
+    march's residual is the stencil's round-off floor, and a refinement
+    round does not lower it.
     """
     if f.grid != op.grid:
         raise ValueError("right-hand side lives on a different grid")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     start = time.perf_counter()
-    rhs = f.values
     rows = np.ascontiguousarray(f.values2d().T)
     # leading zero rows solve to +0.0 (a -0.0 there would stay -0.0), and
     # the first nonzero row couples nothing, as in a first store solve
     first = next((j for j, row in enumerate(rows) if row.any()), len(rows))
     rows[:first] = 0.0
-    _YMarch(op.grid).march(rows[first:])
+    _march(_factor(op.grid), rows[first:])
     u = rows.T.reshape(op.grid.n)
     del rows  # u is a copy in the grid's C order
-    # a residual that overflows is inf or NaN, which fails the check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = max(1.0, euclidean_norm(rhs))
-        # euclidean_norm(A u - rhs), subtracted and squared in A u's own array
-        r = op._apply(u)
-        r -= rhs
-        r *= r
-        residual = math.sqrt(float(np.sum(r)))
-    if not (math.isfinite(residual) and residual <= tol * scale):
+    residual, met = _check_residual(op, u, f.values, tol)
+    if not met:
         raise SolverError("solve did not meet the residual tolerance", residual)
     report = SolveReport(residual_norm=residual, iterations=0, wall_time=time.perf_counter() - start)
     return GridFunction(op.grid, u), report

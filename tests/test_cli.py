@@ -662,3 +662,14 @@ class TestScripts:
         assert "verdict=pass" in proc.stdout
         report = json.loads((tmp_path / "out" / "benchmark_game" / "report.json").read_text())
         assert report["verdict"] == "pass"
+
+    def test_all_studies_script_runs_from_source_checkout(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_studies.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 6 and all("verdict=pass" in line for line in lines), proc.stdout

@@ -313,13 +313,13 @@ class TestMarchReuse:
     @pytest.mark.parametrize("game", [{}, {"m1": 1e-4, "m2": 1e-4}, COUPLED], ids=["shipped", "active", "coupled"])
     def test_equilibrium_equals_fresh_full_marches(self, monkeypatch, game):
         reused = nash_solve(shipped_game(n=32, **game))
-        march = operators._YMarch.solve
+        solve = operators.DirichletSolver._solve
 
-        def fresh(self, rhs, trans="N", last_row=None):
+        def fresh(self, rhs, last_row, adjoint):
             self._last.clear()
-            return march(self, rhs, trans)
+            return solve(self, rhs, None, adjoint)
 
-        monkeypatch.setattr(operators._YMarch, "solve", fresh)
+        monkeypatch.setattr(operators.DirichletSolver, "_solve", fresh)
         assert _result_bits(reused) == _result_bits(nash_solve(shipped_game(n=32, **game)))
 
     @pytest.mark.parametrize("i", [1, 2])

@@ -7,6 +7,7 @@ kernels must reproduce it to the last bit, -0.0 included.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -158,6 +159,28 @@ class TestRejectsNonFiniteWeights:
             weighted_inner(one, one, 0.5, yw)
         with pytest.raises(ValueError, match="y_weight"):
             cell_weights(g, 0.5, yw)
+
+
+class TestYWeightShape:
+    # y_weight's result must broadcast to (ny+1,), as fn's result must
+    # broadcast to (nx, ny) in GridFunction.from_callable
+    @pytest.mark.parametrize("exponent", [0.0, 0.5])
+    def test_constant_weight_is_the_unweighted_pairing(self, exponent):
+        g = build_grid(9, 7, 0.5)
+        u, v = signed_zero_field(g, 1), signed_zero_field(g, 2)
+        for a, b in ((u, u), (u, v)):
+            assert repr(weighted_inner(a, b, exponent, y_weight=lambda y: 1.0)) == repr(weighted_inner(a, b, exponent))
+        assert _bits(cell_weights(g, exponent, lambda y: 1.0)) == _bits(cell_weights(g, exponent))
+
+    @pytest.mark.parametrize("length", [3, 7, 9])
+    def test_wrong_length_rejected(self, length):
+        g = build_grid(9, 7, 0.5)
+        one = GridFunction(g, np.ones(g.n))
+        names_both = re.escape(f"({length},)") + ".*" + re.escape("(8,)")
+        with pytest.raises(ValueError, match=names_both):
+            weighted_inner(one, one, 0.0, y_weight=lambda y: np.ones(length))
+        with pytest.raises(ValueError, match=names_both):
+            cell_weights(g, 0.0, lambda y: np.ones(length))
 
 
 # Peak traced allocation at 128^2 of the kernels before they worked in

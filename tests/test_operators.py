@@ -20,7 +20,6 @@ from degenash.operators import (
     DirichletSolver,
     SolverError,
     _diff_along,
-    _YMarch,
     assemble,
     dx,
     dy,
@@ -210,8 +209,8 @@ class TestSolve:
         u = GridFunction(small_grid, DirichletSolver(op).solve(f.values))
         floor = operators.euclidean_norm(op.apply(u).values - f.values)
         calls = []
-        original = _YMarch.march
-        monkeypatch.setattr(_YMarch, "march", lambda self, *args, **kw: calls.append(1) or original(self, *args, **kw))
+        original = operators._march
+        monkeypatch.setattr(operators, "_march", lambda *args, **kw: calls.append(1) or original(*args, **kw))
         with pytest.raises(SolverError) as err:
             solve_dirichlet(op, f, tol=1e-300)
         assert len(calls) == 1
@@ -242,13 +241,13 @@ def _assert_march_matches_superlu(op, rhs, last_row=None):
     solver = DirichletSolver(op)
     A = op.matrix.tocsc()
     shape = (op.grid.nx, op.grid.ny)
-    for trans, got, ref in (
-        ("N", solver.solve(rhs, last_row), spla.spsolve(A, rhs)),
-        ("T", solver.solve_adjoint(rhs, last_row), spla.spsolve(A.T.tocsc(), rhs)),
+    for adjoint, got, ref in (
+        (False, solver.solve(rhs, last_row), spla.spsolve(A, rhs)),
+        (True, solver.solve_adjoint(rhs, last_row), spla.spsolve(A.T.tocsc(), rhs)),
     ):
         assert got.shape == rhs.shape
         read = np.zeros(shape, dtype=bool)
-        read[:, _rows_read(trans, last_row)] = True
+        read[:, _rows_read(adjoint, last_row)] = True
         got, ref = got.reshape(shape), ref.reshape(shape)
         assert np.linalg.norm(got[read] - ref[read]) <= 1e-12 * np.linalg.norm(ref[read])
         assert np.all(got[~read] == 0.0)
@@ -315,16 +314,20 @@ class TestYMarch:
         # a solve takes one right-hand side; the error names the shape given
         rhs = np.ones((small_grid.n, columns))
         solver = DirichletSolver(assemble(small_grid))
-        for solve in (_YMarch(small_grid).solve, solver.solve, solver.solve_adjoint):
+        for solve in (solver.solve, solver.solve_adjoint):
             with pytest.raises(ValueError, match=re.escape(str(rhs.shape))):
                 solve(rhs)
 
 
-def _rows_read(trans, last_row):
+def _rows_read(adjoint, last_row):
     """The y-rows a solve with this bound holds, as a slice of axis 1."""
     if last_row is None:
         return np.s_[:]
-    return np.s_[: last_row + 1] if trans == "N" else np.s_[last_row:]
+    return np.s_[last_row:] if adjoint else np.s_[: last_row + 1]
+
+
+def _solve(solver, rhs, adjoint=False, last_row=None):
+    return (solver.solve_adjoint if adjoint else solver.solve)(rhs, last_row)
 
 
 class TestMarchReuse:
@@ -337,24 +340,24 @@ class TestMarchReuse:
         # from a random row on in march order (a change row of ny is an
         # exact repeat), and carries a random bound
         nx, ny = self.NX, self.NY
-        grid = build_grid(nx, ny, 0.5)
-        march = _YMarch(grid)
+        op = assemble(build_grid(nx, ny, 0.5))
+        solver = DirichletSolver(op)
         rng = np.random.default_rng(seed)
         last: dict = {}
         steps = data.draw(st.lists(st.tuples(
-            st.sampled_from("NT"), st.integers(0, ny),
+            st.booleans(), st.integers(0, ny),
             st.one_of(st.none(), st.integers(0, ny - 1)), st.booleans(),
         ), min_size=1, max_size=12))
-        for trans, change, last_row, zero in steps:
-            rhs = last.get(trans, np.zeros((nx, ny))).copy()
-            changed = np.s_[:, change:] if trans == "N" else np.s_[:, : ny - change]
+        for adjoint, change, last_row, zero in steps:
+            rhs = last.get(adjoint, np.zeros((nx, ny))).copy()
+            changed = np.s_[:, : ny - change] if adjoint else np.s_[:, change:]
             rhs[changed] = 0.0 if zero else rng.standard_normal(rhs[changed].shape)
-            last[trans] = rhs
+            last[adjoint] = rhs
             flat = rhs.ravel()
-            got = march.solve(flat, trans, last_row).reshape(nx, ny)
-            fresh = _YMarch(grid).solve(flat, trans, last_row).reshape(nx, ny)
-            full = _YMarch(grid).solve(flat, trans).reshape(nx, ny)
-            read = _rows_read(trans, last_row)
+            got = _solve(solver, flat, adjoint, last_row).reshape(nx, ny)
+            fresh = _solve(DirichletSolver(op), flat, adjoint, last_row).reshape(nx, ny)
+            full = _solve(DirichletSolver(op), flat, adjoint).reshape(nx, ny)
+            read = _rows_read(adjoint, last_row)
             assert np.array_equal(got, fresh)
             assert np.array_equal(got[:, read], full[:, read])
             unread = np.ones(ny, dtype=bool)
@@ -366,12 +369,12 @@ class TestMarchReuse:
         original = operators.dpttrs
         monkeypatch.setattr(operators, "dpttrs", lambda *args: calls.append(1) or original(*args))
         nx, ny = self.NX, self.NY
-        march = _YMarch(build_grid(nx, ny, 0.5))
+        solver = DirichletSolver(assemble(build_grid(nx, ny, 0.5)))
         rng = np.random.default_rng(4)
 
-        def marched(rhs, trans="N", last_row=None):
+        def marched(rhs, adjoint=False, last_row=None):
             calls.clear()
-            march.solve(rhs, trans, last_row)
+            _solve(solver, rhs, adjoint, last_row)
             return len(calls)
 
         assert marched(np.zeros(nx * ny)) == 0
@@ -382,11 +385,11 @@ class TestMarchReuse:
             rhs[:, k:] = rng.standard_normal((nx, ny - k))
             assert marched(rhs.ravel()) == ny - k
         # A^T marches down from y = 1: a change up to row k marches k + 1 rows
-        adjoint = rhs.copy()
-        assert marched(adjoint.ravel(), "T") == ny
-        adjoint[:, :5] = 0.0
-        assert marched(adjoint.ravel(), "T") == 5
-        assert marched(adjoint.ravel(), "T") == 0
+        down = rhs.copy()
+        assert marched(down.ravel(), True) == ny
+        down[:, :5] = 0.0
+        assert marched(down.ravel(), True) == 5
+        assert marched(down.ravel(), True) == 0
         # a bound stops the march; rows past it are marched when read
         rhs[:, 2:] = rng.standard_normal((nx, ny - 2))
         assert marched(rhs.ravel(), last_row=5) == 4

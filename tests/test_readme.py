@@ -8,6 +8,7 @@ import pytest
 
 import degenash.analysis as analysis
 import degenash.game as game
+import degenash.operators as operators
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -15,6 +16,7 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 CONSTANTS = {
     **dict.fromkeys(("BR_TOL", "BR_MAX_ITERS", "INNER_TOL", "INNER_MAX_ITERS", "DEVIATION_SAMPLES"), game),
     **dict.fromkeys(("RATIO_CAP", "SAFETY", "GROWTH_CAP", "ORDER_THRESHOLD"), analysis),
+    "RESIDUAL_TOL": operators,
 }
 
 

@@ -3,7 +3,10 @@ and the Muckenhoupt verdict must fail a wrong A_2 product.
 
 Each wrong solver replaces solve_dirichlet where the studies and the CLI
 look it up; the verify, convergence and energy verdicts must then all
-fail, and with the real solver all three must pass.
+fail, and with the real solver all three must pass.  Some wrong solvers
+are wrong in a way only one verdict can see: the convergence verdict
+must fail an error that appears under refinement, and the energy verdict
+must hold the u it got back to the solve's residual contract.
 """
 
 from pathlib import Path
@@ -15,6 +18,7 @@ import degenash.cli as cli_mod
 import degenash.norms as norms_mod
 from degenash.analysis import Verdict, convergence_study, energy_estimate_study, muckenhoupt_study
 from degenash.cli import parse_config, run
+from degenash.fields import manufactured_pair
 from degenash.grid import GridFunction, build_grid
 from degenash.operators import RESIDUAL_TOL, DirichletSolver, assemble, solve_dirichlet
 
@@ -66,6 +70,43 @@ def test_wrong_solver_fails_every_verdict(tmp_path, monkeypatch, solver):
     monkeypatch.setattr(analysis_mod, "solve_dirichlet", solver)
     monkeypatch.setattr(cli_mod, "solve_dirichlet", solver)
     assert verdicts(tmp_path) == dict.fromkeys(["verify", "convergence", "energy"], Verdict.FAIL)
+
+
+def exact_until_finest_solver(op, f, tol=RESIDUAL_TOL):
+    # exact at 8 and 16, the real solve at 32: the L2 errors are [0, 0, 9.2e-3]
+    u, report = solve_dirichlet(op, f, tol)
+    return (manufactured_pair(op.grid)[0] if op.grid.nx < 32 else u), report
+
+
+def overflowing_finest_solver(op, f, tol=RESIDUAL_TOL):
+    # the L2 error at 32 overflows to inf
+    u, report = solve_dirichlet(op, f, tol)
+    return (1e300 * u if op.grid.nx == 32 else u), report
+
+
+@pytest.mark.parametrize(
+    "solver, last_order",
+    [(exact_until_finest_solver, "-inf"), (overflowing_finest_solver, "nan")],
+    ids=lambda s: getattr(s, "__name__", s),
+)
+def test_error_under_refinement_fails_convergence(monkeypatch, solver, last_order):
+    monkeypatch.setattr(analysis_mod, "solve_dirichlet", solver)
+    result = convergence_study([8, 16, 32])
+    assert repr(result.observed_orders[-1]) == repr(float(last_order))
+    assert result.verdict == Verdict.FAIL
+
+
+@pytest.mark.parametrize("eps, verdict", [(10 * RESIDUAL_TOL, Verdict.FAIL), (RESIDUAL_TOL / 10, Verdict.PASS)])
+def test_energy_holds_the_returned_u_to_the_contract(monkeypatch, eps, verdict):
+    # (1 + eps) u with the real solve's report: every ratio scales alike,
+    # so only the residual recheck of the returned u, about eps * ||f||,
+    # can fail it, and at 10 * RESIDUAL_TOL it must
+    def scaled_solver(op, f, tol=RESIDUAL_TOL):
+        u, report = solve_dirichlet(op, f, tol)
+        return (1.0 + eps) * u, report
+
+    monkeypatch.setattr(analysis_mod, "solve_dirichlet", scaled_solver)
+    assert energy_estimate_study([16, 32, 64], alpha=0.5).verdict == verdict
 
 
 def test_muckenhoupt_fails_the_product_of_w_with_itself(monkeypatch):
