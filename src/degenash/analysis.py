@@ -66,6 +66,9 @@ class StudyResult:
         for name, series in self.metrics.items():
             if len(series) != len(self.levels):
                 raise ValueError(f"metric {name!r} has {len(series)} entries for {len(self.levels)} levels")
+        lengths = {name: len(series) for name, series in self.samples.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"sample series must have equal lengths, got {lengths}")
 
 
 # The energy study's five forcing terms: each has a finite weighted data
@@ -122,12 +125,16 @@ def coercivity_delta(theta: float, mu: float) -> float:
     return float(np.min([math.exp(-theta), theta * math.exp(-theta) / 8.0, theta * math.exp(-theta) / (8.0 * mu)]))
 
 
-def coercivity_margin(v: GridFunction, theta: float, mu: float) -> float:
-    """Scale-invariant margin a(v,v)/||v||_W11^2 - delta(theta, mu)."""
-    w11_sq = norms_of(v).w11 ** 2
+def _margin(form_value: float, w11_sq: float, delta: float) -> float:
+    """form_value / w11_sq - delta, and 0.0 for a field of zero norm."""
     if w11_sq == 0.0:
         return 0.0
-    return stabilized_form_value(v, theta) / w11_sq - coercivity_delta(theta, mu)
+    return form_value / w11_sq - delta
+
+
+def coercivity_margin(v: GridFunction, theta: float, mu: float) -> float:
+    """Scale-invariant margin a(v,v)/||v||_W11^2 - delta(theta, mu)."""
+    return _margin(stabilized_form_value(v, theta), norms_of(v).w11 ** 2, coercivity_delta(theta, mu))
 
 
 def coercivity_check(
@@ -144,26 +151,28 @@ def coercivity_check(
     ||v||^2/||v_x||^2, inflated by SAFETY so the resulting delta_h is
     not circularly tuned to the same family.  Bumps vanish identically
     near the boundary, so the trace terms the constant derivation relies
-    on drop out exactly.
+    on drop out exactly.  One pass holds one bump at a time and keeps
+    three scalars of it; delta_h and the margins follow the pass.
     """
     if not (math.isfinite(theta) and theta > 0):
         raise ValueError(f"theta must be finite and positive, got {theta}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     grid = build_grid(nx, ny, alpha)
-    params = bump_parameter_sets(n_samples, seed)
-    vs = [bump_from_parameters(grid, p) for p in params]
-    mu_samples = []
-    for v in vs:
+    mu_samples, form_values, w11_sqs = [], [], []
+    for p in bump_parameter_sets(n_samples, seed):
+        v = bump_from_parameters(grid, p)
         dxv = dx(v)
         l2_sq = weighted_inner(v, v, 0.0)
         dx_sq = weighted_inner(dxv, dxv, 0.0)
         mu_samples.append(l2_sq / dx_sq)
+        form_values.append(stabilized_form_value(v, theta))
+        w11_sqs.append(norms_of(v).w11 ** 2)
     # np.max and np.min keep a NaN, where Python's max and min drop one
     # that is not first
     mu_h = SAFETY * float(np.max(mu_samples))
     delta_h = coercivity_delta(theta, mu_h)
-    margins = [coercivity_margin(v, theta, mu_h) for v in vs]
+    margins = [_margin(a, w, delta_h) for a, w in zip(form_values, w11_sqs)]
     # a NaN margin certifies nothing, so it counts as a violation
     violations = sum(1 for m in margins if not m >= 0.0)
     return StudyResult(
@@ -283,8 +292,9 @@ def embedding_study(
 ) -> StudyResult:
     """Max L^q/W11 ratio over a fixed random bump family, per level.
 
-    The same smooth functions are re-sampled on every grid; the sampled
-    embedding constant must not grow past GROWTH_CAP under refinement.
+    The same smooth functions are re-sampled on every grid, one bump at a
+    time; the sampled embedding constant must not grow past GROWTH_CAP
+    under refinement.
     """
     levels = _check_levels(levels, 2)
     if not q_values:
@@ -298,10 +308,14 @@ def embedding_study(
     series: dict[str, list[float]] = {name: [] for name in names}
     for level in levels:
         grid = build_grid(level, level, alpha)
-        us = [bump_from_parameters(grid, p) for p in params]
-        for name, q in zip(names, q_values):
+        ratios: dict[str, list[float]] = {name: [] for name in names}
+        for p in params:
+            u = bump_from_parameters(grid, p)
+            for name, q in zip(names, q_values):
+                ratios[name].append(embedding_ratio(u, q))
+        for name, values in ratios.items():
             # np.max keeps a NaN ratio, where Python's max would drop it
-            series[name].append(float(np.max([embedding_ratio(u, q) for u in us])))
+            series[name].append(float(np.max(values)))
     ok = all(s[-1] <= GROWTH_CAP * s[0] for s in series.values())
     return StudyResult(
         levels=levels,

@@ -42,6 +42,8 @@ from .operators import RESIDUAL_TOL, assemble, solve_dirichlet, theta_weak_form_
 
 COMMANDS = ("solve", "verify", "study", "game")
 SAMPLING_STUDY_KINDS = ("coercivity", "embedding", "muckenhoupt")
+# Rows a table writer renders and writes at a time.
+CHUNK_ROWS = 4096
 
 
 FINITE = Rule("must be finite", math.isfinite)
@@ -79,6 +81,14 @@ def _integer(raw) -> int:
     return int(raw)
 
 
+def _real(raw) -> float:
+    """A real number, or a string that reads as one, such as 1e-10 (YAML
+    reads that as a string); a boolean is an error, never 1.0 or 0.0."""
+    if isinstance(raw, bool):
+        raise TypeError(raw)
+    return float(raw)
+
+
 def _list_of(kind) -> Callable:
     def read(raw):
         if not isinstance(raw, list):
@@ -103,19 +113,19 @@ TOP = {
     "command": Key(str, None, _one_of(COMMANDS)),
     "seed": Key(_integer, 0, Rule("must be nonnegative", lambda v: v >= 0)),
     "output_dir": Key(str, "out"),
-    "theta": Key(float, 1.0, FINITE_NONNEGATIVE),
+    "theta": Key(_real, 1.0, FINITE_NONNEGATIVE),
 }
 NODES = Rule("must be at least 2 interior nodes", lambda n: n >= 2)
 VERIFY_NODES = Rule("must be at least 5 for verify, whose coarse level is max(4, nx // 2)", lambda n: n >= 5)
 GRID = {
     "nx": Key(_integer, 64, NODES),
     "ny": Key(_integer, 64, NODES),
-    "alpha": Key(float, 0.5, Rule("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)),
+    "alpha": Key(_real, 0.5, Rule("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)),
 }
-FIELD = {"kind": Key(str, None, _one_of(FIELD_KINDS)), "amplitude": Key(float, 1.0, FINITE)}
+FIELD = {"kind": Key(str, None, _one_of(FIELD_KINDS)), "amplitude": Key(_real, 1.0, FINITE)}
 SINSIN = {"kind": "sinsin"}
 RECT = Key(
-    _list_of(float),
+    _list_of(_real),
     None,
     Rule(
         "must be [x0, x1, y0, y1] with 0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1",
@@ -123,13 +133,13 @@ RECT = Key(
     ),
 )
 SECTIONS = {
-    "solve": {"f": Key(FIELD, SINSIN), "tol": Key(float, RESIDUAL_TOL, FINITE_POSITIVE)},
+    "solve": {"f": Key(FIELD, SINSIN), "tol": Key(_real, RESIDUAL_TOL, FINITE_POSITIVE)},
     "verify": {"f": Key(FIELD, SINSIN), "n_test_functions": Key(_integer, 10, AT_LEAST_ONE)},
     "game": {
         **dict.fromkeys(("omega", "omega1", "omega2", "g1_obs", "g2_obs"), RECT),
         **dict.fromkeys(("g", "yd1", "yd2"), Key(FIELD, SINSIN)),
         # the ball radii take default and rule from GameConfig
-        **{f.name: Key(float, f.default, f.metadata["rule"]) for f in fields(GameConfig) if "rule" in f.metadata},
+        **{f.name: Key(_real, f.default, f.metadata["rule"]) for f in fields(GameConfig) if "rule" in f.metadata},
     },
 }
 # A study section holds its kind and the keys of that kind's study only;
@@ -143,12 +153,12 @@ STUDIES = {
     "coercivity": {"n_samples": Key(_integer, 200, AT_LEAST_ONE)},
     "inclusion": {
         "levels": _levels(1),
-        "plateau_tol": Key(float, 0.05, FINITE_POSITIVE),
+        "plateau_tol": Key(_real, 0.05, FINITE_POSITIVE),
         "plateau_from": Key(_integer, 32),
     },
     "embedding": {
         "levels": _levels(2),
-        "q_values": Key(_list_of(float), [2, 3, 4], Rule(
+        "q_values": Key(_list_of(_real), [2, 3, 4], Rule(
             "must be a non-empty list of q, each in [2, 4], with distinct metric names max_ratio_q{q:g}",
             lambda qs: bool(qs) and all(2.0 <= q <= 4.0 for q in qs)
             and len(set(map(embedding_metric, qs))) == len(qs),
@@ -185,7 +195,19 @@ class RunReport:
     timestamp: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        """Strict JSON: a float that is not finite is written as the string
+        "inf", "-inf" or "nan", never as a bare NaN or Infinity."""
+        return json.dumps(_finite_json(asdict(self)), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _finite_json(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
 
 
 def _check(rule: Rule | None, value, where: str):
@@ -307,12 +329,20 @@ def build_game_config(cfg: RunConfig) -> GameConfig:
 def _write_columns(path: Path, header: list[str], columns: list) -> None:
     """Write the table whose k-th row holds the k-th entry of every column.
 
-    Renders a column at a time with repr on the Python scalars of
-    np.ravel(column).tolist(): floats round-trip and ints print as
-    integers."""
-    cells = [_render(np.ravel(c)) for c in columns]
-    lines = ["\t".join(header), *map("\t".join, zip(*cells))]
-    path.write_text("\n".join(lines) + "\n")
+    Renders with repr on the Python scalars of np.ravel(column).tolist():
+    floats round-trip and ints print as integers.  Rows are taken, rendered
+    and written CHUNK_ROWS at a time in ravel order, so memory does not
+    grow with the table; columns of unequal length raise ValueError."""
+    columns = [np.asarray(c) for c in columns]
+    lengths = [c.size for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{path.name}: columns must have equal lengths, got {lengths}")
+    with path.open("w") as out:
+        out.write("\t".join(header) + "\n")
+        for start in range(0, lengths[0] if columns else 0, CHUNK_ROWS):
+            # a flat slice copies only these rows, also of a broadcast view
+            cells = [_render(c.flat[start : start + CHUNK_ROWS]) for c in columns]
+            out.write("\n".join(map("\t".join, zip(*cells))) + "\n")
 
 
 def _render(values: np.ndarray) -> list[str]:

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,3 +31,20 @@ def shipped_game(n=None, seed=None, **game):
         cfg.seed = seed
     cfg.game.update(game)
     return build_game_config(cfg)
+
+
+def peak_bytes(fn):
+    """Peak traced allocation of fn(), after a first call fills the
+    per-grid caches."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()

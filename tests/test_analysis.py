@@ -3,7 +3,9 @@ import math
 import pytest
 from scipy import integrate
 
+from conftest import peak_bytes
 from degenash.analysis import (
+    StudyResult,
     Verdict,
     coercivity_check,
     coercivity_delta,
@@ -110,7 +112,8 @@ class TestCoercivity:
     def test_nan_margin_counts_as_violation(self, monkeypatch):
         import degenash.analysis as analysis
 
-        monkeypatch.setattr(analysis, "coercivity_margin", lambda v, theta, mu: math.nan)
+        # a NaN form value gives a NaN margin
+        monkeypatch.setattr(analysis, "stabilized_form_value", lambda v, theta: math.nan)
         r = coercivity_check(1.0, 4, seed=2, nx=12, ny=12)
         assert r.metrics["violations"] == [4.0]
         assert r.verdict is Verdict.FAIL
@@ -119,9 +122,11 @@ class TestCoercivity:
         # Python's min and max drop a NaN that is not first
         import degenash.analysis as analysis
 
-        margins = iter([1.0, math.nan, 2.0])
-        monkeypatch.setattr(analysis, "coercivity_margin", lambda v, theta, mu: next(margins))
+        form_values = iter([1.0, math.nan, 2.0])
+        monkeypatch.setattr(analysis, "stabilized_form_value", lambda v, theta: next(form_values))
         r = coercivity_check(1.0, 3, seed=2, nx=12, ny=12)
+        margins = r.samples["margin"]
+        assert math.isfinite(margins[0]) and math.isnan(margins[1]) and math.isfinite(margins[2])
         assert math.isnan(r.metrics["min_margin"][0])
         assert r.verdict is Verdict.FAIL
 
@@ -277,3 +282,26 @@ class TestMuckenhouptStudy:
         r = muckenhoupt_study(n_balls=200, seed=7)
         assert r.verdict is Verdict.PASS
         assert r.samples["diverged"] == [0.0, 0.0, 1.0]
+
+
+class TestStudyResult:
+    def test_sample_series_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match=r"'a': 2, 'b': 3"):
+            StudyResult(levels=[8], samples={"a": [1.0, 2.0], "b": [1.0, 2.0, 3.0]})
+
+
+class TestOneSampleAtATime:
+    """A sampled study holds one bump at a time: from 25 to 100 samples
+    its traced peak grows by less than one bump at the finest level (the
+    parameter sets and the per-sample scalars still grow)."""
+
+    def test_embedding_study(self):
+        peaks = [
+            peak_bytes(lambda: embedding_study(levels=(8, 128), q_values=(2.0,), n_samples=n, seed=1))
+            for n in (25, 100)
+        ]
+        assert peaks[1] - peaks[0] < 8 * 128 * 128
+
+    def test_coercivity_check(self):
+        peaks = [peak_bytes(lambda: coercivity_check(1.0, n, seed=1, nx=128, ny=128)) for n in (25, 100)]
+        assert peaks[1] - peaks[0] < 8 * 128 * 128

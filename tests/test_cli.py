@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import degenash.cli as cli_mod
+from conftest import peak_bytes
 from degenash.cli import ConfigError, build_game_config, main, parse_config, run
 from degenash.game import GameConfig, nash_solve
 
@@ -59,7 +60,41 @@ def row_rendering(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each key read as a real number, with a boolean in its value.
+BOOLEAN_REALS = [
+    ("config.theta", MINIMAL_SOLVE + "theta: true\n"),
+    ("grid.alpha", MINIMAL_SOLVE.replace("alpha: 0.5", "alpha: true")),
+    ("solve.tol", MINIMAL_SOLVE + "  tol: true\n"),
+    ("solve.f.amplitude", MINIMAL_SOLVE.replace("{kind: sinsin}", "{kind: sinsin, amplitude: yes}")),
+    ("verify.f.amplitude", "command: verify\nverify: {f: {kind: sinsin, amplitude: true}}\n"),
+    *[(f"game.{k}.amplitude", re.sub(rf"(  {k}: +{{kind: sinsin, amplitude: )[^}}]*", r"\g<1>true", GAME))
+      for k in ("g", "yd1", "yd2")],
+    *[(f"game.{k}", GAME.replace(f"{k}: 1.0", f"{k}: true")) for k in ("m1", "m2")],
+    *[(f"game.{k}", re.sub(rf"(\n  {k}: +\[)[^,]*", r"\g<1>true", GAME))
+      for k in ("omega", "omega1", "omega2", "g1_obs", "g2_obs")],
+    ("study.plateau_tol", STUDY.format("inclusion, levels: [8, 16, 24], plateau_from: 8, plateau_tol: true")),
+    ("study.q_values", STUDY.format("embedding, q_values: [2, true]")),
+]
+
+
 class TestParseConfig:
+    @pytest.mark.parametrize("where, text", BOOLEAN_REALS, ids=[w for w, _ in BOOLEAN_REALS])
+    def test_boolean_real_rejected(self, where, text):
+        assert text not in (MINIMAL_SOLVE, GAME)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: cannot interpret \[?(2, )?True"):
+            parse_config(text)
+
+    def test_boolean_real_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "solve.yaml"
+        p.write_text(MINIMAL_SOLVE + "  tol: true\n")
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "solve.tol: cannot interpret True" in capsys.readouterr().err
+
+    def test_numeric_string_reads_as_real(self):
+        # YAML reads 1e-12, which has no decimal point, as a string
+        cfg = parse_config(MINIMAL_SOLVE + "  tol: 1e-12\n")
+        assert cfg.solve["tol"] == 1e-12 and type(cfg.solve["tol"]) is float
+
     def test_defaults_applied(self):
         cfg = parse_config(MINIMAL_SOLVE)
         assert cfg.theta == 1.0
@@ -325,6 +360,23 @@ class TestRun:
         assert report.verdict == "fail"
         assert all(math.isnan(m) for m in report.results["max_residual_by_level"])
 
+    def test_report_is_strict_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "theta_weak_form_residual", lambda u, f, phi, theta: math.nan)
+        cfg = parse_config("command: verify\nseed: 3\ngrid: {nx: 12, ny: 12, alpha: 0.5}\nverify: {n_test_functions: 2}\n")
+        cfg.output_dir = str(tmp_path)
+        run(cfg)
+
+        def reject(token):
+            raise ValueError(f"bare {token} in report.json")
+
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert report["results"]["max_residual_by_level"] == ["nan", "nan"]
+
+    def test_report_names_each_non_finite_float(self):
+        results = {"a": [math.inf, -math.inf, 1.5], "b": {"c": (math.nan, np.float64(-math.inf))}, "d": 0}
+        report = cli_mod.RunReport("solve", {}, results, "fail", {}, "t")
+        assert json.loads(report.to_json())["results"] == {"a": ["inf", "-inf", 1.5], "b": {"c": ["nan", "-inf"]}, "d": 0}
+
     def test_game_persists_tables(self, tmp_path):
         cfg = parse_config(
             (CONFIG_DIR / "benchmark_game.yaml")
@@ -469,9 +521,50 @@ class TestWriteColumns:
         header = [f"c{k}" for k in range(len(columns))]
         path = tmp_path / "t.tsv"
         cli_mod._write_columns(path, header, columns)
+        assert path.read_text() == self.one_shot(header, columns)
+
+    @staticmethod
+    def one_shot(header, columns) -> str:
         cells = [map(repr, np.ravel(c).tolist()) for c in columns]
-        expected = "\n".join(["\t".join(header), *map("\t".join, zip(*cells))]) + "\n"
-        assert path.read_text() == expected
+        return "\n".join(["\t".join(header), *map("\t".join, zip(*cells))]) + "\n"
+
+    @staticmethod
+    def field_columns(n: int) -> list:
+        """The seven columns of game_fields.tsv on an n x n grid, X and Y
+        as broadcast views, with random fields."""
+        shape, x = (n, n), np.linspace(0.0, 1.0, n + 2)[1:-1]
+        rng = np.random.default_rng(n)
+        I, J = np.indices(shape)
+        X, Y = np.broadcast_to(x[:, None], shape), np.broadcast_to(x[None, :], shape)
+        return [I, J, X, Y, *rng.standard_normal((3, n, n))]
+
+    @pytest.mark.parametrize("rows", [0, 1, cli_mod.CHUNK_ROWS, 3 * cli_mod.CHUNK_ROWS + 5])
+    def test_chunks_give_the_one_shot_bytes(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        pool = np.array(self.SPECIAL + list(rng.standard_normal(50)))
+        columns = [np.arange(rows), rng.choice(pool, rows), rng.choice(pool, rows).tolist()]
+        header = [f"c{k}" for k in range(len(columns))]
+        path = tmp_path / "t.tsv"
+        cli_mod._write_columns(path, header, columns)
+        assert path.read_bytes() == self.one_shot(header, columns).encode()
+
+    def test_broadcast_columns_give_the_one_shot_bytes(self, tmp_path):
+        # 10000 rows: two full chunks and a partial one
+        columns = self.field_columns(100)
+        path = tmp_path / "t.tsv"
+        cli_mod._write_columns(path, list("ijxyabc"), columns)
+        assert path.read_bytes() == self.one_shot(list("ijxyabc"), columns).encode()
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        with pytest.raises(ValueError, match=r"\[3, 2\]"):
+            cli_mod._write_columns(path, ["a", "b"], [[1.0, 2.0, 3.0], [1.0, 2.0]])
+
+    def test_peak_bounded_at_128_squared(self, tmp_path):
+        # a one-shot writer peaks at about 10 MB on this table
+        path = tmp_path / "t.tsv"
+        columns = self.field_columns(128)
+        assert peak_bytes(lambda: cli_mod._write_columns(path, list("ijxyabc"), columns)) < 3e6
 
 
 class TestMain:
@@ -605,7 +698,7 @@ class TestMain:
             code = main(["game", "--config", str(p), "--out", str(out), "--level-override", "16"])
         assert code == 1
         results = json.loads((out / "report.json").read_text())["results"]
-        assert results["j1"] == math.inf
+        assert results["j1"] == "inf"
         assert results["converged"] is False
 
     def test_verify_on_five_nodes_passes(self, tmp_path):

@@ -8,12 +8,12 @@ kernels must reproduce it to the last bit, -0.0 included.
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import degenash.grid as grid
+from conftest import peak_bytes
 from degenash.fields import _FIELDS, FIELD_KINDS, bump_from_parameters, bump_parameter_sets, named_field
 from degenash.grid import GridFunction, build_grid, cell_averages, cell_weights, weighted_inner
 from degenash.norms import lq_norm, norms_of
@@ -201,23 +201,6 @@ PARENT_PEAKS_IN_NODES = {
     "bump": 3.02,
     "named_field": 2.13,
 }
-
-
-def peak_bytes(fn):
-    """Peak traced allocation of fn(), after a first call fills the
-    per-grid caches."""
-    fn()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    base = tracemalloc.get_traced_memory()[0]
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import degenash.analysis as analysis
+import degenash.cli as cli
 import degenash.game as game
 import degenash.operators as operators
 
@@ -17,6 +18,7 @@ CONSTANTS = {
     **dict.fromkeys(("BR_TOL", "BR_MAX_ITERS", "INNER_TOL", "INNER_MAX_ITERS", "DEVIATION_SAMPLES"), game),
     **dict.fromkeys(("RATIO_CAP", "SAFETY", "GROWTH_CAP", "ORDER_THRESHOLD"), analysis),
     "RESIDUAL_TOL": operators,
+    "CHUNK_ROWS": cli,
 }
 
 
