@@ -123,8 +123,7 @@ def bump_from_parameters(grid: Grid, params: dict) -> GridFunction:
     for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
         np.copyto(term, (x - cx) ** 2)
         term += (y - cy) ** 2
-        np.negative(term, out=term)
-        term /= 2 * s * s
+        term /= -(2 * s * s)  # -(d / q) and d / -q round alike
         np.exp(term, out=term)
         term *= a
         out += term

@@ -98,13 +98,14 @@ class Rule:
 FINITE_NONNEGATIVE = Rule("must be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameConfig:
     """One game: its grid, regions, fields, ball radii and certify seed.
 
     Frozen, so its checks run once, when it is built.  Besides its fields
     it holds only the cached solver and leader source; the solver's march
-    store is the one state that calls on the game share."""
+    store is the one state that calls on the game share.  Compares and
+    hashes by identity."""
 
     grid: Grid
     omega: RegionMask
@@ -166,7 +167,7 @@ class GameConfig:
         raise ValueError(f"follower index must be 1 or 2, got {i}")
 
 
-@dataclass
+@dataclass(eq=False)
 class NashResult:
     f1_star: GridFunction
     f2_star: GridFunction

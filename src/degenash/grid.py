@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,8 @@ class Grid:
     nx, ny count interior nodes per direction; spacings are
     hx = 1/(nx+1), hy = 1/(ny+1), so node coordinates are
     x_i = i*hx (i=1..nx) and y_j = j*hy (j=1..ny), all strictly
-    inside (0,1).
+    inside (0,1).  Compares and hashes by value: it keys the per-grid
+    caches.
     """
 
     nx: int
@@ -88,13 +89,14 @@ def build_grid(nx: int, ny: int, alpha: float) -> Grid:
     return Grid(nx=int(nx), ny=int(ny), alpha=float(alpha))
 
 
-@dataclass
+@dataclass(eq=False)
 class GridFunction:
     """Nodal scalar field on the interior nodes of a Grid.
 
     values is a flat float array of length nx*ny in C order of the
     (nx, ny) node lattice, i.e. entry i*ny + j holds the value at
-    (x_i, y_j).  Boundary values are implicitly zero.
+    (x_i, y_j).  Boundary values are implicitly zero.  Compares and
+    hashes by identity.
     """
 
     grid: Grid
@@ -158,12 +160,13 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionMask:
-    """Boolean indicator over interior nodes (characteristic function)."""
+    """Boolean indicator over interior nodes (characteristic function).
+    Compares and hashes by identity."""
 
     grid: Grid
-    indicator: np.ndarray = field(compare=False)
+    indicator: np.ndarray
 
     def __post_init__(self):
         ind = np.asarray(self.indicator, dtype=bool).ravel()

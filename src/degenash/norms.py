@@ -8,7 +8,8 @@ balls of (avg of w) * (avg of 1/w).  Its ball averages integrate both
 x-powers exactly in y (the chord length of the ball inside the square is
 closed-form) and by midpoint quadrature in x, which keeps the x=0
 singularity off the evaluation points; each ball's chord is computed once
-and shared by both powers of every weight of a panel (muckenhoupt_panel).
+and shared by both powers of every weight of a panel (muckenhoupt_panel),
+which integrates its balls in batches of BALL_BATCH (_ball_integrals).
 Quadrature weights come from grid.cell_weights, which caches them per
 (grid, exponent).
 """
@@ -28,6 +29,9 @@ DIAM = math.sqrt(2.0)
 # range, and the product above which a weight counts as diverged (well
 # below the quadrature saturation scale ~N_QUAD**2).
 N_QUAD = 2048
+# balls integrated per array pass of muckenhoupt_panel; each pass holds a
+# few (BALL_BATCH, N_QUAD) arrays, 128 KiB apiece
+BALL_BATCH = 8
 R_MIN, R_MAX = 1e-3, DIAM
 OVERFLOW = 1e4
 
@@ -113,25 +117,52 @@ def embedding_ratio(u: GridFunction, q: float) -> float:
 # Ball-average machinery for the Muckenhoupt conditions.
 # ---------------------------------------------------------------------------
 
+# midpoint offsets of the N_QUAD x-nodes, in units of a ball's x-step
+_MIDPOINTS = np.arange(N_QUAD) + 0.5
+_MIDPOINTS.flags.writeable = False
 
-def _ball_integral(cx: float, cy: float, r: float, exponents: tuple[float, ...]) -> tuple[list[float], float]:
-    """([integral of x**e over B((cx,cy),r) cap Omega for e in exponents],
-    area of that set).
+
+def _ball_integrals(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, exponents: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(integrals, areas) of the balls B((cx, cy), r) cap Omega given as
+    columns of shape (k, 1): integrals[i, b] is the integral of
+    x**exponents[i] over ball b, of shape (len(exponents), k), and
+    areas[b] its area, of shape (k,).
 
     The y-extent of the intersection at abscissa x is a closed-form chord,
     so only the x-integration is numerical (midpoint rule, never at x=0).
-    The chord is computed once for all exponents.
+    Each ball's chord is computed once for all exponents, on a (k, N_QUAD)
+    array whose row sums are the per-ball sums bit for bit.  A ball that
+    misses the square integrates over the empty interval [1, 1], so its
+    step, area and integrals are 0.0.
     """
-    x_lo, x_hi = max(0.0, cx - r), min(1.0, cx + r)
-    if x_hi <= x_lo:
-        return [0.0] * len(exponents), 0.0
+    x_lo = np.maximum(cx - r, 0.0)
+    x_hi = np.minimum(cx + r, 1.0)
+    miss = x_hi <= x_lo
+    x_lo = np.where(miss, 1.0, x_lo)
+    x_hi = np.where(miss, 1.0, x_hi)
     step = (x_hi - x_lo) / N_QUAD
-    x = x_lo + (np.arange(N_QUAD) + 0.5) * step
-    half = np.sqrt(np.maximum(r * r - (x - cx) ** 2, 0.0))
-    chord = np.maximum(np.minimum(cy + half, 1.0) - np.maximum(cy - half, 0.0), 0.0)
-    area = float(np.sum(chord) * step)
-    values = [float(np.sum(np.power(x, e) * chord) * step) for e in exponents]
-    return values, area
+    x = x_lo + _MIDPOINTS * step
+    # chord = max(min(cy + half, 1) - max(cy - half, 0), 0), in two buffers
+    half = x - cx
+    np.square(half, out=half)
+    np.subtract(r * r, half, out=half)
+    np.maximum(half, 0.0, out=half)
+    np.sqrt(half, out=half)
+    chord = np.add(cy, half)
+    np.minimum(chord, 1.0, out=chord)
+    np.subtract(cy, half, out=half)
+    np.maximum(half, 0.0, out=half)
+    chord -= half
+    np.maximum(chord, 0.0, out=chord)
+    step = step[:, 0]
+    areas = np.sum(chord, axis=1) * step
+    integrals = np.empty((len(exponents), len(step)))
+    for row, e in zip(integrals, exponents):
+        np.power(x, e, out=half)
+        half *= chord
+        np.sum(half, axis=1, out=row)
+        row *= step
+    return integrals, areas
 
 
 def _sample_balls(n_balls: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,32 +181,35 @@ def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: i
     log-uniform in [R_MIN, R_MAX], evaluates the A_2 product
     (avg of w) * (avg of 1/w) over each B cap Omega, and returns the
     sample supremum per weight.  All weights share one draw of the balls,
-    and each ball's chord is computed once for every weight.  Divergence
+    and each ball's chord is computed once for every weight; the balls are
+    integrated BALL_BATCH at a time (_ball_integrals).  Divergence
     is data, not an error: a weight's flag is set when any of its
     products exceeds OVERFLOW or is nonfinite.  least is the smallest
     product, at least 1 by Cauchy-Schwarz for the positive quadrature
-    weights of _ball_integral.  A ball that meets the square in zero area
+    weights of _ball_integrals.  A ball that meets the square in zero area
     has no averages: it records the product 0.0 and is left out of least
     (inf if no ball is left).  None is drawn here, since every radius is
     at least R_MIN and every centre lies in the square.
     """
     if n_balls < 1:
         raise ValueError("need at least one ball")
-    cxs, cys, rs = _sample_balls(n_balls, seed)
+    cxs, cys, rs = (a[:, None] for a in _sample_balls(n_balls, seed))
     # the integrals of w and 1/w of each weight, in that order
     exponents = tuple(x for e in weight_exponents for x in (e, -e))
-    products = np.empty((len(weight_exponents), n_balls))
-    measured = np.empty(n_balls, dtype=bool)
-    for k in range(n_balls):
-        integrals, area = _ball_integral(cxs[k], cys[k], rs[k], exponents)
-        measured[k] = area > 0.0
-        for w, (w_int, inv_int) in enumerate(zip(integrals[::2], integrals[1::2])):
-            products[w, k] = (w_int / area) * (inv_int / area) if area > 0.0 else 0.0
-    estimates = []
-    for row in products:
-        finite = np.isfinite(row)
-        diverged = bool(np.any(~finite) or np.any(row[finite] > OVERFLOW))
-        constant = float(np.max(row)) if np.all(finite) else math.inf
-        least = float(np.min(row, where=measured, initial=math.inf))
-        estimates.append(ApEstimate(constant=constant, samples=n_balls, diverged=diverged, least=least))
-    return estimates
+    integrals = np.empty((len(exponents), n_balls))
+    areas = np.empty(n_balls)
+    for start in range(0, n_balls, BALL_BATCH):
+        batch = slice(start, min(start + BALL_BATCH, n_balls))
+        integrals[:, batch], areas[batch] = _ball_integrals(cxs[batch], cys[batch], rs[batch], exponents)
+    measured = areas > 0.0
+    w_avg = np.divide(integrals[0::2], areas, out=np.zeros((len(weight_exponents), n_balls)), where=measured)
+    inv_avg = np.divide(integrals[1::2], areas, out=np.zeros_like(w_avg), where=measured)
+    products = w_avg * inv_avg
+    finite = np.isfinite(products)
+    diverged = np.any(~finite | (products > OVERFLOW), axis=1)
+    constants = np.where(np.all(finite, axis=1), np.max(products, axis=1), math.inf)
+    least = np.min(products, axis=1, where=measured, initial=math.inf)
+    return [
+        ApEstimate(constant=float(c), samples=n_balls, diverged=bool(d), least=float(m))
+        for c, d, m in zip(constants, diverged, least)
+    ]

@@ -32,7 +32,8 @@ march a leapfrog scheme, whose computational mode does not shrink under
 refinement, and would impose u = 0 at the outflow edge.)
 
 A u is computed from the 5-point stencil.  The CSR matrix of A is
-assembled only when something reads SparseOperator.matrix; no solve does.
+assembled, and scipy.sparse imported, only when something reads
+SparseOperator.matrix; no solve does.
 
 bilinear_form states the weak form once; both weak-form residuals and
 the coercivity form of analysis evaluate it, weighted by theta_weight's
@@ -47,7 +48,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import Grid, GridFunction, weighted_inner
@@ -116,7 +116,9 @@ class SparseOperator:
         return out.reshape(values.shape)
 
     @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> scipy.sparse.csr_matrix:
+        import scipy.sparse as sp  # here, not at the top: no solve reads the matrix
+
         nx, ny, hx, hy = self.grid.nx, self.grid.ny, self.grid.hx, self.grid.hy
         # -1/2 d_xx: tridiag(-1, 2, -1) / (2 hx^2)
         dxx = sp.diags(

@@ -534,6 +534,24 @@ class TestGameConfigValidation:
             mini_cfg.follower(3)
 
 
+class TestEquality:
+    def test_shipped_control_regions_differ(self, mini_cfg):
+        # the masks used to compare by grid alone, so these two were equal
+        assert mini_cfg.omega1 != mini_cfg.omega2
+        assert mini_cfg.omega1 == mini_cfg.omega1
+
+    def test_game_config_compares_and_hashes_by_identity(self, mini_cfg):
+        same_fields = dataclasses.replace(mini_cfg)
+        assert mini_cfg == mini_cfg and mini_cfg != same_fields  # == used to raise ValueError
+        assert len({mini_cfg, mini_cfg, same_fields}) == 2  # hash used to raise TypeError
+
+    def test_nash_result_compares_by_identity(self, mini_cfg):
+        zero = GridFunction.zeros(mini_cfg.grid)
+        result = game_mod.NashResult(zero, zero, zero, 0.0, 0.0, 0, [], True, True, 0.0)
+        assert result == result
+        assert result != dataclasses.replace(result)  # used to raise ValueError
+
+
 # Full-grid np.where references of the game's region arithmetic.
 
 

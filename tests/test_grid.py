@@ -113,6 +113,29 @@ class TestGridFunction:
         assert np.array_equal(GridFunction.from_callable(g, lambda x, y: 2.0).values, np.full(g.n, 2.0))
 
 
+class TestEquality:
+    # Grid keys the lru caches, so it compares by value; the array holders
+    # compare by identity, as no field-wise == of an array is a bool
+    def test_grid_compares_and_hashes_by_value(self):
+        a, b = build_grid(4, 5, 0.5), build_grid(4, 5, 0.5)
+        assert a == b and hash(a) == hash(b)
+        assert a != build_grid(4, 5, 0.25)
+
+    def test_grid_function_compares_by_identity(self, small_grid):
+        u = GridFunction.zeros(small_grid)
+        assert u == u
+        assert u != u.copy()  # used to raise ValueError (array truth value)
+        assert len({u, u, u.copy()}) == 2
+
+    def test_region_masks_on_one_grid_are_not_all_equal(self, small_grid):
+        left = rect_mask(small_grid, 0.0, 0.5, 0.0, 1.0)
+        right = rect_mask(small_grid, 0.5, 1.0, 0.0, 1.0)
+        assert left == left and hash(left) == hash(left)
+        # indicator was left out of == and hash, so these compared equal
+        assert left != right and left != rect_mask(small_grid, 0.0, 0.5, 0.0, 1.0)
+        assert len({left, right}) == 2
+
+
 # Open-grid sampling against the same formula on full coordinate arrays
 OPEN_GRID_SHAPES = [(12, 12), (13, 7), (64, 64), (127, 129)]
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import degenash.norms as norms_mod
-from conftest import random_field
+from conftest import peak_bytes, random_field
 from degenash.grid import DegenerateWeightWarning, GridFunction, build_grid
 from degenash.norms import (
     embedding_ratio,
@@ -141,6 +141,41 @@ class TestEmbeddingRatio:
             embedding_ratio(GridFunction.zeros(small_grid), 2.0)
 
 
+
+def _ball_integral_reference(cx, cy, r, exponents):
+    """One ball at a time by the panel's formula, written out: ([integral
+    of x**e for e in exponents], area) of B((cx, cy), r) cap Omega."""
+    x_lo, x_hi = max(0.0, cx - r), min(1.0, cx + r)
+    if x_hi <= x_lo:
+        return [0.0] * len(exponents), 0.0
+    step = (x_hi - x_lo) / norms_mod.N_QUAD
+    x = x_lo + (np.arange(norms_mod.N_QUAD) + 0.5) * step
+    half = np.sqrt(np.maximum(r * r - (x - cx) ** 2, 0.0))
+    chord = np.maximum(np.minimum(cy + half, 1.0) - np.maximum(cy - half, 0.0), 0.0)
+    area = float(np.sum(chord) * step)
+    return [float(np.sum(np.power(x, e) * chord) * step) for e in exponents], area
+
+
+def _panel_reference(weight_exponents, n_balls, seed):
+    """muckenhoupt_panel's estimates from per-ball integrals and products."""
+    exponents = tuple(x for e in weight_exponents for x in (e, -e))
+    products = np.empty((len(weight_exponents), n_balls))
+    measured = np.empty(n_balls, dtype=bool)
+    for k, (cx, cy, r) in enumerate(zip(*norms_mod._sample_balls(n_balls, seed))):
+        integrals, area = _ball_integral_reference(cx, cy, r, exponents)
+        measured[k] = area > 0.0
+        for w, (w_int, inv_int) in enumerate(zip(integrals[::2], integrals[1::2])):
+            products[w, k] = (w_int / area) * (inv_int / area) if area > 0.0 else 0.0
+    estimates = []
+    for row in products:
+        finite = np.isfinite(row)
+        diverged = bool(np.any(~finite) or np.any(row[finite] > norms_mod.OVERFLOW))
+        constant = float(np.max(row)) if np.all(finite) else math.inf
+        least = float(np.min(row, where=measured, initial=math.inf))
+        estimates.append(norms_mod.ApEstimate(constant=constant, samples=n_balls, diverged=diverged, least=least))
+    return estimates
+
+
 class TestMuckenhoupt:
     def test_unit_weight_constant_one(self):
         (est,) = muckenhoupt_panel((0.0,), 200, seed=1)
@@ -183,6 +218,35 @@ class TestMuckenhoupt:
         monkeypatch.setattr(norms_mod, "_sample_balls", lambda n_balls, seed: tuple(a[1:] for a in balls))
         (none,) = muckenhoupt_panel((0.5,), 1, seed=0)
         assert (none.constant, none.least, none.diverged) == (0.0, math.inf, False)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("n_balls", [1, 7, 8, 9, 17, 500])
+    def test_batched_panel_equals_per_ball_reference(self, n_balls, seed):
+        # the (k, N_QUAD) row sums keep the per-ball sums' bits, in full and
+        # partial batches alike
+        exponents = (0.0, 0.5, -3.0)
+        assert muckenhoupt_panel(exponents, n_balls, seed) == _panel_reference(exponents, n_balls, seed)
+
+    def test_ball_integrals_equal_per_ball_reference(self):
+        # one batch of drawn balls and of balls that miss the square on
+        # either side, which integrate to 0.0 without touching the others
+        cx, cy, r = norms_mod._sample_balls(13, 7)
+        # balls 6 and 14 miss the square, to its right and to its left
+        cx, cy, r = np.insert(cx, [6, 13], [5.0, -5.0]), np.insert(cy, [6, 13], 0.5), np.insert(r, [6, 13], 0.1)
+        exponents = (0.5, -0.5, -3.0, 3.0, 0.0, -0.0)
+        integrals, areas = norms_mod._ball_integrals(cx[:, None], cy[:, None], r[:, None], exponents)
+        assert integrals.shape == (len(exponents), 15) and areas.shape == (15,)
+        for k in range(15):
+            values, area = _ball_integral_reference(cx[k], cy[k], r[k], exponents)
+            assert integrals[:, k].tobytes() == np.array(values).tobytes()
+            assert areas[k].tobytes() == np.float64(area).tobytes()
+        assert areas[6] == areas[14] == 0.0 and not integrals[:, [6, 14]].any()
+
+    def test_traced_peak_is_bounded_by_the_batch(self):
+        # a few (BALL_BATCH, N_QUAD) arrays, never an N_QUAD array per ball
+        peaks = [peak_bytes(lambda: muckenhoupt_panel((0.0, 0.5, -3.0), n, seed=7)) for n in (25, 500)]
+        assert max(peaks) < 1_000_000
+        assert peaks[1] - peaks[0] < 8 * norms_mod.BALL_BATCH * norms_mod.N_QUAD
 
     def test_panel_needs_a_ball(self):
         with pytest.raises(ValueError, match="at least one ball"):

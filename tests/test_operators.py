@@ -165,8 +165,14 @@ class TestSolve:
         assert len(printed) == 1, printed
 
     def test_library_imports_no_sparse_solver(self):
-        # every solve is the march, so no SuperLU factorization is reachable
-        code = "import sys, degenash, degenash.cli\nassert 'scipy.sparse.linalg' not in sys.modules\n"
+        # every solve is the march, so no SuperLU factorization is reachable,
+        # and only reading op.matrix imports scipy.sparse
+        code = (
+            "import sys, degenash, degenash.cli\n"
+            "assert 'scipy.sparse' not in sys.modules\n"
+            "op = degenash.assemble(degenash.build_grid(4, 4, 0.5))\n"
+            "assert op.matrix.shape == (16, 16) and 'scipy.sparse' in sys.modules\n"
+        )
         src = str(Path(operators.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=120)

@@ -9,6 +9,7 @@ import pytest
 import degenash.analysis as analysis
 import degenash.cli as cli
 import degenash.game as game
+import degenash.norms as norms
 import degenash.operators as operators
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -19,6 +20,7 @@ CONSTANTS = {
     **dict.fromkeys(("RATIO_CAP", "SAFETY", "GROWTH_CAP", "ORDER_THRESHOLD"), analysis),
     "RESIDUAL_TOL": operators,
     "CHUNK_ROWS": cli,
+    "BALL_BATCH": norms,
 }
 
 

@@ -114,11 +114,11 @@ def test_muckenhoupt_fails_the_product_of_w_with_itself(monkeypatch):
     # Every constant it reports looks plausible (x^0.5 gives at most 1,
     # x^-3 still diverges); only the Cauchy-Schwarz floor of 1 sees it.
     assert muckenhoupt_study(n_balls=500, seed=7).verdict == Verdict.PASS
-    ball_integral = norms_mod._ball_integral
+    ball_integrals = norms_mod._ball_integrals
 
     def same_sign(cx, cy, r, exponents):
         # muckenhoupt_panel asks for (e, -e) per weight; integrate (e, e)
-        return ball_integral(cx, cy, r, tuple(e for e in exponents[::2] for _ in (0, 1)))
+        return ball_integrals(cx, cy, r, tuple(e for e in exponents[::2] for _ in (0, 1)))
 
-    monkeypatch.setattr(norms_mod, "_ball_integral", same_sign)
+    monkeypatch.setattr(norms_mod, "_ball_integrals", same_sign)
     assert muckenhoupt_study(n_balls=500, seed=7).verdict == Verdict.FAIL
