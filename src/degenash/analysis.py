@@ -1,6 +1,7 @@
 """Verification campaigns: energy estimate, coercivity, strict inclusion,
 scheme convergence, embedding ratios, and Muckenhoupt sampling.  The caps
-a verdict is judged by are module constants, echoed in its thresholds."""
+a verdict is judged by are module constants, echoed in its thresholds.
+Each study checks its inputs by the Rules the config reads (grid.Rule)."""
 
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
-from .grid import GridFunction, build_grid, weighted_inner
-from .norms import embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
+from .grid import AT_LEAST_ONE, FINITE_POSITIVE, GridFunction, Rule, build_grid, weighted_inner
+from .norms import EMBEDDING_Q, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
 from .operators import _check_residual, assemble, bilinear_form, dx, dy, solve_dirichlet, theta_weight
 
 # The Muckenhoupt panel asks the constant weight for an A_2 constant of 1,
@@ -30,14 +31,28 @@ SAFETY = 1.5
 ORDER_THRESHOLD = 0.9
 
 
-def _check_levels(levels: Sequence[int], least: int) -> list[int]:
-    """levels as a list, at least `least` of them and strictly increasing."""
-    levels = list(levels)
-    if len(levels) < least:
-        raise ValueError(f"levels must hold at least {least} levels, got {levels}")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError(f"levels must be strictly increasing, got {levels}")
-    return levels
+def _levels(least: int) -> Rule:
+    """A study's levels, each at least 2: at least `least` of them, and
+    strictly increasing, so that no verdict compares a level with itself."""
+    return Rule(
+        f"must be a strictly increasing list of levels, each at least 2, at least {least} of them",
+        lambda levels: len(levels) >= least and all(lv >= 2 for lv in levels)
+        and all(b > a for a, b in zip(levels, levels[1:])),
+    )
+
+
+# The levels rule of each study that has levels: two observed orders need
+# three levels, and every other verdict compares the finest with the coarsest.
+LEVELS = {"convergence": _levels(3), "energy": _levels(2), "inclusion": _levels(2), "embedding": _levels(2)}
+
+
+def _plateau_from(levels: list[int]) -> Rule:
+    """plateau_from's rule on levels: at most the second-to-last level, so
+    that the inclusion verdict checks a refinement step."""
+    return Rule(
+        f"must be at most the second-to-last of the levels {levels}, so that a refinement step is checked",
+        lambda start: len(levels) >= 2 and start <= levels[-2],
+    )
 
 
 class Verdict(str, Enum):
@@ -89,9 +104,11 @@ def energy_estimate_study(levels: Sequence[int], alpha: float) -> StudyResult:
     RATIO_CAP times its coarsest-level value (the a priori estimate
     asserts a constant exists, not its value), every ratio is finite and
     positive, and every u_h it got back meets the solve's residual contract
-    (operators._check_residual).
+    (operators._check_residual) and is nonnegative: the upwind operator is
+    an M-matrix and every forcing term is nonnegative, so the march gives
+    u_h >= 0 exactly in floating point.
     """
-    levels = _check_levels(levels, 2)
+    levels = LEVELS["energy"].check("levels", list(levels))
     ratios: list[list[float]] = [[] for _ in _ENERGY_FAMILY]
     solved = True
     for level in levels:
@@ -100,7 +117,7 @@ def energy_estimate_study(levels: Sequence[int], alpha: float) -> StudyResult:
         for m, gen in enumerate(_ENERGY_FAMILY):
             f = gen(grid)
             u, _ = solve_dirichlet(op, f)
-            solved = solved and _check_residual(op, u.values, f.values)[1]
+            solved = solved and _check_residual(op, u.values, f.values)[1] and np.min(u.values) >= 0.0
             ratios[m].append(norms_of(u).w11 / l2_weighted_norm(f))
     metrics = {f"ratio_{m}": series for m, series in enumerate(ratios)}
     positive = all(0.0 < r < math.inf for series in ratios for r in series)
@@ -154,10 +171,8 @@ def coercivity_check(
     on drop out exactly.  One pass holds one bump at a time and keeps
     three scalars of it; delta_h and the margins follow the pass.
     """
-    if not (math.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be finite and positive, got {theta}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    FINITE_POSITIVE.check("theta", theta)
+    AT_LEAST_ONE.check("n_samples", n_samples)
     grid = build_grid(nx, ny, alpha)
     mu_samples, form_values, w11_sqs = [], [], []
     for p in bump_parameter_sets(n_samples, seed):
@@ -202,7 +217,9 @@ def strict_inclusion_demo(
     d_y seminorm keeps growing (the function lies in the weighted space
     but not in H^1).  For any other alpha the study is report-only.
     """
-    levels = _check_levels(levels, 1)
+    levels = LEVELS["inclusion"].check("levels", list(levels))
+    FINITE_POSITIVE.check("plateau_tol", plateau_tol)
+    _plateau_from(levels).check("plateau_from", plateau_from)
     w11s, dy_norms = [], []
     for level in levels:
         grid = build_grid(level, level, alpha)
@@ -215,7 +232,7 @@ def strict_inclusion_demo(
         metrics={"w11": w11s, "dy_l2": dy_norms},
         thresholds={"plateau_tol": plateau_tol, "plateau_from": plateau_from},
     )
-    if len(levels) < 2 or alpha != 0.5:
+    if alpha != 0.5:
         return result
     # Plateau means each refinement step from plateau_from onward moves the
     # weighted norm by at most plateau_tol; the corner singularity of the
@@ -226,8 +243,6 @@ def strict_inclusion_demo(
         for (la, wa), (lb, wb) in zip(zip(levels, w11s), zip(levels[1:], w11s[1:]))
         if la >= plateau_from
     ]
-    if not steps:
-        return result
     plateau_ok = all(s <= plateau_tol for s in steps)
     increasing = all(b > a for a, b in zip(dy_norms, dy_norms[1:]))
     result.verdict = Verdict.PASS if (plateau_ok and increasing) else Verdict.FAIL
@@ -240,7 +255,7 @@ def convergence_study(levels: Sequence[int], manufactured: str = "sinsin", alpha
     Passes when the last observed L2 order reaches ORDER_THRESHOLD: an error
     that is not finite gives a NaN order, and one that first appears under
     refinement a -inf order, so neither passes."""
-    levels = _check_levels(levels, 3)
+    levels = LEVELS["convergence"].check("levels", list(levels))
     max_errs, l2_errs = [], []
     for level in levels:
         grid = build_grid(level, level, alpha)
@@ -283,6 +298,14 @@ def embedding_metric(q: float) -> str:
     return f"max_ratio_q{q:g}"
 
 
+# two q share a metric name (embedding_metric) exactly when they print
+# alike by %g
+Q_VALUES = Rule(
+    "must be a non-empty list of q, each in [2, 4], with distinct metric names max_ratio_q{q:g}",
+    lambda qs: bool(qs) and all(map(EMBEDDING_Q.holds, qs)) and len({f"{q:g}" for q in qs}) == len(qs),
+)
+
+
 def embedding_study(
     levels: Sequence[int] = (64, 128),
     q_values: Sequence[float] = (2.0, 3.0, 4.0),
@@ -296,14 +319,10 @@ def embedding_study(
     time; the sampled embedding constant must not grow past GROWTH_CAP
     under refinement.
     """
-    levels = _check_levels(levels, 2)
-    if not q_values:
-        raise ValueError("q_values must hold at least one q")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    levels = LEVELS["embedding"].check("levels", list(levels))
+    Q_VALUES.check("q_values", q_values)
+    AT_LEAST_ONE.check("n_samples", n_samples)
     names = [embedding_metric(q) for q in q_values]
-    if len(set(names)) != len(names):
-        raise ValueError(f"q_values must give distinct metric names, got {list(q_values)} as {names}")
     params = bump_parameter_sets(n_samples, seed)
     series: dict[str, list[float]] = {name: [] for name in names}
     for level in levels:

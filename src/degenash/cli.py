@@ -24,19 +24,21 @@ import yaml
 
 from . import __version__
 from .analysis import (
+    LEVELS,
+    Q_VALUES,
     StudyResult,
     Verdict,
+    _plateau_from,
     coercivity_check,
     convergence_study,
-    embedding_metric,
     embedding_study,
     energy_estimate_study,
     muckenhoupt_study,
     strict_inclusion_demo,
 )
-from .fields import FIELD_KINDS, MANUFACTURED_KINDS, bump_from_parameters, bump_parameter_sets, named_field
-from .game import FINITE_NONNEGATIVE, GameConfig, NashResult, Rule, control_norm, nash_solve
-from .grid import build_grid, rect_mask
+from .fields import FIELD_KIND, MANUFACTURED_KIND, bump_from_parameters, bump_parameter_sets, named_field
+from .game import SEED, GameConfig, NashResult, control_norm, nash_solve
+from .grid import ALPHA, AT_LEAST_ONE, FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, NODES, RECT, Rule, build_grid, rect_mask
 from .norms import norms_of
 from .operators import RESIDUAL_TOL, assemble, solve_dirichlet, theta_weak_form_residual, weak_form_residual
 
@@ -44,11 +46,6 @@ COMMANDS = ("solve", "verify", "study", "game")
 SAMPLING_STUDY_KINDS = ("coercivity", "embedding", "muckenhoupt")
 # Rows a table writer renders and writes at a time.
 CHUNK_ROWS = 4096
-
-
-FINITE = Rule("must be finite", math.isfinite)
-FINITE_POSITIVE = Rule("must be finite and positive", lambda v: math.isfinite(v) and v > 0)
-AT_LEAST_ONE = Rule("must be at least 1", lambda v: v >= 1)
 
 
 class ConfigError(ValueError):
@@ -59,16 +56,12 @@ class ConfigError(ValueError):
 class Key:
     """One config key: the reader that converts its raw value (a dict
     instead is the table of a nested section), its default (None: the
-    key is required) and the rule the converted value must meet."""
+    key is required) and the rule the converted value must meet, the
+    library's own Rule wherever the library takes the value."""
 
     read: Callable | dict
     default: object = None
     rule: Rule | None = None
-
-
-def _one_of(choices) -> Rule:
-    choices = tuple(choices)  # tuple membership also accepts unhashable values
-    return Rule(f"must be one of {choices}", lambda v: v in choices)
 
 
 def _integer(raw) -> int:
@@ -98,45 +91,25 @@ def _list_of(kind) -> Callable:
     return read
 
 
-def _levels(least: int) -> Key:
-    """A study's levels, each at least 2: at least `least` of them, and
-    strictly increasing, so that no verdict compares a level with itself."""
-    rule = Rule(
-        f"must be a strictly increasing list of levels, each at least 2, at least {least} of them",
-        lambda levels: len(levels) >= least and all(lv >= 2 for lv in levels)
-        and all(b > a for a, b in zip(levels, levels[1:])),
-    )
-    return Key(_list_of(_integer), [16, 32, 64, 128], rule)
+def _levels(kind: str) -> Key:
+    return Key(_list_of(_integer), [16, 32, 64, 128], LEVELS[kind])
 
 
 TOP = {
-    "command": Key(str, None, _one_of(COMMANDS)),
-    "seed": Key(_integer, 0, Rule("must be nonnegative", lambda v: v >= 0)),
+    "command": Key(str, None, Rule.one_of(COMMANDS)),
+    "seed": Key(_integer, 0, SEED),
     "output_dir": Key(str, "out"),
     "theta": Key(_real, 1.0, FINITE_NONNEGATIVE),
 }
-NODES = Rule("must be at least 2 interior nodes", lambda n: n >= 2)
 VERIFY_NODES = Rule("must be at least 5 for verify, whose coarse level is max(4, nx // 2)", lambda n: n >= 5)
-GRID = {
-    "nx": Key(_integer, 64, NODES),
-    "ny": Key(_integer, 64, NODES),
-    "alpha": Key(_real, 0.5, Rule("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)),
-}
-FIELD = {"kind": Key(str, None, _one_of(FIELD_KINDS)), "amplitude": Key(_real, 1.0, FINITE)}
+GRID = {"nx": Key(_integer, 64, NODES), "ny": Key(_integer, 64, NODES), "alpha": Key(_real, 0.5, ALPHA)}
+FIELD = {"kind": Key(str, None, FIELD_KIND), "amplitude": Key(_real, 1.0, FINITE)}
 SINSIN = {"kind": "sinsin"}
-RECT = Key(
-    _list_of(_real),
-    None,
-    Rule(
-        "must be [x0, x1, y0, y1] with 0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1",
-        lambda r: len(r) == 4 and 0.0 <= r[0] < r[1] <= 1.0 and 0.0 <= r[2] < r[3] <= 1.0,
-    ),
-)
 SECTIONS = {
     "solve": {"f": Key(FIELD, SINSIN), "tol": Key(_real, RESIDUAL_TOL, FINITE_POSITIVE)},
     "verify": {"f": Key(FIELD, SINSIN), "n_test_functions": Key(_integer, 10, AT_LEAST_ONE)},
     "game": {
-        **dict.fromkeys(("omega", "omega1", "omega2", "g1_obs", "g2_obs"), RECT),
+        **dict.fromkeys(("omega", "omega1", "omega2", "g1_obs", "g2_obs"), Key(_list_of(_real), None, RECT)),
         **dict.fromkeys(("g", "yd1", "yd2"), Key(FIELD, SINSIN)),
         # the ball radii take default and rule from GameConfig
         **{f.name: Key(_real, f.default, f.metadata["rule"]) for f in fields(GameConfig) if "rule" in f.metadata},
@@ -145,29 +118,23 @@ SECTIONS = {
 # A study section holds its kind and the keys of that kind's study only;
 # each key is a keyword argument of the kind's study function.
 STUDIES = {
-    "convergence": {
-        "levels": _levels(3),
-        "manufactured": Key(str, "sinsin", _one_of(MANUFACTURED_KINDS)),
-    },
-    "energy": {"levels": _levels(2)},
+    "convergence": {"levels": _levels("convergence"), "manufactured": Key(str, "sinsin", MANUFACTURED_KIND)},
+    "energy": {"levels": _levels("energy")},
     "coercivity": {"n_samples": Key(_integer, 200, AT_LEAST_ONE)},
     "inclusion": {
-        "levels": _levels(1),
+        "levels": _levels("inclusion"),
         "plateau_tol": Key(_real, 0.05, FINITE_POSITIVE),
+        # its rule depends on levels (analysis._plateau_from)
         "plateau_from": Key(_integer, 32),
     },
     "embedding": {
-        "levels": _levels(2),
-        "q_values": Key(_list_of(_real), [2, 3, 4], Rule(
-            "must be a non-empty list of q, each in [2, 4], with distinct metric names max_ratio_q{q:g}",
-            lambda qs: bool(qs) and all(2.0 <= q <= 4.0 for q in qs)
-            and len(set(map(embedding_metric, qs))) == len(qs),
-        )),
+        "levels": _levels("embedding"),
+        "q_values": Key(_list_of(_real), [2, 3, 4], Q_VALUES),
         "n_samples": Key(_integer, 100, AT_LEAST_ONE),
     },
     "muckenhoupt": {"n_balls": Key(_integer, 500, AT_LEAST_ONE)},
 }
-STUDY_KIND = Key(str, None, _one_of(STUDIES))
+STUDY_KIND = Key(str, None, Rule.one_of(STUDIES))
 
 
 @dataclass
@@ -241,17 +208,6 @@ def _read(raw, table: dict, path: str) -> dict:
     return out
 
 
-def _check_plateau(study: dict, where: str) -> None:
-    """An inclusion study must check at least one refinement step, so its
-    plateau_from may not lie above the second-to-last level."""
-    levels, start = study["levels"], study["plateau_from"]
-    if len(levels) < 2 or start > levels[-2]:
-        raise ConfigError(
-            f"{where}: must be at most the second-to-last level, so that a refinement step "
-            f"is checked; got {start} with levels {levels}"
-        )
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a YAML run config, applying defaults.
 
@@ -279,10 +235,11 @@ def parse_config(text: str) -> RunConfig:
     top = _read({k: v for k, v in raw.items() if k not in tables}, TOP, "config")
     sections = {name: _read(raw.get(name, {}), table, name) for name, table in tables.items()}
 
-    if kind == "coercivity" and not top["theta"] > 0:
-        raise ConfigError(f"config.theta: a coercivity study needs theta > 0, got {top['theta']}")
+    if kind == "coercivity":
+        _check(FINITE_POSITIVE, top["theta"], "config.theta")
     if kind == "inclusion":
-        _check_plateau(sections["study"], "study.plateau_from")
+        study = sections["study"]
+        _check(_plateau_from(study["levels"]), study["plateau_from"], "study.plateau_from")
     grid = sections.pop("grid")
     if command == "verify":
         _check(VERIFY_NODES, grid["nx"], "grid.nx")
@@ -301,10 +258,10 @@ def _apply_level_override(cfg: RunConfig, n: int) -> None:
     an n x n grid.  A muckenhoupt study has neither."""
     if "levels" in cfg.study:
         kept = [lv for lv in cfg.study["levels"] if lv <= n]
-        rule = STUDIES[cfg.study["kind"]]["levels"].rule
-        cfg.study["levels"] = _check(rule, kept, f"study.levels after --level-override {n}")
+        cfg.study["levels"] = _check(LEVELS[cfg.study["kind"]], kept, f"study.levels after --level-override {n}")
         if cfg.study["kind"] == "inclusion":
-            _check_plateau(cfg.study, f"study.plateau_from after --level-override {n}")
+            where = f"study.plateau_from after --level-override {n}"
+            _check(_plateau_from(cfg.study["levels"]), cfg.study["plateau_from"], where)
     elif cfg.study.get("kind") == "muckenhoupt":
         raise ConfigError("--level-override: a muckenhoupt study has no levels or grid to act on")
     else:

@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import FINITE, Grid, GridFunction, Rule
 
 
 # named_field's kinds, each a function of the node coordinates and alpha,
@@ -27,6 +27,8 @@ _FORCINGS = {
 }
 FIELD_KINDS = tuple(_FIELDS)
 MANUFACTURED_KINDS = tuple(_FORCINGS)
+FIELD_KIND = Rule.one_of(FIELD_KINDS)
+MANUFACTURED_KIND = Rule.one_of(MANUFACTURED_KINDS)
 
 
 def named_field(grid: Grid, kind: str, amplitude: float = 1.0) -> GridFunction:
@@ -36,9 +38,7 @@ def named_field(grid: Grid, kind: str, amplitude: float = 1.0) -> GridFunction:
     (x(1-x)y(1-y)), xalpha_siny (x**alpha sin(pi y)), right_half
     (indicator of x > 1/2).
     """
-    if kind not in _FIELDS:
-        raise ValueError(f"unknown field kind {kind!r}; known: {sorted(_FIELDS)}")
-    field, scale = _FIELDS[kind], float(amplitude)
+    field, scale = _FIELDS[FIELD_KIND.check("kind", kind)], FINITE.check("amplitude", float(amplitude))
 
     def scaled(X, Y):
         # the bits of the scaled unit field, in one GridFunction
@@ -56,9 +56,7 @@ def manufactured_pair(grid: Grid, kind: str = "sinsin") -> tuple[GridFunction, G
     'poly':   u* = x(1-x) y(1-y), whose diffusion part is exact under
               centered differencing.
     """
-    if kind not in _FORCINGS:
-        raise ValueError(f"unknown manufactured solution {kind!r}")
-    forcing = functools.partial(_FORCINGS[kind], alpha=grid.alpha)
+    forcing = functools.partial(_FORCINGS[MANUFACTURED_KIND.check("kind", kind)], alpha=grid.alpha)
     return named_field(grid, kind), GridFunction.from_callable(grid, forcing)
 
 

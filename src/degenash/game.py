@@ -60,12 +60,12 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import Grid, GridFunction, RegionMask
+from .grid import FINITE_NONNEGATIVE, Grid, GridFunction, RegionMask, Rule
 from .operators import DirichletSolver, assemble
 
 _FEAS_SLACK = 8 * np.finfo(float).eps
@@ -87,15 +87,11 @@ class BestResponseError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class Rule:
-    """A condition a setting must meet, and the words that state it."""
-
-    text: str
-    holds: Callable[[object], bool]
-
-
-FINITE_NONNEGATIVE = Rule("must be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0)
+# certify seeds numpy with [seed, i], which takes only integers >= 0
+SEED = Rule(
+    "must be a nonnegative integer",
+    lambda s: not isinstance(s, bool) and isinstance(s, (int, np.integer)) and s >= 0,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,13 +120,9 @@ class GameConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            rule = f.metadata.get("rule")
-            value = getattr(self, f.name)
-            if rule is not None and not rule.holds(value):
-                raise ValueError(f"{f.name} {rule.text}, got {value}")
-        # certify seeds numpy with [seed, i], which takes only integers >= 0
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            if "rule" in f.metadata:
+                f.metadata["rule"].check(f.name, getattr(self, f.name))
+        SEED.check("seed", self.seed)
         for name in ("omega", "omega1", "omega2", "g1_obs", "g2_obs", "g", "yd1", "yd2"):
             other = getattr(self, name).grid
             if other != self.grid:

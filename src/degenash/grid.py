@@ -10,6 +10,9 @@ per (grid, exponent) and handed out as a read-only array; a self-pairing
 weighted_inner(u, u, ...) interpolates u once.  Cell averages are formed
 in a flat row layout (_cell_sums) by contiguous passes that keep the bits
 of the plain four-corner formula.
+
+Each input rule is a Rule, stated once in the module that owns the input
+and checked by both the library and the config; shared ones are here.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +28,38 @@ import numpy as np
 
 class DegenerateWeightWarning(UserWarning):
     """Quadrature of a non-integrable weight with mass next to x=0."""
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A condition an input must meet, and the words that state it."""
+
+    text: str
+    holds: Callable[[object], bool]
+
+    @classmethod
+    def one_of(cls, choices) -> "Rule":
+        choices = tuple(choices)  # tuple membership also accepts unhashable values
+        return cls(f"must be one of {choices}", lambda v: v in choices)
+
+    def check(self, name: str, value):
+        """value, or ValueError naming the input when the rule fails."""
+        if not self.holds(value):
+            raise ValueError(f"{name} {self.text}, got {value!r}")
+        return value
+
+
+FINITE = Rule("must be finite", math.isfinite)
+FINITE_POSITIVE = Rule("must be finite and positive", lambda v: math.isfinite(v) and v > 0)
+FINITE_NONNEGATIVE = Rule("must be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0)
+AT_LEAST_ONE = Rule("must be at least 1", lambda v: v >= 1)
+NODES = Rule("must be at least 2 interior nodes", lambda n: n >= 2)
+# the well-posedness theory and the compact embedding both fail outside (0, 1]
+ALPHA = Rule("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)
+RECT = Rule(
+    "must be [x0, x1, y0, y1] with 0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1",
+    lambda r: len(r) == 4 and 0.0 <= r[0] < r[1] <= 1.0 and 0.0 <= r[2] < r[3] <= 1.0,
+)
 
 
 @dataclass(frozen=True)
@@ -75,17 +111,12 @@ class Grid:
 
 
 def build_grid(nx: int, ny: int, alpha: float) -> Grid:
-    """Build the interior grid, rejecting out-of-theory parameters.
-
-    alpha must lie in (0,1]; the well-posedness theory and the compact
-    embedding both fail outside that range.
-    """
+    """Build the interior grid: nx and ny by NODES, alpha by ALPHA."""
     if not (isinstance(nx, (int, np.integer)) and isinstance(ny, (int, np.integer))):
         raise TypeError("nx and ny must be integers")
-    if nx < 2 or ny < 2:
-        raise ValueError(f"need nx >= 2 and ny >= 2, got nx={nx}, ny={ny}")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    NODES.check("nx", nx)
+    NODES.check("ny", ny)
+    ALPHA.check("alpha", alpha)
     return Grid(nx=int(nx), ny=int(ny), alpha=float(alpha))
 
 
@@ -208,10 +239,7 @@ class RegionMask:
 
 def rect_mask(grid: Grid, x0: float, x1: float, y0: float, y1: float) -> RegionMask:
     """Mask of interior nodes inside the open rectangle (x0,x1) x (y0,y1)."""
-    if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
-        raise ValueError(
-            f"rectangle ({x0},{x1}) x ({y0},{y1}) must satisfy 0 <= x0 < x1 <= 1, 0 <= y0 < y1 <= 1"
-        )
+    RECT.check("rectangle", [x0, x1, y0, y1])
     inside_x = (grid.x > x0) & (grid.x < x1)
     inside_y = (grid.y > y0) & (grid.y < y1)
     return RegionMask(grid, (inside_x[:, None] & inside_y[None, :]).reshape(grid.n))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, _cell_sums, _quadrature, cell_weights, weighted_inner
+from .grid import AT_LEAST_ONE, GridFunction, Rule, _cell_sums, _quadrature, cell_weights, weighted_inner
 from .operators import dx, dy
 
 DIAM = math.sqrt(2.0)
@@ -34,6 +34,7 @@ N_QUAD = 2048
 BALL_BATCH = 8
 R_MIN, R_MAX = 1e-3, DIAM
 OVERFLOW = 1e4
+EMBEDDING_Q = Rule("must lie in [2, 4]", lambda q: 2.0 <= q <= 4.0)
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,8 @@ def lq_norm(u: GridFunction, q: float) -> float:
 
 
 def embedding_ratio(u: GridFunction, q: float) -> float:
-    """||u||_{L^q} / ||u||_{W11}; the embedding constants live in [2,4]."""
-    if not (2.0 <= q <= 4.0):
-        raise ValueError(f"embedding ratio requires q in [2, 4], got {q}")
+    """||u||_{L^q} / ||u||_{W11}, for q that meets EMBEDDING_Q."""
+    EMBEDDING_Q.check("q", q)
     w11 = norms_of(u).w11
     if w11 == 0.0:
         raise ValueError("embedding ratio undefined for u = 0")
@@ -191,8 +191,7 @@ def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: i
     (inf if no ball is left).  None is drawn here, since every radius is
     at least R_MIN and every centre lies in the square.
     """
-    if n_balls < 1:
-        raise ValueError("need at least one ball")
+    AT_LEAST_ONE.check("n_balls", n_balls)
     cxs, cys, rs = (a[:, None] for a in _sample_balls(n_balls, seed))
     # the integrals of w and 1/w of each weight, in that order
     exponents = tuple(x for e in weight_exponents for x in (e, -e))

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import Grid, GridFunction, weighted_inner
+from .grid import FINITE_NONNEGATIVE, FINITE_POSITIVE, Grid, GridFunction, weighted_inner
 
 # The residual contract (_check_residual): ||A u - f|| <= RESIDUAL_TOL * max(1, ||f||).
 RESIDUAL_TOL = 1e-10
@@ -283,8 +283,7 @@ def solve_dirichlet(
     """
     if f.grid != op.grid:
         raise ValueError("right-hand side lives on a different grid")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    FINITE_POSITIVE.check("tol", tol)
     start = time.perf_counter()
     rows = np.ascontiguousarray(f.values2d().T)
     # leading zero rows solve to +0.0 (a -0.0 there would stay -0.0), and
@@ -350,9 +349,8 @@ def dy(u: GridFunction) -> GridFunction:
 
 
 def theta_weight(theta: float):
-    """The stabilizing y-weight y -> exp(-theta*y); theta must be finite and >= 0."""
-    if not (math.isfinite(theta) and theta >= 0):
-        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
+    """The stabilizing y-weight y -> exp(-theta*y); theta must meet FINITE_NONNEGATIVE."""
+    FINITE_NONNEGATIVE.check("theta", theta)
     return lambda y: np.exp(-theta * y)
 
 

@@ -57,7 +57,7 @@ class TestConvergenceStudy:
     ids=["convergence-repeated", "convergence-falling", "energy", "embedding"],
 )
 def test_levels_must_strictly_increase(study, levels):
-    with pytest.raises(ValueError, match="levels must be strictly increasing"):
+    with pytest.raises(ValueError, match="levels must be a strictly increasing list"):
         study(levels, alpha=0.5)
 
 
@@ -216,9 +216,31 @@ class TestStrictInclusion:
         with pytest.raises(ValueError):
             strict_inclusion_demo([32, 16])
 
-    def test_single_level_inconclusive(self):
-        r = strict_inclusion_demo([64])
-        assert r.verdict is Verdict.INCONCLUSIVE
+    def test_single_level_rejected(self):
+        # one level has no refinement step to check
+        with pytest.raises(ValueError, match="levels"):
+            strict_inclusion_demo([64])
+
+    @pytest.mark.parametrize(
+        "name, keys",
+        [
+            ("plateau_tol", {"plateau_tol": math.inf, "plateau_from": 8}),
+            ("plateau_tol", {"plateau_tol": math.nan, "plateau_from": 8}),
+            ("plateau_tol", {"plateau_tol": 0.0, "plateau_from": 8}),
+            ("plateau_from", {"plateau_from": 1000}),
+            ("plateau_from", {"plateau_from": 17}),
+        ],
+        ids=["tol-inf", "tol-nan", "tol-zero", "from-1000", "from-17"],
+    )
+    def test_inputs_the_config_rejects_are_rejected(self, monkeypatch, name, keys):
+        # plateau_tol = inf would pass every step, and a plateau_from above
+        # the second-to-last level would check none; both are rejected
+        # before any work
+        import degenash.analysis as analysis
+
+        monkeypatch.setattr(analysis, "build_grid", lambda *args: pytest.fail("built a grid"))
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            strict_inclusion_demo([8, 16, 24], **keys)
 
     def test_no_levels_rejected(self):
         with pytest.raises(ValueError, match="levels"):

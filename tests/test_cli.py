@@ -174,6 +174,7 @@ class TestParseConfig:
             ("convergence", "levels", "[16, 32]"),
             ("inclusion", "levels", "[32, 16, 64]"),
             ("inclusion", "levels", "[16, 16, 32]"),
+            ("inclusion", "levels", "[16]"),
             ("convergence", "levels", "5"),
             ("embedding", "q_values", "[2, x]"),
             ("muckenhoupt", "n_balls", "abc"),
@@ -249,7 +250,7 @@ class TestParseConfig:
         cfg = parse_config(STUDY.format("coercivity, n_samples: 5.0"))
         assert cfg.study["n_samples"] == 5 and type(cfg.study["n_samples"]) is int
 
-    @pytest.mark.parametrize("levels, start", [("[8, 16, 24]", 1000), ("[8, 16, 24]", 17), ("[16]", 8)])
+    @pytest.mark.parametrize("levels, start", [("[8, 16, 24]", 1000), ("[8, 16, 24]", 17)])
     def test_inclusion_must_check_a_refinement_step(self, levels, start):
         with pytest.raises(ConfigError, match="study.plateau_from"):
             parse_config(STUDY.format(f"inclusion, levels: {levels}, plateau_from: {start}"))

@@ -249,7 +249,7 @@ class TestMuckenhoupt:
         assert peaks[1] - peaks[0] < 8 * norms_mod.BALL_BATCH * norms_mod.N_QUAD
 
     def test_panel_needs_a_ball(self):
-        with pytest.raises(ValueError, match="at least one ball"):
+        with pytest.raises(ValueError, match="n_balls must be at least 1"):
             muckenhoupt_panel((0.5,), 0, 1)
 
     # p = 2 names the class muckenhoupt_panel samples; it is kept in the case id

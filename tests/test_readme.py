@@ -1,4 +1,4 @@
-"""The README's statements of module constants match the code."""
+"""The README's statements of module constants and level rules match the code."""
 
 import ast
 import re
@@ -32,3 +32,16 @@ def test_readme_states_the_constant_in_the_code(name):
     for text in stated:
         stated_value = ast.literal_eval(text)
         assert (stated_value, type(stated_value)) == (value, type(value)), text
+
+
+def least_levels(rule) -> int:
+    """The fewest strictly increasing levels the rule accepts."""
+    return next(n for n in range(10) if rule.holds([8 * (k + 1) for k in range(n)]))
+
+
+def test_readme_states_each_studys_least_levels():
+    # the grammar block's `# kind: K` line, then its `levels: ... # at least N`
+    stated = dict(re.findall(r"# kind: (\w+)[^\n]*\n\s*#\s+levels: [^\n#]*# at least (\d+)", README))
+    assert stated.keys() == analysis.LEVELS.keys()
+    for kind, rule in analysis.LEVELS.items():
+        assert int(stated[kind]) == least_levels(rule), kind

@@ -1,0 +1,175 @@
+"""Each input rule is one Rule object of the library module that owns the
+input: the config's tables hold the same object, a bad value gives a
+ConfigError naming section.key through parse_config and a ValueError
+naming the parameter through the library, and both carry its text."""
+
+import copy
+import dataclasses
+import math
+
+import pytest
+import yaml
+
+import degenash.analysis as analysis
+import degenash.cli as cli
+import degenash.fields as fields
+import degenash.game as game
+import degenash.grid as grid
+from conftest import CONFIG_DIR, shipped_game
+from degenash.analysis import (
+    coercivity_check,
+    convergence_study,
+    embedding_study,
+    energy_estimate_study,
+    strict_inclusion_demo,
+)
+from degenash.cli import ConfigError, parse_config
+from degenash.fields import manufactured_pair, named_field
+from degenash.grid import build_grid, rect_mask
+from degenash.norms import muckenhoupt_panel
+from degenash.operators import assemble, solve_dirichlet, theta_weight
+
+SOLVE = {"command": "solve", "grid": {"nx": 16, "ny": 16, "alpha": 0.5}, "solve": {"f": {"kind": "sinsin"}}}
+GAME = yaml.safe_load((CONFIG_DIR / "benchmark_game.yaml").read_text())
+G = build_grid(8, 8, 0.5)
+INCLUSION = [8, 16, 24]
+
+
+def study(kind, **keys):
+    return {"command": "study", "seed": 1, "study": {"kind": kind, **keys}}
+
+
+STUDY_CALLS = {
+    "convergence": convergence_study,
+    "energy": lambda levels: energy_estimate_study(levels, alpha=0.5),
+    "inclusion": strict_inclusion_demo,
+    "embedding": lambda levels: embedding_study(levels=levels, n_samples=2),
+}
+BAD_LEVELS = {"convergence": [16, 32], "energy": [32, 32], "inclusion": [16], "embedding": [16]}
+
+# (config, dotted path of the key in it, bad value, library call, parameter, rule)
+CASES = {
+    "alpha": (SOLVE, "grid.alpha", 2.0, lambda v: build_grid(8, 8, v), "alpha", grid.ALPHA),
+    "nx": (SOLVE, "grid.nx", 1, lambda v: build_grid(v, 8, 0.5), "nx", grid.NODES),
+    "ny": (SOLVE, "grid.ny", 1, lambda v: build_grid(8, v, 0.5), "ny", grid.NODES),
+    "rectangle": (GAME, "game.omega", [0.3, 0.1, 0.1, 0.9], lambda v: rect_mask(G, *v), "rectangle", grid.RECT),
+    "field-kind": (SOLVE, "solve.f.kind", "bogus", lambda v: named_field(G, v), "kind", fields.FIELD_KIND),
+    "amplitude": (SOLVE, "solve.f.amplitude", math.inf, lambda v: named_field(G, "sinsin", v), "amplitude", grid.FINITE),
+    "manufactured": (
+        study("convergence"), "study.manufactured", "bogus", lambda v: manufactured_pair(G, v), "kind",
+        fields.MANUFACTURED_KIND,
+    ),
+    "theta": (SOLVE, "theta", -1.0, theta_weight, "theta", grid.FINITE_NONNEGATIVE),
+    "theta-coercivity": (
+        study("coercivity"), "theta", 0.0, lambda v: coercivity_check(v, 5, seed=1), "theta", grid.FINITE_POSITIVE,
+    ),
+    "tol": (
+        SOLVE, "solve.tol", -1.0, lambda v: solve_dirichlet(assemble(G), named_field(G, "sinsin"), v), "tol",
+        grid.FINITE_POSITIVE,
+    ),
+    **{
+        f"levels-{kind}": (study(kind), "study.levels", BAD_LEVELS[kind], call, "levels", analysis.LEVELS[kind])
+        for kind, call in STUDY_CALLS.items()
+    },
+    "n_samples-coercivity": (
+        study("coercivity"), "study.n_samples", 0, lambda v: coercivity_check(1.0, v, seed=1), "n_samples",
+        grid.AT_LEAST_ONE,
+    ),
+    "n_samples-embedding": (
+        study("embedding"), "study.n_samples", 0, lambda v: embedding_study(levels=[8, 16], n_samples=v),
+        "n_samples", grid.AT_LEAST_ONE,
+    ),
+    "n_balls": (
+        study("muckenhoupt"), "study.n_balls", 0, lambda v: muckenhoupt_panel((0.5,), v, 1), "n_balls",
+        grid.AT_LEAST_ONE,
+    ),
+    "q_values": (
+        study("embedding"), "study.q_values", [2.0, 2.0], lambda v: embedding_study(levels=[8, 16], q_values=v),
+        "q_values", analysis.Q_VALUES,
+    ),
+    "seed": (GAME, "seed", -1, lambda v: dataclasses.replace(shipped_game(n=16), seed=v), "seed", game.SEED),
+    "m1": (
+        GAME, "game.m1", -1.0, lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1",
+        grid.FINITE_NONNEGATIVE,
+    ),
+    "plateau_tol": (
+        study("inclusion", levels=INCLUSION, plateau_from=8), "study.plateau_tol", math.inf,
+        lambda v: strict_inclusion_demo(INCLUSION, plateau_tol=v, plateau_from=8), "plateau_tol",
+        grid.FINITE_POSITIVE,
+    ),
+    "plateau_from": (
+        study("inclusion", levels=INCLUSION), "study.plateau_from", 1000,
+        lambda v: strict_inclusion_demo(INCLUSION, plateau_from=v), "plateau_from",
+        analysis._plateau_from(INCLUSION),
+    ),
+}
+
+
+def with_value(config: dict, path: str, value) -> str:
+    """The YAML text of config with the key at path set to value."""
+    config = copy.deepcopy(config)
+    *sections, key = path.split(".")
+    node = config
+    for name in sections:
+        node = node[name]
+    node[key] = value
+    return yaml.safe_dump(config)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_config_and_library_reject_by_one_rule(case):
+    config, path, bad, call, name, rule = CASES[case]
+    where = path if "." in path else f"config.{path}"
+    with pytest.raises(ConfigError) as config_error:
+        parse_config(with_value(config, path, bad))
+    assert str(config_error.value).startswith(f"{where}: {rule.text}, got ")
+    with pytest.raises(ValueError) as library_error:
+        call(bad)
+    assert type(library_error.value) is ValueError
+    assert str(library_error.value).startswith(f"{name} {rule.text}, got ")
+
+
+GAME_RULES = {f.name: f.metadata["rule"] for f in dataclasses.fields(game.GameConfig) if "rule" in f.metadata}
+SHARED = {
+    "grid.alpha": (cli.GRID["alpha"].rule, grid.ALPHA),
+    "grid.nx": (cli.GRID["nx"].rule, grid.NODES),
+    "grid.ny": (cli.GRID["ny"].rule, grid.NODES),
+    **{f"game.{r}": (cli.SECTIONS["game"][r].rule, grid.RECT) for r in ("omega", "omega1", "omega2", "g1_obs", "g2_obs")},
+    **{f"game.{m}": (cli.SECTIONS["game"][m].rule, GAME_RULES[m]) for m in ("m1", "m2")},
+    "field.kind": (cli.FIELD["kind"].rule, fields.FIELD_KIND),
+    "field.amplitude": (cli.FIELD["amplitude"].rule, grid.FINITE),
+    "config.theta": (cli.TOP["theta"].rule, grid.FINITE_NONNEGATIVE),
+    "config.seed": (cli.TOP["seed"].rule, game.SEED),
+    "solve.tol": (cli.SECTIONS["solve"]["tol"].rule, grid.FINITE_POSITIVE),
+    "convergence.manufactured": (cli.STUDIES["convergence"]["manufactured"].rule, fields.MANUFACTURED_KIND),
+    **{f"{kind}.levels": (cli.STUDIES[kind]["levels"].rule, rule) for kind, rule in analysis.LEVELS.items()},
+    "coercivity.n_samples": (cli.STUDIES["coercivity"]["n_samples"].rule, grid.AT_LEAST_ONE),
+    "embedding.n_samples": (cli.STUDIES["embedding"]["n_samples"].rule, grid.AT_LEAST_ONE),
+    "embedding.q_values": (cli.STUDIES["embedding"]["q_values"].rule, analysis.Q_VALUES),
+    "muckenhoupt.n_balls": (cli.STUDIES["muckenhoupt"]["n_balls"].rule, grid.AT_LEAST_ONE),
+    "inclusion.plateau_tol": (cli.STUDIES["inclusion"]["plateau_tol"].rule, grid.FINITE_POSITIVE),
+}
+
+
+@pytest.mark.parametrize("key", SHARED)
+def test_config_table_holds_the_library_rule(key):
+    table_rule, library_rule = SHARED[key]
+    assert table_rule is library_rule
+
+
+def table_rules(table: dict):
+    for key in table.values():
+        if isinstance(key.read, dict):
+            yield from table_rules(key.read)
+        elif key.rule is not None:
+            yield key.rule
+
+
+def test_config_states_no_rule_of_its_own():
+    # only the command and the study kind are the CLI's own
+    library = [v for m in (grid, fields, analysis, game) for v in vars(m).values() if isinstance(v, grid.Rule)]
+    library += [*analysis.LEVELS.values(), *GAME_RULES.values()]
+    own = [cli.TOP["command"].rule, cli.STUDY_KIND.rule]
+    tables = [cli.TOP, cli.GRID, *cli.SECTIONS.values(), *cli.STUDIES.values()]
+    for rule in (rule for table in tables for rule in table_rules(table)):
+        assert any(rule is r for r in library + own), rule.text

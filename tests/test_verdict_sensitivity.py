@@ -11,6 +11,7 @@ must hold the u it got back to the solve's residual contract.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import degenash.analysis as analysis_mod
@@ -107,6 +108,21 @@ def test_energy_holds_the_returned_u_to_the_contract(monkeypatch, eps, verdict):
 
     monkeypatch.setattr(analysis_mod, "solve_dirichlet", scaled_solver)
     assert energy_estimate_study([16, 32, 64], alpha=0.5).verdict == verdict
+
+
+def test_energy_fails_a_solution_of_either_sign(monkeypatch):
+    # u plus a checkerboard of 0.1 max|u|, with the residual recheck made
+    # to pass: every ratio stays bounded, so only the sign of u can fail
+    # it (the M-matrix gives u >= 0 for the nonnegative forcing terms)
+    def checkerboard_solver(op, f, tol=RESIDUAL_TOL):
+        u, report = solve_dirichlet(op, f, tol)
+        i, j = np.indices((op.grid.nx, op.grid.ny))
+        checkerboard = 0.1 * np.max(np.abs(u.values)) * (-1.0) ** (i + j).ravel()
+        return GridFunction(op.grid, u.values + checkerboard), report
+
+    monkeypatch.setattr(analysis_mod, "solve_dirichlet", checkerboard_solver)
+    monkeypatch.setattr(analysis_mod, "_check_residual", lambda op, u, f, tol=RESIDUAL_TOL: (0.0, True))
+    assert energy_estimate_study([16, 32, 64], alpha=0.5).verdict == Verdict.FAIL
 
 
 def test_muckenhoupt_fails_the_product_of_w_with_itself(monkeypatch):
