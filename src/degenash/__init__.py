@@ -47,7 +47,6 @@ from .operators import (
     SparseOperator,
     assemble,
     solve_dirichlet,
-    theta_weak_form_residual,
     weak_form_residual,
 )
 

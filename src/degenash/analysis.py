@@ -15,7 +15,7 @@ import numpy as np
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
 from .grid import AT_LEAST_ONE, FINITE_POSITIVE, GridFunction, Rule, build_grid, weighted_inner
 from .norms import EMBEDDING_Q, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
-from .operators import _check_residual, assemble, bilinear_form, dx, dy, solve_dirichlet, theta_weight
+from .operators import _check_residual, assemble, bilinear_form, dx, dy, solve_dirichlet
 
 # The Muckenhoupt panel asks the constant weight for an A_2 constant of 1,
 # and every ball product of a weight that did not diverge to be at least 1
@@ -133,7 +133,7 @@ def energy_estimate_study(levels: Sequence[int], alpha: float) -> StudyResult:
 def stabilized_form_value(v: GridFunction, theta: float) -> float:
     """a(v,v) = bilinear_form(v, v_y) weighted by exp(-theta*y): the
     integral of [x**alpha v_y^2 + 1/2 v_x (v_x)_y] exp(-theta*y)."""
-    return bilinear_form(v, dy(v), theta_weight(theta))
+    return bilinear_form(v, dy(v), theta)
 
 
 def coercivity_delta(theta: float, mu: float) -> float:

@@ -37,10 +37,10 @@ from .analysis import (
     strict_inclusion_demo,
 )
 from .fields import FIELD_KIND, MANUFACTURED_KIND, bump_from_parameters, bump_parameter_sets, named_field
-from .game import SEED, GameConfig, NashResult, control_norm, nash_solve
-from .grid import ALPHA, AT_LEAST_ONE, FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, NODES, RECT, Rule, build_grid, rect_mask
+from .game import GameConfig, NashResult, control_norm, nash_solve
+from .grid import ALPHA, AT_LEAST_ONE, FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, NODES, RECT, SEED, Rule, build_grid, rect_mask
 from .norms import norms_of
-from .operators import RESIDUAL_TOL, assemble, solve_dirichlet, theta_weak_form_residual, weak_form_residual
+from .operators import RESIDUAL_TOL, assemble, dy, solve_dirichlet, weak_form_residual
 
 COMMANDS = ("solve", "verify", "study", "game")
 SAMPLING_STUDY_KINDS = ("coercivity", "embedding", "muckenhoupt")
@@ -214,8 +214,8 @@ def parse_config(text: str) -> RunConfig:
     The top level holds command, seed, output_dir, theta, the grid
     section and the section named by the command; each section is read by
     its table (TOP, GRID, SECTIONS, STUDIES), and unknown keys are errors.
-    Sampling commands (game; coercivity/embedding/muckenhoupt studies)
-    require an explicit seed for reproducibility.
+    Sampling commands (game; verify; coercivity/embedding/muckenhoupt
+    studies) require an explicit seed for reproducibility.
     """
     try:
         raw = yaml.safe_load(text)
@@ -245,7 +245,7 @@ def parse_config(text: str) -> RunConfig:
         _check(VERIFY_NODES, grid["nx"], "grid.nx")
         if grid["ny"] != grid["nx"]:
             raise ConfigError(f"grid.ny: verify runs square grids, so ny must equal nx = {grid['nx']}, got {grid['ny']}")
-    if (command == "game" or kind in SAMPLING_STUDY_KINDS) and "seed" not in raw:
+    if (command in ("game", "verify") or kind in SAMPLING_STUDY_KINDS) and "seed" not in raw:
         raise ConfigError("config.seed: sampling commands require an explicit seed")
     return RunConfig(
         command=command, nx=grid["nx"], ny=grid["ny"], alpha=grid["alpha"], theta=top["theta"],
@@ -363,7 +363,7 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
         for k, p in enumerate(params):
             phi = bump_from_parameters(grid, p)
             r = weak_form_residual(u, f, phi)
-            rt = theta_weak_form_residual(u, f, phi, cfg.theta)
+            rt = weak_form_residual(u, f, dy(phi), cfg.theta)
             rows.append([level, k, r, rt])
             residuals += [r, rt]
         # np.max keeps a NaN, where Python's max would drop it

@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from .grid import FINITE, Grid, GridFunction, Rule
+from .grid import FINITE, SEED, Grid, GridFunction, Rule
 
 
 # named_field's kinds, each a function of the node coordinates and alpha,
@@ -83,8 +83,8 @@ def boundary_cutoff(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def bump_parameter_sets(n: int, seed: int) -> list[dict]:
     """Draw bump parameters once so the same smooth functions can be
-    re-sampled on several grids (refinement studies)."""
-    rng = np.random.default_rng(seed)
+    re-sampled on several grids (refinement studies); seed by SEED."""
+    rng = np.random.default_rng(SEED.check("seed", seed))
     out = []
     for _ in range(n):
         out.append(

@@ -65,7 +65,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .grid import FINITE_NONNEGATIVE, Grid, GridFunction, RegionMask, Rule
+from .grid import FINITE_NONNEGATIVE, SEED, Grid, GridFunction, RegionMask
 from .operators import DirichletSolver, assemble
 
 _FEAS_SLACK = 8 * np.finfo(float).eps
@@ -85,13 +85,6 @@ class BestResponseError(RuntimeError):
         super().__init__(f"{message} (projected-gradient residual {residual:.3e})")
         self.iterate = iterate
         self.residual = residual
-
-
-# certify seeds numpy with [seed, i], which takes only integers >= 0
-SEED = Rule(
-    "must be a nonnegative integer",
-    lambda s: not isinstance(s, bool) and isinstance(s, (int, np.integer)) and s >= 0,
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,10 +258,10 @@ def project_ball(f: GridFunction, m: float, mask: RegionMask, alpha: float) -> G
     """Projection onto {support in mask, ||.||_{L2(x^-alpha)} <= m}.
 
     Masking first, then radial rescaling; norms within round-off of m are
-    treated as feasible so the projection is exactly idempotent.
+    treated as feasible so the projection is exactly idempotent.  m, as
+    GameConfig's m1 and m2, by FINITE_NONNEGATIVE.
     """
-    if m < 0:
-        raise ValueError("ball radius must be nonnegative")
+    FINITE_NONNEGATIVE.check("m", m)
     fm = mask.apply(f)
     if m == 0.0:
         return GridFunction(f.grid, np.zeros(f.grid.n))

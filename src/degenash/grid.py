@@ -6,7 +6,8 @@ x-direction carries the degeneracy weight x**alpha with alpha in (0,1], and
 all quadrature is midpoint-in-cell so the weight is never evaluated at x=0.
 
 The x-part hx*hy * xc**exponent of the quadrature weights is computed once
-per (grid, exponent) and handed out as a read-only array; a self-pairing
+per (grid, exponent) and handed out as a read-only array; the one y-weight
+is the stabilizing exp(-theta*y), which takes a fresh array; a self-pairing
 weighted_inner(u, u, ...) interpolates u once.  Cell averages are formed
 in a flat row layout (_cell_sums) by contiguous passes that keep the bits
 of the plain four-corner formula.
@@ -59,6 +60,11 @@ ALPHA = Rule("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)
 RECT = Rule(
     "must be [x0, x1, y0, y1] with 0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1",
     lambda r: len(r) == 4 and 0.0 <= r[0] < r[1] <= 1.0 and 0.0 <= r[2] < r[3] <= 1.0,
+)
+# numpy seeds its generators only with integers >= 0 (or sequences of them)
+SEED = Rule(
+    "must be a nonnegative integer",
+    lambda s: not isinstance(s, bool) and isinstance(s, (int, np.integer)) and s >= 0,
 )
 
 
@@ -305,48 +311,40 @@ def _x_weights(grid: Grid, exponent: float) -> np.ndarray:
     return np.broadcast_to(w, (grid.nx + 1, grid.ny + 1))
 
 
-def cell_weights(grid: Grid, exponent: float, y_weight=None) -> np.ndarray:
-    """Quadrature weights hx*hy * xc**exponent (* y_weight(yc)), shape (nx+1, ny+1).
+def cell_weights(grid: Grid, exponent: float, theta: float = 0.0) -> np.ndarray:
+    """Quadrature weights hx*hy * xc**exponent * exp(-theta*yc), shape (nx+1, ny+1).
 
-    Without y_weight the result is a read-only view shared by every caller
-    with the same grid and exponent; with y_weight it is a fresh array.
-    y_weight's result must broadcast to (ny+1,), so a constant will do.
-    A non-finite exponent, a y_weight result that does not broadcast, or
-    one that is not finite at every cell centre, raises ValueError.
+    At theta = 0 the result is a read-only view shared by every caller
+    with the same grid and exponent; otherwise it is a fresh array.  A
+    non-finite exponent, or a theta that is not FINITE_NONNEGATIVE,
+    raises ValueError.
     """
     if not math.isfinite(exponent):
         raise ValueError(f"exponent must be finite, got {exponent}")
     w = _x_weights(grid, exponent)
-    if y_weight is not None:
-        yw = np.asarray(y_weight(grid.yc))
-        shape = grid.yc.shape
-        try:
-            yw = np.broadcast_to(yw, shape)
-        except ValueError:
-            raise ValueError(f"y_weight returned shape {yw.shape}, which does not broadcast to {shape}") from None
-        if not np.all(np.isfinite(yw)):
-            raise ValueError("y_weight must be finite at every cell centre")
-        return w * yw[None, :]
-    return w
+    if theta == 0:
+        return w
+    FINITE_NONNEGATIVE.check("theta", theta)
+    return w * np.exp(-theta * grid.yc)[None, :]
 
 
-def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, y_weight=None) -> float:
+def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: float = 0.0) -> float:
     """Quadrature value of the weighted pairing of u and v.
 
     Computes the integral over the unit square of
-    x**exponent * u * v (* y_weight(y) when given) by the midpoint rule
+    x**exponent * exp(-theta*y) * u * v by the midpoint rule
     on the (nx+1) x (ny+1) cells, using cell-center values of the weight
     and of the bilinear interpolants of the nodal data.  The weight is
     only ever evaluated at cell centers, so any exponent > -1 integrates
     the singular column correctly; with exponent <= -1 the value is still
     defined but the underlying integral may diverge, and a
     DegenerateWeightWarning is emitted whenever the integrand carries
-    mass in the first cell column.  A non-finite exponent or y_weight
-    raises ValueError (cell_weights).
+    mass in the first cell column.  A non-finite exponent, or a theta
+    that is not finite and nonnegative, raises ValueError (cell_weights).
     """
     u._check_same_grid(v)
     g = u.grid
-    w = cell_weights(g, exponent, y_weight)
+    w = cell_weights(g, exponent, theta)
     # ub * vb first, in ub's own buffer: elementwise products commute
     # exactly, so the pairing is symmetric to the last bit
     prod = _cell_sums(u)
@@ -359,4 +357,4 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, y_weight=N
             DegenerateWeightWarning,
             stacklevel=2,
         )
-    return float(_quadrature(w, prod, g, out=w if y_weight is not None else None))
+    return float(_quadrature(w, prod, g, out=w if theta != 0 else None))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AT_LEAST_ONE, GridFunction, Rule, _cell_sums, _quadrature, cell_weights, weighted_inner
+from .grid import AT_LEAST_ONE, SEED, GridFunction, Rule, _cell_sums, _quadrature, cell_weights, weighted_inner
 from .operators import dx, dy
 
 DIAM = math.sqrt(2.0)
@@ -192,6 +192,7 @@ def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: i
     at least R_MIN and every centre lies in the square.
     """
     AT_LEAST_ONE.check("n_balls", n_balls)
+    SEED.check("seed", seed)
     cxs, cys, rs = (a[:, None] for a in _sample_balls(n_balls, seed))
     # the integrals of w and 1/w of each weight, in that order
     exponents = tuple(x for e in weight_exponents for x in (e, -e))

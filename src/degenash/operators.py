@@ -35,9 +35,9 @@ A u is computed from the 5-point stencil.  The CSR matrix of A is
 assembled, and scipy.sparse imported, only when something reads
 SparseOperator.matrix; no solve does.
 
-bilinear_form states the weak form once; both weak-form residuals and
-the coercivity form of analysis evaluate it, weighted by theta_weight's
-exp(-theta*y) where the form is stabilized.
+bilinear_form states the weak form once, with every pairing weighted by
+exp(-theta*y) (none at theta = 0); the one weak-form residual, against
+phi or against d_y phi, and the coercivity form of analysis evaluate it.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import FINITE_NONNEGATIVE, FINITE_POSITIVE, Grid, GridFunction, weighted_inner
+from .grid import FINITE_POSITIVE, Grid, GridFunction, weighted_inner
 
 # The residual contract (_check_residual): ||A u - f|| <= RESIDUAL_TOL * max(1, ||f||).
 RESIDUAL_TOL = 1e-10
@@ -348,40 +348,21 @@ def dy(u: GridFunction) -> GridFunction:
     return GridFunction(u.grid, _diff_along(u.values2d(), u.grid.hy, axis=1).reshape(u.grid.n))
 
 
-def theta_weight(theta: float):
-    """The stabilizing y-weight y -> exp(-theta*y); theta must meet FINITE_NONNEGATIVE."""
-    FINITE_NONNEGATIVE.check("theta", theta)
-    return lambda y: np.exp(-theta * y)
-
-
-def bilinear_form(u: GridFunction, psi: GridFunction, y_weight=None) -> float:
+def bilinear_form(u: GridFunction, psi: GridFunction, theta: float = 0.0) -> float:
     """Quadrature value of the bilinear form of A against psi,
         (x**alpha u_y, psi) + 1/2 (u_x, psi_x),
-    with every pairing weighted by y_weight(y) when one is given."""
+    with every pairing weighted by exp(-theta*y)."""
     alpha = u.grid.alpha
-    return weighted_inner(dy(u), psi, alpha, y_weight=y_weight) + 0.5 * weighted_inner(
-        dx(u), dx(psi), 0.0, y_weight=y_weight
-    )
+    return weighted_inner(dy(u), psi, alpha, theta) + 0.5 * weighted_inner(dx(u), dx(psi), 0.0, theta)
 
 
-def weak_form_residual(u: GridFunction, f: GridFunction, phi: GridFunction) -> float:
-    """Residual of the weak formulation against the test function phi.
+def weak_form_residual(u: GridFunction, f: GridFunction, psi: GridFunction, theta: float = 0.0) -> float:
+    """Residual of the weak formulation against the test expression psi.
 
-    Returns bilinear_form(u, phi) - (f, phi), zero (up to consistency
-    error) when u weakly solves A u = f and phi vanishes on the x = 0, 1
-    boundaries.
+    Returns bilinear_form(u, psi, theta) - (f, psi)_theta, every pairing
+    weighted by exp(-theta*y).  It is zero (up to consistency error) when
+    u weakly solves A u = f and psi vanishes on the x = 0, 1 boundaries:
+    with psi = phi and theta = 0 this is the plain weak form, and with
+    psi = d_y phi it is the exponentially weighted equivalent form.
     """
-    return bilinear_form(u, phi) - weighted_inner(f, phi, 0.0)
-
-
-def theta_weak_form_residual(u: GridFunction, f: GridFunction, phi: GridFunction, theta: float) -> float:
-    """Residual of the exponentially weighted equivalent weak form.
-
-    The test expression is d_y phi and every pairing carries the factor
-    exp(-theta*y):
-        bilinear_form(u, phi_y)_theta - (f, phi_y)_theta.
-    At theta = 0 this is exactly the unweighted d_y-test form.
-    """
-    yw = theta_weight(theta)
-    dphi = dy(phi)
-    return bilinear_form(u, dphi, yw) - weighted_inner(f, dphi, 0.0, y_weight=yw)
+    return bilinear_form(u, psi, theta) - weighted_inner(f, psi, 0.0, theta)

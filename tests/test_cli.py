@@ -351,7 +351,7 @@ class TestRun:
     def test_verify_fails_on_nonfinite_residual(self, tmp_path, monkeypatch):
         import degenash.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "theta_weak_form_residual", lambda u, f, phi, theta: math.nan)
+        monkeypatch.setattr(cli_mod, "weak_form_residual", lambda u, f, psi, theta=0.0: math.nan)
         cfg = parse_config(
             "command: verify\nseed: 3\ngrid: {nx: 12, ny: 12, alpha: 0.5}\n"
             "verify: {n_test_functions: 2}\n"
@@ -362,7 +362,7 @@ class TestRun:
         assert all(math.isnan(m) for m in report.results["max_residual_by_level"])
 
     def test_report_is_strict_json(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli_mod, "theta_weak_form_residual", lambda u, f, phi, theta: math.nan)
+        monkeypatch.setattr(cli_mod, "weak_form_residual", lambda u, f, psi, theta=0.0: math.nan)
         cfg = parse_config("command: verify\nseed: 3\ngrid: {nx: 12, ny: 12, alpha: 0.5}\nverify: {n_test_functions: 2}\n")
         cfg.output_dir = str(tmp_path)
         run(cfg)
@@ -723,6 +723,15 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["study", "--config", str(p), "--out", str(out), "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_without_seed_exits_2(self, tmp_path, capsys):
+        # verify draws its test functions from the seed
+        p = tmp_path / "verify.yaml"
+        p.write_text((CONFIG_DIR / "verify_weak_form.yaml").read_text().replace("seed: 7\n", ""))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(p), "--out", str(out)]) == 2
+        assert "config.seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_level_override_leaving_no_plateau_step_exits_2(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -190,6 +191,13 @@ class TestProjectBall:
         f = GridFunction(mini_cfg.grid, np.ones(mini_cfg.grid.n))
         out = project_ball(f, 0.0, mini_cfg.omega1, mini_cfg.grid.alpha)
         assert np.all(out.values == 0.0)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -1.0])
+    def test_radius_by_the_m1_rule(self, mini_cfg, m):
+        # the rule GameConfig holds m1 and m2 to, naming the radius
+        f = GridFunction(mini_cfg.grid, np.ones(mini_cfg.grid.n))
+        with pytest.raises(ValueError, match=re.escape(f"m must be finite and nonnegative, got {m!r}")):
+            project_ball(f, m, mini_cfg.omega1, mini_cfg.grid.alpha)
 
 
 class TestBestResponse:

@@ -321,16 +321,15 @@ class TestQuadratureCaches:
         col = g.hx * g.hy * np.power(g.xc, exponent)[:, None]
         assert _bits(cell_weights(g, exponent)) == _bits(np.broadcast_to(col, (nx + 1, ny + 1)))
         yw = lambda y: np.exp(-2.0 * y)
-        assert _bits(cell_weights(g, exponent, yw)) == _bits(col * yw(g.yc)[None, :])
+        assert _bits(cell_weights(g, exponent, theta=2.0)) == _bits(col * yw(g.yc)[None, :])
 
     @pytest.mark.parametrize("nx,ny", SHAPES)
     @pytest.mark.parametrize("exponent", [-0.5, 0.0, 0.5])
     def test_self_pairing_equals_pairing_with_copy(self, nx, ny, exponent):
         g = build_grid(nx, ny, 0.5)
         u = random_field(g, 3)
-        yw = lambda y: np.exp(-y)
         assert weighted_inner(u, u, exponent) == weighted_inner(u, u.copy(), exponent)
-        assert weighted_inner(u, u, exponent, yw) == weighted_inner(u, u.copy(), exponent, yw)
+        assert weighted_inner(u, u, exponent, theta=1.0) == weighted_inner(u, u.copy(), exponent, theta=1.0)
 
     def test_self_pairing_still_warns_on_divergent_weight(self, small_grid):
         one = GridFunction(small_grid, np.ones(small_grid.n))
@@ -352,6 +351,6 @@ class TestQuadratureCaches:
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
         # the y-weighted path hands out a fresh array
-        fresh = cell_weights(small_grid, 0.5, lambda y: np.ones_like(y))
+        fresh = cell_weights(small_grid, 0.5, theta=1.0)
         fresh[0, 0] = 1.0
         assert cell_weights(small_grid, 0.5)[0, 0] < 1.0

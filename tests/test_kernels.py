@@ -86,8 +86,8 @@ class TestBitForBit:
         assert _bits(cell_averages(u)) == _bits(ref_averages(u))
         assert weighted_inner(u, u, exponent) == ref_inner(u, u, exponent)
         assert weighted_inner(u, v, exponent) == ref_inner(u, v, exponent)
-        assert weighted_inner(u, v, exponent, yw) == ref_inner(u, v, exponent, yw)
-        assert weighted_inner(u, u, exponent, yw) == ref_inner(u, u, exponent, yw)
+        assert weighted_inner(u, v, exponent, theta=1.5) == ref_inner(u, v, exponent, yw)
+        assert weighted_inner(u, u, exponent, theta=1.5) == ref_inner(u, u, exponent, yw)
 
     @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
     @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 4.0])
@@ -145,42 +145,29 @@ class TestRejectsNonFiniteWeights:
         with pytest.raises(ValueError, match="exponent"):
             cell_weights(g, exponent)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # the y-weight exp(-theta*y) takes theta by FINITE_NONNEGATIVE
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
     def test_y_weight(self, bad):
         g = build_grid(8, 8, 0.5)
         one = GridFunction(g, np.ones(g.n))
-
-        def yw(y):
-            out = np.exp(-y)
-            out[3] = bad
-            return out
-
-        with pytest.raises(ValueError, match="y_weight"):
-            weighted_inner(one, one, 0.5, yw)
-        with pytest.raises(ValueError, match="y_weight"):
-            cell_weights(g, 0.5, yw)
+        text = re.escape("theta must be finite and nonnegative, got")
+        with pytest.raises(ValueError, match=text):
+            weighted_inner(one, one, 0.5, bad)
+        with pytest.raises(ValueError, match=text):
+            cell_weights(g, 0.5, bad)
 
 
-class TestYWeightShape:
-    # y_weight's result must broadcast to (ny+1,), as fn's result must
-    # broadcast to (nx, ny) in GridFunction.from_callable
+class TestThetaZero:
+    # theta = 0 (either sign) is no y-weight: the shared weights, and the
+    # unweighted pairing's bits
     @pytest.mark.parametrize("exponent", [0.0, 0.5])
-    def test_constant_weight_is_the_unweighted_pairing(self, exponent):
+    def test_is_the_unweighted_pairing(self, exponent):
         g = build_grid(9, 7, 0.5)
         u, v = signed_zero_field(g, 1), signed_zero_field(g, 2)
-        for a, b in ((u, u), (u, v)):
-            assert repr(weighted_inner(a, b, exponent, y_weight=lambda y: 1.0)) == repr(weighted_inner(a, b, exponent))
-        assert _bits(cell_weights(g, exponent, lambda y: 1.0)) == _bits(cell_weights(g, exponent))
-
-    @pytest.mark.parametrize("length", [3, 7, 9])
-    def test_wrong_length_rejected(self, length):
-        g = build_grid(9, 7, 0.5)
-        one = GridFunction(g, np.ones(g.n))
-        names_both = re.escape(f"({length},)") + ".*" + re.escape("(8,)")
-        with pytest.raises(ValueError, match=names_both):
-            weighted_inner(one, one, 0.0, y_weight=lambda y: np.ones(length))
-        with pytest.raises(ValueError, match=names_both):
-            cell_weights(g, 0.0, lambda y: np.ones(length))
+        for theta in (0.0, -0.0):
+            for a, b in ((u, u), (u, v)):
+                assert repr(weighted_inner(a, b, exponent, theta)) == repr(weighted_inner(a, b, exponent))
+            assert cell_weights(g, exponent, theta) is cell_weights(g, exponent)
 
 
 # Peak traced allocation at 128^2 of the kernels before they worked in
@@ -215,12 +202,11 @@ class TestPeakAllocation:
     @pytest.mark.parametrize("name", PARENT_PEAKS_IN_CELLS)
     def test_quadrature_kernels(self, name, at_128):
         g, u, v = at_128
-        yw = lambda y: np.exp(-y)
         fn = {
             "cell_averages": lambda: cell_averages(u),
             "self_pairing": lambda: weighted_inner(u, u, 0.5),
             "pairing": lambda: weighted_inner(u, v, 0.5),
-            "y_weighted": lambda: weighted_inner(u, v, 0.5, yw),
+            "y_weighted": lambda: weighted_inner(u, v, 0.5, theta=1.0),
             "lq_norm_q3": lambda: lq_norm(u, 3.0),
             "norms_of": lambda: norms_of(u),
         }[name]

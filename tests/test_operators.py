@@ -15,7 +15,7 @@ import degenash.game as game
 import degenash.operators as operators
 from conftest import random_field, shipped_game
 from degenash.fields import bump_parameter_sets, bump_from_parameters, manufactured_pair, named_field
-from degenash.grid import GridFunction, build_grid, weighted_inner
+from degenash.grid import GridFunction, build_grid, cell_averages, weighted_inner
 from degenash.operators import (
     DirichletSolver,
     SolverError,
@@ -24,7 +24,6 @@ from degenash.operators import (
     dx,
     dy,
     solve_dirichlet,
-    theta_weak_form_residual,
     weak_form_residual,
 )
 
@@ -472,7 +471,7 @@ class TestWeakForm:
         z = GridFunction.zeros(small_grid)
         phi = random_field(small_grid, 5)
         assert weak_form_residual(z, z, phi) == 0.0
-        assert theta_weak_form_residual(z, z, phi, 1.0) == 0.0
+        assert weak_form_residual(z, z, dy(phi), 1.0) == 0.0
 
     def test_manufactured_residual_first_order(self):
         res = []
@@ -518,7 +517,7 @@ class TestWeakForm:
             + 0.5 * weighted_inner(dx(u), dx(dphi), 0.0)
             - weighted_inner(f, dphi, 0.0)
         )
-        assert theta_weak_form_residual(u, f, phi, 0.0) == pytest.approx(manual, rel=1e-14, abs=1e-15)
+        assert weak_form_residual(u, f, dy(phi), 0.0) == pytest.approx(manual, rel=1e-14, abs=1e-15)
 
     def test_theta_manufactured_residual_decreases(self):
         res = []
@@ -526,19 +525,35 @@ class TestWeakForm:
             g = build_grid(n, n, 0.5)
             u, f = manufactured_pair(g)
             phi = GridFunction.from_callable(g, lambda X, Y: np.sin(np.pi * X) * np.sin(2 * np.pi * Y))
-            res.append(abs(theta_weak_form_residual(u, f, phi, 1.0)))
+            res.append(abs(weak_form_residual(u, f, dy(phi), 1.0)))
         assert res[1] < res[0] and res[2] < res[1]
 
     def test_negative_theta_rejected(self, small_grid):
         z = GridFunction.zeros(small_grid)
         with pytest.raises(ValueError):
-            theta_weak_form_residual(z, z, z, -0.5)
+            weak_form_residual(z, z, dy(z), -0.5)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf])
     def test_nonfinite_theta_rejected(self, small_grid, theta):
         z = GridFunction.zeros(small_grid)
         with pytest.raises(ValueError, match="finite"):
-            theta_weak_form_residual(z, z, z, theta)
+            weak_form_residual(z, z, dy(z), theta)
+
+    @pytest.mark.parametrize("n", [8, 17])
+    def test_d_y_test_form_keeps_its_bits(self, n):
+        # the exp(-theta*y)-weighted d_y-test residual as a callable
+        # y-weight computed it, written out term by term
+        g = build_grid(n, n, 0.5)
+        u, f, phi = (random_field(g, s) for s in (1, 2, 3))
+        theta = 1.0
+
+        def inner(a, b, exponent):
+            w = g.hx * g.hy * np.power(g.xc, exponent)[:, None] * np.exp(-theta * g.yc)[None, :]
+            return float(np.sum(w * (cell_averages(a) * cell_averages(b))))
+
+        dphi = dy(phi)
+        ref = inner(dy(u), dphi, g.alpha) + 0.5 * inner(dx(u), dx(dphi), 0.0) - inner(f, dphi, 0.0)
+        assert weak_form_residual(u, f, dphi, theta) == ref
 
 
 def _diff_along_moveaxis(values, h, axis):

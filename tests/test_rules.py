@@ -7,6 +7,7 @@ import copy
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 import yaml
 
@@ -21,17 +22,19 @@ from degenash.analysis import (
     convergence_study,
     embedding_study,
     energy_estimate_study,
+    muckenhoupt_study,
     strict_inclusion_demo,
 )
 from degenash.cli import ConfigError, parse_config
-from degenash.fields import manufactured_pair, named_field
-from degenash.grid import build_grid, rect_mask
+from degenash.fields import bump_parameter_sets, manufactured_pair, named_field
+from degenash.grid import GridFunction, build_grid, rect_mask, weighted_inner
 from degenash.norms import muckenhoupt_panel
-from degenash.operators import assemble, solve_dirichlet, theta_weight
+from degenash.operators import assemble, solve_dirichlet
 
 SOLVE = {"command": "solve", "grid": {"nx": 16, "ny": 16, "alpha": 0.5}, "solve": {"f": {"kind": "sinsin"}}}
 GAME = yaml.safe_load((CONFIG_DIR / "benchmark_game.yaml").read_text())
 G = build_grid(8, 8, 0.5)
+ONE = GridFunction(G, np.ones(G.n))
 INCLUSION = [8, 16, 24]
 
 
@@ -59,7 +62,9 @@ CASES = {
         study("convergence"), "study.manufactured", "bogus", lambda v: manufactured_pair(G, v), "kind",
         fields.MANUFACTURED_KIND,
     ),
-    "theta": (SOLVE, "theta", -1.0, theta_weight, "theta", grid.FINITE_NONNEGATIVE),
+    "theta": (
+        SOLVE, "theta", -1.0, lambda v: weighted_inner(ONE, ONE, 0.0, theta=v), "theta", grid.FINITE_NONNEGATIVE,
+    ),
     "theta-coercivity": (
         study("coercivity"), "theta", 0.0, lambda v: coercivity_check(v, 5, seed=1), "theta", grid.FINITE_POSITIVE,
     ),
@@ -87,7 +92,11 @@ CASES = {
         study("embedding"), "study.q_values", [2.0, 2.0], lambda v: embedding_study(levels=[8, 16], q_values=v),
         "q_values", analysis.Q_VALUES,
     ),
-    "seed": (GAME, "seed", -1, lambda v: dataclasses.replace(shipped_game(n=16), seed=v), "seed", game.SEED),
+    "seed": (GAME, "seed", -1, lambda v: dataclasses.replace(shipped_game(n=16), seed=v), "seed", grid.SEED),
+    "seed-bumps": (
+        study("coercivity"), "seed", -1, lambda v: coercivity_check(1.0, 2, seed=v, nx=8, ny=8), "seed", grid.SEED,
+    ),
+    "seed-balls": (study("muckenhoupt"), "seed", -1, lambda v: muckenhoupt_panel((0.5,), 5, v), "seed", grid.SEED),
     "m1": (
         GAME, "game.m1", -1.0, lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1",
         grid.FINITE_NONNEGATIVE,
@@ -129,6 +138,14 @@ def test_config_and_library_reject_by_one_rule(case):
     assert str(library_error.value).startswith(f"{name} {rule.text}, got ")
 
 
+@pytest.mark.parametrize("seed", [True, 1.5])
+@pytest.mark.parametrize("call", [lambda s: bump_parameter_sets(2, s), lambda s: muckenhoupt_study(n_balls=5, seed=s)])
+def test_seed_rule_rejects_what_numpy_would_take_or_misname(call, seed):
+    # numpy seeds with True as with 1, and fails on 1.5 with its own TypeError
+    with pytest.raises(ValueError, match=f"^seed {grid.SEED.text}, got {seed!r}$"):
+        call(seed)
+
+
 GAME_RULES = {f.name: f.metadata["rule"] for f in dataclasses.fields(game.GameConfig) if "rule" in f.metadata}
 SHARED = {
     "grid.alpha": (cli.GRID["alpha"].rule, grid.ALPHA),
@@ -139,7 +156,7 @@ SHARED = {
     "field.kind": (cli.FIELD["kind"].rule, fields.FIELD_KIND),
     "field.amplitude": (cli.FIELD["amplitude"].rule, grid.FINITE),
     "config.theta": (cli.TOP["theta"].rule, grid.FINITE_NONNEGATIVE),
-    "config.seed": (cli.TOP["seed"].rule, game.SEED),
+    "config.seed": (cli.TOP["seed"].rule, grid.SEED),
     "solve.tol": (cli.SECTIONS["solve"]["tol"].rule, grid.FINITE_POSITIVE),
     "convergence.manufactured": (cli.STUDIES["convergence"]["manufactured"].rule, fields.MANUFACTURED_KIND),
     **{f"{kind}.levels": (cli.STUDIES[kind]["levels"].rule, rule) for kind, rule in analysis.LEVELS.items()},
