@@ -351,7 +351,11 @@ class TestRun:
     def test_verify_fails_on_nonfinite_residual(self, tmp_path, monkeypatch):
         import degenash.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "weak_form_residual", lambda u, f, psi, theta=0.0: math.nan)
+        # only the theta residual is NaN, so each level mixes finite and NaN residuals
+        plain = cli_mod.weak_form_residual
+        monkeypatch.setattr(
+            cli_mod, "weak_form_residual", lambda u, f, psi, theta=None: plain(u, f, psi) if theta is None else math.nan
+        )
         cfg = parse_config(
             "command: verify\nseed: 3\ngrid: {nx: 12, ny: 12, alpha: 0.5}\n"
             "verify: {n_test_functions: 2}\n"
@@ -362,7 +366,10 @@ class TestRun:
         assert all(math.isnan(m) for m in report.results["max_residual_by_level"])
 
     def test_report_is_strict_json(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli_mod, "weak_form_residual", lambda u, f, psi, theta=0.0: math.nan)
+        plain = cli_mod.weak_form_residual
+        monkeypatch.setattr(
+            cli_mod, "weak_form_residual", lambda u, f, psi, theta=None: plain(u, f, psi) if theta is None else math.nan
+        )
         cfg = parse_config("command: verify\nseed: 3\ngrid: {nx: 12, ny: 12, alpha: 0.5}\nverify: {n_test_functions: 2}\n")
         cfg.output_dir = str(tmp_path)
         run(cfg)
