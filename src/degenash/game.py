@@ -18,8 +18,8 @@ finite-difference oracle and the projection geometry are consistent to
 round-off.  The existence proof is nonconstructive; best responses are
 computed by projected gradient descent and the Nash pair by Gauss-Seidel
 sweeps, with a-posteriori sampling certification replacing the fixed-point
-argument.  The iteration tolerances and caps and the number of sampled
-deviations are module constants.
+argument.  Best responses return (control, residual), converged or not.
+The iteration tolerances, caps and deviation count are module constants.
 
 One rule states the admissible set: a control is zero off omega_i and
 its norm is at most M_i up to round-off (_within_ball), which
@@ -76,15 +76,6 @@ BR_MAX_ITERS = 200
 INNER_TOL = 1e-9
 INNER_MAX_ITERS = 500
 DEVIATION_SAMPLES = 200
-
-
-class BestResponseError(RuntimeError):
-    """Inner solver hit its iteration cap; carries the last iterate."""
-
-    def __init__(self, message: str, iterate: GridFunction, residual: float):
-        super().__init__(f"{message} (projected-gradient residual {residual:.3e})")
-        self.iterate = iterate
-        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,10 +207,10 @@ def state_solve(cfg: GameConfig, f1: GridFunction, f2: GridFunction) -> GridFunc
 def _state(cfg: GameConfig, f1: GridFunction, f2: GridFunction, last_row: int | None = None) -> np.ndarray:
     """Values of the state, or, given last_row, its y-rows up to last_row
     and zeros above."""
-    if not (f1.grid == f2.grid == cfg.grid):
-        raise ValueError("mask and GridFunction live on different grids")
     rhs = cfg.source.copy()
-    for region, f in ((cfg.omega1, f1), (cfg.omega2, f2)):
+    for name, region, f in (("f1", cfg.omega1, f1), ("f2", cfg.omega2, f2)):
+        if f.grid != cfg.grid:
+            raise ValueError(f"{name} lives on {f.grid}, not on the game's grid {cfg.grid}")
         rhs[region.nodes] += f.values[region.nodes]
     return cfg.solver.solve(rhs, last_row=last_row)
 
@@ -273,24 +264,23 @@ def project_ball(f: GridFunction, m: float, mask: RegionMask, alpha: float) -> G
 
 def best_response(
     cfg: GameConfig, i: int, f_other: GridFunction, trace: list[float] | None = None
-) -> GridFunction:
+) -> tuple[GridFunction, float]:
     """Minimize J_i over the follower's admissible ball, holding the other
     follower fixed, by projected gradient descent with backtracking.
 
-    Terminates when the unit-step projected-gradient residual drops below
-    INNER_TOL; raises BestResponseError on cap exhaustion.  When given,
-    `trace` collects the cost value at every accepted iterate.
+    Returns (control, residual) from every exit: the last iterate and the
+    unit-step projected-gradient residual measured last, at most INNER_TOL
+    exactly when the descent converged (above it, or NaN, when
+    INNER_MAX_ITERS ran out).  When given, `trace` collects the cost value
+    at every accepted iterate.
     """
     region_ctrl, _, _, m = cfg.follower(i)
     alpha = cfg.grid.alpha
-    zero = GridFunction.zeros(cfg.grid)
-    if m == 0.0:
-        return zero
 
     def pack(f_own):
         return (f_own, f_other) if i == 1 else (f_other, f_own)
 
-    f = zero
+    f = GridFunction.zeros(cfg.grid)
     j = cost(cfg, i, *pack(f))
     if trace is not None:
         trace.append(j)
@@ -301,7 +291,7 @@ def best_response(
         trial_unit = project_ball(f - grad, m, region_ctrl, alpha)
         residual = control_norm(f - trial_unit, alpha)
         if residual <= INNER_TOL:
-            return f
+            return f, residual
         while True:
             f_new = project_ball(f - step * grad, m, region_ctrl, alpha)
             j_new = cost(cfg, i, *pack(f_new))
@@ -317,11 +307,7 @@ def best_response(
             if trace is not None:
                 trace.append(j)
         step = min(step * 1.25, 8.0)
-    raise BestResponseError(
-        f"best response for follower {i} did not converge within {INNER_MAX_ITERS} iterations",
-        f,
-        residual,
-    )
+    return f, residual
 
 
 def nash_solve(cfg: GameConfig) -> NashResult:
@@ -329,9 +315,10 @@ def nash_solve(cfg: GameConfig) -> NashResult:
 
     Non-convergence within BR_MAX_ITERS is a reported outcome, never an
     assertion: the result carries converged=False and the residual series.
-    So is a best response that hits INNER_MAX_ITERS: the sweeps stop, the
-    last completed sweep's controls are kept and certified, and the inner
-    projected-gradient residual is appended to br_residuals.  converged
+    So is a best response whose residual is above INNER_TOL, or NaN: the
+    sweeps stop, the last completed sweep's controls are kept and
+    certified, and that residual is appended to br_residuals.  Follower
+    2's best response runs only once follower 1's has converged.  converged
     also requires a finite J1 and J2.  A control outside its admissible
     set comes back as certified=False.
     """
@@ -342,11 +329,11 @@ def nash_solve(cfg: GameConfig) -> NashResult:
     sweeps = 0
     alpha = cfg.grid.alpha
     for sweeps in range(1, BR_MAX_ITERS + 1):
-        try:
-            f1_new = best_response(cfg, 1, f2)
-            f2_new = best_response(cfg, 2, f1_new)
-        except BestResponseError as err:
-            residuals.append(err.residual)
+        f1_new, inner = best_response(cfg, 1, f2)
+        if inner <= INNER_TOL:
+            f2_new, inner = best_response(cfg, 2, f1_new)
+        if not inner <= INNER_TOL:  # a NaN residual is not converged either
+            residuals.append(inner)
             break
         res = math.sqrt(
             control_norm(f1_new - f1, alpha) ** 2 + control_norm(f2_new - f2, alpha) ** 2

@@ -175,8 +175,8 @@ def test_criterion_8_nash_pipeline(bench_cfg, bench_nash):
     alpha = cfg.grid.alpha
     assert control_norm(res.f1_star, alpha) <= cfg.m1 + 1e-12
     assert control_norm(res.f2_star, alpha) <= cfg.m2 + 1e-12
-    b1 = best_response(cfg, 1, res.f2_star)
-    b2 = best_response(cfg, 2, res.f1_star)
+    b1, _ = best_response(cfg, 1, res.f2_star)
+    b2, _ = best_response(cfg, 2, res.f1_star)
     fp1 = control_norm(b1 - res.f1_star, alpha)
     fp2 = control_norm(b2 - res.f2_star, alpha)
     assert fp1 <= 10 * BR_TOL and fp2 <= 10 * BR_TOL

@@ -17,7 +17,7 @@ from degenash.fields import bump_from_parameters, bump_parameter_sets
 from degenash.game import (
     BR_TOL,
     DEVIATION_SAMPLES,
-    BestResponseError,
+    INNER_TOL,
     GameConfig,
     _feasible_deviations,
     best_response,
@@ -202,30 +202,37 @@ class TestProjectBall:
 
 class TestBestResponse:
     def test_zero_radius_returns_zero(self, mini_cfg):
+        # no shortcut: project_ball returns zeros, so the first residual is 0.0
         cfg = shipped_game(n=16, m1=0.0, seed=3)
-        out = best_response(cfg, 1, GridFunction.zeros(cfg.grid))
+        out, residual = best_response(cfg, 1, GridFunction.zeros(cfg.grid))
         assert np.all(out.values == 0.0)
+        assert residual == 0.0
+
+    def test_converged_residual_within_tolerance(self, mini_cfg):
+        f2 = feasible_random(mini_cfg, mini_cfg.omega2, mini_cfg.m2, seed=31)
+        _, residual = best_response(mini_cfg, 1, f2)
+        assert residual <= INNER_TOL
 
     def test_global_minimum_at_zero(self):
         # g = 0 and a zero target: J_1(0) = 0 is the global minimum
         cfg = shipped_game(n=16, seed=3)
         zero = GridFunction.zeros(cfg.grid)
         cfg = dataclasses.replace(cfg, g=zero, yd1=zero)
-        out = best_response(cfg, 1, zero)
+        out, _ = best_response(cfg, 1, zero)
         assert np.all(out.values == 0.0)
 
     def test_monotone_descent_and_feasible_iterates(self, mini_cfg):
         cfg = mini_cfg
         trace = []
         f2 = feasible_random(cfg, cfg.omega2, cfg.m2, seed=31)
-        out = best_response(cfg, 1, f2, trace=trace)
+        out, _ = best_response(cfg, 1, f2, trace=trace)
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert control_norm(out, cfg.grid.alpha) <= cfg.m1 + 1e-12
 
     def test_variational_inequality_oracle(self, mini_cfg):
         cfg = mini_cfg
         f2 = feasible_random(cfg, cfg.omega2, cfg.m2, seed=41)
-        f_star = best_response(cfg, 1, f2)
+        f_star, _ = best_response(cfg, 1, f2)
         grad = gradient(cfg, 1, f_star, f2)
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -258,20 +265,20 @@ class TestNashSolve:
         # monotone residual tail
         assert all(b <= a for a, b in zip(res.br_residuals, res.br_residuals[1:]))
         # fixed-point property
-        b1 = best_response(mini_cfg, 1, res.f2_star)
-        b2 = best_response(mini_cfg, 2, res.f1_star)
+        b1, _ = best_response(mini_cfg, 1, res.f2_star)
+        b2, _ = best_response(mini_cfg, 2, res.f1_star)
         assert control_norm(b1 - res.f1_star, alpha) <= 10 * BR_TOL
         assert control_norm(b2 - res.f2_star, alpha) <= 10 * BR_TOL
 
     def test_inner_cap_reported_not_raised(self, monkeypatch):
         cfg = shipped_game(n=16, seed=5)
         monkeypatch.setattr(game_mod, "INNER_MAX_ITERS", 1)
-        with pytest.raises(BestResponseError) as err:
-            best_response(cfg, 1, GridFunction.zeros(cfg.grid))
+        _, residual = best_response(cfg, 1, GridFunction.zeros(cfg.grid))
+        assert residual > INNER_TOL
         res = nash_solve(cfg)
         assert not res.converged
         assert res.br_iterations == 1
-        assert res.br_residuals == [err.value.residual]
+        assert res.br_residuals == [residual]
         assert np.all(res.f1_star.values == 0.0) and np.all(res.f2_star.values == 0.0)
         assert math.isfinite(res.j1) and math.isfinite(res.j2)
 
@@ -286,10 +293,29 @@ class TestNashSolve:
         assert control_norm(f1, cfg.grid.alpha) > m + 1e-12
         assert game_mod._admissible(cfg, 1, f1)
         zero = GridFunction.zeros(cfg.grid)
-        monkeypatch.setattr(game_mod, "best_response", lambda cfg, i, f_other: f1 if i == 1 else zero)
+        monkeypatch.setattr(game_mod, "best_response", lambda cfg, i, f_other: (f1 if i == 1 else zero, 0.0))
         res = nash_solve(cfg)
         assert res.converged
         assert np.array_equal(res.f1_star.values, f1.values)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_nan_inner_residual_reported_not_raised(self, monkeypatch, i):
+        # a NaN residual from either follower stops the sweeps unconverged
+        cfg = shipped_game(n=16, seed=5)
+        zero = GridFunction.zeros(cfg.grid)
+        calls = []
+
+        def stub(cfg, j, f_other):
+            calls.append(j)
+            return zero, math.nan if j == i else 0.0
+
+        monkeypatch.setattr(game_mod, "best_response", stub)
+        res = nash_solve(cfg)
+        assert not res.converged
+        assert res.br_iterations == 1
+        assert len(res.br_residuals) == 1 and math.isnan(res.br_residuals[0])
+        # follower 2 runs only after follower 1 has converged
+        assert calls == [1, 2][:i]
 
     def test_deterministic(self, mini_cfg):
         r1 = nash_solve(mini_cfg)
@@ -348,6 +374,124 @@ class TestMarchReuse:
         monkeypatch.setattr(operators, "dpttrs", lambda *args: calls.append(1) or original(*args))
         nash_solve(shipped_game(n=64))
         assert len(calls) <= 12_000
+
+
+def reference_equilibrium(cfg):
+    """The exact Nash pair of a game whose balls are both inactive.
+
+    The game is then linear-quadratic, and on region vectors its Nash
+    conditions are one block linear system (Basar & Olsder, Dynamic
+    Noncooperative Game Theory, SIAM 1999):
+
+        sum_j (S_ii^T S_ij + delta_ij D_i) f_j = S_ii^T (yd_i - y_g) on G_i,
+
+    where S_ij holds the rows of A^-1 on G_i and its columns on omega_j,
+    D_i = diag(x^-alpha) on omega_i and y_g = A^-1 chi_omega g.  The
+    columns come from one solve per control node on a fresh solver."""
+    grid = cfg.grid
+    solver = operators.DirichletSolver(assemble(grid))
+    ctrl = [cfg.follower(i)[0].nodes for i in (1, 2)]
+    obs = [cfg.follower(i)[1].nodes for i in (1, 2)]
+    columns = []
+    for nodes in ctrl:
+        cols = np.empty((grid.n, nodes.size))
+        for k, node in enumerate(nodes):
+            unit = np.zeros(grid.n)
+            unit[node] = 1.0
+            cols[:, k] = solver.solve(unit)
+        columns.append(cols)
+    y_g = solver.solve(cfg.omega.apply(cfg.g).values)
+    weight = np.repeat(grid.x ** -grid.alpha, grid.ny)
+    rows, rhs = [], []
+    for i, yd in enumerate((cfg.yd1, cfg.yd2)):
+        s_ii = columns[i][obs[i]]
+        rows.append(
+            np.hstack([s_ii.T @ columns[j][obs[i]] + (i == j) * np.diag(weight[ctrl[i]]) for j in range(2)])
+        )
+        rhs.append(s_ii.T @ (yd.values[obs[i]] - y_g[obs[i]]))
+    solution = np.linalg.solve(np.vstack(rows), np.concatenate(rhs))
+    pair = []
+    for nodes, part in zip(ctrl, np.split(solution, [ctrl[0].size])):
+        values = np.zeros(grid.n)
+        values[nodes] = part
+        pair.append(GridFunction(grid, values))
+    return tuple(pair)
+
+
+def reference_errors(cfg, ref, f1, f2, j1, j2):
+    """Relative errors of the controls, in control_norm, and of J_1 and J_2
+    against the reference pair."""
+    alpha = cfg.grid.alpha
+    controls = [control_norm(f - r, alpha) / control_norm(r, alpha) for f, r in zip((f1, f2), ref)]
+    costs = [abs(j - cost(cfg, i, *ref)) / abs(cost(cfg, i, *ref)) for i, j in ((1, j1), (2, j2))]
+    return controls, costs
+
+
+def matches_reference(cfg, ref, f1, f2, j1, j2):
+    controls, costs = reference_errors(cfg, ref, f1, f2, j1, j2)
+    return max(controls) <= 1e-5 and max(costs) <= 1e-8
+
+
+REFERENCE_GAMES = {"shipped-32": (32, {}), "shipped-64": (64, {}), "coupled-32": (32, COUPLED)}
+
+
+class TestReferenceEquilibrium:
+    """nash_solve against the exact equilibrium of the linear-quadratic
+    game, and wrong games or wrong answers that the comparison fails."""
+
+    @pytest.fixture(scope="class")
+    def shipped32(self):
+        cfg = shipped_game(n=32, seed=7)
+        return cfg, reference_equilibrium(cfg), nash_solve(cfg)
+
+    @pytest.mark.parametrize("name", REFERENCE_GAMES)
+    def test_nash_solve_matches_the_reference(self, name):
+        n, game = REFERENCE_GAMES[name]
+        cfg = shipped_game(n=n, seed=7, **game)
+        ref = reference_equilibrium(cfg)
+        # the balls are inactive, so the linear system is the game
+        assert control_norm(ref[0], cfg.grid.alpha) < cfg.m1 and control_norm(ref[1], cfg.grid.alpha) < cfg.m2
+        res = nash_solve(cfg)
+        assert res.converged
+        controls, costs = reference_errors(cfg, ref, res.f1_star, res.f2_star, res.j1, res.j2)
+        assert max(controls) <= 1e-5, controls
+        assert max(costs) <= 1e-8, costs
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda f1, f2: (0.5 * f1, f2), lambda f1, f2: (f1, 0.0 * f2), lambda f1, f2: (f2, f1)],
+        ids=["f1-halved", "f2-zero", "followers-swapped"],
+    )
+    def test_wrong_answer_fails(self, shipped32, mutate):
+        cfg, ref, res = shipped32
+        f1, f2 = mutate(res.f1_star, res.f2_star)
+        assert not matches_reference(cfg, ref, f1, f2, cost(cfg, 1, f1, f2), cost(cfg, 2, f1, f2))
+
+    def test_gradient_without_its_weight_fails(self, monkeypatch, shipped32):
+        # x^alpha p + 2 f becomes p + 2 f on omega_i
+        cfg, ref, _ = shipped32
+        real = game_mod.gradient
+
+        def unweighted(game, i, f1, f2):
+            grid = game.grid
+            nodes = game.follower(i)[0].nodes
+            own = (f1 if i == 1 else f2).values[nodes]
+            values = real(game, i, f1, f2).values.copy()
+            values[nodes] = (values[nodes] - 2.0 * own) * grid.x.repeat(grid.ny)[nodes] ** -grid.alpha + 2.0 * own
+            return GridFunction(grid, values)
+
+        monkeypatch.setattr(game_mod, "gradient", unweighted)
+        res = nash_solve(shipped_game(n=32, seed=7))
+        assert not matches_reference(cfg, ref, res.f1_star, res.f2_star, res.j1, res.j2)
+
+    def test_adjoint_march_stopped_one_row_early_fails(self, monkeypatch, shipped32):
+        cfg, ref, _ = shipped32
+        real = operators.DirichletSolver.solve_adjoint
+        monkeypatch.setattr(
+            operators.DirichletSolver, "solve_adjoint", lambda self, rhs, last_row=None: real(self, rhs, last_row + 1)
+        )
+        res = nash_solve(shipped_game(n=32, seed=7))
+        assert not matches_reference(cfg, ref, res.f1_star, res.f2_star, res.j1, res.j2)
 
 
 class TestCertify:
@@ -644,9 +788,13 @@ class TestArrayLevelEquivalence:
     def test_state_solve_rejects_foreign_grid(self, cfg16):
         z = GridFunction.zeros(cfg16.grid)
         other = GridFunction.zeros(build_grid(16, 16, 1.0))
-        for args in ((other, z), (z, other)):
-            with pytest.raises(ValueError, match="different grids"):
-                state_solve(cfg16, *args)
+        # state_solve, cost and gradient name the control and both grids
+        calls = (state_solve, lambda c, *f: cost(c, 1, *f), lambda c, *f: gradient(c, 2, *f))
+        for name, args in (("f1", (other, z)), ("f2", (z, other))):
+            text = f"{name} lives on {other.grid}, not on the game's grid {cfg16.grid}"
+            for call in calls:
+                with pytest.raises(ValueError, match=re.escape(text)):
+                    call(cfg16, *args)
 
     @pytest.mark.parametrize("shape, alpha", [((16, 16), 0.5), ((16, 32), 1.0), ((7, 5), 0.25)])
     def test_control_inner_matches_2d_formula(self, shape, alpha):

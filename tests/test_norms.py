@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import degenash.norms as norms_mod
 from conftest import peak_bytes, random_field
@@ -15,6 +16,20 @@ from degenash.norms import (
     muckenhoupt_panel,
     norms_of,
 )
+
+
+def sinsin_w11_errors_per_h(alpha=0.5):
+    """|norms_of(u).w11 - exact| / exact / h for u = sin(pi x) sin(pi y)
+    at 32, 64 and 128, against ||u||_W11^2 = 1/4 + pi^2/4
+    + (pi^2/2) * int_0^1 x^alpha sin^2(pi x) dx."""
+    integral = quad(lambda x: x**alpha * math.sin(math.pi * x) ** 2, 0.0, 1.0)[0]
+    exact = math.sqrt(0.25 + math.pi**2 / 4 + math.pi**2 / 2 * integral)
+    ratios = []
+    for n in (32, 64, 128):
+        g = build_grid(n, n, alpha)
+        u = GridFunction.from_callable(g, lambda X, Y: np.sin(np.pi * X) * np.sin(np.pi * Y))
+        ratios.append(abs(norms_of(u).w11 - exact) / exact / g.hx)
+    return ratios
 
 
 class TestNormsOf:
@@ -41,6 +56,23 @@ class TestNormsOf:
         r = norms_of(u, include_mixed=True)
         assert r.w11**2 == pytest.approx(r.l2**2 + r.dx_l2**2 + r.weighted_dy_l2**2, rel=1e-12)
         assert r.v_norm**2 == pytest.approx(r.w11**2 + r.mixed_l2**2, rel=1e-12)
+
+    def test_w11_within_2h_of_the_closed_form(self):
+        # the closed form is 2.104700614776034 at alpha = 1/2; the ratios
+        # are 1.58, 1.49 and 1.45
+        assert max(sinsin_w11_errors_per_h()) <= 2.0
+
+    @pytest.mark.parametrize("mutant", ["dx-doubled", "dy-unweighted"])
+    def test_wrong_norm_misses_the_closed_form(self, monkeypatch, mutant):
+        if mutant == "dx-doubled":
+            dx = norms_mod.dx
+            monkeypatch.setattr(norms_mod, "dx", lambda u: 2.0 * dx(u))
+        else:
+            inner = norms_mod.weighted_inner
+            monkeypatch.setattr(
+                norms_mod, "weighted_inner", lambda u, v, e, *a: inner(u, v, 0.0 if e == u.grid.alpha else e, *a)
+            )
+        assert max(sinsin_w11_errors_per_h()) > 2.0
 
     def test_counterexample_field_stable(self):
         # (x^2+y)^(1/4) has finite weighted norm at alpha = 1/2
