@@ -1,10 +1,11 @@
 """Config-driven command line: solve, verify, study, and game runs.
 
-Configs are YAML (see configs/ for the shipped examples and README for the
-grammar).  Every run writes a hierarchical report.json plus flat
-tab-separated tables with one row per level, iteration, or sample; floats
-are serialized with repr so reruns with the same seed are byte-identical.
-Wall-clock times and timestamps live only in report.json, never in tables.
+Configs are YAML, each key in the section of the run that reads it (see
+configs/ for the shipped examples and README for the grammar).  Every run
+writes a hierarchical report.json plus flat tab-separated tables with one
+row per level, iteration, or sample; floats are serialized with repr so
+reruns with the same seed are byte-identical.  Wall-clock times and
+timestamps live only in report.json, never in tables.
 """
 
 from __future__ import annotations
@@ -99,15 +100,18 @@ TOP = {
     "command": Key(str, None, Rule.one_of(COMMANDS)),
     "seed": Key(_integer, 0, SEED),
     "output_dir": Key(str, "out"),
-    "theta": Key(_real, 1.0, FINITE_NONNEGATIVE),
 }
-VERIFY_NODES = Rule("must be at least 5 for verify, whose coarse level is max(4, nx // 2)", lambda n: n >= 5)
 GRID = {"nx": Key(_integer, 64, NODES), "ny": Key(_integer, 64, NODES), "alpha": Key(_real, 0.5, ALPHA)}
 FIELD = {"kind": Key(str, None, FIELD_KIND), "amplitude": Key(_real, 1.0, FINITE)}
 SINSIN = {"kind": "sinsin"}
 SECTIONS = {
     "solve": {"f": Key(FIELD, SINSIN), "tol": Key(_real, RESIDUAL_TOL, FINITE_POSITIVE)},
-    "verify": {"f": Key(FIELD, SINSIN), "n_test_functions": Key(_integer, 10, AT_LEAST_ONE)},
+    "verify": {
+        "f": Key(FIELD, SINSIN),
+        "n_test_functions": Key(_integer, 10, AT_LEAST_ONE),
+        "levels": Key(_list_of(_integer), [32, 64], LEVELS["energy"]),  # two levels, as the energy study
+        "theta": Key(_real, 1.0, FINITE_NONNEGATIVE),
+    },
     "game": {
         **dict.fromkeys(("omega", "omega1", "omega2", "g1_obs", "g2_obs"), Key(_list_of(_real), None, RECT)),
         **dict.fromkeys(("g", "yd1", "yd2"), Key(FIELD, SINSIN)),
@@ -120,7 +124,7 @@ SECTIONS = {
 STUDIES = {
     "convergence": {"levels": _levels("convergence"), "manufactured": Key(str, "sinsin", MANUFACTURED_KIND)},
     "energy": {"levels": _levels("energy")},
-    "coercivity": {"n_samples": Key(_integer, 200, AT_LEAST_ONE)},
+    "coercivity": {"theta": Key(_real, 1.0, FINITE_POSITIVE), "n_samples": Key(_integer, 200, AT_LEAST_ONE)},
     "inclusion": {
         "levels": _levels("inclusion"),
         "plateau_tol": Key(_real, 0.05, FINITE_POSITIVE),
@@ -140,12 +144,11 @@ STUDY_KIND = Key(str, None, Rule.one_of(STUDIES))
 @dataclass
 class RunConfig:
     command: str
-    nx: int
-    ny: int
-    alpha: float
-    theta: float
     seed: int
     output_dir: str
+    nx: int | None = None  # a grid key the run does not read stays None
+    ny: int | None = None
+    alpha: float | None = None
     solve: dict = field(default_factory=dict)
     verify: dict = field(default_factory=dict)
     study: dict = field(default_factory=dict)
@@ -211,61 +214,59 @@ def _read(raw, table: dict, path: str) -> dict:
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a YAML run config, applying defaults.
 
-    The top level holds command, seed, output_dir, theta, the grid
-    section and the section named by the command; each section is read by
-    its table (TOP, GRID, SECTIONS, STUDIES), and unknown keys are errors.
-    Sampling commands (game; verify; coercivity/embedding/muckenhoupt
-    studies) require an explicit seed for reproducibility.
-    """
+    Each section holds only the keys its run reads (a run with levels reads
+    alpha alone of the grid, a muckenhoupt study no grid); unknown keys are
+    errors.  Game, verify and the sampling studies require an explicit seed."""
+    return _parse(_mapping(text))
+
+
+def _mapping(text: str) -> dict:
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of sections")
+    return raw
 
+
+def _parse(raw: dict) -> RunConfig:
     command = _check(TOP["command"].rule, raw.get("command"), "config.command")
+    kind = None
     if command == "study":
         sec = raw.get("study", {})
         kind = _check(STUDY_KIND.rule, sec.get("kind") if isinstance(sec, dict) else None, "study.kind")
-        tables = {"grid": GRID, "study": {"kind": STUDY_KIND, **STUDIES[kind]}}
-    else:
-        kind = None
-        tables = {"grid": GRID, command: SECTIONS[command]}
+    table = {"kind": STUDY_KIND, **STUDIES[kind]} if kind else SECTIONS[command]
+    tables = {"grid": {"alpha": GRID["alpha"]} if "levels" in table else GRID, command: table}
+    if kind == "muckenhoupt":
+        del tables["grid"]
     top = _read({k: v for k, v in raw.items() if k not in tables}, TOP, "config")
     sections = {name: _read(raw.get(name, {}), table, name) for name, table in tables.items()}
 
-    if kind == "coercivity":
-        _check(FINITE_POSITIVE, top["theta"], "config.theta")
     if kind == "inclusion":
         study = sections["study"]
         _check(_plateau_from(study["levels"]), study["plateau_from"], "study.plateau_from")
-    grid = sections.pop("grid")
-    if command == "verify":
-        _check(VERIFY_NODES, grid["nx"], "grid.nx")
-        if grid["ny"] != grid["nx"]:
-            raise ConfigError(f"grid.ny: verify runs square grids, so ny must equal nx = {grid['nx']}, got {grid['ny']}")
     if (command in ("game", "verify") or kind in SAMPLING_STUDY_KINDS) and "seed" not in raw:
         raise ConfigError("config.seed: sampling commands require an explicit seed")
-    return RunConfig(
-        command=command, nx=grid["nx"], ny=grid["ny"], alpha=grid["alpha"], theta=top["theta"],
-        seed=top["seed"], output_dir=top["output_dir"], **sections,
-    )
+    grid = sections.pop("grid", {})
+    return RunConfig(**top, **grid, **sections)
 
 
 def _apply_level_override(cfg: RunConfig, n: int) -> None:
-    """--level-override n: drop the study levels above n; otherwise run on
-    an n x n grid.  A muckenhoupt study has neither."""
-    if "levels" in cfg.study:
-        kept = [lv for lv in cfg.study["levels"] if lv <= n]
-        cfg.study["levels"] = _check(LEVELS[cfg.study["kind"]], kept, f"study.levels after --level-override {n}")
-        if cfg.study["kind"] == "inclusion":
-            where = f"study.plateau_from after --level-override {n}"
-            _check(_plateau_from(cfg.study["levels"]), cfg.study["plateau_from"], where)
-    elif cfg.study.get("kind") == "muckenhoupt":
+    """--level-override n: a run with levels drops those above n; solve,
+    game and the coercivity study run on an n x n grid."""
+    section = getattr(cfg, cfg.command)
+    kind = section.get("kind")
+    where = f"{cfg.command}.{{}} after --level-override {n}"
+    if "levels" in section:
+        rule = (STUDIES[kind] if kind else SECTIONS[cfg.command])["levels"].rule
+        section["levels"] = _check(rule, [lv for lv in section["levels"] if lv <= n], where.format("levels"))
+        if kind == "inclusion":
+            _check(_plateau_from(section["levels"]), section["plateau_from"], where.format("plateau_from"))
+    elif kind == "muckenhoupt":
         raise ConfigError("--level-override: a muckenhoupt study has no levels or grid to act on")
     else:
-        cfg.nx = cfg.ny = _check(VERIFY_NODES if cfg.command == "verify" else NODES, n, "--level-override")
+        cfg.nx = cfg.ny = _check(NODES, n, "--level-override")
 
 
 def build_game_config(cfg: RunConfig) -> GameConfig:
@@ -351,9 +352,8 @@ def _run_solve(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 
 
 def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
-    levels = [max(4, cfg.nx // 2), cfg.nx]
-    n_tests = cfg.verify["n_test_functions"]
-    params = bump_parameter_sets(n_tests, cfg.seed)
+    levels, theta = cfg.verify["levels"], cfg.verify["theta"]
+    params = bump_parameter_sets(cfg.verify["n_test_functions"], cfg.seed)
     rows, max_by_level = [], []
     for level in levels:
         grid = build_grid(level, level, cfg.alpha)
@@ -363,7 +363,7 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
         for k, p in enumerate(params):
             phi = bump_from_parameters(grid, p)
             r = weak_form_residual(u, f, phi)
-            rt = weak_form_residual(u, f, dy(phi), cfg.theta)
+            rt = weak_form_residual(u, f, dy(phi), theta)
             rows.append([level, k, r, rt])
             residuals += [r, rt]
         # np.max keeps a NaN, where Python's max would drop it
@@ -371,7 +371,7 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     _write_columns(out / "verify_residuals.tsv", ["level", "test_fn", "residual", "theta_residual"], list(zip(*rows)))
     finite = all(math.isfinite(m) for m in max_by_level)
     decreasing = finite and max_by_level[-1] < max_by_level[0]
-    results = {"levels": levels, "max_residual_by_level": max_by_level, "theta": cfg.theta}
+    results = {"levels": levels, "max_residual_by_level": max_by_level, "theta": theta}
     return results, (Verdict.PASS if decreasing else Verdict.FAIL).value
 
 
@@ -383,7 +383,7 @@ def _run_study(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     elif kind == "energy":
         result = energy_estimate_study(alpha=cfg.alpha, **keys)
     elif kind == "coercivity":
-        result = coercivity_check(cfg.theta, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, alpha=cfg.alpha, **keys)
+        result = coercivity_check(seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, alpha=cfg.alpha, **keys)
     elif kind == "inclusion":
         result = strict_inclusion_demo(alpha=cfg.alpha, **keys)
     elif kind == "embedding":
@@ -471,19 +471,22 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--level-override", type=int, default=None,
-                       help="drop study levels above n, or set the grid to n x n (solve, verify, game, "
-                            "coercivity study); a muckenhoupt study rejects it")
+                       help="drop the levels above n (verify and the studies with levels), or set the grid "
+                            "to n x n (solve, game, coercivity study); a muckenhoupt study rejects it")
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-        cfg = parse_config(text)
+        try:
+            raw = _mapping(Path(args.config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from None
+        if args.seed is not None:
+            raw["seed"] = _check(TOP["seed"].rule, args.seed, "--seed")
+        if args.out is not None:
+            raw["output_dir"] = args.out
+        cfg = _parse(raw)
         if cfg.command != args.verb:
             raise ConfigError(f"config declares command={cfg.command!r} but verb {args.verb!r} was invoked")
-        if args.out is not None:
-            cfg.output_dir = args.out
-        if args.seed is not None:
-            cfg.seed = _check(TOP["seed"].rule, args.seed, "--seed")
         if args.level_override is not None:
             _apply_level_override(cfg, args.level_override)
     except (OSError, ConfigError) as exc:

@@ -125,11 +125,8 @@ class GameConfig:
     @functools.cached_property
     def source(self) -> np.ndarray:
         """The leader's term of every state's right-hand side: read-only
-        chi_omega g + 0.0.  The + 0.0 turns -0.0 into +0.0, as adding the
-        zeros of the masked f1 and f2 terms did, so a state's right-hand
-        side keeps the bits of the full-grid three-term sum; only where
-        omega, omega1 and omega2 overlap and g, f1 and f2 are all -0.0 is
-        the zero's sign now +."""
+        chi_omega g + 0.0.  The + 0.0 turns -0.0 into +0.0, so a state's
+        right-hand side keeps the bits of the full-grid three-term sum."""
         source = np.where(self.omega.indicator, self.g.values, 0.0) + 0.0
         source.flags.writeable = False
         return source

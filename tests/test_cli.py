@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import degenash.analysis as analysis
 import degenash.cli as cli_mod
 from conftest import peak_bytes
 from degenash.cli import ConfigError, build_game_config, main, parse_config, run
@@ -31,7 +32,7 @@ STUDY = "command: study\nseed: 1\nstudy: {{kind: {}}}\n"
 STUDY_KEYS = {
     "convergence": {"levels", "manufactured"},
     "energy": {"levels"},
-    "coercivity": {"n_samples"},
+    "coercivity": {"theta", "n_samples"},
     "inclusion": {"levels", "plateau_tol", "plateau_from"},
     "embedding": {"levels", "q_values", "n_samples"},
     "muckenhoupt": {"n_balls"},
@@ -52,6 +53,10 @@ def small_study(kind: str) -> str:
     return f"command: study\nseed: 2\n{SMALL_STUDIES[kind]}\n"
 
 
+def command_of(text: str) -> str:
+    return re.search(r"^command: (\w+)", text, re.M)[1]
+
+
 def row_rendering(header, rows) -> str:
     """Tab-separated rows, floats by repr and everything else by str."""
     lines = ["\t".join(header)]
@@ -62,7 +67,8 @@ def row_rendering(header, rows) -> str:
 
 # Each key read as a real number, with a boolean in its value.
 BOOLEAN_REALS = [
-    ("config.theta", MINIMAL_SOLVE + "theta: true\n"),
+    ("verify.theta", "command: verify\nverify: {theta: true}\n"),
+    ("study.theta", STUDY.format("coercivity, theta: true")),
     ("grid.alpha", MINIMAL_SOLVE.replace("alpha: 0.5", "alpha: true")),
     ("solve.tol", MINIMAL_SOLVE + "  tol: true\n"),
     ("solve.f.amplitude", MINIMAL_SOLVE.replace("{kind: sinsin}", "{kind: sinsin, amplitude: yes}")),
@@ -97,9 +103,11 @@ class TestParseConfig:
 
     def test_defaults_applied(self):
         cfg = parse_config(MINIMAL_SOLVE)
-        assert cfg.theta == 1.0
         assert cfg.solve["tol"] == 1e-10
         assert cfg.seed == 0
+        verify = parse_config("command: verify\nseed: 1\n").verify
+        assert (verify["levels"], verify["theta"]) == ([32, 64], 1.0)
+        assert parse_config(STUDY.format("coercivity")).study["theta"] == 1.0
 
     def test_alpha_out_of_range_names_constraint(self):
         text = MINIMAL_SOLVE.replace("alpha: 0.5", "alpha: 2")
@@ -151,8 +159,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("value", [".nan", ".inf", "-1.0"])
     def test_unusable_theta_rejected(self, value):
-        with pytest.raises(ConfigError, match="config.theta"):
-            parse_config(MINIMAL_SOLVE + f"theta: {value}\n")
+        with pytest.raises(ConfigError, match="verify.theta"):
+            parse_config(f"command: verify\nseed: 1\nverify: {{theta: {value}}}\n")
 
     @pytest.mark.parametrize(
         "kind, key, value",
@@ -226,11 +234,35 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("theta", ["0", "0.0"])
     def test_coercivity_needs_positive_theta(self, theta):
-        with pytest.raises(ConfigError, match="config.theta"):
-            parse_config(f"command: study\nseed: 1\ntheta: {theta}\nstudy: {{kind: coercivity}}\n")
+        with pytest.raises(ConfigError, match="study.theta"):
+            parse_config(STUDY.format(f"coercivity, theta: {theta}"))
 
     def test_zero_theta_allowed_outside_coercivity(self):
-        assert parse_config(MINIMAL_SOLVE + "theta: 0\n").theta == 0.0
+        assert parse_config("command: verify\nseed: 1\nverify: {theta: 0}\n").verify["theta"] == 0.0
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            pytest.param(MINIMAL_SOLVE + "theta: 1.0\n", "config.theta", id="top-theta"),
+            pytest.param("command: verify\nseed: 1\ntheta: 1.0\n", "config.theta", id="top-theta-verify"),
+            pytest.param(MINIMAL_SOLVE + "  theta: 1.0\n", "solve.theta", id="solve-theta"),
+            pytest.param(GAME + "  theta: 1.0\n", "game.theta", id="game-theta"),
+            *[pytest.param(STUDY.format(f"{kind}, theta: 1.0"), "study.theta", id=f"{kind}-theta")
+              for kind in ("convergence", "energy", "inclusion", "embedding", "muckenhoupt")],
+            *[pytest.param(f"command: verify\nseed: 1\ngrid: {{{key}: 32}}\n", f"grid.{key}", id=f"verify-{key}")
+              for key in ("nx", "ny")],
+            *[pytest.param(f"grid: {{{key}: 32}}\n" + STUDY.format(kind), f"grid.{key}", id=f"{kind}-{key}")
+              for kind in ("convergence", "energy", "inclusion", "embedding") for key in ("nx", "ny")],
+            pytest.param("grid: {alpha: 0.5}\n" + STUDY.format("muckenhoupt"), "config.grid", id="muckenhoupt-grid"),
+        ],
+    )
+    def test_key_outside_the_run_that_reads_it_exits_2(self, tmp_path, capsys, text, path):
+        p = tmp_path / "config.yaml"
+        p.write_text(text)
+        out = tmp_path / "out"
+        assert main([command_of(text), "--config", str(p), "--out", str(out)]) == 2
+        assert f"error: {path}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, path",
@@ -339,8 +371,8 @@ class TestRun:
 
     def test_verify_runs(self, tmp_path):
         cfg = parse_config(
-            "command: verify\nseed: 3\ngrid: {nx: 24, ny: 24, alpha: 0.5}\n"
-            "verify: {n_test_functions: 4}\n"
+            "command: verify\nseed: 3\ngrid: {alpha: 0.5}\n"
+            "verify: {n_test_functions: 4, levels: [12, 24]}\n"
         )
         cfg.output_dir = str(tmp_path)
         report = run(cfg)
@@ -357,8 +389,8 @@ class TestRun:
             cli_mod, "weak_form_residual", lambda u, f, psi, theta=None: plain(u, f, psi) if theta is None else math.nan
         )
         cfg = parse_config(
-            "command: verify\nseed: 3\ngrid: {nx: 12, ny: 12, alpha: 0.5}\n"
-            "verify: {n_test_functions: 2}\n"
+            "command: verify\nseed: 3\ngrid: {alpha: 0.5}\n"
+            "verify: {n_test_functions: 2, levels: [6, 12]}\n"
         )
         cfg.output_dir = str(tmp_path)
         report = run(cfg)
@@ -370,7 +402,7 @@ class TestRun:
         monkeypatch.setattr(
             cli_mod, "weak_form_residual", lambda u, f, psi, theta=None: plain(u, f, psi) if theta is None else math.nan
         )
-        cfg = parse_config("command: verify\nseed: 3\ngrid: {nx: 12, ny: 12, alpha: 0.5}\nverify: {n_test_functions: 2}\n")
+        cfg = parse_config("command: verify\nseed: 3\nverify: {n_test_functions: 2, levels: [6, 12]}\n")
         cfg.output_dir = str(tmp_path)
         run(cfg)
 
@@ -649,7 +681,7 @@ class TestMain:
         "text",
         [
             "command: study\nstudy: {kind: convergence, levels: [8, 16, 24], manufactured: bogus}\n",
-            "command: study\nseed: 3\ntheta: 0\nstudy: {kind: coercivity, n_samples: 5}\n",
+            "command: study\nseed: 3\nstudy: {kind: coercivity, theta: 0, n_samples: 5}\n",
             "command: study\nstudy: {kind: convergence, levels: [16, 16, 32]}\n",
         ],
         ids=["manufactured", "coercivity-theta", "convergence-repeated-level"],
@@ -659,28 +691,37 @@ class TestMain:
         p.write_text(text)
         assert main(["study", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
 
-    @pytest.mark.parametrize("where", ["grid.nx", "--level-override"])
+    @pytest.mark.parametrize("where", ["verify.levels", "--level-override"])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_verify_without_a_coarser_level_exits_2(self, tmp_path, capsys, where, n):
-        # the levels would be [4, n]: nothing to refine, so the verdict could only fail
-        nx = n if where == "grid.nx" else 16
+        # [4, n], or [4, 16] cut at n: nothing to refine, so the verdict could only fail
+        levels = [4, n] if where == "verify.levels" else [4, 16]
         p = tmp_path / "verify.yaml"
-        p.write_text(f"command: verify\nseed: 3\ngrid: {{nx: {nx}, ny: {nx}}}\nverify: {{n_test_functions: 2}}\n")
+        p.write_text(f"command: verify\nseed: 3\nverify: {{n_test_functions: 2, levels: {levels}}}\n")
         out = tmp_path / "out"
         flags = ["--level-override", str(n)] if where == "--level-override" else []
         assert main(["verify", "--config", str(p), "--out", str(out), *flags]) == 2
-        assert f"{where}: must be at least 5" in capsys.readouterr().err
+        key = f"verify.levels after --level-override {n}" if flags else "verify.levels"
+        assert f"{key}: {analysis.LEVELS['energy'].text}, got " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("ny", [16, 64])
     def test_verify_on_a_non_square_grid_exits_2(self, tmp_path, capsys, ny):
-        # verify runs square grids at the levels [max(4, nx // 2), nx]
+        # verify states its levels, each a square grid; it reads no grid size
         p = tmp_path / "verify.yaml"
         p.write_text(f"command: verify\nseed: 3\ngrid: {{nx: 32, ny: {ny}}}\nverify: {{n_test_functions: 2}}\n")
         out = tmp_path / "out"
         assert main(["verify", "--config", str(p), "--out", str(out)]) == 2
-        assert "grid.ny: verify runs square grids" in capsys.readouterr().err
+        assert "grid.nx: unknown key, known: alpha" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_level_override_drops_verify_levels(self, tmp_path):
+        p = tmp_path / "verify.yaml"
+        p.write_text("command: verify\nseed: 3\nverify: {n_test_functions: 2, levels: [8, 16, 24]}\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(p), "--out", str(out), "--level-override", "20"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["levels"] == report["config"]["verify"]["levels"] == [8, 16]
 
     def test_unmeasurable_residual_exits_1(self, tmp_path, capsys):
         # ||f|| overflows, so the residual contract cannot be checked
@@ -711,7 +752,7 @@ class TestMain:
 
     def test_verify_on_five_nodes_passes(self, tmp_path):
         p = tmp_path / "verify.yaml"
-        p.write_text("command: verify\nseed: 3\nverify: {n_test_functions: 2}\n")
+        p.write_text("command: verify\nseed: 3\nverify: {n_test_functions: 2, levels: [4, 5, 16]}\n")
         out = tmp_path / "out"
         assert main(["verify", "--config", str(p), "--out", str(out), "--level-override", "5"]) == 0
         assert json.loads((out / "report.json").read_text())["results"]["levels"] == [4, 5]
@@ -747,6 +788,31 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "16"]) == 2
         assert "study.plateau_from after --level-override 16" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run", ["game", "verify", *cli_mod.SAMPLING_STUDY_KINDS])
+    def test_seed_flag_is_the_explicit_seed(self, tmp_path, run):
+        if run == "game":
+            text, flags = GAME, ["--level-override", "12"]
+        elif run == "verify":
+            text, flags = "command: verify\nseed: 1\nverify: {n_test_functions: 2, levels: [6, 12]}\n", []
+        else:
+            text, flags = small_study(run), []
+        text = re.sub(r"^seed: \d+\n", "", text, flags=re.M)
+        assert "seed" not in text
+        p = tmp_path / "config.yaml"
+        p.write_text(text)
+        out = tmp_path / "out"
+        assert main([command_of(text), "--config", str(p), "--out", str(out), "--seed", "4", *flags]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["seed"] == 4
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.yaml"
+        p.write_bytes(b"\xff\xfe\x00bad")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: not UTF-8 text") and "Traceback" not in err
         assert not out.exists()
 
     def test_seed_override(self, tmp_path):

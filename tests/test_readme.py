@@ -1,4 +1,5 @@
-"""The README's statements of module constants and level rules match the code."""
+"""The README's statements of module constants, level rules and config
+keys match the code."""
 
 import ast
 import re
@@ -45,3 +46,37 @@ def test_readme_states_each_studys_least_levels():
     assert stated.keys() == analysis.LEVELS.keys()
     for kind, rule in analysis.LEVELS.items():
         assert int(stated[kind]) == least_levels(rule), kind
+
+
+def grammar_keys() -> dict[str, list[str]]:
+    """The keys the README's config grammar block names: the top-level keys
+    under "config", then the keys of each section and each study kind."""
+    block = re.search(r"### Config grammar\n.*?```yaml\n(.*?)```", README, re.S)[1]
+    keys: dict[str, list[str]] = {"config": []}
+    for line in block.splitlines():
+        if top := re.match(r"(\w+):([^#]*)", line):
+            keys["config"].append(top[1])
+            value = top[2].strip()
+            if not value or value.startswith("{"):  # a section, in block or flow style
+                section = top[1]
+                keys[section] = re.findall(r"(\w+):", value)
+        elif kind := re.match(r"  # kind: (\w+)", line):
+            section = kind[1]
+            keys[section] = []
+        elif key := re.match(r"  (?:#   )?(\w+):", line):
+            keys[section].append(key[1])
+    return keys
+
+
+def test_readme_grammar_names_the_keys_of_each_table():
+    tables = {
+        "config": [*cli.TOP, "grid", *cli.SECTIONS, "study"],
+        "grid": list(cli.GRID),
+        **{name: list(table) for name, table in cli.SECTIONS.items()},
+        "study": ["kind"],
+        **{kind: list(table) for kind, table in cli.STUDIES.items()},
+    }
+    stated = grammar_keys()
+    assert stated.keys() == tables.keys()
+    for name, keys in tables.items():
+        assert sorted(stated[name]) == sorted(keys), name

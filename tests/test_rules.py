@@ -32,6 +32,7 @@ from degenash.norms import muckenhoupt_panel
 from degenash.operators import assemble, solve_dirichlet
 
 SOLVE = {"command": "solve", "grid": {"nx": 16, "ny": 16, "alpha": 0.5}, "solve": {"f": {"kind": "sinsin"}}}
+VERIFY = {"command": "verify", "seed": 1, "verify": {}}
 GAME = yaml.safe_load((CONFIG_DIR / "benchmark_game.yaml").read_text())
 G = build_grid(8, 8, 0.5)
 ONE = GridFunction(G, np.ones(G.n))
@@ -63,10 +64,12 @@ CASES = {
         fields.MANUFACTURED_KIND,
     ),
     "theta": (
-        SOLVE, "theta", -1.0, lambda v: weighted_inner(ONE, ONE, 0.0, theta=v), "theta", grid.FINITE_NONNEGATIVE,
+        VERIFY, "verify.theta", -1.0, lambda v: weighted_inner(ONE, ONE, 0.0, theta=v), "theta",
+        grid.FINITE_NONNEGATIVE,
     ),
     "theta-coercivity": (
-        study("coercivity"), "theta", 0.0, lambda v: coercivity_check(v, 5, seed=1), "theta", grid.FINITE_POSITIVE,
+        study("coercivity"), "study.theta", 0.0, lambda v: coercivity_check(v, 5, seed=1), "theta",
+        grid.FINITE_POSITIVE,
     ),
     "tol": (
         SOLVE, "solve.tol", -1.0, lambda v: solve_dirichlet(assemble(G), named_field(G, "sinsin"), v), "tol",
@@ -76,6 +79,7 @@ CASES = {
         f"levels-{kind}": (study(kind), "study.levels", BAD_LEVELS[kind], call, "levels", analysis.LEVELS[kind])
         for kind, call in STUDY_CALLS.items()
     },
+    "levels-verify": (VERIFY, "verify.levels", [32], STUDY_CALLS["energy"], "levels", analysis.LEVELS["energy"]),
     "n_samples-coercivity": (
         study("coercivity"), "study.n_samples", 0, lambda v: coercivity_check(1.0, v, seed=1), "n_samples",
         grid.AT_LEAST_ONE,
@@ -155,11 +159,13 @@ SHARED = {
     **{f"game.{m}": (cli.SECTIONS["game"][m].rule, GAME_RULES[m]) for m in ("m1", "m2")},
     "field.kind": (cli.FIELD["kind"].rule, fields.FIELD_KIND),
     "field.amplitude": (cli.FIELD["amplitude"].rule, grid.FINITE),
-    "config.theta": (cli.TOP["theta"].rule, grid.FINITE_NONNEGATIVE),
+    "verify.theta": (cli.SECTIONS["verify"]["theta"].rule, grid.FINITE_NONNEGATIVE),
+    "verify.levels": (cli.SECTIONS["verify"]["levels"].rule, analysis.LEVELS["energy"]),
     "config.seed": (cli.TOP["seed"].rule, grid.SEED),
     "solve.tol": (cli.SECTIONS["solve"]["tol"].rule, grid.FINITE_POSITIVE),
     "convergence.manufactured": (cli.STUDIES["convergence"]["manufactured"].rule, fields.MANUFACTURED_KIND),
     **{f"{kind}.levels": (cli.STUDIES[kind]["levels"].rule, rule) for kind, rule in analysis.LEVELS.items()},
+    "coercivity.theta": (cli.STUDIES["coercivity"]["theta"].rule, grid.FINITE_POSITIVE),
     "coercivity.n_samples": (cli.STUDIES["coercivity"]["n_samples"].rule, grid.AT_LEAST_ONE),
     "embedding.n_samples": (cli.STUDIES["embedding"]["n_samples"].rule, grid.AT_LEAST_ONE),
     "embedding.q_values": (cli.STUDIES["embedding"]["q_values"].rule, analysis.Q_VALUES),
