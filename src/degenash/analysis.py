@@ -29,30 +29,30 @@ SAFETY = 1.5
 # The last observed L2 order a convergence study must reach: the upwind
 # scheme is first order in y.
 ORDER_THRESHOLD = 0.9
+# The inclusion verdict's plateau: each refinement step from level
+# PLATEAU_FROM on moves the weighted norm by at most PLATEAU_TOL.
+PLATEAU_TOL = 0.05
+PLATEAU_FROM = 32
 
 
-def _levels(least: int) -> Rule:
+def _levels(least: int, plateau: bool = False) -> Rule:
     """A study's levels, each at least 2: at least `least` of them, and
-    strictly increasing, so that no verdict compares a level with itself."""
+    strictly increasing, so that no verdict compares a level with itself.
+    With `plateau`, the second-to-last is at least PLATEAU_FROM, so that
+    the inclusion verdict checks a refinement step."""
+    text = f"must be a strictly increasing list of levels, each at least 2, at least {least} of them"
     return Rule(
-        f"must be a strictly increasing list of levels, each at least 2, at least {least} of them",
+        text + (f", the second-to-last at least PLATEAU_FROM = {PLATEAU_FROM}" if plateau else ""),
         lambda levels: len(levels) >= least and all(lv >= 2 for lv in levels)
-        and all(b > a for a, b in zip(levels, levels[1:])),
+        and all(b > a for a, b in zip(levels, levels[1:])) and not (plateau and levels[-2] < PLATEAU_FROM),
     )
 
 
 # The levels rule of each study that has levels: two observed orders need
 # three levels, and every other verdict compares the finest with the coarsest.
-LEVELS = {"convergence": _levels(3), "energy": _levels(2), "inclusion": _levels(2), "embedding": _levels(2)}
-
-
-def _plateau_from(levels: list[int]) -> Rule:
-    """plateau_from's rule on levels: at most the second-to-last level, so
-    that the inclusion verdict checks a refinement step."""
-    return Rule(
-        f"must be at most the second-to-last of the levels {levels}, so that a refinement step is checked",
-        lambda start: len(levels) >= 2 and start <= levels[-2],
-    )
+LEVELS = {
+    "convergence": _levels(3), "energy": _levels(2), "inclusion": _levels(2, plateau=True), "embedding": _levels(2),
+}
 
 
 class Verdict(str, Enum):
@@ -205,21 +205,18 @@ def coercivity_check(
     )
 
 
-def strict_inclusion_demo(
-    levels: Sequence[int],
-    alpha: float = 0.5,
-    plateau_tol: float = 0.05,
-    plateau_from: int = 32,
-) -> StudyResult:
+def strict_inclusion_demo(levels: Sequence[int], alpha: float = 0.5) -> StudyResult:
     """Refinement trends for u = (x^2+y)^(1/4).
 
     With alpha = 1/2 the weighted norm stabilizes while the unweighted
     d_y seminorm keeps growing (the function lies in the weighted space
-    but not in H^1).  For any other alpha the study is report-only.
+    but not in H^1): the study passes when each refinement step from level
+    PLATEAU_FROM on changes w11 by at most PLATEAU_TOL, relatively, and
+    every step raises the d_y norm.  Its levels rule asks for a second-to-last level of at
+    least PLATEAU_FROM, so that a step is checked.  For any other alpha
+    the study is report-only.
     """
     levels = LEVELS["inclusion"].check("levels", list(levels))
-    FINITE_POSITIVE.check("plateau_tol", plateau_tol)
-    _plateau_from(levels).check("plateau_from", plateau_from)
     w11s, dy_norms = [], []
     for level in levels:
         grid = build_grid(level, level, alpha)
@@ -230,20 +227,19 @@ def strict_inclusion_demo(
     result = StudyResult(
         levels=levels,
         metrics={"w11": w11s, "dy_l2": dy_norms},
-        thresholds={"plateau_tol": plateau_tol, "plateau_from": plateau_from},
+        thresholds={"plateau_tol": PLATEAU_TOL, "plateau_from": PLATEAU_FROM},
     )
     if alpha != 0.5:
         return result
-    # Plateau means each refinement step from plateau_from onward moves the
-    # weighted norm by at most plateau_tol; the corner singularity of the
+    # The plateau is judged step by step: the corner singularity of the
     # integrands limits absolute convergence to O(h^(1/2)), so a total-spread
     # test would measure the quadrature rate rather than membership.
     steps = [
         abs(wb - wa) / wa
         for (la, wa), (lb, wb) in zip(zip(levels, w11s), zip(levels[1:], w11s[1:]))
-        if la >= plateau_from
+        if la >= PLATEAU_FROM
     ]
-    plateau_ok = all(s <= plateau_tol for s in steps)
+    plateau_ok = all(s <= PLATEAU_TOL for s in steps)
     increasing = all(b > a for a, b in zip(dy_norms, dy_norms[1:]))
     result.verdict = Verdict.PASS if (plateau_ok and increasing) else Verdict.FAIL
     return result
@@ -307,7 +303,7 @@ Q_VALUES = Rule(
 
 
 def embedding_study(
-    levels: Sequence[int] = (64, 128),
+    levels: Sequence[int],
     q_values: Sequence[float] = (2.0, 3.0, 4.0),
     n_samples: int = 100,
     seed: int = 0,

@@ -29,7 +29,6 @@ from .analysis import (
     Q_VALUES,
     StudyResult,
     Verdict,
-    _plateau_from,
     coercivity_check,
     convergence_study,
     embedding_study,
@@ -75,6 +74,13 @@ def _integer(raw) -> int:
     return int(raw)
 
 
+def _text(raw) -> str:
+    """A non-empty string; a list or a boolean is an error, never its str()."""
+    if not isinstance(raw, str) or not raw:
+        raise TypeError(raw)
+    return raw
+
+
 def _real(raw) -> float:
     """A real number, or a string that reads as one, such as 1e-10 (YAML
     reads that as a string); a boolean is an error, never 1.0 or 0.0."""
@@ -97,12 +103,12 @@ def _levels(kind: str) -> Key:
 
 
 TOP = {
-    "command": Key(str, None, Rule.one_of(COMMANDS)),
+    "command": Key(_text, None, Rule.one_of(COMMANDS)),
     "seed": Key(_integer, 0, SEED),
-    "output_dir": Key(str, "out"),
+    "output_dir": Key(_text, "out"),
 }
 GRID = {"nx": Key(_integer, 64, NODES), "ny": Key(_integer, 64, NODES), "alpha": Key(_real, 0.5, ALPHA)}
-FIELD = {"kind": Key(str, None, FIELD_KIND), "amplitude": Key(_real, 1.0, FINITE)}
+FIELD = {"kind": Key(_text, None, FIELD_KIND), "amplitude": Key(_real, 1.0, FINITE)}
 SINSIN = {"kind": "sinsin"}
 SECTIONS = {
     "solve": {"f": Key(FIELD, SINSIN), "tol": Key(_real, RESIDUAL_TOL, FINITE_POSITIVE)},
@@ -122,15 +128,10 @@ SECTIONS = {
 # A study section holds its kind and the keys of that kind's study only;
 # each key is a keyword argument of the kind's study function.
 STUDIES = {
-    "convergence": {"levels": _levels("convergence"), "manufactured": Key(str, "sinsin", MANUFACTURED_KIND)},
+    "convergence": {"levels": _levels("convergence"), "manufactured": Key(_text, "sinsin", MANUFACTURED_KIND)},
     "energy": {"levels": _levels("energy")},
     "coercivity": {"theta": Key(_real, 1.0, FINITE_POSITIVE), "n_samples": Key(_integer, 200, AT_LEAST_ONE)},
-    "inclusion": {
-        "levels": _levels("inclusion"),
-        "plateau_tol": Key(_real, 0.05, FINITE_POSITIVE),
-        # its rule depends on levels (analysis._plateau_from)
-        "plateau_from": Key(_integer, 32),
-    },
+    "inclusion": {"levels": _levels("inclusion")},
     "embedding": {
         "levels": _levels("embedding"),
         "q_values": Key(_list_of(_real), [2, 3, 4], Q_VALUES),
@@ -138,7 +139,7 @@ STUDIES = {
     },
     "muckenhoupt": {"n_balls": Key(_integer, 500, AT_LEAST_ONE)},
 }
-STUDY_KIND = Key(str, None, Rule.one_of(STUDIES))
+STUDY_KIND = Key(_text, None, Rule.one_of(STUDIES))
 
 
 @dataclass
@@ -243,9 +244,6 @@ def _parse(raw: dict) -> RunConfig:
     top = _read({k: v for k, v in raw.items() if k not in tables}, TOP, "config")
     sections = {name: _read(raw.get(name, {}), table, name) for name, table in tables.items()}
 
-    if kind == "inclusion":
-        study = sections["study"]
-        _check(_plateau_from(study["levels"]), study["plateau_from"], "study.plateau_from")
     if (command in ("game", "verify") or kind in SAMPLING_STUDY_KINDS) and "seed" not in raw:
         raise ConfigError("config.seed: sampling commands require an explicit seed")
     grid = sections.pop("grid", {})
@@ -257,12 +255,10 @@ def _apply_level_override(cfg: RunConfig, n: int) -> None:
     game and the coercivity study run on an n x n grid."""
     section = getattr(cfg, cfg.command)
     kind = section.get("kind")
-    where = f"{cfg.command}.{{}} after --level-override {n}"
     if "levels" in section:
         rule = (STUDIES[kind] if kind else SECTIONS[cfg.command])["levels"].rule
-        section["levels"] = _check(rule, [lv for lv in section["levels"] if lv <= n], where.format("levels"))
-        if kind == "inclusion":
-            _check(_plateau_from(section["levels"]), section["plateau_from"], where.format("plateau_from"))
+        where = f"{cfg.command}.levels after --level-override {n}"
+        section["levels"] = _check(rule, [lv for lv in section["levels"] if lv <= n], where)
     elif kind == "muckenhoupt":
         raise ConfigError("--level-override: a muckenhoupt study has no levels or grid to act on")
     else:

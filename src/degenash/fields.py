@@ -38,7 +38,7 @@ def named_field(grid: Grid, kind: str, amplitude: float = 1.0) -> GridFunction:
     (x(1-x)y(1-y)), xalpha_siny (x**alpha sin(pi y)), right_half
     (indicator of x > 1/2).
     """
-    field, scale = _FIELDS[FIELD_KIND.check("kind", kind)], FINITE.check("amplitude", float(amplitude))
+    field, scale = _FIELDS[FIELD_KIND.check("kind", kind)], float(FINITE.check("amplitude", amplitude))
 
     def scaled(X, Y):
         # the bits of the scaled unit field, in one GridFunction

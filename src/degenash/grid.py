@@ -50,22 +50,24 @@ class Rule:
         return value
 
 
-FINITE = Rule("must be finite", math.isfinite)
-FINITE_POSITIVE = Rule("must be finite and positive", lambda v: math.isfinite(v) and v > 0)
-FINITE_NONNEGATIVE = Rule("must be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0)
-AT_LEAST_ONE = Rule("must be at least 1", lambda v: v >= 1)
-NODES = Rule("must be at least 2 interior nodes", lambda n: n >= 2)
+def _number(text: str, holds: Callable[[object], bool]) -> Rule:
+    """A Rule on a number: a boolean fails it, never reads as 1 or 0."""
+    return Rule(text, lambda v: not isinstance(v, (bool, np.bool_)) and holds(v))
+
+
+FINITE = _number("must be finite", math.isfinite)
+FINITE_POSITIVE = _number("must be finite and positive", lambda v: math.isfinite(v) and v > 0)
+FINITE_NONNEGATIVE = _number("must be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0)
+AT_LEAST_ONE = _number("must be at least 1", lambda v: v >= 1)
+NODES = _number("must be at least 2 interior nodes", lambda n: n >= 2)
 # the well-posedness theory and the compact embedding both fail outside (0, 1]
-ALPHA = Rule("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)
+ALPHA = _number("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)
 RECT = Rule(
     "must be [x0, x1, y0, y1] with 0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1",
     lambda r: len(r) == 4 and 0.0 <= r[0] < r[1] <= 1.0 and 0.0 <= r[2] < r[3] <= 1.0,
 )
 # numpy seeds its generators only with integers >= 0 (or sequences of them)
-SEED = Rule(
-    "must be a nonnegative integer",
-    lambda s: not isinstance(s, bool) and isinstance(s, (int, np.integer)) and s >= 0,
-)
+SEED = _number("must be a nonnegative integer", lambda s: isinstance(s, (int, np.integer)) and s >= 0)
 
 
 @dataclass(frozen=True)

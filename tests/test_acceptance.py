@@ -105,7 +105,7 @@ def test_criterion_3_coercivity():
 
 def test_criterion_4_strict_inclusion():
     levels = [16, 32, 64, 128, 256]
-    r = strict_inclusion_demo(levels, alpha=0.5, plateau_tol=0.05, plateau_from=32)
+    r = strict_inclusion_demo(levels, alpha=0.5)
     w11, dy = r.metrics["w11"], r.metrics["dy_l2"]
     steps = [
         abs(b - a) / a for (lv, a), b in zip(zip(levels, w11), w11[1:]) if lv >= 32

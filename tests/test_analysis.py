@@ -17,6 +17,7 @@ from degenash.analysis import (
     stabilized_form_value,
     strict_inclusion_demo,
 )
+from degenash.cli import ConfigError, parse_config
 from degenash.fields import named_field
 from degenash.grid import GridFunction, build_grid
 from degenash.norms import l2_weighted_norm, norms_of
@@ -221,26 +222,29 @@ class TestStrictInclusion:
         with pytest.raises(ValueError, match="levels"):
             strict_inclusion_demo([64])
 
-    @pytest.mark.parametrize(
-        "name, keys",
-        [
-            ("plateau_tol", {"plateau_tol": math.inf, "plateau_from": 8}),
-            ("plateau_tol", {"plateau_tol": math.nan, "plateau_from": 8}),
-            ("plateau_tol", {"plateau_tol": 0.0, "plateau_from": 8}),
-            ("plateau_from", {"plateau_from": 1000}),
-            ("plateau_from", {"plateau_from": 17}),
-        ],
-        ids=["tol-inf", "tol-nan", "tol-zero", "from-1000", "from-17"],
-    )
-    def test_inputs_the_config_rejects_are_rejected(self, monkeypatch, name, keys):
-        # plateau_tol = inf would pass every step, and a plateau_from above
-        # the second-to-last level would check none; both are rejected
-        # before any work
+    def test_levels_without_a_plateau_step_rejected(self, monkeypatch):
+        # the verdict checks the steps from level PLATEAU_FROM = 32 on, and
+        # [8, 16, 24] has none; it is rejected before any work
         import degenash.analysis as analysis
 
         monkeypatch.setattr(analysis, "build_grid", lambda *args: pytest.fail("built a grid"))
-        with pytest.raises(ValueError, match=rf"^{name} must be"):
-            strict_inclusion_demo([8, 16, 24], **keys)
+        with pytest.raises(ValueError, match=r"^levels .*the second-to-last at least PLATEAU_FROM = 32, got"):
+            strict_inclusion_demo([8, 16, 24])
+
+    @pytest.mark.parametrize("added", [1000, 17], ids=["from-1000", "from-17"])
+    def test_inputs_the_config_rejects_are_rejected(self, monkeypatch, added):
+        # a level of 1000 or 17 added to [8, 16, 24] leaves the second-to-last
+        # level below PLATEAU_FROM = 32, so no step is checked (a finest level
+        # above 32 is not enough); the library rejects what the config
+        # rejects, before any work
+        import degenash.analysis as analysis
+
+        levels = sorted([8, 16, 24, added])
+        with pytest.raises(ConfigError, match=r"^study.levels: "):
+            parse_config(f"command: study\nseed: 1\ngrid: {{alpha: 0.5}}\nstudy: {{kind: inclusion, levels: {levels}}}\n")
+        monkeypatch.setattr(analysis, "build_grid", lambda *args: pytest.fail("built a grid"))
+        with pytest.raises(ValueError, match=rf"^levels .*PLATEAU_FROM = 32, got \[{', '.join(map(str, levels))}\]"):
+            strict_inclusion_demo(levels)
 
     def test_no_levels_rejected(self):
         with pytest.raises(ValueError, match="levels"):

@@ -33,7 +33,7 @@ STUDY_KEYS = {
     "convergence": {"levels", "manufactured"},
     "energy": {"levels"},
     "coercivity": {"theta", "n_samples"},
-    "inclusion": {"levels", "plateau_tol", "plateau_from"},
+    "inclusion": {"levels"},
     "embedding": {"levels", "q_values", "n_samples"},
     "muckenhoupt": {"n_balls"},
 }
@@ -43,7 +43,7 @@ SMALL_STUDIES = {
     "convergence": "grid: {alpha: 0.5}\nstudy: {kind: convergence, levels: [8, 16, 24]}",
     "energy": "grid: {alpha: 0.5}\nstudy: {kind: energy, levels: [8, 16]}",
     "coercivity": "grid: {nx: 12, ny: 12, alpha: 0.5}\nstudy: {kind: coercivity, n_samples: 6}",
-    "inclusion": "grid: {alpha: 0.5}\nstudy: {kind: inclusion, levels: [8, 16, 24], plateau_from: 8}",
+    "inclusion": "grid: {alpha: 0.5}\nstudy: {kind: inclusion, levels: [16, 32, 48]}",
     "embedding": "grid: {alpha: 0.5}\nstudy: {kind: embedding, levels: [8, 16], n_samples: 4}",
     "muckenhoupt": "study: {kind: muckenhoupt, n_balls: 20}",
 }
@@ -78,7 +78,6 @@ BOOLEAN_REALS = [
     *[(f"game.{k}", GAME.replace(f"{k}: 1.0", f"{k}: true")) for k in ("m1", "m2")],
     *[(f"game.{k}", re.sub(rf"(\n  {k}: +\[)[^,]*", r"\g<1>true", GAME))
       for k in ("omega", "omega1", "omega2", "g1_obs", "g2_obs")],
-    ("study.plateau_tol", STUDY.format("inclusion, levels: [8, 16, 24], plateau_from: 8, plateau_tol: true")),
     ("study.q_values", STUDY.format("embedding, q_values: [2, true]")),
 ]
 
@@ -178,7 +177,6 @@ class TestParseConfig:
             ("embedding", "growth_cap", "-1.1"),
             ("embedding", "growth_cap", ".inf"),
             ("coercivity", "safety", "0"),
-            ("inclusion", "plateau_tol", ".nan"),
             ("convergence", "levels", "[16, 32]"),
             ("inclusion", "levels", "[32, 16, 64]"),
             ("inclusion", "levels", "[16, 16, 32]"),
@@ -191,7 +189,6 @@ class TestParseConfig:
             ("coercivity", "n_samples", "2.7"),
             ("embedding", "n_samples", "true"),
             ("muckenhoupt", "n_balls", "20.5"),
-            ("inclusion", "plateau_from", "16.5"),
             ("energy", "levels", "[8, 16.5]"),
         ],
     )
@@ -221,6 +218,8 @@ class TestParseConfig:
             pytest.param(STUDY.format("energy, ratio_cap: 1.2"), "study.ratio_cap", id="energy-ratio_cap"),
             pytest.param(STUDY.format("coercivity, safety: 1.5"), "study.safety", id="coercivity-safety"),
             pytest.param(STUDY.format("embedding, growth_cap: 1.1"), "study.growth_cap", id="embedding-growth_cap"),
+            pytest.param(STUDY.format("inclusion, plateau_tol: 0.05"), "study.plateau_tol", id="inclusion-plateau_tol"),
+            pytest.param(STUDY.format("inclusion, plateau_from: 32"), "study.plateau_from", id="inclusion-plateau_from"),
             pytest.param(GAME.replace("  m2: 1.0\n", "  m3: 1.0\n"), "game.m3", id="game"),
         ],
     )
@@ -282,10 +281,36 @@ class TestParseConfig:
         cfg = parse_config(STUDY.format("coercivity, n_samples: 5.0"))
         assert cfg.study["n_samples"] == 5 and type(cfg.study["n_samples"]) is int
 
+    def test_inclusion_levels_must_reach_the_plateau(self):
+        # the verdict checks the steps from level PLATEAU_FROM = 32 on, and
+        # [8, 16, 24] has none
+        with pytest.raises(ConfigError, match=r"^study.levels: .*the second-to-last at least PLATEAU_FROM = 32, got"):
+            parse_config(STUDY.format("inclusion, levels: [8, 16, 24]"))
+
     @pytest.mark.parametrize("levels, start", [("[8, 16, 24]", 1000), ("[8, 16, 24]", 17)])
     def test_inclusion_must_check_a_refinement_step(self, levels, start):
-        with pytest.raises(ConfigError, match="study.plateau_from"):
-            parse_config(STUDY.format(f"inclusion, levels: {levels}, plateau_from: {start}"))
+        # adding a level of `start` to `levels` still leaves the second-to-last
+        # level below PLATEAU_FROM = 32: a finest level of 1000 is not enough
+        stated = sorted([*json.loads(levels), start])
+        with pytest.raises(ConfigError, match=rf"^study.levels: .*PLATEAU_FROM = 32, got {re.escape(str(stated))}"):
+            parse_config(STUDY.format(f"inclusion, levels: {stated}"))
+
+    @pytest.mark.parametrize(
+        "where, text",
+        [
+            ("config.output_dir", MINIMAL_SOLVE + "output_dir: [a, b]\n"),
+            ("config.output_dir", MINIMAL_SOLVE + "output_dir: true\n"),
+            ("config.output_dir", MINIMAL_SOLVE + "output_dir: ''\n"),
+            ("solve.f.kind", MINIMAL_SOLVE.replace("{kind: sinsin}", "{kind: [sinsin]}")),
+            ("study.manufactured", STUDY.format("convergence, manufactured: [poly]")),
+        ],
+        ids=["output_dir-list", "output_dir-boolean", "output_dir-empty", "field-kind", "manufactured"],
+    )
+    def test_text_key_takes_only_a_nonempty_string(self, where, text):
+        # str() would name a directory "['a', 'b']" or "True", and "" the
+        # working directory
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: cannot interpret "):
+            parse_config(text)
 
     @pytest.mark.parametrize(
         "kind, levels",
@@ -314,10 +339,6 @@ class TestParseConfig:
         assert text != GAME
         with pytest.raises(ConfigError, match=rf"{where}.amplitude: must be finite"):
             parse_config(text)
-
-    def test_inclusion_plateau_from_second_to_last_level(self):
-        cfg = parse_config(STUDY.format("inclusion, levels: [8, 16, 24], plateau_from: 16"))
-        assert cfg.study["plateau_from"] == 16
 
     @pytest.mark.parametrize("text", [GAME, MINIMAL_SOLVE], ids=["game", "solve"])
     def test_scheme_is_an_unknown_key(self, text, tmp_path, capsys):
@@ -630,11 +651,11 @@ class TestMain:
 
     def test_level_override_study(self, tmp_path):
         p = tmp_path / "study.yaml"
-        p.write_text("command: study\nstudy: {kind: inclusion, levels: [8, 16, 32], plateau_tol: 0.2, plateau_from: 8}\n")
+        p.write_text("command: study\nstudy: {kind: inclusion, levels: [16, 32, 48, 64]}\n")
         out = tmp_path / "out"
-        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "16"]) == 0
+        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "48"]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["results"]["levels"] == [8, 16]
+        assert report["results"]["levels"] == [16, 32, 48]
 
     def test_level_override_leaving_two_convergence_levels_exits_2(self, tmp_path):
         p = tmp_path / "study.yaml"
@@ -653,11 +674,11 @@ class TestMain:
     @pytest.mark.parametrize("kind", ["convergence", "energy", "inclusion", "embedding"])
     def test_level_override_drops_levels(self, tmp_path, kind):
         p = tmp_path / "study.yaml"
-        p.write_text(re.sub(r"levels: \[[^]]*\]", "levels: [8, 16, 24, 32]", small_study(kind)))
+        p.write_text(re.sub(r"levels: \[[^]]*\]", "levels: [16, 32, 48, 64]", small_study(kind)))
         out = tmp_path / "out"
-        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "30"]) in (0, 1)
+        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "50"]) in (0, 1)
         report = json.loads((out / "report.json").read_text())
-        assert report["results"]["levels"] == report["config"]["study"]["levels"] == [8, 16, 24]
+        assert report["results"]["levels"] == report["config"]["study"]["levels"] == [16, 32, 48]
 
     @pytest.mark.parametrize("n", [16, 8])
     def test_level_override_sets_coercivity_grid(self, tmp_path, n):
@@ -783,11 +804,12 @@ class TestMain:
         assert not out.exists()
 
     def test_level_override_leaving_no_plateau_step_exits_2(self, tmp_path, capsys):
-        p = tmp_path / "study.yaml"
-        p.write_text("command: study\nstudy: {kind: inclusion, levels: [8, 16, 32, 64], plateau_from: 16}\n")
+        # [16, 32] has no step from level PLATEAU_FROM = 32 on
+        p = CONFIG_DIR / "study_inclusion.yaml"
         out = tmp_path / "out"
-        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "16"]) == 2
-        assert "study.plateau_from after --level-override 16" in capsys.readouterr().err
+        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "32"]) == 2
+        err = capsys.readouterr().err
+        assert "study.levels after --level-override 32" in err and "PLATEAU_FROM = 32, got [16, 32]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("run", ["game", "verify", *cli_mod.SAMPLING_STUDY_KINDS])

@@ -6,6 +6,7 @@ naming the parameter through the library, and both carry its text."""
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ VERIFY = {"command": "verify", "seed": 1, "verify": {}}
 GAME = yaml.safe_load((CONFIG_DIR / "benchmark_game.yaml").read_text())
 G = build_grid(8, 8, 0.5)
 ONE = GridFunction(G, np.ones(G.n))
-INCLUSION = [8, 16, 24]
 
 
 def study(kind, **keys):
@@ -105,16 +105,6 @@ CASES = {
         GAME, "game.m1", -1.0, lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1",
         grid.FINITE_NONNEGATIVE,
     ),
-    "plateau_tol": (
-        study("inclusion", levels=INCLUSION, plateau_from=8), "study.plateau_tol", math.inf,
-        lambda v: strict_inclusion_demo(INCLUSION, plateau_tol=v, plateau_from=8), "plateau_tol",
-        grid.FINITE_POSITIVE,
-    ),
-    "plateau_from": (
-        study("inclusion", levels=INCLUSION), "study.plateau_from", 1000,
-        lambda v: strict_inclusion_demo(INCLUSION, plateau_from=v), "plateau_from",
-        analysis._plateau_from(INCLUSION),
-    ),
 }
 
 
@@ -150,6 +140,27 @@ def test_seed_rule_rejects_what_numpy_would_take_or_misname(call, seed):
         call(seed)
 
 
+# A library call per shared numeric rule, and the parameter its error
+# names; each call would run with True as 1 if the rule let it through.
+BOOLEANS = {
+    "alpha": (lambda v: build_grid(4, 4, v), "alpha", grid.ALPHA),
+    "tol": (lambda v: solve_dirichlet(assemble(G), named_field(G, "sinsin"), tol=v), "tol", grid.FINITE_POSITIVE),
+    "amplitude": (lambda v: named_field(G, "sinsin", v), "amplitude", grid.FINITE),
+    "theta": (lambda v: weighted_inner(ONE, ONE, 0.0, theta=v), "theta", grid.FINITE_NONNEGATIVE),
+    "n_samples": (lambda v: coercivity_check(1.0, v, seed=1, nx=8, ny=8), "n_samples", grid.AT_LEAST_ONE),
+    "n_balls": (lambda v: muckenhoupt_study(n_balls=v, seed=1), "n_balls", grid.AT_LEAST_ONE),
+    "m1": (lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1", grid.FINITE_NONNEGATIVE),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("case", BOOLEANS)
+def test_numeric_rule_rejects_a_boolean(case, value):
+    call, name, rule = BOOLEANS[case]
+    with pytest.raises(ValueError, match=rf"^{name} {re.escape(rule.text)}, got (np\.)?True_?$"):
+        call(value)
+
+
 GAME_RULES = {f.name: f.metadata["rule"] for f in dataclasses.fields(game.GameConfig) if "rule" in f.metadata}
 SHARED = {
     "grid.alpha": (cli.GRID["alpha"].rule, grid.ALPHA),
@@ -170,7 +181,6 @@ SHARED = {
     "embedding.n_samples": (cli.STUDIES["embedding"]["n_samples"].rule, grid.AT_LEAST_ONE),
     "embedding.q_values": (cli.STUDIES["embedding"]["q_values"].rule, analysis.Q_VALUES),
     "muckenhoupt.n_balls": (cli.STUDIES["muckenhoupt"]["n_balls"].rule, grid.AT_LEAST_ONE),
-    "inclusion.plateau_tol": (cli.STUDIES["inclusion"]["plateau_tol"].rule, grid.FINITE_POSITIVE),
 }
 
 
