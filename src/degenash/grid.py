@@ -5,6 +5,9 @@ nodes carry unknowns; boundary values are implicitly zero everywhere.  The
 x-direction carries the degeneracy weight x**alpha with alpha in (0,1], and
 all quadrature is midpoint-in-cell so the weight is never evaluated at x=0.
 
+A GridFunction is a read-only value, whose operators.dx, dy and
+norms.norms_of are computed once and kept with it (GridFunction._once).
+
 The x-part hx*hy * xc**exponent of the quadrature weights is computed once
 per (grid, exponent) and handed out as a read-only array; the one y-weight
 is the stabilizing exp(-theta*y), which takes a fresh array; a self-pairing
@@ -22,7 +25,7 @@ import functools
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,27 +131,42 @@ def build_grid(nx: int, ny: int, alpha: float) -> Grid:
     return Grid(nx=int(nx), ny=int(ny), alpha=float(alpha))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Nodal scalar field on the interior nodes of a Grid.
+    """Nodal scalar field on the interior nodes of a Grid: a read-only value.
 
     values is a flat float array of length nx*ny in C order of the
     (nx, ny) node lattice, i.e. entry i*ny + j holds the value at
-    (x_i, y_j).  Boundary values are implicitly zero.  Compares and
-    hashes by identity.
+    (x_i, y_j).  Boundary values are implicitly zero.  values is
+    read-only, as is the given array when values views it; derivatives
+    and norms are computed once and kept (_once).  Compares and hashes by
+    identity.
     """
 
     grid: Grid
     values: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
-        if self.values.size != self.grid.n:
+        given = np.asarray(self.values, dtype=float)
+        values = given.ravel()
+        if values.size != self.grid.n:
             raise ValueError(
-                f"values has length {self.values.size}, grid has {self.grid.n} interior nodes"
+                f"values has length {values.size}, grid has {self.grid.n} interior nodes"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("GridFunction values must be finite (no NaN/Inf)")
+        values.flags.writeable = False
+        if values.base is not None:  # values views the array it was built from
+            given.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def _once(self, key, compute: Callable[[], object]):
+        """compute() on the first call with key; the same object on every later one."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     @classmethod
     def zeros(cls, grid: Grid) -> "GridFunction":
@@ -193,8 +211,9 @@ class GridFunction:
         self._check_same_grid(other)
         return GridFunction(self.grid, self.values - other.values)
 
-    def __mul__(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * float(c))
+    def __mul__(self, factor: float) -> "GridFunction":
+        """The field scaled by a FINITE factor."""
+        return GridFunction(self.grid, self.values * float(FINITE.check("factor", factor)))
 
     __rmul__ = __mul__
 
@@ -317,16 +336,13 @@ def cell_weights(grid: Grid, exponent: float, theta: float = 0.0) -> np.ndarray:
     """Quadrature weights hx*hy * xc**exponent * exp(-theta*yc), shape (nx+1, ny+1).
 
     At theta = 0 the result is a read-only view shared by every caller
-    with the same grid and exponent; otherwise it is a fresh array.  A
-    non-finite exponent, or a theta that is not FINITE_NONNEGATIVE,
-    raises ValueError.
+    with the same grid and exponent; otherwise it is a fresh array.  An
+    exponent that is not FINITE, or a theta that is not
+    FINITE_NONNEGATIVE, raises ValueError.
     """
-    if not math.isfinite(exponent):
-        raise ValueError(f"exponent must be finite, got {exponent}")
-    w = _x_weights(grid, exponent)
-    if theta == 0:
+    w = _x_weights(grid, FINITE.check("exponent", exponent))
+    if FINITE_NONNEGATIVE.check("theta", theta) == 0:
         return w
-    FINITE_NONNEGATIVE.check("theta", theta)
     return w * np.exp(-theta * grid.yc)[None, :]
 
 
@@ -341,8 +357,8 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: flo
     the singular column correctly; with exponent <= -1 the value is still
     defined but the underlying integral may diverge, and a
     DegenerateWeightWarning is emitted whenever the integrand carries
-    mass in the first cell column.  A non-finite exponent, or a theta
-    that is not finite and nonnegative, raises ValueError (cell_weights).
+    mass in the first cell column.  An exponent that is not FINITE, or a
+    theta that is not FINITE_NONNEGATIVE, raises ValueError (cell_weights).
     """
     u._check_same_grid(v)
     g = u.grid

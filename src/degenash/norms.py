@@ -11,7 +11,10 @@ singularity off the evaluation points; each ball's chord is computed once
 and shared by both powers of every weight of a panel (muckenhoupt_panel),
 which integrates its balls in batches of BALL_BATCH (_ball_integrals).
 Quadrature weights come from grid.cell_weights, which caches them per
-(grid, exponent).
+(grid, exponent).  norms_of is computed once per field and include_mixed
+and kept with the field (GridFunction._once), so embedding_ratio norms a
+field once for every q.  lq_norm forms the cell averages again for each q:
+keeping them would keep a cell array alive per field.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AT_LEAST_ONE, SEED, GridFunction, Rule, _cell_sums, _quadrature, cell_weights, weighted_inner
+from .grid import AT_LEAST_ONE, SEED, GridFunction, Rule, _cell_sums, _number, _quadrature, cell_weights, weighted_inner
 from .operators import dx, dy
 
 DIAM = math.sqrt(2.0)
@@ -35,6 +38,7 @@ BALL_BATCH = 8
 R_MIN, R_MAX = 1e-3, DIAM
 OVERFLOW = 1e4
 EMBEDDING_Q = Rule("must lie in [2, 4]", lambda q: 2.0 <= q <= 4.0)
+LQ_Q = _number("must lie in [1, inf)", lambda q: 1.0 <= q < math.inf)
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,11 @@ class ApEstimate:
 
 
 def norms_of(u: GridFunction, include_mixed: bool = False) -> NormReport:
-    """All seminorms of u with the shared derivative/quadrature conventions."""
+    """All seminorms of u by the shared conventions, computed once per field and include_mixed."""
+    return u._once(("norms_of", bool(include_mixed)), lambda: _norms(u, include_mixed))
+
+
+def _norms(u: GridFunction, include_mixed: bool) -> NormReport:
     alpha = u.grid.alpha
     dxu, dyu = dx(u), dy(u)
     l2 = math.sqrt(max(weighted_inner(u, u, 0.0), 0.0))
@@ -94,9 +102,8 @@ def l2_weighted_norm(f: GridFunction) -> float:
 
 
 def lq_norm(u: GridFunction, q: float) -> float:
-    """Unweighted L^q norm by the shared midpoint-in-cell quadrature."""
-    if not (1.0 <= q < math.inf):
-        raise ValueError(f"q must lie in [1, inf), got {q}")
+    """Unweighted L^q norm by the shared midpoint-in-cell quadrature; q by LQ_Q."""
+    LQ_Q.check("q", q)
     # |ub|**q in the averages' own buffer; `**` keeps numpy's q = 2 fast path
     cells = _cell_sums(u)
     np.abs(cells, out=cells)

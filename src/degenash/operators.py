@@ -35,6 +35,9 @@ A u is computed from the 5-point stencil.  The CSR matrix of A is
 assembled, and scipy.sparse imported, only when something reads
 SparseOperator.matrix; no solve does.
 
+dx and dy are computed once per field and kept with it (GridFunction._once):
+the weak forms difference a solved state once for all its test functions.
+
 bilinear_form states the weak form once, with every pairing weighted by
 exp(-theta*y) (none at theta = 0); the one weak-form residual, against
 phi or against d_y phi, and the coercivity form of analysis evaluate it.
@@ -341,11 +344,13 @@ def _diff_along(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def dx(u: GridFunction) -> GridFunction:
-    return GridFunction(u.grid, _diff_along(u.values2d(), u.grid.hx, axis=0).reshape(u.grid.n))
+    """Differences of u along x, computed once per field."""
+    return u._once("dx", lambda: GridFunction(u.grid, _diff_along(u.values2d(), u.grid.hx, axis=0).reshape(u.grid.n)))
 
 
 def dy(u: GridFunction) -> GridFunction:
-    return GridFunction(u.grid, _diff_along(u.values2d(), u.grid.hy, axis=1).reshape(u.grid.n))
+    """Differences of u along y, computed once per field."""
+    return u._once("dy", lambda: GridFunction(u.grid, _diff_along(u.values2d(), u.grid.hy, axis=1).reshape(u.grid.n)))
 
 
 def bilinear_form(u: GridFunction, psi: GridFunction, theta: float = 0.0) -> float:

@@ -522,9 +522,11 @@ class TestCertify:
     @pytest.mark.parametrize("i", [1, 2])
     def test_candidate_off_its_region_fails(self, mini_cfg, i):
         res = nash_solve(mini_cfg)
-        pair = [res.f1_star.copy(), res.f2_star.copy()]
+        pair = [res.f1_star, res.f2_star]
         region = mini_cfg.follower(i)[0]
-        pair[i - 1].values[np.flatnonzero(~region.indicator)[0]] = 1e-9
+        vals = pair[i - 1].values.copy()
+        vals[np.flatnonzero(~region.indicator)[0]] = 1e-9
+        pair[i - 1] = GridFunction(mini_cfg.grid, vals)
         assert not certify(mini_cfg, *pair)[0]
 
     def test_non_finite_cost_fails(self):
@@ -856,8 +858,9 @@ class TestArrayLevelEquivalence:
     def test_state_right_hand_side(self, cfg, controls, monkeypatch):
         f1, f2 = controls
         # the leader's source with -0.0 at some nodes too
-        g = cfg.g.copy()
-        g.values[np.random.default_rng(18).random(cfg.grid.n) < 0.2] = -0.0
+        vals = cfg.g.values.copy()
+        vals[np.random.default_rng(18).random(cfg.grid.n) < 0.2] = -0.0
+        g = GridFunction(cfg.grid, vals)
         game = dataclasses.replace(cfg, g=g)
         seen = []
         solve = game.solver.solve

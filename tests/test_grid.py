@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,8 @@ from degenash.grid import (
     rect_mask,
     weighted_inner,
 )
+from degenash.norms import norms_of
+from degenash.operators import dx, dy
 
 SHAPES = [(12, 12), (9, 7), (5, 16)]
 
@@ -108,7 +111,8 @@ class TestGridFunction:
     def test_from_callable_broadcasts_a_function_of_one_coordinate(self):
         g = build_grid(3, 4, 0.5)
         u = GridFunction.from_callable(g, lambda x, y: x)
-        assert u.values2d().shape == (3, 4) and u.values.flags.writeable
+        # the values are materialized, not a broadcast view of the column
+        assert u.values2d().shape == (3, 4) and u.values.strides == (8,)
         assert np.array_equal(u.values2d(), np.repeat(g.x[:, None], 4, axis=1))
         assert np.array_equal(GridFunction.from_callable(g, lambda x, y: 2.0).values, np.full(g.n, 2.0))
 
@@ -134,6 +138,54 @@ class TestEquality:
         # indicator was left out of == and hash, so these compared equal
         assert left != right and left != rect_mask(small_grid, 0.0, 0.5, 0.0, 1.0)
         assert len({left, right}) == 2
+
+
+class TestValueSemantics:
+    """A GridFunction is a read-only value whose derivatives and norms are
+    computed once and kept with it."""
+
+    def test_values_are_read_only(self, small_grid):
+        u = random_field(small_grid, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            u.values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            u.values2d()[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u.values = np.zeros(small_grid.n)
+
+    @pytest.mark.parametrize("layout", ["flat", "2d", "view"])
+    def test_the_array_it_views_is_read_only(self, small_grid, layout):
+        g = small_grid
+        given = {
+            "flat": np.ones(g.n),
+            "2d": np.ones((g.nx, g.ny)),
+            "view": np.ones(g.n + 3)[2:-1],
+        }[layout]
+        u = GridFunction(g, given)
+        with pytest.raises(ValueError, match="read-only"):
+            given[(0,) * given.ndim] = 2.0
+        assert u.values[0] == 1.0
+
+    def test_a_copied_array_stays_the_callers(self, small_grid):
+        g = small_grid
+        given = np.ones((g.ny, g.nx)).T  # not C-contiguous: values is a copy
+        u = GridFunction(g, given)
+        given[0, 0] = 2.0
+        assert u.values[0] == 1.0
+
+    def test_derivatives_and_norms_are_computed_once(self, small_grid):
+        u = random_field(small_grid, 2)
+        assert dx(u) is dx(u) and dy(u) is dy(u)
+        assert norms_of(u) is norms_of(u)
+        assert norms_of(u, include_mixed=True) is norms_of(u, True)
+        assert norms_of(u, True) is not norms_of(u)
+
+    def test_copy_starts_with_an_empty_memo(self, small_grid):
+        u = random_field(small_grid, 3)
+        dx(u), norms_of(u)
+        v = u.copy()
+        assert v._memo == {}
+        assert dx(v) is not dx(u)
 
 
 # Open-grid sampling against the same formula on full coordinate arrays

@@ -6,6 +6,7 @@ in place on flat buffers, written out with numpy's plain operators; the
 kernels must reproduce it to the last bit, -0.0 included.
 """
 
+import collections
 import math
 import re
 
@@ -13,11 +14,14 @@ import numpy as np
 import pytest
 
 import degenash.grid as grid
-from conftest import peak_bytes
+import degenash.norms as norms
+import degenash.operators as operators
+from conftest import peak_bytes, random_field
 from degenash.fields import _FIELDS, FIELD_KINDS, bump_from_parameters, bump_parameter_sets, named_field
 from degenash.grid import GridFunction, build_grid, cell_averages, cell_weights, weighted_inner
 from degenash.norms import lq_norm, norms_of
-from degenash.operators import assemble, dy, solve_dirichlet
+from degenash.operators import assemble, dx, dy, solve_dirichlet
+from test_golden_tables import _run
 from test_grid import SHAPES
 
 KERNEL_SHAPES = SHAPES + [(2, 2), (2, 9), (9, 2)]
@@ -135,6 +139,58 @@ class TestBitForBit:
         assert _bits(got.values) == _bits(unit.values * float(amplitude))
 
 
+class TestComputedOnce:
+    # a field's derivatives and norms are computed on the first call and
+    # handed back after: the kept result is the one a fresh field computes
+    @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
+    @pytest.mark.parametrize("make", [random_field, signed_zero_field])
+    def test_kept_results_keep_their_bits(self, nx, ny, make):
+        g = build_grid(nx, ny, 0.5)
+        u = make(g, nx * ny)
+        for _ in range(2):
+            fresh = GridFunction(g, u.values.copy())
+            for diff in (dx, dy):
+                assert _bits(diff(u).values) == _bits(diff(fresh).values)
+            assert _bits(dx(dy(u)).values) == _bits(dx(dy(fresh)).values)
+            for mixed in (False, True):
+                assert repr(norms_of(u, mixed)) == repr(norms_of(fresh, mixed))
+
+
+# Runs of the difference kernel and of the cell averages per shipped
+# config.  Computing each field's derivatives and norms once keeps them
+# this low: recomputed on every call, coercivity, embedding, inclusion and
+# verify made 1400, 1200, 15 and 140 difference runs, and coercivity and
+# embedding 1800 and 2400 cell-average runs.
+KERNEL_RUNS = {
+    "study_coercivity": (600, 1600),
+    "study_convergence": (0, 0),
+    "study_embedding": (400, 1200),
+    "study_energy": (40, 80),
+    "study_inclusion": (10, 20),
+    "study_muckenhoupt": (0, 0),
+    "verify_weak_form": (64, 240),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_RUNS)
+def test_kernel_runs_per_shipped_config(name, tmp_path, monkeypatch):
+    runs = collections.Counter()
+
+    def counted(kernel, fn):
+        def run(*args, **kwargs):
+            runs[kernel] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(operators, "_diff_along", counted("diff", operators._diff_along))
+    cell_sums = counted("cells", grid._cell_sums)
+    monkeypatch.setattr(grid, "_cell_sums", cell_sums)
+    monkeypatch.setattr(norms, "_cell_sums", cell_sums)
+    _run(tmp_path, name)
+    assert (runs["diff"], runs["cells"]) == KERNEL_RUNS[name]
+
+
 class TestRejectsNonFiniteWeights:
     @pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
     def test_exponent(self, exponent):
@@ -208,7 +264,9 @@ class TestPeakAllocation:
             "pairing": lambda: weighted_inner(u, v, 0.5),
             "y_weighted": lambda: weighted_inner(u, v, 0.5, theta=1.0),
             "lq_norm_q3": lambda: lq_norm(u, 3.0),
-            "norms_of": lambda: norms_of(u),
+            # a fresh field, so that the second call computes: u's own memo
+            # would hand back its first result
+            "norms_of": lambda: norms_of(GridFunction(g, u.values)),
         }[name]
         assert peak_bytes(fn) / (8 * (g.nx + 1) * (g.ny + 1)) < PARENT_PEAKS_IN_CELLS[name]
 
@@ -219,7 +277,7 @@ class TestPeakAllocation:
         f = named_field(g, "sinsin")
         params = bump_parameter_sets(1, seed=3)[0]
         fn = {
-            "dy": lambda: dy(u),
+            "dy": lambda: dy(GridFunction(g, u.values)),
             "apply": lambda: op.apply(u),
             "solve_dirichlet": lambda: solve_dirichlet(op, f),
             "bump": lambda: bump_from_parameters(g, params),

@@ -102,7 +102,7 @@ class TestSolve:
         # same bits, zeros and their signs included
         g = build_grid(nx, ny, 0.5)
         op = assemble(g)
-        rough = random_field(g, nx).values2d()
+        rough = random_field(g, nx).values2d().copy()
         rough[:, : ny // 2] = 0.0  # the first rows that couple anything sit halfway up
         rough[::2, 1] = -0.0
         fields = [

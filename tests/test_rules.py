@@ -17,6 +17,7 @@ import degenash.cli as cli
 import degenash.fields as fields
 import degenash.game as game
 import degenash.grid as grid
+import degenash.norms as norms
 from conftest import CONFIG_DIR, shipped_game
 from degenash.analysis import (
     coercivity_check,
@@ -28,8 +29,8 @@ from degenash.analysis import (
 )
 from degenash.cli import ConfigError, parse_config
 from degenash.fields import bump_parameter_sets, manufactured_pair, named_field
-from degenash.grid import GridFunction, build_grid, rect_mask, weighted_inner
-from degenash.norms import muckenhoupt_panel
+from degenash.grid import GridFunction, build_grid, cell_weights, rect_mask, weighted_inner
+from degenash.norms import lq_norm, muckenhoupt_panel
 from degenash.operators import assemble, solve_dirichlet
 
 SOLVE = {"command": "solve", "grid": {"nx": 16, "ny": 16, "alpha": 0.5}, "solve": {"f": {"kind": "sinsin"}}}
@@ -140,8 +141,8 @@ def test_seed_rule_rejects_what_numpy_would_take_or_misname(call, seed):
         call(seed)
 
 
-# A library call per shared numeric rule, and the parameter its error
-# names; each call would run with True as 1 if the rule let it through.
+# A library call per numeric rule, and the parameter its error names; each
+# call would run with True as 1 if the rule let it through.
 BOOLEANS = {
     "alpha": (lambda v: build_grid(4, 4, v), "alpha", grid.ALPHA),
     "tol": (lambda v: solve_dirichlet(assemble(G), named_field(G, "sinsin"), tol=v), "tol", grid.FINITE_POSITIVE),
@@ -150,6 +151,11 @@ BOOLEANS = {
     "n_samples": (lambda v: coercivity_check(1.0, v, seed=1, nx=8, ny=8), "n_samples", grid.AT_LEAST_ONE),
     "n_balls": (lambda v: muckenhoupt_study(n_balls=v, seed=1), "n_balls", grid.AT_LEAST_ONE),
     "m1": (lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1", grid.FINITE_NONNEGATIVE),
+    "q": (lambda v: lq_norm(ONE, v), "q", norms.LQ_Q),
+    "exponent": (lambda v: cell_weights(G, v), "exponent", grid.FINITE),
+    "pairing_exponent": (lambda v: weighted_inner(ONE, ONE, v), "exponent", grid.FINITE),
+    "factor": (lambda v: ONE * v, "factor", grid.FINITE),
+    "left_factor": (lambda v: v * ONE, "factor", grid.FINITE),
 }
 
 
@@ -159,6 +165,15 @@ def test_numeric_rule_rejects_a_boolean(case, value):
     call, name, rule = BOOLEANS[case]
     with pytest.raises(ValueError, match=rf"^{name} {re.escape(rule.text)}, got (np\.)?True_?$"):
         call(value)
+
+
+# theta = 0 is the unweighted pairing, and False must not pass for it
+@pytest.mark.parametrize("value", [False, np.False_], ids=["bool", "numpy-bool"])
+def test_theta_rule_rejects_false(value):
+    text = re.escape(grid.FINITE_NONNEGATIVE.text)
+    for call in (lambda: weighted_inner(ONE, ONE, 0.0, theta=value), lambda: cell_weights(G, 0.0, value)):
+        with pytest.raises(ValueError, match=rf"^theta {text}, got (np\.)?False_?$"):
+            call()
 
 
 GAME_RULES = {f.name: f.metadata["rule"] for f in dataclasses.fields(game.GameConfig) if "rule" in f.metadata}
