@@ -142,18 +142,6 @@ def coercivity_delta(theta: float, mu: float) -> float:
     return float(np.min([math.exp(-theta), theta * math.exp(-theta) / 8.0, theta * math.exp(-theta) / (8.0 * mu)]))
 
 
-def _margin(form_value: float, w11_sq: float, delta: float) -> float:
-    """form_value / w11_sq - delta, and 0.0 for a field of zero norm."""
-    if w11_sq == 0.0:
-        return 0.0
-    return form_value / w11_sq - delta
-
-
-def coercivity_margin(v: GridFunction, theta: float, mu: float) -> float:
-    """Scale-invariant margin a(v,v)/||v||_W11^2 - delta(theta, mu)."""
-    return _margin(stabilized_form_value(v, theta), norms_of(v).w11 ** 2, coercivity_delta(theta, mu))
-
-
 def coercivity_check(
     theta: float,
     n_samples: int,
@@ -169,7 +157,9 @@ def coercivity_check(
     not circularly tuned to the same family.  Bumps vanish identically
     near the boundary, so the trace terms the constant derivation relies
     on drop out exactly.  One pass holds one bump at a time and keeps
-    three scalars of it; delta_h and the margins follow the pass.
+    three scalars of it; delta_h and the scale-invariant margins
+    a(v,v)/||v||_W11^2 - delta_h follow the pass, a bump of zero norm
+    having margin 0.0.
     """
     FINITE_POSITIVE.check("theta", theta)
     AT_LEAST_ONE.check("n_samples", n_samples)
@@ -187,7 +177,7 @@ def coercivity_check(
     # that is not first
     mu_h = SAFETY * float(np.max(mu_samples))
     delta_h = coercivity_delta(theta, mu_h)
-    margins = [_margin(a, w, delta_h) for a, w in zip(form_values, w11_sqs)]
+    margins = [0.0 if w == 0.0 else a / w - delta_h for a, w in zip(form_values, w11_sqs)]
     # a NaN margin certifies nothing, so it counts as a violation
     violations = sum(1 for m in margins if not m >= 0.0)
     return StudyResult(

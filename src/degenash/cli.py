@@ -372,20 +372,18 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 
 
 def _run_study(cfg: RunConfig, out: Path) -> tuple[dict, str]:
+    """Call the kind's study with what _parse read for it: the section's
+    keys, the grid keys the run reads (those not None) and, for a
+    sampling kind, the seed.  The table is built on each call, so a study
+    name rebound in this module (by a tracer, say) is the one called."""
     kind = cfg.study["kind"]
-    keys = {k: v for k, v in cfg.study.items() if k != "kind"}
-    if kind == "convergence":
-        result = convergence_study(alpha=cfg.alpha, **keys)
-    elif kind == "energy":
-        result = energy_estimate_study(alpha=cfg.alpha, **keys)
-    elif kind == "coercivity":
-        result = coercivity_check(seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, alpha=cfg.alpha, **keys)
-    elif kind == "inclusion":
-        result = strict_inclusion_demo(alpha=cfg.alpha, **keys)
-    elif kind == "embedding":
-        result = embedding_study(seed=cfg.seed, alpha=cfg.alpha, **keys)
-    else:
-        result = muckenhoupt_study(seed=cfg.seed, **keys)
+    study = {
+        "convergence": convergence_study, "energy": energy_estimate_study, "coercivity": coercivity_check,
+        "inclusion": strict_inclusion_demo, "embedding": embedding_study, "muckenhoupt": muckenhoupt_study,
+    }[kind]
+    grid = {k: getattr(cfg, k) for k in GRID if getattr(cfg, k) is not None}
+    seed = {"seed": cfg.seed} if kind in SAMPLING_STUDY_KINDS else {}
+    result = study(**{k: v for k, v in cfg.study.items() if k != "kind"}, **grid, **seed)
     _study_tables(out, result)
     results = {
         "kind": kind,

@@ -361,21 +361,19 @@ def nash_solve(cfg: GameConfig) -> NashResult:
 def _feasible_deviations(
     cfg: GameConfig, i: int, rng: np.random.Generator
 ) -> Iterator[GridFunction]:
-    """Yield the zero control, boundary-sphere points, and interior points
-    with uniform directions and radii up to M_i.  Directions are standard
-    normal on the control region's nodes and zero elsewhere.  Each is
-    drawn when the caller asks for it, so the caller holds one at a time."""
+    """Yield the zero control, then DEVIATION_SAMPLES points: boundary-sphere
+    points and interior points with uniform directions and radii up to M_i
+    (each a zero control when M_i = 0, as project_ball gives).  Directions
+    are standard normal on the control region's nodes, which GameConfig
+    requires to be nonempty, and zero elsewhere.  Each is drawn when the
+    caller asks for it, so the caller holds one at a time."""
     region_ctrl, _, _, m = cfg.follower(i)
     yield GridFunction.zeros(cfg.grid)
-    if m == 0.0:
-        return
     n = DEVIATION_SAMPLES
     nodes = region_ctrl.nodes
     for k in range(n):
         direction = rng.standard_normal(nodes.size)
         nd = _region_norm(region_ctrl, direction)
-        if nd == 0.0:
-            continue
         radius = m if k < n // 2 else m * rng.uniform(0.0, 1.0)
         vals = np.zeros(cfg.grid.n)
         vals[nodes] = direction * (radius / nd)

@@ -67,7 +67,8 @@ NODES = _number("must be at least 2 interior nodes", lambda n: n >= 2)
 ALPHA = _number("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)
 RECT = Rule(
     "must be [x0, x1, y0, y1] with 0 <= x0 < x1 <= 1 and 0 <= y0 < y1 <= 1",
-    lambda r: len(r) == 4 and 0.0 <= r[0] < r[1] <= 1.0 and 0.0 <= r[2] < r[3] <= 1.0,
+    # each corner FINITE, so a boolean fails it
+    lambda r: len(r) == 4 and all(map(FINITE.holds, r)) and 0.0 <= r[0] < r[1] <= 1.0 and 0.0 <= r[2] < r[3] <= 1.0,
 )
 # numpy seeds its generators only with integers >= 0 (or sequences of them)
 SEED = _number("must be a nonnegative integer", lambda s: isinstance(s, (int, np.integer)) and s >= 0)
@@ -187,7 +188,7 @@ class GridFunction:
         values = np.asarray(fn(grid.x[:, None], grid.y[None, :]), dtype=float)
         if values.shape != shape:
             try:
-                values = np.array(np.broadcast_to(values, shape))
+                values = np.broadcast_to(values, shape)
             except ValueError:
                 raise ValueError(f"fn returned shape {values.shape}, which does not broadcast to {shape}") from None
         return cls(grid, values.reshape(grid.n))
@@ -313,15 +314,6 @@ def _quadrature(w: np.ndarray, flat: np.ndarray, grid: Grid, out: np.ndarray | N
     if out is None:
         out = np.empty((grid.nx + 1, grid.ny + 1))
     return np.multiply(w, _cells(flat, grid), out=out).sum()
-
-
-def cell_averages(u: GridFunction) -> np.ndarray:
-    """Bilinear interpolant of u at all cell centers, shape (nx+1, ny+1).
-
-    Equals the mean of the four cell-corner nodal values, with the
-    implicit zero boundary supplying the outer corners.
-    """
-    return _cells(_cell_sums(u), u.grid)
 
 
 @functools.lru_cache(maxsize=32)

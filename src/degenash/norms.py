@@ -60,16 +60,12 @@ class NormReport:
 @dataclass(frozen=True)
 class ApEstimate:
     """A weight's sampled A_2 constant (the largest ball product), its
-    smallest ball product, the number of balls, and the divergence flag."""
+    divergence flag and its smallest ball product.  Every product is a
+    product of two nonnegative averages, so neither number is negative."""
 
     constant: float
-    samples: int
     diverged: bool
     least: float
-
-    def __post_init__(self):
-        if not self.diverged and self.constant < 0:
-            raise ValueError("A_2 constant cannot be negative")
 
 
 def norms_of(u: GridFunction, include_mixed: bool = False) -> NormReport:
@@ -217,6 +213,6 @@ def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: i
     constants = np.where(np.all(finite, axis=1), np.max(products, axis=1), math.inf)
     least = np.min(products, axis=1, where=measured, initial=math.inf)
     return [
-        ApEstimate(constant=float(c), samples=n_balls, diverged=bool(d), least=float(m))
+        ApEstimate(constant=float(c), diverged=bool(d), least=float(m))
         for c, d, m in zip(constants, diverged, least)
     ]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -9,7 +10,6 @@ from degenash.analysis import (
     Verdict,
     coercivity_check,
     coercivity_delta,
-    coercivity_margin,
     convergence_study,
     embedding_study,
     energy_estimate_study,
@@ -162,16 +162,25 @@ class TestCoercivity:
         assert r.verdict is Verdict.PASS
         assert min(r.samples["margin"]) >= 0.0
 
-    def test_margin_scale_invariant(self):
+    def test_margin_scale_invariant(self, monkeypatch):
+        # the check's two bumps are v and 6 v, judged by one delta_h
+        import degenash.analysis as analysis
+
         g = build_grid(24, 24, 0.5)
         v = GridFunction.from_callable(g, lambda X, Y: X * (1 - X) * Y * (1 - Y))
-        m1 = coercivity_margin(v, 1.0, 0.1)
-        m2 = coercivity_margin(6.0 * v, 1.0, 0.1)
+        bumps = iter([v, 6.0 * v])
+        monkeypatch.setattr(analysis, "bump_from_parameters", lambda grid, p: next(bumps))
+        m1, m2 = coercivity_check(1.0, 2, seed=2, nx=24, ny=24).samples["margin"]
         assert m2 == pytest.approx(m1, rel=1e-10)
 
-    def test_zero_field_margin_zero(self):
-        g = build_grid(10, 10, 0.5)
-        assert coercivity_margin(GridFunction.zeros(g), 1.0, 0.1) == 0.0
+    def test_zero_field_margin_zero(self, monkeypatch):
+        # a field of zero norm cannot reach the margins, since its Poincare
+        # sample divides by ||v_x||^2 = 0 first; norms_of reports zero instead
+        import degenash.analysis as analysis
+
+        monkeypatch.setattr(analysis, "norms_of", lambda v: dataclasses.replace(norms_of(v), w11=0.0))
+        r = coercivity_check(1.0, 3, seed=2, nx=10, ny=10)
+        assert r.samples["margin"] == [0.0, 0.0, 0.0]
 
     def test_deterministic(self):
         a = coercivity_check(1.0, 10, seed=7, nx=16, ny=16)

@@ -508,6 +508,35 @@ class TestRun:
             assert (tmp_path / "study_samples.tsv").read_text() == row_rendering(["sample"] + names, rows)
         assert (tmp_path / "study_samples.tsv").exists() == bool(result.samples)
 
+    # What each small study's run reads: its section's keys with their
+    # defaults, the grid keys of the run (alpha alone with levels, none
+    # for muckenhoupt) and the seed of a sampling kind; the coercivity
+    # study runs under --level-override 8.
+    DISPATCH = {
+        "convergence": ("convergence_study", {"levels": [8, 16, 24], "manufactured": "sinsin", "alpha": 0.5}),
+        "energy": ("energy_estimate_study", {"levels": [8, 16], "alpha": 0.5}),
+        "coercivity": (
+            "coercivity_check", {"theta": 1.0, "n_samples": 6, "nx": 8, "ny": 8, "alpha": 0.5, "seed": 2},
+        ),
+        "inclusion": ("strict_inclusion_demo", {"levels": [16, 32, 48], "alpha": 0.5}),
+        "embedding": (
+            "embedding_study", {"levels": [8, 16], "q_values": [2.0, 3.0, 4.0], "n_samples": 4, "alpha": 0.5, "seed": 2},
+        ),
+        "muckenhoupt": ("muckenhoupt_study", {"n_balls": 20, "seed": 2}),
+    }
+
+    @pytest.mark.parametrize("kind", DISPATCH)
+    def test_study_receives_what_its_run_read(self, tmp_path, monkeypatch, kind):
+        study, expected = self.DISPATCH[kind]
+        calls = []
+        original = getattr(cli_mod, study)
+        monkeypatch.setattr(cli_mod, study, lambda *a, **k: calls.append((a, k)) or original(*a, **k))
+        p = tmp_path / "study.yaml"
+        p.write_text(small_study(kind))
+        override = ["--level-override", "8"] if kind == "coercivity" else []
+        assert main(["study", "--config", str(p), "--out", str(tmp_path / "out"), *override]) in (0, 1)
+        assert calls == [((), expected)]
+
     def test_report_roundtrip(self, tmp_path):
         cfg = parse_config(MINIMAL_SOLVE)
         cfg.output_dir = str(tmp_path)

@@ -25,8 +25,9 @@ from degenash.grid import (
     Grid,
     GridFunction,
     RegionMask,
+    _cell_sums,
+    _cells,
     build_grid,
-    cell_averages,
     cell_weights,
     rect_mask,
     weighted_inner,
@@ -109,12 +110,15 @@ class TestGridFunction:
             GridFunction.from_callable(g, lambda x, y: np.zeros((3, 4, 2)))
 
     def test_from_callable_broadcasts_a_function_of_one_coordinate(self):
+        # fn sees the open grid, and its broadcast result equals the
+        # evaluation on full coordinate arrays bit for bit
         g = build_grid(3, 4, 0.5)
-        u = GridFunction.from_callable(g, lambda x, y: x)
-        # the values are materialized, not a broadcast view of the column
-        assert u.values2d().shape == (3, 4) and u.values.strides == (8,)
-        assert np.array_equal(u.values2d(), np.repeat(g.x[:, None], 4, axis=1))
-        assert np.array_equal(GridFunction.from_callable(g, lambda x, y: 2.0).values, np.full(g.n, 2.0))
+        X, Y = np.meshgrid(g.x, g.y, indexing="ij")
+        for fn in (lambda x, y: x**0.7 - 0.3, lambda x, y: np.sin(3.0 * y), lambda x, y: 2.0):
+            shapes = []
+            u = GridFunction.from_callable(g, lambda x, y: shapes.append((x.shape, y.shape)) or fn(x, y))
+            assert shapes == [((3, 1), (1, 4))]
+            assert _bits(u.values) == _bits(np.broadcast_to(fn(X, Y), (3, 4)).ravel())
 
 
 class TestEquality:
@@ -364,7 +368,7 @@ class TestQuadratureCaches:
         padded = np.zeros((nx + 2, ny + 2))
         padded[1:-1, 1:-1] = u.values2d()
         ref = 0.25 * (padded[:-1, :-1] + padded[1:, :-1] + padded[:-1, 1:] + padded[1:, 1:])
-        assert _bits(cell_averages(u)) == _bits(ref)
+        assert _bits(_cells(_cell_sums(u), g)) == _bits(ref)
 
     @pytest.mark.parametrize("nx,ny", SHAPES)
     @pytest.mark.parametrize("exponent", [-1.0, -0.5, 0.0, 0.5])

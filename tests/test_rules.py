@@ -157,13 +157,25 @@ BOOLEANS = {
     "factor": (lambda v: ONE * v, "factor", grid.FINITE),
     "left_factor": (lambda v: v * ONE, "factor", grid.FINITE),
 }
+# rectangles whose booleans, read as 0 and 1, would be the whole square;
+# the rule sees and echoes the corner list
+RECTANGLES = {
+    "rectangle_x1": lambda v: [0.0, v, 0.0, 1.0],
+    "rectangle_y1": lambda v: [0.0, 1.0, 0.0, v],
+    "rectangle_x0_false": lambda v: [not v, v, 0.0, 1.0],
+}
+BOOLEANS |= {
+    case: (lambda v, c=corners: rect_mask(G, *c(v)), "rectangle", grid.RECT, corners)
+    for case, corners in RECTANGLES.items()
+}
 
 
 @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
 @pytest.mark.parametrize("case", BOOLEANS)
 def test_numeric_rule_rejects_a_boolean(case, value):
-    call, name, rule = BOOLEANS[case]
-    with pytest.raises(ValueError, match=rf"^{name} {re.escape(rule.text)}, got (np\.)?True_?$"):
+    call, name, rule, *seen = BOOLEANS[case]
+    got = re.escape(repr(seen[0](value))) if seen else r"(np\.)?True_?"
+    with pytest.raises(ValueError, match=rf"^{name} {re.escape(rule.text)}, got {got}$"):
         call(value)
 
 
