@@ -19,7 +19,9 @@ from .operators import _check_residual, assemble, bilinear_form, dx, dy, solve_d
 
 # The Muckenhoupt panel asks the constant weight for an A_2 constant of 1,
 # and every ball product of a weight that did not diverge to be at least 1
-# (Cauchy-Schwarz), to this tolerance.
+# (Cauchy-Schwarz), to this tolerance.  The constant weight reads exactly
+# 1.0; Cauchy-Schwarz holds up to the quadrature error of the ball
+# integrals, below 1e-12 relative, on balls that reach x = 0.
 UNIT_TOL = 1e-9
 # Growth caps of the energy ratio and the embedding constant under
 # refinement; the coercivity check inflates its Poincare constant by SAFETY.

@@ -4,21 +4,26 @@ The data norm is the half-exponent form (integral of x**-alpha f^2)^(1/2),
 the one the energy estimate controls.  Discrete derivatives reuse the
 operator module's difference conventions so that norm ratios compare like
 with like.  The A_2 constant of a weight w = x**e is the supremum over
-balls of (avg of w) * (avg of 1/w).  Its ball averages integrate both
-x-powers exactly in y (the chord length of the ball inside the square is
-closed-form) and by midpoint quadrature in x, which keeps the x=0
-singularity off the evaluation points; each ball's chord is computed once
-and shared by both powers of every weight of a panel (muckenhoupt_panel),
-which integrates its balls in batches of BALL_BATCH (_ball_integrals).
-Quadrature weights come from grid.cell_weights, which caches them per
-(grid, exponent).  norms_of is computed once per field and include_mixed
-and kept with the field (GridFunction._once), so embedding_ratio norms a
-field once for every q.  lq_norm forms the cell averages again for each q:
-keeping them would keep a cell array alive per field.
+balls of (avg of w) * (avg of 1/w).  Its ball integrals substitute
+x = cx - r cos(phi), under which a ball's y-chord times dx is smooth
+between the angles where the ball leaves the square in y, and integrate
+by Gauss rules on those pieces, graded toward the ball's left end
+(_ball_integrals).  A ball that reaches x = 0 takes the Gauss-Jacobi rule
+of x**e's singularity there, so x**e, e > -1, is integrated to about
+1e-12 relative there too, and e <= -1 gives +inf.  The rules are built
+once per (nodes, exponent) (_gauss_jacobi); a panel computes each ball's
+chord once for every weight and integrates its balls in batches of
+BALL_BATCH (muckenhoupt_panel).  Quadrature weights come from
+grid.cell_weights, which caches them per (grid, exponent).  norms_of is
+computed once per field and include_mixed and kept with the field
+(GridFunction._once), so embedding_ratio norms a field once for every q.
+lq_norm forms the cell averages again for each q: keeping them would keep
+a cell array alive per field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,15 +33,21 @@ from .grid import AT_LEAST_ONE, SEED, GridFunction, Rule, _cell_sums, _number, _
 from .operators import dx, dy
 
 DIAM = math.sqrt(2.0)
-# Muckenhoupt sampling: midpoint nodes per ball, the log-uniform radius
-# range, and the product above which a weight counts as diverged (well
-# below the quadrature saturation scale ~N_QUAD**2).
-N_QUAD = 2048
-# balls integrated per array pass of muckenhoupt_panel; each pass holds a
-# few (BALL_BATCH, N_QUAD) arrays, 128 KiB apiece
-BALL_BATCH = 8
+# Muckenhoupt sampling: the log-uniform radius range, and the product above
+# which a weight counts as diverged.  A ball that reaches x = 0 integrates
+# x**e to +inf for e <= -1; OVERFLOW also flags the finite products such a
+# weight reads on balls just short of x = 0 (x**-3: 6e5 at a gap of 1e-4 r).
+# A_2 weights x**e stay below it for |e| <= 0.9999 (half-disks: 5.4e3).
 R_MIN, R_MAX = 1e-3, DIAM
 OVERFLOW = 1e4
+# balls integrated per array pass of muckenhoupt_panel; a pass holds a few
+# arrays of about 2 elements per ball and GAUSS_NODES nodes per element
+BALL_BATCH = 128
+# Gauss nodes per element of a ball's angle range, and the ratio of the
+# geometric grading toward its left end, with its number of levels
+GAUSS_NODES = 16
+GRADING = 0.25
+GRADING_LEVELS = 32
 EMBEDDING_Q = Rule("must lie in [2, 4]", lambda q: 2.0 <= q <= 4.0)
 LQ_Q = _number("must lie in [1, inf)", lambda q: 1.0 <= q < math.inf)
 
@@ -61,7 +72,11 @@ class NormReport:
 class ApEstimate:
     """A weight's sampled A_2 constant (the largest ball product), its
     divergence flag and its smallest ball product.  Every product is a
-    product of two nonnegative averages, so neither number is negative."""
+    product of two nonnegative averages, so neither number is negative.
+    least is at least 1 by Cauchy-Schwarz: exactly on a ball whose w and
+    1/w share one rule, and up to the quadrature error (well below
+    analysis.UNIT_TOL) on a ball that reaches x = 0, whose first element
+    takes a rule of its own per exponent."""
 
     constant: float
     diverged: bool
@@ -120,51 +135,165 @@ def embedding_ratio(u: GridFunction, q: float) -> float:
 # Ball-average machinery for the Muckenhoupt conditions.
 # ---------------------------------------------------------------------------
 
-# midpoint offsets of the N_QUAD x-nodes, in units of a ball's x-step
-_MIDPOINTS = np.arange(N_QUAD) + 0.5
-_MIDPOINTS.flags.writeable = False
+
+@functools.lru_cache(maxsize=32)
+def _gauss_jacobi(n: int, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule of the weight u**e on (0, 1), e > -1: read-only
+    nodes, ascending, and weights.  e = 0 gives Gauss-Legendre.
+
+    The nodes are the roots of the n-th orthonormal polynomial of the
+    weight, whose three-term recurrence is the shifted Jacobi one
+    (alpha = 0, beta = e).  Each root is isolated by bisection on the
+    recurrence's Sturm count and polished by Newton's method on the
+    recurrence; the weights are the Christoffel numbers
+    1 / sum_{k<n} p_k(u)**2.  Only elementwise numpy, so the bits do not
+    depend on the LAPACK build.
+    """
+    k = np.arange(1.0, n + 1.0)
+    s = 2.0 * k + e
+    diag = np.empty(n)
+    diag[0] = (e + 1.0) / (e + 2.0)
+    diag[1:] = 0.5 + e * e / (2.0 * s[:-1] * (s[:-1] + 2.0))
+    # off[j] couples p_j and p_{j+1}
+    off = k * (k + e) / (s * np.sqrt(s * s - 1.0))
+
+    def below(u):
+        """The number of roots below each u (the negative LDL^T pivots)."""
+        count = np.zeros(u.shape, dtype=int)
+        q = diag[0] - u
+        for j in range(n):
+            if j:
+                q = (diag[j] - u) - off[j - 1] ** 2 / q
+            q[q == 0.0] = -1e-300
+            count += q < 0.0
+        return count
+
+    def recurrence(u):
+        """p_n(u), p_n'(u) and sum_{k<n} p_k(u)**2."""
+        p0, p1 = np.zeros(n), np.full(n, math.sqrt(e + 1.0))
+        d0, d1 = np.zeros(n), np.zeros(n)
+        total = p1 * p1
+        for j in range(n):
+            back, shift = (off[j - 1] if j else 0.0), u - diag[j]
+            p0, p1, d0, d1 = p1, (shift * p1 - back * p0) / off[j], d1, (p1 + shift * d1 - back * d0) / off[j]
+            if j < n - 1:
+                total += p1 * p1
+        return p1, d1, total
+
+    index = np.arange(n)
+    lo, hi = np.zeros(n), np.ones(n)
+    for _ in range(14):
+        mid = 0.5 * (lo + hi)
+        above = below(mid) > index
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    nodes = 0.5 * (lo + hi)
+    for _ in range(4):
+        p, dp, _ = recurrence(nodes)
+        nodes = nodes - p / dp
+    weights = 1.0 / recurrence(nodes)[2]
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _chord_dx(cy, r, cos_a, sin_a, x_a, half):
+    """(x, chord * dx/dphi) at phi = phi_a + 2 * half, where x = cx - r cos(phi)
+    and x_a, cos_a, sin_a are x, cos and sin at phi_a.
+
+    x = x_a + 2 r sin(half) sin(phi_a + half) and dx/dphi = r sin(phi),
+    both by the angle-sum formulas from sin(half) and cos(half), so x keeps
+    its relative precision next to x = 0.
+    """
+    sh, ch = np.sin(half), np.cos(half)
+    x = x_a + 2.0 * r * sh * (sin_a * ch + cos_a * sh)
+    h = r * (sin_a * (1.0 - 2.0 * sh * sh) + cos_a * (2.0 * sh * ch))
+    chord = np.minimum(cy + h, 1.0)
+    chord -= np.maximum(cy - h, 0.0)
+    np.maximum(chord, 0.0, out=chord)
+    chord *= h
+    return x, chord
 
 
 def _ball_integrals(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, exponents: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(integrals, areas) of the balls B((cx, cy), r) cap Omega given as
-    columns of shape (k, 1): integrals[i, b] is the integral of
-    x**exponents[i] over ball b, of shape (len(exponents), k), and
-    areas[b] its area, of shape (k,).
+    arrays of shape (k,): integrals[i, b] is the integral of x**exponents[i]
+    over ball b, of shape (len(exponents), k), and areas[b] its area, of
+    shape (k,), the e = 0 integral bit for bit.
 
-    The y-extent of the intersection at abscissa x is a closed-form chord,
-    so only the x-integration is numerical (midpoint rule, never at x=0).
-    Each ball's chord is computed once for all exponents, on a (k, N_QUAD)
-    array whose row sums are the per-ball sums bit for bit.  A ball that
-    misses the square integrates over the empty interval [1, 1], so its
-    step, area and integrals are 0.0.
+    With x = cx - r cos(phi), phi in [0, pi], the ball's chord in y at x
+    times dx is chord * r sin(phi) dphi, smooth in phi between the y-clip
+    angles r sin(phi) = cy and r sin(phi) = 1 - cy.  So each ball's range
+    [phi_a, phi_b] (x clipped to [0, 1]) is cut at those angles, and
+    graded by GRADING toward phi_a from a first element no longer than the
+    distance from phi_a to the nearest other singularity of x**e (and, for
+    a ball that reaches x = 0, to its first clip angle).  Every element
+    takes the GAUSS_NODES-point Gauss-Legendre rule, except the first
+    element of a ball whose x-range holds x = 0: there x**e is
+    (phi - phi_a)**e times a smooth factor, which the Gauss-Jacobi rule of
+    that weight integrates, and e <= -1 gives +inf when the chord at
+    x = 0 is positive.  A ball that misses the square has phi_a = phi_b
+    and no elements, so its area and integrals are 0.0.  Each element and
+    each ball is summed in its own order, so a ball's bits do not depend
+    on its batch.
     """
-    x_lo = np.maximum(cx - r, 0.0)
-    x_hi = np.minimum(cx + r, 1.0)
-    miss = x_hi <= x_lo
-    x_lo = np.where(miss, 1.0, x_lo)
-    x_hi = np.where(miss, 1.0, x_hi)
-    step = (x_hi - x_lo) / N_QUAD
-    x = x_lo + _MIDPOINTS * step
-    # chord = max(min(cy + half, 1) - max(cy - half, 0), 0), in two buffers
-    half = x - cx
-    np.square(half, out=half)
-    np.subtract(r * r, half, out=half)
-    np.maximum(half, 0.0, out=half)
-    np.sqrt(half, out=half)
-    chord = np.add(cy, half)
-    np.minimum(chord, 1.0, out=chord)
-    np.subtract(cy, half, out=half)
-    np.maximum(half, 0.0, out=half)
-    chord -= half
-    np.maximum(chord, 0.0, out=chord)
-    step = step[:, 0]
-    areas = np.sum(chord, axis=1) * step
-    integrals = np.empty((len(exponents), len(step)))
+    k = len(cx)
+    rho = cx / r
+    reach = np.abs(rho) < 1.0
+    # phi_a is the angle of the left end x_a = max(cx - r, 0), and phi_b of
+    # the right end min(cx + r, 1)
+    cos_a = np.clip(rho, -1.0, 1.0)
+    sin_a = np.sqrt(np.maximum((1.0 - rho) * (1.0 + rho), 0.0))
+    phi_a = np.arccos(cos_a)
+    x_a = np.maximum(cx - r, 0.0)
+    phi_b = np.arccos(np.clip((cx - 1.0) / r, -1.0, 1.0))
+    # the y-clip angles; those outside (phi_a, phi_b) move to phi_b
+    clips = []
+    for level in (cy, 1.0 - cy):
+        angle = np.arccos(np.minimum(level / r, 1.0))
+        clips += [np.where(level < r, 0.5 * np.pi - angle, phi_b), np.where(level < r, 0.5 * np.pi + angle, phi_b)]
+    clips = np.stack(clips, axis=1)
+    clips = np.where(clips <= phi_a[:, None], phi_b[:, None], np.minimum(clips, phi_b[:, None]))
+    # the first element is no longer than the distance to the next
+    # singularity: x vanishes at phi = +- i arccosh(rho) for a ball short of
+    # x = 0; for a ball past it, x / (phi - phi_a) vanishes at -phi_a, and
+    # the first clip angle ends the Jacobi element
+    far = np.maximum(rho, 1.0)
+    first = np.where(reach, np.minimum(2.0 * phi_a, np.min(clips, axis=1) - phi_a), np.log(far + np.sqrt((far - 1.0) * (far + 1.0))))
+    graded = phi_a[:, None] + first[:, None] * GRADING ** -np.arange(GRADING_LEVELS)
+    ends = np.sort(np.concatenate([phi_a[:, None], np.minimum(graded, phi_b[:, None]), clips, phi_b[:, None]], axis=1), axis=1)
+    lengths = np.diff(ends, axis=1)
+    kept = lengths > 0.0
+    ball = np.nonzero(kept)[0]
+    offset = ends[:, :-1][kept][:, None] - phi_a[ball, None]
+    length = lengths[kept][:, None]
+    nodes, weights = _gauss_jacobi(GAUSS_NODES, 0.0)
+    geometry = (cy[ball, None], r[ball, None], cos_a[ball, None], sin_a[ball, None], x_a[ball, None])
+    x, chord_dx = _chord_dx(*geometry, 0.5 * (offset + length * nodes))
+    chord_dx *= length * weights
+    log_x = np.log(x)
+    areas = np.bincount(ball, weights=np.sum(chord_dx, axis=1), minlength=k)
+    # the first element of each ball that reaches x = 0, and its chord there
+    counts = np.bincount(ball, minlength=k)
+    reached = np.flatnonzero(reach)
+    head = (np.cumsum(counts) - counts)[reached]
+    h0 = r[reached] * sin_a[reached]
+    open_at_zero = np.minimum(cy[reached] + h0, 1.0) - np.maximum(cy[reached] - h0, 0.0) > 0.0
+    jacobi = tuple(a[reached, None] for a in (cy, r, cos_a, sin_a, x_a))
+    integrals = np.empty((len(exponents), k))
     for row, e in zip(integrals, exponents):
-        np.power(x, e, out=half)
-        half *= chord
-        np.sum(half, axis=1, out=row)
-        row *= step
+        values = np.exp(e * log_x)
+        values *= chord_dx
+        sums = np.sum(values, axis=1)
+        if e <= -1.0:
+            sums[head[open_at_zero]] = math.inf
+        elif e != 0.0 and len(reached):
+            j_nodes, j_weights = _gauss_jacobi(GAUSS_NODES, float(e))
+            t = length[head] * j_nodes
+            xj, values = _chord_dx(*jacobi, 0.5 * t)
+            values *= np.exp(e * np.log(xj / t))
+            values *= j_weights * length[head] ** (e + 1.0)
+            sums[head] = np.sum(values, axis=1)
+        row[:] = np.bincount(ball, weights=sums, minlength=k)
     return integrals, areas
 
 
@@ -185,18 +314,19 @@ def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: i
     (avg of w) * (avg of 1/w) over each B cap Omega, and returns the
     sample supremum per weight.  All weights share one draw of the balls,
     and each ball's chord is computed once for every weight; the balls are
-    integrated BALL_BATCH at a time (_ball_integrals).  Divergence
-    is data, not an error: a weight's flag is set when any of its
-    products exceeds OVERFLOW or is nonfinite.  least is the smallest
-    product, at least 1 by Cauchy-Schwarz for the positive quadrature
-    weights of _ball_integrals.  A ball that meets the square in zero area
+    integrated BALL_BATCH at a time (_ball_integrals), and a ball's result
+    does not depend on its batch.  Divergence is data, not an error: a
+    weight's flag is set when any of its products exceeds OVERFLOW or is
+    nonfinite, and x**e, e <= -1, is +inf on every ball that reaches
+    x = 0.  least is the smallest product, at least 1 by Cauchy-Schwarz up
+    to the quadrature error (ApEstimate).  A ball that meets the square in zero area
     has no averages: it records the product 0.0 and is left out of least
     (inf if no ball is left).  None is drawn here, since every radius is
     at least R_MIN and every centre lies in the square.
     """
     AT_LEAST_ONE.check("n_balls", n_balls)
     SEED.check("seed", seed)
-    cxs, cys, rs = (a[:, None] for a in _sample_balls(n_balls, seed))
+    cxs, cys, rs = _sample_balls(n_balls, seed)
     # the integrals of w and 1/w of each weight, in that order
     exponents = tuple(x for e in weight_exponents for x in (e, -e))
     integrals = np.empty((len(exponents), n_balls))

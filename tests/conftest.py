@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import degenash.norms as norms_mod
 from degenash.cli import build_game_config, parse_config
 from degenash.grid import GridFunction, build_grid
 
@@ -48,3 +50,18 @@ def peak_bytes(fn):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def half_disk_constant(monkeypatch, r, e):
+    """The A_2 constant muckenhoupt_panel reads for x**e when its one ball
+    is the half-disk B((0, 0.5), r) cap Omega."""
+    ball = (np.array([0.0]), np.array([0.5]), np.array([r]))
+    monkeypatch.setattr(norms_mod, "_sample_balls", lambda n_balls, seed: ball)
+    return norms_mod.muckenhoupt_panel((e,), 1, 0)[0].constant
+
+
+def half_disk_closed_form(e):
+    """avg(x**e) * avg(x**-e) on every half-disk B((0, 0.5), r), r < 1/2:
+    B((1+e)/2, 3/2) * B((1-e)/2, 3/2) / (pi/2)**2, for |e| < 1."""
+    beta = lambda a, b: math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    return beta((1 + e) / 2, 1.5) * beta((1 - e) / 2, 1.5) / (math.pi / 2) ** 2

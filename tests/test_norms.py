@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import degenash.norms as norms_mod
-from conftest import peak_bytes, random_field
+from conftest import half_disk_closed_form, half_disk_constant, peak_bytes, random_field
 from degenash.grid import DegenerateWeightWarning, GridFunction, build_grid
 from degenash.norms import (
     embedding_ratio,
@@ -173,30 +173,60 @@ class TestEmbeddingRatio:
             embedding_ratio(GridFunction.zeros(small_grid), 2.0)
 
 
-
-def _ball_integral_reference(cx, cy, r, exponents):
-    """One ball at a time by the panel's formula, written out: ([integral
-    of x**e for e in exponents], area) of B((cx, cy), r) cap Omega."""
-    x_lo, x_hi = max(0.0, cx - r), min(1.0, cx + r)
-    if x_hi <= x_lo:
-        return [0.0] * len(exponents), 0.0
-    step = (x_hi - x_lo) / norms_mod.N_QUAD
-    x = x_lo + (np.arange(norms_mod.N_QUAD) + 0.5) * step
-    half = np.sqrt(np.maximum(r * r - (x - cx) ** 2, 0.0))
-    chord = np.maximum(np.minimum(cy + half, 1.0) - np.maximum(cy - half, 0.0), 0.0)
-    area = float(np.sum(chord) * step)
-    return [float(np.sum(np.power(x, e) * chord) * step) for e in exponents], area
+# the integrals the reference tests check, and the balls beyond the
+# shipped draw: clipped at y = 0, at y = 1, at both and at x = 1, covering
+# the square, missing it on either side, through the corner (0, 0), and
+# with the left edge 1e-3 r, 1e-6 r and 1e-9 r short of or past x = 0
+REFERENCE_EXPONENTS = (0.5, -0.5, 0.9, -0.9, 3.0, -3.0, 0.0)
+EDGE_BALLS = [
+    (0.5, 0.05, 0.2), (0.5, 0.97, 0.1), (0.45, 0.5, 0.52), (0.95, 0.5, 0.2),
+    (0.5, 0.5, 1.0), (5.0, 0.5, 0.1), (-5.0, 0.5, 0.1), (0.3, 0.4, 0.5),
+    *[(0.1 * (1.0 + sign * gap), 0.5, 0.1) for gap in (1e-3, 1e-6, 1e-9) for sign in (1.0, -1.0)],
+]
 
 
-def _panel_reference(weight_exponents, n_balls, seed):
-    """muckenhoupt_panel's estimates from per-ball integrals and products."""
+def _quad_ball_integral(cx, cy, r, e):
+    """The integral of x**e over B((cx, cy), r) cap Omega by adaptive quad
+    in x, split at the x-edges, at the y-clip points and at multiples of
+    |cx - r|, the left edge's distance from x = 0.  A ball that reaches
+    x = 0 is integrated in u = x**(1 + e), which takes the singularity
+    away, and diverges for e <= -1."""
+    lo, hi = max(cx - r, 0.0), min(cx + r, 1.0)
+    if hi <= lo:
+        return 0.0
+
+    def chord(x):
+        # r**2 - (x - cx)**2, factored to keep its digits next to the edges
+        h = math.sqrt(max((x - (cx - r)) * ((cx + r) - x), 0.0))
+        return max(min(cy + h, 1.0) - max(cy - h, 0.0), 0.0)
+
+    points = {lo, hi}
+    for level in (cy, 1.0 - cy):
+        if level < r:
+            half = math.sqrt(r * r - level * level)
+            points |= {p for p in (cx - half, cx + half) if lo < p < hi}
+    points |= {p for m in (2.0, 11.0, 101.0, 1e3, 1e4, 1e6) if lo < (p := abs(cx - r) * m) < hi}
+    points = sorted(points)
+    if lo > 0.0:
+        f, p = (lambda x: x**e * chord(x)), 1.0
+    elif e <= -1.0:
+        assert chord(0.0) > 0.0
+        return math.inf
+    else:
+        p = 1.0 + e
+        f, points = (lambda u: chord(u ** (1.0 / p)) / p), [x**p for x in points]
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0] for a, b in zip(points, points[1:]))
+
+
+def _one_ball_at_a_time(weight_exponents, n_balls, seed):
+    """muckenhoupt_panel's estimates from _ball_integrals of each ball alone."""
     exponents = tuple(x for e in weight_exponents for x in (e, -e))
     products = np.empty((len(weight_exponents), n_balls))
     measured = np.empty(n_balls, dtype=bool)
-    for k, (cx, cy, r) in enumerate(zip(*norms_mod._sample_balls(n_balls, seed))):
-        integrals, area = _ball_integral_reference(cx, cy, r, exponents)
+    for k, ball in enumerate(zip(*norms_mod._sample_balls(n_balls, seed))):
+        integrals, (area,) = norms_mod._ball_integrals(*(np.array([v]) for v in ball), exponents)
         measured[k] = area > 0.0
-        for w, (w_int, inv_int) in enumerate(zip(integrals[::2], integrals[1::2])):
+        for w, (w_int, inv_int) in enumerate(zip(integrals[::2, 0], integrals[1::2, 0])):
             products[w, k] = (w_int / area) * (inv_int / area) if area > 0.0 else 0.0
     estimates = []
     for row in products:
@@ -210,8 +240,9 @@ def _panel_reference(weight_exponents, n_balls, seed):
 
 class TestMuckenhoupt:
     def test_unit_weight_constant_one(self):
+        # the area is the e = 0 integral bit for bit, so every product is 1.0
         (est,) = muckenhoupt_panel((0.0,), 200, seed=1)
-        assert est.constant == pytest.approx(1.0, abs=1e-12)
+        assert est.constant == est.least == 1.0
         assert not est.diverged
 
     def test_admissible_degenerate_weight(self):
@@ -235,7 +266,8 @@ class TestMuckenhoupt:
 
     @pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, -0.5])
     def test_every_ball_product_at_least_one(self, exponent):
-        # Cauchy-Schwarz: avg(w) * avg(1/w) >= 1 for positive quadrature weights
+        # Cauchy-Schwarz: avg(w) * avg(1/w) >= 1, exactly for a ball whose
+        # w and 1/w share one rule, and up to the quadrature error otherwise
         (est,) = muckenhoupt_panel((exponent,), 300, seed=5)
         assert 1.0 - 1e-12 <= est.least <= est.constant
 
@@ -253,31 +285,58 @@ class TestMuckenhoupt:
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     @pytest.mark.parametrize("n_balls", [1, 7, 8, 9, 17, 500])
     def test_batched_panel_equals_per_ball_reference(self, n_balls, seed):
-        # the (k, N_QUAD) row sums keep the per-ball sums' bits, in full and
-        # partial batches alike
+        # a ball's integrals keep their bits alone, in one batch of the
+        # whole draw and in the panel's full and partial batches
         exponents = (0.0, 0.5, -3.0)
-        assert muckenhoupt_panel(exponents, n_balls, seed) == _panel_reference(exponents, n_balls, seed)
+        balls = norms_mod._sample_balls(n_balls, seed)
+        integrals, areas = norms_mod._ball_integrals(*balls, (0.5, -0.5, -3.0, 3.0))
+        for k, ball in enumerate(zip(*balls)):
+            alone, area = norms_mod._ball_integrals(*(np.array([v]) for v in ball), (0.5, -0.5, -3.0, 3.0))
+            assert (integrals[:, k].tobytes(), areas[k].tobytes()) == (alone[:, 0].tobytes(), area.tobytes())
+        assert muckenhoupt_panel(exponents, n_balls, seed) == _one_ball_at_a_time(exponents, n_balls, seed)
 
     def test_ball_integrals_equal_per_ball_reference(self):
-        # one batch of drawn balls and of balls that miss the square on
-        # either side, which integrate to 0.0 without touching the others
-        cx, cy, r = norms_mod._sample_balls(13, 7)
-        # balls 6 and 14 miss the square, to its right and to its left
-        cx, cy, r = np.insert(cx, [6, 13], [5.0, -5.0]), np.insert(cy, [6, 13], 0.5), np.insert(r, [6, 13], 0.1)
-        exponents = (0.5, -0.5, -3.0, 3.0, 0.0, -0.0)
-        integrals, areas = norms_mod._ball_integrals(cx[:, None], cy[:, None], r[:, None], exponents)
-        assert integrals.shape == (len(exponents), 15) and areas.shape == (15,)
-        for k in range(15):
-            values, area = _ball_integral_reference(cx[k], cy[k], r[k], exponents)
-            assert integrals[:, k].tobytes() == np.array(values).tobytes()
-            assert areas[k].tobytes() == np.float64(area).tobytes()
-        assert areas[6] == areas[14] == 0.0 and not integrals[:, [6, 14]].any()
+        # the shipped draw and EDGE_BALLS, each integral within 1e-9 of
+        # adaptive quad; the area is the e = 0 integral bit for bit
+        cx, cy, r = (np.concatenate([a, b]) for a, b in zip(norms_mod._sample_balls(500, 7), zip(*EDGE_BALLS)))
+        integrals, areas = norms_mod._ball_integrals(cx, cy, r, REFERENCE_EXPONENTS)
+        assert integrals.shape == (len(REFERENCE_EXPONENTS), len(cx)) and areas.shape == (len(cx),)
+        assert areas.tobytes() == integrals[-1].tobytes()
+        for k, ball in enumerate(zip(cx, cy, r)):
+            for e, value in zip(REFERENCE_EXPONENTS, integrals[:, k]):
+                reference = _quad_ball_integral(*ball, e)
+                assert value == pytest.approx(reference, rel=1e-9, abs=0.0), (ball, e)
+        missed = np.flatnonzero(np.abs(cx) == 5.0)
+        assert not areas[missed].any() and not integrals[:, missed].any()
+
+    @pytest.mark.parametrize("e", [0.5, 0.9])
+    @pytest.mark.parametrize("r", [1e-3, 0.01, 0.1, 0.3])
+    def test_half_disk_constant_is_the_closed_form(self, monkeypatch, r, e):
+        # ROADMAP item 13's anchor: the closed form holds for every r < 1/2
+        assert half_disk_constant(monkeypatch, r, e) == pytest.approx(half_disk_closed_form(e), rel=1e-10)
+
+    def test_non_integrable_weight_diverges_exactly_on_a_ball_at_x_zero(self, monkeypatch):
+        # x**-1 and x**-3 integrate to +inf over a ball whose x-range holds
+        # x = 0; x**-0.999 is integrable and meets its closed form
+        assert half_disk_constant(monkeypatch, 0.1, -1.0) == half_disk_constant(monkeypatch, 0.1, -3.0) == math.inf
+        assert half_disk_constant(monkeypatch, 0.1, -0.999) == pytest.approx(half_disk_closed_form(-0.999), rel=1e-10)
+
+    def test_gauss_jacobi_rule_integrates_monomials(self):
+        # the n-point rule of u**e on (0, 1) is exact to degree 2n - 1
+        n = norms_mod.GAUSS_NODES
+        for e in (0.0, 0.5, -0.5, -0.9, 3.0, 50.0):
+            nodes, weights = norms_mod._gauss_jacobi(n, e)
+            assert np.all(np.diff(nodes) > 0.0) and 0.0 < nodes[0] and nodes[-1] < 1.0
+            for m in range(2 * n):
+                assert np.sum(weights * nodes**m) == pytest.approx(1.0 / (e + m + 1.0), rel=1e-12)
 
     def test_traced_peak_is_bounded_by_the_batch(self):
-        # a few (BALL_BATCH, N_QUAD) arrays, never an N_QUAD array per ball
-        peaks = [peak_bytes(lambda: muckenhoupt_panel((0.0, 0.5, -3.0), n, seed=7)) for n in (25, 500)]
+        # one batch of balls and four: the four-batch panel adds no element
+        # arrays, only its per-ball results (under 32 floats a ball)
+        one, four = norms_mod.BALL_BATCH, 4 * norms_mod.BALL_BATCH
+        peaks = [peak_bytes(lambda: muckenhoupt_panel((0.0, 0.5, -3.0), n, seed=7)) for n in (one, four)]
         assert max(peaks) < 1_000_000
-        assert peaks[1] - peaks[0] < 8 * norms_mod.BALL_BATCH * norms_mod.N_QUAD
+        assert peaks[1] - peaks[0] < 8 * 32 * (four - one)
 
     def test_panel_needs_a_ball(self):
         with pytest.raises(ValueError, match="n_balls must be at least 1"):
@@ -286,8 +345,8 @@ class TestMuckenhoupt:
     # p = 2 names the class muckenhoupt_panel samples; it is kept in the case id
     @pytest.mark.parametrize(
         "exponent, p, n_balls, seed, constant",
-        [(0.5, 2.0, 100, 9, 1.3330609022850584)],
+        [(0.5, 2.0, 100, 9, 1.3426697003336607)],
     )
     def test_golden_constant(self, exponent, p, n_balls, seed, constant):
-        # recorded before the chord was shared between the two weights
+        # recorded when the ball integrals became Gauss rules in the angle
         assert muckenhoupt_panel((exponent,), n_balls, seed=seed)[0].constant == constant

@@ -1,5 +1,6 @@
 """Every verdict that consumes the Dirichlet solve must fail a wrong solve,
-and the Muckenhoupt verdict must fail a wrong A_2 product.
+and the Muckenhoupt verdict and its closed-form anchor must fail a wrong
+A_2 product.
 
 Each wrong solver replaces solve_dirichlet where the studies and the CLI
 look it up; the verify, convergence and energy verdicts must then all
@@ -9,6 +10,7 @@ must fail an error that appears under refinement, and the energy verdict
 must hold the u it got back to the solve's residual contract.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 import degenash.analysis as analysis_mod
 import degenash.cli as cli_mod
 import degenash.norms as norms_mod
+from conftest import half_disk_closed_form, half_disk_constant
 from degenash.analysis import Verdict, convergence_study, energy_estimate_study, muckenhoupt_study
 from degenash.cli import parse_config, run
 from degenash.fields import manufactured_pair
@@ -138,3 +141,29 @@ def test_muckenhoupt_fails_the_product_of_w_with_itself(monkeypatch):
 
     monkeypatch.setattr(norms_mod, "_ball_integrals", same_sign)
     assert muckenhoupt_study(n_balls=500, seed=7).verdict == Verdict.FAIL
+
+
+def midpoint_ball_integrals(cx, cy, r, exponents):
+    """The rule the ball integrals used before the Gauss rules: the y-chord
+    in closed form and a 2048-node midpoint rule in x, which keeps x = 0
+    off its nodes and so reads too little of x**-e next to it."""
+    x_lo, x_hi = np.maximum(cx - r, 0.0), np.minimum(cx + r, 1.0)
+    x_hi = np.maximum(x_hi, x_lo)
+    step = ((x_hi - x_lo) / 2048)[:, None]
+    x = x_lo[:, None] + (np.arange(2048) + 0.5) * step
+    half = np.sqrt(np.maximum(r[:, None] ** 2 - (x - cx[:, None]) ** 2, 0.0))
+    chord = np.maximum(np.minimum(cy[:, None] + half, 1.0) - np.maximum(cy[:, None] - half, 0.0), 0.0)
+    integrals = np.array([np.sum(x**e * chord, axis=1) * step[:, 0] for e in exponents])
+    return integrals, np.sum(chord, axis=1) * step[:, 0]
+
+
+@pytest.mark.parametrize("e", [0.5, 0.9])
+@pytest.mark.parametrize("r", [1e-3, 0.01, 0.1, 0.3])
+def test_half_disk_anchor_fails_the_midpoint_rule(monkeypatch, r, e):
+    # the midpoint rule reads x^(1/2) at 1.347739 on every half-disk, where
+    # the closed form is 1.358122 (-0.76 %), and x^0.9 at 3.40 for 5.60
+    monkeypatch.setattr(norms_mod, "_ball_integrals", midpoint_ball_integrals)
+    constant = half_disk_constant(monkeypatch, r, e)
+    assert not math.isclose(constant, half_disk_closed_form(e), rel_tol=1e-10)
+    if (r, e) == (0.01, 0.5):
+        assert round(constant, 6) == 1.347739 and round(half_disk_closed_form(e), 6) == 1.358122
