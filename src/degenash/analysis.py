@@ -204,9 +204,9 @@ def strict_inclusion_demo(levels: Sequence[int], alpha: float = 0.5) -> StudyRes
     d_y seminorm keeps growing (the function lies in the weighted space
     but not in H^1): the study passes when each refinement step from level
     PLATEAU_FROM on changes w11 by at most PLATEAU_TOL, relatively, and
-    every step raises the d_y norm.  Its levels rule asks for a second-to-last level of at
-    least PLATEAU_FROM, so that a step is checked.  For any other alpha
-    the study is report-only.
+    every step raises the d_y norm.  Its levels rule asks for a
+    second-to-last level of at least PLATEAU_FROM, so that a step is
+    checked.  For any other alpha the study is report-only.
     """
     levels = LEVELS["inclusion"].check("levels", list(levels))
     w11s, dy_norms = [], []
@@ -286,11 +286,9 @@ def embedding_metric(q: float) -> str:
     return f"max_ratio_q{q:g}"
 
 
-# two q share a metric name (embedding_metric) exactly when they print
-# alike by %g
 Q_VALUES = Rule(
     "must be a non-empty list of q, each in [2, 4], with distinct metric names max_ratio_q{q:g}",
-    lambda qs: bool(qs) and all(map(EMBEDDING_Q.holds, qs)) and len({f"{q:g}" for q in qs}) == len(qs),
+    lambda qs: bool(qs) and all(map(EMBEDDING_Q.holds, qs)) and len(set(map(embedding_metric, qs))) == len(qs),
 )
 
 

@@ -10,15 +10,17 @@ between the angles where the ball leaves the square in y, and integrate
 by Gauss rules on those pieces, graded toward the ball's left end
 (_ball_integrals).  A ball that reaches x = 0 takes the Gauss-Jacobi rule
 of x**e's singularity there, so x**e, e > -1, is integrated to about
-1e-12 relative there too, and e <= -1 gives +inf.  The rules are built
-once per (nodes, exponent) (_gauss_jacobi); a panel computes each ball's
-chord once for every weight and integrates its balls in batches of
-BALL_BATCH (muckenhoupt_panel).  Quadrature weights come from
-grid.cell_weights, which caches them per (grid, exponent).  norms_of is
-computed once per field and include_mixed and kept with the field
-(GridFunction._once), so embedding_ratio norms a field once for every q.
-lq_norm forms the cell averages again for each q: keeping them would keep
-a cell array alive per field.
+1e-12 relative there too, and e <= -1 gives +inf; a ball tangent to
+x = 0 takes that of its (phi - phi_a)**(2e + 2), and e <= -3/2 gives
++inf.  The rules are built by Golub-Welsch from scipy.linalg's
+tridiagonal eigensolver, once per (nodes, exponent) (_gauss_jacobi); a
+panel computes each ball's chord once for every weight and integrates its
+balls in batches of BALL_BATCH (muckenhoupt_panel).  Quadrature weights
+come from grid.cell_weights, which caches them per (grid, exponent).
+norms_of is computed once per field and include_mixed and kept with the
+field (GridFunction._once), so embedding_ratio norms a field once for
+every q.  lq_norm forms the cell averages again for each q: keeping them
+would keep a cell array alive per field.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .grid import AT_LEAST_ONE, SEED, GridFunction, Rule, _cell_sums, _number, _quadrature, cell_weights, weighted_inner
 from .operators import dx, dy
@@ -141,57 +144,20 @@ def _gauss_jacobi(n: int, e: float) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss rule of the weight u**e on (0, 1), e > -1: read-only
     nodes, ascending, and weights.  e = 0 gives Gauss-Legendre.
 
-    The nodes are the roots of the n-th orthonormal polynomial of the
-    weight, whose three-term recurrence is the shifted Jacobi one
-    (alpha = 0, beta = e).  Each root is isolated by bisection on the
-    recurrence's Sturm count and polished by Newton's method on the
-    recurrence; the weights are the Christoffel numbers
-    1 / sum_{k<n} p_k(u)**2.  Only elementwise numpy, so the bits do not
-    depend on the LAPACK build.
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the shifted Jacobi recurrence (alpha = 0, beta = e), and the weights
+    the squared first components of its unit eigenvectors times the
+    weight's mass 1 / (e + 1) (Golub & Welsch, Math. Comp. 23, 1969).
     """
-    k = np.arange(1.0, n + 1.0)
+    k = np.arange(1.0, n)
     s = 2.0 * k + e
     diag = np.empty(n)
     diag[0] = (e + 1.0) / (e + 2.0)
-    diag[1:] = 0.5 + e * e / (2.0 * s[:-1] * (s[:-1] + 2.0))
+    diag[1:] = 0.5 + e * e / (2.0 * s * (s + 2.0))
     # off[j] couples p_j and p_{j+1}
     off = k * (k + e) / (s * np.sqrt(s * s - 1.0))
-
-    def below(u):
-        """The number of roots below each u (the negative LDL^T pivots)."""
-        count = np.zeros(u.shape, dtype=int)
-        q = diag[0] - u
-        for j in range(n):
-            if j:
-                q = (diag[j] - u) - off[j - 1] ** 2 / q
-            q[q == 0.0] = -1e-300
-            count += q < 0.0
-        return count
-
-    def recurrence(u):
-        """p_n(u), p_n'(u) and sum_{k<n} p_k(u)**2."""
-        p0, p1 = np.zeros(n), np.full(n, math.sqrt(e + 1.0))
-        d0, d1 = np.zeros(n), np.zeros(n)
-        total = p1 * p1
-        for j in range(n):
-            back, shift = (off[j - 1] if j else 0.0), u - diag[j]
-            p0, p1, d0, d1 = p1, (shift * p1 - back * p0) / off[j], d1, (p1 + shift * d1 - back * d0) / off[j]
-            if j < n - 1:
-                total += p1 * p1
-        return p1, d1, total
-
-    index = np.arange(n)
-    lo, hi = np.zeros(n), np.ones(n)
-    for _ in range(14):
-        mid = 0.5 * (lo + hi)
-        above = below(mid) > index
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    nodes = 0.5 * (lo + hi)
-    for _ in range(4):
-        p, dp, _ = recurrence(nodes)
-        nodes = nodes - p / dp
-    weights = 1.0 / recurrence(nodes)[2]
+    nodes, vectors = eigh_tridiagonal(diag, off)
+    weights = vectors[0] ** 2 / (e + 1.0)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -226,19 +192,24 @@ def _ball_integrals(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, exponents: tu
     [phi_a, phi_b] (x clipped to [0, 1]) is cut at those angles, and
     graded by GRADING toward phi_a from a first element no longer than the
     distance from phi_a to the nearest other singularity of x**e (and, for
-    a ball that reaches x = 0, to its first clip angle).  Every element
-    takes the GAUSS_NODES-point Gauss-Legendre rule, except the first
-    element of a ball whose x-range holds x = 0: there x**e is
-    (phi - phi_a)**e times a smooth factor, which the Gauss-Jacobi rule of
-    that weight integrates, and e <= -1 gives +inf when the chord at
-    x = 0 is positive.  A ball that misses the square has phi_a = phi_b
-    and no elements, so its area and integrals are 0.0.  Each element and
-    each ball is summed in its own order, so a ball's bits do not depend
-    on its batch.
+    a ball that reaches or touches x = 0, to its first clip angle).  Every
+    element takes the GAUSS_NODES-point Gauss-Legendre rule, except the
+    first element of a ball whose x-range starts at x = 0
+    (_head_integrals).  On a ball that reaches x = 0, x**e is
+    (phi - phi_a)**e times a smooth factor there, and e <= -1 gives +inf
+    when the chord at x = 0 is positive.  On a ball tangent to x = 0
+    (cx == r) whose tangent point lies in the closed square, x and
+    chord * dx/dphi both vanish like (phi - phi_a)**2, so the integrand is
+    (phi - phi_a)**(2e + 2) times a smooth factor, and e <= -3/2 gives
+    +inf.  A ball that misses the square has phi_a = phi_b and no
+    elements, so its area and integrals are 0.0.  Each element and each
+    ball is summed in its own order, so a ball's bits do not depend on its
+    batch.
     """
     k = len(cx)
     rho = cx / r
     reach = np.abs(rho) < 1.0
+    tangent = (cx == r) & (cy >= 0.0) & (cy <= 1.0)
     # phi_a is the angle of the left end x_a = max(cx - r, 0), and phi_b of
     # the right end min(cx + r, 1)
     cos_a = np.clip(rho, -1.0, 1.0)
@@ -256,9 +227,12 @@ def _ball_integrals(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, exponents: tu
     # the first element is no longer than the distance to the next
     # singularity: x vanishes at phi = +- i arccosh(rho) for a ball short of
     # x = 0; for a ball past it, x / (phi - phi_a) vanishes at -phi_a, and
-    # the first clip angle ends the Jacobi element
+    # the first clip angle ends the Jacobi element, as it does on a tangent
+    # ball, whose x / (phi - phi_a)**2 vanishes only at +- 2 pi
     far = np.maximum(rho, 1.0)
-    first = np.where(reach, np.minimum(2.0 * phi_a, np.min(clips, axis=1) - phi_a), np.log(far + np.sqrt((far - 1.0) * (far + 1.0))))
+    first_clip = np.min(clips, axis=1) - phi_a
+    first = np.where(reach, np.minimum(2.0 * phi_a, first_clip), np.log(far + np.sqrt((far - 1.0) * (far + 1.0))))
+    first = np.where(tangent, first_clip, first)
     graded = phi_a[:, None] + first[:, None] * GRADING ** -np.arange(GRADING_LEVELS)
     ends = np.sort(np.concatenate([phi_a[:, None], np.minimum(graded, phi_b[:, None]), clips, phi_b[:, None]], axis=1), axis=1)
     lengths = np.diff(ends, axis=1)
@@ -272,29 +246,46 @@ def _ball_integrals(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, exponents: tu
     chord_dx *= length * weights
     log_x = np.log(x)
     areas = np.bincount(ball, weights=np.sum(chord_dx, axis=1), minlength=k)
-    # the first element of each ball that reaches x = 0, and its chord there
+    # the first element of each ball whose x-range starts at x = 0, with x
+    # of order p in phi - phi_a there: p = 1 on a ball that reaches x = 0,
+    # diverging where its chord at x = 0 is positive, and p = 2 on a
+    # tangent ball whose tangent point lies in the closed square
     counts = np.bincount(ball, minlength=k)
-    reached = np.flatnonzero(reach)
-    head = (np.cumsum(counts) - counts)[reached]
-    h0 = r[reached] * sin_a[reached]
-    open_at_zero = np.minimum(cy[reached] + h0, 1.0) - np.maximum(cy[reached] - h0, 0.0) > 0.0
-    jacobi = tuple(a[reached, None] for a in (cy, r, cos_a, sin_a, x_a))
+    starts = np.cumsum(counts) - counts
+    h0 = r * sin_a
+    open_at_zero = reach & (np.minimum(cy + h0, 1.0) - np.maximum(cy - h0, 0.0) > 0.0)
+    heads = [
+        (p, starts[starting], starts[diverging], tuple(a[starting, None] for a in (cy, r, cos_a, sin_a, x_a)))
+        for p, starting, diverging in ((1, reach, open_at_zero), (2, tangent, tangent))
+    ]
     integrals = np.empty((len(exponents), k))
     for row, e in zip(integrals, exponents):
         values = np.exp(e * log_x)
         values *= chord_dx
         sums = np.sum(values, axis=1)
-        if e <= -1.0:
-            sums[head[open_at_zero]] = math.inf
-        elif e != 0.0 and len(reached):
-            j_nodes, j_weights = _gauss_jacobi(GAUSS_NODES, float(e))
-            t = length[head] * j_nodes
-            xj, values = _chord_dx(*jacobi, 0.5 * t)
-            values *= np.exp(e * np.log(xj / t))
-            values *= j_weights * length[head] ** (e + 1.0)
-            sums[head] = np.sum(values, axis=1)
+        for p, head, diverging, geometry in heads:
+            if p * e + 2 * (p - 1) <= -1.0:
+                sums[diverging] = math.inf
+            elif e != 0.0 and len(head):
+                sums[head] = _head_integrals(geometry, length[head], e, p)
         row[:] = np.bincount(ball, weights=sums, minlength=k)
     return integrals, areas
+
+
+def _head_integrals(geometry, length, e, p):
+    """The integrals of x**e * chord * dx/dphi over the first elements
+    [phi_a, phi_a + length] of balls given by geometry (_chord_dx's), on
+    which x is (phi - phi_a)**p times a smooth factor and, for p = 2,
+    chord * dx/dphi is (phi - phi_a)**2 times one: the Gauss-Jacobi rule
+    of the weight (phi - phi_a)**(p e + 2p - 2).
+    """
+    power = p * e + 2 * (p - 1)
+    nodes, weights = _gauss_jacobi(GAUSS_NODES, float(power))
+    t = length * nodes
+    x, values = _chord_dx(*geometry, 0.5 * t)
+    values *= np.exp(e * np.log(x / t**p)) / t ** (2 * p - 2)
+    values *= weights * length ** (power + 1.0)
+    return np.sum(values, axis=1)
 
 
 def _sample_balls(n_balls: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -52,7 +52,7 @@ DIGESTS = {
     },
     "study_muckenhoupt": {
         "study_levels.tsv": "7174cd6112d2742641c8ff101da2c08fcc940269a4823a4bf461a98a0867246f",
-        "study_samples.tsv": "bce0277894c195f5e6a38da7460cea09b7ddc0a8b30af93eebebeff087c38ada",
+        "study_samples.tsv": "d84a693914fb4a6e827641743b356878ecd4d8c33afd56ff699169988765d31b",
     },
     "verify_weak_form": {
         "verify_residuals.tsv": "7be5b8ea2338d9837d81ebb70bcbfd3d7afb5dbcf19db8d63482569287ce355e",
