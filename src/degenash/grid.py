@@ -5,13 +5,15 @@ nodes carry unknowns; boundary values are implicitly zero everywhere.  The
 x-direction carries the degeneracy weight x**alpha with alpha in (0,1], and
 all quadrature is midpoint-in-cell so the weight is never evaluated at x=0.
 
-A GridFunction is a read-only value, whose operators.dx, dy and
-norms.norms_of are computed once and kept with it (GridFunction._once).
+A GridFunction is a read-only value, whose operators.dx, dy,
+norms.norms_of and self-pairings are computed once and kept with it
+(GridFunction._once).
 
 The x-part hx*hy * xc**exponent of the quadrature weights is computed once
 per (grid, exponent) and handed out as a read-only array; the one y-weight
 is the stabilizing exp(-theta*y), which takes a fresh array; a self-pairing
-weighted_inner(u, u, ...) interpolates u once.  Cell averages are formed
+weighted_inner(u, u, ...) is computed once per field, exponent > -1 and
+theta, and kept with the field as a float.  Cell averages are formed
 in a flat row layout (_cell_sums) by contiguous passes that keep the bits
 of the plain four-corner formula.
 
@@ -139,9 +141,9 @@ class GridFunction:
     values is a flat float array of length nx*ny in C order of the
     (nx, ny) node lattice, i.e. entry i*ny + j holds the value at
     (x_i, y_j).  Boundary values are implicitly zero.  values is
-    read-only, as is the given array when values views it; derivatives
-    and norms are computed once and kept (_once).  Compares and hashes by
-    identity.
+    read-only, as is the given array when values views it; derivatives,
+    norms and self-pairings are computed once and kept (_once).  Compares
+    and hashes by identity.
     """
 
     grid: Grid
@@ -350,21 +352,30 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: flo
     defined but the underlying integral may diverge, and a
     DegenerateWeightWarning is emitted whenever the integrand carries
     mass in the first cell column.  An exponent that is not FINITE, or a
-    theta that is not FINITE_NONNEGATIVE, raises ValueError (cell_weights).
+    theta that is not FINITE_NONNEGATIVE, raises ValueError (cell_weights)
+    on every call.  A self-pairing (v is u) with exponent > -1 is computed
+    once per (exponent, theta) and kept with u (GridFunction._once); one
+    with exponent <= -1 is computed, and warns, on every call.
     """
     u._check_same_grid(v)
     g = u.grid
     w = cell_weights(g, exponent, theta)
-    # ub * vb first, in ub's own buffer: elementwise products commute
-    # exactly, so the pairing is symmetric to the last bit
-    prod = _cell_sums(u)
-    prod *= prod if v is u else _cell_sums(v)
-    if exponent <= -1.0 and np.any(_cells(prod, g)[0] != 0.0):
-        warnings.warn(
-            f"x**({exponent}) is not integrable at x=0 and the integrand is "
-            "nonzero in the first cell column; the quadrature value does not "
-            "converge under refinement",
-            DegenerateWeightWarning,
-            stacklevel=2,
-        )
-    return float(_quadrature(w, prod, g, out=w if theta != 0 else None))
+
+    def pairing() -> float:
+        # ub * vb first, in ub's own buffer: elementwise products commute
+        # exactly, so the pairing is symmetric to the last bit
+        prod = _cell_sums(u)
+        prod *= prod if v is u else _cell_sums(v)
+        if exponent <= -1.0 and np.any(_cells(prod, g)[0] != 0.0):
+            warnings.warn(
+                f"x**({exponent}) is not integrable at x=0 and the integrand is "
+                "nonzero in the first cell column; the quadrature value does not "
+                "converge under refinement",
+                DegenerateWeightWarning,
+                stacklevel=3,
+            )
+        return float(_quadrature(w, prod, g, out=w if theta != 0 else None))
+
+    if v is u and exponent > -1.0:
+        return u._once(("weighted_inner", exponent, theta), pairing)
+    return pairing()

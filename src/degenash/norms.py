@@ -19,8 +19,9 @@ balls in batches of BALL_BATCH (muckenhoupt_panel).  Quadrature weights
 come from grid.cell_weights, which caches them per (grid, exponent).
 norms_of is computed once per field and include_mixed and kept with the
 field (GridFunction._once), so embedding_ratio norms a field once for
-every q.  lq_norm forms the cell averages again for each q: keeping them
-would keep a cell array alive per field.
+every q.  lq_norm(u, 2) reads the L^2 self-pairing kept with the field
+(grid.weighted_inner); lq_norm forms the cell averages again for each q
+other than 2: keeping them would keep a cell array alive per field.
 """
 
 from __future__ import annotations
@@ -116,9 +117,16 @@ def l2_weighted_norm(f: GridFunction) -> float:
 
 
 def lq_norm(u: GridFunction, q: float) -> float:
-    """Unweighted L^q norm by the shared midpoint-in-cell quadrature; q by LQ_Q."""
+    """Unweighted L^q norm by the shared midpoint-in-cell quadrature; q by LQ_Q.
+
+    q = 2 takes the square root of the self-pairing weighted_inner(u, u, 0.0),
+    kept with u, with the bits of the general formula: |ub|**2.0 is
+    numpy's ub * ub, and np.float64 ** 0.5 and float ** 0.5 are one pow.
+    """
     LQ_Q.check("q", q)
-    # |ub|**q in the averages' own buffer; `**` keeps numpy's q = 2 fast path
+    if q == 2:
+        return weighted_inner(u, u, 0.0) ** 0.5
+    # |ub|**q in the averages' own buffer
     cells = _cell_sums(u)
     np.abs(cells, out=cells)
     cells **= q
@@ -188,11 +196,13 @@ def _ball_integrals(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, exponents: tu
 
     With x = cx - r cos(phi), phi in [0, pi], the ball's chord in y at x
     times dx is chord * r sin(phi) dphi, smooth in phi between the y-clip
-    angles r sin(phi) = cy and r sin(phi) = 1 - cy.  So each ball's range
-    [phi_a, phi_b] (x clipped to [0, 1]) is cut at those angles, and
-    graded by GRADING toward phi_a from a first element no longer than the
-    distance from phi_a to the nearest other singularity of x**e (and, for
-    a ball that reaches or touches x = 0, to its first clip angle).  Every
+    angles r sin(phi) = |cy| and r sin(phi) = |1 - cy|, where the chord
+    meets y = 0 or y = 1 (a ball centred outside the square in y enters
+    it at one of them).  So each ball's range [phi_a, phi_b] (x clipped
+    to [0, 1]) is cut at those angles, and graded by GRADING toward phi_a
+    from a first element no longer than the distance from phi_a to the
+    nearest other singularity of x**e (and, for a ball that reaches or
+    touches x = 0, to its first clip angle).  Every
     element takes the GAUSS_NODES-point Gauss-Legendre rule, except the
     first element of a ball whose x-range starts at x = 0
     (_head_integrals).  On a ball that reaches x = 0, x**e is
@@ -219,7 +229,7 @@ def _ball_integrals(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, exponents: tu
     phi_b = np.arccos(np.clip((cx - 1.0) / r, -1.0, 1.0))
     # the y-clip angles; those outside (phi_a, phi_b) move to phi_b
     clips = []
-    for level in (cy, 1.0 - cy):
+    for level in (np.abs(cy), np.abs(1.0 - cy)):
         angle = np.arccos(np.minimum(level / r, 1.0))
         clips += [np.where(level < r, 0.5 * np.pi - angle, phi_b), np.where(level < r, 0.5 * np.pi + angle, phi_b)]
     clips = np.stack(clips, axis=1)

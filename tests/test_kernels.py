@@ -18,7 +18,8 @@ import degenash.norms as norms
 import degenash.operators as operators
 from conftest import peak_bytes, random_field
 from degenash.fields import _FIELDS, FIELD_KINDS, bump_from_parameters, bump_parameter_sets, named_field
-from degenash.grid import GridFunction, _cell_sums, _cells, build_grid, cell_weights, weighted_inner
+from degenash.analysis import coercivity_check
+from degenash.grid import DegenerateWeightWarning, GridFunction, _cell_sums, _cells, build_grid, cell_weights, weighted_inner
 from degenash.norms import lq_norm, norms_of
 from degenash.operators import assemble, dx, dy, solve_dirichlet
 from test_golden_tables import _run
@@ -155,16 +156,64 @@ class TestComputedOnce:
             for mixed in (False, True):
                 assert repr(norms_of(u, mixed)) == repr(norms_of(fresh, mixed))
 
+    # a self-pairing with exponent > -1 is kept as the float it returned
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("theta", [0.0, 1.5])
+    def test_self_pairing_is_kept(self, exponent, theta, monkeypatch):
+        g = build_grid(9, 7, 0.5)
+        u = signed_zero_field(g, 3)
+        first = weighted_inner(u, u, exponent, theta)
+        runs = []
+        monkeypatch.setattr(grid, "_cell_sums", lambda f: runs.append(f) or _cell_sums(f))
+        assert weighted_inner(u, u, exponent, theta) is first
+        assert runs == []
+        fresh = GridFunction(g, u.values.copy())
+        assert repr(weighted_inner(fresh, fresh, exponent, theta)) == repr(first)
+        assert runs == [fresh]
+
+    # the input rules hold on every call: True would find 1.0's kept pairing
+    def test_kept_pairing_still_checks_its_exponent(self):
+        u = signed_zero_field(build_grid(9, 7, 0.5), 5)
+        weighted_inner(u, u, 1.0)
+        with pytest.raises(ValueError, match="exponent"):
+            weighted_inner(u, u, True)
+
+    # a non-integrable weight is paired, and warns, on every call
+    def test_non_integrable_self_pairing_warns_every_call(self):
+        g = build_grid(9, 7, 0.5)
+        u = GridFunction(g, np.ones(g.n))
+        for _ in range(2):
+            with pytest.warns(DegenerateWeightWarning) as record:
+                weighted_inner(u, u, -1.0)
+            assert [w.filename for w in record] == [__file__]
+
+    def test_l2_norm_reads_the_kept_pairing(self, monkeypatch):
+        g = build_grid(9, 7, 0.5)
+        u = signed_zero_field(g, 4)
+        norms_of(u)
+        runs = []
+        counted = lambda f: runs.append(f) or _cell_sums(f)
+        monkeypatch.setattr(grid, "_cell_sums", counted)
+        monkeypatch.setattr(norms, "_cell_sums", counted)
+        assert lq_norm(u, 2.0) == float(np.sum(ref_weights(g, 0.0) * np.abs(ref_averages(u)) ** 2.0) ** 0.5)
+        assert runs == []
+
+    def test_coercivity_check_repeats_itself(self):
+        runs = [coercivity_check(1.0, 4, seed=2, nx=12, ny=12) for _ in range(2)]
+        assert repr(runs[0]) == repr(runs[1])
+
 
 # Runs of the difference kernel and of the cell averages per shipped
-# config.  Computing each field's derivatives and norms once keeps them
-# this low: recomputed on every call, coercivity, embedding, inclusion and
-# verify made 1400, 1200, 15 and 140 difference runs, and coercivity and
-# embedding 1800 and 2400 cell-average runs.
+# config.  Computing each field's derivatives, norms and self-pairings
+# once keeps them this low: recomputed on every call, coercivity,
+# embedding, inclusion and verify made 1400, 1200, 15 and 140 difference
+# runs, and coercivity and embedding 1800 and 2400 cell-average runs; with
+# the norms kept but not the self-pairings, coercivity made 1600 and
+# embedding 1200 cell-average runs.
 KERNEL_RUNS = {
-    "study_coercivity": (600, 1600),
+    "study_coercivity": (600, 1200),
     "study_convergence": (0, 0),
-    "study_embedding": (400, 1200),
+    "study_embedding": (400, 1000),
     "study_energy": (40, 80),
     "study_inclusion": (10, 20),
     "study_muckenhoupt": (0, 0),
@@ -260,12 +309,12 @@ class TestPeakAllocation:
         g, u, v = at_128
         fn = {
             "cell_averages": lambda: _cells(_cell_sums(u), g),
-            "self_pairing": lambda: weighted_inner(u, u, 0.5),
+            # a fresh field, so that the second call computes: u's own memo
+            # would hand back its first result
+            "self_pairing": lambda: (lambda w: weighted_inner(w, w, 0.5))(GridFunction(g, u.values)),
             "pairing": lambda: weighted_inner(u, v, 0.5),
             "y_weighted": lambda: weighted_inner(u, v, 0.5, theta=1.0),
             "lq_norm_q3": lambda: lq_norm(u, 3.0),
-            # a fresh field, so that the second call computes: u's own memo
-            # would hand back its first result
             "norms_of": lambda: norms_of(GridFunction(g, u.values)),
         }[name]
         assert peak_bytes(fn) / (8 * (g.nx + 1) * (g.ny + 1)) < PARENT_PEAKS_IN_CELLS[name]

@@ -186,6 +186,8 @@ EDGE_BALLS = [
     (0.5, 0.05, 0.2), (0.5, 0.97, 0.1), (0.45, 0.5, 0.52), (0.95, 0.5, 0.2),
     (0.5, 0.5, 1.0), (5.0, 0.5, 0.1), (-5.0, 0.5, 0.1), (0.3, 0.4, 0.5),
     *[(0.1 * (1.0 + sign * gap), 0.5, 0.1) for gap in (1e-3, 1e-6, 1e-9) for sign in (1.0, -1.0)],
+    # centred outside the square in y: the chord is kinked where the ball enters it
+    (0.5, -0.05, 0.2), (0.5, 1.05, 0.2), (0.3, -0.1, 0.4), (0.05, 1.02, 0.1),
 ]
 
 
