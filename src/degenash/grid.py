@@ -309,9 +309,10 @@ def _quadrature(w: np.ndarray, flat: np.ndarray, grid: Grid, out: np.ndarray | N
     """np.sum(w * cells) of the cells of a flat row-layout array.
 
     The product goes into one C-contiguous (nx+1, ny+1) array, out when
-    given (a fresh weight array may be its own), so numpy's pairwise sum
-    sees the same array as in np.sum(w * cells); ndarray.sum is that sum
-    without np.sum's dispatch.
+    given (a fresh weight array may be its own, and so may a buffer that
+    no longer holds a factor), so numpy's pairwise sum sees the same array
+    as in np.sum(w * cells); ndarray.sum is that sum without np.sum's
+    dispatch.
     """
     if out is None:
         out = np.empty((grid.nx + 1, grid.ny + 1))

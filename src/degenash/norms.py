@@ -21,7 +21,11 @@ norms_of is computed once per field and include_mixed and kept with the
 field (GridFunction._once), so embedding_ratio norms a field once for
 every q.  lq_norm(u, 2) reads the L^2 self-pairing kept with the field
 (grid.weighted_inner); lq_norm forms the cell averages again for each q
-other than 2: keeping them would keep a cell array alive per field.
+other than 2: keeping them would keep a cell array alive per field.  A
+whole q takes |ub|**q from products in those buffers (_whole_power), not
+from pow: each carries at most about (q - 1) units of round-off, so the
+norm stays within about one unit of the pow formula, and every shipped
+table keeps its digest.
 """
 
 from __future__ import annotations
@@ -122,15 +126,54 @@ def lq_norm(u: GridFunction, q: float) -> float:
     q = 2 takes the square root of the self-pairing weighted_inner(u, u, 0.0),
     kept with u, with the bits of the general formula: |ub|**2.0 is
     numpy's ub * ub, and np.float64 ** 0.5 and float ** 0.5 are one pow.
+    A whole q forms |ub|**q from products (_whole_power): q = 3 is
+    |ub| * (ub * ub) and q = 4 is (ub * ub) * (ub * ub).  Each carries a
+    relative error of at most about (q - 1) units of round-off where pow
+    rounds once (Higham 2002, sec. 3.1), so the norm, a q-th root, stays
+    within about one unit of the ** formula; q = 1 keeps its bits.  Any
+    other q takes |ub|**q by one pow per cell.
     """
     LQ_Q.check("q", q)
     if q == 2:
         return weighted_inner(u, u, 0.0) ** 0.5
-    # |ub|**q in the averages' own buffer
+    g = u.grid
     cells = _cell_sums(u)
-    np.abs(cells, out=cells)
-    cells **= q
-    return float(_quadrature(cell_weights(u.grid, 0.0), cells, u.grid) ** (1.0 / q))
+    if q == int(q):
+        power = _whole_power(cells, int(q))
+    else:
+        # |ub|**q in the averages' own buffer
+        power = np.abs(cells, out=cells)
+        power **= q
+    # the weighted product goes into the averages' buffer once no factor reads it
+    out = None if power is cells else cells[: (g.nx + 1) * (g.ny + 1)].reshape(g.nx + 1, g.ny + 1)
+    return float(_quadrature(cell_weights(g, 0.0), power, g, out=out) ** (1.0 / q))
+
+
+def _whole_power(cells: np.ndarray, n: int) -> np.ndarray:
+    """|cells| ** n for a whole n >= 1 by left-to-right binary powering.
+
+    A power of two squares cells in place; any other n writes its powers
+    into one fresh array of the same size, which it returns, and
+    multiplies them by cells, which an odd n first makes |cells|.  An even
+    n needs no abs: ub * ub is already non-negative, and a negative
+    product rounds as its magnitude does.  The spare zero of each row
+    stays 0.0.
+    """
+    if n % 2:
+        np.abs(cells, out=cells)
+    if n & (n - 1) == 0:
+        while n > 1:
+            cells *= cells
+            n >>= 1
+        return cells
+    # cells**2 covers the leading one and the next bit; each later bit squares
+    power = np.multiply(cells, cells)
+    for i, bit in enumerate(bin(n)[3:]):
+        if i:
+            power *= power
+        if bit == "1":
+            power *= cells
+    return power
 
 
 def embedding_ratio(u: GridFunction, q: float) -> float:

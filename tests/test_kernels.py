@@ -3,7 +3,10 @@ for bit, and their peak allocation.
 
 Each reference below is the formula the kernel computed before it worked
 in place on flat buffers, written out with numpy's plain operators; the
-kernels must reproduce it to the last bit, -0.0 included.
+kernels must reproduce it to the last bit, -0.0 included.  The one
+exception is lq_norm at a whole q other than 1 and 2: its reference is
+the product it forms (ref_power), and a second test holds it near the
+pow formula.
 """
 
 import collections
@@ -68,6 +71,18 @@ def ref_dy(u):
     return out.reshape(u.grid.n)
 
 
+def ref_power(a, q):
+    """|a|**q as lq_norm forms it: the products below for a whole q, one
+    pow per entry for any other q."""
+    products = {
+        3.0: lambda: (a * a) * np.abs(a),
+        4.0: lambda: (a * a) * (a * a),
+        5.0: lambda: ((a * a) * (a * a)) * np.abs(a),
+        6.0: lambda: ((a * a) * a) * ((a * a) * a),
+    }
+    return products[q]() if q in products else np.abs(a) ** q
+
+
 def ref_apply(g, values):
     """The 5-point stencil summed from 0.0 in the matrix's row order."""
     x_step, y_step = 1 / (2.0 * g.hx * g.hx), 1 / g.hy
@@ -95,12 +110,20 @@ class TestBitForBit:
         assert weighted_inner(u, u, exponent, theta=1.5) == ref_inner(u, u, exponent, yw)
 
     @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
-    @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0])
     def test_lq_norm(self, nx, ny, q):
         g = build_grid(nx, ny, 0.5)
         u = signed_zero_field(g, nx * ny)
-        ref = float(np.sum(ref_weights(g, 0.0) * np.abs(ref_averages(u)) ** q) ** (1.0 / q))
+        ref = float(np.sum(ref_weights(g, 0.0) * ref_power(ref_averages(u), q)) ** (1.0 / q))
         assert lq_norm(u, q) == ref
+
+    @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
+    @pytest.mark.parametrize("q", [3.0, 4.0, 5.0])
+    def test_lq_norm_whole_q_stays_near_the_pow_formula(self, nx, ny, q):
+        g = build_grid(nx, ny, 0.5)
+        u = signed_zero_field(g, nx * ny)
+        pow_ref = float(np.sum(ref_weights(g, 0.0) * np.abs(ref_averages(u)) ** q) ** (1.0 / q))
+        assert lq_norm(u, q) == pytest.approx(pow_ref, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
     def test_dy(self, nx, ny):
@@ -284,6 +307,9 @@ PARENT_PEAKS_IN_CELLS = {
     "pairing": 4.49,
     "y_weighted": 5.00,
     "lq_norm_q3": 3.49,
+    # the peak of lq_norm(u, 4.0) by one pow per cell, rounded up: the
+    # products add no array
+    "lq_norm_q4": 3.00,
     "norms_of": 5.47,
 }
 PARENT_PEAKS_IN_NODES = {
@@ -315,6 +341,7 @@ class TestPeakAllocation:
             "pairing": lambda: weighted_inner(u, v, 0.5),
             "y_weighted": lambda: weighted_inner(u, v, 0.5, theta=1.0),
             "lq_norm_q3": lambda: lq_norm(u, 3.0),
+            "lq_norm_q4": lambda: lq_norm(u, 4.0),
             "norms_of": lambda: norms_of(GridFunction(g, u.values)),
         }[name]
         assert peak_bytes(fn) / (8 * (g.nx + 1) * (g.ny + 1)) < PARENT_PEAKS_IN_CELLS[name]
