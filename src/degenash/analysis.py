@@ -160,8 +160,7 @@ def coercivity_check(
     near the boundary, so the trace terms the constant derivation relies
     on drop out exactly.  One pass holds one bump at a time and keeps
     three scalars of it; delta_h and the scale-invariant margins
-    a(v,v)/||v||_W11^2 - delta_h follow the pass, a bump of zero norm
-    having margin 0.0.
+    a(v,v)/||v||_W11^2 - delta_h follow the pass.
     """
     FINITE_POSITIVE.check("theta", theta)
     AT_LEAST_ONE.check("n_samples", n_samples)
@@ -179,7 +178,7 @@ def coercivity_check(
     # that is not first
     mu_h = SAFETY * float(np.max(mu_samples))
     delta_h = coercivity_delta(theta, mu_h)
-    margins = [0.0 if w == 0.0 else a / w - delta_h for a, w in zip(form_values, w11_sqs)]
+    margins = [a / w - delta_h for a, w in zip(form_values, w11_sqs)]
     # a NaN margin certifies nothing, so it counts as a violation
     violations = sum(1 for m in margins if not m >= 0.0)
     return StudyResult(

@@ -259,17 +259,14 @@ def project_ball(f: GridFunction, m: float, mask: RegionMask, alpha: float) -> G
     return fm * (m / n)
 
 
-def best_response(
-    cfg: GameConfig, i: int, f_other: GridFunction, trace: list[float] | None = None
-) -> tuple[GridFunction, float]:
+def best_response(cfg: GameConfig, i: int, f_other: GridFunction) -> tuple[GridFunction, float]:
     """Minimize J_i over the follower's admissible ball, holding the other
     follower fixed, by projected gradient descent with backtracking.
 
     Returns (control, residual) from every exit: the last iterate and the
     unit-step projected-gradient residual measured last, at most INNER_TOL
     exactly when the descent converged (above it, or NaN, when
-    INNER_MAX_ITERS ran out).  When given, `trace` collects the cost value
-    at every accepted iterate.
+    INNER_MAX_ITERS ran out).
     """
     region_ctrl, _, _, m = cfg.follower(i)
     alpha = cfg.grid.alpha
@@ -279,8 +276,6 @@ def best_response(
 
     f = GridFunction.zeros(cfg.grid)
     j = cost(cfg, i, *pack(f))
-    if trace is not None:
-        trace.append(j)
     step = 0.5
     residual = math.inf
     for _ in range(INNER_MAX_ITERS):
@@ -301,8 +296,6 @@ def best_response(
                 break
         if j_new <= j:
             f, j = f_new, j_new
-            if trace is not None:
-                trace.append(j)
         step = min(step * 1.25, 8.0)
     return f, residual
 

@@ -13,9 +13,10 @@ The x-part hx*hy * xc**exponent of the quadrature weights is computed once
 per (grid, exponent) and handed out as a read-only array; the one y-weight
 is the stabilizing exp(-theta*y), which takes a fresh array; a self-pairing
 weighted_inner(u, u, ...) is computed once per field, exponent > -1 and
-theta, and kept with the field as a float.  Cell averages are formed
-in a flat row layout (_cell_sums) by contiguous passes that keep the bits
-of the plain four-corner formula.
+theta, and kept with the field as a float.  Cell averages are one fresh
+(nx+1, ny+1) array (_cell_sums), formed in a flat row layout that only
+_cell_sums knows, by contiguous passes that keep the bits of the plain
+four-corner formula; quadrature forms its weighted product in that array.
 
 Each input rule is a Rule, stated once in the module that owns the input
 and checked by both the library and the config; shared ones are here.
@@ -276,47 +277,40 @@ def rect_mask(grid: Grid, x0: float, x1: float, y0: float, y1: float) -> RegionM
 
 
 def _cell_sums(u: GridFunction) -> np.ndarray:
-    """Cell averages of u in the flat row layout, in a fresh array.
+    """Cell averages of u as a fresh C-contiguous (nx+1, ny+1) array.
 
-    Cell (i, j) sits at flat index i*(ny+2) + j: rows of width ny+2, whose
-    last entry is a spare 0.0 (_cells drops it).  The nodal values are
-    copied once into a zero buffer in the same layout, padded by the
-    implicit zero boundary and one trailing zero, so the four corners of
-    every cell are the buffer shifted by 0, ny+2, 1 and ny+3 entries.
-    The sum ((a + b) + c) + d and the scale by 0.25 are contiguous 1-D
-    passes with the order of 0.25 * (a + b + c + d), so every average
-    keeps its bits.  The caller owns the result and may work in place on
-    it.
+    They are formed in a flat row layout: cell (i, j) at flat index
+    i*(ny+2) + j, rows of width ny+2 whose last entry is spare.  The nodal
+    values are copied once into a zero buffer in the same layout, padded
+    by the implicit zero boundary and one trailing zero, so the four
+    corners of every cell are the buffer shifted by 0, ny+2, 1 and ny+3
+    entries.  The sum ((a + b) + c) + d and the scale by 0.25 are
+    contiguous 1-D passes with the order of 0.25 * (a + b + c + d), so
+    every average keeps its bits.  One copy, made once the buffer is
+    freed, drops the spare column.  The caller owns the result and may
+    work in place on it.
     """
     g = u.grid
     width = g.ny + 2
     size = (g.nx + 1) * width
     buf = np.zeros(size + width + 1)
     buf[width:size].reshape(g.nx, width)[:, 1:-1] = u.values2d()
-    out = buf[:size] + buf[width : width + size]
-    out += buf[1 : size + 1]
-    out += buf[width + 1 :]
-    out *= 0.25
-    return out
+    flat = buf[:size] + buf[width : width + size]
+    flat += buf[1 : size + 1]
+    flat += buf[width + 1 :]
+    flat *= 0.25
+    del buf  # so that the copy below adds no third cell array to the peak
+    return flat.reshape(g.nx + 1, width)[:, :-1].copy()
 
 
-def _cells(flat: np.ndarray, grid: Grid) -> np.ndarray:
-    """The (nx+1, ny+1) cell view of a flat row-layout array."""
-    return flat.reshape(grid.nx + 1, grid.ny + 2)[:, :-1]
+def _quadrature(w: np.ndarray, cells: np.ndarray) -> np.float64:
+    """np.sum(w * cells), with the product formed in cells.
 
-
-def _quadrature(w: np.ndarray, flat: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.float64:
-    """np.sum(w * cells) of the cells of a flat row-layout array.
-
-    The product goes into one C-contiguous (nx+1, ny+1) array, out when
-    given (a fresh weight array may be its own, and so may a buffer that
-    no longer holds a factor), so numpy's pairwise sum sees the same array
-    as in np.sum(w * cells); ndarray.sum is that sum without np.sum's
-    dispatch.
+    cells is a C-contiguous (nx+1, ny+1) array the caller owns
+    (_cell_sums), so numpy's pairwise sum sees the same array as in
+    np.sum(w * cells); ndarray.sum is that sum without np.sum's dispatch.
     """
-    if out is None:
-        out = np.empty((grid.nx + 1, grid.ny + 1))
-    return np.multiply(w, _cells(flat, grid), out=out).sum()
+    return np.multiply(w, cells, out=cells).sum()
 
 
 @functools.lru_cache(maxsize=32)
@@ -356,18 +350,18 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: flo
     theta that is not FINITE_NONNEGATIVE, raises ValueError (cell_weights)
     on every call.  A self-pairing (v is u) with exponent > -1 is computed
     once per (exponent, theta) and kept with u (GridFunction._once); one
-    with exponent <= -1 is computed, and warns, on every call.
+    with exponent <= -1 is computed, and warns, on every call.  ub * vb
+    and then the weighted product are formed in ub's own cell array.
     """
     u._check_same_grid(v)
-    g = u.grid
-    w = cell_weights(g, exponent, theta)
+    w = cell_weights(u.grid, exponent, theta)
 
     def pairing() -> float:
-        # ub * vb first, in ub's own buffer: elementwise products commute
-        # exactly, so the pairing is symmetric to the last bit
+        # elementwise products commute exactly, so forming ub * vb in ub's
+        # array keeps the pairing symmetric to the last bit
         prod = _cell_sums(u)
         prod *= prod if v is u else _cell_sums(v)
-        if exponent <= -1.0 and np.any(_cells(prod, g)[0] != 0.0):
+        if exponent <= -1.0 and np.any(prod[0] != 0.0):
             warnings.warn(
                 f"x**({exponent}) is not integrable at x=0 and the integrand is "
                 "nonzero in the first cell column; the quadrature value does not "
@@ -375,7 +369,7 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: flo
                 DegenerateWeightWarning,
                 stacklevel=3,
             )
-        return float(_quadrature(w, prod, g, out=w if theta != 0 else None))
+        return float(_quadrature(w, prod))
 
     if v is u and exponent > -1.0:
         return u._once(("weighted_inner", exponent, theta), pairing)

@@ -131,12 +131,12 @@ def lq_norm(u: GridFunction, q: float) -> float:
     relative error of at most about (q - 1) units of round-off where pow
     rounds once (Higham 2002, sec. 3.1), so the norm, a q-th root, stays
     within about one unit of the ** formula; q = 1 keeps its bits.  Any
-    other q takes |ub|**q by one pow per cell.
+    other q takes |ub|**q by one pow per cell.  The weighted product is
+    formed in the array that holds |ub|**q.
     """
     LQ_Q.check("q", q)
     if q == 2:
         return weighted_inner(u, u, 0.0) ** 0.5
-    g = u.grid
     cells = _cell_sums(u)
     if q == int(q):
         power = _whole_power(cells, int(q))
@@ -144,9 +144,7 @@ def lq_norm(u: GridFunction, q: float) -> float:
         # |ub|**q in the averages' own buffer
         power = np.abs(cells, out=cells)
         power **= q
-    # the weighted product goes into the averages' buffer once no factor reads it
-    out = None if power is cells else cells[: (g.nx + 1) * (g.ny + 1)].reshape(g.nx + 1, g.ny + 1)
-    return float(_quadrature(cell_weights(g, 0.0), power, g, out=out) ** (1.0 / q))
+    return float(_quadrature(cell_weights(u.grid, 0.0), power) ** (1.0 / q))
 
 
 def _whole_power(cells: np.ndarray, n: int) -> np.ndarray:
@@ -156,8 +154,7 @@ def _whole_power(cells: np.ndarray, n: int) -> np.ndarray:
     into one fresh array of the same size, which it returns, and
     multiplies them by cells, which an odd n first makes |cells|.  An even
     n needs no abs: ub * ub is already non-negative, and a negative
-    product rounds as its magnitude does.  The spare zero of each row
-    stays 0.0.
+    product rounds as its magnitude does.
     """
     if n % 2:
         np.abs(cells, out=cells)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -173,14 +172,14 @@ class TestCoercivity:
         m1, m2 = coercivity_check(1.0, 2, seed=2, nx=24, ny=24).samples["margin"]
         assert m2 == pytest.approx(m1, rel=1e-10)
 
-    def test_zero_field_margin_zero(self, monkeypatch):
-        # a field of zero norm cannot reach the margins, since its Poincare
-        # sample divides by ||v_x||^2 = 0 first; norms_of reports zero instead
+    def test_zero_field_fails_in_the_poincare_sample(self, monkeypatch):
+        # a field of zero W11 norm has ||v||^2 = ||v_x||^2 = 0.0, so its
+        # Poincare sample raises before any margin divides by that norm
         import degenash.analysis as analysis
 
-        monkeypatch.setattr(analysis, "norms_of", lambda v: dataclasses.replace(norms_of(v), w11=0.0))
-        r = coercivity_check(1.0, 3, seed=2, nx=10, ny=10)
-        assert r.samples["margin"] == [0.0, 0.0, 0.0]
+        monkeypatch.setattr(analysis, "bump_from_parameters", lambda grid, p: GridFunction.zeros(grid))
+        with pytest.raises(ZeroDivisionError):
+            coercivity_check(1.0, 3, seed=2, nx=10, ny=10)
 
     def test_deterministic(self):
         a = coercivity_check(1.0, 10, seed=7, nx=16, ny=16)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -878,6 +879,17 @@ class TestMain:
 
 
 class TestScripts:
+    # `pip install .` makes the console script from this entry; CI runs it
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_console_script_names_a_callable(self):
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"degenash": "degenash.cli:main"}
+        module, _, name = scripts["degenash"].partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
+
     def test_benchmark_game_script_runs_from_source_checkout(self, tmp_path):
         script = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmark_game.py"
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

@@ -221,11 +221,28 @@ class TestBestResponse:
         out, _ = best_response(cfg, 1, zero)
         assert np.all(out.values == 0.0)
 
-    def test_monotone_descent_and_feasible_iterates(self, mini_cfg):
+    def test_monotone_descent_and_feasible_iterates(self, mini_cfg, monkeypatch):
+        # gradient runs once per outer iteration, at the iterate then held:
+        # the costs of those iterates, repeats dropped, are the accepted ones
         cfg = mini_cfg
-        trace = []
+        costs, iterates = [], []
+        cost, gradient = game_mod.cost, game_mod.gradient
+
+        def recorded_cost(cfg, i, f1, f2):
+            costs.append((f1, cost(cfg, i, f1, f2)))
+            return costs[-1][1]
+
+        def recorded_gradient(cfg, i, f1, f2):
+            if not iterates or iterates[-1] is not f1:
+                iterates.append(f1)
+            return gradient(cfg, i, f1, f2)
+
+        monkeypatch.setattr(game_mod, "cost", recorded_cost)
+        monkeypatch.setattr(game_mod, "gradient", recorded_gradient)
         f2 = feasible_random(cfg, cfg.omega2, cfg.m2, seed=31)
-        out, _ = best_response(cfg, 1, f2, trace=trace)
+        out, _ = best_response(cfg, 1, f2)
+        trace = [next(j for f, j in costs if f is f1) for f1 in iterates]
+        assert len(trace) > 1
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert control_norm(out, cfg.grid.alpha) <= cfg.m1 + 1e-12
 

@@ -22,7 +22,7 @@ import degenash.operators as operators
 from conftest import peak_bytes, random_field
 from degenash.fields import _FIELDS, FIELD_KINDS, bump_from_parameters, bump_parameter_sets, named_field
 from degenash.analysis import coercivity_check
-from degenash.grid import DegenerateWeightWarning, GridFunction, _cell_sums, _cells, build_grid, cell_weights, weighted_inner
+from degenash.grid import DegenerateWeightWarning, GridFunction, _cell_sums, _quadrature, build_grid, cell_weights, weighted_inner
 from degenash.norms import lq_norm, norms_of
 from degenash.operators import assemble, dx, dy, solve_dirichlet
 from test_golden_tables import _run
@@ -103,7 +103,7 @@ class TestBitForBit:
         g = build_grid(nx, ny, 0.5)
         u, v = signed_zero_field(g, nx), signed_zero_field(g, ny + 100)
         yw = lambda y: np.exp(-1.5 * y)
-        assert _bits(_cells(_cell_sums(u), g)) == _bits(ref_averages(u))
+        assert _bits(_cell_sums(u)) == _bits(ref_averages(u))
         assert weighted_inner(u, u, exponent) == ref_inner(u, u, exponent)
         assert weighted_inner(u, v, exponent) == ref_inner(u, v, exponent)
         assert weighted_inner(u, v, exponent, theta=1.5) == ref_inner(u, v, exponent, yw)
@@ -303,14 +303,13 @@ class TestThetaZero:
 # rounded down to two decimals so that the old kernels fail the bound.
 PARENT_PEAKS_IN_CELLS = {
     "cell_averages": 3.00,
-    "self_pairing": 3.49,
+    "quadrature": 1.98,
+    "self_pairing": 3.00,
     "pairing": 4.49,
     "y_weighted": 5.00,
-    "lq_norm_q3": 3.49,
-    # the peak of lq_norm(u, 4.0) by one pow per cell, rounded up: the
-    # products add no array
-    "lq_norm_q4": 3.00,
-    "norms_of": 5.47,
+    "lq_norm_q3": 3.00,
+    "lq_norm_q4": 2.99,
+    "norms_of": 4.98,
 }
 PARENT_PEAKS_IN_NODES = {
     "dy": 2.51,
@@ -333,8 +332,11 @@ class TestPeakAllocation:
     @pytest.mark.parametrize("name", PARENT_PEAKS_IN_CELLS)
     def test_quadrature_kernels(self, name, at_128):
         g, u, v = at_128
+        cells = _cell_sums(u)
         fn = {
-            "cell_averages": lambda: _cells(_cell_sums(u), g),
+            "cell_averages": lambda: _cell_sums(u),
+            # the weighted product alone, in a cell array made beforehand
+            "quadrature": lambda: _quadrature(cell_weights(g, 0.5), cells),
             # a fresh field, so that the second call computes: u's own memo
             # would hand back its first result
             "self_pairing": lambda: (lambda w: weighted_inner(w, w, 0.5))(GridFunction(g, u.values)),
@@ -362,9 +364,9 @@ class TestPeakAllocation:
         assert peak_bytes(fn) / (8 * g.n) < PARENT_PEAKS_IN_NODES[name]
 
 
-def test_cell_sums_keep_a_zero_spare_entry_per_row():
+# the flat row layout stays inside _cell_sums: callers get the cells alone
+def test_cell_sums_return_one_contiguous_cell_array():
     g = build_grid(5, 4, 0.5)
-    flat = grid._cell_sums(signed_zero_field(g, 1))
-    rows = flat.reshape(g.nx + 1, g.ny + 2)
-    assert flat.flags.c_contiguous and flat.size == (g.nx + 1) * (g.ny + 2)
-    assert _bits(rows[:, -1]) == _bits(np.zeros(g.nx + 1))
+    cells = _cell_sums(signed_zero_field(g, 1))
+    assert cells.shape == (g.nx + 1, g.ny + 1)
+    assert cells.flags.c_contiguous and cells.flags.owndata
