@@ -1,6 +1,6 @@
 """Verification campaigns: energy estimate, coercivity, strict inclusion,
-scheme convergence, embedding ratios, and Muckenhoupt sampling.  The caps
-a verdict is judged by are module constants, echoed in its thresholds.
+scheme convergence, embedding ratios, and a Muckenhoupt lattice panel.
+The caps a verdict is judged by are module constants, echoed in its thresholds.
 Each study checks its inputs by the Rules the config reads (grid.Rule)."""
 
 from __future__ import annotations
@@ -14,15 +14,17 @@ import numpy as np
 
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
 from .grid import AT_LEAST_ONE, FINITE_POSITIVE, GridFunction, Rule, build_grid, weighted_inner
-from .norms import EMBEDDING_Q, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
+from .norms import EMBEDDING_Q, _lattice, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
 from .operators import _check_residual, assemble, bilinear_form, dx, dy, solve_dirichlet
 
 # The Muckenhoupt panel asks the constant weight for an A_2 constant of 1,
 # and every ball product of a weight that did not diverge to be at least 1
 # (Cauchy-Schwarz), to this tolerance.  The constant weight reads exactly
 # 1.0; Cauchy-Schwarz holds up to the quadrature error of the ball
-# integrals, below 1e-12 relative, on balls that reach x = 0.
+# integrals, below 1e-12 relative, on balls that reach x = 0.  x**(1/2)
+# must read its half-disk closed form to CLOSED_FORM_TOL, relatively.
 UNIT_TOL = 1e-9
+CLOSED_FORM_TOL = 1e-10
 # Growth caps of the energy ratio and the embedding constant under
 # refinement; the coercivity check inflates its Poincare constant by SAFETY.
 RATIO_CAP = 1.2
@@ -329,29 +331,32 @@ def embedding_study(
     )
 
 
-def muckenhoupt_study(n_balls: int = 500, seed: int = 0) -> StudyResult:
-    """Three-weight A_2 (p = 2) panel: constant weight, admissible
-    degeneracy, and a non-integrable weight that must flag divergence.
-    Every weight that did not diverge must also keep each ball's product
-    avg(w) * avg(1/w) at 1 or above (Cauchy-Schwarz), to UNIT_TOL."""
-    estimates = muckenhoupt_panel((0.0, 0.5, -3.0), n_balls, seed)
-    est_unit, est_half, est_bad = estimates
+def muckenhoupt_study() -> StudyResult:
+    """Three-weight A_2 (p = 2) panel on the lattice of balls: constant
+    weight, admissible degeneracy, and a non-integrable weight that must
+    flag divergence.  x**(1/2) must read its half-disk closed form
+    B(3/4, 3/2) B(1/4, 3/2) / (pi/2)**2 = 64 / (15 pi), and each weight
+    that did not diverge a product avg(w) * avg(1/w) of 1 or above on
+    every ball (Cauchy-Schwarz), to UNIT_TOL."""
+    weights = (0.0, 0.5, -3.0)
+    estimates = muckenhoupt_panel(weights)
+    unit, half, _ = estimates
+    closed_form = 64.0 / (15.0 * math.pi)
+    n_balls = len(_lattice()[0])
     ok = (
-        abs(est_unit.constant - 1.0) <= UNIT_TOL
-        and not est_unit.diverged
-        and not est_half.diverged
-        and math.isfinite(est_half.constant)
-        and est_bad.diverged
+        abs(unit.constant - 1.0) <= UNIT_TOL
+        and abs(half.constant - closed_form) <= CLOSED_FORM_TOL * closed_form
+        and [est.diverged for est in estimates] == [False, False, True]
         and all(est.diverged or est.least >= 1.0 - UNIT_TOL for est in estimates)
     )
     return StudyResult(
         levels=[n_balls],
-        metrics={"n_balls": [float(n_balls)]},
+        metrics={"closed_form": [closed_form], "n_balls": [float(n_balls)]},
         verdict=Verdict.PASS if ok else Verdict.FAIL,
-        thresholds={"unit_tol": UNIT_TOL, "p": 2.0},
+        thresholds={"closed_form_tol": CLOSED_FORM_TOL, "unit_tol": UNIT_TOL, "p": 2.0},
         samples={
-            "weight_exponent": [0.0, 0.5, -3.0],
-            "constant": [est_unit.constant, est_half.constant, est_bad.constant],
-            "diverged": [float(est_unit.diverged), float(est_half.diverged), float(est_bad.diverged)],
+            "weight_exponent": list(weights),
+            "constant": [est.constant for est in estimates],
+            "diverged": [float(est.diverged) for est in estimates],
         },
     )

@@ -43,7 +43,7 @@ from .norms import norms_of
 from .operators import RESIDUAL_TOL, assemble, dy, solve_dirichlet, weak_form_residual
 
 COMMANDS = ("solve", "verify", "study", "game")
-SAMPLING_STUDY_KINDS = ("coercivity", "embedding", "muckenhoupt")
+SAMPLING_STUDY_KINDS = ("coercivity", "embedding")
 # Rows a table writer renders and writes at a time.
 CHUNK_ROWS = 4096
 
@@ -137,7 +137,7 @@ STUDIES = {
         "q_values": Key(_list_of(_real), [2, 3, 4], Q_VALUES),
         "n_samples": Key(_integer, 100, AT_LEAST_ONE),
     },
-    "muckenhoupt": {"n_balls": Key(_integer, 500, AT_LEAST_ONE)},
+    "muckenhoupt": {},
 }
 STUDY_KIND = Key(_text, None, Rule.one_of(STUDIES))
 
@@ -217,7 +217,7 @@ def parse_config(text: str) -> RunConfig:
 
     Each section holds only the keys its run reads (a run with levels reads
     alpha alone of the grid, a muckenhoupt study no grid); unknown keys are
-    errors.  Game, verify and the sampling studies require an explicit seed."""
+    errors.  Game, verify and the coercivity and embedding studies require an explicit seed."""
     return _parse(_mapping(text))
 
 

@@ -354,15 +354,15 @@ def nash_solve(cfg: GameConfig) -> NashResult:
 def _feasible_deviations(
     cfg: GameConfig, i: int, rng: np.random.Generator
 ) -> Iterator[GridFunction]:
-    """Yield the zero control, then DEVIATION_SAMPLES points: boundary-sphere
-    points and interior points with uniform directions and radii up to M_i
-    (each a zero control when M_i = 0, as project_ball gives).  Directions
+    """Yield the zero control, the whole feasible set when M_i = 0, and
+    otherwise DEVIATION_SAMPLES more points: boundary-sphere points and
+    interior points with uniform directions and radii up to M_i.  Directions
     are standard normal on the control region's nodes, which GameConfig
     requires to be nonempty, and zero elsewhere.  Each is drawn when the
     caller asks for it, so the caller holds one at a time."""
     region_ctrl, _, _, m = cfg.follower(i)
     yield GridFunction.zeros(cfg.grid)
-    n = DEVIATION_SAMPLES
+    n = DEVIATION_SAMPLES if m > 0.0 else 0
     nodes = region_ctrl.nodes
     for k in range(n):
         direction = rng.standard_normal(nodes.size)

@@ -1,4 +1,4 @@
-"""Weighted norms, sampled Muckenhoupt A_2 constants, and embedding ratios.
+"""Weighted norms, Muckenhoupt A_2 constants on a lattice, and embedding ratios.
 
 The data norm is the half-exponent form (integral of x**-alpha f^2)^(1/2),
 the one the energy estimate controls.  Discrete derivatives reuse the
@@ -14,8 +14,8 @@ of x**e's singularity there, so x**e, e > -1, is integrated to about
 x = 0 takes that of its (phi - phi_a)**(2e + 2), and e <= -3/2 gives
 +inf.  The rules are built by Golub-Welsch from scipy.linalg's
 tridiagonal eigensolver, once per (nodes, exponent) (_gauss_jacobi); a
-panel computes each ball's chord once for every weight and integrates its
-balls in batches of BALL_BATCH (muckenhoupt_panel).  Quadrature weights
+panel reads a fixed lattice of balls (_lattice) and computes each ball's
+chord once for every weight (muckenhoupt_panel).  Quadrature weights
 come from grid.cell_weights, which caches them per (grid, exponent).
 norms_of is computed once per field and include_mixed and kept with the
 field (GridFunction._once), so embedding_ratio norms a field once for
@@ -37,20 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grid import AT_LEAST_ONE, SEED, GridFunction, Rule, _cell_sums, _number, _quadrature, cell_weights, weighted_inner
+from .grid import GridFunction, Rule, _cell_sums, _number, _quadrature, cell_weights, weighted_inner
 from .operators import dx, dy
 
-DIAM = math.sqrt(2.0)
-# Muckenhoupt sampling: the log-uniform radius range, and the product above
-# which a weight counts as diverged.  A ball that reaches x = 0 integrates
-# x**e to +inf for e <= -1; OVERFLOW also flags the finite products such a
-# weight reads on balls just short of x = 0 (x**-3: 6e5 at a gap of 1e-4 r).
-# A_2 weights x**e stay below it for |e| <= 0.9999 (half-disks: 5.4e3).
-R_MIN, R_MAX = 1e-3, DIAM
+# The Muckenhoupt product above which a weight counts as diverged.  A ball
+# that reaches x = 0 integrates x**e to +inf for e <= -1; OVERFLOW also
+# flags the finite products such a weight reads on balls just short of
+# x = 0 (x**-3: 6e5 at a gap of 1e-4 r).  A_2 weights x**e stay below it
+# for |e| <= 0.9999 (half-disks: 5.4e3).
 OVERFLOW = 1e4
-# balls integrated per array pass of muckenhoupt_panel; a pass holds a few
-# arrays of about 2 elements per ball and GAUSS_NODES nodes per element
-BALL_BATCH = 128
 # Gauss nodes per element of a ball's angle range, and the ratio of the
 # geometric grading toward its left end, with its number of levels
 GAUSS_NODES = 16
@@ -78,7 +73,7 @@ class NormReport:
 
 @dataclass(frozen=True)
 class ApEstimate:
-    """A weight's sampled A_2 constant (the largest ball product), its
+    """A weight's A_2 constant on the lattice (the largest ball product), its
     divergence flag and its smallest ball product.  Every product is a
     product of two nonnegative averages, so neither number is negative.
     least is at least 1 by Cauchy-Schwarz: exactly on a ball whose w and
@@ -253,8 +248,8 @@ def _ball_integrals(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, exponents: tu
     (phi - phi_a)**(2e + 2) times a smooth factor, and e <= -3/2 gives
     +inf.  A ball that misses the square has phi_a = phi_b and no
     elements, so its area and integrals are 0.0.  Each element and each
-    ball is summed in its own order, so a ball's bits do not depend on its
-    batch.
+    ball is summed in its own order, so a ball's bits do not depend on the
+    other balls passed with it.
     """
     k = len(cx)
     rho = cx / r
@@ -338,45 +333,43 @@ def _head_integrals(geometry, length, e, p):
     return np.sum(values, axis=1)
 
 
-def _sample_balls(n_balls: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    cx = rng.uniform(0.0, 1.0, n_balls)
-    cy = rng.uniform(0.0, 1.0, n_balls)
-    # Log-uniform radii probe the degeneracy scale and the domain scale alike.
-    r = np.exp(rng.uniform(math.log(R_MIN), math.log(R_MAX), n_balls))
-    return cx, cy, r
+def _lattice() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The balls muckenhoupt_panel reads, as arrays (cx, cy, r): 93 balls,
+    every centre in the closed unit square.  At r = 0.1, centres
+    (rho r, sigma r) for rho = cx / r on 9 points of [0, 2] (0 on x = 0, 1
+    tangent to it) and sigma = cy / r on 5 points of [0, 1.2] (clipped by
+    y = 0 below 1); at r = 0.3, 0.7 and sqrt(2), a 4 x 4 grid of centres on
+    the square, clipped by x = 1 and y = 1 too."""
+    rho, sigma = np.repeat(np.linspace(0.0, 2.0, 9), 5), np.tile(np.linspace(0.0, 1.2, 5), 9)
+    side = np.linspace(0.0, 1.0, 4)
+    cx, cy = np.tile(np.repeat(side, 4), 3), np.tile(side, 12)
+    r = np.repeat((0.1, 0.3, 0.7, math.sqrt(2.0)), (45, 16, 16, 16))
+    return np.concatenate([0.1 * rho, cx]), np.concatenate([0.1 * sigma, cy]), r
 
 
-def muckenhoupt_panel(weight_exponents: tuple[float, ...], n_balls: int, seed: int) -> list[ApEstimate]:
-    """Sampled A_2 constant of each weight w = x**e, e in weight_exponents.
+def muckenhoupt_panel(weight_exponents: tuple[float, ...]) -> list[ApEstimate]:
+    """The A_2 constant of each weight w = x**e, e in weight_exponents: the
+    largest product (avg of w) * (avg of 1/w) over B cap Omega, B in the
+    lattice (_lattice), each ball's chord computed once for every weight.
 
-    Draws n_balls balls with centers uniform in the square and radii
-    log-uniform in [R_MIN, R_MAX], evaluates the A_2 product
-    (avg of w) * (avg of 1/w) over each B cap Omega, and returns the
-    sample supremum per weight.  All weights share one draw of the balls,
-    and each ball's chord is computed once for every weight; the balls are
-    integrated BALL_BATCH at a time (_ball_integrals), and a ball's result
-    does not depend on its batch.  Divergence is data, not an error: a
+    The lattice's half-disks on x = 0 read the half-disk closed form, and
+    no ball centred in the closed square reads more (for e = 1/2 and 0.9,
+    by 1e-13 at most on a dense scan).  A ball centred outside it can read
+    more (x**(1/2) on B((0, 1.2), 1): 1.361130, against 1.358122), so every
+    centre stays in the square.  Divergence is data, not an error: a
     weight's flag is set when any of its products exceeds OVERFLOW or is
     nonfinite, and x**e, e <= -1, is +inf on every ball that reaches
     x = 0.  least is the smallest product, at least 1 by Cauchy-Schwarz up
-    to the quadrature error (ApEstimate).  A ball that meets the square in zero area
-    has no averages: it records the product 0.0 and is left out of least
-    (inf if no ball is left).  None is drawn here, since every radius is
-    at least R_MIN and every centre lies in the square.
+    to the quadrature error (ApEstimate).  A ball that meets the square in
+    zero area, of which the lattice holds none, records the product 0.0
+    and is left out of least (inf if no ball is left).
     """
-    AT_LEAST_ONE.check("n_balls", n_balls)
-    SEED.check("seed", seed)
-    cxs, cys, rs = _sample_balls(n_balls, seed)
+    cxs, cys, rs = _lattice()
     # the integrals of w and 1/w of each weight, in that order
     exponents = tuple(x for e in weight_exponents for x in (e, -e))
-    integrals = np.empty((len(exponents), n_balls))
-    areas = np.empty(n_balls)
-    for start in range(0, n_balls, BALL_BATCH):
-        batch = slice(start, min(start + BALL_BATCH, n_balls))
-        integrals[:, batch], areas[batch] = _ball_integrals(cxs[batch], cys[batch], rs[batch], exponents)
+    integrals, areas = _ball_integrals(cxs, cys, rs, exponents)
     measured = areas > 0.0
-    w_avg = np.divide(integrals[0::2], areas, out=np.zeros((len(weight_exponents), n_balls)), where=measured)
+    w_avg = np.divide(integrals[0::2], areas, out=np.zeros((len(weight_exponents), len(areas))), where=measured)
     inv_avg = np.divide(integrals[1::2], areas, out=np.zeros_like(w_avg), where=measured)
     products = w_avg * inv_avg
     finite = np.isfinite(products)

@@ -56,8 +56,8 @@ def half_disk_constant(monkeypatch, r, e):
     """The A_2 constant muckenhoupt_panel reads for x**e when its one ball
     is the half-disk B((0, 0.5), r) cap Omega."""
     ball = (np.array([0.0]), np.array([0.5]), np.array([r]))
-    monkeypatch.setattr(norms_mod, "_sample_balls", lambda n_balls, seed: ball)
-    return norms_mod.muckenhoupt_panel((e,), 1, 0)[0].constant
+    monkeypatch.setattr(norms_mod, "_lattice", lambda: ball)
+    return norms_mod.muckenhoupt_panel((e,))[0].constant
 
 
 def half_disk_closed_form(e):

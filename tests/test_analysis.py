@@ -313,7 +313,7 @@ class TestEmbeddingStudy:
 
 class TestMuckenhouptStudy:
     def test_panel(self):
-        r = muckenhoupt_study(n_balls=200, seed=7)
+        r = muckenhoupt_study()
         assert r.verdict is Verdict.PASS
         assert r.samples["diverged"] == [0.0, 0.0, 1.0]
 

@@ -1,0 +1,23 @@
+"""The CI workflow gates every benchmark workload and runs on the Python
+the golden table digests were recorded on."""
+
+import json
+import re
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parent.parent
+JOB = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())["jobs"]["tests"]
+
+
+def test_benchmark_gate_loops_over_exactly_the_benchmark_workloads():
+    (gate,) = [step["run"] for step in JOB["steps"] if step.get("name", "").startswith("Benchmark gate")]
+    looped = re.search(r"for workload in ([^;]+);", gate)[1].split()
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert sorted(looped) == sorted(declared)
+
+
+def test_matrix_runs_the_python_the_golden_digests_were_recorded_on():
+    # tests/test_golden_tables.py's digests were recorded on Python 3.11
+    assert "3.11" in JOB["strategy"]["matrix"]["python-version"]

@@ -36,7 +36,7 @@ STUDY_KEYS = {
     "coercivity": {"theta", "n_samples"},
     "inclusion": {"levels"},
     "embedding": {"levels", "q_values", "n_samples"},
-    "muckenhoupt": {"n_balls"},
+    "muckenhoupt": set(),
 }
 
 # Small, fast study configs, one per kind.
@@ -46,7 +46,7 @@ SMALL_STUDIES = {
     "coercivity": "grid: {nx: 12, ny: 12, alpha: 0.5}\nstudy: {kind: coercivity, n_samples: 6}",
     "inclusion": "grid: {alpha: 0.5}\nstudy: {kind: inclusion, levels: [16, 32, 48]}",
     "embedding": "grid: {alpha: 0.5}\nstudy: {kind: embedding, levels: [8, 16], n_samples: 4}",
-    "muckenhoupt": "study: {kind: muckenhoupt, n_balls: 20}",
+    "muckenhoupt": "study: {kind: muckenhoupt}",
 }
 
 
@@ -127,6 +127,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(text)
 
+    def test_muckenhoupt_study_needs_no_seed(self):
+        # the panel reads a fixed lattice of balls, not a draw
+        assert parse_config("command: study\nstudy: {kind: muckenhoupt}\n").seed == 0
+
     def test_unknown_study_kind(self):
         with pytest.raises(ConfigError, match="study.kind"):
             parse_config("command: study\nstudy: {kind: nonsense}")
@@ -206,13 +210,14 @@ class TestParseConfig:
             pytest.param(MINIMAL_SOLVE.replace("sinsin}", "sinsin, scale: 2}"), "solve.f.scale", id="solve-field"),
             pytest.param(MINIMAL_SOLVE + "  tol: 1.0e-9\n  maxiter: 5\n", "solve.maxiter", id="solve"),
             pytest.param("command: verify\nverify: {n_test_functon: 3}\n", "verify.n_test_functon", id="verify"),
-            pytest.param(STUDY.format("convergence, n_balls: 5"), "study.n_balls", id="convergence"),
+            pytest.param(STUDY.format("convergence, n_samples: 5"), "study.n_samples", id="convergence"),
             pytest.param(STUDY.format("energy, manufactured: poly"), "study.manufactured", id="energy"),
             pytest.param(STUDY.format("coercivity, n_sample: 5"), "study.n_sample", id="coercivity-misspelt"),
             pytest.param(STUDY.format("coercivity, levels: [16, 32]"), "study.levels", id="coercivity"),
             pytest.param(STUDY.format("inclusion, q_values: [2]"), "study.q_values", id="inclusion"),
             pytest.param(STUDY.format("embedding, safety: 2.0"), "study.safety", id="embedding"),
             pytest.param(STUDY.format("muckenhoupt, levels: [16]"), "study.levels", id="muckenhoupt"),
+            pytest.param(STUDY.format("muckenhoupt, n_balls: 500"), "study.n_balls", id="muckenhoupt-n_balls"),
             pytest.param(GAME + "  inner_max_iters: 5\n", "game.inner_max_iters", id="game-unsettable"),
             pytest.param(GAME + "  br_tol: 1.0e-8\n", "game.br_tol", id="game-br_tol"),
             pytest.param(GAME + "  deviation_samples: 200\n", "game.deviation_samples", id="game-deviation_samples"),
@@ -523,7 +528,7 @@ class TestRun:
         "embedding": (
             "embedding_study", {"levels": [8, 16], "q_values": [2.0, 3.0, 4.0], "n_samples": 4, "alpha": 0.5, "seed": 2},
         ),
-        "muckenhoupt": ("muckenhoupt_study", {"n_balls": 20, "seed": 2}),
+        "muckenhoupt": ("muckenhoupt_study", {}),
     }
 
     @pytest.mark.parametrize("kind", DISPATCH)
@@ -551,7 +556,7 @@ class TestRun:
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "muckenhoupt_study", boom)
-        cfg = parse_config("command: study\nseed: 1\nstudy: {kind: muckenhoupt, n_balls: 10}\n")
+        cfg = parse_config("command: study\nstudy: {kind: muckenhoupt}\n")
         cfg.output_dir = str(tmp_path)
         with pytest.raises(RuntimeError, match="synthetic failure"):
             run(cfg)
@@ -571,7 +576,7 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_muckenhoupt_tables_byte_identical(self, tmp_path):
-        text = "command: study\nseed: 11\nstudy: {kind: muckenhoupt, n_balls: 100}\n"
+        text = "command: study\nstudy: {kind: muckenhoupt}\n"
         self._run_twice(text, tmp_path, ["study_levels.tsv", "study_samples.tsv"])
 
     def test_coercivity_tables_byte_identical(self, tmp_path):
@@ -842,7 +847,9 @@ class TestMain:
         assert "study.levels after --level-override 32" in err and "PLATEAU_FROM = 32, got [16, 32]" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("run", ["game", "verify", *cli_mod.SAMPLING_STUDY_KINDS])
+    # a muckenhoupt study needs no seed, but still takes --seed, which
+    # perfbench/run.py passes to every study alike
+    @pytest.mark.parametrize("run", ["game", "verify", *cli_mod.SAMPLING_STUDY_KINDS, "muckenhoupt"])
     def test_seed_flag_is_the_explicit_seed(self, tmp_path, run):
         if run == "game":
             text, flags = GAME, ["--level-override", "12"]
@@ -869,7 +876,7 @@ class TestMain:
 
     def test_seed_override(self, tmp_path):
         p = tmp_path / "study.yaml"
-        p.write_text("command: study\nseed: 1\nstudy: {kind: muckenhoupt, n_balls: 50}\n")
+        p.write_text(small_study("coercivity"))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["study", "--config", str(p), "--out", str(out_a), "--seed", "42"])
         main(["study", "--config", str(p), "--out", str(out_b), "--seed", "43"])

@@ -568,6 +568,17 @@ class TestCertify:
         )
         assert certify(cfg, z, z) == (False, -math.inf)
 
+    def test_zero_radius_costs_one_deviation_per_follower(self, monkeypatch):
+        # with M_i = 0 the zero control is the whole feasible set: one cost
+        # at the candidate and one at the zero control per follower
+        cfg = shipped_game(n=16, m1=0.0, m2=0.0)
+        z = GridFunction.zeros(cfg.grid)
+        calls = []
+        counted = game_mod.cost
+        monkeypatch.setattr(game_mod, "cost", lambda *args: calls.append(args) or counted(*args))
+        assert certify(cfg, z, z) == (True, 0.0)
+        assert len(calls) == 4
+
     def test_overflowing_deviation_passes(self):
         # deviations of norm 1e200 cost inf, a margin of +inf: worse for
         # the follower, so the equilibrium of radius 1 certifies again

@@ -51,8 +51,8 @@ DIGESTS = {
         "study_levels.tsv": "804b9e2dcb224712eb299db157f47a06e619d9a8ec6c379ef541192554141839",
     },
     "study_muckenhoupt": {
-        "study_levels.tsv": "7174cd6112d2742641c8ff101da2c08fcc940269a4823a4bf461a98a0867246f",
-        "study_samples.tsv": "d84a693914fb4a6e827641743b356878ecd4d8c33afd56ff699169988765d31b",
+        "study_levels.tsv": "4f060a581959ade02c1335578a80c8d65329a4a10b99fe96dbf2958becb33b84",
+        "study_samples.tsv": "8522aee21ab32df5f0b3affe94d46f3e849b7c8cd90ff4ad3e461098d54ed1ff",
     },
     "verify_weak_form": {
         "verify_residuals.tsv": "7be5b8ea2338d9837d81ebb70bcbfd3d7afb5dbcf19db8d63482569287ce355e",
@@ -176,12 +176,14 @@ RESULTS = {
     },
     "study_muckenhoupt": {
         "kind": "muckenhoupt",
-        "levels": [500],
+        "levels": [93],
         "metrics": {
-            "n_balls": [500.0],
+            "closed_form": [1.3581221810508404],
+            "n_balls": [93.0],
         },
         "observed_orders": [],
         "thresholds": {
+            "closed_form_tol": 1e-10,
             "p": 2.0,
             "unit_tol": 1e-09,
         },

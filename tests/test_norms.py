@@ -255,12 +255,22 @@ def tangent_reference(ball, e):
     return 0.5 * whole if cy == 0.0 else whole
 
 
-def _one_ball_at_a_time(weight_exponents, n_balls, seed):
-    """muckenhoupt_panel's estimates from _ball_integrals of each ball alone."""
+def _draw(n_balls, seed):
+    """A seeded draw of generic balls: centres uniform in the square, radii
+    log-uniform in [1e-3, sqrt(2)], for the checks that need balls beyond
+    the lattice."""
+    rng = np.random.default_rng(seed)
+    cx, cy = rng.uniform(0.0, 1.0, n_balls), rng.uniform(0.0, 1.0, n_balls)
+    return cx, cy, np.exp(rng.uniform(math.log(1e-3), math.log(math.sqrt(2.0)), n_balls))
+
+
+def _one_ball_at_a_time(weight_exponents, balls):
+    """muckenhoupt_panel's estimates on balls from _ball_integrals of each ball alone."""
     exponents = tuple(x for e in weight_exponents for x in (e, -e))
+    n_balls = len(balls[0])
     products = np.empty((len(weight_exponents), n_balls))
     measured = np.empty(n_balls, dtype=bool)
-    for k, ball in enumerate(zip(*norms_mod._sample_balls(n_balls, seed))):
+    for k, ball in enumerate(zip(*balls)):
         integrals, (area,) = norms_mod._ball_integrals(*(np.array([v]) for v in ball), exponents)
         measured[k] = area > 0.0
         for w, (w_int, inv_int) in enumerate(zip(integrals[::2, 0], integrals[1::2, 0])):
@@ -275,67 +285,74 @@ def _one_ball_at_a_time(weight_exponents, n_balls, seed):
     return estimates
 
 
+def _products(balls, e):
+    """avg(x**e) * avg(x**-e) on each of balls."""
+    integrals, areas = norms_mod._ball_integrals(*balls, (e, -e))
+    return (integrals[0] / areas) * (integrals[1] / areas)
+
+
 class TestMuckenhoupt:
     def test_unit_weight_constant_one(self):
         # the area is the e = 0 integral bit for bit, so every product is 1.0
-        (est,) = muckenhoupt_panel((0.0,), 200, seed=1)
+        (est,) = muckenhoupt_panel((0.0,))
         assert est.constant == est.least == 1.0
         assert not est.diverged
 
     def test_admissible_degenerate_weight(self):
-        (est,) = muckenhoupt_panel((0.5,), 500, seed=2)
+        (est,) = muckenhoupt_panel((0.5,))
         assert math.isfinite(est.constant) and not est.diverged
         assert est.constant >= 1.0  # Cauchy-Schwarz on nonconstant weight
 
     def test_non_integrable_weight_flags_divergence(self):
-        (est,) = muckenhoupt_panel((-3.0,), 500, seed=3)
+        (est,) = muckenhoupt_panel((-3.0,))
         assert est.diverged
 
-    def test_deterministic_given_seed(self):
-        a = muckenhoupt_panel((0.5,), 100, seed=9)
-        b = muckenhoupt_panel((0.5,), 100, seed=9)
-        assert a == b
-
     @pytest.mark.parametrize("exponents, seed", [((0.0, 0.5, -3.0), 0), ((0.5,), 4), ((-0.0, 1.5, 0.5), 11)])
-    def test_panel_equals_one_weight_at_a_time(self, exponents, seed):
-        panel = muckenhoupt_panel(exponents, 60, seed)
-        assert panel == [muckenhoupt_panel((e,), 60, seed)[0] for e in exponents]
+    def test_panel_equals_one_weight_at_a_time(self, monkeypatch, exponents, seed):
+        monkeypatch.setattr(norms_mod, "_lattice", lambda: _draw(60, seed))
+        panel = muckenhoupt_panel(exponents)
+        assert panel == [muckenhoupt_panel((e,))[0] for e in exponents]
 
     @pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0, -0.5])
     def test_every_ball_product_at_least_one(self, exponent):
         # Cauchy-Schwarz: avg(w) * avg(1/w) >= 1, exactly for a ball whose
         # w and 1/w share one rule, and up to the quadrature error otherwise
-        (est,) = muckenhoupt_panel((exponent,), 300, seed=5)
+        (est,) = muckenhoupt_panel((exponent,))
         assert 1.0 - 1e-12 <= est.least <= est.constant
 
     def test_zero_area_ball_records_zero_and_is_left_out_of_least(self, monkeypatch):
-        # a ball centred at x = 5 misses the square; the sampler never draws one
+        # a ball centred at x = 5 misses the square; the lattice holds none
         balls = (np.array([0.5, 5.0]), np.array([0.5, 0.5]), np.array([0.1, 0.1]))
-        monkeypatch.setattr(norms_mod, "_sample_balls", lambda n_balls, seed: balls)
-        (est,) = muckenhoupt_panel((0.5,), 2, seed=0)
-        (alone,) = muckenhoupt_panel((0.5,), 1, seed=0)  # reads the first ball only
+        monkeypatch.setattr(norms_mod, "_lattice", lambda: balls)
+        (est,) = muckenhoupt_panel((0.5,))
+        monkeypatch.setattr(norms_mod, "_lattice", lambda: tuple(a[:1] for a in balls))
+        (alone,) = muckenhoupt_panel((0.5,))
         assert est.least == est.constant == alone.constant > 1.0
-        monkeypatch.setattr(norms_mod, "_sample_balls", lambda n_balls, seed: tuple(a[1:] for a in balls))
-        (none,) = muckenhoupt_panel((0.5,), 1, seed=0)
+        monkeypatch.setattr(norms_mod, "_lattice", lambda: tuple(a[1:] for a in balls))
+        (none,) = muckenhoupt_panel((0.5,))
         assert (none.constant, none.least, none.diverged) == (0.0, math.inf, False)
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     @pytest.mark.parametrize("n_balls", [1, 7, 8, 9, 17, 500])
-    def test_batched_panel_equals_per_ball_reference(self, n_balls, seed):
-        # a ball's integrals keep their bits alone, in one batch of the
-        # whole draw and in the panel's full and partial batches
+    def test_batched_panel_equals_per_ball_reference(self, monkeypatch, n_balls, seed):
+        # a ball's integrals keep their bits alone and in one call on the
+        # whole draw, and the panel on the draw reads them
         exponents = (0.0, 0.5, -3.0)
-        balls = norms_mod._sample_balls(n_balls, seed)
+        balls = _draw(n_balls, seed)
         integrals, areas = norms_mod._ball_integrals(*balls, (0.5, -0.5, -3.0, 3.0))
         for k, ball in enumerate(zip(*balls)):
             alone, area = norms_mod._ball_integrals(*(np.array([v]) for v in ball), (0.5, -0.5, -3.0, 3.0))
             assert (integrals[:, k].tobytes(), areas[k].tobytes()) == (alone[:, 0].tobytes(), area.tobytes())
-        assert muckenhoupt_panel(exponents, n_balls, seed) == _one_ball_at_a_time(exponents, n_balls, seed)
+        monkeypatch.setattr(norms_mod, "_lattice", lambda: balls)
+        assert muckenhoupt_panel(exponents) == _one_ball_at_a_time(exponents, balls)
 
     def test_ball_integrals_equal_per_ball_reference(self):
-        # the shipped draw and EDGE_BALLS, each integral within 1e-9 of
-        # adaptive quad; the area is the e = 0 integral bit for bit
-        cx, cy, r = (np.concatenate([a, b]) for a, b in zip(norms_mod._sample_balls(500, 7), zip(*EDGE_BALLS)))
+        # the lattice less its balls tangent to x = 0 (TANGENT_BALLS' tests
+        # cover those), a seeded draw and EDGE_BALLS, each integral within
+        # 1e-9 of adaptive quad; the area is the e = 0 integral bit for bit
+        lattice = norms_mod._lattice()
+        lattice = tuple(a[lattice[0] != lattice[2]] for a in lattice)
+        cx, cy, r = (np.concatenate(a) for a in zip(lattice, _draw(500, 7), zip(*EDGE_BALLS)))
         integrals, areas = norms_mod._ball_integrals(cx, cy, r, REFERENCE_EXPONENTS)
         assert integrals.shape == (len(REFERENCE_EXPONENTS), len(cx)) and areas.shape == (len(cx),)
         assert areas.tobytes() == integrals[-1].tobytes()
@@ -372,10 +389,11 @@ class TestMuckenhoupt:
         assert value[0] == math.inf
 
     def test_panel_loads_no_scipy_special_integrate_or_sparse(self):
-        # the Gauss rules come from scipy.linalg, which the solves load anyway
+        # the Gauss rules come from scipy.linalg, which the solves load
+        # anyway, and the study's closed form from math.gamma
         code = (
             "import sys, degenash, degenash.cli\n"
-            "degenash.norms.muckenhoupt_panel((0.0, 0.5, -3.0), 10, 1)\n"
+            "assert degenash.analysis.muckenhoupt_study().verdict == 'pass'\n"
             "loaded = [m for m in ('scipy.special', 'scipy.integrate', 'scipy.sparse') if m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
@@ -393,23 +411,36 @@ class TestMuckenhoupt:
             for m in range(2 * n):
                 assert np.sum(weights * nodes**m) == pytest.approx(1.0 / (e + m + 1.0), rel=1e-12)
 
-    def test_traced_peak_is_bounded_by_the_batch(self):
-        # one batch of balls and four: the four-batch panel adds no element
-        # arrays, only its per-ball results (under 32 floats a ball)
-        one, four = norms_mod.BALL_BATCH, 4 * norms_mod.BALL_BATCH
-        peaks = [peak_bytes(lambda: muckenhoupt_panel((0.0, 0.5, -3.0), n, seed=7)) for n in (one, four)]
-        assert max(peaks) < 1_000_000
-        assert peaks[1] - peaks[0] < 8 * 32 * (four - one)
+    def test_traced_peak_is_bounded(self):
+        # one call of _ball_integrals on the whole lattice, about 2 elements
+        # a ball of GAUSS_NODES nodes each
+        assert peak_bytes(lambda: muckenhoupt_panel((0.0, 0.5, -3.0))) < 400_000
 
-    def test_panel_needs_a_ball(self):
-        with pytest.raises(ValueError, match="n_balls must be at least 1"):
-            muckenhoupt_panel((0.5,), 0, 1)
+    def test_lattice_is_at_most_128_balls_centred_in_the_closed_square(self):
+        cx, cy, r = norms_mod._lattice()
+        assert 0 < len(cx) <= 128 and cx.shape == cy.shape == r.shape
+        assert np.all((0.0 <= cx) & (cx <= 1.0) & (0.0 <= cy) & (cy <= 1.0) & (r > 0.0))
 
-    # p = 2 names the class muckenhoupt_panel samples; it is kept in the case id
-    @pytest.mark.parametrize(
-        "exponent, p, n_balls, seed, constant",
-        [(0.5, 2.0, 100, 9, 1.3426697003336598)],
-    )
-    def test_golden_constant(self, exponent, p, n_balls, seed, constant):
-        # recorded when the Gauss rules came from Golub-Welsch
-        assert muckenhoupt_panel((exponent,), n_balls, seed=seed)[0].constant == constant
+    @pytest.mark.parametrize("e", [0.5, 0.9])
+    def test_lattice_constant_is_the_closed_form(self, e):
+        (est,) = muckenhoupt_panel((e,))
+        assert est.constant == pytest.approx(half_disk_closed_form(e), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("e", [0.5, 0.9])
+    def test_no_ball_centred_in_the_square_exceeds_the_closed_form(self, e):
+        # 21 x 21 centres on the closed square at 20 radii log-spaced in
+        # [1e-3, sqrt(2)]: the lattice's maximum is the supremum
+        side, radii = np.linspace(0.0, 1.0, 21), np.geomspace(1e-3, math.sqrt(2.0), 20)
+        balls = tuple(a.ravel() for a in np.meshgrid(side, side, radii, indexing="ij"))
+        assert np.max(_products(balls, e)) <= half_disk_closed_form(e) * (1.0 + 1e-12)
+
+    def test_ball_centred_outside_the_square_exceeds_the_closed_form(self):
+        # why the lattice keeps its centres in the closed square
+        (product,) = _products((np.array([0.0]), np.array([1.2]), np.array([1.0])), 0.5)
+        assert round(product, 6) == 1.361130 > half_disk_closed_form(0.5)
+
+    # p = 2 names the class muckenhoupt_panel reads; it is kept in the case id
+    @pytest.mark.parametrize("exponent, p, constant", [(0.5, 2.0, 1.3581221810508404)])
+    def test_golden_constant(self, exponent, p, constant):
+        # recorded when the panel first read the lattice
+        assert muckenhoupt_panel((exponent,))[0].constant == constant

@@ -10,7 +10,6 @@ import pytest
 import degenash.analysis as analysis
 import degenash.cli as cli
 import degenash.game as game
-import degenash.norms as norms
 import degenash.operators as operators
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -21,7 +20,6 @@ CONSTANTS = {
     **dict.fromkeys(("RATIO_CAP", "SAFETY", "GROWTH_CAP", "ORDER_THRESHOLD", "PLATEAU_TOL", "PLATEAU_FROM"), analysis),
     "RESIDUAL_TOL": operators,
     "CHUNK_ROWS": cli,
-    "BALL_BATCH": norms,
 }
 
 

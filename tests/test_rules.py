@@ -24,13 +24,12 @@ from degenash.analysis import (
     convergence_study,
     embedding_study,
     energy_estimate_study,
-    muckenhoupt_study,
     strict_inclusion_demo,
 )
 from degenash.cli import ConfigError, parse_config
 from degenash.fields import bump_parameter_sets, manufactured_pair, named_field
 from degenash.grid import GridFunction, build_grid, cell_weights, rect_mask, weighted_inner
-from degenash.norms import lq_norm, muckenhoupt_panel
+from degenash.norms import lq_norm
 from degenash.operators import assemble, solve_dirichlet
 
 SOLVE = {"command": "solve", "grid": {"nx": 16, "ny": 16, "alpha": 0.5}, "solve": {"f": {"kind": "sinsin"}}}
@@ -89,10 +88,6 @@ CASES = {
         study("embedding"), "study.n_samples", 0, lambda v: embedding_study(levels=[8, 16], n_samples=v),
         "n_samples", grid.AT_LEAST_ONE,
     ),
-    "n_balls": (
-        study("muckenhoupt"), "study.n_balls", 0, lambda v: muckenhoupt_panel((0.5,), v, 1), "n_balls",
-        grid.AT_LEAST_ONE,
-    ),
     "q_values": (
         study("embedding"), "study.q_values", [2.0, 2.0], lambda v: embedding_study(levels=[8, 16], q_values=v),
         "q_values", analysis.Q_VALUES,
@@ -101,7 +96,6 @@ CASES = {
     "seed-bumps": (
         study("coercivity"), "seed", -1, lambda v: coercivity_check(1.0, 2, seed=v, nx=8, ny=8), "seed", grid.SEED,
     ),
-    "seed-balls": (study("muckenhoupt"), "seed", -1, lambda v: muckenhoupt_panel((0.5,), 5, v), "seed", grid.SEED),
     "m1": (
         GAME, "game.m1", -1.0, lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1",
         grid.FINITE_NONNEGATIVE,
@@ -134,7 +128,9 @@ def test_config_and_library_reject_by_one_rule(case):
 
 
 @pytest.mark.parametrize("seed", [True, 1.5])
-@pytest.mark.parametrize("call", [lambda s: bump_parameter_sets(2, s), lambda s: muckenhoupt_study(n_balls=5, seed=s)])
+@pytest.mark.parametrize(
+    "call", [lambda s: bump_parameter_sets(2, s), lambda s: dataclasses.replace(shipped_game(n=16), seed=s)]
+)
 def test_seed_rule_rejects_what_numpy_would_take_or_misname(call, seed):
     # numpy seeds with True as with 1, and fails on 1.5 with its own TypeError
     with pytest.raises(ValueError, match=f"^seed {grid.SEED.text}, got {seed!r}$"):
@@ -149,7 +145,6 @@ BOOLEANS = {
     "amplitude": (lambda v: named_field(G, "sinsin", v), "amplitude", grid.FINITE),
     "theta": (lambda v: weighted_inner(ONE, ONE, 0.0, theta=v), "theta", grid.FINITE_NONNEGATIVE),
     "n_samples": (lambda v: coercivity_check(1.0, v, seed=1, nx=8, ny=8), "n_samples", grid.AT_LEAST_ONE),
-    "n_balls": (lambda v: muckenhoupt_study(n_balls=v, seed=1), "n_balls", grid.AT_LEAST_ONE),
     "m1": (lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1", grid.FINITE_NONNEGATIVE),
     "q": (lambda v: lq_norm(ONE, v), "q", norms.LQ_Q),
     "exponent": (lambda v: cell_weights(G, v), "exponent", grid.FINITE),
@@ -207,7 +202,6 @@ SHARED = {
     "coercivity.n_samples": (cli.STUDIES["coercivity"]["n_samples"].rule, grid.AT_LEAST_ONE),
     "embedding.n_samples": (cli.STUDIES["embedding"]["n_samples"].rule, grid.AT_LEAST_ONE),
     "embedding.q_values": (cli.STUDIES["embedding"]["q_values"].rule, analysis.Q_VALUES),
-    "muckenhoupt.n_balls": (cli.STUDIES["muckenhoupt"]["n_balls"].rule, grid.AT_LEAST_ONE),
 }
 
 

@@ -132,7 +132,7 @@ def test_muckenhoupt_fails_the_product_of_w_with_itself(monkeypatch):
     # the (e, e) mutant: avg(w) * avg(w) in place of avg(w) * avg(1/w).
     # Every constant it reports looks plausible (x^0.5 gives at most 1,
     # x^-3 still diverges); only the Cauchy-Schwarz floor of 1 sees it.
-    assert muckenhoupt_study(n_balls=500, seed=7).verdict == Verdict.PASS
+    assert muckenhoupt_study().verdict == Verdict.PASS
     ball_integrals = norms_mod._ball_integrals
 
     def same_sign(cx, cy, r, exponents):
@@ -140,7 +140,7 @@ def test_muckenhoupt_fails_the_product_of_w_with_itself(monkeypatch):
         return ball_integrals(cx, cy, r, tuple(e for e in exponents[::2] for _ in (0, 1)))
 
     monkeypatch.setattr(norms_mod, "_ball_integrals", same_sign)
-    assert muckenhoupt_study(n_balls=500, seed=7).verdict == Verdict.FAIL
+    assert muckenhoupt_study().verdict == Verdict.FAIL
 
 
 def midpoint_ball_integrals(cx, cy, r, exponents):
@@ -167,3 +167,10 @@ def test_half_disk_anchor_fails_the_midpoint_rule(monkeypatch, r, e):
     assert not math.isclose(constant, half_disk_closed_form(e), rel_tol=1e-10)
     if (r, e) == (0.01, 0.5):
         assert round(constant, 6) == 1.347739 and round(half_disk_closed_form(e), 6) == 1.358122
+
+
+def test_muckenhoupt_fails_the_midpoint_rule(monkeypatch):
+    # the midpoint rule reads x^(1/2) below its closed form on the
+    # lattice's half-disks, and on no ball above it
+    monkeypatch.setattr(norms_mod, "_ball_integrals", midpoint_ball_integrals)
+    assert muckenhoupt_study().verdict == Verdict.FAIL
