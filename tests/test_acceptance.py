@@ -11,6 +11,7 @@ import pytest
 
 from conftest import shipped_game
 from degenash.analysis import (
+    W11_EXACT,
     Verdict,
     coercivity_check,
     convergence_study,
@@ -112,10 +113,14 @@ def test_criterion_4_strict_inclusion():
     ]
     assert all(s <= 0.05 for s in steps), f"w11 refinement steps {steps}"
     assert all(b > a for a, b in zip(dy, dy[1:])), f"dy series not strictly increasing: {dy}"
+    gaps = [W11_EXACT - w for w in w11]
+    assert all(g > 0.0 for g in gaps), f"w11 {w11} not below W11_EXACT = {W11_EXACT}"
+    assert all(b < a for a, b in zip(gaps, gaps[1:])), f"gaps to W11_EXACT do not shrink: {gaps}"
     assert r.verdict is Verdict.PASS
     print(
         "\nACCEPTANCE 4 (strict inclusion): PASS "
-        f"[w11 steps from 32: {['%.3f' % s for s in steps]}, dy {dy[0]:.3f}->{dy[-1]:.3f}]"
+        f"[w11 steps from 32: {['%.3f' % s for s in steps]}, gap to W11_EXACT {gaps[0]:.3f}->{gaps[-1]:.3f}, "
+        f"dy {dy[0]:.3f}->{dy[-1]:.3f}]"
     )
 
 

@@ -5,6 +5,7 @@ from scipy import integrate
 
 from conftest import peak_bytes
 from degenash.analysis import (
+    W11_EXACT,
     StudyResult,
     Verdict,
     coercivity_check,
@@ -16,7 +17,6 @@ from degenash.analysis import (
     stabilized_form_value,
     strict_inclusion_demo,
 )
-from degenash.cli import ConfigError, parse_config
 from degenash.fields import named_field
 from degenash.grid import GridFunction, build_grid
 from degenash.norms import l2_weighted_norm, norms_of
@@ -230,30 +230,6 @@ class TestStrictInclusion:
         with pytest.raises(ValueError, match="levels"):
             strict_inclusion_demo([64])
 
-    def test_levels_without_a_plateau_step_rejected(self, monkeypatch):
-        # the verdict checks the steps from level PLATEAU_FROM = 32 on, and
-        # [8, 16, 24] has none; it is rejected before any work
-        import degenash.analysis as analysis
-
-        monkeypatch.setattr(analysis, "build_grid", lambda *args: pytest.fail("built a grid"))
-        with pytest.raises(ValueError, match=r"^levels .*the second-to-last at least PLATEAU_FROM = 32, got"):
-            strict_inclusion_demo([8, 16, 24])
-
-    @pytest.mark.parametrize("added", [1000, 17], ids=["from-1000", "from-17"])
-    def test_inputs_the_config_rejects_are_rejected(self, monkeypatch, added):
-        # a level of 1000 or 17 added to [8, 16, 24] leaves the second-to-last
-        # level below PLATEAU_FROM = 32, so no step is checked (a finest level
-        # above 32 is not enough); the library rejects what the config
-        # rejects, before any work
-        import degenash.analysis as analysis
-
-        levels = sorted([8, 16, 24, added])
-        with pytest.raises(ConfigError, match=r"^study.levels: "):
-            parse_config(f"command: study\nseed: 1\ngrid: {{alpha: 0.5}}\nstudy: {{kind: inclusion, levels: {levels}}}\n")
-        monkeypatch.setattr(analysis, "build_grid", lambda *args: pytest.fail("built a grid"))
-        with pytest.raises(ValueError, match=rf"^levels .*PLATEAU_FROM = 32, got \[{', '.join(map(str, levels))}\]"):
-            strict_inclusion_demo(levels)
-
     def test_no_levels_rejected(self):
         with pytest.raises(ValueError, match="levels"):
             strict_inclusion_demo([])
@@ -268,6 +244,17 @@ class TestStrictInclusion:
         assert r.verdict is Verdict.PASS
         dy = r.metrics["dy_l2"]
         assert dy[0] < dy[1] < dy[2]
+
+    def test_w11_exact_is_the_1d_integral(self):
+        # W11^2 of (x^2+y)^(1/4) at alpha = 1/2, with the y-integrals done
+        # in closed form
+        def integrand(x):
+            return (2 / 3) * ((1 + x**2) ** 1.5 - x**3) + 2 * (x**2 / 4 + math.sqrt(x) / 16) * (
+                1 / x - (1 + x**2) ** -0.5
+            )
+
+        w11_sq, _ = integrate.quad(integrand, 0, 1)
+        assert math.sqrt(w11_sq) == pytest.approx(W11_EXACT, rel=1e-12)
 
 
 class TestEmbeddingStudy:

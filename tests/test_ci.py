@@ -1,8 +1,10 @@
 """The CI workflow gates every benchmark workload and runs on the Python
-the golden table digests were recorded on."""
+the golden table digests were recorded on, and its lowest Python is the
+package's floor."""
 
 import json
 import re
+import tomllib
 from pathlib import Path
 
 import yaml
@@ -21,3 +23,9 @@ def test_benchmark_gate_loops_over_exactly_the_benchmark_workloads():
 def test_matrix_runs_the_python_the_golden_digests_were_recorded_on():
     # tests/test_golden_tables.py's digests were recorded on Python 3.11
     assert "3.11" in JOB["strategy"]["matrix"]["python-version"]
+
+
+def test_lowest_matrix_python_is_the_requires_python_floor():
+    floor = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    lowest = min(JOB["strategy"]["matrix"]["python-version"], key=lambda v: tuple(map(int, v.split("."))))
+    assert floor == f">={lowest}"

@@ -170,8 +170,7 @@ RESULTS = {
         },
         "observed_orders": [],
         "thresholds": {
-            "plateau_from": 32,
-            "plateau_tol": 0.05,
+            "w11_exact": 1.0837663899276186,
         },
     },
     "study_muckenhoupt": {

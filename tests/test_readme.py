@@ -17,7 +17,7 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 # Each constant whose value the README states as `NAME = value`.
 CONSTANTS = {
     **dict.fromkeys(("BR_TOL", "BR_MAX_ITERS", "INNER_TOL", "INNER_MAX_ITERS", "DEVIATION_SAMPLES"), game),
-    **dict.fromkeys(("RATIO_CAP", "SAFETY", "GROWTH_CAP", "ORDER_THRESHOLD", "PLATEAU_TOL", "PLATEAU_FROM"), analysis),
+    **dict.fromkeys(("RATIO_CAP", "SAFETY", "GROWTH_CAP", "ORDER_THRESHOLD", "W11_EXACT"), analysis),
     "RESIDUAL_TOL": operators,
     "CHUNK_ROWS": cli,
 }
@@ -34,9 +34,8 @@ def test_readme_states_the_constant_in_the_code(name):
 
 
 def least_levels(rule) -> int:
-    """The fewest strictly increasing levels the rule accepts, probed from
-    32 up so that the inclusion study's plateau step is there."""
-    return next(n for n in range(10) if rule.holds([32 * (k + 1) for k in range(n)]))
+    """The fewest strictly increasing levels the rule accepts."""
+    return next(n for n in range(10) if rule.holds(list(range(2, 2 + n))))
 
 
 def test_readme_states_each_studys_least_levels():

@@ -1,6 +1,6 @@
 """Every verdict that consumes the Dirichlet solve must fail a wrong solve,
-and the Muckenhoupt verdict and its closed-form anchor must fail a wrong
-A_2 product.
+the Muckenhoupt verdict and its closed-form anchor must fail a wrong
+A_2 product, and the inclusion verdict must fail a wrong W11 norm.
 
 Each wrong solver replaces solve_dirichlet where the studies and the CLI
 look it up; the verify, convergence and energy verdicts must then all
@@ -10,6 +10,7 @@ must fail an error that appears under refinement, and the energy verdict
 must hold the u it got back to the solve's residual contract.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -20,11 +21,17 @@ import degenash.analysis as analysis_mod
 import degenash.cli as cli_mod
 import degenash.norms as norms_mod
 from conftest import half_disk_closed_form, half_disk_constant
-from degenash.analysis import Verdict, convergence_study, energy_estimate_study, muckenhoupt_study
+from degenash.analysis import (
+    Verdict,
+    convergence_study,
+    energy_estimate_study,
+    muckenhoupt_study,
+    strict_inclusion_demo,
+)
 from degenash.cli import parse_config, run
 from degenash.fields import manufactured_pair
-from degenash.grid import GridFunction, build_grid
-from degenash.operators import RESIDUAL_TOL, DirichletSolver, assemble, solve_dirichlet
+from degenash.grid import GridFunction, build_grid, weighted_inner
+from degenash.operators import RESIDUAL_TOL, DirichletSolver, assemble, dy, solve_dirichlet
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -174,3 +181,31 @@ def test_muckenhoupt_fails_the_midpoint_rule(monkeypatch):
     # lattice's half-disks, and on no ball above it
     monkeypatch.setattr(norms_mod, "_ball_integrals", midpoint_ball_integrals)
     assert muckenhoupt_study().verdict == Verdict.FAIL
+
+
+real_norms = norms_mod._norms
+
+
+def unweighted_dy_norms(u, include_mixed):
+    # d_y u without its x^alpha weight: w11 reads 0.97967 ... 1.14358
+    report = real_norms(u, include_mixed)
+    dyu = dy(u)
+    wdy = math.sqrt(weighted_inner(dyu, dyu, 0.0))
+    return dataclasses.replace(report, weighted_dy_l2=wdy, w11=math.sqrt(report.l2**2 + report.dx_l2**2 + wdy**2))
+
+
+def doubled_dx_norms(u, include_mixed):
+    # 2 d_x u: w11 reads 1.07768 ... 1.20507
+    report = real_norms(u, include_mixed)
+    dx_l2 = 2.0 * report.dx_l2
+    return dataclasses.replace(report, dx_l2=dx_l2, w11=math.sqrt(report.l2**2 + dx_l2**2 + report.weighted_dy_l2**2))
+
+
+@pytest.mark.parametrize("wrong_norms", [unweighted_dy_norms, doubled_dx_norms], ids=lambda f: f.__name__)
+def test_inclusion_fails_a_wrong_w11(monkeypatch, wrong_norms):
+    # both mutants still raise the d_y norm at every step and settle
+    # under refinement; each overshoots W11_EXACT by level 64
+    levels = [16, 32, 64, 128, 256]
+    assert strict_inclusion_demo(levels).verdict == Verdict.PASS
+    monkeypatch.setattr(norms_mod, "_norms", wrong_norms)
+    assert strict_inclusion_demo(levels).verdict == Verdict.FAIL
