@@ -153,7 +153,7 @@ class TestCoercivity:
 
     def test_golden_min_margin(self):
         r = coercivity_check(1.0, 20, seed=2, nx=24, ny=24)
-        assert r.metrics["min_margin"] == [0.18998597104966225]
+        assert r.metrics["min_margin"] == [0.18998597104966217]
 
     def test_small_run_no_violations(self):
         r = coercivity_check(1.0, 20, seed=2, nx=24, ny=24)

@@ -1,6 +1,6 @@
-"""The CI workflow gates every benchmark workload and runs on the Python
-the golden table digests were recorded on, and its lowest Python is the
-package's floor."""
+"""The CI workflow gates every benchmark workload, pins the numpy and
+scipy series and runs on the Python the golden table digests were
+recorded on, and its lowest Python is the package's floor."""
 
 import json
 import re
@@ -8,6 +8,8 @@ import tomllib
 from pathlib import Path
 
 import yaml
+
+from test_golden_tables import RECORDED_WITH
 
 ROOT = Path(__file__).resolve().parent.parent
 JOB = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())["jobs"]["tests"]
@@ -29,3 +31,9 @@ def test_lowest_matrix_python_is_the_requires_python_floor():
     floor = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
     lowest = min(JOB["strategy"]["matrix"]["python-version"], key=lambda v: tuple(map(int, v.split("."))))
     assert floor == f">={lowest}"
+
+
+def test_install_step_pins_the_series_the_golden_digests_were_recorded_with():
+    (install,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Install dependencies"]
+    pins = dict(re.findall(r"\b(numpy|scipy)==([\d.]+)\.\*", install))
+    assert pins == RECORDED_WITH

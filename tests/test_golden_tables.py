@@ -8,8 +8,9 @@ the digest recorded here, and the results of its report.json, less the
 solve's wall time, must equal those recorded here; the results also hold
 the values no table shows, such as the game's certification margin and
 the thresholds a study checks against.  The digests and results were
-recorded with numpy 2.4 and scipy 1.17 on x86-64; a change that moves
-one of them changes a shipped result and must say why.
+recorded with the numpy and scipy series in RECORDED_WITH on x86-64, the
+series the CI workflow pins; a change that moves one of them changes a
+shipped result and must say why.
 """
 
 import hashlib
@@ -21,6 +22,8 @@ import yaml
 from conftest import CONFIG_DIR
 from degenash.cli import main
 
+# the numpy and scipy release series the digests and results were recorded with
+RECORDED_WITH = {"numpy": "2.4", "scipy": "1.17"}
 GAME_LEVEL = 24
 SOLVE_LEVEL = 512
 
@@ -33,8 +36,8 @@ DIGESTS = {
         "solve_norms.tsv": "523ef140ccee41914bb14cd1a411ce8ab529fffe46bf591f76adf1c485c47369",
     },
     "study_coercivity": {
-        "study_levels.tsv": "e2ee9731e410cb2fab42c9184ec8e8095958f27643618a63b765573359f9d362",
-        "study_samples.tsv": "ad6122e80e5402964ca3cd21fe7fcd9e9c4b2144b7f56de696e77d07f53e5459",
+        "study_levels.tsv": "cc12f9bcf4d2ec7ca19eb03cc5da94604caa2ffff1231d1ebc4a7b122b725edd",
+        "study_samples.tsv": "7695ac533cf5f75af57b9bb5c34bdbc27358ea8dd70d544e8c8f190a8f4dbdf7",
     },
     "study_convergence": {
         "study_levels.tsv": "30f55fe3db805e12583fce772b167b294f7753c49b3093bb592e61888ce925db",
@@ -42,7 +45,7 @@ DIGESTS = {
         "study_samples.tsv": "7f633497dd7b80457bd088ec1b43bca3bd1e882d7afdcf7ae280e0ed4933b433",
     },
     "study_embedding": {
-        "study_levels.tsv": "8ec2793ec0bb4a3068ed54fd251f78964c25c8973b23d7adf6cf9864e9fa1723",
+        "study_levels.tsv": "4e93fab503c2146e30adf9393ca0f94f753039693283ee680e09e145ac4a1bb2",
     },
     "study_energy": {
         "study_levels.tsv": "68263ae2afd1aadbd0e000611526101722e084059d07e091fe4bb1b9b09eb01e",
@@ -55,7 +58,7 @@ DIGESTS = {
         "study_samples.tsv": "8522aee21ab32df5f0b3affe94d46f3e849b7c8cd90ff4ad3e461098d54ed1ff",
     },
     "verify_weak_form": {
-        "verify_residuals.tsv": "7be5b8ea2338d9837d81ebb70bcbfd3d7afb5dbcf19db8d63482569287ce355e",
+        "verify_residuals.tsv": "f57410583d6716650a58714c78281e18ed27f4c1a5aa29ce72f14fa424b72caf",
     },
 }
 
@@ -88,8 +91,8 @@ RESULTS = {
         "levels": [64],
         "metrics": {
             "delta_h": [0.04598493014643029],
-            "mean_margin": [0.29381948840566935],
-            "min_margin": [0.1632419562648199],
+            "mean_margin": [0.2938194884056694],
+            "min_margin": [0.16324195626481994],
             "mu_h": [0.09431511806261068],
             "violations": [0.0],
         },
@@ -125,7 +128,7 @@ RESULTS = {
         "kind": "embedding",
         "levels": [64, 128],
         "metrics": {
-            "max_ratio_q2": [0.18539639616453948, 0.18364673686699903],
+            "max_ratio_q2": [0.18539639616453954, 0.18364673686699903],
             "max_ratio_q3": [0.23227662997738613, 0.23086969868454935],
             "max_ratio_q4": [0.2698394129496536, 0.26823013793082706],
         },
@@ -189,7 +192,7 @@ RESULTS = {
     },
     "verify_weak_form": {
         "levels": [32, 64],
-        "max_residual_by_level": [0.007332451984568958, 0.0037078168824669078],
+        "max_residual_by_level": [0.007332451984568944, 0.0037078168824669078],
         "theta": 1.0,
     },
 }

@@ -11,10 +11,11 @@ import degenash
 from conftest import random_field
 from degenash.analysis import _ENERGY_FAMILY
 from degenash.fields import (
+    CUTOFF_HI,
+    CUTOFF_LO,
     FIELD_KINDS,
     MANUFACTURED_KINDS,
     _bump_frame,
-    boundary_cutoff,
     bump_from_parameters,
     bump_parameter_sets,
     manufactured_pair,
@@ -41,15 +42,43 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def window_factor(t):
+    """The bump window's 1-D factor: a quintic smoothstep ramp from 0 at
+    CUTOFF_LO to 1 at CUTOFF_HI, times its mirror image."""
+
+    def ramp(t):
+        t = np.clip((t - CUTOFF_LO) / (CUTOFF_HI - CUTOFF_LO), 0.0, 1.0)
+        return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+
+    return ramp(t) * ramp(1 - t)
+
+
 def bump_formula(params):
-    """The bump function of params as a formula in (X, Y), which may be
-    the open grid or full coordinate arrays."""
+    """The bump function of params in factor form, a formula in (X, Y),
+    which may be the open grid or full coordinate arrays: the sum over its
+    Gaussians of u(X) v(Y), u = w(X) exp(-(X-cx)**2 / (2 s s)) and
+    v = w(Y) a exp(-(Y-cy)**2 / (2 s s)), with w the window's 1-D factor."""
+
+    def fn(X, Y):
+        out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
+        for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
+            u = window_factor(X) * np.exp(-((X - cx) ** 2) / (2 * s * s))
+            v = window_factor(Y) * a * np.exp(-((Y - cy) ** 2) / (2 * s * s))
+            out += u * v
+        return out
+
+    return fn
+
+
+def bump_formula_2d(params):
+    """The bump function of params as a 2-D formula: each Gaussian
+    a exp(-((X-cx)**2 + (Y-cy)**2) / (2 s s)), summed, times the window."""
 
     def fn(X, Y):
         out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
         for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
             out += a * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
-        return out * boundary_cutoff(X, Y)
+        return out * (window_factor(X) * window_factor(Y))
 
     return fn
 
@@ -232,9 +261,22 @@ class TestOpenGrid:
         for params in bump_parameter_sets(3, seed=nx + ny):
             assert _bits(bump_from_parameters(g, params).values) == _bits(full_grid(g, bump_formula(params)))
 
-    def test_bump_frame_holds_the_open_grid(self, small_grid):
-        x, y, window = _bump_frame(small_grid)
-        assert (x.shape, y.shape, window.shape) == ((12, 1), (1, 12), (12, 12))
+    @pytest.mark.parametrize("nx,ny", OPEN_GRID_SHAPES)
+    def test_bump_is_near_the_2d_formula(self, nx, ny):
+        # a dropped window or a wrong Gaussian misses by O(1)
+        g = build_grid(nx, ny, 0.5)
+        for params in bump_parameter_sets(20, seed=nx * ny):
+            expected = full_grid(g, bump_formula_2d(params))
+            error = np.abs(bump_from_parameters(g, params).values - expected).max()
+            assert error <= 1e-14 * np.abs(expected).max()
+
+    def test_bump_frame_holds_the_open_grid(self):
+        # the 1-D frame: node coordinates and the window's 1-D factors
+        g = build_grid(13, 7, 0.5)
+        x, y, w_x, w_y = _bump_frame(g)
+        assert (x.shape, y.shape, w_x.shape, w_y.shape) == ((13,), (7,), (13,), (7,))
+        assert _bits(x) == _bits(g.x) and _bits(y) == _bits(g.y)
+        assert _bits(w_x) == _bits(window_factor(g.x)) and _bits(w_y) == _bits(window_factor(g.y))
 
     def test_no_full_coordinate_arrays_in_the_package(self):
         # every field and mask samples the open grid; none evaluates its
@@ -404,7 +446,7 @@ class TestQuadratureCaches:
             w[0, 0] = 1.0
         for a in _bump_frame(small_grid):
             with pytest.raises(ValueError):
-                a[0, 0] = 1.0
+                a[0] = 1.0
         # the y-weighted path hands out a fresh array
         fresh = cell_weights(small_grid, 0.5, theta=1.0)
         fresh[0, 0] = 1.0
