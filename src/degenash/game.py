@@ -41,13 +41,14 @@ A GameConfig is frozen, so it is checked once, when it is built, and
 its solver and source hold for its life; a different game is a new one
 (dataclasses.replace re-runs every check).  Inside the game the
 arithmetic runs on each region's node indices (RegionMask.nodes).  Each
-GameConfig masks the leader's source g once (GameConfig.source); a state
-solve copies it and adds f1 and f2 on their own nodes.  The tracking
-term, the penalty and the norms certify takes scatter their per-node
-products into a fresh full-grid array of zeros and sum it whole: the
-very array np.where(region, ..., 0.0) would build, so every pairwise sum
-keeps its last bit, and a sum that raises leaves nothing behind.  Only
-the solver's march store is shared by every call on the game: not
+GameConfig masks the leader's source g once (GameConfig.source) and
+gathers x^-alpha and x^alpha on each control region once
+(GameConfig.weights).  A state solve copies the source and adds f1 and
+f2 on their own nodes.  The tracking term, the penalty and the norms of
+certify's directions sum their products over their region's nodes only,
+in arrays the call gathered, so a sum that raises leaves nothing behind;
+each is within 1e-14 relative of the full-grid np.where sum.  Only the
+solver's march store is shared by every call on the game: not
 reentrant.  cost builds no GridFunction and certify one per deviation;
 each GridFunction keeps its finiteness scan.
 
@@ -83,9 +84,9 @@ class GameConfig:
     """One game: its grid, regions, fields, ball radii and certify seed.
 
     Frozen, so its checks run once, when it is built.  Besides its fields
-    it holds only the cached solver and leader source; the solver's march
-    store is the one state that calls on the game share.  Compares and
-    hashes by identity."""
+    it holds only the cached solver, leader source and control-region
+    weights, which die with it; the solver's march store is the one state
+    that calls on the game share.  Compares and hashes by identity."""
 
     grid: Grid
     omega: RegionMask
@@ -131,6 +132,18 @@ class GameConfig:
         source.flags.writeable = False
         return source
 
+    @functools.cached_property
+    def weights(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Read-only (x^-alpha, x^alpha) on follower i's control nodes, by i:
+        the weight of its penalty and deviation norms, and of its gradient."""
+        weights, alpha = {}, self.grid.alpha
+        for i in (1, 2):
+            nodes = self.follower(i)[0].nodes
+            weights[i] = tuple(_nodal_x_power(self.grid, e)[nodes] for e in (-alpha, alpha))
+            for w in weights[i]:
+                w.flags.writeable = False
+        return weights
+
     def follower(self, i: int) -> tuple[RegionMask, RegionMask, GridFunction, float]:
         """(control region, observation region, target, radius) of follower i."""
         if i == 1:
@@ -173,23 +186,6 @@ def control_norm(f: GridFunction, alpha: float) -> float:
     return math.sqrt(max(control_inner(f, f, alpha), 0.0))
 
 
-def _region_sum(region: RegionMask, products: np.ndarray) -> float:
-    """np.sum of the full-grid array that holds products on the region's
-    nodes and zero elsewhere: the array np.where(region.indicator, ..., 0.0)
-    builds, so the same pairwise sum to the last bit."""
-    full = np.zeros(region.grid.n)
-    full[region.nodes] = products
-    return float(np.sum(full))
-
-
-def _region_norm(region: RegionMask, values: np.ndarray) -> float:
-    """control_norm of the control that is values on the region's nodes and
-    zero elsewhere, bit for bit."""
-    g = region.grid
-    w = _nodal_x_power(g, -g.alpha)[region.nodes]
-    return math.sqrt(max(g.hx * g.hy * _region_sum(region, w * values * values), 0.0))
-
-
 def _within_ball(norm: float, m: float) -> bool:
     """Whether a control norm is admissible for radius m: norms within
     round-off of m count as feasible, so a projection is exactly idempotent."""
@@ -213,17 +209,18 @@ def _state(cfg: GameConfig, f1: GridFunction, f2: GridFunction, last_row: int | 
 
 
 def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
-    """J_i: tracking over the observation region plus the weighted penalty."""
+    """J_i: tracking hx*hy * sum_{G_i} (y - yd_i)^2 plus penalty
+    hx*hy * sum_{omega_i} x^-alpha f_i^2, formed in place on region nodes."""
     region_ctrl, region_obs, yd, _ = cfg.follower(i)
     y = _state(cfg, f1, f2, region_obs.top_row)
-    obs, ctrl = region_obs.nodes, region_ctrl.nodes
-    f_own = f1 if i == 1 else f2
     grid = cfg.grid
-    tracking = grid.hx * grid.hy * _region_sum(region_obs, (y[obs] - yd.values[obs]) ** 2)
-    penalty = grid.hx * grid.hy * _region_sum(
-        region_ctrl, f_own.values[ctrl] ** 2 * _nodal_x_power(grid, -grid.alpha)[ctrl]
-    )
-    return tracking + penalty
+    misfit = y[region_obs.nodes]
+    misfit -= yd.values[region_obs.nodes]
+    misfit *= misfit
+    penalty = (f1 if i == 1 else f2).values[region_ctrl.nodes]
+    penalty *= penalty
+    penalty *= cfg.weights[i][0]
+    return float(grid.hx * grid.hy * misfit.sum() + grid.hx * grid.hy * penalty.sum())
 
 
 def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> GridFunction:
@@ -238,7 +235,7 @@ def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> Gri
     p = cfg.solver.solve_adjoint(source, last_row=region_ctrl.bottom_row)
     f_own = f1 if i == 1 else f2
     vals = np.zeros(cfg.grid.n)
-    vals[ctrl] = _nodal_x_power(cfg.grid, cfg.grid.alpha)[ctrl] * p[ctrl] + 2.0 * f_own.values[ctrl]
+    vals[ctrl] = cfg.weights[i][1] * p[ctrl] + 2.0 * f_own.values[ctrl]
     return GridFunction(cfg.grid, vals)
 
 
@@ -358,15 +355,17 @@ def _feasible_deviations(
     otherwise DEVIATION_SAMPLES more points: boundary-sphere points and
     interior points with uniform directions and radii up to M_i.  Directions
     are standard normal on the control region's nodes, which GameConfig
-    requires to be nonempty, and zero elsewhere.  Each is drawn when the
-    caller asks for it, so the caller holds one at a time."""
+    requires to be nonempty, zero elsewhere, and normed on those nodes.
+    Each is drawn when asked for, so the caller holds one at a time."""
     region_ctrl, _, _, m = cfg.follower(i)
     yield GridFunction.zeros(cfg.grid)
     n = DEVIATION_SAMPLES if m > 0.0 else 0
     nodes = region_ctrl.nodes
     for k in range(n):
         direction = rng.standard_normal(nodes.size)
-        nd = _region_norm(region_ctrl, direction)
+        squares = cfg.weights[i][0] * direction
+        squares *= direction
+        nd = math.sqrt(cfg.grid.hx * cfg.grid.hy * squares.sum())
         radius = m if k < n // 2 else m * rng.uniform(0.0, 1.0)
         vals = np.zeros(cfg.grid.n)
         vals[nodes] = direction * (radius / nd)
@@ -375,12 +374,12 @@ def _feasible_deviations(
 
 def _admissible(cfg: GameConfig, i: int, f: GridFunction) -> bool:
     """Whether f lies in follower i's admissible set: support in omega_i
-    and norm within the ball, by project_ball's rule."""
+    and control_norm within the ball, project_ball's own rule, so a
+    projected control stays admissible to the last bit."""
     region_ctrl, _, _, m = cfg.follower(i)
-    on_region = f.values[region_ctrl.nodes]
-    if np.count_nonzero(on_region) != np.count_nonzero(f.values):
+    if np.count_nonzero(f.values[region_ctrl.nodes]) != np.count_nonzero(f.values):
         return False
-    return _within_ball(_region_norm(region_ctrl, on_region), m)
+    return _within_ball(control_norm(f, cfg.grid.alpha), m)
 
 
 def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tuple[bool, float]:

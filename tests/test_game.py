@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -19,6 +20,7 @@ from degenash.game import (
     DEVIATION_SAMPLES,
     INNER_TOL,
     GameConfig,
+    _admissible,
     _feasible_deviations,
     best_response,
     certify,
@@ -106,7 +108,7 @@ class TestCost:
         j4 = cost(cfg, 1, 2.0 * f1, f2)
         assert j4 == pytest.approx(4.0 * j1, rel=1e-12)
 
-    def test_an_error_inside_a_region_sum_leaves_no_trace(self):
+    def test_an_overflow_raises_inside_cost_and_leaves_no_trace(self):
         cfg = shipped_game(n=16, seed=7)
         z = GridFunction.zeros(cfg.grid)
         before = cost(cfg, 1, z, z)
@@ -114,7 +116,8 @@ class TestCost:
         huge = cfg.omega1.apply(GridFunction(cfg.grid, np.full(cfg.grid.n, 5e153)))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError) as err:
             cost(cfg, 1, huge, z)
-        assert any(entry.name == "_region_sum" for entry in err.traceback)
+        # the innermost frame of the package is cost: not the solve
+        assert [entry.name for entry in err.traceback if "degenash" in str(entry.path)][-1] == "cost"
         assert _bits(cost(cfg, 1, z, z)) == _bits(before)
 
 
@@ -613,6 +616,17 @@ class TestCertify:
             ref_ok, ref_margin = _list_certify(cfg, *pair)
             assert (ok, _bits(margin)) == (ref_ok, _bits(ref_margin))
 
+    def test_active_equilibrium_is_admissible_to_the_last_bit(self):
+        # projected onto its ball, each control has norm M_i up to round-off;
+        # 16 units of round-off more take it outside project_ball's rule
+        cfg = shipped_game(n=32, m1=1e-4, m2=1e-4)
+        res = nash_solve(cfg)
+        for i, f in ((1, res.f1_star), (2, res.f2_star)):
+            m = cfg.follower(i)[3]
+            assert control_norm(f, cfg.grid.alpha) == pytest.approx(m, rel=1e-14, abs=0)
+            assert _admissible(cfg, i, f)
+            assert not _admissible(cfg, i, f * (1.0 + 16 * np.finfo(float).eps))
+
     def test_certify_holds_one_deviation_at_a_time(self):
         cfg = shipped_game(n=64)
         z = GridFunction.zeros(cfg.grid)
@@ -766,20 +780,48 @@ def _where_gradient(cfg, i, f1, f2):
     return np.where(ctrl.indicator, xa * p + 2.0 * f_own.values, 0.0)
 
 
-def _where_deviations(cfg, i, rng):
+# Region-sum references of the game's cost and deviation norms: each
+# product on the region's nodes, gathered by its indicator, summed by np.sum.
+
+
+def _region_weight(cfg, i, exponent):
+    return np.repeat(cfg.grid.x**exponent, cfg.grid.ny)[cfg.follower(i)[0].indicator]
+
+
+def _region_cost(cfg, i, f1, f2):
+    ctrl, obs, yd, _ = cfg.follower(i)
+    grid = cfg.grid
+    y = cfg.solver.solve(_where_rhs(cfg, f1, f2), last_row=obs.top_row)
+    tracking = grid.hx * grid.hy * np.sum((y[obs.indicator] - yd.values[obs.indicator]) ** 2)
+    f_own = f1 if i == 1 else f2
+    w = _region_weight(cfg, i, -grid.alpha)
+    penalty = grid.hx * grid.hy * np.sum(f_own.values[ctrl.indicator] ** 2 * w)
+    return float(tracking + penalty)
+
+
+def _region_deviations(cfg, i, rng):
     ctrl, _, _, m = cfg.follower(i)
-    out = [np.zeros(cfg.grid.n)]
+    grid = cfg.grid
+    w = _region_weight(cfg, i, -grid.alpha)
+    out = [np.zeros(grid.n)]
     n = DEVIATION_SAMPLES
     for k in range(n):
-        vals = np.zeros(cfg.grid.n)
-        vals[ctrl.indicator] = rng.standard_normal(int(ctrl.indicator.sum()))
-        d = GridFunction(cfg.grid, vals)
-        nd = control_norm(d, cfg.grid.alpha)
-        if nd == 0.0:
-            continue
+        d = rng.standard_normal(int(ctrl.indicator.sum()))
+        nd = math.sqrt(grid.hx * grid.hy * np.sum(w * d * d))
         radius = m if k < n // 2 else m * rng.uniform(0.0, 1.0)
-        out.append((d * (radius / nd)).values)
+        vals = np.zeros(grid.n)
+        vals[ctrl.indicator] = d * (radius / nd)
+        out.append(vals)
     return out
+
+
+def _region_norm(region, values):
+    """The norm of the control that is values on the region's nodes, from
+    a full-grid array of zeros holding the weighted squares there."""
+    g = region.grid
+    full = np.zeros(g.n)
+    full[region.nodes] = np.repeat(g.x**-g.alpha, g.ny)[region.nodes] * values * values
+    return math.sqrt(max(g.hx * g.hy * float(np.sum(full)), 0.0))
 
 
 def _bits(x):
@@ -792,7 +834,7 @@ def _list_certify(cfg, f1, f2):
     ok, margins = True, []
     for i in (1, 2):
         j_star = cost(cfg, i, f1, f2)
-        for v in _where_deviations(cfg, i, np.random.default_rng([cfg.seed, i])):
+        for v in _region_deviations(cfg, i, np.random.default_rng([cfg.seed, i])):
             v = GridFunction(cfg.grid, v)
             margin = cost(cfg, i, *((v, f2) if i == 1 else (f1, v))) - j_star
             ok = ok and margin >= -1e-8 * (1.0 + j_star)
@@ -802,7 +844,9 @@ def _list_certify(cfg, f1, f2):
 
 class TestArrayLevelEquivalence:
     """The array-level game kernels reproduce the full-grid formulas they
-    replaced bit for bit, the sign of every zero included."""
+    replaced bit for bit, the sign of every zero included; the costs and
+    deviation norms, summed on their regions, reproduce the region-sum
+    references bit for bit and the full-grid costs to round-off."""
 
     @pytest.fixture(scope="class")
     def cfg16(self):
@@ -906,16 +950,95 @@ class TestArrayLevelEquivalence:
         assert np.any(cfg.source != 0.0)
         game = dataclasses.replace(cfg, g=z)
         assert _bits(game.source) == _bits(z.values)
-        assert cost(game, 1, z, z) == _where_cost(game, 1, z, z)
+        assert _bits(cost(game, 1, z, z)) == _bits(_region_cost(game, 1, z, z))
 
     @pytest.mark.parametrize("i", [1, 2])
     def test_cost_and_gradient(self, cfg, controls, i):
         f1, f2 = controls
-        assert _bits(cost(cfg, i, f1, f2)) == _bits(_where_cost(cfg, i, f1, f2))
+        assert _bits(cost(cfg, i, f1, f2)) == _bits(_region_cost(cfg, i, f1, f2))
         assert _bits(gradient(cfg, i, f1, f2).values) == _bits(_where_gradient(cfg, i, f1, f2))
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_cost_within_round_off_of_the_where_formula(self, cfg, controls, i):
+        # a dropped weight or a wrong region misses by O(1)
+        f1, f2 = controls
+        expected = _where_cost(cfg, i, f1, f2)
+        assert abs(cost(cfg, i, f1, f2) - expected) <= 1e-14 * abs(expected)
 
     @pytest.mark.parametrize("i", [1, 2])
     def test_deviations_and_their_norms(self, cfg, i):
         got = list(_feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i])))
-        expected = _where_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
+        expected = _region_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
         assert [_bits(d.values) for d in got] == [_bits(d) for d in expected]
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_control_norm_is_the_region_norm(self, cfg, controls, i):
+        # _admissible reads control_norm once the support check has passed
+        region = cfg.follower(i)[0]
+        f = region.apply(controls[i - 1])
+        assert _bits(control_norm(f, cfg.grid.alpha)) == _bits(_region_norm(region, f.values[region.nodes]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_admissible_reads_control_norm_to_the_last_bit(self, cfg, i, seed):
+        # the least radius that admits f by project_ball's rule, and the
+        # float below it, which does not: a norm that differs from
+        # control_norm in its last bits fails one of the two
+        region = cfg.follower(i)[0]
+        f = region.apply(random_field(cfg.grid, seed))
+        norm = control_norm(f, cfg.grid.alpha)
+        m = norm / (1.0 + game_mod._FEAS_SLACK)
+        while not game_mod._within_ball(norm, m):
+            m = np.nextafter(m, math.inf)
+        while game_mod._within_ball(norm, np.nextafter(m, 0.0)):
+            m = np.nextafter(m, 0.0)
+        assert _admissible(dataclasses.replace(cfg, **{f"m{i}": float(m)}), i, f)
+        assert not _admissible(dataclasses.replace(cfg, **{f"m{i}": float(np.nextafter(m, 0.0))}), i, f)
+
+
+class TestSolveCounts:
+    """The solve and call counts of the benchmark's two game workloads at
+    128x128, which perfbench's self-test pins too."""
+
+    @staticmethod
+    def counts(monkeypatch, cfg):
+        """Calls of each solve, cost and gradient in nash_solve(cfg), and,
+        under "certify <name>", those made inside certify."""
+        counts = collections.Counter()
+        certifying = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                counts[f"certify {name}"] += bool(certifying)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        solver = operators.DirichletSolver
+        for owner, name in ((solver, "solve"), (solver, "solve_adjoint"), (game_mod, "cost"), (game_mod, "gradient")):
+            counted(owner, name)
+        certify_ = game_mod.certify
+
+        def certify(*args):
+            certifying.append(True)
+            try:
+                return certify_(*args)
+            finally:
+                certifying.pop()
+
+        monkeypatch.setattr(game_mod, "certify", certify)
+        nash_solve(cfg)
+        return counts
+
+    def test_shipped_game(self, monkeypatch):
+        counts = self.counts(monkeypatch, shipped_game(n=128))
+        assert (counts["solve"], counts["solve_adjoint"]) == (487, 36)
+        assert (counts["cost"], counts["gradient"]) == (450, 36)
+        assert (counts["certify cost"], counts["certify solve"]) == (404, 404)
+
+    def test_active_game(self, monkeypatch):
+        counts = self.counts(monkeypatch, shipped_game(n=128, m1=1e-4, m2=1e-4))
+        assert (counts["solve"], counts["solve_adjoint"]) == (431, 12)

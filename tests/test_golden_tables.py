@@ -72,7 +72,7 @@ RESULTS = {
         "f1_norm": 0.00023185203904719083,
         "f2_norm": 0.00026640040395872825,
         "j1": 0.0001242075815287578,
-        "j2": 0.0002065270941365577,
+        "j2": 0.00020652709413655768,
     },
     "solve_example": {
         "iterations": 0,
