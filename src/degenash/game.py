@@ -40,14 +40,21 @@ game's one solver re-marches only those (operators.DirichletSolver).
 A GameConfig is frozen, so it is checked once, when it is built, and
 its solver and source hold for its life; a different game is a new one
 (dataclasses.replace re-runs every check).  Inside the game the
-arithmetic runs on each region's node indices (RegionMask.nodes).  Each
-GameConfig masks the leader's source g once (GameConfig.source) and
-gathers x^-alpha and x^alpha on each control region once
-(GameConfig.weights).  A state solve copies the source and adds f1 and
-f2 on their own nodes.  The tracking term, the penalty and the norms of
-certify's directions sum their products over their region's nodes only,
-in arrays the call gathered, so a sum that raises leaves nothing behind;
-each is within 1e-14 relative of the full-grid np.where sum.  Only the
+arithmetic runs on each region's node indices (RegionMask.nodes), and
+right-hand sides and states are the solver's y-rows, (ny, nx), so no
+solve transposes.  Each GameConfig masks the leader's source g once, as
+y-rows (GameConfig.source), gathers x^-alpha and x^alpha on each control
+region once (GameConfig.weights), and holds each follower's region nodes
+as flat y-row indices, in RegionMask.nodes order, and yd_i gathered on
+G_i (GameConfig.rows).  A state solve copies the source and adds f1 and
+f2 on their own nodes; cost and gradient gather and scatter through the
+same indices, so every gathered array is the one the grid order gives,
+in the same order, and sums to the same bits.  Only state_solve
+transposes its state back to the grid's order.  The tracking term, the
+penalty and the norms of certify's directions sum their products over
+their region's nodes only, in arrays the call gathered, so a sum that
+raises leaves nothing behind; each is within 1e-14 relative of the
+full-grid np.where sum.  Only the
 solver's march store is shared by every call on the game: not
 reentrant.  cost builds no GridFunction and certify one per deviation;
 each GridFunction keeps its finiteness scan.
@@ -84,9 +91,9 @@ class GameConfig:
     """One game: its grid, regions, fields, ball radii and certify seed.
 
     Frozen, so its checks run once, when it is built.  Besides its fields
-    it holds only the cached solver, leader source and control-region
-    weights, which die with it; the solver's march store is the one state
-    that calls on the game share.  Compares and hashes by identity."""
+    it holds only the cached solver, leader source, control-region
+    weights and region row indices, which die with it; the solver's march
+    store is the one state that calls on the game share.  Compares and hashes by identity."""
 
     grid: Grid
     omega: RegionMask
@@ -125,10 +132,12 @@ class GameConfig:
 
     @functools.cached_property
     def source(self) -> np.ndarray:
-        """The leader's term of every state's right-hand side: read-only
-        chi_omega g + 0.0.  The + 0.0 turns -0.0 into +0.0, so a state's
-        right-hand side keeps the bits of the full-grid three-term sum."""
+        """The leader's term of every state's right-hand side, as read-only
+        y-rows (ny, nx): chi_omega g + 0.0.  The + 0.0 turns -0.0 into +0.0,
+        so a state's right-hand side keeps the bits of the full-grid
+        three-term sum."""
         source = np.where(self.omega.indicator, self.g.values, 0.0) + 0.0
+        source = np.ascontiguousarray(source.reshape(self.grid.nx, self.grid.ny).T)
         source.flags.writeable = False
         return source
 
@@ -143,6 +152,20 @@ class GameConfig:
             for w in weights[i]:
                 w.flags.writeable = False
         return weights
+
+    @functools.cached_property
+    def rows(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Read-only (omega_i nodes, G_i nodes, yd_i on G_i), by i: each
+        region's nodes in RegionMask.nodes order as flat indices of the
+        solver's y-rows, j*nx + i for node i*ny + j."""
+        rows, nx, ny = {}, self.grid.nx, self.grid.ny
+        for i in (1, 2):
+            region_ctrl, region_obs, yd, _ = self.follower(i)
+            rows[i] = tuple(nodes % ny * nx + nodes // ny for nodes in (region_ctrl.nodes, region_obs.nodes))
+            rows[i] += (yd.values[region_obs.nodes],)
+            for a in rows[i]:
+                a.flags.writeable = False
+        return rows
 
     def follower(self, i: int) -> tuple[RegionMask, RegionMask, GridFunction, float]:
         """(control region, observation region, target, radius) of follower i."""
@@ -193,29 +216,31 @@ def _within_ball(norm: float, m: float) -> bool:
 
 
 def state_solve(cfg: GameConfig, f1: GridFunction, f2: GridFunction) -> GridFunction:
-    """State y(cfg.g, f1, f2) with masked sources."""
-    return GridFunction(cfg.grid, _state(cfg, f1, f2))
+    """State y(cfg.g, f1, f2) with masked sources, in the grid's order."""
+    return GridFunction(cfg.grid, _state(cfg, f1, f2).T)
 
 
 def _state(cfg: GameConfig, f1: GridFunction, f2: GridFunction, last_row: int | None = None) -> np.ndarray:
-    """Values of the state, or, given last_row, its y-rows up to last_row
-    and zeros above."""
+    """The state as y-rows (ny, nx), or, given last_row, its y-rows up to
+    last_row and zeros above."""
     rhs = cfg.source.copy()
-    for name, region, f in (("f1", cfg.omega1, f1), ("f2", cfg.omega2, f2)):
+    flat = rhs.reshape(-1)
+    for i, name, region, f in ((1, "f1", cfg.omega1, f1), (2, "f2", cfg.omega2, f2)):
         if f.grid != cfg.grid:
             raise ValueError(f"{name} lives on {f.grid}, not on the game's grid {cfg.grid}")
-        rhs[region.nodes] += f.values[region.nodes]
+        flat[cfg.rows[i][0]] += f.values[region.nodes]
     return cfg.solver.solve(rhs, last_row=last_row)
 
 
 def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
     """J_i: tracking hx*hy * sum_{G_i} (y - yd_i)^2 plus penalty
     hx*hy * sum_{omega_i} x^-alpha f_i^2, formed in place on region nodes."""
-    region_ctrl, region_obs, yd, _ = cfg.follower(i)
+    region_ctrl, region_obs, _, _ = cfg.follower(i)
+    _, obs_rows, yd_obs = cfg.rows[i]
     y = _state(cfg, f1, f2, region_obs.top_row)
     grid = cfg.grid
-    misfit = y[region_obs.nodes]
-    misfit -= yd.values[region_obs.nodes]
+    misfit = y.reshape(-1)[obs_rows]
+    misfit -= yd_obs
     misfit *= misfit
     penalty = (f1 if i == 1 else f2).values[region_ctrl.nodes]
     penalty *= penalty
@@ -227,15 +252,16 @@ def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> Gri
     """Riesz representative of dJ_i/df_i in the lumped L2(omega_i; x^-alpha)
     inner product: solve A^T p = 2 chi_G_i (y - yd_i), return
     chi_omega_i (x^alpha p + 2 f_i)."""
-    region_ctrl, region_obs, yd, _ = cfg.follower(i)
+    region_ctrl, region_obs, _, _ = cfg.follower(i)
+    ctrl_rows, obs_rows, yd_obs = cfg.rows[i]
     y = _state(cfg, f1, f2, region_obs.top_row)
-    obs, ctrl = region_obs.nodes, region_ctrl.nodes
-    source = np.zeros(cfg.grid.n)
-    source[obs] = 2.0 * (y[obs] - yd.values[obs])
+    source = np.zeros((cfg.grid.ny, cfg.grid.nx))
+    source.reshape(-1)[obs_rows] = 2.0 * (y.reshape(-1)[obs_rows] - yd_obs)
     p = cfg.solver.solve_adjoint(source, last_row=region_ctrl.bottom_row)
+    ctrl = region_ctrl.nodes
     f_own = f1 if i == 1 else f2
     vals = np.zeros(cfg.grid.n)
-    vals[ctrl] = cfg.weights[i][1] * p[ctrl] + 2.0 * f_own.values[ctrl]
+    vals[ctrl] = cfg.weights[i][1] * p.reshape(-1)[ctrl_rows] + 2.0 * f_own.values[ctrl]
     return GridFunction(cfg.grid, vals)
 
 

@@ -25,9 +25,13 @@ its direction and copies the rows before it (a first solve starts at its
 first nonzero row), and a forward or adjoint solve given the last row
 its caller reads stops after that row.  Keeping the last solve serves
 repeated solves (DirichletSolver); a one-shot solve (solve_dirichlet)
-keeps none and marches its own copy of the rows in place.  The scheme
-never uses u = 0 at y = 1: that edge is the outflow boundary, and no row
-of the matrix refers to it.  (Centered differencing in y would make the
+keeps none and marches its own copy of the rows in place.
+DirichletSolver takes and returns the march's own layout, y-rows: an
+(ny, nx) array whose row j is y-row j, which the adjoint marches in
+reverse.  So no repeated solve transposes from the grid's node order
+i*ny + j; solve_dirichlet, which takes and returns a GridFunction,
+transposes in and out once.  The scheme never uses u = 0 at y = 1: that
+edge is the outflow boundary, and no row of the matrix refers to it.  (Centered differencing in y would make the
 march a leapfrog scheme, whose computational mode does not shrink under
 refinement, and would impose u = 0 at the outflow edge.)
 
@@ -165,7 +169,7 @@ def _factor(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _march(factors: tuple, rows: np.ndarray, before: np.ndarray | None = None) -> None:
-    """Solve C-contiguous march-order rows (k, nx) in place over _factor's factors.
+    """Solve march-order rows (k, nx), each contiguous, in place over _factor's factors.
 
     Each row holds its right-hand side and is overwritten by its
     solution.  before is the solved row just below rows[0] in march
@@ -190,24 +194,26 @@ class DirichletSolver:
     """Factored operator for repeated forward and adjoint solves.
 
     The operator is factored as the implicit-Euler march in y (one
-    tridiagonal Cholesky factorization, O(nx*ny) per solve, no fill), and
-    a solve takes one right-hand side of length nx*ny.  Forward and
-    adjoint solves share the factors; each direction keeps its last
-    right-hand side and solution, and marches from the first row whose
-    right-hand side differs (!=) from the kept one or that the kept
-    solution does not hold, whichever is earlier.  The rows before it are
-    copied, so a repeated or partly repeated solve returns the same bits
-    as a fresh one.  The store starts as the zero right-hand side with
-    the zero solution, so a first solve marches from its first nonzero
-    row.  Every solve mutates the store: not reentrant.  No residual
-    check: solve_dirichlet carries the contract.
+    tridiagonal Cholesky factorization, O(nx*ny) per solve, no fill).  A
+    solve takes one right-hand side as y-rows, an array of shape
+    (ny, nx) whose row j is y-row j (a grid-order field's
+    values2d().T), and returns its solution in the same layout, so no
+    solve transposes.  Forward and adjoint solves share the factors; each
+    direction keeps its last right-hand side and solution, and marches
+    from the first row whose right-hand side differs (!=) from the kept
+    one or that the kept solution does not hold, whichever is earlier.
+    The rows before it are copied, so a repeated or partly repeated solve
+    returns the same bits as a fresh one.  The store starts as the zero
+    right-hand side with the zero solution, so a first solve marches from
+    its first nonzero row.  Every solve mutates the store: not reentrant.
+    No residual check: solve_dirichlet carries the contract.
     """
 
     def __init__(self, op: SparseOperator):
-        self._shape = (op.grid.nx, op.grid.ny)
+        self._shape = (op.grid.ny, op.grid.nx)
         self._factors = _factor(op.grid)
-        # adjoint -> (rhs as (nx, ny), solution rows in march order as a
-        # C-contiguous (ny, nx), count of leading march-order rows it holds)
+        # adjoint -> (rhs, solution, count of leading march-order rows the
+        # solution holds); rhs and solution as C-contiguous y-rows
         self._last: dict[bool, tuple] = {}
 
     def solve(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:
@@ -224,25 +230,30 @@ class DirichletSolver:
 
     def _solve(self, rhs: np.ndarray, last_row: int | None, adjoint: bool) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        nx, ny = self._shape
-        if rhs.shape != (nx * ny,):
-            raise ValueError(f"right-hand side has shape {rhs.shape}, operator takes one of shape ({nx * ny},)")
+        ny, nx = self._shape
+        if rhs.shape != (ny, nx):
+            raise ValueError(
+                f"right-hand side has shape {rhs.shape}, operator takes y-rows of shape (ny, nx) = ({ny}, {nx})"
+            )
         if last_row is not None and not 0 <= last_row < ny:
             raise ValueError(f"last_row must be a y-row index in [0, {ny}), got {last_row}")
-        new = rhs.reshape(nx, ny)
+        # the adjoint marches the y-rows in reverse
         order = np.s_[::-1] if adjoint else np.s_[:]
-        kept, solution, held = self._last.get(adjoint) or (np.zeros((nx, ny)), np.zeros((ny, nx)), ny)
-        differs = (new != kept).any(axis=0)[order]
-        start = min(int(differs.argmax()) if differs.any() else ny, held)
+        kept, solution, held = self._last.get(adjoint) or (np.zeros((ny, nx)), np.zeros((ny, nx)), ny)
+        # in march order, the first entry that differs, and so its row
+        differs = (rhs != kept).reshape(-1)[order]
+        first = int(differs.argmax())
+        start = min(first // nx if differs[first] else ny, held)
         stop = ny if last_row is None else (ny - last_row if adjoint else last_row + 1)
-        np.copyto(kept, new)
+        np.copyto(kept, rhs)
+        rows = solution[order]
         if start < stop:
-            solution[start:stop] = new.T[order][start:stop]
-            _march(self._factors, solution[start:stop], solution[start - 1] if start > 0 else None)
+            rows[start:stop] = kept[order][start:stop]
+            _march(self._factors, rows[start:stop], rows[start - 1] if start > 0 else None)
         self._last[adjoint] = (kept, solution, max(start, stop))
-        out = np.zeros((nx, ny))
-        out.T[order][:stop] = solution[:stop]
-        return out.ravel()
+        out = np.zeros((ny, nx))
+        out[order][:stop] = rows[:stop]
+        return out
 
 
 def euclidean_norm(values: np.ndarray) -> float:
@@ -276,9 +287,10 @@ def solve_dirichlet(
 ) -> tuple[GridFunction, SolveReport]:
     """Solve A u = f once, with a residual contract.
 
-    Factors op as DirichletSolver does, copies f into march-order rows and
-    solves them in place (_march), without the store that repeated solves
-    share; the bits are those of DirichletSolver(op).solve(f.values).
+    Factors op as DirichletSolver does, copies f into y-rows and solves
+    them in place (_march), without the store that repeated solves share;
+    the bits are those of DirichletSolver(op).solve(f.values2d().T),
+    transposed back to the grid's order.
     Raises SolverError carrying the achieved residual if u does not meet
     the contract of _check_residual at tol.  There is no refinement: the
     march's residual is the stencil's round-off floor, and a refinement

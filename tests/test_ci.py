@@ -1,6 +1,7 @@
 """The CI workflow gates every benchmark workload, pins the numpy and
 scipy series and runs on the Python the golden table digests were
-recorded on, and its lowest Python is the package's floor."""
+recorded on, and its lowest Python is the package's floor.  Its installed
+console script runs a solve and a game."""
 
 import json
 import re
@@ -37,3 +38,9 @@ def test_install_step_pins_the_series_the_golden_digests_were_recorded_with():
     (install,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Install dependencies"]
     pins = dict(re.findall(r"\b(numpy|scipy)==([\d.]+)\.\*", install))
     assert pins == RECORDED_WITH
+
+
+def test_console_script_step_runs_the_solve_and_game_verbs():
+    (step,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Console script"]
+    verbs = re.findall(r"^degenash (\w+) --config configs/\S+\.yaml", step, re.M)
+    assert verbs == ["solve", "game"]

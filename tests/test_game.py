@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import degenash.game as game_mod
 import degenash.operators as operators
-from conftest import CONFIG_DIR, random_field, shipped_game
+from conftest import CONFIG_DIR, grid_values, random_field, shipped_game, y_rows
 from degenash.cli import parse_config, run
 from degenash.fields import bump_from_parameters, bump_parameter_sets
 from degenash.game import (
@@ -388,12 +389,40 @@ class TestMarchReuse:
         assert bounds == [mini_cfg.follower(i)[0].bottom_row]
 
     def test_shipped_game_marches_few_rows(self, monkeypatch):
-        # 29,812 rows when every solve marches from its first nonzero row to y = 1
+        # 29,812 rows when every solve marches from its first nonzero row to
+        # y = 1; a store that kept only the rows up to its last bound (held
+        # = stop, not max(start, stop)) marches 11,237 to the same bits
         calls = []
         original = operators.dpttrs
         monkeypatch.setattr(operators, "dpttrs", lambda *args: calls.append(1) or original(*args))
         nash_solve(shipped_game(n=64))
-        assert len(calls) <= 12_000
+        assert len(calls) == 11_208
+
+
+# (nx, ny, game keys) -> repr of j1, j2 and the certification margin, and
+# the sha256 of the bytes of f1*, f2* and the state, recorded before the
+# solver took y-rows.  On a non-square grid a swap of x and y in a solve,
+# a scatter or a gather moves them; a square grid cannot show it.
+NON_SQUARE = {
+    "shipped-48x80": (
+        (48, 80, {}),
+        ("0.00011713579917997838", "0.00019146046915325272", "6.350160663321262e-08"),
+        "ce2bf973b33b31fc67990573c1cec17c165b26375441a9096e12338a6638cc67",
+    ),
+    "active-80x48": (
+        (80, 48, {"m1": 1e-4, "m2": 1e-4}),
+        ("0.0001259398930891334", "0.00021280597380744846", "4.315445134369538e-08"),
+        "a2c73965bcca13139cb3ae96bb6bcf74964ac84aa7240e4ff0bf8357c5e7d20e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NON_SQUARE)
+def test_non_square_game_keeps_its_bits(name):
+    (nx, ny, game), floats, digest = NON_SQUARE[name]
+    bits = _result_bits(nash_solve(shipped_game(n=nx, ny=ny, **game)))
+    assert tuple(bits[3:6]) == floats
+    assert hashlib.sha256(b"".join(bits[:3])).hexdigest() == digest
 
 
 def reference_equilibrium(cfg):
@@ -418,9 +447,9 @@ def reference_equilibrium(cfg):
         for k, node in enumerate(nodes):
             unit = np.zeros(grid.n)
             unit[node] = 1.0
-            cols[:, k] = solver.solve(unit)
+            cols[:, k] = grid_values(solver.solve(y_rows(grid, unit)))
         columns.append(cols)
-    y_g = solver.solve(cfg.omega.apply(cfg.g).values)
+    y_g = grid_values(solver.solve(y_rows(grid, cfg.omega.apply(cfg.g).values)))
     weight = np.repeat(grid.x ** -grid.alpha, grid.ny)
     rows, rhs = [], []
     for i, yd in enumerate((cfg.yd1, cfg.yd2)):
@@ -762,7 +791,7 @@ def _where_rhs(cfg, f1, f2):
 def _where_cost(cfg, i, f1, f2):
     ctrl, obs, yd, _ = cfg.follower(i)
     grid = cfg.grid
-    y = cfg.solver.solve(_where_rhs(cfg, f1, f2), last_row=obs.top_row)
+    y = grid_values(cfg.solver.solve(y_rows(grid, _where_rhs(cfg, f1, f2)), last_row=obs.top_row))
     tracking = float(grid.hx * grid.hy * np.sum(np.where(obs.indicator, y - yd.values, 0.0) ** 2))
     f_own = f1 if i == 1 else f2
     w = np.repeat(grid.x ** -grid.alpha, grid.ny)
@@ -773,8 +802,8 @@ def _where_cost(cfg, i, f1, f2):
 def _where_gradient(cfg, i, f1, f2):
     ctrl, obs, yd, _ = cfg.follower(i)
     grid = cfg.grid
-    y = cfg.solver.solve(_where_rhs(cfg, f1, f2), last_row=obs.top_row)
-    p = cfg.solver.solve_adjoint(np.where(obs.indicator, 2.0 * (y - yd.values), 0.0))
+    y = grid_values(cfg.solver.solve(y_rows(grid, _where_rhs(cfg, f1, f2)), last_row=obs.top_row))
+    p = grid_values(cfg.solver.solve_adjoint(y_rows(grid, np.where(obs.indicator, 2.0 * (y - yd.values), 0.0))))
     f_own = f1 if i == 1 else f2
     xa = np.repeat(grid.x**grid.alpha, grid.ny)
     return np.where(ctrl.indicator, xa * p + 2.0 * f_own.values, 0.0)
@@ -791,7 +820,7 @@ def _region_weight(cfg, i, exponent):
 def _region_cost(cfg, i, f1, f2):
     ctrl, obs, yd, _ = cfg.follower(i)
     grid = cfg.grid
-    y = cfg.solver.solve(_where_rhs(cfg, f1, f2), last_row=obs.top_row)
+    y = grid_values(cfg.solver.solve(y_rows(grid, _where_rhs(cfg, f1, f2)), last_row=obs.top_row))
     tracking = grid.hx * grid.hy * np.sum((y[obs.indicator] - yd.values[obs.indicator]) ** 2)
     f_own = f1 if i == 1 else f2
     w = _region_weight(cfg, i, -grid.alpha)
@@ -856,7 +885,7 @@ class TestArrayLevelEquivalence:
         g, f1, f2 = (random_field(cfg16.grid, s) for s in (1, 2, 3))
         cfg = dataclasses.replace(cfg16, g=g)
         rhs = cfg.omega.apply(g) + cfg.omega1.apply(f1) + cfg.omega2.apply(f2)
-        expected = cfg.solver.solve(rhs.values)
+        expected = grid_values(cfg.solver.solve(y_rows(cfg.grid, rhs.values)))
         assert np.array_equal(state_solve(cfg, f1, f2).values, expected)
 
     def test_state_solve_rejects_foreign_grid(self, cfg16):
@@ -942,14 +971,15 @@ class TestArrayLevelEquivalence:
         y = state_solve(game, f1, f2)
         cost(game, 1, f1, f2)
         expected = _where_rhs(game, f1, f2)
-        assert seen == [_bits(expected)] * 2
-        assert _bits(y.values) == _bits(solve(expected))
+        # the solver takes the right-hand side as y-rows
+        assert seen == [_bits(y_rows(game.grid, expected))] * 2
+        assert _bits(y.values) == _bits(grid_values(solve(y_rows(game.grid, expected))))
 
     def test_source_follows_a_new_leader_source(self, cfg):
         z = GridFunction.zeros(cfg.grid)
         assert np.any(cfg.source != 0.0)
         game = dataclasses.replace(cfg, g=z)
-        assert _bits(game.source) == _bits(z.values)
+        assert _bits(game.source) == _bits(y_rows(game.grid, z.values))
         assert _bits(cost(game, 1, z, z)) == _bits(_region_cost(game, 1, z, z))
 
     @pytest.mark.parametrize("i", [1, 2])

@@ -114,7 +114,7 @@ class TestSolve:
         ]
         for f in fields:
             u, _ = solve_dirichlet(op, f)
-            assert u.values.tobytes() == DirichletSolver(op).solve(f.values).tobytes()
+            assert u.values2d().T.tobytes() == DirichletSolver(op).solve(f.values2d().T).tobytes()
 
     def test_zero_rhs_zero_solution(self, small_grid):
         op = assemble(small_grid)
@@ -211,7 +211,7 @@ class TestSolve:
         # reported, never refined
         op = assemble(small_grid)
         f = GridFunction.from_callable(small_grid, lambda X, Y: np.sin(3 * X + Y))
-        u = GridFunction(small_grid, DirichletSolver(op).solve(f.values))
+        u = GridFunction(small_grid, DirichletSolver(op).solve(f.values2d().T).T)
         floor = operators.euclidean_norm(op.apply(u).values - f.values)
         calls = []
         original = operators._march
@@ -240,27 +240,31 @@ class TestSolve:
 
 
 def _assert_march_matches_superlu(op, rhs, last_row=None):
-    """Forward and adjoint march solves of rhs equal spsolve on A and A^T
-    on the y-rows a solve bounded by last_row reads, and are zero on the
-    others."""
+    """Forward and adjoint march solves of the y-rows rhs equal spsolve on A
+    and A^T, in the matrix's order i*ny + j, on the y-rows a solve bounded
+    by last_row reads, and are zero on the others."""
     solver = DirichletSolver(op)
     A = op.matrix.tocsc()
-    shape = (op.grid.nx, op.grid.ny)
+    nx, ny = op.grid.nx, op.grid.ny
+    flat = rhs.T.ravel()
     for adjoint, got, ref in (
-        (False, solver.solve(rhs, last_row), spla.spsolve(A, rhs)),
-        (True, solver.solve_adjoint(rhs, last_row), spla.spsolve(A.T.tocsc(), rhs)),
+        (False, solver.solve(rhs, last_row), spla.spsolve(A, flat)),
+        (True, solver.solve_adjoint(rhs, last_row), spla.spsolve(A.T.tocsc(), flat)),
     ):
-        assert got.shape == rhs.shape
-        read = np.zeros(shape, dtype=bool)
-        read[:, _rows_read(adjoint, last_row)] = True
-        got, ref = got.reshape(shape), ref.reshape(shape)
+        assert got.shape == rhs.shape == (ny, nx)
+        ref = ref.reshape(nx, ny).T
+        read = np.zeros((ny, nx), dtype=bool)
+        read[_rows_read(adjoint, last_row)] = True
         assert np.linalg.norm(got[read] - ref[read]) <= 1e-12 * np.linalg.norm(ref[read])
         assert np.all(got[~read] == 0.0)
 
 
 def _random_rhs(nx, ny, alpha, seed):
+    """The operator on an nx x ny grid and a random right-hand side as
+    C-contiguous y-rows (ny, nx)."""
     op = assemble(build_grid(nx, ny, alpha))
-    return op, np.random.default_rng(seed).standard_normal(op.grid.n)
+    values = np.random.default_rng(seed).standard_normal(op.grid.n)
+    return op, np.ascontiguousarray(values.reshape(nx, ny).T)
 
 
 class TestYMarch:
@@ -288,31 +292,30 @@ class TestYMarch:
         # y_4, the adjoint march at y_8, and the rows before each start
         # solve to exact zeros
         op, rhs = _random_rhs(11, 14, 0.5, 5)
-        by_row = rhs.reshape(11, 14)
-        by_row[:, :4] = 0.0
-        by_row[:, 9:] = 0.0
+        rhs[:4] = 0.0
+        rhs[9:] = 0.0
         _assert_march_matches_superlu(op, rhs, last_row)
         solver = DirichletSolver(op)
-        forward = solver.solve(rhs, last_row).reshape(by_row.shape)
-        adjoint = solver.solve_adjoint(rhs, last_row).reshape(by_row.shape)
-        assert np.all(forward[:, :4] == 0.0) and np.all(forward[:, 4] != 0.0)
-        assert np.all(adjoint[:, 9:] == 0.0) and np.all(adjoint[:, 8] != 0.0)
+        forward = solver.solve(rhs, last_row)
+        adjoint = solver.solve_adjoint(rhs, last_row)
+        assert np.all(forward[:4] == 0.0) and np.all(forward[4] != 0.0)
+        assert np.all(adjoint[9:] == 0.0) and np.all(adjoint[8] != 0.0)
 
     @pytest.mark.parametrize("last_row", [None, 2])
     def test_zero_rhs_solves_to_zero(self, last_row):
         op = assemble(build_grid(6, 5, 0.5))
-        rhs = np.zeros(op.grid.n)
+        rhs = np.zeros((5, 6))
         _assert_march_matches_superlu(op, rhs, last_row)
         solver = DirichletSolver(op)
         assert np.all(solver.solve(rhs, last_row) == 0.0) and np.all(solver.solve_adjoint(rhs, last_row) == 0.0)
 
-    @pytest.mark.parametrize("length", [12 * 12 - 1, 2 * 12 * 12])
-    def test_wrong_length_rejected(self, small_grid, length):
+    @pytest.mark.parametrize("length", [12 * 12 - 1, 12 * 12, 2 * 12 * 12])
+    def test_flat_rhs_rejected(self, small_grid, length):
+        # a flat array, even of nx*ny entries, is no y-row layout
         solver = DirichletSolver(assemble(small_grid))
-        with pytest.raises(ValueError):
-            solver.solve(np.ones(length))
-        with pytest.raises(ValueError):
-            solver.solve_adjoint(np.ones(length))
+        for solve in (solver.solve, solver.solve_adjoint):
+            with pytest.raises(ValueError, match=re.escape("(ny, nx) = (12, 12)")):
+                solve(np.ones(length))
 
     @pytest.mark.parametrize("columns", [1, 3])
     def test_column_block_rejected(self, small_grid, columns):
@@ -324,8 +327,36 @@ class TestYMarch:
                 solve(rhs)
 
 
+class TestYRows:
+    """A solve takes and returns y-rows, shape (ny, nx), row j holding
+    y-row j.  On a non-square grid a transposed read or write fails."""
+
+    @pytest.mark.parametrize("nx,ny", [(6, 5), (5, 6)])
+    @pytest.mark.parametrize("last_row", [None, 0, 3])
+    def test_solves_equal_spsolve_after_reordering(self, nx, ny, last_row):
+        # the rows above the bound (forward) or below it (adjoint) are zero
+        _assert_march_matches_superlu(*_random_rhs(nx, ny, 0.5, nx + 10 * ny), last_row)
+
+    @pytest.mark.parametrize("nx,ny", [(6, 5), (5, 6)])
+    def test_forward_solve_has_the_bits_of_solve_dirichlet(self, nx, ny):
+        g = build_grid(nx, ny, 0.5)
+        f = random_field(g, nx)
+        u, _ = solve_dirichlet(assemble(g), f)
+        rows = DirichletSolver(assemble(g)).solve(np.ascontiguousarray(f.values2d().T))
+        assert rows.shape == (ny, nx)
+        assert rows.tobytes() == u.values2d().T.tobytes()
+
+    @pytest.mark.parametrize("nx,ny", [(6, 5), (5, 6)])
+    def test_flat_and_grid_shaped_rhs_rejected(self, nx, ny):
+        solver = DirichletSolver(assemble(build_grid(nx, ny, 0.5)))
+        for rhs in (np.ones(nx * ny), np.ones((nx, ny))):
+            for solve in (solver.solve, solver.solve_adjoint):
+                with pytest.raises(ValueError, match=re.escape(f"(ny, nx) = ({ny}, {nx})")):
+                    solve(rhs)
+
+
 def _rows_read(adjoint, last_row):
-    """The y-rows a solve with this bound holds, as a slice of axis 1."""
+    """The y-rows a solve with this bound holds, as a slice of axis 0."""
     if last_row is None:
         return np.s_[:]
     return np.s_[last_row:] if adjoint else np.s_[: last_row + 1]
@@ -354,20 +385,19 @@ class TestMarchReuse:
             st.one_of(st.none(), st.integers(0, ny - 1)), st.booleans(),
         ), min_size=1, max_size=12))
         for adjoint, change, last_row, zero in steps:
-            rhs = last.get(adjoint, np.zeros((nx, ny))).copy()
-            changed = np.s_[:, : ny - change] if adjoint else np.s_[:, change:]
+            rhs = last.get(adjoint, np.zeros((ny, nx))).copy()
+            changed = np.s_[: ny - change] if adjoint else np.s_[change:]
             rhs[changed] = 0.0 if zero else rng.standard_normal(rhs[changed].shape)
             last[adjoint] = rhs
-            flat = rhs.ravel()
-            got = _solve(solver, flat, adjoint, last_row).reshape(nx, ny)
-            fresh = _solve(DirichletSolver(op), flat, adjoint, last_row).reshape(nx, ny)
-            full = _solve(DirichletSolver(op), flat, adjoint).reshape(nx, ny)
+            got = _solve(solver, rhs, adjoint, last_row)
+            fresh = _solve(DirichletSolver(op), rhs, adjoint, last_row)
+            full = _solve(DirichletSolver(op), rhs, adjoint)
             read = _rows_read(adjoint, last_row)
             assert np.array_equal(got, fresh)
-            assert np.array_equal(got[:, read], full[:, read])
+            assert np.array_equal(got[read], full[read])
             unread = np.ones(ny, dtype=bool)
             unread[read] = False
-            assert np.all(got[:, unread] == 0.0)
+            assert np.all(got[unread] == 0.0)
 
     def test_rows_marched(self, monkeypatch):
         calls = []
@@ -382,30 +412,30 @@ class TestMarchReuse:
             _solve(solver, rhs, adjoint, last_row)
             return len(calls)
 
-        assert marched(np.zeros(nx * ny)) == 0
-        rhs = rng.standard_normal((nx, ny))
-        assert marched(rhs.ravel()) == ny
-        assert marched(rhs.ravel()) == 0
+        assert marched(np.zeros((ny, nx))) == 0
+        rhs = rng.standard_normal((ny, nx))
+        assert marched(rhs) == ny
+        assert marched(rhs) == 0
         for k in (0, 4, ny - 1):
-            rhs[:, k:] = rng.standard_normal((nx, ny - k))
-            assert marched(rhs.ravel()) == ny - k
+            rhs[k:] = rng.standard_normal((ny - k, nx))
+            assert marched(rhs) == ny - k
         # A^T marches down from y = 1: a change up to row k marches k + 1 rows
         down = rhs.copy()
-        assert marched(down.ravel(), True) == ny
-        down[:, :5] = 0.0
-        assert marched(down.ravel(), True) == 5
-        assert marched(down.ravel(), True) == 0
+        assert marched(down, True) == ny
+        down[:5] = 0.0
+        assert marched(down, True) == 5
+        assert marched(down, True) == 0
         # a bound stops the march; rows past it are marched when read
-        rhs[:, 2:] = rng.standard_normal((nx, ny - 2))
-        assert marched(rhs.ravel(), last_row=5) == 4
-        assert marched(rhs.ravel(), last_row=3) == 0
-        assert marched(rhs.ravel()) == ny - 6
+        rhs[2:] = rng.standard_normal((ny - 2, nx))
+        assert marched(rhs, last_row=5) == 4
+        assert marched(rhs, last_row=3) == 0
+        assert marched(rhs) == ny - 6
 
     def test_bound_outside_the_grid_rejected(self, small_grid):
         solver = DirichletSolver(assemble(small_grid))
         for last_row in (-1, small_grid.ny):
             with pytest.raises(ValueError, match="last_row"):
-                solver.solve(np.ones(small_grid.n), last_row=last_row)
+                solver.solve(np.ones((small_grid.ny, small_grid.nx)), last_row=last_row)
 
 
 class TestBoundedAdjoint:
@@ -414,31 +444,30 @@ class TestBoundedAdjoint:
     @pytest.mark.parametrize("last_row", range(NY))
     def test_rows_read_equal_the_unbounded_adjoint(self, last_row):
         grid = build_grid(self.NX, self.NY, 0.5)
-        rhs = random_field(grid, last_row).values
-        bounded = DirichletSolver(assemble(grid)).solve_adjoint(rhs, last_row=last_row)
-        full = DirichletSolver(assemble(grid)).solve_adjoint(rhs)
-        b, f = bounded.reshape(self.NX, self.NY), full.reshape(self.NX, self.NY)
-        assert b[:, last_row:].tobytes() == f[:, last_row:].tobytes()
-        assert np.all(b[:, :last_row] == 0.0)
+        rhs = random_field(grid, last_row).values2d().T
+        b = DirichletSolver(assemble(grid)).solve_adjoint(rhs, last_row=last_row)
+        f = DirichletSolver(assemble(grid)).solve_adjoint(rhs)
+        assert b[last_row:].tobytes() == f[last_row:].tobytes()
+        assert np.all(b[:last_row] == 0.0)
 
     def test_rows_marched(self, monkeypatch):
         calls = []
         original = operators.dpttrs
         monkeypatch.setattr(operators, "dpttrs", lambda *args: calls.append(1) or original(*args))
         nx, ny = self.NX, self.NY
-        rhs = np.zeros((nx, ny))
+        rhs = np.zeros((ny, nx))
         # the march starts at the highest nonzero row, 7, and runs down to the bound
-        rhs[:, 2:8] = np.random.default_rng(3).standard_normal((nx, 6))
+        rhs[2:8] = np.random.default_rng(3).standard_normal((6, nx))
         for last_row, rows in ((7, 1), (4, 4), (0, 8)):
             calls.clear()
-            DirichletSolver(assemble(build_grid(nx, ny, 0.5))).solve_adjoint(rhs.ravel(), last_row=last_row)
+            DirichletSolver(assemble(build_grid(nx, ny, 0.5))).solve_adjoint(rhs, last_row=last_row)
             assert len(calls) == rows
 
     def test_bound_outside_the_grid_rejected(self, small_grid):
         solver = DirichletSolver(assemble(small_grid))
         for last_row in (-1, small_grid.ny):
             with pytest.raises(ValueError, match="last_row"):
-                solver.solve_adjoint(np.ones(small_grid.n), last_row=last_row)
+                solver.solve_adjoint(np.ones((small_grid.ny, small_grid.nx)), last_row=last_row)
 
 
 def _matrix_built(op):
@@ -452,8 +481,8 @@ class TestLazyMatrix:
         f = random_field(small_grid, 3)
         solve_dirichlet(op, f)
         solver = DirichletSolver(op)
-        solver.solve(f.values)
-        solver.solve_adjoint(f.values)
+        solver.solve(f.values2d().T)
+        solver.solve_adjoint(f.values2d().T)
         op.apply(f)
         assert not _matrix_built(op)
 
@@ -461,7 +490,7 @@ class TestLazyMatrix:
         ops = []
         monkeypatch.setattr(game, "assemble", lambda grid: ops.append(assemble(grid)) or ops[-1])
         solver = shipped_game(n=12, seed=0).solver
-        solver.solve(np.ones(12 * 12))
+        solver.solve(np.ones((12, 12)))
         (op,) = ops
         assert not _matrix_built(op)
 
