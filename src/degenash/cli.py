@@ -291,41 +291,21 @@ def _write_columns(path: Path, header: list[str], columns: list) -> None:
     lengths = [c.size for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"{path.name}: columns must have equal lengths, got {lengths}")
-    renderers = [_renderer(c) for c in columns]
     with path.open("w") as out:
         out.write("\t".join(header) + "\n")
         for start in range(0, lengths[0] if columns else 0, CHUNK_ROWS):
-            rows = np.s_[start : start + CHUNK_ROWS]
-            cells = [render(rows) for render in renderers]
+            # a flat slice copies only these rows, also of a broadcast view
+            cells = [_render(c.flat[start : start + CHUNK_ROWS]) for c in columns]
             out.write("\n".join(map("\t".join, zip(*cells))) + "\n")
 
 
-def _renderer(column: np.ndarray):
-    """The function that renders a slice of column's entries in ravel order.
-
-    A 2-D column that is constant along an axis (a broadcast view, stride
-    0 there) is rendered once from its 1-D source, the entries along the
-    other axis, and each slice picks its cells from that text; any other
-    column renders the slice it is given."""
-    if column.ndim != 2 or column.size == 0 or 0 not in column.strides:
-        # a flat slice copies only these rows
-        return lambda rows: _render(column.flat[rows]).tolist()
-    width = column.shape[1]
-    if column.strides[1] == 0:
-        text, source_index = _render(column[:, 0]), lambda k: k // width
-    else:
-        text, source_index = _render(column[0]), lambda k: k % width
-    return lambda rows: text[source_index(np.arange(*rows.indices(column.size)))].tolist()
-
-
-def _render(values: np.ndarray) -> np.ndarray:
-    """repr of each entry's Python scalar, as an object array, called once
-    per distinct value; floats are told apart by their bits, so 0.0 and
-    -0.0 stay apart."""
+def _render(values: np.ndarray) -> list[str]:
+    """repr of each entry's Python scalar, called once per distinct value;
+    floats are told apart by their bits, so 0.0 and -0.0 stay apart."""
     key = values.view(np.int64) if values.dtype == np.float64 else values
     distinct, index = np.unique(key, return_inverse=True)
     text = np.array(list(map(repr, distinct.view(values.dtype).tolist())), dtype=object)
-    return text[index]
+    return text[index].tolist()
 
 
 def _study_tables(out: Path, result: StudyResult) -> None:
@@ -426,7 +406,7 @@ def _run_game(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     )
     grid = game_cfg.grid
     shape = (grid.nx, grid.ny)
-    # the grid columns are broadcast views, rendered from their 1-D sources
+    # the grid columns are broadcast views; _write_columns copies a chunk at a time
     I, X = (np.broadcast_to(a[:, None], shape) for a in (np.arange(grid.nx), grid.x))
     J, Y = (np.broadcast_to(a[None, :], shape) for a in (np.arange(grid.ny), grid.y))
     _write_columns(

@@ -41,23 +41,22 @@ A GameConfig is frozen, so it is checked once, when it is built, and
 its solver and source hold for its life; a different game is a new one
 (dataclasses.replace re-runs every check).  Inside the game the
 arithmetic runs on each region's node indices (RegionMask.nodes), and
-right-hand sides and states are the solver's y-rows, (ny, nx), so no
-solve transposes.  Each GameConfig masks the leader's source g once, as
-y-rows (GameConfig.source), gathers x^-alpha and x^alpha on each control
-region once (GameConfig.weights), and holds each follower's region nodes
-as flat y-row indices, in RegionMask.nodes order, and yd_i gathered on
-G_i (GameConfig.rows).  A state solve copies the source and adds f1 and
-f2 on their own nodes; cost and gradient gather and scatter through the
-same indices, so every gathered array is the one the grid order gives,
-in the same order, and sums to the same bits.  Only state_solve
-transposes its state back to the grid's order.  The tracking term, the
+right-hand sides and states are the solver's y-rows (Grid.y_rows), so
+no solve transposes.  Each GameConfig masks the leader's source g once,
+as y-rows (GameConfig.source), and keeps one record per follower
+(GameConfig.follower): its regions, target and radius, yd_i gathered on
+G_i, and x^-alpha and x^alpha gathered on omega_i.  A state solve copies
+the source and adds f1 and f2 on their own nodes' y-row indices
+(RegionMask.row_nodes); cost and gradient gather and scatter through
+the same indices, so every gathered array is the one the grid order
+gives, in the same order, and sums to the same bits.  Only state_solve
+turns its state back to the grid's order.  The tracking term, the
 penalty and the norms of certify's directions sum their products over
 their region's nodes only, in arrays the call gathered, so a sum that
 raises leaves nothing behind; each is within 1e-14 relative of the
-full-grid np.where sum.  Only the
-solver's march store is shared by every call on the game: not
-reentrant.  cost builds no GridFunction and certify one per deviation;
-each GridFunction keeps its finiteness scan.
+full-grid np.where sum.  Only the solver's march store is shared by
+every call on the game: not reentrant.  cost builds no GridFunction and
+certify one per deviation; each GridFunction keeps its finiteness scan.
 
 The shipped game is defined once, in configs/benchmark_game.yaml; the CLI
 builds its GameConfig through cli.parse_config and cli.build_game_config.
@@ -70,6 +69,7 @@ import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,14 +86,29 @@ INNER_MAX_ITERS = 500
 DEVIATION_SAMPLES = 200
 
 
+class Follower(NamedTuple):
+    """Follower i of a game: control region omega_i, observation region
+    G_i, target yd_i and radius M_i, with the read-only arrays the game
+    gathers on them once: yd_i on G_i's nodes, and x^-alpha (penalty and
+    deviation norms) and x^alpha (gradient) on omega_i's."""
+
+    ctrl: RegionMask
+    obs: RegionMask
+    yd: GridFunction
+    m: float
+    yd_obs: np.ndarray
+    x_inv: np.ndarray
+    x_pow: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class GameConfig:
     """One game: its grid, regions, fields, ball radii and certify seed.
 
     Frozen, so its checks run once, when it is built.  Besides its fields
-    it holds only the cached solver, leader source, control-region
-    weights and region row indices, which die with it; the solver's march
-    store is the one state that calls on the game share.  Compares and hashes by identity."""
+    it holds only the cached solver, leader source and follower records,
+    which die with it; the solver's march store is the one state that
+    calls on the game share.  Compares and hashes by identity."""
 
     grid: Grid
     omega: RegionMask
@@ -136,44 +151,27 @@ class GameConfig:
         y-rows (ny, nx): chi_omega g + 0.0.  The + 0.0 turns -0.0 into +0.0,
         so a state's right-hand side keeps the bits of the full-grid
         three-term sum."""
-        source = np.where(self.omega.indicator, self.g.values, 0.0) + 0.0
-        source = np.ascontiguousarray(source.reshape(self.grid.nx, self.grid.ny).T)
+        source = self.grid.y_rows(np.where(self.omega.indicator, self.g.values, 0.0) + 0.0)
         source.flags.writeable = False
         return source
 
     @functools.cached_property
-    def weights(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Read-only (x^-alpha, x^alpha) on follower i's control nodes, by i:
-        the weight of its penalty and deviation norms, and of its gradient."""
-        weights, alpha = {}, self.grid.alpha
-        for i in (1, 2):
-            nodes = self.follower(i)[0].nodes
-            weights[i] = tuple(_nodal_x_power(self.grid, e)[nodes] for e in (-alpha, alpha))
-            for w in weights[i]:
-                w.flags.writeable = False
-        return weights
-
-    @functools.cached_property
-    def rows(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Read-only (omega_i nodes, G_i nodes, yd_i on G_i), by i: each
-        region's nodes in RegionMask.nodes order as flat indices of the
-        solver's y-rows, j*nx + i for node i*ny + j."""
-        rows, nx, ny = {}, self.grid.nx, self.grid.ny
-        for i in (1, 2):
-            region_ctrl, region_obs, yd, _ = self.follower(i)
-            rows[i] = tuple(nodes % ny * nx + nodes // ny for nodes in (region_ctrl.nodes, region_obs.nodes))
-            rows[i] += (yd.values[region_obs.nodes],)
-            for a in rows[i]:
+    def _followers(self) -> dict[int, Follower]:
+        followers, alpha = {}, self.grid.alpha
+        for i, (ctrl, obs, yd, m) in enumerate(
+            ((self.omega1, self.g1_obs, self.yd1, self.m1), (self.omega2, self.g2_obs, self.yd2, self.m2)), 1
+        ):
+            gathered = [yd.values[obs.nodes]] + [_nodal_x_power(self.grid, e)[ctrl.nodes] for e in (-alpha, alpha)]
+            for a in gathered:
                 a.flags.writeable = False
-        return rows
+            followers[i] = Follower(ctrl, obs, yd, m, *gathered)
+        return followers
 
-    def follower(self, i: int) -> tuple[RegionMask, RegionMask, GridFunction, float]:
-        """(control region, observation region, target, radius) of follower i."""
-        if i == 1:
-            return self.omega1, self.g1_obs, self.yd1, self.m1
-        if i == 2:
-            return self.omega2, self.g2_obs, self.yd2, self.m2
-        raise ValueError(f"follower index must be 1 or 2, got {i}")
+    def follower(self, i: int) -> Follower:
+        """The record of follower i, built once per game."""
+        if i not in (1, 2):
+            raise ValueError(f"follower index must be 1 or 2, got {i}")
+        return self._followers[i]
 
 
 @dataclass(eq=False)
@@ -217,34 +215,32 @@ def _within_ball(norm: float, m: float) -> bool:
 
 def state_solve(cfg: GameConfig, f1: GridFunction, f2: GridFunction) -> GridFunction:
     """State y(cfg.g, f1, f2) with masked sources, in the grid's order."""
-    return GridFunction(cfg.grid, _state(cfg, f1, f2).T)
+    return GridFunction(cfg.grid, cfg.grid.grid_order(_state(cfg, f1, f2)))
 
 
 def _state(cfg: GameConfig, f1: GridFunction, f2: GridFunction, last_row: int | None = None) -> np.ndarray:
     """The state as y-rows (ny, nx), or, given last_row, its y-rows up to
     last_row and zeros above."""
     rhs = cfg.source.copy()
-    flat = rhs.reshape(-1)
-    for i, name, region, f in ((1, "f1", cfg.omega1, f1), (2, "f2", cfg.omega2, f2)):
+    for name, region, f in (("f1", cfg.omega1, f1), ("f2", cfg.omega2, f2)):
         if f.grid != cfg.grid:
             raise ValueError(f"{name} lives on {f.grid}, not on the game's grid {cfg.grid}")
-        flat[cfg.rows[i][0]] += f.values[region.nodes]
+        rhs.reshape(-1)[region.row_nodes] += f.values[region.nodes]
     return cfg.solver.solve(rhs, last_row=last_row)
 
 
 def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
     """J_i: tracking hx*hy * sum_{G_i} (y - yd_i)^2 plus penalty
     hx*hy * sum_{omega_i} x^-alpha f_i^2, formed in place on region nodes."""
-    region_ctrl, region_obs, _, _ = cfg.follower(i)
-    _, obs_rows, yd_obs = cfg.rows[i]
-    y = _state(cfg, f1, f2, region_obs.top_row)
+    player = cfg.follower(i)
+    y = _state(cfg, f1, f2, player.obs.top_row)
     grid = cfg.grid
-    misfit = y.reshape(-1)[obs_rows]
-    misfit -= yd_obs
+    misfit = y.reshape(-1)[player.obs.row_nodes]
+    misfit -= player.yd_obs
     misfit *= misfit
-    penalty = (f1 if i == 1 else f2).values[region_ctrl.nodes]
+    penalty = (f1 if i == 1 else f2).values[player.ctrl.nodes]
     penalty *= penalty
-    penalty *= cfg.weights[i][0]
+    penalty *= player.x_inv
     return float(grid.hx * grid.hy * misfit.sum() + grid.hx * grid.hy * penalty.sum())
 
 
@@ -252,16 +248,15 @@ def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> Gri
     """Riesz representative of dJ_i/df_i in the lumped L2(omega_i; x^-alpha)
     inner product: solve A^T p = 2 chi_G_i (y - yd_i), return
     chi_omega_i (x^alpha p + 2 f_i)."""
-    region_ctrl, region_obs, _, _ = cfg.follower(i)
-    ctrl_rows, obs_rows, yd_obs = cfg.rows[i]
-    y = _state(cfg, f1, f2, region_obs.top_row)
+    player = cfg.follower(i)
+    ctrl, obs = player.ctrl, player.obs
+    y = _state(cfg, f1, f2, obs.top_row)
     source = np.zeros((cfg.grid.ny, cfg.grid.nx))
-    source.reshape(-1)[obs_rows] = 2.0 * (y.reshape(-1)[obs_rows] - yd_obs)
-    p = cfg.solver.solve_adjoint(source, last_row=region_ctrl.bottom_row)
-    ctrl = region_ctrl.nodes
+    source.reshape(-1)[obs.row_nodes] = 2.0 * (y.reshape(-1)[obs.row_nodes] - player.yd_obs)
+    p = cfg.solver.solve_adjoint(source, last_row=ctrl.bottom_row)
     f_own = f1 if i == 1 else f2
     vals = np.zeros(cfg.grid.n)
-    vals[ctrl] = cfg.weights[i][1] * p.reshape(-1)[ctrl_rows] + 2.0 * f_own.values[ctrl]
+    vals[ctrl.nodes] = player.x_pow * p.reshape(-1)[ctrl.row_nodes] + 2.0 * f_own.values[ctrl.nodes]
     return GridFunction(cfg.grid, vals)
 
 
@@ -291,7 +286,7 @@ def best_response(cfg: GameConfig, i: int, f_other: GridFunction) -> tuple[GridF
     exactly when the descent converged (above it, or NaN, when
     INNER_MAX_ITERS ran out).
     """
-    region_ctrl, _, _, m = cfg.follower(i)
+    player = cfg.follower(i)
     alpha = cfg.grid.alpha
 
     def pack(f_own):
@@ -303,12 +298,12 @@ def best_response(cfg: GameConfig, i: int, f_other: GridFunction) -> tuple[GridF
     residual = math.inf
     for _ in range(INNER_MAX_ITERS):
         grad = gradient(cfg, i, *pack(f))
-        trial_unit = project_ball(f - grad, m, region_ctrl, alpha)
+        trial_unit = project_ball(f - grad, player.m, player.ctrl, alpha)
         residual = control_norm(f - trial_unit, alpha)
         if residual <= INNER_TOL:
             return f, residual
         while True:
-            f_new = project_ball(f - step * grad, m, region_ctrl, alpha)
+            f_new = project_ball(f - step * grad, player.m, player.ctrl, alpha)
             j_new = cost(cfg, i, *pack(f_new))
             move = f_new - f
             move_sq = control_inner(move, move, alpha)
@@ -383,13 +378,14 @@ def _feasible_deviations(
     are standard normal on the control region's nodes, which GameConfig
     requires to be nonempty, zero elsewhere, and normed on those nodes.
     Each is drawn when asked for, so the caller holds one at a time."""
-    region_ctrl, _, _, m = cfg.follower(i)
+    player = cfg.follower(i)
     yield GridFunction.zeros(cfg.grid)
+    m = player.m
     n = DEVIATION_SAMPLES if m > 0.0 else 0
-    nodes = region_ctrl.nodes
+    nodes = player.ctrl.nodes
     for k in range(n):
         direction = rng.standard_normal(nodes.size)
-        squares = cfg.weights[i][0] * direction
+        squares = player.x_inv * direction
         squares *= direction
         nd = math.sqrt(cfg.grid.hx * cfg.grid.hy * squares.sum())
         radius = m if k < n // 2 else m * rng.uniform(0.0, 1.0)
@@ -402,10 +398,10 @@ def _admissible(cfg: GameConfig, i: int, f: GridFunction) -> bool:
     """Whether f lies in follower i's admissible set: support in omega_i
     and control_norm within the ball, project_ball's own rule, so a
     projected control stays admissible to the last bit."""
-    region_ctrl, _, _, m = cfg.follower(i)
-    if np.count_nonzero(f.values[region_ctrl.nodes]) != np.count_nonzero(f.values):
+    player = cfg.follower(i)
+    if np.count_nonzero(f.values[player.ctrl.nodes]) != np.count_nonzero(f.values):
         return False
-    return _within_ball(control_norm(f, cfg.grid.alpha), m)
+    return _within_ball(control_norm(f, cfg.grid.alpha), player.m)
 
 
 def certify(cfg: GameConfig, f1_star: GridFunction, f2_star: GridFunction) -> tuple[bool, float]:

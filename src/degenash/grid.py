@@ -9,6 +9,11 @@ A GridFunction is a read-only value, whose operators.dx, dy,
 norms.norms_of and self-pairings are computed once and kept with it
 (GridFunction._once).
 
+Node values are flat in the grid's order, i*ny + j.  The y-march solver
+takes y-rows instead, (ny, nx) arrays whose row j is y-row j; Grid.y_rows,
+Grid.grid_order and RegionMask.row_nodes are the one place that converts
+between the two.
+
 The x-part hx*hy * xc**exponent of the quadrature weights is computed once
 per (grid, exponent) and handed out as a read-only array; the one y-weight
 is the stabilizing exp(-theta*y), which takes a fresh array; a self-pairing
@@ -123,6 +128,17 @@ class Grid:
     def yc(self) -> np.ndarray:
         """Cell-center y-coordinates of the (ny+1) cell rows."""
         return (np.arange(self.ny + 1) + 0.5) * self.hy
+
+    def y_rows(self, values) -> np.ndarray:
+        """Node values in the grid's order (flat, i*ny + j) as y-rows: a new
+        C-contiguous (ny, nx) array whose row j is y-row j, the layout that
+        operators.DirichletSolver marches."""
+        return np.reshape(values, (self.nx, self.ny)).T.copy()
+
+    def grid_order(self, rows) -> np.ndarray:
+        """y-rows (ny, nx) as a new flat array of node values in the grid's
+        order, i*ny + j: the inverse of y_rows."""
+        return np.reshape(rows, (self.ny, self.nx)).T.ravel()
 
 
 def build_grid(nx: int, ny: int, alpha: float) -> Grid:
@@ -242,6 +258,15 @@ class RegionMask:
         nodes = np.flatnonzero(self.indicator)
         nodes.flags.writeable = False
         return nodes
+
+    @functools.cached_property
+    def row_nodes(self) -> np.ndarray:
+        """Read-only flat y-row indices (Grid.y_rows) of the region's nodes,
+        j*nx + i for node i*ny + j, in the order of nodes."""
+        nodes = self.nodes
+        rows = nodes % self.grid.ny * self.grid.nx + nodes // self.grid.ny
+        rows.flags.writeable = False
+        return rows
 
     @property
     def count(self) -> int:

@@ -26,13 +26,14 @@ first nonzero row), and a forward or adjoint solve given the last row
 its caller reads stops after that row.  Keeping the last solve serves
 repeated solves (DirichletSolver); a one-shot solve (solve_dirichlet)
 keeps none and marches its own copy of the rows in place.
-DirichletSolver takes and returns the march's own layout, y-rows: an
-(ny, nx) array whose row j is y-row j, which the adjoint marches in
-reverse.  So no repeated solve transposes from the grid's node order
-i*ny + j; solve_dirichlet, which takes and returns a GridFunction,
-transposes in and out once.  The scheme never uses u = 0 at y = 1: that
-edge is the outflow boundary, and no row of the matrix refers to it.  (Centered differencing in y would make the
-march a leapfrog scheme, whose computational mode does not shrink under
+DirichletSolver takes and returns the march's own layout, y-rows
+(Grid.y_rows): an (ny, nx) array whose row j is y-row j, which the
+adjoint marches in reverse.  So no repeated solve converts from the
+grid's node order i*ny + j; solve_dirichlet, which takes and returns a
+GridFunction, converts in and out once.  The scheme never uses u = 0 at
+y = 1: that edge is the outflow boundary, and no row of the matrix
+refers to it.  (Centered differencing in y would make the march a
+leapfrog scheme, whose computational mode does not shrink under
 refinement, and would impose u = 0 at the outflow edge.)
 
 A u is computed from the 5-point stencil.  The CSR matrix of A is
@@ -196,9 +197,8 @@ class DirichletSolver:
     The operator is factored as the implicit-Euler march in y (one
     tridiagonal Cholesky factorization, O(nx*ny) per solve, no fill).  A
     solve takes one right-hand side as y-rows, an array of shape
-    (ny, nx) whose row j is y-row j (a grid-order field's
-    values2d().T), and returns its solution in the same layout, so no
-    solve transposes.  Forward and adjoint solves share the factors; each
+    (ny, nx) whose row j is y-row j (Grid.y_rows), and returns its
+    solution in the same layout, so no solve converts layouts.  Forward and adjoint solves share the factors; each
     direction keeps its last right-hand side and solution, and marches
     from the first row whose right-hand side differs (!=) from the kept
     one or that the kept solution does not hold, whichever is earlier.
@@ -289,8 +289,8 @@ def solve_dirichlet(
 
     Factors op as DirichletSolver does, copies f into y-rows and solves
     them in place (_march), without the store that repeated solves share;
-    the bits are those of DirichletSolver(op).solve(f.values2d().T),
-    transposed back to the grid's order.
+    the bits are those of DirichletSolver(op).solve(grid.y_rows(f.values)),
+    in the grid's order.
     Raises SolverError carrying the achieved residual if u does not meet
     the contract of _check_residual at tol.  There is no refinement: the
     march's residual is the stencil's round-off floor, and a refinement
@@ -300,14 +300,14 @@ def solve_dirichlet(
         raise ValueError("right-hand side lives on a different grid")
     FINITE_POSITIVE.check("tol", tol)
     start = time.perf_counter()
-    rows = np.ascontiguousarray(f.values2d().T)
+    rows = op.grid.y_rows(f.values)
     # leading zero rows solve to +0.0 (a -0.0 there would stay -0.0), and
     # the first nonzero row couples nothing, as in a first store solve
     first = next((j for j, row in enumerate(rows) if row.any()), len(rows))
     rows[:first] = 0.0
     _march(_factor(op.grid), rows[first:])
-    u = rows.T.reshape(op.grid.n)
-    del rows  # u is a copy in the grid's C order
+    u = op.grid.grid_order(rows)
+    del rows
     residual, met = _check_residual(op, u, f.values, tol)
     if not met:
         raise SolverError("solve did not meet the residual tolerance", residual)

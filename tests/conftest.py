@@ -22,17 +22,6 @@ def random_field(grid, seed, scale=1.0):
     return GridFunction(grid, scale * rng.standard_normal(grid.n))
 
 
-def y_rows(grid, values):
-    """Node values in the grid's order (flat, i*ny + j) as the solver's
-    y-rows, shape (ny, nx): a view."""
-    return np.asarray(values).reshape(grid.nx, grid.ny).T
-
-
-def grid_values(rows):
-    """The solver's y-rows (ny, nx) as flat node values in the grid's order."""
-    return np.asarray(rows).T.ravel()
-
-
 def shipped_game(n=None, seed=None, ny=None, **game):
     """The game of configs/benchmark_game.yaml, built as the CLI builds it,
     on an n x n grid, or n x ny given ny, with the given seed and game keys

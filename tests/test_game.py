@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import degenash.game as game_mod
 import degenash.operators as operators
-from conftest import CONFIG_DIR, grid_values, random_field, shipped_game, y_rows
+from conftest import CONFIG_DIR, random_field, shipped_game
 from degenash.cli import parse_config, run
 from degenash.fields import bump_from_parameters, bump_parameter_sets
 from degenash.game import (
@@ -447,9 +447,9 @@ def reference_equilibrium(cfg):
         for k, node in enumerate(nodes):
             unit = np.zeros(grid.n)
             unit[node] = 1.0
-            cols[:, k] = grid_values(solver.solve(y_rows(grid, unit)))
+            cols[:, k] = grid.grid_order(solver.solve(grid.y_rows(unit)))
         columns.append(cols)
-    y_g = grid_values(solver.solve(y_rows(grid, cfg.omega.apply(cfg.g).values)))
+    y_g = grid.grid_order(solver.solve(grid.y_rows(cfg.omega.apply(cfg.g).values)))
     weight = np.repeat(grid.x ** -grid.alpha, grid.ny)
     rows, rhs = [], []
     for i, yd in enumerate((cfg.yd1, cfg.yd2)):
@@ -758,6 +758,17 @@ class TestGameConfigValidation:
         with pytest.raises(ValueError):
             mini_cfg.follower(3)
 
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_follower_record_is_built_once_and_read_only(self, mini_cfg, i):
+        player = mini_cfg.follower(i)
+        assert player is mini_cfg.follower(i)
+        grid, ctrl, obs = mini_cfg.grid, player.ctrl.indicator, player.obs.indicator
+        x = np.repeat(grid.x, grid.ny)
+        assert _bits(player.yd_obs) == _bits(player.yd.values[obs])
+        assert _bits(player.x_inv) == _bits(x[ctrl] ** -grid.alpha)
+        assert _bits(player.x_pow) == _bits(x[ctrl] ** grid.alpha)
+        assert not any(a.flags.writeable for a in (player.yd_obs, player.x_inv, player.x_pow))
+
 
 class TestEquality:
     def test_shipped_control_regions_differ(self, mini_cfg):
@@ -789,9 +800,9 @@ def _where_rhs(cfg, f1, f2):
 
 
 def _where_cost(cfg, i, f1, f2):
-    ctrl, obs, yd, _ = cfg.follower(i)
+    ctrl, obs, yd, _ = cfg.follower(i)[:4]
     grid = cfg.grid
-    y = grid_values(cfg.solver.solve(y_rows(grid, _where_rhs(cfg, f1, f2)), last_row=obs.top_row))
+    y = grid.grid_order(cfg.solver.solve(grid.y_rows(_where_rhs(cfg, f1, f2)), last_row=obs.top_row))
     tracking = float(grid.hx * grid.hy * np.sum(np.where(obs.indicator, y - yd.values, 0.0) ** 2))
     f_own = f1 if i == 1 else f2
     w = np.repeat(grid.x ** -grid.alpha, grid.ny)
@@ -800,10 +811,10 @@ def _where_cost(cfg, i, f1, f2):
 
 
 def _where_gradient(cfg, i, f1, f2):
-    ctrl, obs, yd, _ = cfg.follower(i)
+    ctrl, obs, yd, _ = cfg.follower(i)[:4]
     grid = cfg.grid
-    y = grid_values(cfg.solver.solve(y_rows(grid, _where_rhs(cfg, f1, f2)), last_row=obs.top_row))
-    p = grid_values(cfg.solver.solve_adjoint(y_rows(grid, np.where(obs.indicator, 2.0 * (y - yd.values), 0.0))))
+    y = grid.grid_order(cfg.solver.solve(grid.y_rows(_where_rhs(cfg, f1, f2)), last_row=obs.top_row))
+    p = grid.grid_order(cfg.solver.solve_adjoint(grid.y_rows(np.where(obs.indicator, 2.0 * (y - yd.values), 0.0))))
     f_own = f1 if i == 1 else f2
     xa = np.repeat(grid.x**grid.alpha, grid.ny)
     return np.where(ctrl.indicator, xa * p + 2.0 * f_own.values, 0.0)
@@ -818,9 +829,9 @@ def _region_weight(cfg, i, exponent):
 
 
 def _region_cost(cfg, i, f1, f2):
-    ctrl, obs, yd, _ = cfg.follower(i)
+    ctrl, obs, yd, _ = cfg.follower(i)[:4]
     grid = cfg.grid
-    y = grid_values(cfg.solver.solve(y_rows(grid, _where_rhs(cfg, f1, f2)), last_row=obs.top_row))
+    y = grid.grid_order(cfg.solver.solve(grid.y_rows(_where_rhs(cfg, f1, f2)), last_row=obs.top_row))
     tracking = grid.hx * grid.hy * np.sum((y[obs.indicator] - yd.values[obs.indicator]) ** 2)
     f_own = f1 if i == 1 else f2
     w = _region_weight(cfg, i, -grid.alpha)
@@ -829,7 +840,7 @@ def _region_cost(cfg, i, f1, f2):
 
 
 def _region_deviations(cfg, i, rng):
-    ctrl, _, _, m = cfg.follower(i)
+    ctrl, _, _, m = cfg.follower(i)[:4]
     grid = cfg.grid
     w = _region_weight(cfg, i, -grid.alpha)
     out = [np.zeros(grid.n)]
@@ -885,7 +896,7 @@ class TestArrayLevelEquivalence:
         g, f1, f2 = (random_field(cfg16.grid, s) for s in (1, 2, 3))
         cfg = dataclasses.replace(cfg16, g=g)
         rhs = cfg.omega.apply(g) + cfg.omega1.apply(f1) + cfg.omega2.apply(f2)
-        expected = grid_values(cfg.solver.solve(y_rows(cfg.grid, rhs.values)))
+        expected = cfg.grid.grid_order(cfg.solver.solve(cfg.grid.y_rows(rhs.values)))
         assert np.array_equal(state_solve(cfg, f1, f2).values, expected)
 
     def test_state_solve_rejects_foreign_grid(self, cfg16):
@@ -920,7 +931,7 @@ class TestArrayLevelEquivalence:
     @pytest.mark.parametrize("i", [1, 2])
     def test_deviations_sampled_on_control_region(self, cfg16, i):
         cfg = cfg16
-        region, _, _, m = cfg.follower(i)
+        region, _, _, m = cfg.follower(i)[:4]
         n = DEVIATION_SAMPLES
         devs = list(_feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i])))
         assert len(devs) == n + 1
@@ -972,14 +983,14 @@ class TestArrayLevelEquivalence:
         cost(game, 1, f1, f2)
         expected = _where_rhs(game, f1, f2)
         # the solver takes the right-hand side as y-rows
-        assert seen == [_bits(y_rows(game.grid, expected))] * 2
-        assert _bits(y.values) == _bits(grid_values(solve(y_rows(game.grid, expected))))
+        assert seen == [_bits(game.grid.y_rows(expected))] * 2
+        assert _bits(y.values) == _bits(game.grid.grid_order(solve(game.grid.y_rows(expected))))
 
     def test_source_follows_a_new_leader_source(self, cfg):
         z = GridFunction.zeros(cfg.grid)
         assert np.any(cfg.source != 0.0)
         game = dataclasses.replace(cfg, g=z)
-        assert _bits(game.source) == _bits(y_rows(game.grid, z.values))
+        assert _bits(game.source) == _bits(game.grid.y_rows(z.values))
         assert _bits(cost(game, 1, z, z)) == _bits(_region_cost(game, 1, z, z))
 
     @pytest.mark.parametrize("i", [1, 2])

@@ -130,6 +130,20 @@ class TestGridFunction:
         assert u.values[0] == pytest.approx(g.x[0] + 10 * g.y[0])
         assert u.values[g.ny] == pytest.approx(g.x[1] + 10 * g.y[0])
 
+    @pytest.mark.parametrize("nx,ny", [(3, 4), (4, 3)])
+    def test_y_rows_and_back(self, nx, ny):
+        # entry [j, i] of the y-rows is node (x_i, y_j); both directions copy
+        g = build_grid(nx, ny, 0.5)
+        u = GridFunction.from_callable(g, lambda x, y: x + 10 * y)
+        rows = g.y_rows(u.values)
+        assert rows.shape == (ny, nx) and rows.flags.c_contiguous and rows.flags.writeable
+        assert all(rows[j, i] == u.values[i * ny + j] for i in range(nx) for j in range(ny))
+        back = g.grid_order(rows)
+        assert back.shape == (g.n,) and _bits(back) == _bits(u.values)
+        assert not np.shares_memory(back, rows)
+        with pytest.raises(ValueError):
+            g.y_rows(np.zeros(g.n + 1))
+
     def test_from_callable_rejects_a_result_that_does_not_broadcast(self):
         g = build_grid(3, 4, 0.5)
         with pytest.raises(ValueError, match=r"shape \(12,\), which does not broadcast to \(3, 4\)"):
@@ -328,6 +342,15 @@ class TestRectMask:
         for row in ("bottom_row", "top_row"):
             with pytest.raises(ValueError, match="no interior nodes"):
                 getattr(empty, row)
+
+    @pytest.mark.parametrize("nx,ny", [(6, 5), (5, 6)])
+    def test_row_nodes_index_the_y_rows(self, nx, ny):
+        # in the order of nodes, the y-rows hold the values the nodes index
+        g = build_grid(nx, ny, 0.5)
+        m = rect_mask(g, 0.2, 0.9, 0.1, 0.6)
+        u = random_field(g, 1)
+        assert _bits(g.y_rows(u.values).reshape(-1)[m.row_nodes]) == _bits(u.values[m.nodes])
+        assert not m.row_nodes.flags.writeable and m.row_nodes is m.row_nodes
 
     def test_direct_indicator_escape_hatch(self, small_grid):
         ind = np.zeros(small_grid.n, dtype=bool)

@@ -114,7 +114,7 @@ class TestSolve:
         ]
         for f in fields:
             u, _ = solve_dirichlet(op, f)
-            assert u.values2d().T.tobytes() == DirichletSolver(op).solve(f.values2d().T).tobytes()
+            assert g.y_rows(u.values).tobytes() == DirichletSolver(op).solve(g.y_rows(f.values)).tobytes()
 
     def test_zero_rhs_zero_solution(self, small_grid):
         op = assemble(small_grid)
@@ -211,7 +211,7 @@ class TestSolve:
         # reported, never refined
         op = assemble(small_grid)
         f = GridFunction.from_callable(small_grid, lambda X, Y: np.sin(3 * X + Y))
-        u = GridFunction(small_grid, DirichletSolver(op).solve(f.values2d().T).T)
+        u = GridFunction(small_grid, small_grid.grid_order(DirichletSolver(op).solve(small_grid.y_rows(f.values))))
         floor = operators.euclidean_norm(op.apply(u).values - f.values)
         calls = []
         original = operators._march
@@ -246,13 +246,13 @@ def _assert_march_matches_superlu(op, rhs, last_row=None):
     solver = DirichletSolver(op)
     A = op.matrix.tocsc()
     nx, ny = op.grid.nx, op.grid.ny
-    flat = rhs.T.ravel()
+    flat = op.grid.grid_order(rhs)
     for adjoint, got, ref in (
         (False, solver.solve(rhs, last_row), spla.spsolve(A, flat)),
         (True, solver.solve_adjoint(rhs, last_row), spla.spsolve(A.T.tocsc(), flat)),
     ):
         assert got.shape == rhs.shape == (ny, nx)
-        ref = ref.reshape(nx, ny).T
+        ref = op.grid.y_rows(ref)
         read = np.zeros((ny, nx), dtype=bool)
         read[_rows_read(adjoint, last_row)] = True
         assert np.linalg.norm(got[read] - ref[read]) <= 1e-12 * np.linalg.norm(ref[read])
@@ -264,7 +264,7 @@ def _random_rhs(nx, ny, alpha, seed):
     C-contiguous y-rows (ny, nx)."""
     op = assemble(build_grid(nx, ny, alpha))
     values = np.random.default_rng(seed).standard_normal(op.grid.n)
-    return op, np.ascontiguousarray(values.reshape(nx, ny).T)
+    return op, op.grid.y_rows(values)
 
 
 class TestYMarch:
@@ -342,9 +342,9 @@ class TestYRows:
         g = build_grid(nx, ny, 0.5)
         f = random_field(g, nx)
         u, _ = solve_dirichlet(assemble(g), f)
-        rows = DirichletSolver(assemble(g)).solve(np.ascontiguousarray(f.values2d().T))
+        rows = DirichletSolver(assemble(g)).solve(g.y_rows(f.values))
         assert rows.shape == (ny, nx)
-        assert rows.tobytes() == u.values2d().T.tobytes()
+        assert rows.tobytes() == g.y_rows(u.values).tobytes()
 
     @pytest.mark.parametrize("nx,ny", [(6, 5), (5, 6)])
     def test_flat_and_grid_shaped_rhs_rejected(self, nx, ny):
@@ -444,7 +444,7 @@ class TestBoundedAdjoint:
     @pytest.mark.parametrize("last_row", range(NY))
     def test_rows_read_equal_the_unbounded_adjoint(self, last_row):
         grid = build_grid(self.NX, self.NY, 0.5)
-        rhs = random_field(grid, last_row).values2d().T
+        rhs = grid.y_rows(random_field(grid, last_row).values)
         b = DirichletSolver(assemble(grid)).solve_adjoint(rhs, last_row=last_row)
         f = DirichletSolver(assemble(grid)).solve_adjoint(rhs)
         assert b[last_row:].tobytes() == f[last_row:].tobytes()
@@ -481,8 +481,8 @@ class TestLazyMatrix:
         f = random_field(small_grid, 3)
         solve_dirichlet(op, f)
         solver = DirichletSolver(op)
-        solver.solve(f.values2d().T)
-        solver.solve_adjoint(f.values2d().T)
+        solver.solve(small_grid.y_rows(f.values))
+        solver.solve_adjoint(small_grid.y_rows(f.values))
         op.apply(f)
         assert not _matrix_built(op)
 

@@ -55,7 +55,7 @@ def alpha_one_solver(op, f, tol=RESIDUAL_TOL):
 
 def adjoint_solver(op, f, tol=RESIDUAL_TOL):
     _, report = solve_dirichlet(op, f, tol)
-    return GridFunction(op.grid, DirichletSolver(op).solve_adjoint(f.values2d().T).T), report
+    return GridFunction(op.grid, op.grid.grid_order(DirichletSolver(op).solve_adjoint(op.grid.y_rows(f.values)))), report
 
 
 WRONG_SOLVERS = [zero_solver, doubled_solver, alpha_one_solver, adjoint_solver]
