@@ -1,16 +1,20 @@
 """Config-driven command line: solve, verify, study, and game runs.
 
 Configs are YAML, each key in the section of the run that reads it (see
-configs/ for the shipped examples and README for the grammar).  Every run
-writes a hierarchical report.json plus flat tab-separated tables with one
-row per level, iteration, or sample; floats are serialized with repr so
-reruns with the same seed are byte-identical.  Wall-clock times and
-timestamps live only in report.json, never in tables.
+configs/ for the shipped examples and README for the grammar), read by
+libyaml's CSafeLoader when PyYAML has it and by SafeLoader otherwise; a
+game's regions must each hold a node of its grid.  The argument parser is
+built once per process, so a driver that calls main many times pays for
+it once.  Every run writes a hierarchical report.json plus flat
+tab-separated tables with one row per level, iteration, or sample; floats
+are serialized with repr so reruns with the same seed are byte-identical.
+Wall-clock times and timestamps live only in report.json, never in tables.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,12 +42,15 @@ from .analysis import (
 )
 from .fields import FIELD_KIND, MANUFACTURED_KIND, bump_from_parameters, bump_parameter_sets, named_field
 from .game import GameConfig, NashResult, control_norm, nash_solve
-from .grid import ALPHA, AT_LEAST_ONE, FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, NODES, RECT, SEED, Rule, build_grid, rect_mask
+from .grid import (
+    ALPHA, AT_LEAST_ONE, FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, NODES, RECT, SEED, Grid, Rule, build_grid, rect_mask,
+)
 from .norms import norms_of
 from .operators import RESIDUAL_TOL, assemble, dy, solve_dirichlet, weak_form_residual
 
 COMMANDS = ("solve", "verify", "study", "game")
 SAMPLING_STUDY_KINDS = ("coercivity", "embedding")
+REGIONS = ("omega", "omega1", "omega2", "g1_obs", "g2_obs")
 # Rows a table writer renders and writes at a time.
 CHUNK_ROWS = 4096
 
@@ -119,7 +126,7 @@ SECTIONS = {
         "theta": Key(_real, 1.0, FINITE_NONNEGATIVE),
     },
     "game": {
-        **dict.fromkeys(("omega", "omega1", "omega2", "g1_obs", "g2_obs"), Key(_list_of(_real), None, RECT)),
+        **dict.fromkeys(REGIONS, Key(_list_of(_real), None, RECT)),
         **dict.fromkeys(("g", "yd1", "yd2"), Key(FIELD, SINSIN)),
         # the ball radii take default and rule from GameConfig
         **{f.name: Key(_real, f.default, f.metadata["rule"]) for f in fields(GameConfig) if "rule" in f.metadata},
@@ -222,9 +229,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _mapping(text: str) -> dict:
+    """The config's top-level mapping, read by libyaml's CSafeLoader when
+    PyYAML was built with it and by the pure-Python SafeLoader otherwise.
+    Both build with the same safe constructor, so they give the same
+    mapping, and a YAML error from either is a ConfigError."""
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml encodes the text, a lone surrogate fails that
         raise ConfigError(f"malformed YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of sections")
@@ -247,7 +258,20 @@ def _parse(raw: dict) -> RunConfig:
     if (command in ("game", "verify") or kind in SAMPLING_STUDY_KINDS) and "seed" not in raw:
         raise ConfigError("config.seed: sampling commands require an explicit seed")
     grid = sections.pop("grid", {})
-    return RunConfig(**top, **grid, **sections)
+    cfg = RunConfig(**top, **grid, **sections)
+    if command == "game":
+        _check_regions(cfg)
+    return cfg
+
+
+def _check_regions(cfg: RunConfig, where: str = "") -> None:
+    """Each game region holds an interior node of the game's grid, as
+    GameConfig requires; where follows the key in the error."""
+    grid = Grid(cfg.nx, cfg.ny, cfg.alpha)  # the grid keys have met their rules
+    for name in REGIONS:
+        rect = cfg.game[name]
+        if not all(inside.any() for inside in grid.rect_axes(*rect)):
+            raise ConfigError(f"game.{name}{where}: {rect} holds no interior node of the {cfg.nx} x {cfg.ny} grid")
 
 
 def _apply_level_override(cfg: RunConfig, n: int) -> None:
@@ -263,6 +287,8 @@ def _apply_level_override(cfg: RunConfig, n: int) -> None:
         raise ConfigError("--level-override: a muckenhoupt study has no levels or grid to act on")
     else:
         cfg.nx = cfg.ny = _check(NODES, n, "--level-override")
+        if cfg.command == "game":
+            _check_regions(cfg, f" after --level-override {n}")
 
 
 def build_game_config(cfg: RunConfig) -> GameConfig:
@@ -454,7 +480,11 @@ def run(cfg: RunConfig) -> RunReport:
     return report
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main call of a process
+    and reused by every later one; each parse_args call fills a new
+    namespace, so no flag of one call reaches the next."""
     parser = argparse.ArgumentParser(
         prog="degenash",
         description="Degenerate elliptic solves, theory studies, and Stackelberg-Nash games",
@@ -468,7 +498,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--level-override", type=int, default=None,
                        help="drop the levels above n (verify and the studies with levels), or set the grid "
                             "to n x n (solve, game, coercivity study); a muckenhoupt study rejects it")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         try:

@@ -7,7 +7,9 @@ all quadrature is midpoint-in-cell so the weight is never evaluated at x=0.
 
 A GridFunction is a read-only value, whose operators.dx, dy,
 norms.norms_of and self-pairings are computed once and kept with it
-(GridFunction._once).
+(GridFunction._once).  Its construction checks finiteness in one
+ndarray pass, and two fields on one Grid object skip the by-value grid
+comparison, since fields are built by the thousand per study run.
 
 Node values are flat in the grid's order, i*ny + j.  The y-march solver
 takes y-rows instead, (ny, nx) arrays whose row j is y-row j; Grid.y_rows,
@@ -129,6 +131,12 @@ class Grid:
         """Cell-center y-coordinates of the (ny+1) cell rows."""
         return (np.arange(self.ny + 1) + 0.5) * self.hy
 
+    def rect_axes(self, x0: float, x1: float, y0: float, y1: float) -> tuple[np.ndarray, np.ndarray]:
+        """Which node x-coordinates lie in (x0, x1), shape (nx,), and which
+        y-coordinates in (y0, y1), shape (ny,): the two factors of
+        rect_mask's indicator."""
+        return (self.x > x0) & (self.x < x1), (self.y > y0) & (self.y < y1)
+
     def y_rows(self, values) -> np.ndarray:
         """Node values in the grid's order (flat, i*ny + j) as y-rows: a new
         C-contiguous (ny, nx) array whose row j is y-row j, the layout that
@@ -174,7 +182,7 @@ class GridFunction:
             raise ValueError(
                 f"values has length {values.size}, grid has {self.grid.n} interior nodes"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("GridFunction values must be finite (no NaN/Inf)")
         values.flags.writeable = False
         if values.base is not None:  # values views the array it was built from
@@ -220,7 +228,8 @@ class GridFunction:
         return GridFunction(self.grid, self.values.copy())
 
     def _check_same_grid(self, other: "GridFunction") -> None:
-        if self.grid != other.grid:
+        # most pairs share one Grid object; only distinct ones compare by value
+        if self.grid is not other.grid and self.grid != other.grid:
             raise ValueError("GridFunctions live on different grids")
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
@@ -296,8 +305,7 @@ class RegionMask:
 def rect_mask(grid: Grid, x0: float, x1: float, y0: float, y1: float) -> RegionMask:
     """Mask of interior nodes inside the open rectangle (x0,x1) x (y0,y1)."""
     RECT.check("rectangle", [x0, x1, y0, y1])
-    inside_x = (grid.x > x0) & (grid.x < x1)
-    inside_y = (grid.y > y0) & (grid.y < y1)
+    inside_x, inside_y = grid.rect_axes(x0, x1, y0, y1)
     return RegionMask(grid, (inside_x[:, None] & inside_y[None, :]).reshape(grid.n))
 
 

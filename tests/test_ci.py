@@ -1,7 +1,8 @@
 """The CI workflow gates every benchmark workload, pins the numpy and
 scipy series and runs on the Python the golden table digests were
 recorded on, and its lowest Python is the package's floor.  Its installed
-console script runs a solve and a game."""
+console script runs a solve and a game, and it checks, before any test,
+that PyYAML has the libyaml loader the CLI reads configs with."""
 
 import json
 import re
@@ -44,3 +45,10 @@ def test_console_script_step_runs_the_solve_and_game_verbs():
     (step,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Console script"]
     verbs = re.findall(r"^degenash (\w+) --config configs/\S+\.yaml", step, re.M)
     assert verbs == ["solve", "game"]
+
+
+def test_libyaml_is_asserted_right_after_the_install_step():
+    names = [step.get("name") for step in JOB["steps"]]
+    check = JOB["steps"][names.index("Install dependencies") + 1]
+    assert check["name"] == "PyYAML has libyaml"
+    assert re.fullmatch(r'python -c "import yaml; assert yaml\.__with_libyaml__\b[^"]*"', check["run"].strip())

@@ -4,18 +4,21 @@ import json
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import degenash.analysis as analysis
 import degenash.cli as cli_mod
 from conftest import peak_bytes
 from degenash.cli import ConfigError, build_game_config, main, parse_config, run
 from degenash.game import GameConfig, nash_solve
+from degenash.grid import build_grid, rect_mask
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -345,6 +348,91 @@ class TestParseConfig:
     def test_shipped_configs_parse(self):
         for path in sorted(CONFIG_DIR.glob("*.yaml")):
             parse_config(path.read_text())
+
+
+def python_loader(monkeypatch) -> None:
+    """PyYAML as it is without libyaml: no CSafeLoader."""
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
+LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+
+
+class TestLoaders:
+    @LIBYAML
+    def test_libyaml_reads_the_config(self, monkeypatch):
+        used = []
+
+        class Spy(yaml.CSafeLoader):
+            def __init__(self, stream):
+                used.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr(yaml, "CSafeLoader", Spy)
+        parse_config(MINIMAL_SOLVE)
+        assert used == [MINIMAL_SOLVE]
+
+    @LIBYAML
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_shipped_config_reads_alike_under_both_loaders(self, monkeypatch, path):
+        text = path.read_text()
+        fast = parse_config(text)
+        python_loader(monkeypatch)
+        assert parse_config(text) == fast
+
+    @pytest.mark.parametrize("loader", ["libyaml", "python"])
+    @pytest.mark.parametrize(
+        "text",
+        ["command: solve\n  bad_indent: {", "a: [1, 2", "a:\n\t- 1", "a: 1\x00", "a: \ud800", "a: &x 1\nb: *y"],
+        ids=["indent", "unclosed", "tab", "nul", "surrogate", "alias"],
+    )
+    def test_malformed_yaml_is_a_config_error(self, monkeypatch, loader, text):
+        if loader == "python":
+            python_loader(monkeypatch)
+        elif not yaml.__with_libyaml__:
+            pytest.skip("PyYAML was built without libyaml")
+        with pytest.raises(ConfigError, match="^malformed YAML: "):
+            parse_config(text)
+
+
+GAME_REGIONS = ("omega", "omega1", "omega2", "g1_obs", "g2_obs")
+
+
+class TestGameRegions:
+    @pytest.mark.parametrize("nx, ny", [(n, n) for n in range(2, 17)] + [(64, 2), (2, 64), (5, 64), (64, 3)])
+    def test_a_region_without_nodes_is_a_config_error(self, nx, ny):
+        # exactly the grids on which GameConfig would find an empty region
+        text = GAME.replace("nx: 64, ny: 64", f"nx: {nx}, ny: {ny}")
+        rects = yaml.safe_load(GAME)["game"]
+        grid = build_grid(nx, ny, 0.5)
+        empty = [name for name in GAME_REGIONS if rect_mask(grid, *rects[name]).count == 0]
+        if not empty:
+            assert (parse_config(text).nx, parse_config(text).ny) == (nx, ny)
+            return
+        rect = rects[empty[0]]
+        with pytest.raises(ConfigError, match=rf"^game\.{empty[0]}: {re.escape(str(rect))} holds no interior node "
+                                              rf"of the {nx} x {ny} grid$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("n, region", [(2, "omega"), (4, "omega1")])
+    def test_level_override_leaving_a_region_empty_exits_2(self, tmp_path, capsys, n, region):
+        out = tmp_path / "out"
+        argv = ["game", "--config", str(CONFIG_DIR / "benchmark_game.yaml"), "--out", str(out)]
+        assert main([*argv, "--level-override", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: game.{region} after --level-override {n}: ")
+        assert err.rstrip().endswith(f"holds no interior node of the {n} x {n} grid")
+        assert not out.exists()
+
+    def test_grid_without_a_node_in_a_region_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "game.yaml"
+        p.write_text(GAME.replace("nx: 64, ny: 64", "nx: 4, ny: 4"))
+        out = tmp_path / "out"
+        assert main(["game", "--config", str(p), "--out", str(out)]) == 2
+        assert "error: game.omega1: [0.4, 0.6, 0.1, 0.45] holds no interior node of the 4 x 4 grid" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
 
 class TestRun:
@@ -866,6 +954,39 @@ class TestMain:
         assert err.startswith(f"error: {p}: not UTF-8 text") and "Traceback" not in err
         assert not out.exists()
 
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "solve.yaml"
+        p.write_text(MINIMAL_SOLVE)
+        assert main(["solve", "--config", str(p), "--out", "flags", "--seed", "5", "--level-override", "8"]) == 0
+        assert main(["solve", "--config", str(p)]) == 0
+        flags = json.loads((tmp_path / "flags" / "report.json").read_text())["config"]
+        plain = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+        assert (flags["seed"], flags["output_dir"], flags["nx"]) == (5, "flags", 8)
+        assert (plain["seed"], plain["output_dir"], plain["nx"], plain["ny"]) == (0, "out", 16, 16)
+
+    def test_parser_is_built_once(self, tmp_path):
+        p = tmp_path / "study.yaml"
+        p.write_text(small_study("muckenhoupt"))
+        cli_mod._parser()
+        built = cli_mod._parser.cache_info().misses
+        for k in range(2):
+            assert main(["study", "--config", str(p), "--out", str(tmp_path / str(k))]) == 0
+        assert cli_mod._parser.cache_info().misses == built
+
+    @pytest.mark.parametrize("argv", [["--help"], ["game", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: degenash")
+
+    def test_missing_config_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve"])
+        assert exit_.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path):
         p = tmp_path / "study.yaml"
         p.write_text(small_study("coercivity"))
@@ -910,3 +1031,34 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 6 and all("verdict=pass" in line for line in lines), proc.stdout
+
+    def test_bench_levels_script_records_the_schema(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "bench_levels.py"
+        out = tmp_path / "BENCH_levels.json"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        argv = ["levels", "--levels", "16", "--repeats", "2", "--targets", "benchmark_game", "nash_solve"]
+        proc = subprocess.run(
+            [sys.executable, str(script), *argv, "--out", str(out)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(out.read_text())
+        assert {"commit", "numpy", "scipy", "python", "repeats", "rows"} <= record.keys()
+        assert (record["numpy"], record["scipy"]) == (np.__version__, __import__("scipy").__version__)
+        rows = record["rows"]
+        assert [(r["kind"], r["target"], r["level"]) for r in rows] == [
+            ("import", "python", None), ("import", "degenash.cli", None),
+            ("cli", "benchmark_game", 16), ("nash_solve", "benchmark_game", 16),
+        ]
+        for row in rows:
+            assert row["exit_code"] == 0 and row["error"] is None
+            assert len(row["samples_s"]) == 2 and row["wall_s"] == statistics.median(row["samples_s"])
+        game_run, nash_run = rows[2:]
+        # the CLI's game is nash_solve's: the same solves, costs and gradients
+        assert game_run["counts"] == nash_run["counts"]
+        counts = nash_run["counts"]
+        assert counts.keys() == {"forward_solves", "adjoint_solves", "one_shot_solves", "cost_calls",
+                                 "gradient_calls", "certify_forward_solves", "certify_cost_calls"}
+        assert counts["adjoint_solves"] == counts["gradient_calls"] > 0
+        assert counts["certify_forward_solves"] == counts["certify_cost_calls"] > 0
+        assert counts["one_shot_solves"] == 0 and nash_run["certify_s"] > 0
