@@ -142,6 +142,7 @@ def run_nash(text: str, level: int) -> tuple[int, str | None]:
 
 
 def measure(kind: str, target: str, level: int, call, repeats: int) -> dict:
+    """One row: call() once under counting(), then `repeats` timed calls."""
     with counting() as counts:
         code, error = call()
     samples = []
@@ -180,13 +181,13 @@ def levels_mode(args) -> dict:
     for level in args.levels:
         for target in targets:
             if target == "nash_solve":
-                rows.append(measure("nash_solve", "benchmark_game", level, lambda: run_nash(game_text, level),
-                                    args.repeats))
-                continue
-            verb = re.search(r"^command: *(\w+)", configs[target].read_text(), re.M)[1]
-            argv = [verb, "--config", str(configs[target]), "--level-override", str(level)]
-            rows.append(measure("cli", target, level, lambda: run_cli(argv), args.repeats))
-            print(f"{target} @ {level}: exit {rows[-1]['exit_code']}, {rows[-1]['wall_s']:.4f} s", file=sys.stderr)
+                row = measure("nash_solve", "benchmark_game", level, lambda: run_nash(game_text, level), args.repeats)
+            else:
+                verb = re.search(r"^command: *(\w+)", configs[target].read_text(), re.M)[1]
+                argv = [verb, "--config", str(configs[target]), "--level-override", str(level)]
+                row = measure("cli", target, level, lambda: run_cli(argv), args.repeats)
+            rows.append(row)
+            print(f"{target} @ {level}: exit {row['exit_code']}, {row['wall_s']:.4f} s", file=sys.stderr)
     return {
         "commit": commit(ROOT), "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__, "machine": platform.machine(), "cpus": os.cpu_count(),
@@ -237,8 +238,7 @@ def pairs_mode(args) -> dict:
         }
     return {
         "workload": args.workload, "seconds": args.seconds, "first_seed": args.seed,
-        "base": {"path": str(trees["base"]), "commit": commit(trees["base"])},
-        "tree": {"path": str(trees["tree"]), "commit": commit(trees["tree"])},
+        "base_commit": commit(trees["base"]), "tree_commit": commit(trees["tree"]),
         "pairs": pairs, "summary": summary,
     }
 
