@@ -395,9 +395,6 @@ class TestLoaders:
             parse_config(text)
 
 
-GAME_REGIONS = ("omega", "omega1", "omega2", "g1_obs", "g2_obs")
-
-
 class TestGameRegions:
     @pytest.mark.parametrize("nx, ny", [(n, n) for n in range(2, 17)] + [(64, 2), (2, 64), (5, 64), (64, 3)])
     def test_a_region_without_nodes_is_a_config_error(self, nx, ny):
@@ -405,7 +402,7 @@ class TestGameRegions:
         text = GAME.replace("nx: 64, ny: 64", f"nx: {nx}, ny: {ny}")
         rects = yaml.safe_load(GAME)["game"]
         grid = build_grid(nx, ny, 0.5)
-        empty = [name for name in GAME_REGIONS if rect_mask(grid, *rects[name]).count == 0]
+        empty = [name for name in cli_mod.REGIONS if rect_mask(grid, *rects[name]).count == 0]
         if not empty:
             assert (parse_config(text).nx, parse_config(text).ny) == (nx, ny)
             return
