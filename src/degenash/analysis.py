@@ -1,6 +1,7 @@
 """Verification campaigns: energy estimate, coercivity, strict inclusion,
 scheme convergence, embedding ratios, and a Muckenhoupt lattice panel.
-The caps a verdict is judged by are module constants, echoed in its thresholds.
+The caps a pass-or-fail verdict is judged by are module constants, echoed in
+its thresholds, as is the inclusion study's reference norm w11_exact(alpha).
 Each study checks its inputs by the Rules the config reads (grid.Rule)."""
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
-from .grid import AT_LEAST_ONE, FINITE_POSITIVE, GridFunction, Rule, build_grid, weighted_inner
-from .norms import EMBEDDING_Q, _lattice, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
+from .grid import ALPHA, AT_LEAST_ONE, FINITE_POSITIVE, GridFunction, Rule, build_grid, weighted_inner
+from .norms import EMBEDDING_Q, GAUSS_NODES, _gauss_jacobi, _lattice, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
 from .operators import _check_residual, assemble, bilinear_form, dx, dy, solve_dirichlet
 
 # The Muckenhoupt panel asks the constant weight for an A_2 constant of 1,
@@ -33,14 +34,6 @@ SAFETY = 1.5
 # The last observed L2 order a convergence study must reach: the upwind
 # scheme is first order in y.
 ORDER_THRESHOLD = 0.9
-# The weighted W11 norm of the inclusion study's u = (x^2+y)^(1/4) at
-# alpha = 1/2, by a 1-D quad of
-#   W11^2 = int_0^1 (2/3)((1+x^2)^(3/2) - x^3)
-#           + 2 (x^2/4 + sqrt(x)/16) (1/x - (1+x^2)^(-1/2)) dx.
-# That every level reads below it, by a gap that shrinks under refinement,
-# rests on measurement, not proof: the gap shrinks from 0.575 at level 2 to
-# 0.023 at level 512, checked at 19 levels.
-W11_EXACT = 1.0837663899276186
 
 
 def _levels(least: int) -> Rule:
@@ -63,7 +56,6 @@ LEVELS = {
 class Verdict(str, Enum):
     PASS = "pass"
     FAIL = "fail"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
@@ -76,9 +68,9 @@ class StudyResult:
     """
 
     levels: list[int]
+    verdict: Verdict
     metrics: dict[str, list[float]] = field(default_factory=dict)
     observed_orders: list[float] = field(default_factory=list)
-    verdict: Verdict = Verdict.INCONCLUSIVE
     thresholds: dict[str, float] = field(default_factory=dict)
     samples: dict[str, list[float]] = field(default_factory=dict)
 
@@ -199,17 +191,29 @@ def coercivity_check(
     )
 
 
-def strict_inclusion_demo(levels: Sequence[int], alpha: float = 0.5) -> StudyResult:
-    """Refinement trends for u = (x^2+y)^(1/4).
+def w11_exact(alpha: float) -> float:
+    """The weighted W11 norm of u = (x^2+y)^(1/4) on the unit square:
+    W11^2 = int_0^1 S dx + 1/(8 alpha) - (1/8) int_0^1 x^alpha (1+x^2)^(-1/2) dx,
+    S(x) = (2/3)((1+x^2)^(3/2) - x^3) + x/2 - x^2 / (2 sqrt(1+x^2)), with the
+    y-integrals and the x^(alpha-1)/8 term in closed form.  S is integrated on
+    the GAUSS_NODES-point Gauss-Legendre rule, the last term on the Gauss-Jacobi
+    rule of the weight x^alpha (norms._gauss_jacobi)."""
+    ALPHA.check("alpha", alpha)
+    x, w = _gauss_jacobi(GAUSS_NODES, 0.0)
+    r = np.sqrt(1.0 + x * x)
+    smooth = (2.0 / 3.0) * (r**3 - x**3) + x / 2.0 - x * x / (2.0 * r)
+    xa, wa = _gauss_jacobi(GAUSS_NODES, float(alpha))
+    return math.sqrt(float(w @ smooth) + 1.0 / (8.0 * alpha) - float(wa @ (1.0 / np.sqrt(1.0 + xa * xa))) / 8.0)
 
-    With alpha = 1/2 the function lies in the weighted space but not in
-    H^1: its weighted norm has the closed form W11_EXACT while the
-    unweighted d_y seminorm diverges.  The study passes when every level's
-    w11 lies strictly below W11_EXACT, the gap W11_EXACT - w11 shrinks at
-    every step, and every step raises the d_y norm.  For any other alpha
-    the study is report-only.
-    """
+
+def strict_inclusion_demo(levels: Sequence[int], alpha: float = 0.5) -> StudyResult:
+    """Refinement trends for u = (x^2+y)^(1/4), whose weighted norm is
+    w11_exact(alpha) at every alpha in (0, 1] while its unweighted d_y
+    seminorm diverges: u is in the weighted space but not in H^1.  The
+    study passes when every level's w11 lies strictly below w11_exact(alpha),
+    the gap to it shrinks at every step, and every step raises the d_y norm."""
     levels = LEVELS["inclusion"].check("levels", list(levels))
+    exact = w11_exact(alpha)
     w11s, dy_norms = [], []
     for level in levels:
         grid = build_grid(level, level, alpha)
@@ -217,19 +221,16 @@ def strict_inclusion_demo(levels: Sequence[int], alpha: float = 0.5) -> StudyRes
         w11s.append(norms_of(u).w11)
         dyu = dy(u)
         dy_norms.append(math.sqrt(weighted_inner(dyu, dyu, 0.0)))
-    result = StudyResult(
-        levels=levels,
-        metrics={"w11": w11s, "dy_l2": dy_norms},
-        thresholds={"w11_exact": W11_EXACT},
-    )
-    if alpha != 0.5:
-        return result
-    gaps = [W11_EXACT - w for w in w11s]
+    gaps = [exact - w for w in w11s]
     below = all(g > 0.0 for g in gaps)
     closing = all(b < a for a, b in zip(gaps, gaps[1:]))
     increasing = all(b > a for a, b in zip(dy_norms, dy_norms[1:]))
-    result.verdict = Verdict.PASS if (below and closing and increasing) else Verdict.FAIL
-    return result
+    return StudyResult(
+        levels=levels,
+        metrics={"w11": w11s, "dy_l2": dy_norms},
+        verdict=Verdict.PASS if (below and closing and increasing) else Verdict.FAIL,
+        thresholds={"w11_exact": exact},
+    )
 
 
 def convergence_study(levels: Sequence[int], manufactured: str = "sinsin", alpha: float = 0.5) -> StudyResult:
@@ -264,12 +265,11 @@ def convergence_study(levels: Sequence[int], manufactured: str = "sinsin", alpha
 
     l2_orders = orders(l2_errs)
     max_orders = orders(max_errs)
-    verdict = Verdict.PASS if l2_orders[-1] >= ORDER_THRESHOLD else Verdict.FAIL
     return StudyResult(
         levels=levels,
         metrics={"max_err": max_errs, "l2_err": l2_errs},
         observed_orders=l2_orders,
-        verdict=verdict,
+        verdict=Verdict.PASS if l2_orders[-1] >= ORDER_THRESHOLD else Verdict.FAIL,
         thresholds={"order_threshold": ORDER_THRESHOLD},
         samples={"order_l2": l2_orders, "order_max": max_orders},
     )

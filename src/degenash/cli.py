@@ -528,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     print(f"{cfg.command}: verdict={report.verdict} (outputs in {cfg.output_dir})")
-    return 0 if report.verdict != Verdict.FAIL.value else 1
+    return 0 if report.verdict == Verdict.PASS.value else 1
 
 
 if __name__ == "__main__":

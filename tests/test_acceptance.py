@@ -11,13 +11,13 @@ import pytest
 
 from conftest import shipped_game
 from degenash.analysis import (
-    W11_EXACT,
     Verdict,
     coercivity_check,
     convergence_study,
     embedding_study,
     energy_estimate_study,
     strict_inclusion_demo,
+    w11_exact,
 )
 from degenash.cli import parse_config, run
 from degenash.game import (
@@ -109,13 +109,14 @@ def test_criterion_4_strict_inclusion():
     r = strict_inclusion_demo(levels, alpha=0.5)
     w11, dy = r.metrics["w11"], r.metrics["dy_l2"]
     assert all(b > a for a, b in zip(dy, dy[1:])), f"dy series not strictly increasing: {dy}"
-    gaps = [W11_EXACT - w for w in w11]
-    assert all(g > 0.0 for g in gaps), f"w11 {w11} not below W11_EXACT = {W11_EXACT}"
-    assert all(b < a for a, b in zip(gaps, gaps[1:])), f"gaps to W11_EXACT do not shrink: {gaps}"
+    exact = w11_exact(0.5)
+    gaps = [exact - w for w in w11]
+    assert all(g > 0.0 for g in gaps), f"w11 {w11} not below w11_exact(0.5) = {exact}"
+    assert all(b < a for a, b in zip(gaps, gaps[1:])), f"gaps to w11_exact(0.5) do not shrink: {gaps}"
     assert r.verdict is Verdict.PASS
     print(
         "\nACCEPTANCE 4 (strict inclusion): PASS "
-        f"[gap to W11_EXACT {gaps[0]:.3f}->{gaps[-1]:.3f}, dy {dy[0]:.3f}->{dy[-1]:.3f}]"
+        f"[gap to w11_exact(0.5) {gaps[0]:.3f}->{gaps[-1]:.3f}, dy {dy[0]:.3f}->{dy[-1]:.3f}]"
     )
 
 

@@ -5,7 +5,6 @@ from scipy import integrate
 
 from conftest import peak_bytes
 from degenash.analysis import (
-    W11_EXACT,
     StudyResult,
     Verdict,
     coercivity_check,
@@ -16,6 +15,7 @@ from degenash.analysis import (
     muckenhoupt_study,
     stabilized_form_value,
     strict_inclusion_demo,
+    w11_exact,
 )
 from degenash.fields import named_field
 from degenash.grid import GridFunction, build_grid
@@ -234,27 +234,33 @@ class TestStrictInclusion:
         with pytest.raises(ValueError, match="levels"):
             strict_inclusion_demo([])
 
-    def test_alpha_one_report_only(self):
-        r = strict_inclusion_demo([16, 32, 64], alpha=1.0)
-        assert r.verdict is Verdict.INCONCLUSIVE
-        assert len(r.metrics["w11"]) == 3
-
     def test_trend_small_levels(self):
         r = strict_inclusion_demo([16, 32, 64])
         assert r.verdict is Verdict.PASS
         dy = r.metrics["dy_l2"]
         assert dy[0] < dy[1] < dy[2]
 
-    def test_w11_exact_is_the_1d_integral(self):
-        # W11^2 of (x^2+y)^(1/4) at alpha = 1/2, with the y-integrals done
-        # in closed form
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0])
+    def test_w11_exact_is_the_1d_integral(self, alpha):
+        # W11^2 of (x^2+y)^(1/4), with the y-integrals done in closed form,
+        # by a plain quad of the unsplit integrand
         def integrand(x):
-            return (2 / 3) * ((1 + x**2) ** 1.5 - x**3) + 2 * (x**2 / 4 + math.sqrt(x) / 16) * (
+            return (2 / 3) * ((1 + x**2) ** 1.5 - x**3) + 2 * (x**2 / 4 + x**alpha / 16) * (
                 1 / x - (1 + x**2) ** -0.5
             )
 
         w11_sq, _ = integrate.quad(integrand, 0, 1)
-        assert math.sqrt(w11_sq) == pytest.approx(W11_EXACT, rel=1e-12)
+        assert w11_exact(alpha) == pytest.approx(math.sqrt(w11_sq), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0, 0.0, -0.5, 1.5, math.nan, math.inf, True])
+    def test_alpha_outside_the_rule_rejected_before_any_level(self, monkeypatch, alpha):
+        import degenash.analysis as analysis
+
+        with pytest.raises(ValueError, match="alpha"):
+            w11_exact(alpha)
+        monkeypatch.setattr(analysis, "build_grid", lambda *args: pytest.fail("built a level"))
+        with pytest.raises(ValueError, match="alpha"):
+            strict_inclusion_demo([16, 32], alpha=alpha)
 
 
 class TestEmbeddingStudy:
@@ -308,7 +314,7 @@ class TestMuckenhouptStudy:
 class TestStudyResult:
     def test_sample_series_of_unequal_length_rejected(self):
         with pytest.raises(ValueError, match=r"'a': 2, 'b': 3"):
-            StudyResult(levels=[8], samples={"a": [1.0, 2.0], "b": [1.0, 2.0, 3.0]})
+            StudyResult(levels=[8], verdict=Verdict.PASS, samples={"a": [1.0, 2.0], "b": [1.0, 2.0, 3.0]})
 
 
 class TestOneSampleAtATime:

@@ -41,10 +41,11 @@ def test_install_step_pins_the_series_the_golden_digests_were_recorded_with():
     assert pins == RECORDED_WITH
 
 
-def test_console_script_step_runs_the_solve_and_game_verbs():
+def test_console_script_step_runs_the_solve_game_study_and_verify_verbs():
+    # the installed entry point reaches a study verdict and the weak-form check
     (step,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Console script"]
     verbs = re.findall(r"^degenash (\w+) --config configs/\S+\.yaml", step, re.M)
-    assert verbs == ["solve", "game"]
+    assert verbs == ["solve", "game", "study", "verify"]
 
 
 def test_libyaml_is_asserted_right_after_the_install_step():

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import importlib
 import json
@@ -18,7 +19,7 @@ import degenash.cli as cli_mod
 from conftest import peak_bytes
 from degenash.cli import ConfigError, build_game_config, main, parse_config, run
 from degenash.game import GameConfig, nash_solve
-from degenash.grid import build_grid, rect_mask
+from degenash.grid import DegenerateWeightWarning, build_grid, rect_mask
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -50,6 +51,15 @@ SMALL_STUDIES = {
     "inclusion": "grid: {alpha: 0.5}\nstudy: {kind: inclusion, levels: [16, 32, 48]}",
     "embedding": "grid: {alpha: 0.5}\nstudy: {kind: embedding, levels: [8, 16], n_samples: 4}",
     "muckenhoupt": "study: {kind: muckenhoupt}",
+}
+
+
+# Each shipped config with a grid, on its lowest shipped levels: the level
+# override that keeps as few levels as its levels rule allows, or None to
+# run it as shipped; the game at 32 x 32.
+LOWEST_LEVELS = {
+    "verify_weak_form": 64, "study_convergence": 64, "study_energy": 32, "study_coercivity": None,
+    "study_inclusion": 32, "study_embedding": None, "benchmark_game": 32,
 }
 
 
@@ -793,6 +803,44 @@ class TestMain:
         assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "50"]) in (0, 1)
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["levels"] == report["config"]["study"]["levels"] == [16, 32, 48]
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.75, 1.0])
+    @pytest.mark.parametrize("name", LOWEST_LEVELS)
+    def test_every_shipped_verdict_passes_at_every_alpha(self, tmp_path, name, alpha):
+        raw = yaml.safe_load((CONFIG_DIR / f"{name}.yaml").read_text())
+        raw["grid"]["alpha"] = alpha
+        p = tmp_path / f"{name}.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "out"
+        argv = [raw["command"], "--config", str(p), "--out", str(out)]
+        if LOWEST_LEVELS[name] is not None:
+            argv += ["--level-override", str(LOWEST_LEVELS[name])]
+        # at alpha = 1 the energy study's data norm weights x**-1, and says so
+        energy_at_one = (name, alpha) == ("study_energy", 1.0)
+        with pytest.warns(DegenerateWeightWarning) if energy_at_one else contextlib.nullcontext():
+            assert main(argv) == 0
+        assert json.loads((out / "report.json").read_text())["verdict"] == "pass"
+
+    def test_shipped_runs_import_no_quadrature_or_sparse_solver(self, tmp_path):
+        # scipy.integrate alone adds about 22 MB to a process, and every
+        # solve is the march; solve and game run at 16 x 16, the rest as shipped
+        code = (
+            "import sys, yaml\n"
+            "from pathlib import Path\n"
+            "from degenash.cli import main\n"
+            f"for p in sorted(Path({str(CONFIG_DIR)!r}).glob('*.yaml')):\n"
+            "    verb = yaml.safe_load(p.read_text())['command']\n"
+            "    flags = ['--level-override', '16'] if verb in ('solve', 'game') else []\n"
+            f"    out = str(Path({str(tmp_path)!r}) / p.stem)\n"
+            "    assert main([verb, '--config', str(p), '--out', out, *flags]) == 0, p\n"
+            "loaded = {'scipy.integrate', 'scipy.sparse'} & sys.modules.keys()\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(cli_mod.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("verdict=pass") == len(list(CONFIG_DIR.glob("*.yaml")))
 
     @pytest.mark.parametrize("n", [16, 8])
     def test_level_override_sets_coercivity_grid(self, tmp_path, n):

@@ -173,7 +173,7 @@ RESULTS = {
         },
         "observed_orders": [],
         "thresholds": {
-            "w11_exact": 1.0837663899276186,
+            "w11_exact": 1.0837663899276202,
         },
     },
     "study_muckenhoupt": {
