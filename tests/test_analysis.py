@@ -1,10 +1,13 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from scipy import integrate
 
 from conftest import peak_bytes
 from degenash.analysis import (
+    _ENERGY_FAMILY,
     StudyResult,
     Verdict,
     coercivity_check,
@@ -18,7 +21,7 @@ from degenash.analysis import (
     w11_exact,
 )
 from degenash.fields import named_field
-from degenash.grid import GridFunction, build_grid
+from degenash.grid import DegenerateWeightWarning, GridFunction, build_grid
 from degenash.norms import l2_weighted_norm, norms_of
 from degenash.operators import assemble, solve_dirichlet
 
@@ -81,6 +84,24 @@ class TestEnergyStudy:
         # one level compares its ratio with itself and could only pass
         with pytest.raises(ValueError, match="levels"):
             energy_estimate_study([16], alpha=0.5)
+
+    def test_data_norms_at_alpha_one(self):
+        # each forcing term is zero or O(x) at x = 0, so its x**-1 data norm
+        # is finite and its changes per level shrink by 1/2 to 1/4; the
+        # constant field's norm grows without bound, its changes do not
+        # shrink, and it still warns
+        grids = [build_grid(n, n, 1.0) for n in (16, 32, 64, 128, 256)]
+        for gen in [*_ENERGY_FAMILY, lambda g: named_field(g, "one")]:
+            with warnings.catch_warnings(action="ignore", category=DegenerateWeightWarning):
+                steps = np.abs(np.diff([l2_weighted_norm(gen(g)) for g in grids]))
+            shrink = steps[1:] / steps[:-1]
+            assert all(shrink <= 0.55) if gen in _ENERGY_FAMILY else all(shrink >= 0.85)
+        with pytest.warns(DegenerateWeightWarning):
+            l2_weighted_norm(named_field(grids[0], "one"))
+
+    def test_no_warning_at_alpha_one(self):
+        # pytest makes every warning an error, so a false DegenerateWeightWarning fails this
+        assert energy_estimate_study([16, 32], alpha=1.0).verdict is Verdict.PASS
 
     def test_default_family_bounded_small(self):
         r = energy_estimate_study([16, 32, 64], alpha=0.5)

@@ -1,8 +1,9 @@
 """The CI workflow gates every benchmark workload, pins the numpy and
 scipy series and runs on the Python the golden table digests were
 recorded on, and its lowest Python is the package's floor.  Its installed
-console script runs a solve and a game, and it checks, before any test,
-that PyYAML has the libyaml loader the CLI reads configs with."""
+console script runs a solve, a game, a study and verify under two seeds,
+and it checks, before any test, that PyYAML has the libyaml loader the
+CLI reads configs with."""
 
 import json
 import re
@@ -42,10 +43,14 @@ def test_install_step_pins_the_series_the_golden_digests_were_recorded_with():
 
 
 def test_console_script_step_runs_the_solve_game_study_and_verify_verbs():
-    # the installed entry point reaches a study verdict and the weak-form check
+    # the installed entry point reaches a study verdict and the weak-form
+    # check, whose table is the same under two seeds
     (step,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Console script"]
     verbs = re.findall(r"^degenash (\w+) --config configs/\S+\.yaml", step, re.M)
-    assert verbs == ["solve", "game", "study", "verify"]
+    assert verbs == ["solve", "game", "study", "verify", "verify"]
+    verify = "degenash verify --config configs/verify_weak_form.yaml"
+    assert f"{verify} --seed 1 --out v1\n{verify} --seed 2 --out v2\n" in step
+    assert step.rstrip().splitlines()[-1] == "cmp v1/verify_residuals.tsv v2/verify_residuals.tsv"
 
 
 def test_libyaml_is_asserted_right_after_the_install_step():

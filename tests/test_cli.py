@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import importlib
 import json
@@ -19,7 +18,7 @@ import degenash.cli as cli_mod
 from conftest import peak_bytes
 from degenash.cli import ConfigError, build_game_config, main, parse_config, run
 from degenash.game import GameConfig, nash_solve
-from degenash.grid import DegenerateWeightWarning, build_grid, rect_mask
+from degenash.grid import build_grid, rect_mask
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -118,7 +117,7 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL_SOLVE)
         assert cfg.solve["tol"] == 1e-10
         assert cfg.seed == 0
-        verify = parse_config("command: verify\nseed: 1\n").verify
+        verify = parse_config("command: verify\n").verify
         assert (verify["levels"], verify["theta"]) == ([32, 64], 1.0)
         assert parse_config(STUDY.format("coercivity")).study["theta"] == 1.0
 
@@ -177,7 +176,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("value", [".nan", ".inf", "-1.0"])
     def test_unusable_theta_rejected(self, value):
         with pytest.raises(ConfigError, match="verify.theta"):
-            parse_config(f"command: verify\nseed: 1\nverify: {{theta: {value}}}\n")
+            parse_config(f"command: verify\nverify: {{theta: {value}}}\n")
 
     @pytest.mark.parametrize(
         "kind, key, value",
@@ -247,18 +246,18 @@ class TestParseConfig:
             parse_config(STUDY.format(f"coercivity, theta: {theta}"))
 
     def test_zero_theta_allowed_outside_coercivity(self):
-        assert parse_config("command: verify\nseed: 1\nverify: {theta: 0}\n").verify["theta"] == 0.0
+        assert parse_config("command: verify\nverify: {theta: 0}\n").verify["theta"] == 0.0
 
     @pytest.mark.parametrize(
         "text, path",
         [
             pytest.param(MINIMAL_SOLVE + "theta: 1.0\n", "config.theta", id="top-theta"),
-            pytest.param("command: verify\nseed: 1\ntheta: 1.0\n", "config.theta", id="top-theta-verify"),
+            pytest.param("command: verify\ntheta: 1.0\n", "config.theta", id="top-theta-verify"),
             pytest.param(MINIMAL_SOLVE + "  theta: 1.0\n", "solve.theta", id="solve-theta"),
             pytest.param(GAME + "  theta: 1.0\n", "game.theta", id="game-theta"),
             *[pytest.param(STUDY.format(f"{kind}, theta: 1.0"), "study.theta", id=f"{kind}-theta")
               for kind in ("convergence", "energy", "inclusion", "embedding", "muckenhoupt")],
-            *[pytest.param(f"command: verify\nseed: 1\ngrid: {{{key}: 32}}\n", f"grid.{key}", id=f"verify-{key}")
+            *[pytest.param(f"command: verify\ngrid: {{{key}: 32}}\n", f"grid.{key}", id=f"verify-{key}")
               for key in ("nx", "ny")],
             *[pytest.param(f"grid: {{{key}: 32}}\n" + STUDY.format(kind), f"grid.{key}", id=f"{kind}-{key}")
               for kind in ("convergence", "energy", "inclusion", "embedding") for key in ("nx", "ny")],
@@ -280,7 +279,6 @@ class TestParseConfig:
             pytest.param(STUDY.format("muckenhoupt").replace("seed: 1", "seed: 1.5"), "config.seed", id="seed"),
             pytest.param(MINIMAL_SOLVE.replace("nx: 16", "nx: 16.5"), "grid.nx", id="nx"),
             pytest.param(MINIMAL_SOLVE.replace("ny: 16", "ny: 2.7"), "grid.ny", id="ny"),
-            pytest.param("command: verify\nverify: {n_test_functions: 2.5}\n", "verify.n_test_functions", id="verify"),
         ],
     )
     def test_unusable_integer_names_field(self, text, path):
@@ -470,14 +468,13 @@ class TestRun:
 
     def test_verify_runs(self, tmp_path):
         cfg = parse_config(
-            "command: verify\nseed: 3\ngrid: {alpha: 0.5}\n"
-            "verify: {n_test_functions: 4, levels: [12, 24]}\n"
+            "command: verify\ngrid: {alpha: 0.5}\nverify: {levels: [12, 24]}\n"
         )
         cfg.output_dir = str(tmp_path)
         report = run(cfg)
         assert report.verdict == "pass"
         rows = (tmp_path / "verify_residuals.tsv").read_text().strip().splitlines()
-        assert len(rows) == 1 + 2 * 4  # two levels x four test functions
+        assert len(rows) == 1 + 2 * 9  # two levels x nine test functions
 
     def test_verify_fails_on_nonfinite_residual(self, tmp_path, monkeypatch):
         import degenash.cli as cli_mod
@@ -488,8 +485,7 @@ class TestRun:
             cli_mod, "weak_form_residual", lambda u, f, psi, theta=None: plain(u, f, psi) if theta is None else math.nan
         )
         cfg = parse_config(
-            "command: verify\nseed: 3\ngrid: {alpha: 0.5}\n"
-            "verify: {n_test_functions: 2, levels: [6, 12]}\n"
+            "command: verify\ngrid: {alpha: 0.5}\nverify: {levels: [6, 12]}\n"
         )
         cfg.output_dir = str(tmp_path)
         report = run(cfg)
@@ -501,7 +497,7 @@ class TestRun:
         monkeypatch.setattr(
             cli_mod, "weak_form_residual", lambda u, f, psi, theta=None: plain(u, f, psi) if theta is None else math.nan
         )
-        cfg = parse_config("command: verify\nseed: 3\nverify: {n_test_functions: 2, levels: [6, 12]}\n")
+        cfg = parse_config("command: verify\nverify: {levels: [6, 12]}\n")
         cfg.output_dir = str(tmp_path)
         run(cfg)
 
@@ -815,10 +811,7 @@ class TestMain:
         argv = [raw["command"], "--config", str(p), "--out", str(out)]
         if LOWEST_LEVELS[name] is not None:
             argv += ["--level-override", str(LOWEST_LEVELS[name])]
-        # at alpha = 1 the energy study's data norm weights x**-1, and says so
-        energy_at_one = (name, alpha) == ("study_energy", 1.0)
-        with pytest.warns(DegenerateWeightWarning) if energy_at_one else contextlib.nullcontext():
-            assert main(argv) == 0
+        assert main(argv) == 0
         assert json.loads((out / "report.json").read_text())["verdict"] == "pass"
 
     def test_shipped_runs_import_no_quadrature_or_sparse_solver(self, tmp_path):
@@ -880,7 +873,7 @@ class TestMain:
         # [4, n], or [4, 16] cut at n: nothing to refine, so the verdict could only fail
         levels = [4, n] if where == "verify.levels" else [4, 16]
         p = tmp_path / "verify.yaml"
-        p.write_text(f"command: verify\nseed: 3\nverify: {{n_test_functions: 2, levels: {levels}}}\n")
+        p.write_text(f"command: verify\nverify: {{levels: {levels}}}\n")
         out = tmp_path / "out"
         flags = ["--level-override", str(n)] if where == "--level-override" else []
         assert main(["verify", "--config", str(p), "--out", str(out), *flags]) == 2
@@ -892,7 +885,7 @@ class TestMain:
     def test_verify_on_a_non_square_grid_exits_2(self, tmp_path, capsys, ny):
         # verify states its levels, each a square grid; it reads no grid size
         p = tmp_path / "verify.yaml"
-        p.write_text(f"command: verify\nseed: 3\ngrid: {{nx: 32, ny: {ny}}}\nverify: {{n_test_functions: 2}}\n")
+        p.write_text(f"command: verify\ngrid: {{nx: 32, ny: {ny}}}\n")
         out = tmp_path / "out"
         assert main(["verify", "--config", str(p), "--out", str(out)]) == 2
         assert "grid.nx: unknown key, known: alpha" in capsys.readouterr().err
@@ -900,7 +893,7 @@ class TestMain:
 
     def test_level_override_drops_verify_levels(self, tmp_path):
         p = tmp_path / "verify.yaml"
-        p.write_text("command: verify\nseed: 3\nverify: {n_test_functions: 2, levels: [8, 16, 24]}\n")
+        p.write_text("command: verify\nverify: {levels: [8, 16, 24]}\n")
         out = tmp_path / "out"
         assert main(["verify", "--config", str(p), "--out", str(out), "--level-override", "20"]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -933,12 +926,14 @@ class TestMain:
         assert results["j1"] == "inf"
         assert results["converged"] is False
 
-    def test_verify_on_five_nodes_passes(self, tmp_path):
+    def test_verify_on_the_levels_up_to_the_override_passes(self, tmp_path):
+        # [8, 16, 64] cut at 16 runs [8, 16], whose residual order is about 2.2
         p = tmp_path / "verify.yaml"
-        p.write_text("command: verify\nseed: 3\nverify: {n_test_functions: 2, levels: [4, 5, 16]}\n")
+        p.write_text("command: verify\nverify: {levels: [8, 16, 64]}\n")
         out = tmp_path / "out"
-        assert main(["verify", "--config", str(p), "--out", str(out), "--level-override", "5"]) == 0
-        assert json.loads((out / "report.json").read_text())["results"]["levels"] == [4, 5]
+        assert main(["verify", "--config", str(p), "--out", str(out), "--level-override", "16"]) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results["levels"] == [8, 16] and results["observed_orders"][0] > 2.0
 
     def test_level_override_game_grid(self, tmp_path):
         p = tmp_path / "game.yaml"
@@ -956,14 +951,17 @@ class TestMain:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_verify_without_seed_exits_2(self, tmp_path, capsys):
-        # verify draws its test functions from the seed
+    def test_verify_reads_no_seed(self, tmp_path):
+        # verify's test functions are fixed, so its table is the same under
+        # any seed or none; it still takes --seed, which perfbench/run.py passes
         p = tmp_path / "verify.yaml"
-        p.write_text((CONFIG_DIR / "verify_weak_form.yaml").read_text().replace("seed: 7\n", ""))
-        out = tmp_path / "out"
-        assert main(["verify", "--config", str(p), "--out", str(out)]) == 2
-        assert "config.seed" in capsys.readouterr().err
-        assert not out.exists()
+        p.write_text("command: verify\nverify: {levels: [6, 12]}\n")
+        tables = set()
+        for name, flags in [("s1", ["--seed", "1"]), ("s2", ["--seed", "2"]), ("none", [])]:
+            out = tmp_path / name
+            assert main(["verify", "--config", str(p), "--out", str(out), *flags]) == 0
+            tables.add((out / "verify_residuals.tsv").read_bytes())
+        assert len(tables) == 1
 
     def test_level_override_keeps_the_levels_up_to_it(self, tmp_path):
         # the shipped [16, 32, 64, 128, 256] runs as [16, 32]
@@ -972,14 +970,25 @@ class TestMain:
         assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "32"]) == 0
         assert json.loads((out / "report.json").read_text())["results"]["levels"] == [16, 32]
 
+    def test_shipped_configs_state_a_seed_exactly_where_the_run_requires_one(self):
+        seeded, required = set(), set()
+        for path in CONFIG_DIR.glob("*.yaml"):
+            raw = yaml.safe_load(path.read_text())
+            if "seed" in raw:
+                seeded.add(path.stem)
+            try:
+                cli_mod._parse({k: v for k, v in raw.items() if k != "seed"})
+            except ConfigError as exc:
+                assert str(exc).startswith("config.seed: ")
+                required.add(path.stem)
+        assert seeded == required == {"benchmark_game", "study_coercivity", "study_embedding"}
+
     # a muckenhoupt study needs no seed, but still takes --seed, which
     # perfbench/run.py passes to every study alike
-    @pytest.mark.parametrize("run", ["game", "verify", *cli_mod.SAMPLING_STUDY_KINDS, "muckenhoupt"])
+    @pytest.mark.parametrize("run", ["game", *cli_mod.SAMPLING_STUDY_KINDS, "muckenhoupt"])
     def test_seed_flag_is_the_explicit_seed(self, tmp_path, run):
         if run == "game":
             text, flags = GAME, ["--level-override", "12"]
-        elif run == "verify":
-            text, flags = "command: verify\nseed: 1\nverify: {n_test_functions: 2, levels: [6, 12]}\n", []
         else:
             text, flags = small_study(run), []
         text = re.sub(r"^seed: \d+\n", "", text, flags=re.M)

@@ -33,7 +33,7 @@ from degenash.norms import lq_norm
 from degenash.operators import assemble, solve_dirichlet
 
 SOLVE = {"command": "solve", "grid": {"nx": 16, "ny": 16, "alpha": 0.5}, "solve": {"f": {"kind": "sinsin"}}}
-VERIFY = {"command": "verify", "seed": 1, "verify": {}}
+VERIFY = {"command": "verify", "verify": {}}
 GAME = yaml.safe_load((CONFIG_DIR / "benchmark_game.yaml").read_text())
 G = build_grid(8, 8, 0.5)
 ONE = GridFunction(G, np.ones(G.n))
