@@ -14,7 +14,12 @@ its calls of DirichletSolver.solve and solve_adjoint, solve_dirichlet, cost
 and gradient, counted as tests/test_game.py::TestSolveCounts counts them in
 one more run made for counting only, in which the time in certify is also
 taken.  The start of a process that imports degenash.cli is a row of its
-own.  The commit and the numpy and scipy versions head the file.
+own.  The commit and the numpy and scipy versions head the file.  A levels
+run times one tree in one process, in whatever phase the host is in, so
+two levels files taken apart compare host phases, not trees: nash_solve at
+64 x 64 read 94.0 ms in BENCH_levels_d572267.json and 54.8 ms in
+BENCH_levels.json on the same game code.  A pairs run, which alternates
+the two trees, is the before-and-after evidence for a change.
 
 ``pairs`` runs the unchanged perfbench/run.py of the base tree and of this
 tree (or --tree) in alternating order, the same seed for both runs of a

@@ -240,7 +240,10 @@ def strict_inclusion_demo(levels: Sequence[int], alpha: float = 0.5) -> StudyRes
 def observed_orders(levels: Sequence[int], errs: Sequence[float]) -> list[float]:
     """The order of errs between consecutive levels, by the mesh widths
     1/(n+1): NaN where an error is not finite, and +inf or -inf where one
-    vanishes or first appears under refinement, so NaN and -inf pass no threshold."""
+    vanishes or first appears under refinement, so NaN and -inf pass no threshold.
+    Levels and errs of unequal lengths raise ValueError."""
+    if len(levels) != len(errs):
+        raise ValueError(f"observed_orders needs one error per level, got {len(levels)} levels and {len(errs)} errors")
     out = []
     for (na, ea), (nb, eb) in zip(zip(levels, errs), zip(levels[1:], errs[1:])):
         if not (math.isfinite(ea) and math.isfinite(eb)):

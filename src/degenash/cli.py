@@ -268,7 +268,7 @@ def _parse(raw: dict) -> RunConfig:
 def _check_regions(cfg: RunConfig, where: str = "") -> None:
     """Each game region holds an interior node of the game's grid, as
     GameConfig requires; where follows the key in the error."""
-    grid = Grid(cfg.nx, cfg.ny, cfg.alpha)  # the grid keys have met their rules
+    grid = Grid(cfg.nx, cfg.ny, cfg.alpha)
     for name in REGIONS:
         rect = cfg.game[name]
         if not all(inside.any() for inside in grid.rect_axes(*rect)):

@@ -92,12 +92,20 @@ class Grid:
     hx = 1/(nx+1), hy = 1/(ny+1), so node coordinates are
     x_i = i*hx (i=1..nx) and y_j = j*hy (j=1..ny), all strictly
     inside (0,1).  Compares and hashes by value: it keys the per-grid
-    caches.
+    caches.  nx and ny must be integers that meet NODES and alpha must
+    meet ALPHA; they are kept as int and float.
     """
 
     nx: int
     ny: int
     alpha: float
+
+    def __post_init__(self):
+        if not (isinstance(self.nx, (int, np.integer)) and isinstance(self.ny, (int, np.integer))):
+            raise TypeError("nx and ny must be integers")
+        object.__setattr__(self, "nx", int(NODES.check("nx", self.nx)))
+        object.__setattr__(self, "ny", int(NODES.check("ny", self.ny)))
+        object.__setattr__(self, "alpha", float(ALPHA.check("alpha", self.alpha)))
 
     @property
     def n(self) -> int:
@@ -150,13 +158,8 @@ class Grid:
 
 
 def build_grid(nx: int, ny: int, alpha: float) -> Grid:
-    """Build the interior grid: nx and ny by NODES, alpha by ALPHA."""
-    if not (isinstance(nx, (int, np.integer)) and isinstance(ny, (int, np.integer))):
-        raise TypeError("nx and ny must be integers")
-    NODES.check("nx", nx)
-    NODES.check("ny", ny)
-    ALPHA.check("alpha", alpha)
-    return Grid(nx=int(nx), ny=int(ny), alpha=float(alpha))
+    """Build the interior grid: nx and ny by NODES, alpha by ALPHA (Grid checks them)."""
+    return Grid(nx, ny, alpha)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,6 +16,7 @@ from degenash.analysis import (
     embedding_study,
     energy_estimate_study,
     muckenhoupt_study,
+    observed_orders,
     stabilized_form_value,
     strict_inclusion_demo,
     w11_exact,
@@ -47,6 +48,13 @@ class TestConvergenceStudy:
         r = convergence_study([8, 16, 32], alpha=1.0)
         errs = r.metrics["l2_err"]
         assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("levels, errs", [([8, 16, 32], [0.1, 0.05]), ([8, 16], [0.1, 0.05, 0.025])])
+def test_observed_orders_needs_one_error_per_level(levels, errs):
+    # zip would read one order from either and drop the rest
+    with pytest.raises(ValueError, match=f"got {len(levels)} levels and {len(errs)} errors$"):
+        observed_orders(levels, errs)
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from degenash.norms import (
     muckenhoupt_panel,
     norms_of,
 )
+from test_verdict_sensitivity import MUTANTS
 
 
 def sinsin_w11_errors_per_h(alpha=0.5):
@@ -66,16 +67,9 @@ class TestNormsOf:
         # are 1.58, 1.49 and 1.45
         assert max(sinsin_w11_errors_per_h()) <= 2.0
 
-    @pytest.mark.parametrize("mutant", ["dx-doubled", "dy-unweighted"])
+    @pytest.mark.parametrize("mutant", ["norm-dx-doubled", "norm-dy-unweighted"])
     def test_wrong_norm_misses_the_closed_form(self, monkeypatch, mutant):
-        if mutant == "dx-doubled":
-            dx = norms_mod.dx
-            monkeypatch.setattr(norms_mod, "dx", lambda u: 2.0 * dx(u))
-        else:
-            inner = norms_mod.weighted_inner
-            monkeypatch.setattr(
-                norms_mod, "weighted_inner", lambda u, v, e, *a: inner(u, v, 0.0 if e == u.grid.alpha else e, *a)
-            )
+        MUTANTS[mutant](monkeypatch)
         assert max(sinsin_w11_errors_per_h()) > 2.0
 
     def test_counterexample_field_stable(self):

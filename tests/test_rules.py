@@ -56,6 +56,10 @@ CASES = {
     "alpha": (SOLVE, "grid.alpha", 2.0, lambda v: build_grid(8, 8, v), "alpha", grid.ALPHA),
     "nx": (SOLVE, "grid.nx", 1, lambda v: build_grid(v, 8, 0.5), "nx", grid.NODES),
     "ny": (SOLVE, "grid.ny", 1, lambda v: build_grid(8, v, 0.5), "ny", grid.NODES),
+    # Grid is public, so it checks the keys build_grid reads itself
+    "alpha-Grid": (SOLVE, "grid.alpha", 2.0, lambda v: grid.Grid(8, 8, v), "alpha", grid.ALPHA),
+    "nx-Grid": (SOLVE, "grid.nx", 1, lambda v: grid.Grid(v, 8, 0.5), "nx", grid.NODES),
+    "ny-Grid": (SOLVE, "grid.ny", 1, lambda v: grid.Grid(8, v, 0.5), "ny", grid.NODES),
     "rectangle": (GAME, "game.omega", [0.3, 0.1, 0.1, 0.9], lambda v: rect_mask(G, *v), "rectangle", grid.RECT),
     "field-kind": (SOLVE, "solve.f.kind", "bogus", lambda v: named_field(G, v), "kind", fields.FIELD_KIND),
     "amplitude": (SOLVE, "solve.f.amplitude", math.inf, lambda v: named_field(G, "sinsin", v), "amplitude", grid.FINITE),
