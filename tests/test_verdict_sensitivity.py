@@ -4,8 +4,8 @@
 MUTANTS names each wrong program once, as an installer that monkeypatches
 it in where the program looks it up.  VERDICTS runs every config under
 configs/ through the CLI at its shipped levels (the game at 32 x 32), and
-the `oracle` column compares that game's nash_solve with its exact
-reference equilibrium (tests/test_game.py).  KILLS is the committed table
+the `oracle` column compares that game run's controls and costs with
+its exact reference equilibrium (tests/test_game.py).  KILLS is the committed table
 of what each verdict does with each mutant: a verdict that stops killing a
 mutant, or starts failing the true program, fails test_kill_matrix.  Every
 row but `none` holds a fail, and `none` passes every column.
@@ -57,6 +57,9 @@ def solved_at(op, f, alpha):
 
 
 def checkerboard(op, f, u):
+    """u plus a checkerboard of 0.1 max|u|.  Verify passes it: d_x, d_y and
+    the cell averages of its pairings annihilate a checkerboard, so its
+    residual order stays that of the true solve (1.03 on [32, 64])."""
     i, j = np.indices((op.grid.nx, op.grid.ny))
     return GridFunction(op.grid, u.values + 0.1 * np.max(np.abs(u.values)) * (-1.0) ** (i + j).ravel())
 
