@@ -1,8 +1,10 @@
 """Verification campaigns: energy estimate, coercivity, strict inclusion,
 scheme convergence, embedding ratios, and a Muckenhoupt lattice panel.
 The caps a pass-or-fail verdict is judged by are module constants, echoed in
-its thresholds, as is the inclusion study's reference norm w11_exact(alpha).
-Each study checks its inputs by the Rules the config reads (grid.Rule)."""
+its thresholds, as is the inclusion study's reference norm w11_exact(alpha);
+so are the stabilizing weight exp(-THETA*y) and the embedding exponents
+Q_VALUES.  Each study checks its inputs by the Rules the config reads
+(grid.Rule)."""
 
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
-from .grid import ALPHA, AT_LEAST_ONE, FINITE_POSITIVE, DegenerateWeightWarning, GridFunction, Rule, build_grid, weighted_inner
-from .norms import EMBEDDING_Q, GAUSS_NODES, _gauss_jacobi, _lattice, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
+from .grid import ALPHA, AT_LEAST_ONE, DegenerateWeightWarning, GridFunction, Rule, build_grid, weighted_inner
+from .norms import GAUSS_NODES, _gauss_jacobi, _lattice, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
 from .operators import _check_residual, assemble, bilinear_form, dx, dy, solve_dirichlet
 
 # The Muckenhoupt panel asks the constant weight for an A_2 constant of 1,
@@ -35,6 +37,11 @@ SAFETY = 1.5
 # The last observed order of a convergence study's L2 error and of verify's
 # largest weak-form residual must reach this: the upwind scheme is first order in y.
 ORDER_THRESHOLD = 0.9
+# The stabilizing weight exp(-THETA*y) of the equivalent weak form and of
+# the coercivity lemma; verify and the coercivity check both read it.
+THETA = 1.0
+# The exponents q of the embedding study's L^q/W11 ratios, each in [2, 4].
+Q_VALUES = (2.0, 3.0, 4.0)
 
 
 def _levels(least: int) -> Rule:
@@ -144,14 +151,14 @@ def coercivity_delta(theta: float, mu: float) -> float:
 
 
 def coercivity_check(
-    theta: float,
     n_samples: int,
     seed: int,
     nx: int = 64,
     ny: int = 64,
     alpha: float = 0.5,
 ) -> StudyResult:
-    """Check a(v,v) >= delta_h ||v||_W11^2 over random smooth bumps.
+    """Check a(v,v) >= delta_h ||v||_W11^2 over random smooth bumps, a
+    weighted by exp(-THETA*y).
 
     The Poincare constant is estimated as the sample maximum of
     ||v||^2/||v_x||^2, inflated by SAFETY so the resulting delta_h is
@@ -161,7 +168,6 @@ def coercivity_check(
     three scalars of it; delta_h and the scale-invariant margins
     a(v,v)/||v||_W11^2 - delta_h follow the pass.
     """
-    FINITE_POSITIVE.check("theta", theta)
     AT_LEAST_ONE.check("n_samples", n_samples)
     grid = build_grid(nx, ny, alpha)
     mu_samples, form_values, w11_sqs = [], [], []
@@ -171,12 +177,12 @@ def coercivity_check(
         l2_sq = weighted_inner(v, v, 0.0)
         dx_sq = weighted_inner(dxv, dxv, 0.0)
         mu_samples.append(l2_sq / dx_sq)
-        form_values.append(stabilized_form_value(v, theta))
+        form_values.append(stabilized_form_value(v, THETA))
         w11_sqs.append(norms_of(v).w11 ** 2)
     # np.max and np.min keep a NaN, where Python's max and min drop one
     # that is not first
     mu_h = SAFETY * float(np.max(mu_samples))
-    delta_h = coercivity_delta(theta, mu_h)
+    delta_h = coercivity_delta(THETA, mu_h)
     margins = [a / w - delta_h for a, w in zip(form_values, w11_sqs)]
     # a NaN margin certifies nothing, so it counts as a violation
     violations = sum(1 for m in margins if not m >= 0.0)
@@ -190,7 +196,7 @@ def coercivity_check(
             "violations": [float(violations)],
         },
         verdict=Verdict.PASS if violations == 0 else Verdict.FAIL,
-        thresholds={"safety": SAFETY, "theta": theta},
+        thresholds={"safety": SAFETY, "theta": THETA},
         samples={"margin": margins, "mu_sample": mu_samples},
     )
 
@@ -282,35 +288,22 @@ def convergence_study(levels: Sequence[int], manufactured: str = "sinsin", alpha
     )
 
 
-def embedding_metric(q: float) -> str:
-    """The name of q's series in an embedding study: q prints by %g, so
-    two q that print alike would share one series."""
-    return f"max_ratio_q{q:g}"
-
-
-Q_VALUES = Rule(
-    "must be a non-empty list of q, each in [2, 4], with distinct metric names max_ratio_q{q:g}",
-    lambda qs: bool(qs) and all(map(EMBEDDING_Q.holds, qs)) and len(set(map(embedding_metric, qs))) == len(qs),
-)
-
-
 def embedding_study(
     levels: Sequence[int],
-    q_values: Sequence[float] = (2.0, 3.0, 4.0),
     n_samples: int = 100,
     seed: int = 0,
     alpha: float = 0.5,
 ) -> StudyResult:
-    """Max L^q/W11 ratio over a fixed random bump family, per level.
+    """Max L^q/W11 ratio over a fixed random bump family, per level and
+    q in Q_VALUES, in the series max_ratio_q{q:g}.
 
     The same smooth functions are re-sampled on every grid, one bump at a
     time; the sampled embedding constant must not grow past GROWTH_CAP
     under refinement.
     """
     levels = LEVELS["embedding"].check("levels", list(levels))
-    Q_VALUES.check("q_values", q_values)
     AT_LEAST_ONE.check("n_samples", n_samples)
-    names = [embedding_metric(q) for q in q_values]
+    names = [f"max_ratio_q{q:g}" for q in Q_VALUES]
     params = bump_parameter_sets(n_samples, seed)
     series: dict[str, list[float]] = {name: [] for name in names}
     for level in levels:
@@ -318,7 +311,7 @@ def embedding_study(
         ratios: dict[str, list[float]] = {name: [] for name in names}
         for p in params:
             u = bump_from_parameters(grid, p)
-            for name, q in zip(names, q_values):
+            for name, q in zip(names, Q_VALUES):
                 ratios[name].append(embedding_ratio(u, q))
         for name, values in ratios.items():
             # np.max keeps a NaN ratio, where Python's max would drop it

@@ -4,11 +4,12 @@ Configs are YAML, each key in the section of the run that reads it (see
 configs/ and README for the grammar), read by libyaml's CSafeLoader when
 PyYAML has it and by SafeLoader otherwise; a game's regions must each
 hold a node of its grid, and only the game and the sampling studies read
-a seed.  Verify tests the weak form against fixed functions by the
-convergence study's observed-order rule.  The argument parser is built
-once per process.  Every run writes a report.json plus tab-separated
-tables, one row per level, iteration or sample, floats by repr, so reruns
-of a config are byte-identical; wall-clock times live only in report.json.
+a seed.  Verify solves for the sinsin forcing and tests the weak form
+against fixed functions by the convergence study's observed-order rule.
+The argument parser is built once per process.  Every run writes a
+report.json plus tab-separated tables, one row per level, iteration or
+sample, floats by repr, so reruns of a config are byte-identical;
+wall-clock times live only in report.json.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import __version__
 from .analysis import (
     LEVELS,
     ORDER_THRESHOLD,
-    Q_VALUES,
+    THETA,
     StudyResult,
     Verdict,
     coercivity_check,
@@ -45,7 +46,7 @@ from .analysis import (
 from .fields import FIELD_KIND, MANUFACTURED_KIND, named_field
 from .game import GameConfig, NashResult, control_norm, nash_solve
 from .grid import (
-    ALPHA, AT_LEAST_ONE, FINITE, FINITE_NONNEGATIVE, FINITE_POSITIVE, NODES, RECT, SEED, Grid, GridFunction, Rule, build_grid, rect_mask,
+    ALPHA, AT_LEAST_ONE, FINITE, FINITE_POSITIVE, NODES, RECT, SEED, Grid, GridFunction, Rule, build_grid, rect_mask,
 )
 from .norms import norms_of
 from .operators import RESIDUAL_TOL, assemble, dy, solve_dirichlet, weak_form_residual
@@ -121,11 +122,7 @@ FIELD = {"kind": Key(_text, None, FIELD_KIND), "amplitude": Key(_real, 1.0, FINI
 SINSIN = {"kind": "sinsin"}
 SECTIONS = {
     "solve": {"f": Key(FIELD, SINSIN), "tol": Key(_real, RESIDUAL_TOL, FINITE_POSITIVE)},
-    "verify": {
-        "f": Key(FIELD, SINSIN),
-        "levels": Key(_list_of(_integer), [32, 64], LEVELS["energy"]),  # two levels, as the energy study
-        "theta": Key(_real, 1.0, FINITE_NONNEGATIVE),
-    },
+    "verify": {"levels": Key(_list_of(_integer), [32, 64], LEVELS["energy"])},  # two levels, as the energy study
     "game": {
         **dict.fromkeys(REGIONS, Key(_list_of(_real), None, RECT)),
         **dict.fromkeys(("g", "yd1", "yd2"), Key(FIELD, SINSIN)),
@@ -138,13 +135,9 @@ SECTIONS = {
 STUDIES = {
     "convergence": {"levels": _levels("convergence"), "manufactured": Key(_text, "sinsin", MANUFACTURED_KIND)},
     "energy": {"levels": _levels("energy")},
-    "coercivity": {"theta": Key(_real, 1.0, FINITE_POSITIVE), "n_samples": Key(_integer, 200, AT_LEAST_ONE)},
+    "coercivity": {"n_samples": Key(_integer, 200, AT_LEAST_ONE)},
     "inclusion": {"levels": _levels("inclusion")},
-    "embedding": {
-        "levels": _levels("embedding"),
-        "q_values": Key(_list_of(_real), [2, 3, 4], Q_VALUES),
-        "n_samples": Key(_integer, 100, AT_LEAST_ONE),
-    },
+    "embedding": {"levels": _levels("embedding"), "n_samples": Key(_integer, 100, AT_LEAST_ONE)},
     "muckenhoupt": {},
 }
 STUDY_KIND = Key(_text, None, Rule.one_of(STUDIES))
@@ -375,25 +368,25 @@ def _run_solve(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 
 
 def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
-    levels, theta = cfg.verify["levels"], cfg.verify["theta"]
+    levels = cfg.verify["levels"]
     rows, max_by_level = [], []
     for level in levels:
         grid = build_grid(level, level, cfg.alpha)
-        f = named_field(grid, **cfg.verify["f"])
+        f = named_field(grid, "sinsin")
         u, _ = solve_dirichlet(assemble(grid), f)
         # the test functions (sin k pi x sin l pi y)**2, k, l = 1, 2, 3, vanish with their gradients on the boundary
         sx, sy = (np.sin(np.pi * np.outer((1, 2, 3), t)) ** 2 for t in (grid.x, grid.y))
         residuals = []
         for k, phi in enumerate(GridFunction(grid, np.outer(a, b)) for a in sx for b in sy):
             r = weak_form_residual(u, f, phi)
-            rt = weak_form_residual(u, f, dy(phi), theta)
+            rt = weak_form_residual(u, f, dy(phi), THETA)
             rows.append([level, k, r, rt])
             residuals += [r, rt]
         # np.max keeps a NaN, where Python's max would drop it
         max_by_level.append(float(np.max(np.abs(residuals))))
     _write_columns(out / "verify_residuals.tsv", ["level", "test_fn", "residual", "theta_residual"], list(zip(*rows)))
     orders = observed_orders(levels, max_by_level)
-    results = {"levels": levels, "max_residual_by_level": max_by_level, "observed_orders": orders, "theta": theta}
+    results = {"levels": levels, "max_residual_by_level": max_by_level, "observed_orders": orders, "theta": THETA}
     return results, (Verdict.PASS if orders[-1] >= ORDER_THRESHOLD else Verdict.FAIL).value
 
 

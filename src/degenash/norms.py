@@ -12,11 +12,12 @@ by Gauss rules on those pieces, graded toward the ball's left end
 of x**e's singularity there, so x**e, e > -1, is integrated to about
 1e-12 relative there too, and e <= -1 gives +inf; a ball tangent to
 x = 0 takes that of its (phi - phi_a)**(2e + 2), and e <= -3/2 gives
-+inf.  The rules are built by Golub-Welsch from scipy.linalg's
-tridiagonal eigensolver, once per (nodes, exponent) (_gauss_jacobi); a
-panel reads a fixed lattice of balls (_lattice) and computes each ball's
-chord once for every weight (muckenhoupt_panel).  Quadrature weights
-come from grid.cell_weights, which caches them per (grid, exponent).
++inf.  The rules are built by Golub-Welsch from numpy's symmetric
+eigensolver, once per (nodes, exponent) (_gauss_jacobi), so this module
+imports nothing from scipy; a panel reads a fixed lattice of balls
+(_lattice) and computes each ball's chord once for every weight
+(muckenhoupt_panel).  Quadrature weights come from grid.cell_weights,
+which caches them per (grid, exponent).
 norms_of is computed once per field and include_mixed and kept with the
 field (GridFunction._once), so embedding_ratio norms a field once for
 every q.  lq_norm(u, 2) reads the L^2 self-pairing kept with the field
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .grid import GridFunction, Rule, _cell_sums, _number, _quadrature, cell_weights, weighted_inner
 from .operators import dx, dy
@@ -199,7 +199,8 @@ def _gauss_jacobi(n: int, e: float) -> tuple[np.ndarray, np.ndarray]:
     diag[1:] = 0.5 + e * e / (2.0 * s * (s + 2.0))
     # off[j] couples p_j and p_{j+1}
     off = k * (k + e) / (s * np.sqrt(s * s - 1.0))
-    nodes, vectors = eigh_tridiagonal(diag, off)
+    # dense: numpy has no tridiagonal eigensolver, and at n = 16 the dense one costs as little
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = vectors[0] ** 2 / (e + 1.0)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights

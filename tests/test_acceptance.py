@@ -94,7 +94,7 @@ def test_criterion_2_energy_estimate():
 
 
 def test_criterion_3_coercivity():
-    r = coercivity_check(theta=1.0, n_samples=200, seed=3, nx=64, ny=64, alpha=0.5)
+    r = coercivity_check(n_samples=200, seed=3, nx=64, ny=64, alpha=0.5)
     violations = int(r.metrics["violations"][0])
     assert violations == 0, f"{violations} coercivity violations"
     assert min(r.samples["margin"]) >= 0.0
@@ -121,7 +121,7 @@ def test_criterion_4_strict_inclusion():
 
 
 def test_criterion_5_embedding():
-    r = embedding_study(levels=(64, 128), q_values=(2.0, 3.0, 4.0), n_samples=100, seed=5, alpha=0.5)
+    r = embedding_study(levels=(64, 128), n_samples=100, seed=5, alpha=0.5)
     worst = 0.0
     for name, series in r.metrics.items():
         growth = series[1] / series[0]

@@ -222,7 +222,7 @@ class TestComputedOnce:
         assert runs == []
 
     def test_coercivity_check_repeats_itself(self):
-        runs = [coercivity_check(1.0, 4, seed=2, nx=12, ny=12) for _ in range(2)]
+        runs = [coercivity_check(4, seed=2, nx=12, ny=12) for _ in range(2)]
         assert repr(runs[0]) == repr(runs[1])
 
 

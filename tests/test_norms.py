@@ -383,8 +383,8 @@ class TestMuckenhoupt:
         assert value[0] == math.inf
 
     def test_panel_loads_no_scipy_special_integrate_or_sparse(self):
-        # the Gauss rules come from scipy.linalg, which the solves load
-        # anyway, and the study's closed form from math.gamma
+        # the Gauss rules come from numpy's eigh, and the study's closed
+        # form from math.gamma
         code = (
             "import sys, degenash, degenash.cli\n"
             "assert degenash.analysis.muckenhoupt_study().verdict == 'pass'\n"

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -176,6 +177,33 @@ class TestSolve:
         proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_scipy_is_imported_only_by_operators_and_cli(self):
+        # (enclosing function, or None at module level, and imported name)
+        # of each scipy import in the package: the march's LAPACK routines,
+        # scipy.sparse when SparseOperator.matrix is read, and cli's version string
+        expected = {
+            "operators": {
+                (None, "scipy.linalg.lapack.dpttrf"), (None, "scipy.linalg.lapack.dpttrs"), ("matrix", "scipy.sparse"),
+            },
+            "cli": {(None, "scipy")},
+        }
+        found = {}
+
+        def visit(node, where, into):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Import):
+                    into.update((where, a.name) for a in child.names if a.name.split(".")[0] == "scipy")
+                elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "scipy":
+                    into.update((where, f"{child.module}.{a.name}") for a in child.names)
+                visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where, into)
+
+        for path in sorted(Path(operators.__file__).parent.glob("*.py")):
+            imports = set()
+            visit(ast.parse(path.read_text()), None, imports)
+            if imports:
+                found[path.stem] = imports
+        assert found == expected
 
     def test_invalid_tol(self, small_grid):
         op = assemble(small_grid)

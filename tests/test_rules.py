@@ -67,14 +67,6 @@ CASES = {
         study("convergence"), "study.manufactured", "bogus", lambda v: manufactured_pair(G, v), "kind",
         fields.MANUFACTURED_KIND,
     ),
-    "theta": (
-        VERIFY, "verify.theta", -1.0, lambda v: weighted_inner(ONE, ONE, 0.0, theta=v), "theta",
-        grid.FINITE_NONNEGATIVE,
-    ),
-    "theta-coercivity": (
-        study("coercivity"), "study.theta", 0.0, lambda v: coercivity_check(v, 5, seed=1), "theta",
-        grid.FINITE_POSITIVE,
-    ),
     "tol": (
         SOLVE, "solve.tol", -1.0, lambda v: solve_dirichlet(assemble(G), named_field(G, "sinsin"), v), "tol",
         grid.FINITE_POSITIVE,
@@ -85,20 +77,16 @@ CASES = {
     },
     "levels-verify": (VERIFY, "verify.levels", [32], STUDY_CALLS["energy"], "levels", analysis.LEVELS["energy"]),
     "n_samples-coercivity": (
-        study("coercivity"), "study.n_samples", 0, lambda v: coercivity_check(1.0, v, seed=1), "n_samples",
+        study("coercivity"), "study.n_samples", 0, lambda v: coercivity_check(v, seed=1), "n_samples",
         grid.AT_LEAST_ONE,
     ),
     "n_samples-embedding": (
         study("embedding"), "study.n_samples", 0, lambda v: embedding_study(levels=[8, 16], n_samples=v),
         "n_samples", grid.AT_LEAST_ONE,
     ),
-    "q_values": (
-        study("embedding"), "study.q_values", [2.0, 2.0], lambda v: embedding_study(levels=[8, 16], q_values=v),
-        "q_values", analysis.Q_VALUES,
-    ),
     "seed": (GAME, "seed", -1, lambda v: dataclasses.replace(shipped_game(n=16), seed=v), "seed", grid.SEED),
     "seed-bumps": (
-        study("coercivity"), "seed", -1, lambda v: coercivity_check(1.0, 2, seed=v, nx=8, ny=8), "seed", grid.SEED,
+        study("coercivity"), "seed", -1, lambda v: coercivity_check(2, seed=v, nx=8, ny=8), "seed", grid.SEED,
     ),
     "m1": (
         GAME, "game.m1", -1.0, lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1",
@@ -148,7 +136,7 @@ BOOLEANS = {
     "tol": (lambda v: solve_dirichlet(assemble(G), named_field(G, "sinsin"), tol=v), "tol", grid.FINITE_POSITIVE),
     "amplitude": (lambda v: named_field(G, "sinsin", v), "amplitude", grid.FINITE),
     "theta": (lambda v: weighted_inner(ONE, ONE, 0.0, theta=v), "theta", grid.FINITE_NONNEGATIVE),
-    "n_samples": (lambda v: coercivity_check(1.0, v, seed=1, nx=8, ny=8), "n_samples", grid.AT_LEAST_ONE),
+    "n_samples": (lambda v: coercivity_check(v, seed=1, nx=8, ny=8), "n_samples", grid.AT_LEAST_ONE),
     "m1": (lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1", grid.FINITE_NONNEGATIVE),
     "q": (lambda v: lq_norm(ONE, v), "q", norms.LQ_Q),
     "exponent": (lambda v: cell_weights(G, v), "exponent", grid.FINITE),
@@ -196,16 +184,13 @@ SHARED = {
     **{f"game.{m}": (cli.SECTIONS["game"][m].rule, GAME_RULES[m]) for m in ("m1", "m2")},
     "field.kind": (cli.FIELD["kind"].rule, fields.FIELD_KIND),
     "field.amplitude": (cli.FIELD["amplitude"].rule, grid.FINITE),
-    "verify.theta": (cli.SECTIONS["verify"]["theta"].rule, grid.FINITE_NONNEGATIVE),
     "verify.levels": (cli.SECTIONS["verify"]["levels"].rule, analysis.LEVELS["energy"]),
     "config.seed": (cli.TOP["seed"].rule, grid.SEED),
     "solve.tol": (cli.SECTIONS["solve"]["tol"].rule, grid.FINITE_POSITIVE),
     "convergence.manufactured": (cli.STUDIES["convergence"]["manufactured"].rule, fields.MANUFACTURED_KIND),
     **{f"{kind}.levels": (cli.STUDIES[kind]["levels"].rule, rule) for kind, rule in analysis.LEVELS.items()},
-    "coercivity.theta": (cli.STUDIES["coercivity"]["theta"].rule, grid.FINITE_POSITIVE),
     "coercivity.n_samples": (cli.STUDIES["coercivity"]["n_samples"].rule, grid.AT_LEAST_ONE),
     "embedding.n_samples": (cli.STUDIES["embedding"]["n_samples"].rule, grid.AT_LEAST_ONE),
-    "embedding.q_values": (cli.STUDIES["embedding"]["q_values"].rule, analysis.Q_VALUES),
 }
 
 
