@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import degenash.analysis as analysis
 from conftest import peak_bytes
 from degenash.analysis import (
     _ENERGY_FAMILY,
@@ -21,9 +22,9 @@ from degenash.analysis import (
     strict_inclusion_demo,
     w11_exact,
 )
-from degenash.fields import named_field
-from degenash.grid import DegenerateWeightWarning, GridFunction, build_grid
-from degenash.norms import l2_weighted_norm, norms_of
+from degenash.fields import bump_from_parameters, bump_parameter_sets, named_field
+from degenash.grid import FINITE_POSITIVE, DegenerateWeightWarning, GridFunction, build_grid
+from degenash.norms import EMBEDDING_Q, embedding_ratio, l2_weighted_norm, norms_of
 from degenash.operators import assemble, solve_dirichlet
 
 
@@ -119,7 +120,7 @@ class TestEnergyStudy:
 
 
 class TestCoercivity:
-    @pytest.mark.parametrize("theta", [-1.0, math.nan])
+    @pytest.mark.parametrize("theta", [-1.0, math.nan, math.inf])
     def test_form_value_rejects_bad_theta(self, small_grid, theta):
         v = GridFunction.from_callable(small_grid, lambda X, Y: X * (1 - X) * Y * (1 - Y))
         with pytest.raises(ValueError, match="theta"):
@@ -170,6 +171,27 @@ class TestCoercivity:
     def test_delta_keeps_a_nan_mu(self):
         assert math.isnan(coercivity_delta(1.0, math.nan))
         assert coercivity_delta(1.0, 0.1) == min(math.exp(-1.0), math.exp(-1.0) / 8.0, math.exp(-1.0) / 0.8)
+
+    def test_theta_is_finite_and_positive(self):
+        # the lemma's delta is theta e**-theta / 8 at most: zero at theta = 0
+        assert FINITE_POSITIVE.holds(analysis.THETA)
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_check_reads_theta(self, monkeypatch, theta):
+        # the lemma holds at any theta > 0; the check weighs its form and
+        # its delta_h by the constant and echoes it
+        thetas = []
+
+        def form_value(v, t):
+            thetas.append(t)
+            return stabilized_form_value(v, t)
+
+        monkeypatch.setattr(analysis, "THETA", theta)
+        monkeypatch.setattr(analysis, "stabilized_form_value", form_value)
+        r = coercivity_check(6, seed=2, nx=16, ny=16)
+        assert set(thetas) == {theta} and r.thresholds["theta"] == theta
+        assert r.metrics["delta_h"] == [coercivity_delta(theta, r.metrics["mu_h"][0])]
+        assert r.verdict is Verdict.PASS
 
     def test_golden_min_margin(self):
         r = coercivity_check(20, seed=2, nx=24, ny=24)
@@ -295,9 +317,24 @@ class TestEmbeddingStudy:
         with pytest.raises(ValueError, match=name):
             embedding_study(**{"levels": (8, 16), "n_samples": 4, name: value})
 
-    def test_nan_ratio_at_a_later_position_is_kept(self, monkeypatch):
-        import degenash.analysis as analysis
+    def test_q_values_meet_the_embedding_rule_with_distinct_series(self):
+        # q prints by %g in its series name, so two q that print alike would share one
+        assert all(map(EMBEDDING_Q.holds, analysis.Q_VALUES))
+        assert len({f"{q:g}" for q in analysis.Q_VALUES}) == len(analysis.Q_VALUES) > 0
 
+    @pytest.mark.parametrize(
+        "q_values, names", [((2.5,), ["max_ratio_q2.5"]), ((4.0, 2.0), ["max_ratio_q4", "max_ratio_q2"])],
+    )
+    def test_series_follow_q_values(self, monkeypatch, q_values, names):
+        monkeypatch.setattr(analysis, "Q_VALUES", q_values)
+        r = embedding_study(levels=(8, 16), n_samples=3, seed=1)
+        assert list(r.metrics) == names
+        grid = build_grid(16, 16, 0.5)
+        bumps = [bump_from_parameters(grid, p) for p in bump_parameter_sets(3, 1)]
+        for name, q in zip(names, q_values):
+            assert r.metrics[name][1] == max(embedding_ratio(u, q) for u in bumps)
+
+    def test_nan_ratio_at_a_later_position_is_kept(self, monkeypatch):
         ratio = analysis.embedding_ratio
         qs = []
 

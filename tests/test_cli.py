@@ -459,6 +459,31 @@ class TestRun:
         rows = (tmp_path / "verify_residuals.tsv").read_text().strip().splitlines()
         assert len(rows) == 1 + 2 * 9  # two levels x nine test functions
 
+    def test_verify_residuals_are_nonzero_with_finite_orders(self, tmp_path):
+        # a zero forcing would read residuals of 0.0, whose order of +inf
+        # passes whatever the solve does; verify's sinsin forcing reads none
+        cfg = parse_config("command: verify\nverify: {levels: [8, 16, 32]}\n")
+        cfg.output_dir = str(tmp_path)
+        report = run(cfg)
+        assert all(m > 0.0 for m in report.results["max_residual_by_level"])
+        assert all(math.isfinite(o) for o in report.results["observed_orders"])
+        assert report.verdict == "pass"
+
+    def test_verify_weighs_the_dy_residual_by_theta(self, tmp_path, monkeypatch):
+        plain, thetas = cli_mod.weak_form_residual, []
+
+        def residual(u, f, psi, theta=None):
+            thetas.append(theta)
+            return plain(u, f, psi) if theta is None else plain(u, f, psi, theta)
+
+        monkeypatch.setattr(cli_mod, "weak_form_residual", residual)
+        cfg = parse_config("command: verify\nverify: {levels: [6, 12]}\n")
+        cfg.output_dir = str(tmp_path)
+        report = run(cfg)
+        # two levels x nine test functions, each read plain and weighted
+        assert thetas.count(None) == thetas.count(analysis.THETA) == len(thetas) // 2 == 2 * 9
+        assert report.results["theta"] == analysis.THETA
+
     def test_verify_fails_on_nonfinite_residual(self, tmp_path, monkeypatch):
         import degenash.cli as cli_mod
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 import degenash.norms as norms_mod
 from conftest import half_disk_closed_form, half_disk_constant, peak_bytes, random_field
@@ -404,6 +405,26 @@ class TestMuckenhoupt:
             assert np.all(np.diff(nodes) > 0.0) and 0.0 < nodes[0] and nodes[-1] < 1.0
             for m in range(2 * n):
                 assert np.sum(weights * nodes**m) == pytest.approx(1.0 / (e + m + 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "e", [0.0, 0.5, -0.5, 0.1, 0.25, 0.75, 0.9, 0.999, 1.0, 1.5, 2.0, 3.0, 8.0, 50.0, -0.25, -0.9],
+    )
+    def test_gauss_jacobi_rule_matches_the_tridiagonal_eigensolver(self, e):
+        # the dense eigh of the Jacobi matrix against scipy's tridiagonal
+        # eigensolver on the same recurrence, which built the rules before
+        n = norms_mod.GAUSS_NODES
+        k = np.arange(1.0, n)
+        s = 2.0 * k + e
+        diag = np.concatenate([[(e + 1.0) / (e + 2.0)], 0.5 + e * e / (2.0 * s * (s + 2.0))])
+        ref_nodes, vectors = eigh_tridiagonal(diag, k * (k + e) / (s * np.sqrt(s * s - 1.0)))
+        nodes, weights = norms_mod._gauss_jacobi(n, e)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(weights, vectors[0] ** 2 / (e + 1.0), rtol=1e-12, atol=0.0)
+
+    def test_gauss_jacobi_rule_is_read_only_and_built_once(self):
+        rule = norms_mod._gauss_jacobi(norms_mod.GAUSS_NODES, 0.5)
+        assert not any(a.flags.writeable for a in rule)
+        assert all(a is b for a, b in zip(rule, norms_mod._gauss_jacobi(norms_mod.GAUSS_NODES, 0.5)))
 
     def test_traced_peak_is_bounded(self):
         # one call of _ball_integrals on the whole lattice, about 2 elements
