@@ -19,7 +19,7 @@ import numpy as np
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
 from .grid import ALPHA, AT_LEAST_ONE, DegenerateWeightWarning, GridFunction, Rule, build_grid, weighted_inner
 from .norms import GAUSS_NODES, _gauss_jacobi, _lattice, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
-from .operators import _check_residual, assemble, bilinear_form, dx, dy, solve_dirichlet
+from .operators import _check_residual, bilinear_form, dx, dy, solve_dirichlet
 
 # The Muckenhoupt panel asks the constant weight for an A_2 constant of 1,
 # and every ball product of a weight that did not diverge to be at least 1
@@ -118,11 +118,10 @@ def energy_estimate_study(levels: Sequence[int], alpha: float) -> StudyResult:
     solved = True
     for level in levels:
         grid = build_grid(level, level, alpha)
-        op = assemble(grid)
         for m, gen in enumerate(_ENERGY_FAMILY):
             f = gen(grid)
-            u, _ = solve_dirichlet(op, f)
-            solved = solved and _check_residual(op, u.values, f.values)[1] and np.min(u.values) >= 0.0
+            u, _ = solve_dirichlet(grid, f)
+            solved = solved and _check_residual(grid, u.values, f.values)[1] and np.min(u.values) >= 0.0
             # each term is zero or O(x) at x = 0, so its x**-alpha norm is finite also at alpha = 1
             with warnings.catch_warnings(action="ignore", category=DegenerateWeightWarning):
                 data = l2_weighted_norm(f)
@@ -269,7 +268,7 @@ def convergence_study(levels: Sequence[int], manufactured: str = "sinsin", alpha
     for level in levels:
         grid = build_grid(level, level, alpha)
         u_exact, f = manufactured_pair(grid, manufactured)
-        u_h, _ = solve_dirichlet(assemble(grid), f)
+        u_h, _ = solve_dirichlet(grid, f)
         err = u_h.values - u_exact.values
         # an error that overflows is inf or NaN, whose order is NaN below
         with np.errstate(over="ignore", invalid="ignore"):

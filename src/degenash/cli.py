@@ -49,7 +49,7 @@ from .grid import (
     ALPHA, AT_LEAST_ONE, FINITE, FINITE_POSITIVE, NODES, RECT, SEED, Grid, GridFunction, Rule, build_grid, rect_mask,
 )
 from .norms import norms_of
-from .operators import RESIDUAL_TOL, assemble, dy, solve_dirichlet, weak_form_residual
+from .operators import RESIDUAL_TOL, dy, solve_dirichlet, weak_form_residual
 
 COMMANDS = ("solve", "verify", "study", "game")
 SAMPLING_STUDY_KINDS = ("coercivity", "embedding")
@@ -351,7 +351,7 @@ def _study_tables(out: Path, result: StudyResult) -> None:
 def _run_solve(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     grid = build_grid(cfg.nx, cfg.ny, cfg.alpha)
     f = named_field(grid, **cfg.solve["f"])
-    u, rep = solve_dirichlet(assemble(grid), f, cfg.solve["tol"])
+    u, rep = solve_dirichlet(grid, f, cfg.solve["tol"])
     report = norms_of(u, include_mixed=True)
     results = {
         "residual_norm": rep.residual_norm,
@@ -373,7 +373,7 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     for level in levels:
         grid = build_grid(level, level, cfg.alpha)
         f = named_field(grid, "sinsin")
-        u, _ = solve_dirichlet(assemble(grid), f)
+        u, _ = solve_dirichlet(grid, f)
         # the test functions (sin k pi x sin l pi y)**2, k, l = 1, 2, 3, vanish with their gradients on the boundary
         sx, sy = (np.sin(np.pi * np.outer((1, 2, 3), t)) ** 2 for t in (grid.x, grid.y))
         residuals = []

@@ -50,11 +50,13 @@ the source and adds f1 and f2 on their own nodes' y-row indices
 (RegionMask.row_nodes); cost and gradient gather and scatter through
 the same indices, so every gathered array is the one the grid order
 gives, in the same order, and sums to the same bits.  Only state_solve
-turns its state back to the grid's order.  The tracking term, the
-penalty and the norms of certify's directions sum their products over
-their region's nodes only, in arrays the call gathered, so a sum that
-raises leaves nothing behind; each is within 1e-14 relative of the
-full-grid np.where sum.  Only the solver's march store is shared by
+turns its state back to the grid's order.  The solver checks no
+residual; nash_solve holds its final state to the residual contract
+(operators._check_residual) and reports a miss as converged=False.
+The tracking term, the penalty and the norms of certify's directions
+sum their products over their region's nodes only, in arrays the call
+gathered, so a sum that raises leaves nothing behind; each is within
+1e-14 relative of the full-grid np.where sum.  Only the solver's march store is shared by
 every call on the game: not reentrant.  cost builds no GridFunction and
 certify one per deviation; each GridFunction keeps its finiteness scan.
 
@@ -74,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import FINITE_NONNEGATIVE, SEED, Grid, GridFunction, RegionMask
-from .operators import DirichletSolver, assemble
+from .operators import DirichletSolver, _check_residual
 
 _FEAS_SLACK = 8 * np.finfo(float).eps
 # Stopping tolerances and caps of the sweeps and of each best response, and
@@ -143,7 +145,7 @@ class GameConfig:
     @functools.cached_property
     def solver(self) -> DirichletSolver:
         """The game's one solver, factored on first use."""
-        return DirichletSolver(assemble(self.grid))
+        return DirichletSolver(self.grid)
 
     @functools.cached_property
     def source(self) -> np.ndarray:
@@ -218,15 +220,21 @@ def state_solve(cfg: GameConfig, f1: GridFunction, f2: GridFunction) -> GridFunc
     return GridFunction(cfg.grid, cfg.grid.grid_order(_state(cfg, f1, f2)))
 
 
-def _state(cfg: GameConfig, f1: GridFunction, f2: GridFunction, last_row: int | None = None) -> np.ndarray:
-    """The state as y-rows (ny, nx), or, given last_row, its y-rows up to
-    last_row and zeros above."""
+def _rhs(cfg: GameConfig, f1: GridFunction, f2: GridFunction) -> np.ndarray:
+    """The state's right-hand side chi_omega g + chi_omega1 f1 + chi_omega2 f2
+    as fresh y-rows (ny, nx)."""
     rhs = cfg.source.copy()
     for name, region, f in (("f1", cfg.omega1, f1), ("f2", cfg.omega2, f2)):
         if f.grid != cfg.grid:
             raise ValueError(f"{name} lives on {f.grid}, not on the game's grid {cfg.grid}")
         rhs.reshape(-1)[region.row_nodes] += f.values[region.nodes]
-    return cfg.solver.solve(rhs, last_row=last_row)
+    return rhs
+
+
+def _state(cfg: GameConfig, f1: GridFunction, f2: GridFunction, last_row: int | None = None) -> np.ndarray:
+    """The state as y-rows (ny, nx), or, given last_row, its y-rows up to
+    last_row and zeros above."""
+    return cfg.solver.solve(_rhs(cfg, f1, f2), last_row=last_row)
 
 
 def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
@@ -327,8 +335,10 @@ def nash_solve(cfg: GameConfig) -> NashResult:
     sweeps stop, the last completed sweep's controls are kept and
     certified, and that residual is appended to br_residuals.  Follower
     2's best response runs only once follower 1's has converged.  converged
-    also requires a finite J1 and J2.  A control outside its admissible
-    set comes back as certified=False.
+    also requires a finite J1 and J2, and a final state that meets the
+    solve's residual contract (operators._check_residual); a miss is
+    reported, not raised.  A control outside its admissible set comes back
+    as certified=False.
     """
     zero = GridFunction.zeros(cfg.grid)
     f1, f2 = zero, zero
@@ -353,6 +363,7 @@ def nash_solve(cfg: GameConfig) -> NashResult:
             break
     certified, margin = certify(cfg, f1, f2)
     state = state_solve(cfg, f1, f2)
+    solved = _check_residual(cfg.grid, state.values, cfg.grid.grid_order(_rhs(cfg, f1, f2)))[1]
     j1, j2 = cost(cfg, 1, f1, f2), cost(cfg, 2, f1, f2)
     return NashResult(
         f1_star=f1,
@@ -362,8 +373,9 @@ def nash_solve(cfg: GameConfig) -> NashResult:
         j2=j2,
         br_iterations=sweeps,
         br_residuals=residuals,
-        # sweeps that settle on a non-finite cost have found no equilibrium
-        converged=converged and math.isfinite(j1) and math.isfinite(j2),
+        # sweeps that settle on a non-finite cost, or on a state that misses
+        # the residual contract, have found no equilibrium
+        converged=converged and solved and math.isfinite(j1) and math.isfinite(j2),
         certified=certified,
         certification_margin=margin,
     )

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, Rule, _cell_sums, _number, _quadrature, cell_weights, weighted_inner
+from .grid import FINITE, GridFunction, Rule, _cell_sums, _number, _quadrature, cell_weights, weighted_inner
 from .operators import dx, dy
 
 # The Muckenhoupt product above which a weight counts as diverged.  A ball
@@ -363,8 +363,11 @@ def muckenhoupt_panel(weight_exponents: tuple[float, ...]) -> list[ApEstimate]:
     x = 0.  least is the smallest product, at least 1 by Cauchy-Schwarz up
     to the quadrature error (ApEstimate).  A ball that meets the square in
     zero area, of which the lattice holds none, records the product 0.0
-    and is left out of least (inf if no ball is left).
+    and is left out of least (inf if no ball is left).  An exponent that
+    is not FINITE raises ValueError.
     """
+    for e in weight_exponents:
+        FINITE.check("weight exponent", e)
     cxs, cys, rs = _lattice()
     # the integrals of w and 1/w of each weight, in that order
     exponents = tuple(x for e in weight_exponents for x in (e, -e))

@@ -36,9 +36,11 @@ refers to it.  (Centered differencing in y would make the march a
 leapfrog scheme, whose computational mode does not shrink under
 refinement, and would impose u = 0 at the outflow edge.)
 
-A u is computed from the 5-point stencil.  The CSR matrix of A is
-assembled, and scipy.sparse imported, only when something reads
-SparseOperator.matrix; no solve does.
+A grid (nx, ny, alpha) fixes every coefficient of A, so the solvers
+and the residual contract take the Grid.  A u is computed from the
+5-point stencil (_apply).  SparseOperator is only the CSR reference the
+stencil and the march are checked against: its matrix is assembled, and
+scipy.sparse imported, only when something reads it; no solve does.
 
 dx and dy are computed once per field and kept with it (GridFunction._once):
 the weak forms difference a solved state once for all its test functions.
@@ -72,56 +74,48 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
+def _apply(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """A u for flat node values u, in a fresh array: the coefficients
+    SparseOperator(grid).matrix stores, summed in its row order (west,
+    south, centre, east from 0.0), so A u is matrix @ u bit for bit."""
+    ny = grid.ny
+    # each coefficient is the value the assembled matrix stores: a
+    # sparse matrix divided by a scalar h is multiplied by 1/h, and
+    # kron multiplies x**alpha into the y-difference entries
+    x_step = 1 / (2.0 * grid.hx * grid.hx)
+    y_step = 1 / grid.hy
+    c = (grid.x**grid.alpha)[:, None]
+    u = values.reshape(grid.n)
+    out = np.empty(grid.n)
+    term = np.empty(grid.n)
+    rows = term.reshape(grid.nx, ny)
+    # the matrix's row order, west, south, centre, east, each term a
+    # flat pass added to out; the matrix product sums from 0.0, which
+    # the last pass adds (it turns a -0.0 sum into +0.0, and leaves
+    # every other sum as it is)
+    out[:ny] = 0.0
+    np.multiply(-1.0 * x_step, u[:-ny], out=out[ny:])
+    # node k's south term is term[k-1]; a row's first node has none,
+    # and takes the previous row's last entry, -0.0: x + -0.0 is x
+    np.multiply(c * (-1.0 * y_step), u.reshape(grid.nx, ny), out=rows)
+    rows[:, -1] = -0.0
+    out[1:] += term[:-1]
+    np.multiply(2.0 * x_step + c * y_step, u.reshape(grid.nx, ny), out=rows)
+    out += term
+    np.multiply(-1.0 * x_step, u[ny:], out=term[:-ny])
+    out[:-ny] += term[:-ny]
+    out += 0.0
+    return out.reshape(values.shape)
+
+
 @dataclass(frozen=True)
 class SparseOperator:
-    """A = -1/2 d_xx + x**alpha d_y over the interior nodes of grid.
-
-    apply computes A u from the 5-point stencil.  matrix is the same
-    operator as a CSR matrix (flat index i*ny + j), built on first read
-    and cached; no solve needs it: it is the reference the stencil and
-    the march are checked against.  apply takes the matrix's own
-    coefficients and sums them in its row order (west, south, centre,
-    east from 0.0), so A u equals matrix @ u.values bit for bit.
-    """
+    """A = -1/2 d_xx + x**alpha d_y over the interior nodes of grid as a
+    CSR matrix (flat index i*ny + j), built on first read and cached.  No
+    solve reads it: it is the reference _apply and the march are checked
+    against."""
 
     grid: Grid
-
-    def apply(self, u: GridFunction) -> GridFunction:
-        if u.grid != self.grid:
-            raise ValueError("GridFunction lives on a different grid than the operator")
-        return GridFunction(self.grid, self._apply(u.values))
-
-    def _apply(self, values: np.ndarray) -> np.ndarray:
-        """A u for a flat array of nx*ny node values, in a fresh array."""
-        g = self.grid
-        ny = g.ny
-        # each coefficient is the value the assembled matrix stores: a
-        # sparse matrix divided by a scalar h is multiplied by 1/h, and
-        # kron multiplies x**alpha into the y-difference entries
-        x_step = 1 / (2.0 * g.hx * g.hx)
-        y_step = 1 / g.hy
-        c = (g.x**g.alpha)[:, None]
-        u = values.reshape(g.n)
-        out = np.empty(g.n)
-        term = np.empty(g.n)
-        rows = term.reshape(g.nx, ny)
-        # the matrix's row order, west, south, centre, east, each term a
-        # flat pass added to out; the matrix product sums from 0.0, which
-        # the last pass adds (it turns a -0.0 sum into +0.0, and leaves
-        # every other sum as it is)
-        out[:ny] = 0.0
-        np.multiply(-1.0 * x_step, u[:-ny], out=out[ny:])
-        # node k's south term is term[k-1]; a row's first node has none,
-        # and takes the previous row's last entry, -0.0: x + -0.0 is x
-        np.multiply(c * (-1.0 * y_step), u.reshape(g.nx, ny), out=rows)
-        rows[:, -1] = -0.0
-        out[1:] += term[:-1]
-        np.multiply(2.0 * x_step + c * y_step, u.reshape(g.nx, ny), out=rows)
-        out += term
-        np.multiply(-1.0 * x_step, u[ny:], out=term[:-ny])
-        out[:-ny] += term[:-ny]
-        out += 0.0
-        return out.reshape(values.shape)
 
     @functools.cached_property
     def matrix(self) -> scipy.sparse.csr_matrix:
@@ -151,11 +145,11 @@ class SolveReport:
 
 
 def assemble(grid: Grid) -> SparseOperator:
-    """The operator A = -1/2 d_xx + x**alpha d_y on grid.
+    """The CSR reference of A = -1/2 d_xx + x**alpha d_y on grid.
 
     Dirichlet values are zero, so eliminated neighbors need no
-    right-hand-side correction.  Builds no matrix: apply works from the
-    stencil, and op.matrix is assembled on first read.
+    right-hand-side correction.  Builds no matrix: op.matrix is
+    assembled on first read.
     """
     return SparseOperator(grid=grid)
 
@@ -192,13 +186,14 @@ def _march(factors: tuple, rows: np.ndarray, before: np.ndarray | None = None) -
 
 
 class DirichletSolver:
-    """Factored operator for repeated forward and adjoint solves.
+    """The factored operator of a grid, for repeated forward and adjoint solves.
 
     The operator is factored as the implicit-Euler march in y (one
     tridiagonal Cholesky factorization, O(nx*ny) per solve, no fill).  A
     solve takes one right-hand side as y-rows, an array of shape
     (ny, nx) whose row j is y-row j (Grid.y_rows), and returns its
-    solution in the same layout, so no solve converts layouts.  Forward and adjoint solves share the factors; each
+    solution in the same layout, so no solve converts layouts.  Forward
+    and adjoint solves share the factors; each
     direction keeps its last right-hand side and solution, and marches
     from the first row whose right-hand side differs (!=) from the kept
     one or that the kept solution does not hold, whichever is earlier.
@@ -206,12 +201,13 @@ class DirichletSolver:
     returns the same bits as a fresh one.  The store starts as the zero
     right-hand side with the zero solution, so a first solve marches from
     its first nonzero row.  Every solve mutates the store: not reentrant.
-    No residual check: solve_dirichlet carries the contract.
+    No residual check: solve_dirichlet carries the contract, and the game
+    checks its final state (game.nash_solve).
     """
 
-    def __init__(self, op: SparseOperator):
-        self._shape = (op.grid.ny, op.grid.nx)
-        self._factors = _factor(op.grid)
+    def __init__(self, grid: Grid):
+        self._shape = (grid.ny, grid.nx)
+        self._factors = _factor(grid)
         # adjoint -> (rhs, solution, count of leading march-order rows the
         # solution holds); rhs and solution as C-contiguous y-rows
         self._last: dict[bool, tuple] = {}
@@ -235,8 +231,10 @@ class DirichletSolver:
             raise ValueError(
                 f"right-hand side has shape {rhs.shape}, operator takes y-rows of shape (ny, nx) = ({ny}, {nx})"
             )
-        if last_row is not None and not 0 <= last_row < ny:
-            raise ValueError(f"last_row must be a y-row index in [0, {ny}), got {last_row}")
+        if last_row is not None and not (
+            isinstance(last_row, (int, np.integer)) and not isinstance(last_row, bool) and 0 <= last_row < ny
+        ):
+            raise ValueError(f"last_row must be an integer y-row index in [0, {ny}), got {last_row!r}")
         # the adjoint marches the y-rows in reverse
         order = np.s_[::-1] if adjoint else np.s_[:]
         kept, solution, held = self._last.get(adjoint) or (np.zeros((ny, nx)), np.zeros((ny, nx)), ny)
@@ -262,57 +260,55 @@ def euclidean_norm(values: np.ndarray) -> float:
     return math.sqrt(float(np.sum(values * values)))
 
 
-def _check_residual(
-    op: SparseOperator, u: np.ndarray, f: np.ndarray, tol: float = RESIDUAL_TOL
-) -> tuple[float, bool]:
+def _check_residual(grid: Grid, u: np.ndarray, f: np.ndarray, tol: float = RESIDUAL_TOL) -> tuple[float, bool]:
     """The residual contract: ||A u - f|| and whether it is finite and
-    <= tol * max(1, ||f||), for flat node values u and f.
+    <= tol * max(1, ||f||), for flat node values u and f on grid.
 
-    A u comes from the stencil, so no check builds op.matrix.  A residual
-    that overflows (say, from an ||f|| that overflows) is inf or NaN, and
-    meets no contract.
+    A u comes from the stencil (_apply), so no check builds a matrix.  A
+    residual that overflows (say, from an ||f|| that overflows) is inf or
+    NaN, and meets no contract.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         scale = max(1.0, euclidean_norm(f))
         # euclidean_norm(A u - f), subtracted and squared in A u's own array
-        r = op._apply(u)
+        r = _apply(grid, u)
         r -= f
         r *= r
         residual = math.sqrt(float(np.sum(r)))
     return residual, math.isfinite(residual) and residual <= tol * scale
 
 
-def solve_dirichlet(
-    op: SparseOperator, f: GridFunction, tol: float = RESIDUAL_TOL
-) -> tuple[GridFunction, SolveReport]:
-    """Solve A u = f once, with a residual contract.
+def solve_dirichlet(grid: Grid, f: GridFunction, tol: float = RESIDUAL_TOL) -> tuple[GridFunction, SolveReport]:
+    """Solve A u = f on grid once, with a residual contract.
 
-    Factors op as DirichletSolver does, copies f into y-rows and solves
+    Factors A as DirichletSolver does, copies f into y-rows and solves
     them in place (_march), without the store that repeated solves share;
-    the bits are those of DirichletSolver(op).solve(grid.y_rows(f.values)),
-    in the grid's order.
+    the bits are those of DirichletSolver(grid).solve(grid.y_rows(f.values)),
+    in the grid's order.  grid must be f's own grid (ValueError
+    otherwise): f carries it, but perfbench's solve hook reads f as the
+    second positional argument.
     Raises SolverError carrying the achieved residual if u does not meet
     the contract of _check_residual at tol.  There is no refinement: the
     march's residual is the stencil's round-off floor, and a refinement
     round does not lower it.
     """
-    if f.grid != op.grid:
+    if f.grid != grid:
         raise ValueError("right-hand side lives on a different grid")
     FINITE_POSITIVE.check("tol", tol)
     start = time.perf_counter()
-    rows = op.grid.y_rows(f.values)
+    rows = grid.y_rows(f.values)
     # leading zero rows solve to +0.0 (a -0.0 there would stay -0.0), and
     # the first nonzero row couples nothing, as in a first store solve
     first = next((j for j, row in enumerate(rows) if row.any()), len(rows))
     rows[:first] = 0.0
-    _march(_factor(op.grid), rows[first:])
-    u = op.grid.grid_order(rows)
+    _march(_factor(grid), rows[first:])
+    u = grid.grid_order(rows)
     del rows
-    residual, met = _check_residual(op, u, f.values, tol)
+    residual, met = _check_residual(grid, u, f.values, tol)
     if not met:
         raise SolverError("solve did not meet the residual tolerance", residual)
     report = SolveReport(residual_norm=residual, iterations=0, wall_time=time.perf_counter() - start)
-    return GridFunction(op.grid, u), report
+    return GridFunction(grid, u), report
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,23 @@ class TestNashSolve:
         # follower 2 runs only after follower 1 has converged
         assert calls == [1, 2][:i]
 
+    def test_final_state_off_the_residual_contract_reported_not_raised(self, monkeypatch):
+        # the one check is of the final state against its own right-hand
+        # side, which the true march meets; a miss only clears converged
+        cfg = shipped_game(n=16, seed=5)
+        seen = []
+
+        def miss(grid, u, f, tol=operators.RESIDUAL_TOL):
+            seen.append(operators._check_residual(grid, u, f, tol))
+            return math.inf, False
+
+        monkeypatch.setattr(game_mod, "_check_residual", miss)
+        res = nash_solve(cfg)
+        assert not res.converged and res.certified
+        assert res.br_residuals[-1] <= BR_TOL
+        ((residual, met),) = seen
+        assert met and residual <= operators.RESIDUAL_TOL
+
     def test_deterministic(self, mini_cfg):
         r1 = nash_solve(mini_cfg)
         r2 = nash_solve(mini_cfg)
@@ -438,7 +455,7 @@ def reference_equilibrium(cfg):
     D_i = diag(x^-alpha) on omega_i and y_g = A^-1 chi_omega g.  The
     columns come from one solve per control node on a fresh solver."""
     grid = cfg.grid
-    solver = operators.DirichletSolver(assemble(grid))
+    solver = operators.DirichletSolver(grid)
     ctrl = [cfg.follower(i)[0].nodes for i in (1, 2)]
     obs = [cfg.follower(i)[1].nodes for i in (1, 2)]
     columns = []

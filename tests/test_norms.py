@@ -302,6 +302,13 @@ class TestMuckenhoupt:
         (est,) = muckenhoupt_panel((-3.0,))
         assert est.diverged
 
+    @pytest.mark.parametrize("exponents", [(math.nan,), (math.inf,), (0.5, -math.inf)])
+    def test_exponent_that_is_not_finite_rejected(self, exponents):
+        # NaN failed deep in the Gauss-Jacobi rule and inf warned; a boolean
+        # (read as 1 or 0) is test_rules' case
+        with pytest.raises(ValueError, match="weight exponent must be finite"):
+            muckenhoupt_panel(exponents)
+
     @pytest.mark.parametrize("exponents, seed", [((0.0, 0.5, -3.0), 0), ((0.5,), 4), ((-0.0, 1.5, 0.5), 11)])
     def test_panel_equals_one_weight_at_a_time(self, monkeypatch, exponents, seed):
         monkeypatch.setattr(norms_mod, "_lattice", lambda: _draw(60, seed))

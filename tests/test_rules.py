@@ -29,8 +29,8 @@ from degenash.analysis import (
 from degenash.cli import ConfigError, parse_config
 from degenash.fields import bump_parameter_sets, manufactured_pair, named_field
 from degenash.grid import GridFunction, build_grid, cell_weights, rect_mask, weighted_inner
-from degenash.norms import lq_norm
-from degenash.operators import assemble, solve_dirichlet
+from degenash.norms import lq_norm, muckenhoupt_panel
+from degenash.operators import solve_dirichlet
 
 SOLVE = {"command": "solve", "grid": {"nx": 16, "ny": 16, "alpha": 0.5}, "solve": {"f": {"kind": "sinsin"}}}
 VERIFY = {"command": "verify", "verify": {}}
@@ -68,7 +68,7 @@ CASES = {
         fields.MANUFACTURED_KIND,
     ),
     "tol": (
-        SOLVE, "solve.tol", -1.0, lambda v: solve_dirichlet(assemble(G), named_field(G, "sinsin"), v), "tol",
+        SOLVE, "solve.tol", -1.0, lambda v: solve_dirichlet(G, named_field(G, "sinsin"), v), "tol",
         grid.FINITE_POSITIVE,
     ),
     **{
@@ -133,7 +133,7 @@ def test_seed_rule_rejects_what_numpy_would_take_or_misname(call, seed):
 # call would run with True as 1 if the rule let it through.
 BOOLEANS = {
     "alpha": (lambda v: build_grid(4, 4, v), "alpha", grid.ALPHA),
-    "tol": (lambda v: solve_dirichlet(assemble(G), named_field(G, "sinsin"), tol=v), "tol", grid.FINITE_POSITIVE),
+    "tol": (lambda v: solve_dirichlet(G, named_field(G, "sinsin"), tol=v), "tol", grid.FINITE_POSITIVE),
     "amplitude": (lambda v: named_field(G, "sinsin", v), "amplitude", grid.FINITE),
     "theta": (lambda v: weighted_inner(ONE, ONE, 0.0, theta=v), "theta", grid.FINITE_NONNEGATIVE),
     "n_samples": (lambda v: coercivity_check(v, seed=1, nx=8, ny=8), "n_samples", grid.AT_LEAST_ONE),
@@ -141,6 +141,7 @@ BOOLEANS = {
     "q": (lambda v: lq_norm(ONE, v), "q", norms.LQ_Q),
     "exponent": (lambda v: cell_weights(G, v), "exponent", grid.FINITE),
     "pairing_exponent": (lambda v: weighted_inner(ONE, ONE, v), "exponent", grid.FINITE),
+    "weight_exponent": (lambda v: muckenhoupt_panel((0.5, v)), "weight exponent", grid.FINITE),
     "factor": (lambda v: ONE * v, "factor", grid.FINITE),
     "left_factor": (lambda v: v * ONE, "factor", grid.FINITE),
 }

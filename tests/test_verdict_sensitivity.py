@@ -27,22 +27,23 @@ import degenash.analysis as analysis_mod
 import degenash.cli as cli_mod
 import degenash.game as game_mod
 import degenash.norms as norms_mod
+import degenash.operators as operators_mod
 from conftest import CONFIG_DIR, half_disk_closed_form, half_disk_constant, shipped_game
 from degenash.analysis import Verdict, convergence_study, energy_estimate_study, strict_inclusion_demo
 from degenash.fields import manufactured_pair
 from degenash.grid import GridFunction, build_grid, weighted_inner
-from degenash.operators import RESIDUAL_TOL, DirichletSolver, assemble, dx, solve_dirichlet
+from degenash.operators import RESIDUAL_TOL, DirichletSolver, dx, solve_dirichlet
 from test_game import matches_reference, reference_equilibrium
 
 
 def solve_mutant(wrong):
     """Replace solve_dirichlet where the studies and the CLI look it up by
-    wrong(op, f, u), given the true solve u of op u = f."""
+    wrong(grid, f, u), given the true solve u of A u = f on grid."""
 
     def install(monkeypatch):
-        def solve(op, f, tol=RESIDUAL_TOL):
-            u, report = solve_dirichlet(op, f, tol)
-            return wrong(op, f, u), report
+        def solve(grid, f, tol=RESIDUAL_TOL):
+            u, report = solve_dirichlet(grid, f, tol)
+            return wrong(grid, f, u), report
 
         for module in (analysis_mod, cli_mod):
             monkeypatch.setattr(module, "solve_dirichlet", solve)
@@ -50,24 +51,24 @@ def solve_mutant(wrong):
     return install
 
 
-def solved_at(op, f, alpha):
-    """The solve on the grid of another alpha, relabelled as op's grid's."""
-    grid = build_grid(op.grid.nx, op.grid.ny, alpha)
-    return GridFunction(op.grid, solve_dirichlet(assemble(grid), GridFunction(grid, f.values))[0].values)
+def solved_at(grid, f, alpha):
+    """The solve on the grid of another alpha, relabelled as grid's."""
+    other = build_grid(grid.nx, grid.ny, alpha)
+    return GridFunction(grid, solve_dirichlet(other, GridFunction(other, f.values))[0].values)
 
 
-def checkerboard(op, f, u):
+def checkerboard(grid, f, u):
     """u plus a checkerboard of 0.1 max|u|.  Verify passes it: d_x, d_y and
     the cell averages of its pairings annihilate a checkerboard, so its
     residual order stays that of the true solve (1.03 on [32, 64])."""
-    i, j = np.indices((op.grid.nx, op.grid.ny))
-    return GridFunction(op.grid, u.values + 0.1 * np.max(np.abs(u.values)) * (-1.0) ** (i + j).ravel())
+    i, j = np.indices((grid.nx, grid.ny))
+    return GridFunction(grid, u.values + 0.1 * np.max(np.abs(u.values)) * (-1.0) ** (i + j).ravel())
 
 
 def scaled_solve(eps):
     """(1 + eps) u with the true solve's report: only the energy study's
     recheck of the residual contract, about eps * ||f||, can see it."""
-    return solve_mutant(lambda op, f, u: (1.0 + eps) * u)
+    return solve_mutant(lambda grid, f, u: (1.0 + eps) * u)
 
 
 def midpoint_ball_integrals(cx, cy, r, exponents):
@@ -91,21 +92,37 @@ def unweighted_gradient(game, i, f1, f2):
     return GridFunction(game.grid, values)
 
 
+def factor_coupled_at_alpha_1(grid):
+    """The march's factors with the coupling to the row below built from
+    x**1 in place of x**alpha; T's own factors keep alpha."""
+    _, d, e = FACTOR(grid)
+    return grid.x / grid.hy, d, e
+
+
+def uncoupled_march(factors, rows, before=None):
+    """The march with no coupling to the row below: each row solves
+    T u_j = f_j alone."""
+    _, d, e = factors
+    for row in rows:
+        operators_mod.dpttrs(d, e, row, 1)
+
+
 GRADIENT, BALL_INTEGRALS, SOLVE_ADJOINT = game_mod.gradient, norms_mod._ball_integrals, DirichletSolver.solve_adjoint
+FACTOR = operators_mod._factor
 MUTANTS = {
     "none": lambda mp: None,
-    "solve-zero": solve_mutant(lambda op, f, u: GridFunction.zeros(op.grid)),
-    "solve-doubled": solve_mutant(lambda op, f, u: 2.0 * u),
-    "solve-at-alpha-1": solve_mutant(lambda op, f, u: solved_at(op, f, 1.0)),
-    "solve-at-1.2-alpha": solve_mutant(lambda op, f, u: solved_at(op, f, 1.2 * op.grid.alpha)),
+    "solve-zero": solve_mutant(lambda grid, f, u: GridFunction.zeros(grid)),
+    "solve-doubled": solve_mutant(lambda grid, f, u: 2.0 * u),
+    "solve-at-alpha-1": solve_mutant(lambda grid, f, u: solved_at(grid, f, 1.0)),
+    "solve-at-1.2-alpha": solve_mutant(lambda grid, f, u: solved_at(grid, f, 1.2 * grid.alpha)),
     "solve-adjoint": solve_mutant(
-        lambda op, f, u: GridFunction(op.grid, op.grid.grid_order(DirichletSolver(op).solve_adjoint(op.grid.y_rows(f.values))))
+        lambda grid, f, u: GridFunction(grid, grid.grid_order(DirichletSolver(grid).solve_adjoint(grid.y_rows(f.values))))
     ),
     "solve-checkerboard": solve_mutant(checkerboard),
     # exact below level 128, the true solve at 128: the last L2 order is -inf
-    "solve-exact-below-128": solve_mutant(lambda op, f, u: manufactured_pair(op.grid)[0] if op.grid.nx < 128 else u),
+    "solve-exact-below-128": solve_mutant(lambda grid, f, u: manufactured_pair(grid)[0] if grid.nx < 128 else u),
     # the L2 error at 128 overflows to inf, its order is NaN
-    "solve-1e300-at-128": solve_mutant(lambda op, f, u: 1e300 * u if op.grid.nx == 128 else u),
+    "solve-1e300-at-128": solve_mutant(lambda grid, f, u: 1e300 * u if grid.nx == 128 else u),
     "solve-times-1+1e-9": scaled_solve(10 * RESIDUAL_TOL),
     "norm-dx-doubled": lambda mp: mp.setattr(norms_mod, "dx", lambda u: 2.0 * dx(u)),
     "norm-dy-unweighted": lambda mp: mp.setattr(
@@ -120,6 +137,10 @@ MUTANTS = {
     "game-adjoint-one-row-short": lambda mp: mp.setattr(
         DirichletSolver, "solve_adjoint", lambda self, rhs, last_row=None: SOLVE_ADJOINT(self, rhs, last_row + 1)
     ),
+    # wrong inside the march, so every solve is wrong: the residual contract
+    # of the one-shot solve and of the game's final state both see it
+    "march-coupling-at-alpha-1": lambda mp: mp.setattr(operators_mod, "_factor", factor_coupled_at_alpha_1),
+    "march-no-coupling": lambda mp: mp.setattr(operators_mod, "_march", uncoupled_march),
 }
 
 
@@ -166,6 +187,8 @@ ball-midpoint               pass            pass           pass              pas
 ball-same-sign              pass            pass           pass              pass               pass             pass          pass             fail               pass              pass
 game-gradient-unweighted    fail            pass           pass              pass               pass             pass          pass             pass               pass              fail
 game-adjoint-one-row-short  pass            pass           pass              pass               pass             pass          pass             pass               pass              fail
+march-coupling-at-alpha-1   fail            fail           pass              fail               pass             fail          pass             pass               fail              fail
+march-no-coupling           fail            fail           pass              fail               pass             fail          pass             pass               fail              fail
 """
 HEADER, *ROWS = (line.split() for line in KILLS_TABLE.strip().splitlines())
 KILLS = {name: dict(zip(HEADER[1:], cells)) for name, *cells in ROWS}
@@ -211,7 +234,7 @@ def test_energy_fails_a_solution_of_either_sign(monkeypatch):
     # stays bounded, so only the sign of u can fail it (the M-matrix gives
     # u >= 0 for the nonnegative forcing terms)
     MUTANTS["solve-checkerboard"](monkeypatch)
-    monkeypatch.setattr(analysis_mod, "_check_residual", lambda op, u, f, tol=RESIDUAL_TOL: (0.0, True))
+    monkeypatch.setattr(analysis_mod, "_check_residual", lambda grid, u, f, tol=RESIDUAL_TOL: (0.0, True))
     assert energy_estimate_study([16, 32, 64], alpha=0.5).verdict == Verdict.FAIL
 
 
