@@ -2,9 +2,10 @@
 scheme convergence, embedding ratios, and a Muckenhoupt lattice panel.
 The caps a pass-or-fail verdict is judged by are module constants, echoed in
 its thresholds, as is the inclusion study's reference norm w11_exact(alpha);
-so are the stabilizing weight exp(-THETA*y) and the embedding exponents
-Q_VALUES.  Each study checks its inputs by the Rules the config reads
-(grid.Rule)."""
+so are the stabilizing weight exp(-THETA*y), the embedding exponents
+Q_VALUES, the sample counts COERCIVITY_SAMPLES and EMBEDDING_SAMPLES, and the
+sinsin manufactured solution of the convergence study.  Each study checks
+its inputs by the Rules the config reads (grid.Rule)."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
-from .grid import ALPHA, AT_LEAST_ONE, DegenerateWeightWarning, GridFunction, Rule, build_grid, weighted_inner
+from .grid import ALPHA, DegenerateWeightWarning, GridFunction, Rule, build_grid, weighted_inner
 from .norms import GAUSS_NODES, _gauss_jacobi, _lattice, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
 from .operators import _check_residual, bilinear_form, dx, dy, solve_dirichlet
 
@@ -42,6 +43,9 @@ ORDER_THRESHOLD = 0.9
 THETA = 1.0
 # The exponents q of the embedding study's L^q/W11 ratios, each in [2, 4].
 Q_VALUES = (2.0, 3.0, 4.0)
+# The random bumps the coercivity check and the embedding study sample.
+COERCIVITY_SAMPLES = 200
+EMBEDDING_SAMPLES = 100
 
 
 def _levels(least: int) -> Rule:
@@ -149,15 +153,9 @@ def coercivity_delta(theta: float, mu: float) -> float:
     return float(np.min([math.exp(-theta), theta * math.exp(-theta) / 8.0, theta * math.exp(-theta) / (8.0 * mu)]))
 
 
-def coercivity_check(
-    n_samples: int,
-    seed: int,
-    nx: int = 64,
-    ny: int = 64,
-    alpha: float = 0.5,
-) -> StudyResult:
-    """Check a(v,v) >= delta_h ||v||_W11^2 over random smooth bumps, a
-    weighted by exp(-THETA*y).
+def coercivity_check(seed: int, nx: int = 64, ny: int = 64, alpha: float = 0.5) -> StudyResult:
+    """Check a(v,v) >= delta_h ||v||_W11^2 over COERCIVITY_SAMPLES random
+    smooth bumps, a weighted by exp(-THETA*y).
 
     The Poincare constant is estimated as the sample maximum of
     ||v||^2/||v_x||^2, inflated by SAFETY so the resulting delta_h is
@@ -167,10 +165,9 @@ def coercivity_check(
     three scalars of it; delta_h and the scale-invariant margins
     a(v,v)/||v||_W11^2 - delta_h follow the pass.
     """
-    AT_LEAST_ONE.check("n_samples", n_samples)
     grid = build_grid(nx, ny, alpha)
     mu_samples, form_values, w11_sqs = [], [], []
-    for p in bump_parameter_sets(n_samples, seed):
+    for p in bump_parameter_sets(COERCIVITY_SAMPLES, seed):
         v = bump_from_parameters(grid, p)
         dxv = dx(v)
         l2_sq = weighted_inner(v, v, 0.0)
@@ -260,14 +257,14 @@ def observed_orders(levels: Sequence[int], errs: Sequence[float]) -> list[float]
     return out
 
 
-def convergence_study(levels: Sequence[int], manufactured: str = "sinsin", alpha: float = 0.5) -> StudyResult:
-    """Manufactured-solution errors and observed orders per level; passes
-    when the last observed L2 order reaches ORDER_THRESHOLD."""
+def convergence_study(levels: Sequence[int], alpha: float = 0.5) -> StudyResult:
+    """Errors of the sinsin manufactured solution and observed orders per
+    level; passes when the last observed L2 order reaches ORDER_THRESHOLD."""
     levels = LEVELS["convergence"].check("levels", list(levels))
     max_errs, l2_errs = [], []
     for level in levels:
         grid = build_grid(level, level, alpha)
-        u_exact, f = manufactured_pair(grid, manufactured)
+        u_exact, f = manufactured_pair(grid, "sinsin")
         u_h, _ = solve_dirichlet(grid, f)
         err = u_h.values - u_exact.values
         # an error that overflows is inf or NaN, whose order is NaN below
@@ -287,23 +284,17 @@ def convergence_study(levels: Sequence[int], manufactured: str = "sinsin", alpha
     )
 
 
-def embedding_study(
-    levels: Sequence[int],
-    n_samples: int = 100,
-    seed: int = 0,
-    alpha: float = 0.5,
-) -> StudyResult:
-    """Max L^q/W11 ratio over a fixed random bump family, per level and
-    q in Q_VALUES, in the series max_ratio_q{q:g}.
+def embedding_study(levels: Sequence[int], seed: int = 0, alpha: float = 0.5) -> StudyResult:
+    """Max L^q/W11 ratio over a fixed family of EMBEDDING_SAMPLES random
+    bumps, per level and q in Q_VALUES, in the series max_ratio_q{q:g}.
 
     The same smooth functions are re-sampled on every grid, one bump at a
     time; the sampled embedding constant must not grow past GROWTH_CAP
     under refinement.
     """
     levels = LEVELS["embedding"].check("levels", list(levels))
-    AT_LEAST_ONE.check("n_samples", n_samples)
     names = [f"max_ratio_q{q:g}" for q in Q_VALUES]
-    params = bump_parameter_sets(n_samples, seed)
+    params = bump_parameter_sets(EMBEDDING_SAMPLES, seed)
     series: dict[str, list[float]] = {name: [] for name in names}
     for level in levels:
         grid = build_grid(level, level, alpha)

@@ -4,8 +4,10 @@ Configs are YAML, each key in the section of the run that reads it (see
 configs/ and README for the grammar), read by libyaml's CSafeLoader when
 PyYAML has it and by SafeLoader otherwise; a game's regions must each
 hold a node of its grid, and only the game and the sampling studies read
-a seed.  Verify solves for the sinsin forcing and tests the weak form
-against fixed functions by the convergence study's observed-order rule.
+a seed.  A study section holds its kind, plus its levels when the kind is
+one of analysis.LEVELS.  Verify solves for the sinsin forcing and tests
+the weak form against fixed functions by the convergence study's
+observed-order rule.
 The argument parser is built once per process.  Every run writes a
 report.json plus tab-separated tables, one row per level, iteration or
 sample, floats by repr, so reruns of a config are byte-identical;
@@ -43,10 +45,10 @@ from .analysis import (
     observed_orders,
     strict_inclusion_demo,
 )
-from .fields import FIELD_KIND, MANUFACTURED_KIND, named_field
+from .fields import FIELD_KIND, named_field
 from .game import GameConfig, NashResult, control_norm, nash_solve
 from .grid import (
-    ALPHA, AT_LEAST_ONE, FINITE, FINITE_POSITIVE, NODES, RECT, SEED, Grid, GridFunction, Rule, build_grid, rect_mask,
+    ALPHA, FINITE, FINITE_POSITIVE, NODES, RECT, SEED, Grid, GridFunction, Rule, build_grid, rect_mask,
 )
 from .norms import norms_of
 from .operators import RESIDUAL_TOL, dy, solve_dirichlet, weak_form_residual
@@ -108,10 +110,6 @@ def _list_of(kind) -> Callable:
     return read
 
 
-def _levels(kind: str) -> Key:
-    return Key(_list_of(_integer), [16, 32, 64, 128], LEVELS[kind])
-
-
 TOP = {
     "command": Key(_text, None, Rule.one_of(COMMANDS)),
     "seed": Key(_integer, 0, SEED),
@@ -130,15 +128,11 @@ SECTIONS = {
         **{f.name: Key(_real, f.default, f.metadata["rule"]) for f in fields(GameConfig) if "rule" in f.metadata},
     },
 }
-# A study section holds its kind and the keys of that kind's study only;
-# each key is a keyword argument of the kind's study function.
+# A study section holds its kind, plus levels when the kind's study takes
+# them (analysis.LEVELS); levels is then a keyword argument of that study.
 STUDIES = {
-    "convergence": {"levels": _levels("convergence"), "manufactured": Key(_text, "sinsin", MANUFACTURED_KIND)},
-    "energy": {"levels": _levels("energy")},
-    "coercivity": {"n_samples": Key(_integer, 200, AT_LEAST_ONE)},
-    "inclusion": {"levels": _levels("inclusion")},
-    "embedding": {"levels": _levels("embedding"), "n_samples": Key(_integer, 100, AT_LEAST_ONE)},
-    "muckenhoupt": {},
+    kind: {"levels": Key(_list_of(_integer), [16, 32, 64, 128], LEVELS[kind])} if kind in LEVELS else {}
+    for kind in ("convergence", "energy", "coercivity", "inclusion", "embedding", "muckenhoupt")
 }
 STUDY_KIND = Key(_text, None, Rule.one_of(STUDIES))
 

@@ -71,7 +71,6 @@ def _number(text: str, holds: Callable[[object], bool]) -> Rule:
 FINITE = _number("must be finite", math.isfinite)
 FINITE_POSITIVE = _number("must be finite and positive", lambda v: math.isfinite(v) and v > 0)
 FINITE_NONNEGATIVE = _number("must be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0)
-AT_LEAST_ONE = _number("must be at least 1", lambda v: v >= 1)
 NODES = _number("must be at least 2 interior nodes", lambda n: n >= 2)
 # the well-posedness theory and the compact embedding both fail outside (0, 1]
 ALPHA = _number("must lie in (0, 1]", lambda a: 0.0 < a <= 1.0)

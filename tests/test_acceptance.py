@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import degenash.analysis as analysis
 from conftest import shipped_game
 from degenash.analysis import (
     Verdict,
@@ -56,7 +57,7 @@ def test_criterion_1_manufactured_convergence():
     start = time.perf_counter()
     orders = {}
     for alpha in (0.5, 1.0):
-        r = convergence_study(LEVELS, "sinsin", alpha=alpha)
+        r = convergence_study(LEVELS, alpha=alpha)
         order = r.observed_orders[-1]
         orders[("manufactured", alpha)] = order
         assert order >= 0.9, f"alpha={alpha}: L2 order {order:.3f} < 0.9"
@@ -94,13 +95,13 @@ def test_criterion_2_energy_estimate():
 
 
 def test_criterion_3_coercivity():
-    r = coercivity_check(n_samples=200, seed=3, nx=64, ny=64, alpha=0.5)
+    r = coercivity_check(seed=3, nx=64, ny=64, alpha=0.5)
     violations = int(r.metrics["violations"][0])
     assert violations == 0, f"{violations} coercivity violations"
     assert min(r.samples["margin"]) >= 0.0
     print(
         "\nACCEPTANCE 3 (coercivity): PASS "
-        f"[200 samples, min margin {r.metrics['min_margin'][0]:.4f}, delta_h {r.metrics['delta_h'][0]:.4f}]"
+        f"[{analysis.COERCIVITY_SAMPLES} samples, min margin {r.metrics['min_margin'][0]:.4f}, delta_h {r.metrics['delta_h'][0]:.4f}]"
     )
 
 
@@ -121,7 +122,7 @@ def test_criterion_4_strict_inclusion():
 
 
 def test_criterion_5_embedding():
-    r = embedding_study(levels=(64, 128), n_samples=100, seed=5, alpha=0.5)
+    r = embedding_study(levels=(64, 128), seed=5, alpha=0.5)
     worst = 0.0
     for name, series in r.metrics.items():
         growth = series[1] / series[0]
@@ -212,12 +213,13 @@ def test_criterion_9_trivial_game_invariants():
     print(f"\nACCEPTANCE 9 (trivial-game invariants): PASS [superposition error {err:.2e}]")
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
+    monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 50)
     configs = {
         "muckenhoupt": "command: study\nstudy: {kind: muckenhoupt}\n",
         "coercivity": (
             "command: study\nseed: 4\ngrid: {nx: 32, ny: 32, alpha: 0.5}\n"
-            "study: {kind: coercivity, n_samples: 50}\n"
+            "study: {kind: coercivity}\n"
         ),
         "game": (
             "command: game\nseed: 2024\ngrid: {nx: 24, ny: 24, alpha: 0.5}\n"

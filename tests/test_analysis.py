@@ -22,7 +22,7 @@ from degenash.analysis import (
     strict_inclusion_demo,
     w11_exact,
 )
-from degenash.fields import bump_from_parameters, bump_parameter_sets, named_field
+from degenash.fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
 from degenash.grid import FINITE_POSITIVE, DegenerateWeightWarning, GridFunction, build_grid
 from degenash.norms import EMBEDDING_Q, embedding_ratio, l2_weighted_norm, norms_of
 from degenash.operators import solve_dirichlet
@@ -38,10 +38,11 @@ class TestConvergenceStudy:
         assert r.observed_orders[-1] >= 0.8
         assert r.verdict is Verdict.FAIL or r.verdict is Verdict.PASS
 
-    def test_polynomial_manufactured_upwind_order_one(self):
+    def test_polynomial_manufactured_upwind_order_one(self, monkeypatch):
         # diffusion part exact under centered x-differencing, so the error
         # is pure y-scheme: first order for upwind
-        r = convergence_study([8, 16, 32], manufactured="poly", alpha=0.5)
+        monkeypatch.setattr(analysis, "manufactured_pair", lambda grid, kind: manufactured_pair(grid, "poly"))
+        r = convergence_study([8, 16, 32], alpha=0.5)
         assert all(e > 0 for e in r.metrics["l2_err"])
         assert 0.8 <= r.observed_orders[-1] <= 1.2
 
@@ -126,16 +127,13 @@ class TestCoercivity:
         with pytest.raises(ValueError, match="theta"):
             stabilized_form_value(v, theta)
 
-    def test_no_samples_rejected(self):
-        with pytest.raises(ValueError, match="n_samples"):
-            coercivity_check(0, seed=1, nx=12, ny=12)
-
     def test_nan_margin_counts_as_violation(self, monkeypatch):
         import degenash.analysis as analysis
 
         # a NaN form value gives a NaN margin
         monkeypatch.setattr(analysis, "stabilized_form_value", lambda v, theta: math.nan)
-        r = coercivity_check(4, seed=2, nx=12, ny=12)
+        monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 4)
+        r = coercivity_check(seed=2, nx=12, ny=12)
         assert r.metrics["violations"] == [4.0]
         assert r.verdict is Verdict.FAIL
 
@@ -145,7 +143,8 @@ class TestCoercivity:
 
         form_values = iter([1.0, math.nan, 2.0])
         monkeypatch.setattr(analysis, "stabilized_form_value", lambda v, theta: next(form_values))
-        r = coercivity_check(3, seed=2, nx=12, ny=12)
+        monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 3)
+        r = coercivity_check(seed=2, nx=12, ny=12)
         margins = r.samples["margin"]
         assert math.isfinite(margins[0]) and math.isnan(margins[1]) and math.isfinite(margins[2])
         assert math.isnan(r.metrics["min_margin"][0])
@@ -163,7 +162,8 @@ class TestCoercivity:
             return math.nan if len(calls) == 3 else inner(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "weighted_inner", nan_third)
-        r = coercivity_check(3, seed=2, nx=12, ny=12)
+        monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 3)
+        r = coercivity_check(seed=2, nx=12, ny=12)
         assert math.isnan(r.samples["mu_sample"][1]) and math.isfinite(r.samples["mu_sample"][0])
         assert math.isnan(r.metrics["mu_h"][0]) and math.isnan(r.metrics["delta_h"][0])
         assert r.verdict is Verdict.FAIL
@@ -175,6 +175,12 @@ class TestCoercivity:
     def test_theta_is_finite_and_positive(self):
         # the lemma's delta is theta e**-theta / 8 at most: zero at theta = 0
         assert FINITE_POSITIVE.holds(analysis.THETA)
+
+    @pytest.mark.parametrize("name", ["COERCIVITY_SAMPLES", "EMBEDDING_SAMPLES"])
+    def test_sample_count_is_an_integer_of_at_least_one(self, name):
+        # no sample leaves np.max nothing to take and no verdict to judge
+        count = getattr(analysis, name)
+        assert type(count) is int and count >= 1
 
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     def test_check_reads_theta(self, monkeypatch, theta):
@@ -188,17 +194,20 @@ class TestCoercivity:
 
         monkeypatch.setattr(analysis, "THETA", theta)
         monkeypatch.setattr(analysis, "stabilized_form_value", form_value)
-        r = coercivity_check(6, seed=2, nx=16, ny=16)
+        monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 6)
+        r = coercivity_check(seed=2, nx=16, ny=16)
         assert set(thetas) == {theta} and r.thresholds["theta"] == theta
         assert r.metrics["delta_h"] == [coercivity_delta(theta, r.metrics["mu_h"][0])]
         assert r.verdict is Verdict.PASS
 
-    def test_golden_min_margin(self):
-        r = coercivity_check(20, seed=2, nx=24, ny=24)
+    def test_golden_min_margin(self, monkeypatch):
+        monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 20)
+        r = coercivity_check(seed=2, nx=24, ny=24)
         assert r.metrics["min_margin"] == [0.18998597104966217]
 
-    def test_small_run_no_violations(self):
-        r = coercivity_check(20, seed=2, nx=24, ny=24)
+    def test_small_run_no_violations(self, monkeypatch):
+        monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 20)
+        r = coercivity_check(seed=2, nx=24, ny=24)
         assert r.metrics["violations"] == [0.0]
         assert r.verdict is Verdict.PASS
         assert min(r.samples["margin"]) >= 0.0
@@ -211,7 +220,8 @@ class TestCoercivity:
         v = GridFunction.from_callable(g, lambda X, Y: X * (1 - X) * Y * (1 - Y))
         bumps = iter([v, 6.0 * v])
         monkeypatch.setattr(analysis, "bump_from_parameters", lambda grid, p: next(bumps))
-        m1, m2 = coercivity_check(2, seed=2, nx=24, ny=24).samples["margin"]
+        monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 2)
+        m1, m2 = coercivity_check(seed=2, nx=24, ny=24).samples["margin"]
         assert m2 == pytest.approx(m1, rel=1e-10)
 
     def test_zero_field_fails_in_the_poincare_sample(self, monkeypatch):
@@ -220,12 +230,14 @@ class TestCoercivity:
         import degenash.analysis as analysis
 
         monkeypatch.setattr(analysis, "bump_from_parameters", lambda grid, p: GridFunction.zeros(grid))
+        monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 3)
         with pytest.raises(ZeroDivisionError):
-            coercivity_check(3, seed=2, nx=10, ny=10)
+            coercivity_check(seed=2, nx=10, ny=10)
 
-    def test_deterministic(self):
-        a = coercivity_check(10, seed=7, nx=16, ny=16)
-        b = coercivity_check(10, seed=7, nx=16, ny=16)
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 10)
+        a = coercivity_check(seed=7, nx=16, ny=16)
+        b = coercivity_check(seed=7, nx=16, ny=16)
         assert a.metrics == b.metrics and a.samples == b.samples
 
     def test_polynomial_form_value_against_quadrature_oracle(self):
@@ -306,16 +318,17 @@ class TestStrictInclusion:
 
 
 class TestEmbeddingStudy:
-    def test_small_family(self):
-        r = embedding_study(levels=(24, 48), n_samples=20, seed=5)
+    def test_small_family(self, monkeypatch):
+        monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", 20)
+        r = embedding_study(levels=(24, 48), seed=5)
         assert r.verdict is Verdict.PASS
         for series in r.metrics.values():
             assert series[-1] <= 1.1 * series[0]
 
-    @pytest.mark.parametrize("name, value", [("levels", ()), ("n_samples", 0), ("levels", (16,))])
-    def test_nothing_to_check_rejected(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            embedding_study(**{"levels": (8, 16), "n_samples": 4, name: value})
+    @pytest.mark.parametrize("levels", [(), (16,)])
+    def test_nothing_to_check_rejected(self, levels):
+        with pytest.raises(ValueError, match="levels"):
+            embedding_study(levels)
 
     def test_q_values_meet_the_embedding_rule_with_distinct_series(self):
         # q prints by %g in its series name, so two q that print alike would share one
@@ -327,7 +340,8 @@ class TestEmbeddingStudy:
     )
     def test_series_follow_q_values(self, monkeypatch, q_values, names):
         monkeypatch.setattr(analysis, "Q_VALUES", q_values)
-        r = embedding_study(levels=(8, 16), n_samples=3, seed=1)
+        monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", 3)
+        r = embedding_study(levels=(8, 16), seed=1)
         assert list(r.metrics) == names
         grid = build_grid(16, 16, 0.5)
         bumps = [bump_from_parameters(grid, p) for p in bump_parameter_sets(3, 1)]
@@ -343,13 +357,15 @@ class TestEmbeddingStudy:
             return math.nan if q == 2.0 and qs.count(2.0) == 2 else ratio(u, q)
 
         monkeypatch.setattr(analysis, "embedding_ratio", nan_second_at_q2)
-        r = embedding_study(levels=(8, 16), n_samples=3, seed=1)
+        monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", 3)
+        r = embedding_study(levels=(8, 16), seed=1)
         assert math.isnan(r.metrics["max_ratio_q2"][0]) and math.isfinite(r.metrics["max_ratio_q2"][1])
         assert all(math.isfinite(v) for name in ("max_ratio_q3", "max_ratio_q4") for v in r.metrics[name])
         assert r.verdict is Verdict.FAIL
 
-    def test_ratios_positive(self):
-        r = embedding_study(levels=(16, 32), n_samples=5, seed=1)
+    def test_ratios_positive(self, monkeypatch):
+        monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", 5)
+        r = embedding_study(levels=(16, 32), seed=1)
         assert all(v > 0 for s in r.metrics.values() for v in s)
 
 
@@ -371,13 +387,16 @@ class TestOneSampleAtATime:
     its traced peak grows by less than one bump at the finest level (the
     parameter sets and the per-sample scalars still grow)."""
 
-    def test_embedding_study(self):
-        peaks = [
-            peak_bytes(lambda: embedding_study(levels=(8, 128), n_samples=n, seed=1))
-            for n in (25, 100)
-        ]
+    def test_embedding_study(self, monkeypatch):
+        peaks = []
+        for n in (25, 100):
+            monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", n)
+            peaks.append(peak_bytes(lambda: embedding_study(levels=(8, 128), seed=1)))
         assert peaks[1] - peaks[0] < 8 * 128 * 128
 
-    def test_coercivity_check(self):
-        peaks = [peak_bytes(lambda: coercivity_check(n, seed=1, nx=128, ny=128)) for n in (25, 100)]
+    def test_coercivity_check(self, monkeypatch):
+        peaks = []
+        for n in (25, 100):
+            monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", n)
+            peaks.append(peak_bytes(lambda: coercivity_check(seed=1, nx=128, ny=128)))
         assert peaks[1] - peaks[0] < 8 * 128 * 128

@@ -43,11 +43,13 @@ def test_install_step_pins_the_series_the_golden_digests_were_recorded_with():
 
 
 def test_console_script_step_runs_the_solve_game_study_and_verify_verbs():
-    # the installed entry point reaches a study verdict and the weak-form
-    # check, whose table is the same under two seeds
+    # the installed entry point reaches a study verdict, also of a seeded
+    # study whose section holds only its kind, and the weak-form check,
+    # whose table is the same under two seeds
     (step,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Console script"]
     verbs = re.findall(r"^degenash (\w+) --config configs/\S+\.yaml", step, re.M)
-    assert verbs == ["solve", "game", "study", "verify", "verify"]
+    assert verbs == ["solve", "game", "study", "study", "verify", "verify"]
+    assert "\ndegenash study --config configs/study_coercivity.yaml --level-override 16\n" in step
     verify = "degenash verify --config configs/verify_weak_form.yaml"
     assert f"{verify} --seed 1 --out v1\n{verify} --seed 2 --out v2\n" in step
     assert step.rstrip().splitlines()[-1] == "cmp v1/verify_residuals.tsv v2/verify_residuals.tsv"

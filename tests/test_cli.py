@@ -34,23 +34,32 @@ STUDY = "command: study\nseed: 1\nstudy: {{kind: {}}}\n"
 
 # The keys each study kind's section may carry besides `kind`.
 STUDY_KEYS = {
-    "convergence": {"levels", "manufactured"},
+    "convergence": {"levels"},
     "energy": {"levels"},
-    "coercivity": {"n_samples"},
+    "coercivity": set(),
     "inclusion": {"levels"},
-    "embedding": {"levels", "n_samples"},
+    "embedding": {"levels"},
     "muckenhoupt": set(),
 }
 
-# Small, fast study configs, one per kind.
+# Small, fast study configs, one per kind; the sampling kinds are small
+# under the few_samples fixture.
 SMALL_STUDIES = {
     "convergence": "grid: {alpha: 0.5}\nstudy: {kind: convergence, levels: [8, 16, 24]}",
     "energy": "grid: {alpha: 0.5}\nstudy: {kind: energy, levels: [8, 16]}",
-    "coercivity": "grid: {nx: 12, ny: 12, alpha: 0.5}\nstudy: {kind: coercivity, n_samples: 6}",
+    "coercivity": "grid: {nx: 12, ny: 12, alpha: 0.5}\nstudy: {kind: coercivity}",
     "inclusion": "grid: {alpha: 0.5}\nstudy: {kind: inclusion, levels: [16, 32, 48]}",
-    "embedding": "grid: {alpha: 0.5}\nstudy: {kind: embedding, levels: [8, 16], n_samples: 4}",
+    "embedding": "grid: {alpha: 0.5}\nstudy: {kind: embedding, levels: [8, 16]}",
     "muckenhoupt": "study: {kind: muckenhoupt}",
 }
+
+
+@pytest.fixture
+def few_samples(monkeypatch):
+    """Six coercivity and four embedding samples: each study reads its
+    count when it is called, so a run through the CLI reads these too."""
+    monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 6)
+    monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", 4)
 
 
 # Each shipped config with a grid, on its lowest shipped levels: the level
@@ -170,16 +179,11 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "kind, key, value",
         [
-            ("coercivity", "n_samples", "0"),
-            ("embedding", "n_samples", "-3"),
             ("convergence", "levels", "[16, 32]"),
             ("inclusion", "levels", "[32, 16, 64]"),
             ("inclusion", "levels", "[16, 16, 32]"),
             ("inclusion", "levels", "[16]"),
             ("convergence", "levels", "5"),
-            ("convergence", "manufactured", "bogus"),
-            ("coercivity", "n_samples", "2.7"),
-            ("embedding", "n_samples", "true"),
             ("energy", "levels", "[8, 16.5]"),
         ],
     )
@@ -223,6 +227,9 @@ class TestParseConfig:
     def test_study_holds_only_its_kinds_keys(self, kind):
         assert set(parse_config(STUDY.format(kind)).study) == {"kind"} | STUDY_KEYS[kind]
 
+    def test_the_kinds_with_levels_are_the_level_rules_of_analysis(self):
+        assert {kind for kind, table in cli_mod.STUDIES.items() if "levels" in table} == analysis.LEVELS.keys()
+
     @pytest.mark.parametrize(
         "text, path",
         [
@@ -240,6 +247,11 @@ class TestParseConfig:
             pytest.param("command: verify\nverify: {f: {kind: sinsin, amplitude: 0.0}}\n", "verify.f",
                          id="verify-zero-amplitude"),
             pytest.param(STUDY.format("embedding, q_values: [2, 3, 4]"), "study.q_values", id="embedding-q_values"),
+            # so are the sample counts and the convergence study's sinsin pair
+            pytest.param(STUDY.format("coercivity, n_samples: 200"), "study.n_samples", id="coercivity-n_samples"),
+            pytest.param(STUDY.format("embedding, n_samples: 100"), "study.n_samples", id="embedding-n_samples"),
+            pytest.param(STUDY.format("convergence, manufactured: sinsin"), "study.manufactured",
+                         id="convergence-manufactured"),
             *[pytest.param(f"command: verify\ngrid: {{{key}: 32}}\n", f"grid.{key}", id=f"verify-{key}")
               for key in ("nx", "ny")],
             *[pytest.param(f"grid: {{{key}: 32}}\n" + STUDY.format(kind), f"grid.{key}", id=f"{kind}-{key}")
@@ -269,8 +281,8 @@ class TestParseConfig:
             parse_config(text)
 
     def test_integral_float_reads_as_integer(self):
-        cfg = parse_config(STUDY.format("coercivity, n_samples: 5.0"))
-        assert cfg.study["n_samples"] == 5 and type(cfg.study["n_samples"]) is int
+        cfg = parse_config(MINIMAL_SOLVE.replace("nx: 16", "nx: 16.0"))
+        assert cfg.nx == 16 and type(cfg.nx) is int
 
     @pytest.mark.parametrize(
         "where, text",
@@ -279,9 +291,8 @@ class TestParseConfig:
             ("config.output_dir", MINIMAL_SOLVE + "output_dir: true\n"),
             ("config.output_dir", MINIMAL_SOLVE + "output_dir: ''\n"),
             ("solve.f.kind", MINIMAL_SOLVE.replace("{kind: sinsin}", "{kind: [sinsin]}")),
-            ("study.manufactured", STUDY.format("convergence, manufactured: [poly]")),
         ],
-        ids=["output_dir-list", "output_dir-boolean", "output_dir-empty", "field-kind", "manufactured"],
+        ids=["output_dir-list", "output_dir-boolean", "output_dir-empty", "field-kind"],
     )
     def test_text_key_takes_only_a_nonempty_string(self, where, text):
         # str() would name a directory "['a', 'b']" or "True", and "" the
@@ -567,6 +578,7 @@ class TestRun:
             ("muckenhoupt", "muckenhoupt_study"),
         ],
     )
+    @pytest.mark.usefixtures("few_samples")
     def test_study_tables_match_row_rendering(self, tmp_path, monkeypatch, kind, study):
         # the column-wise writer reproduces the row-by-row rendering exactly
         results = []
@@ -595,19 +607,16 @@ class TestRun:
     # for muckenhoupt) and the seed of a sampling kind; the coercivity
     # study runs under --level-override 8.
     DISPATCH = {
-        "convergence": ("convergence_study", {"levels": [8, 16, 24], "manufactured": "sinsin", "alpha": 0.5}),
+        "convergence": ("convergence_study", {"levels": [8, 16, 24], "alpha": 0.5}),
         "energy": ("energy_estimate_study", {"levels": [8, 16], "alpha": 0.5}),
-        "coercivity": (
-            "coercivity_check", {"n_samples": 6, "nx": 8, "ny": 8, "alpha": 0.5, "seed": 2},
-        ),
+        "coercivity": ("coercivity_check", {"nx": 8, "ny": 8, "alpha": 0.5, "seed": 2}),
         "inclusion": ("strict_inclusion_demo", {"levels": [16, 32, 48], "alpha": 0.5}),
-        "embedding": (
-            "embedding_study", {"levels": [8, 16], "n_samples": 4, "alpha": 0.5, "seed": 2},
-        ),
+        "embedding": ("embedding_study", {"levels": [8, 16], "alpha": 0.5, "seed": 2}),
         "muckenhoupt": ("muckenhoupt_study", {}),
     }
 
     @pytest.mark.parametrize("kind", DISPATCH)
+    @pytest.mark.usefixtures("few_samples")
     def test_study_receives_what_its_run_read(self, tmp_path, monkeypatch, kind):
         study, expected = self.DISPATCH[kind]
         calls = []
@@ -655,11 +664,9 @@ class TestDeterminism:
         text = "command: study\nstudy: {kind: muckenhoupt}\n"
         self._run_twice(text, tmp_path, ["study_levels.tsv", "study_samples.tsv"])
 
+    @pytest.mark.usefixtures("few_samples")
     def test_coercivity_tables_byte_identical(self, tmp_path):
-        text = (
-            "command: study\nseed: 4\ngrid: {nx: 16, ny: 16, alpha: 0.5}\n"
-            "study: {kind: coercivity, n_samples: 10}\n"
-        )
+        text = "command: study\nseed: 4\ngrid: {nx: 16, ny: 16, alpha: 0.5}\nstudy: {kind: coercivity}\n"
         self._run_twice(text, tmp_path, ["study_levels.tsv", "study_samples.tsv"])
 
     def test_game_tables_byte_identical(self, tmp_path):
@@ -800,6 +807,7 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["convergence", "energy", "inclusion", "embedding"])
+    @pytest.mark.usefixtures("few_samples")
     def test_level_override_drops_levels(self, tmp_path, kind):
         p = tmp_path / "study.yaml"
         p.write_text(re.sub(r"levels: \[[^]]*\]", "levels: [16, 32, 48, 64]", small_study(kind)))
@@ -844,11 +852,11 @@ class TestMain:
         assert proc.stdout.count("verdict=pass") == len(list(CONFIG_DIR.glob("*.yaml")))
 
     @pytest.mark.parametrize("n", [16, 8])
+    @pytest.mark.usefixtures("few_samples")
     def test_level_override_sets_coercivity_grid(self, tmp_path, n):
-        p = tmp_path / "study.yaml"
-        p.write_text((CONFIG_DIR / "study_coercivity.yaml").read_text().replace("n_samples: 200", "n_samples: 5"))
         out = tmp_path / "out"
-        assert main(["study", "--config", str(p), "--out", str(out), "--level-override", str(n)]) == 0
+        assert main(["study", "--config", str(CONFIG_DIR / "study_coercivity.yaml"), "--out", str(out),
+                     "--level-override", str(n)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert (report["config"]["nx"], report["config"]["ny"]) == (n, n)
         assert report["results"]["levels"] == [n]
@@ -864,10 +872,9 @@ class TestMain:
     @pytest.mark.parametrize(
         "text",
         [
-            "command: study\nstudy: {kind: convergence, levels: [8, 16, 24], manufactured: bogus}\n",
             "command: study\nstudy: {kind: convergence, levels: [16, 16, 32]}\n",
         ],
-        ids=["manufactured", "convergence-repeated-level"],
+        ids=["convergence-repeated-level"],
     )
     def test_former_runtime_failures_exit_2(self, tmp_path, text):
         p = tmp_path / "study.yaml"
@@ -993,6 +1000,7 @@ class TestMain:
     # a muckenhoupt study needs no seed, but still takes --seed, which
     # perfbench/run.py passes to every study alike
     @pytest.mark.parametrize("run", ["game", *cli_mod.SAMPLING_STUDY_KINDS, "muckenhoupt"])
+    @pytest.mark.usefixtures("few_samples")
     def test_seed_flag_is_the_explicit_seed(self, tmp_path, run):
         if run == "game":
             text, flags = GAME, ["--level-override", "12"]
@@ -1048,6 +1056,7 @@ class TestMain:
         assert exit_.value.code == 2
         assert "--config" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("few_samples")
     def test_seed_override(self, tmp_path):
         p = tmp_path / "study.yaml"
         p.write_text(small_study("coercivity"))

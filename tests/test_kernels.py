@@ -16,6 +16,7 @@ import re
 import numpy as np
 import pytest
 
+import degenash.analysis as analysis
 import degenash.grid as grid
 import degenash.norms as norms
 import degenash.operators as operators
@@ -219,8 +220,9 @@ class TestComputedOnce:
         assert lq_norm(u, 2.0) == float(np.sum(ref_weights(g, 0.0) * np.abs(ref_averages(u)) ** 2.0) ** 0.5)
         assert runs == []
 
-    def test_coercivity_check_repeats_itself(self):
-        runs = [coercivity_check(4, seed=2, nx=12, ny=12) for _ in range(2)]
+    def test_coercivity_check_repeats_itself(self, monkeypatch):
+        monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 4)
+        runs = [coercivity_check(seed=2, nx=12, ny=12) for _ in range(2)]
         assert repr(runs[0]) == repr(runs[1])
 
 

@@ -47,7 +47,7 @@ STUDY_CALLS = {
     "convergence": convergence_study,
     "energy": lambda levels: energy_estimate_study(levels, alpha=0.5),
     "inclusion": strict_inclusion_demo,
-    "embedding": lambda levels: embedding_study(levels=levels, n_samples=2),
+    "embedding": embedding_study,
 }
 BAD_LEVELS = {"convergence": [16, 32], "energy": [32, 32], "inclusion": [16], "embedding": [16]}
 
@@ -63,10 +63,6 @@ CASES = {
     "rectangle": (GAME, "game.omega", [0.3, 0.1, 0.1, 0.9], lambda v: rect_mask(G, *v), "rectangle", grid.RECT),
     "field-kind": (SOLVE, "solve.f.kind", "bogus", lambda v: named_field(G, v), "kind", fields.FIELD_KIND),
     "amplitude": (SOLVE, "solve.f.amplitude", math.inf, lambda v: named_field(G, "sinsin", v), "amplitude", grid.FINITE),
-    "manufactured": (
-        study("convergence"), "study.manufactured", "bogus", lambda v: manufactured_pair(G, v), "kind",
-        fields.MANUFACTURED_KIND,
-    ),
     "tol": (
         SOLVE, "solve.tol", -1.0, lambda v: solve_dirichlet(G, named_field(G, "sinsin"), v), "tol",
         grid.FINITE_POSITIVE,
@@ -76,17 +72,9 @@ CASES = {
         for kind, call in STUDY_CALLS.items()
     },
     "levels-verify": (VERIFY, "verify.levels", [32], STUDY_CALLS["energy"], "levels", analysis.LEVELS["energy"]),
-    "n_samples-coercivity": (
-        study("coercivity"), "study.n_samples", 0, lambda v: coercivity_check(v, seed=1), "n_samples",
-        grid.AT_LEAST_ONE,
-    ),
-    "n_samples-embedding": (
-        study("embedding"), "study.n_samples", 0, lambda v: embedding_study(levels=[8, 16], n_samples=v),
-        "n_samples", grid.AT_LEAST_ONE,
-    ),
     "seed": (GAME, "seed", -1, lambda v: dataclasses.replace(shipped_game(n=16), seed=v), "seed", grid.SEED),
     "seed-bumps": (
-        study("coercivity"), "seed", -1, lambda v: coercivity_check(2, seed=v, nx=8, ny=8), "seed", grid.SEED,
+        study("coercivity"), "seed", -1, lambda v: coercivity_check(seed=v, nx=8, ny=8), "seed", grid.SEED,
     ),
     "m1": (
         GAME, "game.m1", -1.0, lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1",
@@ -119,6 +107,12 @@ def test_config_and_library_reject_by_one_rule(case):
     assert str(library_error.value).startswith(f"{name} {rule.text}, got ")
 
 
+def test_manufactured_kind_rule_rejects_an_unknown_pair():
+    # no config key reads it: the convergence study always solves for sinsin
+    with pytest.raises(ValueError, match=rf"^kind {re.escape(fields.MANUFACTURED_KIND.text)}, got 'bogus'$"):
+        manufactured_pair(G, "bogus")
+
+
 @pytest.mark.parametrize("seed", [True, 1.5])
 @pytest.mark.parametrize(
     "call", [lambda s: bump_parameter_sets(2, s), lambda s: dataclasses.replace(shipped_game(n=16), seed=s)]
@@ -136,7 +130,6 @@ BOOLEANS = {
     "tol": (lambda v: solve_dirichlet(G, named_field(G, "sinsin"), tol=v), "tol", grid.FINITE_POSITIVE),
     "amplitude": (lambda v: named_field(G, "sinsin", v), "amplitude", grid.FINITE),
     "theta": (lambda v: weighted_inner(ONE, ONE, 0.0, theta=v), "theta", grid.FINITE_NONNEGATIVE),
-    "n_samples": (lambda v: coercivity_check(v, seed=1, nx=8, ny=8), "n_samples", grid.AT_LEAST_ONE),
     "m1": (lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1", grid.FINITE_NONNEGATIVE),
     "q": (lambda v: lq_norm(ONE, v), "q", norms.LQ_Q),
     "exponent": (lambda v: cell_weights(G, v), "exponent", grid.FINITE),
@@ -188,10 +181,7 @@ SHARED = {
     "verify.levels": (cli.SECTIONS["verify"]["levels"].rule, analysis.LEVELS["energy"]),
     "config.seed": (cli.TOP["seed"].rule, grid.SEED),
     "solve.tol": (cli.SECTIONS["solve"]["tol"].rule, grid.FINITE_POSITIVE),
-    "convergence.manufactured": (cli.STUDIES["convergence"]["manufactured"].rule, fields.MANUFACTURED_KIND),
     **{f"{kind}.levels": (cli.STUDIES[kind]["levels"].rule, rule) for kind, rule in analysis.LEVELS.items()},
-    "coercivity.n_samples": (cli.STUDIES["coercivity"]["n_samples"].rule, grid.AT_LEAST_ONE),
-    "embedding.n_samples": (cli.STUDIES["embedding"]["n_samples"].rule, grid.AT_LEAST_ONE),
 }
 
 
