@@ -46,6 +46,17 @@ class TestConvergenceStudy:
         assert all(e > 0 for e in r.metrics["l2_err"])
         assert 0.8 <= r.observed_orders[-1] <= 1.2
 
+    def test_solves_the_sinsin_pair_at_every_level(self, monkeypatch):
+        kinds = []
+
+        def pair(grid, kind):
+            kinds.append(kind)
+            return manufactured_pair(grid, kind)
+
+        monkeypatch.setattr(analysis, "manufactured_pair", pair)
+        convergence_study([8, 16, 24], alpha=0.5)
+        assert kinds == ["sinsin"] * 3
+
     def test_errors_decrease(self):
         r = convergence_study([8, 16, 32], alpha=1.0)
         errs = r.metrics["l2_err"]
@@ -181,6 +192,26 @@ class TestCoercivity:
         # no sample leaves np.max nothing to take and no verdict to judge
         count = getattr(analysis, name)
         assert type(count) is int and count >= 1
+
+    @pytest.mark.parametrize(
+        "name, run",
+        [
+            ("COERCIVITY_SAMPLES", lambda: coercivity_check(seed=2, nx=8, ny=8)),
+            ("EMBEDDING_SAMPLES", lambda: embedding_study(levels=(8, 16), seed=2)),
+        ],
+        ids=["coercivity", "embedding"],
+    )
+    def test_study_draws_its_sample_count_when_called(self, monkeypatch, name, run):
+        counts = []
+
+        def parameter_sets(n, seed):
+            counts.append(n)
+            return bump_parameter_sets(n, seed)
+
+        monkeypatch.setattr(analysis, "bump_parameter_sets", parameter_sets)
+        monkeypatch.setattr(analysis, name, 3)
+        run()
+        assert counts == [3]
 
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     def test_check_reads_theta(self, monkeypatch, theta):

@@ -179,11 +179,18 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "kind, key, value",
         [
+            # n_samples and manufactured are no keys of a study section, so
+            # a config that sets one is refused, naming it, at any value
+            ("coercivity", "n_samples", "0"),
+            ("embedding", "n_samples", "-3"),
             ("convergence", "levels", "[16, 32]"),
             ("inclusion", "levels", "[32, 16, 64]"),
             ("inclusion", "levels", "[16, 16, 32]"),
             ("inclusion", "levels", "[16]"),
             ("convergence", "levels", "5"),
+            ("convergence", "manufactured", "bogus"),
+            ("coercivity", "n_samples", "2.7"),
+            ("embedding", "n_samples", "true"),
             ("energy", "levels", "[8, 16.5]"),
         ],
     )
@@ -872,9 +879,11 @@ class TestMain:
     @pytest.mark.parametrize(
         "text",
         [
+            # an unknown pair raised at run time; now the key is unknown
+            "command: study\nstudy: {kind: convergence, levels: [8, 16, 24], manufactured: bogus}\n",
             "command: study\nstudy: {kind: convergence, levels: [16, 16, 32]}\n",
         ],
-        ids=["convergence-repeated-level"],
+        ids=["manufactured", "convergence-repeated-level"],
     )
     def test_former_runtime_failures_exit_2(self, tmp_path, text):
         p = tmp_path / "study.yaml"
