@@ -12,13 +12,14 @@ counts beside the times, and run perfbench in alternating pairs of two trees.
 A run's row holds the median wall time of its repeats, its exit code and
 its calls of DirichletSolver.solve and solve_adjoint, solve_dirichlet, cost
 and gradient, counted as tests/test_game.py::TestSolveCounts counts them in
-one more run made for counting only, in which the time in certify is also
-taken.  The start of a process that imports degenash.cli is a row of its
-own.  The commit and the numpy and scipy versions head the file.  A levels
-run times one tree in one process, in whatever phase the host is in, so
-two levels files taken apart compare host phases, not trees: nash_solve at
-64 x 64 read 94.0 ms in BENCH_levels_d572267.json and 54.8 ms in
-BENCH_levels.json on the same game code.  A pairs run, which alternates
+one more run made for counting only, in which the rows the solver's forward
+and adjoint solves march (their dpttrs calls) are counted and the time in
+certify is taken.  The start of a process that imports degenash.cli is a
+row of its own.  The commit and the numpy and scipy versions head the
+file.  A levels run times one tree in one process, in whatever phase the
+host is in, so two levels files taken apart compare host phases, not
+trees: nash_solve at 64 x 64 read 94.0 ms in BENCH_levels_d572267.json
+and 54.8 ms in BENCH_levels.json on the same game code.  A pairs run, which alternates
 the two trees, is the before-and-after evidence for a change.
 
 ``pairs`` runs the unchanged perfbench/run.py of the base tree and of this
@@ -62,7 +63,7 @@ from degenash import cli, game, operators  # noqa: E402
 
 END_TO_END = ("setup_s", "op_s_p50", "wall_s", "peak_rss_mb")
 COUNTS = ("forward_solves", "adjoint_solves", "one_shot_solves", "cost_calls", "gradient_calls",
-          "certify_forward_solves", "certify_cost_calls")
+          "certify_forward_solves", "certify_cost_calls", "forward_rows", "adjoint_rows")
 
 
 def commit(tree: Path) -> str | None:
@@ -81,8 +82,8 @@ def commit(tree: Path) -> str | None:
 def counting():
     """Count solves and game calls at every binding site in degenash;
     certify_* counts those made inside certify, whose time goes to
-    certify_s."""
-    counts, certifying = Counter(), []
+    certify_s, and *_rows the dpttrs calls made inside a solver's solves."""
+    counts, certifying, marching = Counter(), [], []
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -91,6 +92,20 @@ def counting():
                 counts[f"certify_{name}"] += 1
             return fn(*args, **kwargs)
         return call
+
+    def rows_of(name, fn):
+        def call(*args, **kwargs):
+            marching.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                marching.pop()
+        return call
+
+    def dpttrs(*args):
+        if marching:
+            counts[marching[-1]] += 1
+        return operators_dpttrs(*args)
 
     def certify(*args):
         certifying.append(True)
@@ -101,7 +116,7 @@ def counting():
             counts["certify_s"] += time.perf_counter() - start
             certifying.pop()
 
-    original_certify = game.certify
+    original_certify, operators_dpttrs = game.certify, operators.dpttrs
     functions = {
         operators.solve_dirichlet: counted("one_shot_solves", operators.solve_dirichlet),
         game.cost: counted("cost_calls", game.cost),
@@ -109,8 +124,9 @@ def counting():
         game.certify: certify,
     }
     solver = operators.DirichletSolver
-    patches = [(solver, "solve", counted("forward_solves", solver.solve)),
-               (solver, "solve_adjoint", counted("adjoint_solves", solver.solve_adjoint))]
+    patches = [(solver, "solve", rows_of("forward_rows", counted("forward_solves", solver.solve))),
+               (solver, "solve_adjoint", rows_of("adjoint_rows", counted("adjoint_solves", solver.solve_adjoint))),
+               (operators, "dpttrs", dpttrs)]
     for module in [m for n, m in sys.modules.items() if n == "degenash" or n.startswith("degenash.")]:
         patches += [(module, attr, functions[obj]) for attr, obj in vars(module).items()
                     if callable(obj) and obj in functions]

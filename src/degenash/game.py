@@ -34,8 +34,8 @@ their forward solve stops after the top y-row of G_i (RegionMask.top_row)
 and the state is zero above it; state_solve returns the full state.
 gradient reads the adjoint state on omega_i only, so its backward march
 stops at the lowest y-row of omega_i (RegionMask.bottom_row).
-Successive solves differ only in the rows a control reaches, and the
-game's one solver re-marches only those (operators.DirichletSolver).
+Successive state solves differ only in the rows a control reaches, and
+the game's one solver re-marches only those (operators.DirichletSolver).
 
 A GameConfig is frozen, so it is checked once, when it is built, and
 its solver and source hold for its life; a different game is a new one
@@ -56,8 +56,8 @@ residual; nash_solve holds its final state to the residual contract
 The tracking term, the penalty and the norms of certify's directions
 sum their products over their region's nodes only, in arrays the call
 gathered, so a sum that raises leaves nothing behind; each is within
-1e-14 relative of the full-grid np.where sum.  Only the solver's march store is shared by
-every call on the game: not reentrant.  cost builds no GridFunction and
+1e-14 relative of the full-grid np.where sum.  Only the solver's forward
+march store is shared by every call on the game: not reentrant.  cost builds no GridFunction and
 certify one per deviation; each GridFunction keeps its finiteness scan.
 
 The shipped game is defined once, in configs/benchmark_game.yaml; the CLI
@@ -109,8 +109,8 @@ class GameConfig:
 
     Frozen, so its checks run once, when it is built.  Besides its fields
     it holds only the cached solver, leader source and follower records,
-    which die with it; the solver's march store is the one state that
-    calls on the game share.  Compares and hashes by identity."""
+    which die with it; the solver's forward march store is the one state
+    that calls on the game share.  Compares and hashes by identity."""
 
     grid: Grid
     omega: RegionMask

@@ -20,12 +20,12 @@ from u_{-1} = 0 at the inflow edge y = 0.  T is factored once (LAPACK
 dpttrf), so a solve costs O(nx*ny) with no fill.  The adjoint A^T is
 block upper-bidiagonal and runs the same march backward from j = ny-1.
 Row j of a march depends on the right-hand-side rows up to j only, so
-each march starts at the first row that differs from the last solve in
-its direction and copies the rows before it (a first solve starts at its
-first nonzero row), and a forward or adjoint solve given the last row
-its caller reads stops after that row.  Keeping the last solve serves
-repeated solves (DirichletSolver); a one-shot solve (solve_dirichlet)
-keeps none and marches its own copy of the rows in place.
+a march skips its leading zero rows (_march), a forward or adjoint solve
+given the last row its caller reads stops after that row, and a forward
+solve starts at the first row that differs from the last forward solve
+and copies the rows before it (DirichletSolver.solve).  An adjoint solve
+and a one-shot solve (solve_dirichlet) keep nothing and march their own
+copy of the rows in place.
 DirichletSolver takes and returns the march's own layout, y-rows
 (Grid.y_rows): an (ny, nx) array whose row j is y-row j, which the
 adjoint marches in reverse.  So no repeated solve converts from the
@@ -168,21 +168,22 @@ def _march(factors: tuple, rows: np.ndarray, before: np.ndarray | None = None) -
 
     Each row holds its right-hand side and is overwritten by its
     solution.  before is the solved row just below rows[0] in march
-    order; None, like a zero row, couples nothing into rows[0].  Keeps
-    nothing, which is all a one-shot solve needs (solve_dirichlet).
+    order.  When it is None or zero, nothing couples in: the leading zero
+    rows solve to +0.0 and are not marched (dpttrs would keep a -0.0),
+    and the first nonzero row couples nothing.  Keeps nothing.
     """
-    if len(rows) == 0:
-        return
     c, d, e = factors
+    if before is None or not before.any():
+        first = next((j for j, row in enumerate(rows) if row.any()), len(rows))
+        rows[:first] = 0.0
+        rows, before = rows[first:], None
     coupling = np.empty(len(c))
-    if before is not None and before.any():
-        np.multiply(c, before, coupling)
-        np.add(rows[0], coupling, rows[0])
-    dpttrs(d, e, rows[0], 1)
-    for prev, row in zip(rows, rows[1:]):
-        np.multiply(c, prev, coupling)
-        np.add(row, coupling, row)
+    for row in rows:
+        if before is not None:
+            np.multiply(c, before, coupling)
+            np.add(row, coupling, row)
         dpttrs(d, e, row, 1)
+        before = row
 
 
 class DirichletSolver:
@@ -193,14 +194,13 @@ class DirichletSolver:
     solve takes one right-hand side as y-rows, an array of shape
     (ny, nx) whose row j is y-row j (Grid.y_rows), and returns its
     solution in the same layout, so no solve converts layouts.  Forward
-    and adjoint solves share the factors; each
-    direction keeps its last right-hand side and solution, and marches
-    from the first row whose right-hand side differs (!=) from the kept
-    one or that the kept solution does not hold, whichever is earlier.
-    The rows before it are copied, so a repeated or partly repeated solve
-    returns the same bits as a fresh one.  The store starts as the zero
-    right-hand side with the zero solution, so a first solve marches from
-    its first nonzero row.  Every solve mutates the store: not reentrant.
+    and adjoint solves share the factors.  Forward solves keep the last
+    right-hand side and solution, and march from the first row whose
+    right-hand side differs (!=) from the kept one or that the kept
+    solution does not hold, whichever is earlier; the rows before it are
+    copied, so a repeated or partly repeated solve returns the same bits
+    as a fresh one.  The store starts holding no row; every forward solve
+    mutates it: not reentrant.  An adjoint solve keeps nothing.
     No residual check: solve_dirichlet carries the contract, and the game
     checks its final state (game.nash_solve).
     """
@@ -208,23 +208,43 @@ class DirichletSolver:
     def __init__(self, grid: Grid):
         self._shape = (grid.ny, grid.nx)
         self._factors = _factor(grid)
-        # adjoint -> (rhs, solution, count of leading march-order rows the
-        # solution holds); rhs and solution as C-contiguous y-rows
-        self._last: dict[bool, tuple] = {}
+        # (rhs, solution, count of leading y-rows the solution holds) of
+        # the last forward solve, as C-contiguous y-rows
+        self._last = (np.zeros(self._shape), np.zeros(self._shape), 0)
 
     def solve(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:
         """A^-1 rhs, marched up from y = 0.  Given last_row, the caller reads
         only y-rows j <= last_row: the march goes no further and returns
         zeros above it."""
-        return self._solve(rhs, last_row, adjoint=False)
+        rhs = self._checked(rhs, last_row)
+        ny, nx = self._shape
+        stop = ny if last_row is None else last_row + 1
+        kept, solution, held = self._last
+        # the first entry that differs, and so its row
+        differs = (rhs != kept).reshape(-1)
+        first = int(differs.argmax())
+        start = min(first // nx if differs[first] else ny, held)
+        np.copyto(kept, rhs)
+        if start < stop:
+            solution[start:stop] = kept[start:stop]
+            _march(self._factors, solution[start:stop], solution[start - 1] if start > 0 else None)
+        self._last = (kept, solution, max(start, stop))
+        out = np.zeros((ny, nx))
+        out[:stop] = solution[:stop]
+        return out
 
     def solve_adjoint(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:
         """A^-T rhs, marched down from y = 1.  Given last_row, the caller
         reads only y-rows j >= last_row: the march stops there and returns
         zeros below it."""
-        return self._solve(rhs, last_row, adjoint=True)
+        rhs = self._checked(rhs, last_row)
+        stop = self._shape[0] - (last_row or 0)
+        out = np.zeros(self._shape)
+        out[::-1][:stop] = rhs[::-1][:stop]
+        _march(self._factors, out[::-1][:stop])
+        return out
 
-    def _solve(self, rhs: np.ndarray, last_row: int | None, adjoint: bool) -> np.ndarray:
+    def _checked(self, rhs: np.ndarray, last_row: int | None) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         ny, nx = self._shape
         if rhs.shape != (ny, nx):
@@ -235,23 +255,7 @@ class DirichletSolver:
             isinstance(last_row, (int, np.integer)) and not isinstance(last_row, bool) and 0 <= last_row < ny
         ):
             raise ValueError(f"last_row must be an integer y-row index in [0, {ny}), got {last_row!r}")
-        # the adjoint marches the y-rows in reverse
-        order = np.s_[::-1] if adjoint else np.s_[:]
-        kept, solution, held = self._last.get(adjoint) or (np.zeros((ny, nx)), np.zeros((ny, nx)), ny)
-        # in march order, the first entry that differs, and so its row
-        differs = (rhs != kept).reshape(-1)[order]
-        first = int(differs.argmax())
-        start = min(first // nx if differs[first] else ny, held)
-        stop = ny if last_row is None else (ny - last_row if adjoint else last_row + 1)
-        np.copyto(kept, rhs)
-        rows = solution[order]
-        if start < stop:
-            rows[start:stop] = kept[order][start:stop]
-            _march(self._factors, rows[start:stop], rows[start - 1] if start > 0 else None)
-        self._last[adjoint] = (kept, solution, max(start, stop))
-        out = np.zeros((ny, nx))
-        out[order][:stop] = rows[:stop]
-        return out
+        return rhs
 
 
 def euclidean_norm(values: np.ndarray) -> float:
@@ -282,7 +286,7 @@ def solve_dirichlet(grid: Grid, f: GridFunction, tol: float = RESIDUAL_TOL) -> t
     """Solve A u = f on grid once, with a residual contract.
 
     Factors A as DirichletSolver does, copies f into y-rows and solves
-    them in place (_march), without the store that repeated solves share;
+    them in place (_march), without the store that forward solves share;
     the bits are those of DirichletSolver(grid).solve(grid.y_rows(f.values)),
     in the grid's order.  grid must be f's own grid (ValueError
     otherwise): f carries it, but perfbench's solve hook reads f as the
@@ -297,11 +301,7 @@ def solve_dirichlet(grid: Grid, f: GridFunction, tol: float = RESIDUAL_TOL) -> t
     FINITE_POSITIVE.check("tol", tol)
     start = time.perf_counter()
     rows = grid.y_rows(f.values)
-    # leading zero rows solve to +0.0 (a -0.0 there would stay -0.0), and
-    # the first nonzero row couples nothing, as in a first store solve
-    first = next((j for j, row in enumerate(rows) if row.any()), len(rows))
-    rows[:first] = 0.0
-    _march(_factor(grid), rows[first:])
+    _march(_factor(grid), rows)
     u = grid.grid_order(rows)
     del rows
     residual, met = _check_residual(grid, u, f.values, tol)

@@ -3,7 +3,8 @@ scipy series and runs on the Python the golden table digests were
 recorded on, and its lowest Python is the package's floor.  Its installed
 console script runs a solve, a game, a study and verify under two seeds,
 and it checks, before any test, that PyYAML has the libyaml loader the
-CLI reads configs with."""
+CLI reads configs with, and, after every step, that the checkout is as it
+was."""
 
 import json
 import re
@@ -60,3 +61,9 @@ def test_libyaml_is_asserted_right_after_the_install_step():
     check = JOB["steps"][names.index("Install dependencies") + 1]
     assert check["name"] == "PyYAML has libyaml"
     assert re.fullmatch(r'python -c "import yaml; assert yaml\.__with_libyaml__\b[^"]*"', check["run"].strip())
+
+
+def test_last_step_fails_on_any_change_to_the_checkout():
+    # a tracked file changed or an unignored file written by any step
+    last = JOB["steps"][-1]["run"].strip().splitlines()[-1]
+    assert last == 'test -z "$(git status --porcelain --untracked-files=all)"'

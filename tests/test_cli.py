@@ -1137,7 +1137,11 @@ class TestScripts:
         assert game_run["counts"] == nash_run["counts"]
         counts = nash_run["counts"]
         assert counts.keys() == {"forward_solves", "adjoint_solves", "one_shot_solves", "cost_calls",
-                                 "gradient_calls", "certify_forward_solves", "certify_cost_calls"}
+                                 "gradient_calls", "certify_forward_solves", "certify_cost_calls",
+                                 "forward_rows", "adjoint_rows"}
         assert counts["adjoint_solves"] == counts["gradient_calls"] > 0
+        # each solve marches at most its 16 rows
+        assert 0 < counts["adjoint_rows"] <= 16 * counts["adjoint_solves"]
+        assert 0 < counts["forward_rows"] <= 16 * counts["forward_solves"]
         assert counts["certify_forward_solves"] == counts["certify_cost_calls"] > 0
         assert counts["one_shot_solves"] == 0 and nash_run["certify_s"] > 0

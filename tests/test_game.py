@@ -385,14 +385,13 @@ class TestMarchReuse:
     @pytest.mark.parametrize("game", [{}, {"m1": 1e-4, "m2": 1e-4}, COUPLED], ids=["shipped", "active", "coupled"])
     def test_equilibrium_equals_fresh_full_marches(self, monkeypatch, game):
         reused = nash_solve(shipped_game(n=32, **game))
-        solve = operators.DirichletSolver._solve
-
-        def fresh(self, rhs, last_row, adjoint):
-            self._last.clear()
-            return solve(self, rhs, None, adjoint)
-
-        monkeypatch.setattr(operators.DirichletSolver, "_solve", fresh)
-        assert _result_bits(reused) == _result_bits(nash_solve(shipped_game(n=32, **game)))
+        cfg = shipped_game(n=32, **game)
+        solver = operators.DirichletSolver
+        # every solve a full march on a new solver: no store, no bound
+        for name in ("solve", "solve_adjoint"):
+            method = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda self, rhs, last_row=None, m=method: m(solver(cfg.grid), rhs))
+        assert _result_bits(reused) == _result_bits(nash_solve(cfg))
 
     @pytest.mark.parametrize("i", [1, 2])
     def test_gradient_adjoint_stops_at_the_control_region(self, monkeypatch, mini_cfg, i):
@@ -406,14 +405,27 @@ class TestMarchReuse:
         assert bounds == [mini_cfg.follower(i)[0].bottom_row]
 
     def test_shipped_game_marches_few_rows(self, monkeypatch):
-        # 29,812 rows when every solve marches from its first nonzero row to
-        # y = 1; a store that kept only the rows up to its last bound (held
-        # = stop, not max(start, stop)) marches 11,237 to the same bits
-        calls = []
+        # forward solves march 28,246 rows when each marches from its first
+        # nonzero row to y = 1, 18,283 when each also stops at its bound,
+        # and 10,380 with a store that kept only the rows up to its last
+        # bound (held = stop, not max(start, stop)), all to the same bits;
+        # adjoint solves keep nothing and march 1,566 rows without bounds
+        rows, direction = collections.Counter(), []
         original = operators.dpttrs
-        monkeypatch.setattr(operators, "dpttrs", lambda *args: calls.append(1) or original(*args))
+        monkeypatch.setattr(operators, "dpttrs", lambda *args: rows.update(direction[-1:]) or original(*args))
+        for name in ("solve", "solve_adjoint"):
+            method = getattr(operators.DirichletSolver, name)
+
+            def marching(self, rhs, last_row=None, name=name, method=method):
+                direction.append(name)
+                try:
+                    return method(self, rhs, last_row)
+                finally:
+                    direction.pop()
+
+            monkeypatch.setattr(operators.DirichletSolver, name, marching)
         nash_solve(shipped_game(n=64))
-        assert len(calls) == 11_208
+        assert rows == {"solve": 10_351, "solve_adjoint": 828}
 
 
 # (nx, ny, game keys) -> repr of j1, j2 and the certification margin, and

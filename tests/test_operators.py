@@ -397,7 +397,8 @@ class TestMarchReuse:
     def test_reused_rows_equal_a_fresh_march(self, data, seed):
         # each right-hand side equals the last one of its direction except
         # from a random row on in march order (a change row of ny is an
-        # exact repeat), and carries a random bound
+        # exact repeat), and carries a random bound; zero rows are -0.0,
+        # which a march writes as +0.0
         nx, ny = self.NX, self.NY
         grid = build_grid(nx, ny, 0.5)
         solver = DirichletSolver(grid)
@@ -410,14 +411,14 @@ class TestMarchReuse:
         for adjoint, change, last_row, zero in steps:
             rhs = last.get(adjoint, np.zeros((ny, nx))).copy()
             changed = np.s_[: ny - change] if adjoint else np.s_[change:]
-            rhs[changed] = 0.0 if zero else rng.standard_normal(rhs[changed].shape)
+            rhs[changed] = -0.0 if zero else rng.standard_normal(rhs[changed].shape)
             last[adjoint] = rhs
             got = _solve(solver, rhs, adjoint, last_row)
             fresh = _solve(DirichletSolver(grid), rhs, adjoint, last_row)
             full = _solve(DirichletSolver(grid), rhs, adjoint)
             read = _rows_read(adjoint, last_row)
-            assert np.array_equal(got, fresh)
-            assert np.array_equal(got[read], full[read])
+            assert got.tobytes() == fresh.tobytes()
+            assert got[read].tobytes() == full[read].tobytes()
             unread = np.ones(ny, dtype=bool)
             unread[read] = False
             assert np.all(got[unread] == 0.0)
@@ -442,12 +443,15 @@ class TestMarchReuse:
         for k in (0, 4, ny - 1):
             rhs[k:] = rng.standard_normal((ny - k, nx))
             assert marched(rhs) == ny - k
-        # A^T marches down from y = 1: a change up to row k marches k + 1 rows
+        # A^T marches down from y = 1, from its highest nonzero row, and
+        # keeps nothing: a repeat marches its rows again
         down = rhs.copy()
         assert marched(down, True) == ny
-        down[:5] = 0.0
+        down[5:] = 0.0
         assert marched(down, True) == 5
-        assert marched(down, True) == 0
+        assert marched(down, True) == 5
+        # and leaves the forward store as it was
+        assert marched(rhs) == 0
         # a bound stops the march; rows past it are marched when read
         rhs[2:] = rng.standard_normal((ny - 2, nx))
         assert marched(rhs, last_row=5) == 4

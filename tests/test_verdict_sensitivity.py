@@ -107,8 +107,16 @@ def uncoupled_march(factors, rows, before=None):
         operators_mod.dpttrs(d, e, row, 1)
 
 
+def store_holds_every_row(self, rhs, last_row=None):
+    """The forward solve, after which the store claims to hold every row:
+    a later solve copies the stale rows above the last bound."""
+    out = SOLVE(self, rhs, last_row)
+    self._last = (*self._last[:2], len(rhs))
+    return out
+
+
 GRADIENT, BALL_INTEGRALS, SOLVE_ADJOINT = game_mod.gradient, norms_mod._ball_integrals, DirichletSolver.solve_adjoint
-FACTOR = operators_mod._factor
+FACTOR, SOLVE = operators_mod._factor, DirichletSolver.solve
 MUTANTS = {
     "none": lambda mp: None,
     "solve-zero": solve_mutant(lambda grid, f, u: GridFunction.zeros(grid)),
@@ -141,6 +149,7 @@ MUTANTS = {
     # of the one-shot solve and of the game's final state both see it
     "march-coupling-at-alpha-1": lambda mp: mp.setattr(operators_mod, "_factor", factor_coupled_at_alpha_1),
     "march-no-coupling": lambda mp: mp.setattr(operators_mod, "_march", uncoupled_march),
+    "store-holds-every-row": lambda mp: mp.setattr(DirichletSolver, "solve", store_holds_every_row),
 }
 
 
@@ -189,6 +198,7 @@ game-gradient-unweighted    fail            pass           pass              pas
 game-adjoint-one-row-short  pass            pass           pass              pass               pass             pass          pass             pass               pass              fail
 march-coupling-at-alpha-1   fail            fail           pass              fail               pass             fail          pass             pass               fail              fail
 march-no-coupling           fail            fail           pass              fail               pass             fail          pass             pass               fail              fail
+store-holds-every-row       fail            pass           pass              pass               pass             pass          pass             pass               pass              fail
 """
 HEADER, *ROWS = (line.split() for line in KILLS_TABLE.strip().splitlines())
 KILLS = {name: dict(zip(HEADER[1:], cells)) for name, *cells in ROWS}
