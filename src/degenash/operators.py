@@ -17,7 +17,11 @@ positive definite tridiagonal system
     T u_j = f_j + (x**alpha / h_y) u_{j-1},   T = -1/2 D_xx + diag(x**alpha) / h_y,
 
 from u_{-1} = 0 at the inflow edge y = 0.  T is factored once (LAPACK
-dpttrf), so a solve costs O(nx*ny) with no fill.  The adjoint A^T is
+dpttrf), so a solve costs O(nx*ny) with no fill.  dpttrf and dpttrs are
+scipy's compiled LAPACK wrappers, loaded at module load straight from
+scipy/linalg/_flapack, which skips the scipy.linalg package init and all
+it imports; only where that file is missing or will not load do they
+come from scipy.linalg.lapack (_pttr_routines).  The adjoint A^T is
 block upper-bidiagonal and runs the same march backward from j = ny-1.
 Row j of a march depends on the right-hand-side rows up to j only, so
 a march skips its leading zero rows (_march), a forward or adjoint solve
@@ -53,14 +57,45 @@ phi or against d_y phi, and the coercivity form of analysis evaluate it.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import FINITE_POSITIVE, Grid, GridFunction, weighted_inner
+
+
+def _pttr_routines(suffixes=importlib.machinery.EXTENSION_SUFFIXES):
+    """LAPACK's dpttrf and dpttrs from scipy's compiled scipy/linalg/_flapack<suffix>,
+    loaded by its file location, or from scipy.linalg.lapack when no such file loads.
+
+    Both are the same Fortran routines, but importing scipy.linalg.lapack
+    runs the scipy.linalg package init, which imports numpy.f2py,
+    numpy.testing and about half of a degenash process's modules.
+    find_spec("scipy") imports nothing.  The loaded extension is the
+    complete scipy.linalg._flapack module; no scipy.linalg package is
+    put into sys.modules, and a later import of scipy.linalg reuses it.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    paths = [os.path.join(d, "linalg", "_flapack" + suffix)
+             for d in (scipy.submodule_search_locations if scipy else ()) for suffix in suffixes]
+    try:
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"no compiled LAPACK wrappers among {paths}")
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+        flapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(flapack)
+    except (ImportError, OSError):
+        from scipy.linalg import lapack as flapack
+    return flapack.dpttrf, flapack.dpttrs
+
+
+dpttrf, dpttrs = _pttr_routines()
 
 # The residual contract (_check_residual): ||A u - f|| <= RESIDUAL_TOL * max(1, ||f||).
 RESIDUAL_TOL = 1e-10

@@ -1,10 +1,10 @@
 """The CI workflow gates every benchmark workload, pins the numpy and
 scipy series and runs on the Python the golden table digests were
 recorded on, and its lowest Python is the package's floor.  Its installed
-console script runs a solve, a game, a study and verify under two seeds,
-and it checks, before any test, that PyYAML has the libyaml loader the
-CLI reads configs with, and, after every step, that the checkout is as it
-was."""
+package loads no scipy.linalg at import, and its console script runs a
+solve, a game, a study and verify under two seeds, and it checks, before
+any test, that PyYAML has the libyaml loader the CLI reads configs with,
+and, after every step, that the checkout is as it was."""
 
 import json
 import re
@@ -54,6 +54,15 @@ def test_console_script_step_runs_the_solve_game_study_and_verify_verbs():
     verify = "degenash verify --config configs/verify_weak_form.yaml"
     assert f"{verify} --seed 1 --out v1\n{verify} --seed 2 --out v2\n" in step
     assert step.rstrip().splitlines()[-1] == "cmp v1/verify_residuals.tsv v2/verify_residuals.tsv"
+
+
+def test_installed_package_is_imported_without_scipy_linalg_right_after_its_install():
+    # the march's direct _flapack load, checked from the installed package
+    # on each matrix Python, not only from src/
+    (step,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Console script"]
+    lines = step.splitlines()
+    check = lines[lines.index("python -m pip install .") + 1]
+    assert check == 'python -c "import sys, degenash.cli; assert \'scipy.linalg\' not in sys.modules"'
 
 
 def test_libyaml_is_asserted_right_after_the_install_step():

@@ -152,9 +152,17 @@ class TestSolve:
 
     def test_library_imports_no_sparse_solver(self):
         # every solve is the march, so no SuperLU factorization is reachable,
-        # and only reading op.matrix imports scipy.sparse
+        # and only reading op.matrix imports scipy.sparse; the march's LAPACK
+        # routines load from scipy's compiled _flapack, not through the
+        # scipy.linalg package init and the numpy.f2py and numpy.testing it
+        # imports (the scipy.linalg.lapack fallback would import them)
         code = (
             "import sys, degenash, degenash.cli\n"
+            "g = degenash.build_grid(16, 16, 0.5)\n"
+            "u, _ = degenash.solve_dirichlet(g, degenash.GridFunction.from_callable(g, lambda x, y: x + y))\n"
+            "assert u.values.any()\n"
+            "loaded = {'scipy.linalg', 'numpy.f2py', 'numpy.testing'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
             "assert 'scipy.sparse' not in sys.modules\n"
             "op = degenash.assemble(degenash.build_grid(4, 4, 0.5))\n"
             "assert op.matrix.shape == (16, 16) and 'scipy.sparse' in sys.modules\n"
@@ -166,12 +174,12 @@ class TestSolve:
 
     def test_scipy_is_imported_only_by_operators_and_cli(self):
         # (enclosing function, or None at module level, and imported name)
-        # of each scipy import in the package: the march's LAPACK routines,
-        # scipy.sparse when SparseOperator.matrix is read, and cli's version string
+        # of each scipy import in the package: scipy.linalg.lapack only when
+        # the march's LAPACK routines do not load from scipy's compiled
+        # _flapack, scipy.sparse when SparseOperator.matrix is read, and
+        # cli's version string
         expected = {
-            "operators": {
-                (None, "scipy.linalg.lapack.dpttrf"), (None, "scipy.linalg.lapack.dpttrs"), ("matrix", "scipy.sparse"),
-            },
+            "operators": {("_pttr_routines", "scipy.linalg.lapack"), ("matrix", "scipy.sparse")},
             "cli": {(None, "scipy")},
         }
         # the CSR reference stays behind operators: every solve takes a Grid,
@@ -200,6 +208,26 @@ class TestSolve:
                     named.setdefault(path.stem, set()).add("use")
         assert found == expected
         assert named == {"operators": {"use"}, "__init__": {"import"}}
+
+    def test_loaded_lapack_routines_march_the_bits_of_scipy_linalg_lapack(self, monkeypatch):
+        # _flapack loaded by its file location, the scipy.linalg.lapack
+        # fallback taken when no extension suffix finds it, and
+        # scipy.linalg.lapack itself factor and march to the same bits
+        from scipy.linalg import lapack
+
+        g = build_grid(80, 48, 0.5)
+        rhs = g.y_rows(random_field(g, 3).values).copy()
+
+        def march():
+            rows = rhs.copy()
+            operators._march(operators._factor(g), rows)
+            return rows.tobytes()
+
+        loaded = march()
+        for routines in (operators._pttr_routines(suffixes=[]), (lapack.dpttrf, lapack.dpttrs)):
+            monkeypatch.setattr(operators, "dpttrf", routines[0])
+            monkeypatch.setattr(operators, "dpttrs", routines[1])
+            assert march() == loaded
 
     def test_invalid_tol(self, small_grid):
         with pytest.raises(ValueError):
