@@ -838,8 +838,10 @@ class TestMain:
         assert json.loads((out / "report.json").read_text())["verdict"] == "pass"
 
     def test_shipped_runs_import_no_quadrature_or_sparse_solver(self, tmp_path):
-        # scipy.integrate alone adds about 22 MB to a process, and every
-        # solve is the march; solve and game run at 16 x 16, the rest as shipped
+        # scipy.integrate alone adds about 22 MB to a process, every solve
+        # is the march, and the march's LAPACK routines load without the
+        # scipy.linalg package init; solve and game run at 16 x 16, the rest
+        # as shipped
         code = (
             "import sys, yaml\n"
             "from pathlib import Path\n"
@@ -849,7 +851,7 @@ class TestMain:
             "    flags = ['--level-override', '16'] if verb in ('solve', 'game') else []\n"
             f"    out = str(Path({str(tmp_path)!r}) / p.stem)\n"
             "    assert main([verb, '--config', str(p), '--out', out, *flags]) == 0, p\n"
-            "loaded = {'scipy.integrate', 'scipy.sparse'} & sys.modules.keys()\n"
+            "loaded = {'scipy.integrate', 'scipy.sparse', 'scipy.linalg', 'numpy.f2py'} & sys.modules.keys()\n"
             "assert not loaded, loaded\n"
         )
         src = str(Path(cli_mod.__file__).resolve().parent.parent)
