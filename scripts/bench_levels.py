@@ -11,12 +11,14 @@ counts beside the times, and run perfbench in alternating pairs of two trees.
 ``--level-override L`` and nash_solve directly on the shipped game at L x L.
 A run's row holds the median wall time of its repeats, its exit code and
 its calls of DirichletSolver.solve and solve_adjoint, solve_dirichlet, cost
-and gradient, counted as tests/test_game.py::TestSolveCounts counts them in
-one more run made for counting only, in which the rows the solver's forward
-and adjoint solves march (their dpttrs calls) are counted and the time in
-certify is taken.  The start of a process that imports degenash.cli is a
-row of its own.  The commit and the numpy and scipy versions head the
-file.  A levels run times one tree in one process, in whatever phase the
+and gradient, counted by counting() in one more run made for counting only,
+in which the rows the solver's forward and adjoint solves march (their
+dpttrs calls) are counted and the time in certify is taken.  The tests read
+counting() too and pin its counts (tests/test_game.py::TestSolveCounts).
+Run as a script, it sets one BLAS thread, as perfbench/run.py does; an
+import leaves the environment as it is.  The start of a process that
+imports degenash.cli is a row of its own.  The commit and the numpy and
+scipy versions head the file.  A levels run times one tree in one process, in whatever phase the
 host is in, so two levels files taken apart compare host phases, not
 trees: nash_solve at 64 x 64 read 94.0 ms in BENCH_levels_d572267.json
 and 54.8 ms in BENCH_levels.json on the same game code.  A pairs run, which alternates
@@ -53,8 +55,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # run from a source checkout without installing, as pytest does via pyproject.toml
 sys.path.insert(0, str(ROOT / "src"))
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in THREAD_ENV:  # one BLAS thread, as perfbench/run.py runs
-    os.environ.setdefault(_var, "1")
+if __name__ == "__main__":  # before numpy loads its BLAS
+    for _var in THREAD_ENV:
+        os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402

@@ -3,10 +3,10 @@
 Configs are YAML, each key in the section of the run that reads it (see
 configs/ and README for the grammar), read by libyaml's CSafeLoader when
 PyYAML has it and by SafeLoader otherwise; a game's regions must each
-hold a node of its grid, and only the game and the sampling studies read
-a seed.  A study section holds its kind, plus its levels when the kind is
-one of analysis.LEVELS.  Verify solves for the sinsin forcing and tests
-the weak form against fixed functions by the convergence study's
+hold a node of its grid, and only the coercivity and embedding studies
+read a seed.  A study section holds its kind, plus its levels when the
+kind is one of analysis.LEVELS.  Verify solves for the sinsin forcing and
+tests the weak form against fixed functions by the convergence study's
 observed-order rule.
 The argument parser is built once per process.  Every run writes a
 report.json plus tab-separated tables, one row per level, iteration or
@@ -212,7 +212,7 @@ def parse_config(text: str) -> RunConfig:
 
     Each section holds only the keys its run reads (a run with levels reads
     alpha alone of the grid, a muckenhoupt study no grid); unknown keys are
-    errors.  Game and the coercivity and embedding studies require an explicit seed."""
+    errors.  The coercivity and embedding studies require an explicit seed."""
     return _parse(_mapping(text))
 
 
@@ -240,11 +240,9 @@ def _parse(raw: dict) -> RunConfig:
     tables = {"grid": {"alpha": GRID["alpha"]} if "levels" in table else GRID, command: table}
     if kind == "muckenhoupt":
         del tables["grid"]
-    top = _read({k: v for k, v in raw.items() if k not in tables}, TOP, "config")
+    keys = {**TOP, "seed": Key(_integer, None, SEED)} if kind in SAMPLING_STUDY_KINDS else TOP  # seed required
+    top = _read({k: v for k, v in raw.items() if k not in tables}, keys, "config")
     sections = {name: _read(raw.get(name, {}), table, name) for name, table in tables.items()}
-
-    if (command == "game" or kind in SAMPLING_STUDY_KINDS) and "seed" not in raw:
-        raise ConfigError("config.seed: sampling commands require an explicit seed")
     grid = sections.pop("grid", {})
     cfg = RunConfig(**top, **grid, **sections)
     if command == "game":
@@ -291,7 +289,7 @@ def build_game_config(cfg: RunConfig) -> GameConfig:
             return rect_mask(grid, *value)
         return value
 
-    return GameConfig(grid=grid, seed=cfg.seed, **{k: build(v) for k, v in cfg.game.items()})
+    return GameConfig(grid=grid, **{k: build(v) for k, v in cfg.game.items()})
 
 
 def _write_columns(path: Path, header: list[str], columns: list) -> None:

@@ -90,16 +90,14 @@ def bump_parameter_sets(n: int, seed: int) -> list[dict]:
     """Draw bump parameters once so the same smooth functions can be
     re-sampled on several grids (refinement studies); seed by SEED."""
     rng = np.random.default_rng(SEED.check("seed", seed))
-    out = []
-    for _ in range(n):
-        out.append(
-            dict(
-                centers=rng.uniform(0.25, 0.75, size=(N_BUMPS, 2)),
-                widths=rng.uniform(0.05, 0.2, size=N_BUMPS),
-                amps=rng.uniform(-1.0, 1.0, size=N_BUMPS),
-            )
-        )
-    return out
+    return [
+        {
+            "centers": rng.uniform(0.25, 0.75, size=(N_BUMPS, 2)),
+            "widths": rng.uniform(0.05, 0.2, size=N_BUMPS),
+            "amps": rng.uniform(-1.0, 1.0, size=N_BUMPS),
+        }
+        for _ in range(n)
+    ]
 
 
 @functools.lru_cache(maxsize=8)

@@ -251,16 +251,20 @@ class GridFunction:
 
 @dataclass(frozen=True, eq=False)
 class RegionMask:
-    """Boolean indicator over interior nodes (characteristic function).
-    Compares and hashes by identity."""
+    """Boolean indicator over interior nodes (characteristic function), as
+    read-only as GridFunction's values.  Compares and hashes by identity."""
 
     grid: Grid
     indicator: np.ndarray
 
     def __post_init__(self):
-        ind = np.asarray(self.indicator, dtype=bool).ravel()
+        given = np.asarray(self.indicator, dtype=bool)
+        ind = given.ravel()
         if ind.size != self.grid.n:
             raise ValueError("indicator length does not match grid")
+        ind.flags.writeable = False
+        if ind.base is not None:  # ind views the array it was built from
+            given.flags.writeable = False
         object.__setattr__(self, "indicator", ind)
 
     @functools.cached_property

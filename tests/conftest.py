@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,8 @@ import degenash.norms as norms_mod
 from degenash.cli import build_game_config, parse_config
 from degenash.grid import GridFunction, build_grid
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 @pytest.fixture
@@ -22,19 +24,25 @@ def random_field(grid, seed, scale=1.0):
     return GridFunction(grid, scale * rng.standard_normal(grid.n))
 
 
-def shipped_game(n=None, seed=None, ny=None, **game):
+def shipped_game(n=None, ny=None, **game):
     """The game of configs/benchmark_game.yaml, built as the CLI builds it,
-    on an n x n grid, or n x ny given ny, with the given seed and game keys
-    (None keeps the config's value)."""
+    on an n x n grid, or n x ny given ny, with the given game keys (None
+    keeps the config's value)."""
     cfg = parse_config((CONFIG_DIR / "benchmark_game.yaml").read_text())
     if n is not None:
         cfg.nx = cfg.ny = n
     if ny is not None:
         cfg.ny = ny
-    if seed is not None:
-        cfg.seed = seed
     cfg.game.update(game)
     return build_game_config(cfg)
+
+
+def load_script(name):
+    """scripts/<name>.py, imported as a module by its file location."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def peak_bytes(fn):

@@ -191,12 +191,12 @@ def test_criterion_8_nash_pipeline(bench_cfg, bench_nash):
 
 
 def test_criterion_9_trivial_game_invariants():
-    singleton = shipped_game(n=32, m1=0.0, m2=0.0, seed=21)
+    singleton = shipped_game(n=32, m1=0.0, m2=0.0)
     res = nash_solve(singleton)
     assert np.all(res.f1_star.values == 0.0) and np.all(res.f2_star.values == 0.0)
     assert res.certified and res.certification_margin == 0.0
 
-    cfg = shipped_game(n=32, seed=22)
+    cfg = shipped_game(n=32)
     z = GridFunction.zeros(cfg.grid)
     no_leader = dataclasses.replace(cfg, g=z)
     assert np.all(state_solve(no_leader, z, z).values == 0.0)
@@ -222,7 +222,7 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
             "study: {kind: coercivity}\n"
         ),
         "game": (
-            "command: game\nseed: 2024\ngrid: {nx: 24, ny: 24, alpha: 0.5}\n"
+            "command: game\ngrid: {nx: 24, ny: 24, alpha: 0.5}\n"
             "game:\n"
             "  omega:  [0.1, 0.3, 0.1, 0.9]\n"
             "  omega1: [0.4, 0.6, 0.1, 0.45]\n"

@@ -15,7 +15,7 @@ import yaml
 
 import degenash.analysis as analysis
 import degenash.cli as cli_mod
-from conftest import peak_bytes
+from conftest import load_script, peak_bytes
 from degenash.cli import ConfigError, build_game_config, main, parse_config, run
 from degenash.game import GameConfig, nash_solve
 from degenash.grid import build_grid, rect_mask
@@ -30,6 +30,7 @@ solve:
 """
 
 GAME = (CONFIG_DIR / "benchmark_game.yaml").read_text()
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 STUDY = "command: study\nseed: 1\nstudy: {{kind: {}}}\n"
 
 # The keys each study kind's section may carry besides `kind`.
@@ -138,9 +139,9 @@ class TestParseConfig:
             parse_config("command: simulate")
 
     def test_sampling_commands_require_seed(self):
-        text = (CONFIG_DIR / "benchmark_game.yaml").read_text().replace("seed: 2024\n", "")
-        with pytest.raises(ConfigError, match="seed"):
-            parse_config(text)
+        text = (CONFIG_DIR / "study_coercivity.yaml").read_text()
+        with pytest.raises(ConfigError, match="^config.seed: required field is missing$"):
+            parse_config(re.sub(r"^seed: \d+\n", "", text, flags=re.M))
 
     def test_muckenhoupt_study_needs_no_seed(self):
         # the panel reads a fixed lattice of balls, not a draw
@@ -988,6 +989,21 @@ class TestMain:
             tables.add((out / "verify_residuals.tsv").read_bytes())
         assert len(tables) == 1
 
+    def test_game_reads_no_seed(self, tmp_path):
+        # certify draws from game.DEVIATION_SEED's stream, so the active
+        # game, whose margin moved with the seed, is the same under any seed
+        p = tmp_path / "game.yaml"
+        p.write_text(GAME.replace("m1: 1.0", "m1: 1.0e-4").replace("m2: 1.0", "m2: 1.0e-4"))
+        runs = set()
+        for name, flags in [("s1", ["--seed", "1"]), ("s2", ["--seed", "2"]), ("none", [])]:
+            out = tmp_path / name
+            assert main(["game", "--config", str(p), "--out", str(out), "--level-override", "16", *flags]) == 0
+            results = json.loads((out / "report.json").read_text())["results"]
+            tables = tuple((out / f).read_bytes() for f in ("game_residuals.tsv", "game_fields.tsv"))
+            runs.add((json.dumps(results, sort_keys=True), tables))
+        assert len(runs) == 1
+        assert 0 < json.loads(runs.pop()[0])["certification_margin"] < 1e-6
+
     def test_level_override_keeps_the_levels_up_to_it(self, tmp_path):
         # the shipped [16, 32, 64, 128, 256] runs as [16, 32]
         p = CONFIG_DIR / "study_inclusion.yaml"
@@ -1006,10 +1022,10 @@ class TestMain:
             except ConfigError as exc:
                 assert str(exc).startswith("config.seed: ")
                 required.add(path.stem)
-        assert seeded == required == {"benchmark_game", "study_coercivity", "study_embedding"}
+        assert seeded == required == {"study_coercivity", "study_embedding"}
 
-    # a muckenhoupt study needs no seed, but still takes --seed, which
-    # perfbench/run.py passes to every study alike
+    # the game and a muckenhoupt study need no seed, but still take --seed,
+    # which perfbench/run.py passes to every verb alike
     @pytest.mark.parametrize("run", ["game", *cli_mod.SAMPLING_STUDY_KINDS, "muckenhoupt"])
     @pytest.mark.usefixtures("few_samples")
     def test_seed_flag_is_the_explicit_seed(self, tmp_path, run):
@@ -1116,7 +1132,7 @@ class TestScripts:
     def test_bench_levels_script_records_the_schema(self, tmp_path):
         script = Path(__file__).resolve().parent.parent / "scripts" / "bench_levels.py"
         out = tmp_path / "BENCH_levels.json"
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", *THREAD_ENV)}
         argv = ["levels", "--levels", "16", "--repeats", "2", "--targets", "benchmark_game", "nash_solve"]
         proc = subprocess.run(
             [sys.executable, str(script), *argv, "--out", str(out)], cwd=tmp_path, env=env,
@@ -1126,6 +1142,7 @@ class TestScripts:
         record = json.loads(out.read_text())
         assert {"commit", "numpy", "scipy", "python", "repeats", "rows"} <= record.keys()
         assert (record["numpy"], record["scipy"]) == (np.__version__, __import__("scipy").__version__)
+        assert record["thread_env"] == dict.fromkeys(THREAD_ENV, "1")  # run as a script, it sets them
         rows = record["rows"]
         assert [(r["kind"], r["target"], r["level"]) for r in rows] == [
             ("import", "python", None), ("import", "degenash.cli", None),
@@ -1147,3 +1164,19 @@ class TestScripts:
         assert 0 < counts["forward_rows"] <= 16 * counts["forward_solves"]
         assert counts["certify_forward_solves"] == counts["certify_cost_calls"] > 0
         assert counts["one_shot_solves"] == 0 and nash_run["certify_s"] > 0
+
+    def test_importing_bench_levels_leaves_the_thread_environment(self, monkeypatch):
+        for name in THREAD_ENV:
+            monkeypatch.delenv(name, raising=False)
+        assert load_script("bench_levels").THREAD_ENV == THREAD_ENV
+        assert not os.environ.keys() & set(THREAD_ENV)
+
+    def test_verify_and_the_studies_make_26_one_shot_solves(self):
+        # the shipped configs as perfbench's studies workload runs them, with
+        # the counter scripts/bench_levels.py records
+        bench = load_script("bench_levels")
+        with bench.counting() as counts:
+            for name in ["verify_weak_form", *(f"study_{kind}" for kind in cli_mod.STUDIES)]:
+                path = CONFIG_DIR / f"{name}.yaml"
+                assert bench.run_cli([command_of(path.read_text()), "--config", str(path)]) == (0, None)
+        assert dict(counts) == {"one_shot_solves": 26}

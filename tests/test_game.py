@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import hashlib
 import json
@@ -13,12 +12,13 @@ from hypothesis import strategies as st
 
 import degenash.game as game_mod
 import degenash.operators as operators
-from conftest import CONFIG_DIR, random_field, shipped_game
+from conftest import CONFIG_DIR, load_script, random_field, shipped_game
 from degenash.cli import parse_config, run
 from degenash.fields import bump_from_parameters, bump_parameter_sets
 from degenash.game import (
     BR_TOL,
     DEVIATION_SAMPLES,
+    DEVIATION_SEED,
     INNER_TOL,
     GameConfig,
     _admissible,
@@ -40,7 +40,7 @@ from degenash.operators import assemble
 @pytest.fixture(scope="module")
 def mini_cfg():
     """Benchmark geometry on a cheap 24x24 grid."""
-    return shipped_game(n=24, seed=77)
+    return shipped_game(n=24)
 
 
 def feasible_random(cfg, mask, m, seed, scale=0.3):
@@ -101,7 +101,7 @@ class TestCost:
 
     def test_quadratic_homogeneity_with_zero_data(self):
         # with g = 0 and a zero target follower 1's cost is 2-homogeneous
-        cfg = shipped_game(n=16, seed=5)
+        cfg = shipped_game(n=16)
         cfg = dataclasses.replace(cfg, g=GridFunction.zeros(cfg.grid), yd1=GridFunction.zeros(cfg.grid))
         f1 = feasible_random(cfg, cfg.omega1, cfg.m1, seed=8)
         f2 = feasible_random(cfg, cfg.omega2, cfg.m2, seed=9)
@@ -110,7 +110,7 @@ class TestCost:
         assert j4 == pytest.approx(4.0 * j1, rel=1e-12)
 
     def test_an_overflow_raises_inside_cost_and_leaves_no_trace(self):
-        cfg = shipped_game(n=16, seed=7)
+        cfg = shipped_game(n=16)
         z = GridFunction.zeros(cfg.grid)
         before = cost(cfg, 1, z, z)
         # every penalty product is finite; their sum overflows
@@ -207,7 +207,7 @@ class TestProjectBall:
 class TestBestResponse:
     def test_zero_radius_returns_zero(self, mini_cfg):
         # no shortcut: project_ball returns zeros, so the first residual is 0.0
-        cfg = shipped_game(n=16, m1=0.0, seed=3)
+        cfg = shipped_game(n=16, m1=0.0)
         out, residual = best_response(cfg, 1, GridFunction.zeros(cfg.grid))
         assert np.all(out.values == 0.0)
         assert residual == 0.0
@@ -219,7 +219,7 @@ class TestBestResponse:
 
     def test_global_minimum_at_zero(self):
         # g = 0 and a zero target: J_1(0) = 0 is the global minimum
-        cfg = shipped_game(n=16, seed=3)
+        cfg = shipped_game(n=16)
         zero = GridFunction.zeros(cfg.grid)
         cfg = dataclasses.replace(cfg, g=zero, yd1=zero)
         out, _ = best_response(cfg, 1, zero)
@@ -264,7 +264,7 @@ class TestBestResponse:
 
 class TestNashSolve:
     def test_singleton_feasible_sets(self):
-        cfg = shipped_game(n=16, m1=0.0, m2=0.0, seed=9)
+        cfg = shipped_game(n=16, m1=0.0, m2=0.0)
         res = nash_solve(cfg)
         assert np.all(res.f1_star.values == 0.0) and np.all(res.f2_star.values == 0.0)
         assert res.converged and res.certified
@@ -272,7 +272,7 @@ class TestNashSolve:
         assert res.br_iterations == 1
 
     def test_weak_coupling_fast_convergence(self):
-        cfg = shipped_game(n=24, seed=13)
+        cfg = shipped_game(n=24)
         res = nash_solve(dataclasses.replace(cfg, g=GridFunction.zeros(cfg.grid)))
         assert res.converged and res.br_iterations <= 4
 
@@ -292,7 +292,7 @@ class TestNashSolve:
         assert control_norm(b2 - res.f2_star, alpha) <= 10 * BR_TOL
 
     def test_inner_cap_reported_not_raised(self, monkeypatch):
-        cfg = shipped_game(n=16, seed=5)
+        cfg = shipped_game(n=16)
         monkeypatch.setattr(game_mod, "INNER_MAX_ITERS", 1)
         _, residual = best_response(cfg, 1, GridFunction.zeros(cfg.grid))
         assert residual > INNER_TOL
@@ -322,7 +322,7 @@ class TestNashSolve:
     @pytest.mark.parametrize("i", [1, 2])
     def test_nan_inner_residual_reported_not_raised(self, monkeypatch, i):
         # a NaN residual from either follower stops the sweeps unconverged
-        cfg = shipped_game(n=16, seed=5)
+        cfg = shipped_game(n=16)
         zero = GridFunction.zeros(cfg.grid)
         calls = []
 
@@ -341,7 +341,7 @@ class TestNashSolve:
     def test_final_state_off_the_residual_contract_reported_not_raised(self, monkeypatch):
         # the one check is of the final state against its own right-hand
         # side, which the true march meets; a miss only clears converged
-        cfg = shipped_game(n=16, seed=5)
+        cfg = shipped_game(n=16)
         seen = []
 
         def miss(grid, u, f, tol=operators.RESIDUAL_TOL):
@@ -375,6 +375,19 @@ OVERLAP = {"omega1": [0.2, 0.6, 0.1, 0.7], "omega2": [0.4, 0.8, 0.5, 0.9]}
 GAMES = {"shipped": {}, "active": {"m1": 1e-4, "m2": 1e-4}, "coupled": COUPLED, "overlap": OVERLAP}
 
 
+@pytest.fixture(scope="module")
+def counted():
+    """scripts/bench_levels.py's counting() of nash_solve on the shipped and
+    the active game at 128x128."""
+    counting = load_script("bench_levels").counting
+    runs = {}
+    for name in ("shipped", "active"):
+        with counting() as counts:
+            nash_solve(shipped_game(n=128, **GAMES[name]))
+        runs[name] = counts
+    return runs
+
+
 def _result_bits(res):
     arrays = (res.f1_star, res.f2_star, res.state)
     floats = (res.j1, res.j2, res.certification_margin, *res.br_residuals)
@@ -404,28 +417,14 @@ class TestMarchReuse:
         gradient(mini_cfg, i, z, z)
         assert bounds == [mini_cfg.follower(i)[0].bottom_row]
 
-    def test_shipped_game_marches_few_rows(self, monkeypatch):
-        # forward solves march 28,246 rows when each marches from its first
-        # nonzero row to y = 1, 18,283 when each also stops at its bound,
-        # and 10,380 with a store that kept only the rows up to its last
-        # bound (held = stop, not max(start, stop)), all to the same bits;
-        # adjoint solves keep nothing and march 1,566 rows without bounds
-        rows, direction = collections.Counter(), []
-        original = operators.dpttrs
-        monkeypatch.setattr(operators, "dpttrs", lambda *args: rows.update(direction[-1:]) or original(*args))
-        for name in ("solve", "solve_adjoint"):
-            method = getattr(operators.DirichletSolver, name)
-
-            def marching(self, rhs, last_row=None, name=name, method=method):
-                direction.append(name)
-                try:
-                    return method(self, rhs, last_row)
-                finally:
-                    direction.pop()
-
-            monkeypatch.setattr(operators.DirichletSolver, name, marching)
-        nash_solve(shipped_game(n=64))
-        assert rows == {"solve": 10_351, "solve_adjoint": 828}
+    def test_shipped_game_marches_few_rows(self, counted):
+        # forward solves march 56,492 rows when each is a full march on a
+        # new solver, 36,566 when each also stops at its bound, and 20,760
+        # with a store that kept only the rows up to its last bound (held =
+        # stop, not max(start, stop)), all to the same bits; adjoint solves
+        # keep nothing and march 3,132 rows without bounds
+        counts = counted["shipped"]
+        assert (counts["forward_rows"], counts["adjoint_rows"]) == (20_702, 1_656)
 
 
 # (nx, ny, game keys) -> repr of j1, j2 and the certification margin, and
@@ -520,13 +519,13 @@ class TestReferenceEquilibrium:
 
     @pytest.fixture(scope="class")
     def shipped32(self):
-        cfg = shipped_game(n=32, seed=7)
+        cfg = shipped_game(n=32)
         return cfg, reference_equilibrium(cfg), nash_solve(cfg)
 
     @pytest.mark.parametrize("name", REFERENCE_GAMES)
     def test_nash_solve_matches_the_reference(self, name):
         n, game = REFERENCE_GAMES[name]
-        cfg = shipped_game(n=n, seed=7, **game)
+        cfg = shipped_game(n=n, **game)
         ref = reference_equilibrium(cfg)
         # the balls are inactive, so the linear system is the game
         assert control_norm(ref[0], cfg.grid.alpha) < cfg.m1 and control_norm(ref[1], cfg.grid.alpha) < cfg.m2
@@ -618,9 +617,9 @@ class TestCertify:
     def test_overflowing_deviation_passes(self):
         # deviations of norm 1e200 cost inf, a margin of +inf: worse for
         # the follower, so the equilibrium of radius 1 certifies again
-        unit = nash_solve(shipped_game(n=16, seed=7))
+        unit = nash_solve(shipped_game(n=16))
         with np.errstate(over="ignore", invalid="ignore"):
-            res = nash_solve(shipped_game(n=16, seed=7, m1=1e200, m2=1e200))
+            res = nash_solve(shipped_game(n=16, m1=1e200, m2=1e200))
         assert res.certified and unit.certified
         assert np.array_equal(res.f1_star.values, unit.f1_star.values)
         assert res.certification_margin == unit.certification_margin == 1.0925893788088416e-07
@@ -692,38 +691,29 @@ class TestAdjointConsistency:
 class TestGameConfigValidation:
     def test_negative_radius_rejected(self, mini_cfg):
         with pytest.raises(ValueError):
-            shipped_game(n=16, m1=-1.0, seed=1)
+            shipped_game(n=16, m1=-1.0)
 
     @pytest.mark.parametrize(
         "name, value",
         [
             ("m1", math.nan),
             ("m2", math.inf),
-            ("seed", -3),
-            ("seed", 1.5),
-            ("seed", True),
-            ("seed", "7"),
         ],
     )
     def test_unusable_value_rejected(self, name, value):
-        cfg = shipped_game(n=16, seed=1)
+        cfg = shipped_game(n=16)
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(cfg, **{name: value})
 
     @pytest.mark.parametrize("name", ["omega", "omega1", "omega2", "g1_obs", "g2_obs", "g", "yd1", "yd2"])
     def test_value_on_another_grid_rejected(self, name):
-        cfg = shipped_game(n=16, seed=1)
+        cfg = shipped_game(n=16)
         # same shape, other alpha: nothing downstream would notice
         other_alpha = dataclasses.replace(getattr(cfg, name), grid=build_grid(16, 16, 1.0))
-        other_shape = getattr(shipped_game(n=24, seed=1), name)
+        other_shape = getattr(shipped_game(n=24), name)
         for value in (other_alpha, other_shape):
             with pytest.raises(ValueError, match=rf"^{name} lives on"):
                 dataclasses.replace(cfg, **{name: value})
-
-    @pytest.mark.parametrize("seed", [0, 2**40, np.int64(5)])
-    def test_integer_seed_accepted(self, seed):
-        cfg = shipped_game(n=16, seed=1)
-        assert dataclasses.replace(cfg, seed=seed).seed == seed
 
     def test_equal_targets_warn(self):
         grid = build_grid(8, 8, 0.5)
@@ -736,7 +726,7 @@ class TestGameConfigValidation:
                 omega2=rect_mask(grid, 0.5, 0.9, 0.1, 0.9),
                 g1_obs=rect_mask(grid, 0.1, 0.9, 0.1, 0.5),
                 g2_obs=rect_mask(grid, 0.1, 0.9, 0.5, 0.9),
-                g=sin, yd1=sin, yd2=sin.copy(), m1=1.0, m2=1.0, seed=0,
+                g=sin, yd1=sin, yd2=sin.copy(), m1=1.0, m2=1.0,
             )
 
     def test_empty_region_rejected(self):
@@ -750,7 +740,7 @@ class TestGameConfigValidation:
                 omega2=rect_mask(grid, 0.5, 0.9, 0.1, 0.9),
                 g1_obs=rect_mask(grid, 0.1, 0.9, 0.1, 0.5),
                 g2_obs=rect_mask(grid, 0.1, 0.9, 0.5, 0.9),
-                g=sin, yd1=sin, yd2=2.0 * sin, m1=1.0, m2=1.0, seed=0,
+                g=sin, yd1=sin, yd2=2.0 * sin, m1=1.0, m2=1.0,
             )
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GameConfig)])
@@ -878,7 +868,7 @@ def _list_certify(cfg, f1, f2):
     ok, margins = True, []
     for i in (1, 2):
         j_star = cost(cfg, i, f1, f2)
-        for v in _region_deviations(cfg, i, np.random.default_rng([cfg.seed, i])):
+        for v in _region_deviations(cfg, i, np.random.default_rng([DEVIATION_SEED, i])):
             v = GridFunction(cfg.grid, v)
             margin = cost(cfg, i, *((v, f2) if i == 1 else (f1, v))) - j_star
             ok = ok and margin >= -1e-8 * (1.0 + j_star)
@@ -894,7 +884,7 @@ class TestArrayLevelEquivalence:
 
     @pytest.fixture(scope="class")
     def cfg16(self):
-        return shipped_game(n=16, seed=9)
+        return shipped_game(n=16)
 
     def test_state_solve_matches_masked_sum(self, cfg16):
         g, f1, f2 = (random_field(cfg16.grid, s) for s in (1, 2, 3))
@@ -937,7 +927,7 @@ class TestArrayLevelEquivalence:
         cfg = cfg16
         region, _, _, m = cfg.follower(i)[:4]
         n = DEVIATION_SAMPLES
-        devs = list(_feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i])))
+        devs = list(_feasible_deviations(cfg, i))
         assert len(devs) == n + 1
         assert np.all(devs[0].values == 0.0)
         alpha = cfg.grid.alpha
@@ -947,7 +937,7 @@ class TestArrayLevelEquivalence:
             assert abs(control_norm(d, alpha) - m) <= 1e-12 * m
         for d in devs[n // 2 + 1 :]:
             assert control_norm(d, alpha) <= m * (1.0 + 1e-12)
-        again = list(_feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i])))
+        again = list(_feasible_deviations(cfg, i))
         assert all(np.array_equal(a.values, b.values) for a, b in zip(devs, again))
 
     @pytest.fixture(
@@ -1012,8 +1002,8 @@ class TestArrayLevelEquivalence:
 
     @pytest.mark.parametrize("i", [1, 2])
     def test_deviations_and_their_norms(self, cfg, i):
-        got = list(_feasible_deviations(cfg, i, np.random.default_rng([cfg.seed, i])))
-        expected = _region_deviations(cfg, i, np.random.default_rng([cfg.seed, i]))
+        got = list(_feasible_deviations(cfg, i))
+        expected = _region_deviations(cfg, i, np.random.default_rng([DEVIATION_SEED, i]))
         assert [_bits(d.values) for d in got] == [_bits(d) for d in expected]
 
     @pytest.mark.parametrize("i", [1, 2])
@@ -1043,47 +1033,18 @@ class TestArrayLevelEquivalence:
 
 class TestSolveCounts:
     """The solve and call counts of the benchmark's two game workloads at
-    128x128, which perfbench's self-test pins too."""
+    128x128, as scripts/bench_levels.py's counting() takes them; perfbench's
+    self-test pins the solve counts too."""
 
-    @staticmethod
-    def counts(monkeypatch, cfg):
-        """Calls of each solve, cost and gradient in nash_solve(cfg), and,
-        under "certify <name>", those made inside certify."""
-        counts = collections.Counter()
-        certifying = []
+    def test_shipped_game(self, counted):
+        counts = counted["shipped"]
+        assert (counts["forward_solves"], counts["adjoint_solves"]) == (487, 36)
+        assert (counts["cost_calls"], counts["gradient_calls"]) == (450, 36)
+        assert (counts["certify_cost_calls"], counts["certify_forward_solves"]) == (404, 404)
 
-        def counted(owner, name):
-            original = getattr(owner, name)
-
-            def call(*args, **kwargs):
-                counts[name] += 1
-                counts[f"certify {name}"] += bool(certifying)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, call)
-
-        solver = operators.DirichletSolver
-        for owner, name in ((solver, "solve"), (solver, "solve_adjoint"), (game_mod, "cost"), (game_mod, "gradient")):
-            counted(owner, name)
-        certify_ = game_mod.certify
-
-        def certify(*args):
-            certifying.append(True)
-            try:
-                return certify_(*args)
-            finally:
-                certifying.pop()
-
-        monkeypatch.setattr(game_mod, "certify", certify)
-        nash_solve(cfg)
-        return counts
-
-    def test_shipped_game(self, monkeypatch):
-        counts = self.counts(monkeypatch, shipped_game(n=128))
-        assert (counts["solve"], counts["solve_adjoint"]) == (487, 36)
-        assert (counts["cost"], counts["gradient"]) == (450, 36)
-        assert (counts["certify cost"], counts["certify solve"]) == (404, 404)
-
-    def test_active_game(self, monkeypatch):
-        counts = self.counts(monkeypatch, shipped_game(n=128, m1=1e-4, m2=1e-4))
-        assert (counts["solve"], counts["solve_adjoint"]) == (431, 12)
+    def test_active_game(self, counted):
+        counts = counted["active"]
+        assert (counts["forward_solves"], counts["adjoint_solves"]) == (431, 12)
+        assert (counts["cost_calls"], counts["gradient_calls"]) == (418, 12)
+        assert (counts["certify_cost_calls"], counts["certify_forward_solves"]) == (404, 404)
+        assert (counts["forward_rows"], counts["adjoint_rows"]) == (19_230, 552)

@@ -358,6 +358,30 @@ class TestRectMask:
         m = RegionMask(small_grid, ind)
         assert m.count == ind.sum()
 
+    @pytest.mark.parametrize("layout", ["flat", "2d", "view"])
+    def test_indicator_and_the_array_it_views_are_read_only(self, small_grid, layout):
+        # a write to the caller's array once moved the indicator, but not
+        # the nodes cached from it
+        g = small_grid
+        given = {
+            "flat": np.zeros(g.n, dtype=bool),
+            "2d": np.zeros((g.nx, g.ny), dtype=bool),
+            "view": np.zeros(g.n + 3, dtype=bool)[2:-1],
+        }[layout]
+        given.reshape(-1)[7] = True
+        m = RegionMask(g, given)
+        assert m.nodes.tolist() == [7]
+        for array in (given.reshape(-1), m.indicator, rect_mask(g, 0.0, 0.5, 0.0, 1.0).indicator):
+            with pytest.raises(ValueError, match="read-only"):
+                array[20] = True
+        assert np.flatnonzero(m.indicator).tolist() == [7]
+
+    def test_a_copied_indicator_leaves_the_callers_array(self, small_grid):
+        given = np.zeros(small_grid.n, dtype=int)  # not bool: the indicator is a copy
+        m = RegionMask(small_grid, given)
+        given[20] = 1
+        assert m.count == 0
+
 
 class TestWeightedInner:
     def test_constant_unweighted(self):

@@ -16,7 +16,7 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 # Each constant whose value the README states as `NAME = value`.
 CONSTANTS = {
-    **dict.fromkeys(("BR_TOL", "BR_MAX_ITERS", "INNER_TOL", "INNER_MAX_ITERS", "DEVIATION_SAMPLES"), game),
+    **dict.fromkeys(("BR_TOL", "BR_MAX_ITERS", "INNER_TOL", "INNER_MAX_ITERS", "DEVIATION_SAMPLES", "DEVIATION_SEED"), game),
     **dict.fromkeys(
         ("RATIO_CAP", "SAFETY", "GROWTH_CAP", "ORDER_THRESHOLD", "THETA", "Q_VALUES", "COERCIVITY_SAMPLES",
          "EMBEDDING_SAMPLES"),

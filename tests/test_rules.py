@@ -72,7 +72,9 @@ CASES = {
         for kind, call in STUDY_CALLS.items()
     },
     "levels-verify": (VERIFY, "verify.levels", [32], STUDY_CALLS["energy"], "levels", analysis.LEVELS["energy"]),
-    "seed": (GAME, "seed", -1, lambda v: dataclasses.replace(shipped_game(n=16), seed=v), "seed", grid.SEED),
+    "seed": (
+        study("embedding"), "seed", -1, lambda v: embedding_study(levels=(8, 16), seed=v), "seed", grid.SEED,
+    ),
     "seed-bumps": (
         study("coercivity"), "seed", -1, lambda v: coercivity_check(seed=v, nx=8, ny=8), "seed", grid.SEED,
     ),
@@ -115,7 +117,7 @@ def test_manufactured_kind_rule_rejects_an_unknown_pair():
 
 @pytest.mark.parametrize("seed", [True, 1.5])
 @pytest.mark.parametrize(
-    "call", [lambda s: bump_parameter_sets(2, s), lambda s: dataclasses.replace(shipped_game(n=16), seed=s)]
+    "call", [lambda s: bump_parameter_sets(2, s), lambda s: embedding_study(levels=(8, 16), seed=s)]
 )
 def test_seed_rule_rejects_what_numpy_would_take_or_misname(call, seed):
     # numpy seeds with True as with 1, and fails on 1.5 with its own TypeError
