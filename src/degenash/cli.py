@@ -4,9 +4,10 @@ Configs are YAML, each key in the section of the run that reads it (see
 configs/ and README for the grammar), read by libyaml's CSafeLoader when
 PyYAML has it and by SafeLoader otherwise; a game's regions must each
 hold a node of its grid, and only the coercivity and embedding studies
-read a seed.  A study section holds its kind, plus its levels when the
-kind is one of analysis.LEVELS.  Verify solves for the sinsin forcing and
-tests the weak form against fixed functions by the convergence study's
+read a seed: every run checks a given seed, and the others echo None.
+A study section holds its kind, plus its levels when the kind is one of
+analysis.LEVELS.  Verify solves for the sinsin forcing and tests the
+weak form against fixed functions by the convergence study's
 observed-order rule.
 The argument parser is built once per process.  Every run writes a
 report.json plus tab-separated tables, one row per level, iteration or
@@ -140,7 +141,7 @@ STUDY_KIND = Key(_text, None, Rule.one_of(STUDIES))
 @dataclass
 class RunConfig:
     command: str
-    seed: int
+    seed: int | None  # None unless the run draws from it, as the grid keys
     output_dir: str
     nx: int | None = None  # a grid key the run does not read stays None
     ny: int | None = None
@@ -242,6 +243,8 @@ def _parse(raw: dict) -> RunConfig:
         del tables["grid"]
     keys = {**TOP, "seed": Key(_integer, None, SEED)} if kind in SAMPLING_STUDY_KINDS else TOP  # seed required
     top = _read({k: v for k, v in raw.items() if k not in tables}, keys, "config")
+    if kind not in SAMPLING_STUDY_KINDS:
+        top["seed"] = None  # read and checked above, but this run draws nothing
     sections = {name: _read(raw.get(name, {}), table, name) for name, table in tables.items()}
     grid = sections.pop("grid", {})
     cfg = RunConfig(**top, **grid, **sections)
@@ -369,7 +372,7 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
         # the test functions (sin k pi x sin l pi y)**2, k, l = 1, 2, 3, vanish with their gradients on the boundary
         sx, sy = (np.sin(np.pi * np.outer((1, 2, 3), t)) ** 2 for t in (grid.x, grid.y))
         residuals = []
-        for k, phi in enumerate(GridFunction(grid, np.outer(a, b)) for a in sx for b in sy):
+        for k, phi in enumerate(GridFunction(grid, np.outer(b, a)) for a in sx for b in sy):
             r = weak_form_residual(u, f, phi)
             rt = weak_form_residual(u, f, dy(phi), THETA)
             rows.append([level, k, r, rt])
@@ -416,10 +419,11 @@ def _run_game(cfg: RunConfig, out: Path) -> tuple[dict, str]:
         [np.arange(1, len(res.br_residuals) + 1), res.br_residuals],
     )
     grid = game_cfg.grid
-    shape = (grid.nx, grid.ny)
-    # the grid columns are broadcast views; _write_columns copies a chunk at a time
-    I, X = (np.broadcast_to(a[:, None], shape) for a in (np.arange(grid.nx), grid.x))
-    J, Y = (np.broadcast_to(a[None, :], shape) for a in (np.arange(grid.ny), grid.y))
+    shape = (grid.ny, grid.nx)
+    # the grid columns are broadcast views in node order; _write_columns
+    # copies a chunk at a time
+    I, X = (np.broadcast_to(a[None, :], shape) for a in (np.arange(grid.nx), grid.x))
+    J, Y = (np.broadcast_to(a[:, None], shape) for a in (np.arange(grid.ny), grid.y))
     _write_columns(
         out / "game_fields.tsv",
         ["i", "j", "x", "y", "f1", "f2", "state"],

@@ -117,7 +117,7 @@ def bump_from_parameters(grid: Grid, params: dict) -> GridFunction:
 
     Each windowed Gaussian a * exp(-((x-cx)**2 + (y-cy)**2) / (2 s s))
     * w_x(x) * w_y(y) is separable, so it is built as the outer product
-    u (x) v of u = w_x * exp(-(x-cx)**2 / (2 s s)) and
+    v (x) u, rows in y, of u = w_x * exp(-(x-cx)**2 / (2 s s)) and
     v = w_y * a * exp(-(y-cy)**2 / (2 s s)): nx + ny exps per Gaussian,
     not nx * ny.  The result lies within 1e-14 * max|bump| of the 2-D
     formula.  The 1-D frame is computed once per grid."""
@@ -132,9 +132,9 @@ def bump_from_parameters(grid: Grid, params: dict) -> GridFunction:
     # einsum writes each outer product into its buffer without a hidden
     # full-grid temporary and calls no BLAS routine; the terms are added
     # in the order of the Gaussians
-    out = np.einsum("i,j->ij", u[0], v[0])
+    out = np.einsum("i,j->ij", v[0], u[0])
     term = np.empty_like(out)
     for u_k, v_k in zip(u[1:], v[1:]):
-        np.einsum("i,j->ij", u_k, v_k, out=term)
+        np.einsum("i,j->ij", v_k, u_k, out=term)
         out += term
     return GridFunction(grid, out)

@@ -41,16 +41,13 @@ A GameConfig is frozen, so it is checked once, when it is built, and
 its solver and source hold for its life; a different game is a new one
 (dataclasses.replace re-runs every check).  Inside the game the
 arithmetic runs on each region's node indices (RegionMask.nodes), and
-right-hand sides and states are the solver's y-rows (Grid.y_rows), so
-no solve transposes.  Each GameConfig masks the leader's source g once,
-as y-rows (GameConfig.source), and keeps one record per follower
+right-hand sides and states are flat node values, the layout the solver
+marches.  Each GameConfig masks the leader's source g once
+(GameConfig.source), and keeps one record per follower
 (GameConfig.follower): its regions, target and radius, yd_i gathered on
 G_i, and x^-alpha and x^alpha gathered on omega_i.  A state solve copies
-the source and adds f1 and f2 on their own nodes' y-row indices
-(RegionMask.row_nodes); cost and gradient gather and scatter through
-the same indices, so every gathered array is the one the grid order
-gives, in the same order, and sums to the same bits.  Only state_solve
-turns its state back to the grid's order.  The solver checks no
+the source and adds f1 and f2 on their own nodes; cost and gradient
+gather and scatter through the same indices.  The solver checks no
 residual; nash_solve holds its final state to the residual contract
 (operators._check_residual) and reports a miss as converged=False.
 The tracking term, the penalty and the norms of certify's directions
@@ -151,10 +148,10 @@ class GameConfig:
     @functools.cached_property
     def source(self) -> np.ndarray:
         """The leader's term of every state's right-hand side, as read-only
-        y-rows (ny, nx): chi_omega g + 0.0.  The + 0.0 turns -0.0 into +0.0,
+        node values: chi_omega g + 0.0.  The + 0.0 turns -0.0 into +0.0,
         so a state's right-hand side keeps the bits of the full-grid
         three-term sum."""
-        source = self.grid.y_rows(np.where(self.omega.indicator, self.g.values, 0.0) + 0.0)
+        source = np.where(self.omega.indicator, self.g.values, 0.0) + 0.0
         source.flags.writeable = False
         return source
 
@@ -194,7 +191,7 @@ class NashResult:
 @functools.lru_cache(maxsize=16)
 def _nodal_x_power(grid: Grid, exponent: float) -> np.ndarray:
     """Read-only flat array of x**exponent at every interior node."""
-    w = np.repeat(grid.x**exponent, grid.ny)
+    w = np.tile(grid.x**exponent, grid.ny)
     w.flags.writeable = False
     return w
 
@@ -217,23 +214,23 @@ def _within_ball(norm: float, m: float) -> bool:
 
 
 def state_solve(cfg: GameConfig, f1: GridFunction, f2: GridFunction) -> GridFunction:
-    """State y(cfg.g, f1, f2) with masked sources, in the grid's order."""
-    return GridFunction(cfg.grid, cfg.grid.grid_order(_state(cfg, f1, f2)))
+    """State y(cfg.g, f1, f2) with masked sources."""
+    return GridFunction(cfg.grid, _state(cfg, f1, f2))
 
 
 def _rhs(cfg: GameConfig, f1: GridFunction, f2: GridFunction) -> np.ndarray:
     """The state's right-hand side chi_omega g + chi_omega1 f1 + chi_omega2 f2
-    as fresh y-rows (ny, nx)."""
+    as fresh node values."""
     rhs = cfg.source.copy()
     for name, region, f in (("f1", cfg.omega1, f1), ("f2", cfg.omega2, f2)):
         if f.grid != cfg.grid:
             raise ValueError(f"{name} lives on {f.grid}, not on the game's grid {cfg.grid}")
-        rhs.reshape(-1)[region.row_nodes] += f.values[region.nodes]
+        rhs[region.nodes] += f.values[region.nodes]
     return rhs
 
 
 def _state(cfg: GameConfig, f1: GridFunction, f2: GridFunction, last_row: int | None = None) -> np.ndarray:
-    """The state as y-rows (ny, nx), or, given last_row, its y-rows up to
+    """The state's node values, or, given last_row, its y-rows up to
     last_row and zeros above."""
     return cfg.solver.solve(_rhs(cfg, f1, f2), last_row=last_row)
 
@@ -244,7 +241,7 @@ def cost(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> float:
     player = cfg.follower(i)
     y = _state(cfg, f1, f2, player.obs.top_row)
     grid = cfg.grid
-    misfit = y.reshape(-1)[player.obs.row_nodes]
+    misfit = y[player.obs.nodes]
     misfit -= player.yd_obs
     misfit *= misfit
     penalty = (f1 if i == 1 else f2).values[player.ctrl.nodes]
@@ -260,12 +257,12 @@ def gradient(cfg: GameConfig, i: int, f1: GridFunction, f2: GridFunction) -> Gri
     player = cfg.follower(i)
     ctrl, obs = player.ctrl, player.obs
     y = _state(cfg, f1, f2, obs.top_row)
-    source = np.zeros((cfg.grid.ny, cfg.grid.nx))
-    source.reshape(-1)[obs.row_nodes] = 2.0 * (y.reshape(-1)[obs.row_nodes] - player.yd_obs)
+    source = np.zeros(cfg.grid.n)
+    source[obs.nodes] = 2.0 * (y[obs.nodes] - player.yd_obs)
     p = cfg.solver.solve_adjoint(source, last_row=ctrl.bottom_row)
     f_own = f1 if i == 1 else f2
     vals = np.zeros(cfg.grid.n)
-    vals[ctrl.nodes] = player.x_pow * p.reshape(-1)[ctrl.row_nodes] + 2.0 * f_own.values[ctrl.nodes]
+    vals[ctrl.nodes] = player.x_pow * p[ctrl.nodes] + 2.0 * f_own.values[ctrl.nodes]
     return GridFunction(cfg.grid, vals)
 
 
@@ -364,7 +361,7 @@ def nash_solve(cfg: GameConfig) -> NashResult:
             break
     certified, margin = certify(cfg, f1, f2)
     state = state_solve(cfg, f1, f2)
-    solved = _check_residual(cfg.grid, state.values, cfg.grid.grid_order(_rhs(cfg, f1, f2)))[1]
+    solved = _check_residual(cfg.grid, state.values, _rhs(cfg, f1, f2))[1]
     j1, j2 = cost(cfg, 1, f1, f2), cost(cfg, 2, f1, f2)
     return NashResult(
         f1_star=f1,

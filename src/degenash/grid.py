@@ -11,17 +11,17 @@ norms.norms_of and self-pairings are computed once and kept with it
 ndarray pass, and two fields on one Grid object skip the by-value grid
 comparison, since fields are built by the thousand per study run.
 
-Node values are flat in the grid's order, i*ny + j.  The y-march solver
-takes y-rows instead, (ny, nx) arrays whose row j is y-row j; Grid.y_rows,
-Grid.grid_order and RegionMask.row_nodes are the one place that converts
-between the two.
+Node values are flat in one order, j*nx + i for node (x_i, y_j): the
+y-rows the Dirichlet march solves one after another, each contiguous.
+values2d() views them as (ny, nx), row j holding y-row j, and every
+module reads and writes that one layout.
 
 The x-part hx*hy * xc**exponent of the quadrature weights is computed once
 per (grid, exponent) and handed out as a read-only array; the one y-weight
 is the stabilizing exp(-theta*y), which takes a fresh array; a self-pairing
 weighted_inner(u, u, ...) is computed once per field, exponent > -1 and
 theta, and kept with the field as a float.  Cell averages are one fresh
-(nx+1, ny+1) array (_cell_sums), formed in a flat row layout that only
+(ny+1, nx+1) array (_cell_sums), formed in a flat row layout that only
 _cell_sums knows, by contiguous passes that keep the bits of the plain
 four-corner formula; quadrature forms its weighted product in that array.
 
@@ -144,17 +144,6 @@ class Grid:
         rect_mask's indicator."""
         return (self.x > x0) & (self.x < x1), (self.y > y0) & (self.y < y1)
 
-    def y_rows(self, values) -> np.ndarray:
-        """Node values in the grid's order (flat, i*ny + j) as y-rows: a new
-        C-contiguous (ny, nx) array whose row j is y-row j, the layout that
-        operators.DirichletSolver marches."""
-        return np.reshape(values, (self.nx, self.ny)).T.copy()
-
-    def grid_order(self, rows) -> np.ndarray:
-        """y-rows (ny, nx) as a new flat array of node values in the grid's
-        order, i*ny + j: the inverse of y_rows."""
-        return np.reshape(rows, (self.ny, self.nx)).T.ravel()
-
 
 def build_grid(nx: int, ny: int, alpha: float) -> Grid:
     """Build the interior grid: nx and ny by NODES, alpha by ALPHA (Grid checks them)."""
@@ -166,7 +155,7 @@ class GridFunction:
     """Nodal scalar field on the interior nodes of a Grid: a read-only value.
 
     values is a flat float array of length nx*ny in C order of the
-    (nx, ny) node lattice, i.e. entry i*ny + j holds the value at
+    (ny, nx) node lattice, i.e. entry j*nx + i holds the value at
     (x_i, y_j).  Boundary values are implicitly zero.  values is
     read-only, as is the given array when values views it; derivatives,
     norms and self-pairings are computed once and kept (_once).  Compares
@@ -206,15 +195,15 @@ class GridFunction:
     def from_callable(cls, grid: Grid, fn) -> "GridFunction":
         """Sample fn at the interior nodes on the open grid.
 
-        fn receives x of shape (nx, 1) and y of shape (1, ny), never full
-        (nx, ny) coordinate arrays, and its result must broadcast to
-        (nx, ny): a function of x alone is evaluated nx times, not
+        fn receives x of shape (1, nx) and y of shape (ny, 1), never full
+        (ny, nx) coordinate arrays, and its result must broadcast to
+        (ny, nx): a function of x alone is evaluated nx times, not
         nx*ny.  Elementwise numpy arithmetic on the open grid gives the
         same bits as on full coordinate arrays.  A result that does not
         broadcast raises ValueError.
         """
-        shape = (grid.nx, grid.ny)
-        values = np.asarray(fn(grid.x[:, None], grid.y[None, :]), dtype=float)
+        shape = (grid.ny, grid.nx)
+        values = np.asarray(fn(grid.x[None, :], grid.y[:, None]), dtype=float)
         if values.shape != shape:
             try:
                 values = np.broadcast_to(values, shape)
@@ -223,8 +212,8 @@ class GridFunction:
         return cls(grid, values.reshape(grid.n))
 
     def values2d(self) -> np.ndarray:
-        """View of the values as an (nx, ny) array indexed [i, j]."""
-        return self.values.reshape(self.grid.nx, self.grid.ny)
+        """View of the values as an (ny, nx) array indexed [j, i]: row j is y-row j."""
+        return self.values.reshape(self.grid.ny, self.grid.nx)
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
@@ -274,15 +263,6 @@ class RegionMask:
         nodes.flags.writeable = False
         return nodes
 
-    @functools.cached_property
-    def row_nodes(self) -> np.ndarray:
-        """Read-only flat y-row indices (Grid.y_rows) of the region's nodes,
-        j*nx + i for node i*ny + j, in the order of nodes."""
-        nodes = self.nodes
-        rows = nodes % self.grid.ny * self.grid.nx + nodes // self.grid.ny
-        rows.flags.writeable = False
-        return rows
-
     @property
     def count(self) -> int:
         return int(self.nodes.size)
@@ -292,14 +272,14 @@ class RegionMask:
         """Index j of the highest y-row holding a node of the region."""
         if self.nodes.size == 0:
             raise ValueError("region contains no interior nodes")
-        return int((self.nodes % self.grid.ny).max())
+        return int(self.nodes[-1] // self.grid.nx)
 
     @functools.cached_property
     def bottom_row(self) -> int:
         """Index j of the lowest y-row holding a node of the region."""
         if self.nodes.size == 0:
             raise ValueError("region contains no interior nodes")
-        return int((self.nodes % self.grid.ny).min())
+        return int(self.nodes[0] // self.grid.nx)
 
     def apply(self, u: GridFunction) -> GridFunction:
         """Multiply u by the characteristic function of the region."""
@@ -312,40 +292,41 @@ def rect_mask(grid: Grid, x0: float, x1: float, y0: float, y1: float) -> RegionM
     """Mask of interior nodes inside the open rectangle (x0,x1) x (y0,y1)."""
     RECT.check("rectangle", [x0, x1, y0, y1])
     inside_x, inside_y = grid.rect_axes(x0, x1, y0, y1)
-    return RegionMask(grid, (inside_x[:, None] & inside_y[None, :]).reshape(grid.n))
+    return RegionMask(grid, (inside_y[:, None] & inside_x[None, :]).reshape(grid.n))
 
 
 def _cell_sums(u: GridFunction) -> np.ndarray:
-    """Cell averages of u as a fresh C-contiguous (nx+1, ny+1) array.
+    """Cell averages of u as a fresh C-contiguous (ny+1, nx+1) array.
 
-    They are formed in a flat row layout: cell (i, j) at flat index
-    i*(ny+2) + j, rows of width ny+2 whose last entry is spare.  The nodal
+    They are formed in a flat row layout: cell (j, i) at flat index
+    j*(nx+2) + i, rows of width nx+2 whose last entry is spare.  The nodal
     values are copied once into a zero buffer in the same layout, padded
     by the implicit zero boundary and one trailing zero, so the four
-    corners of every cell are the buffer shifted by 0, ny+2, 1 and ny+3
-    entries.  The sum ((a + b) + c) + d and the scale by 0.25 are
+    corners of every cell are the buffer shifted by 0, 1, nx+2 and nx+3
+    entries: the corner, its x-neighbour, its y-neighbour and the
+    diagonal.  The sum ((a + b) + c) + d and the scale by 0.25 are
     contiguous 1-D passes with the order of 0.25 * (a + b + c + d), so
     every average keeps its bits.  One copy, made once the buffer is
     freed, drops the spare column.  The caller owns the result and may
     work in place on it.
     """
     g = u.grid
-    width = g.ny + 2
-    size = (g.nx + 1) * width
+    width = g.nx + 2
+    size = (g.ny + 1) * width
     buf = np.zeros(size + width + 1)
-    buf[width:size].reshape(g.nx, width)[:, 1:-1] = u.values2d()
-    flat = buf[:size] + buf[width : width + size]
-    flat += buf[1 : size + 1]
+    buf[width:size].reshape(g.ny, width)[:, 1:-1] = u.values2d()
+    flat = buf[:size] + buf[1 : size + 1]
+    flat += buf[width : width + size]
     flat += buf[width + 1 :]
     flat *= 0.25
     del buf  # so that the copy below adds no third cell array to the peak
-    return flat.reshape(g.nx + 1, width)[:, :-1].copy()
+    return flat.reshape(g.ny + 1, width)[:, :-1].copy()
 
 
 def _quadrature(w: np.ndarray, cells: np.ndarray) -> np.float64:
     """np.sum(w * cells), with the product formed in cells.
 
-    cells is a C-contiguous (nx+1, ny+1) array the caller owns
+    cells is a C-contiguous (ny+1, nx+1) array the caller owns
     (_cell_sums), so numpy's pairwise sum sees the same array as in
     np.sum(w * cells); ndarray.sum is that sum without np.sum's dispatch.
     """
@@ -354,14 +335,14 @@ def _quadrature(w: np.ndarray, cells: np.ndarray) -> np.float64:
 
 @functools.lru_cache(maxsize=32)
 def _x_weights(grid: Grid, exponent: float) -> np.ndarray:
-    """Read-only hx*hy * xc**exponent broadcast to shape (nx+1, ny+1)."""
-    w = grid.hx * grid.hy * np.power(grid.xc, exponent)[:, None]
+    """Read-only hx*hy * xc**exponent broadcast to shape (ny+1, nx+1)."""
+    w = grid.hx * grid.hy * np.power(grid.xc, exponent)
     w.flags.writeable = False
-    return np.broadcast_to(w, (grid.nx + 1, grid.ny + 1))
+    return np.broadcast_to(w, (grid.ny + 1, grid.nx + 1))
 
 
 def cell_weights(grid: Grid, exponent: float, theta: float = 0.0) -> np.ndarray:
-    """Quadrature weights hx*hy * xc**exponent * exp(-theta*yc), shape (nx+1, ny+1).
+    """Quadrature weights hx*hy * xc**exponent * exp(-theta*yc), shape (ny+1, nx+1).
 
     At theta = 0 the result is a read-only view shared by every caller
     with the same grid and exponent; otherwise it is a fresh array.  An
@@ -371,7 +352,7 @@ def cell_weights(grid: Grid, exponent: float, theta: float = 0.0) -> np.ndarray:
     w = _x_weights(grid, FINITE.check("exponent", exponent))
     if FINITE_NONNEGATIVE.check("theta", theta) == 0:
         return w
-    return w * np.exp(-theta * grid.yc)[None, :]
+    return w * np.exp(-theta * grid.yc)[:, None]
 
 
 def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: float = 0.0) -> float:
@@ -379,7 +360,7 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: flo
 
     Computes the integral over the unit square of
     x**exponent * exp(-theta*y) * u * v by the midpoint rule
-    on the (nx+1) x (ny+1) cells, using cell-center values of the weight
+    on the (ny+1) x (nx+1) cells, using cell-center values of the weight
     and of the bilinear interpolants of the nodal data.  The weight is
     only ever evaluated at cell centers, so any exponent > -1 integrates
     the singular column correctly; with exponent <= -1 the value is still
@@ -400,7 +381,7 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: flo
         # array keeps the pairing symmetric to the last bit
         prod = _cell_sums(u)
         prod *= prod if v is u else _cell_sums(v)
-        if exponent <= -1.0 and np.any(prod[0] != 0.0):
+        if exponent <= -1.0 and np.any(prod[:, 0] != 0.0):
             warnings.warn(
                 f"x**({exponent}) is not integrable at x=0 and the integrand is "
                 "nonzero in the first cell column; the quadrature value does not "

@@ -30,15 +30,15 @@ solve starts at the first row that differs from the last forward solve
 and copies the rows before it (DirichletSolver.solve).  An adjoint solve
 and a one-shot solve (solve_dirichlet) keep nothing and march their own
 copy of the rows in place.
-DirichletSolver takes and returns the march's own layout, y-rows
-(Grid.y_rows): an (ny, nx) array whose row j is y-row j, which the
-adjoint marches in reverse.  So no repeated solve converts from the
-grid's node order i*ny + j; solve_dirichlet, which takes and returns a
-GridFunction, converts in and out once.  The scheme never uses u = 0 at
-y = 1: that edge is the outflow boundary, and no row of the matrix
-refers to it.  (Centered differencing in y would make the march a
-leapfrog scheme, whose computational mode does not shrink under
-refinement, and would impose u = 0 at the outflow edge.)
+A field's node values are the march's own layout, node (x_i, y_j) at
+j*nx + i (grid.GridFunction), so y-row j is a contiguous run of nx
+values; the solvers take and return flat node values and march
+(ny, nx) views of them, which the adjoint walks in reverse.  No solve
+converts layouts.  The scheme never uses u = 0 at y = 1: that edge is
+the outflow boundary, and no row of the matrix refers to it.  (Centered
+differencing in y would make the march a leapfrog scheme, whose
+computational mode does not shrink under refinement, and would impose
+u = 0 at the outflow edge.)
 
 A grid (nx, ny, alpha) fixes every coefficient of A, so the solvers
 and the residual contract take the Grid.  A u is computed from the
@@ -111,34 +111,37 @@ class SolverError(RuntimeError):
 
 def _apply(grid: Grid, values: np.ndarray) -> np.ndarray:
     """A u for flat node values u, in a fresh array: the coefficients
-    SparseOperator(grid).matrix stores, summed in its row order (west,
-    south, centre, east from 0.0), so A u is matrix @ u bit for bit."""
-    ny = grid.ny
+    SparseOperator(grid).matrix stores, summed in its row order (south,
+    west, centre, east from 0.0), so A u is matrix @ u bit for bit."""
+    nx = grid.nx
     # each coefficient is the value the assembled matrix stores: a
     # sparse matrix divided by a scalar h is multiplied by 1/h, and
     # kron multiplies x**alpha into the y-difference entries
     x_step = 1 / (2.0 * grid.hx * grid.hx)
     y_step = 1 / grid.hy
-    c = (grid.x**grid.alpha)[:, None]
+    c = grid.x**grid.alpha
     u = values.reshape(grid.n)
     out = np.empty(grid.n)
     term = np.empty(grid.n)
-    rows = term.reshape(grid.nx, ny)
-    # the matrix's row order, west, south, centre, east, each term a
+    u_rows, out_rows, rows = (a.reshape(grid.ny, nx) for a in (u, out, term))
+    # the matrix's row order, south, west, centre, east, each term a
     # flat pass added to out; the matrix product sums from 0.0, which
     # the last pass adds (it turns a -0.0 sum into +0.0, and leaves
     # every other sum as it is)
-    out[:ny] = 0.0
-    np.multiply(-1.0 * x_step, u[:-ny], out=out[ny:])
-    # node k's south term is term[k-1]; a row's first node has none,
+    out_rows[0] = 0.0
+    np.multiply(c * (-1.0 * y_step), u_rows[:-1], out=out_rows[1:])
+    # node k's west term is term[k-1]; a row's first node has none,
     # and takes the previous row's last entry, -0.0: x + -0.0 is x
-    np.multiply(c * (-1.0 * y_step), u.reshape(grid.nx, ny), out=rows)
+    np.multiply(-1.0 * x_step, u, out=term)
     rows[:, -1] = -0.0
     out[1:] += term[:-1]
-    np.multiply(2.0 * x_step + c * y_step, u.reshape(grid.nx, ny), out=rows)
+    np.multiply(2.0 * x_step + c * y_step, u_rows, out=rows)
     out += term
-    np.multiply(-1.0 * x_step, u[ny:], out=term[:-ny])
-    out[:-ny] += term[:-ny]
+    # node k's east term is term[k]; a row's last node has none, and
+    # takes -0.0
+    np.multiply(-1.0 * x_step, u[1:], out=term[:-1])
+    rows[:, -1] = -0.0
+    out += term
     out += 0.0
     return out.reshape(values.shape)
 
@@ -146,7 +149,7 @@ def _apply(grid: Grid, values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SparseOperator:
     """A = -1/2 d_xx + x**alpha d_y over the interior nodes of grid as a
-    CSR matrix (flat index i*ny + j), built on first read and cached.  No
+    CSR matrix (flat index j*nx + i), built on first read and cached.  No
     solve reads it: it is the reference _apply and the march are checked
     against."""
 
@@ -164,7 +167,7 @@ class SparseOperator:
         ) / (2.0 * hx * hx)
         dy = sp.diags([np.full(ny - 1, -1.0), np.full(ny, 1.0)], offsets=[-1, 0]) / hy
         coeff = sp.diags(self.grid.x**self.grid.alpha)
-        matrix = sp.kron(dxx, sp.identity(ny), format="csr") + sp.kron(coeff, dy, format="csr")
+        matrix = sp.kron(sp.identity(ny), dxx, format="csr") + sp.kron(dy, coeff, format="csr")
         return matrix.tocsr()
 
 
@@ -226,9 +229,11 @@ class DirichletSolver:
 
     The operator is factored as the implicit-Euler march in y (one
     tridiagonal Cholesky factorization, O(nx*ny) per solve, no fill).  A
-    solve takes one right-hand side as y-rows, an array of shape
-    (ny, nx) whose row j is y-row j (Grid.y_rows), and returns its
-    solution in the same layout, so no solve converts layouts.  Forward
+    solve takes one right-hand side as node values, a flat array of
+    length n in a field's order (GridFunction.values), marches its y-rows
+    as an (ny, nx) view and returns its solution as a new flat array in
+    the same order; a right-hand side of any other shape raises
+    ValueError.  Forward
     and adjoint solves share the factors.  Forward solves keep the last
     right-hand side and solution, and march from the first row whose
     right-hand side differs (!=) from the kept one or that the kept
@@ -251,7 +256,7 @@ class DirichletSolver:
         """A^-1 rhs, marched up from y = 0.  Given last_row, the caller reads
         only y-rows j <= last_row: the march goes no further and returns
         zeros above it."""
-        rhs = self._checked(rhs, last_row)
+        rhs = self._rows(rhs, last_row)
         ny, nx = self._shape
         stop = ny if last_row is None else last_row + 1
         kept, solution, held = self._last
@@ -266,31 +271,32 @@ class DirichletSolver:
         self._last = (kept, solution, max(start, stop))
         out = np.zeros((ny, nx))
         out[:stop] = solution[:stop]
-        return out
+        return out.reshape(-1)
 
     def solve_adjoint(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:
         """A^-T rhs, marched down from y = 1.  Given last_row, the caller
         reads only y-rows j >= last_row: the march stops there and returns
         zeros below it."""
-        rhs = self._checked(rhs, last_row)
+        rhs = self._rows(rhs, last_row)
         stop = self._shape[0] - (last_row or 0)
         out = np.zeros(self._shape)
         out[::-1][:stop] = rhs[::-1][:stop]
         _march(self._factors, out[::-1][:stop])
-        return out
+        return out.reshape(-1)
 
-    def _checked(self, rhs: np.ndarray, last_row: int | None) -> np.ndarray:
+    def _rows(self, rhs: np.ndarray, last_row: int | None) -> np.ndarray:
+        """The (ny, nx) y-row view of flat node values rhs, checked with last_row."""
         rhs = np.asarray(rhs, dtype=float)
         ny, nx = self._shape
-        if rhs.shape != (ny, nx):
+        if rhs.shape != (ny * nx,):
             raise ValueError(
-                f"right-hand side has shape {rhs.shape}, operator takes y-rows of shape (ny, nx) = ({ny}, {nx})"
+                f"right-hand side has shape {rhs.shape}, operator takes node values of shape (nx*ny,) = ({nx * ny},)"
             )
         if last_row is not None and not (
             isinstance(last_row, (int, np.integer)) and not isinstance(last_row, bool) and 0 <= last_row < ny
         ):
             raise ValueError(f"last_row must be an integer y-row index in [0, {ny}), got {last_row!r}")
-        return rhs
+        return rhs.reshape(ny, nx)
 
 
 def euclidean_norm(values: np.ndarray) -> float:
@@ -320,10 +326,10 @@ def _check_residual(grid: Grid, u: np.ndarray, f: np.ndarray, tol: float = RESID
 def solve_dirichlet(grid: Grid, f: GridFunction, tol: float = RESIDUAL_TOL) -> tuple[GridFunction, SolveReport]:
     """Solve A u = f on grid once, with a residual contract.
 
-    Factors A as DirichletSolver does, copies f into y-rows and solves
-    them in place (_march), without the store that forward solves share;
-    the bits are those of DirichletSolver(grid).solve(grid.y_rows(f.values)),
-    in the grid's order.  grid must be f's own grid (ValueError
+    Factors A as DirichletSolver does, copies f's values once and solves
+    their y-rows in place (_march), without the store that forward solves
+    share; the bits are those of DirichletSolver(grid).solve(f.values).
+    grid must be f's own grid (ValueError
     otherwise): f carries it, but perfbench's solve hook reads f as the
     second positional argument.
     Raises SolverError carrying the achieved residual if u does not meet
@@ -335,10 +341,8 @@ def solve_dirichlet(grid: Grid, f: GridFunction, tol: float = RESIDUAL_TOL) -> t
         raise ValueError("right-hand side lives on a different grid")
     FINITE_POSITIVE.check("tol", tol)
     start = time.perf_counter()
-    rows = grid.y_rows(f.values)
-    _march(_factor(grid), rows)
-    u = grid.grid_order(rows)
-    del rows
+    u = f.values.copy()
+    _march(_factor(grid), u.reshape(grid.ny, grid.nx))
     residual, met = _check_residual(grid, u, f.values, tol)
     if not met:
         raise SolverError("solve did not meet the residual tolerance", residual)
@@ -388,12 +392,12 @@ def _diff_along(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 def dx(u: GridFunction) -> GridFunction:
     """Differences of u along x, computed once per field."""
-    return u._once("dx", lambda: GridFunction(u.grid, _diff_along(u.values2d(), u.grid.hx, axis=0).reshape(u.grid.n)))
+    return u._once("dx", lambda: GridFunction(u.grid, _diff_along(u.values2d(), u.grid.hx, axis=1).reshape(u.grid.n)))
 
 
 def dy(u: GridFunction) -> GridFunction:
     """Differences of u along y, computed once per field."""
-    return u._once("dy", lambda: GridFunction(u.grid, _diff_along(u.values2d(), u.grid.hy, axis=1).reshape(u.grid.n)))
+    return u._once("dy", lambda: GridFunction(u.grid, _diff_along(u.values2d(), u.grid.hy, axis=0).reshape(u.grid.n)))
 
 
 def bilinear_form(u: GridFunction, psi: GridFunction, theta: float = 0.0) -> float:

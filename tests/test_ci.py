@@ -2,7 +2,7 @@
 scipy series and runs on the Python the golden table digests were
 recorded on, and its lowest Python is the package's floor.  Its installed
 package loads no scipy.linalg at import, and its console script runs a
-solve, a game, a study and verify under two seeds, and it checks, before
+solve, a game, a non-square game, a study and verify under two seeds, and it checks, before
 any test, that PyYAML has the libyaml loader the CLI reads configs with,
 and, after every step, that the checkout is as it was."""
 
@@ -54,6 +54,21 @@ def test_console_script_step_runs_the_solve_game_study_and_verify_verbs():
     verify = "degenash verify --config configs/verify_weak_form.yaml"
     assert f"{verify} --seed 1 --out v1\n{verify} --seed 2 --out v2\n" in step
     assert step.rstrip().splitlines()[-1] == "cmp v1/verify_residuals.tsv v2/verify_residuals.tsv"
+
+
+def test_console_script_runs_a_non_square_game():
+    # every shipped config is square, so only this game can show a swap of
+    # nx and ny in the installed package; it writes under $RUNNER_TEMP, so
+    # the checkout stays as it was
+    (step,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Console script"]
+    config = '"$RUNNER_TEMP/game_40x24.yaml"'
+    lines = [
+        f"sed 's/nx: 64, ny: 64/nx: 40, ny: 24/' configs/benchmark_game.yaml > {config}",
+        f'grep -q "nx: 40, ny: 24" {config}',
+        f'degenash game --config {config} --out "$RUNNER_TEMP/game_40x24"',
+    ]
+    assert "\n".join(lines) in step
+    assert "grid: {nx: 64, ny: 64, alpha: 0.5}" in (ROOT / "configs" / "benchmark_game.yaml").read_text()
 
 
 def test_installed_package_is_imported_without_scipy_linalg_right_after_its_install():

@@ -17,8 +17,8 @@ import degenash.analysis as analysis
 import degenash.cli as cli_mod
 from conftest import load_script, peak_bytes
 from degenash.cli import ConfigError, build_game_config, main, parse_config, run
-from degenash.game import GameConfig, nash_solve
-from degenash.grid import build_grid, rect_mask
+from degenash.game import GameConfig, control_norm, nash_solve
+from degenash.grid import GridFunction, build_grid, rect_mask
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -122,7 +122,7 @@ class TestParseConfig:
     def test_defaults_applied(self):
         cfg = parse_config(MINIMAL_SOLVE)
         assert cfg.solve["tol"] == 1e-10
-        assert cfg.seed == 0
+        assert cfg.seed is None  # a solve reads no seed
         assert parse_config("command: verify\n").verify == {"levels": [32, 64]}
 
     def test_alpha_out_of_range_names_constraint(self):
@@ -145,7 +145,7 @@ class TestParseConfig:
 
     def test_muckenhoupt_study_needs_no_seed(self):
         # the panel reads a fixed lattice of balls, not a draw
-        assert parse_config("command: study\nstudy: {kind: muckenhoupt}\n").seed == 0
+        assert parse_config("command: study\nstudy: {kind: muckenhoupt}\n").seed is None
 
     def test_unknown_study_kind(self):
         with pytest.raises(ConfigError, match="study.kind"):
@@ -554,24 +554,33 @@ class TestRun:
         assert n_rows == 1 + 16 * 16
 
     def test_game_fields_match_row_rendering(self, tmp_path):
-        # the column-wise writer reproduces the row-by-row rendering exactly
+        # the column-wise writer reproduces the row-by-row rendering in node
+        # order on a non-square grid, and the f1 and f2 columns read back
+        # as perfbench's gate reads them: straight into a GridFunction,
+        # whose control_norm is the report's
         cfg = parse_config(
             (CONFIG_DIR / "benchmark_game.yaml")
             .read_text()
-            .replace("nx: 64, ny: 64", "nx: 16, ny: 16")
+            .replace("nx: 64, ny: 64", "nx: 20, ny: 12")
         )
         cfg.output_dir = str(tmp_path)
         run(cfg)
         game = build_game_config(cfg)
+        g = game.grid
         res = nash_solve(game)
-        X, Y = np.meshgrid(game.grid.x, game.grid.y, indexing="ij")
-        f1v, f2v, yv = res.f1_star.values2d(), res.f2_star.values2d(), res.state.values2d()
+        f1v, f2v, yv = res.f1_star.values, res.f2_star.values, res.state.values
         expected = ["\t".join(["i", "j", "x", "y", "f1", "f2", "state"])]
-        for i in range(game.grid.nx):
-            for j in range(game.grid.ny):
-                cells = (X[i, j], Y[i, j], f1v[i, j], f2v[i, j], yv[i, j])
+        for j in range(g.ny):
+            for i in range(g.nx):
+                k = j * g.nx + i
+                cells = (g.x[i], g.y[j], f1v[k], f2v[k], yv[k])
                 expected.append("\t".join([str(i), str(j)] + [repr(float(c)) for c in cells]))
         assert (tmp_path / "game_fields.tsv").read_text() == "\n".join(expected) + "\n"
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        columns = np.loadtxt(tmp_path / "game_fields.tsv", skiprows=1, usecols=(4, 5), unpack=True)
+        for key, column in zip(("f1_norm", "f2_norm"), columns):
+            norm = control_norm(GridFunction(g, column), g.alpha)
+            assert abs(norm - results[key]) <= 1e-12 * abs(results[key])
         residual_rows = [[k + 1, r] for k, r in enumerate(res.br_residuals)]
         assert (tmp_path / "game_residuals.tsv").read_text() == row_rendering(["sweep", "residual"], residual_rows)
 
@@ -998,9 +1007,11 @@ class TestMain:
         for name, flags in [("s1", ["--seed", "1"]), ("s2", ["--seed", "2"]), ("none", [])]:
             out = tmp_path / name
             assert main(["game", "--config", str(p), "--out", str(out), "--level-override", "16", *flags]) == 0
-            results = json.loads((out / "report.json").read_text())["results"]
+            report = json.loads((out / "report.json").read_text())
+            # the config echo, less where the run wrote, names no seed either
+            config = {k: v for k, v in report["config"].items() if k != "output_dir"}
             tables = tuple((out / f).read_bytes() for f in ("game_residuals.tsv", "game_fields.tsv"))
-            runs.add((json.dumps(results, sort_keys=True), tables))
+            runs.add((json.dumps(report["results"], sort_keys=True), json.dumps(config, sort_keys=True), tables))
         assert len(runs) == 1
         assert 0 < json.loads(runs.pop()[0])["certification_margin"] < 1e-6
 
@@ -1025,7 +1036,8 @@ class TestMain:
         assert seeded == required == {"study_coercivity", "study_embedding"}
 
     # the game and a muckenhoupt study need no seed, but still take --seed,
-    # which perfbench/run.py passes to every verb alike
+    # which perfbench/run.py passes to every verb alike; only a run that
+    # draws from the seed echoes it
     @pytest.mark.parametrize("run", ["game", *cli_mod.SAMPLING_STUDY_KINDS, "muckenhoupt"])
     @pytest.mark.usefixtures("few_samples")
     def test_seed_flag_is_the_explicit_seed(self, tmp_path, run):
@@ -1039,7 +1051,8 @@ class TestMain:
         p.write_text(text)
         out = tmp_path / "out"
         assert main([command_of(text), "--config", str(p), "--out", str(out), "--seed", "4", *flags]) == 0
-        assert json.loads((out / "report.json").read_text())["config"]["seed"] == 4
+        echo = json.loads((out / "report.json").read_text())["config"]["seed"]
+        assert echo == (4 if run in cli_mod.SAMPLING_STUDY_KINDS else None)
 
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
@@ -1058,8 +1071,8 @@ class TestMain:
         assert main(["solve", "--config", str(p)]) == 0
         flags = json.loads((tmp_path / "flags" / "report.json").read_text())["config"]
         plain = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
-        assert (flags["seed"], flags["output_dir"], flags["nx"]) == (5, "flags", 8)
-        assert (plain["seed"], plain["output_dir"], plain["nx"], plain["ny"]) == (0, "out", 16, 16)
+        assert (flags["seed"], flags["output_dir"], flags["nx"]) == (None, "flags", 8)
+        assert (plain["seed"], plain["output_dir"], plain["nx"], plain["ny"]) == (None, "out", 16, 16)
 
     def test_parser_is_built_once(self, tmp_path):
         p = tmp_path / "study.yaml"

@@ -29,36 +29,36 @@ SOLVE_LEVEL = 512
 
 DIGESTS = {
     "benchmark_game": {
-        "game_fields.tsv": "fc93b5861bac16faffe18adfeb735f70b6983cd7a87f9f1085a907c5ef4c8606",
+        "game_fields.tsv": "9e4418b7fc136cce62490255f89c5eebb2cae15de198c4ee9d233e6a4b1cbd00",
         "game_residuals.tsv": "06097f504632cab90d64c1d216971e49e87f2dc7985ac36cf041983c9b204ff9",
     },
     "solve_example": {
-        "solve_norms.tsv": "523ef140ccee41914bb14cd1a411ce8ab529fffe46bf591f76adf1c485c47369",
+        "solve_norms.tsv": "b225c8bb20aaf7c856334ae489a6a309a89b1bf8a8231c801f53bd8e50625c7d",
     },
     "study_coercivity": {
-        "study_levels.tsv": "cc12f9bcf4d2ec7ca19eb03cc5da94604caa2ffff1231d1ebc4a7b122b725edd",
-        "study_samples.tsv": "7695ac533cf5f75af57b9bb5c34bdbc27358ea8dd70d544e8c8f190a8f4dbdf7",
+        "study_levels.tsv": "b3cd7aa266db7f9b9edea146cbc7c7a4aab612219806e0539ddd126dbaf99477",
+        "study_samples.tsv": "b8e18346c1131ea16e334fe3a086a43ac44725a03e00975e7887d09a8b7f8788",
     },
     "study_convergence": {
-        "study_levels.tsv": "30f55fe3db805e12583fce772b167b294f7753c49b3093bb592e61888ce925db",
-        "study_orders.tsv": "6efc6298b4d1c330e9d8e315aff16e6438f87acd5b3665669ec5bee0ae436472",
-        "study_samples.tsv": "7f633497dd7b80457bd088ec1b43bca3bd1e882d7afdcf7ae280e0ed4933b433",
+        "study_levels.tsv": "c84da106731eccb1f6181391b36df76c9768e22ca524895b2035a8fb3ac7e62d",
+        "study_orders.tsv": "e5bcb2f62a75d69070a88dbb0ddf743862bb7cad459da048c3c7c612756a469c",
+        "study_samples.tsv": "bfc99db4c1cc2ecf9466c7397c891fe1c44848c6fc49552268fe5ab41cced774",
     },
     "study_embedding": {
-        "study_levels.tsv": "4e93fab503c2146e30adf9393ca0f94f753039693283ee680e09e145ac4a1bb2",
+        "study_levels.tsv": "8ec1dff9025ceb5145aa15234963b3f776f3dc3dc8ad1a99b81f3bccd29d9855",
     },
     "study_energy": {
-        "study_levels.tsv": "68263ae2afd1aadbd0e000611526101722e084059d07e091fe4bb1b9b09eb01e",
+        "study_levels.tsv": "3e6bb079e4c3e51f99f86ae42e73aef3008d8786958b5ac47de807f462d2818a",
     },
     "study_inclusion": {
-        "study_levels.tsv": "804b9e2dcb224712eb299db157f47a06e619d9a8ec6c379ef541192554141839",
+        "study_levels.tsv": "bca3dfd012c8217c672db66ba6bd348d3ad5b47f4a8827b5bdf41e3ecda44fa6",
     },
     "study_muckenhoupt": {
         "study_levels.tsv": "4f060a581959ade02c1335578a80c8d65329a4a10b99fe96dbf2958becb33b84",
         "study_samples.tsv": "8522aee21ab32df5f0b3affe94d46f3e849b7c8cd90ff4ad3e461098d54ed1ff",
     },
     "verify_weak_form": {
-        "verify_residuals.tsv": "e87fcb37e86b15df2280bd77161dca38cc4867219ac63b02bf042917a02427b4",
+        "verify_residuals.tsv": "873433eab8b39055b07e6afe43525a985fa0d44e0b16dc3aa7aafdd6a3830284",
     },
 }
 
@@ -71,18 +71,18 @@ RESULTS = {
         "converged": True,
         "f1_norm": 0.00023185203904719083,
         "f2_norm": 0.00026640040395872825,
-        "j1": 0.0001242075815287578,
+        "j1": 0.00012420758152875783,
         "j2": 0.00020652709413655768,
     },
     "solve_example": {
         "iterations": 0,
         "norms": {
             "dx_l2": 0.28502327788627335,
-            "l2": 0.09290172827722099,
+            "l2": 0.092901728277221,
             "mixed_l2": 0.7008101931274361,
             "v_norm": 0.785464466324832,
             "w11": 0.3547104467980029,
-            "weighted_dy_l2": 0.18960617345885247,
+            "weighted_dy_l2": 0.18960617345885245,
         },
         "residual_norm": 2.3600070494914674e-12,
     },
@@ -92,8 +92,8 @@ RESULTS = {
         "metrics": {
             "delta_h": [0.04598493014643029],
             "mean_margin": [0.2938194884056694],
-            "min_margin": [0.16324195626481994],
-            "mu_h": [0.09431511806261068],
+            "min_margin": [0.16324195626481997],
+            "mu_h": [0.09431511806261067],
             "violations": [0.0],
         },
         "observed_orders": [],
@@ -108,7 +108,7 @@ RESULTS = {
         "metrics": {
             "l2_err": [
                 0.01705038334918788,
-                0.009230781438705538,
+                0.00923078143870554,
                 0.004808591865411055,
                 0.0024549255279041485,
             ],
@@ -119,7 +119,7 @@ RESULTS = {
                 0.004902699401118982,
             ],
         },
-        "observed_orders": [0.9251233665956891, 0.9620282329640232, 0.9808625771902864],
+        "observed_orders": [0.9251233665956888, 0.9620282329640233, 0.9808625771902864],
         "thresholds": {
             "order_threshold": 0.9,
         },
@@ -128,7 +128,7 @@ RESULTS = {
         "kind": "embedding",
         "levels": [64, 128],
         "metrics": {
-            "max_ratio_q2": [0.18539639616453954, 0.18364673686699903],
+            "max_ratio_q2": [0.18539639616453954, 0.18364673686699906],
             "max_ratio_q3": [0.23227662997738613, 0.23086969868454935],
             "max_ratio_q4": [0.2698394129496536, 0.26823013793082706],
         },
@@ -141,11 +141,11 @@ RESULTS = {
         "kind": "energy",
         "levels": [16, 32, 64, 128],
         "metrics": {
-            "ratio_0": [0.5008043223997728, 0.531529467786743, 0.5464693257917738, 0.553839995405767],
-            "ratio_1": [0.38406889586042975, 0.41298938638775, 0.4287876003559825, 0.43743190350916544],
+            "ratio_0": [0.5008043223997728, 0.531529467786743, 0.5464693257917739, 0.553839995405767],
+            "ratio_1": [0.38406889586042975, 0.4129893863877501, 0.4287876003559825, 0.43743190350916544],
             "ratio_2": [0.5200700140877548, 0.5530958946811552, 0.5696037559048186, 0.5779320364092153],
-            "ratio_3": [0.5288918518684711, 0.5611194897030696, 0.5773202052891611, 0.5855032695432683],
-            "ratio_4": [0.495466680429663, 0.5267181766409632, 0.5418500395524455, 0.5493104348135724],
+            "ratio_3": [0.5288918518684712, 0.5611194897030695, 0.5773202052891611, 0.5855032695432683],
+            "ratio_4": [0.4954666804296629, 0.5267181766409632, 0.5418500395524455, 0.5493104348135724],
         },
         "observed_orders": [],
         "thresholds": {
@@ -159,13 +159,13 @@ RESULTS = {
             "dy_l2": [
                 0.37598200803390497,
                 0.43329202053888066,
-                0.48388247191876915,
+                0.4838824719187692,
                 0.5292266144262537,
                 0.5704947168738452,
             ],
             "w11": [
                 0.945345264797969,
-                0.9963709932485023,
+                0.9963709932485024,
                 1.0257670395176168,
                 1.0430664118512432,
                 1.053700226634875,
@@ -192,8 +192,8 @@ RESULTS = {
     },
     "verify_weak_form": {
         "levels": [32, 64],
-        "max_residual_by_level": [0.009530982118245553, 0.004729867278182211],
-        "observed_orders": [1.0335913828729169],
+        "max_residual_by_level": [0.009530982118245539, 0.004729867278182198],
+        "observed_orders": [1.0335913828729189],
         "theta": 1.0,
     },
 }
@@ -231,7 +231,7 @@ def test_shipped_config_tables_are_byte_identical(tmp_path, name):
 
 def test_solve_example_at_512_is_byte_identical(tmp_path):
     assert _run(tmp_path, "solve_example", SOLVE_LEVEL) == {
-        "solve_norms.tsv": "a54614225f00d7ffcb005a2b828af80f33d4aa84040189a3d3e6a6e29252d859",
+        "solve_norms.tsv": "ffa8682ff63c3d8d447360ef4328b63c40d294657ca7d4db2a741fdf5400f3cd",
     }
     assert _results(tmp_path) == {
         "iterations": 0,
@@ -241,7 +241,7 @@ def test_solve_example_at_512_is_byte_identical(tmp_path):
             "mixed_l2": 0.7317998976298634,
             "v_norm": 0.8172151569115281,
             "w11": 0.3637437594170586,
-            "weighted_dy_l2": 0.193853793389757,
+            "weighted_dy_l2": 0.19385379338975703,
         },
         "residual_norm": 1.168907475429942e-09,
     }

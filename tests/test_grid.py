@@ -126,41 +126,37 @@ class TestGridFunction:
     def test_from_callable_layout(self):
         g = build_grid(3, 4, 0.5)
         u = GridFunction.from_callable(g, lambda X, Y: X + 10 * Y)
-        # flat index i*ny + j
+        # flat index j*nx + i
         assert u.values[0] == pytest.approx(g.x[0] + 10 * g.y[0])
-        assert u.values[g.ny] == pytest.approx(g.x[1] + 10 * g.y[0])
+        assert u.values[1] == pytest.approx(g.x[1] + 10 * g.y[0])
+        assert u.values[g.nx] == pytest.approx(g.x[0] + 10 * g.y[1])
 
     @pytest.mark.parametrize("nx,ny", [(3, 4), (4, 3)])
-    def test_y_rows_and_back(self, nx, ny):
-        # entry [j, i] of the y-rows is node (x_i, y_j); both directions copy
+    def test_values2d_row_j_is_y_row_j(self, nx, ny):
+        # entry [j, i] of values2d is node (x_i, y_j), a view of values
         g = build_grid(nx, ny, 0.5)
         u = GridFunction.from_callable(g, lambda x, y: x + 10 * y)
-        rows = g.y_rows(u.values)
-        assert rows.shape == (ny, nx) and rows.flags.c_contiguous and rows.flags.writeable
-        assert all(rows[j, i] == u.values[i * ny + j] for i in range(nx) for j in range(ny))
-        back = g.grid_order(rows)
-        assert back.shape == (g.n,) and _bits(back) == _bits(u.values)
-        assert not np.shares_memory(back, rows)
-        with pytest.raises(ValueError):
-            g.y_rows(np.zeros(g.n + 1))
+        rows = u.values2d()
+        assert rows.shape == (ny, nx) and np.shares_memory(rows, u.values)
+        assert all(rows[j, i] == g.x[i] + 10 * g.y[j] for i in range(nx) for j in range(ny))
 
     def test_from_callable_rejects_a_result_that_does_not_broadcast(self):
         g = build_grid(3, 4, 0.5)
-        with pytest.raises(ValueError, match=r"shape \(12,\), which does not broadcast to \(3, 4\)"):
+        with pytest.raises(ValueError, match=r"shape \(12,\), which does not broadcast to \(4, 3\)"):
             GridFunction.from_callable(g, lambda x, y: np.zeros(g.n))
         with pytest.raises(ValueError, match="does not broadcast"):
-            GridFunction.from_callable(g, lambda x, y: np.zeros((3, 4, 2)))
+            GridFunction.from_callable(g, lambda x, y: np.zeros((4, 3, 2)))
 
     def test_from_callable_broadcasts_a_function_of_one_coordinate(self):
         # fn sees the open grid, and its broadcast result equals the
         # evaluation on full coordinate arrays bit for bit
         g = build_grid(3, 4, 0.5)
-        X, Y = np.meshgrid(g.x, g.y, indexing="ij")
+        X, Y = np.meshgrid(g.x, g.y)  # (ny, nx)
         for fn in (lambda x, y: x**0.7 - 0.3, lambda x, y: np.sin(3.0 * y), lambda x, y: 2.0):
             shapes = []
             u = GridFunction.from_callable(g, lambda x, y: shapes.append((x.shape, y.shape)) or fn(x, y))
-            assert shapes == [((3, 1), (1, 4))]
-            assert _bits(u.values) == _bits(np.broadcast_to(fn(X, Y), (3, 4)).ravel())
+            assert shapes == [((1, 3), (4, 1))]
+            assert _bits(u.values) == _bits(np.broadcast_to(fn(X, Y), (4, 3)).ravel())
 
 
 class TestEquality:
@@ -204,7 +200,7 @@ class TestValueSemantics:
         g = small_grid
         given = {
             "flat": np.ones(g.n),
-            "2d": np.ones((g.nx, g.ny)),
+            "2d": np.ones((g.ny, g.nx)),
             "view": np.ones(g.n + 3)[2:-1],
         }[layout]
         u = GridFunction(g, given)
@@ -214,7 +210,7 @@ class TestValueSemantics:
 
     def test_a_copied_array_stays_the_callers(self, small_grid):
         g = small_grid
-        given = np.ones((g.ny, g.nx)).T  # not C-contiguous: values is a copy
+        given = np.ones((g.nx, g.ny)).T  # not C-contiguous: values is a copy
         u = GridFunction(g, given)
         given[0, 0] = 2.0
         assert u.values[0] == 1.0
@@ -239,9 +235,9 @@ OPEN_GRID_SHAPES = [(12, 12), (13, 7), (64, 64), (127, 129)]
 
 
 def full_grid(grid, fn):
-    """fn sampled on full (nx, ny) coordinate arrays, flat: the reference
+    """fn sampled on full (ny, nx) coordinate arrays, flat: the reference
     that open-grid sampling must match bit for bit."""
-    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    X, Y = np.meshgrid(grid.x, grid.y)
     return np.asarray(fn(X, Y), dtype=float).reshape(grid.n)
 
 
@@ -319,7 +315,7 @@ class TestRectMask:
         g = build_grid(3, 3, 0.5)
         m = rect_mask(g, 0.0, 0.5, 0.0, 1.0)
         assert m.count == 3
-        expected = {0, 1, 2}  # i=0 column, flat index i*ny + j
+        expected = {0, 3, 6}  # i=0 column, flat index j*nx + i
         assert set(np.flatnonzero(m.indicator)) == expected
 
     @settings(max_examples=20, deadline=None)
@@ -344,13 +340,13 @@ class TestRectMask:
                 getattr(empty, row)
 
     @pytest.mark.parametrize("nx,ny", [(6, 5), (5, 6)])
-    def test_row_nodes_index_the_y_rows(self, nx, ny):
-        # in the order of nodes, the y-rows hold the values the nodes index
+    def test_rows_of_a_non_square_mask(self, nx, ny):
+        # node j*nx + i lies on y-row j, so a transposed index finds other rows
         g = build_grid(nx, ny, 0.5)
         m = rect_mask(g, 0.2, 0.9, 0.1, 0.6)
-        u = random_field(g, 1)
-        assert _bits(g.y_rows(u.values).reshape(-1)[m.row_nodes]) == _bits(u.values[m.nodes])
-        assert not m.row_nodes.flags.writeable and m.row_nodes is m.row_nodes
+        rows = np.flatnonzero(rect_mask(g, 0.0, 1.0, 0.1, 0.6).indicator.reshape(ny, nx).any(axis=1))
+        assert (m.bottom_row, m.top_row) == (rows[0], rows[-1])
+        assert set(m.nodes // nx) == set(rows)
 
     def test_direct_indicator_escape_hatch(self, small_grid):
         ind = np.zeros(small_grid.n, dtype=bool)
@@ -365,7 +361,7 @@ class TestRectMask:
         g = small_grid
         given = {
             "flat": np.zeros(g.n, dtype=bool),
-            "2d": np.zeros((g.nx, g.ny), dtype=bool),
+            "2d": np.zeros((g.ny, g.nx), dtype=bool),
             "view": np.zeros(g.n + 3, dtype=bool)[2:-1],
         }[layout]
         given.reshape(-1)[7] = True
@@ -453,19 +449,20 @@ class TestQuadratureCaches:
     def test_cell_averages_match_four_corner_sum(self, nx, ny):
         g = build_grid(nx, ny, 0.5)
         u = random_field(g, nx * ny)
-        padded = np.zeros((nx + 2, ny + 2))
+        padded = np.zeros((ny + 2, nx + 2))
         padded[1:-1, 1:-1] = u.values2d()
-        ref = 0.25 * (padded[:-1, :-1] + padded[1:, :-1] + padded[:-1, 1:] + padded[1:, 1:])
+        # corner, x-neighbour, y-neighbour, diagonal
+        ref = 0.25 * (padded[:-1, :-1] + padded[:-1, 1:] + padded[1:, :-1] + padded[1:, 1:])
         assert _bits(_cell_sums(u)) == _bits(ref)
 
     @pytest.mark.parametrize("nx,ny", SHAPES)
     @pytest.mark.parametrize("exponent", [-1.0, -0.5, 0.0, 0.5])
     def test_cell_weights_match_formula(self, nx, ny, exponent):
         g = build_grid(nx, ny, 0.5)
-        col = g.hx * g.hy * np.power(g.xc, exponent)[:, None]
-        assert _bits(cell_weights(g, exponent)) == _bits(np.broadcast_to(col, (nx + 1, ny + 1)))
+        row = g.hx * g.hy * np.power(g.xc, exponent)[None, :]
+        assert _bits(cell_weights(g, exponent)) == _bits(np.broadcast_to(row, (ny + 1, nx + 1)))
         yw = lambda y: np.exp(-2.0 * y)
-        assert _bits(cell_weights(g, exponent, theta=2.0)) == _bits(col * yw(g.yc)[None, :])
+        assert _bits(cell_weights(g, exponent, theta=2.0)) == _bits(row * yw(g.yc)[:, None])
 
     @pytest.mark.parametrize("nx,ny", SHAPES)
     @pytest.mark.parametrize("exponent", [-0.5, 0.0, 0.5])

@@ -37,26 +37,27 @@ def _bits(a):
 
 
 def signed_zero_field(g, seed):
-    """Random values with an exact +0.0 row, a -0.0 column and scattered
-    -0.0 entries."""
+    """Random values with an exact +0.0 y-row, a -0.0 x-column and
+    scattered -0.0 entries."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((g.nx, g.ny))
-    v[rng.random((g.nx, g.ny)) < 0.2] = -0.0
-    v[rng.integers(g.nx), :] = 0.0
-    v[:, rng.integers(g.ny)] = -0.0
+    v = rng.standard_normal((g.ny, g.nx))
+    v[rng.random((g.ny, g.nx)) < 0.2] = -0.0
+    v[rng.integers(g.ny), :] = 0.0
+    v[:, rng.integers(g.nx)] = -0.0
     return GridFunction(g, v)
 
 
 def ref_averages(u):
     g = u.grid
-    padded = np.zeros((g.nx + 2, g.ny + 2))
+    padded = np.zeros((g.ny + 2, g.nx + 2))
     padded[1:-1, 1:-1] = u.values2d()
-    return 0.25 * (padded[:-1, :-1] + padded[1:, :-1] + padded[:-1, 1:] + padded[1:, 1:])
+    # corner, x-neighbour, y-neighbour, diagonal
+    return 0.25 * (padded[:-1, :-1] + padded[:-1, 1:] + padded[1:, :-1] + padded[1:, 1:])
 
 
 def ref_weights(g, exponent, y_weight=None):
-    w = np.broadcast_to(g.hx * g.hy * np.power(g.xc, exponent)[:, None], (g.nx + 1, g.ny + 1))
-    return w if y_weight is None else w * np.asarray(y_weight(g.yc))[None, :]
+    w = np.broadcast_to(g.hx * g.hy * np.power(g.xc, exponent)[None, :], (g.ny + 1, g.nx + 1))
+    return w if y_weight is None else w * np.asarray(y_weight(g.yc))[:, None]
 
 
 def ref_inner(u, v, exponent, y_weight=None):
@@ -66,9 +67,9 @@ def ref_inner(u, v, exponent, y_weight=None):
 def ref_dy(u):
     v, h = u.values2d(), u.grid.hy
     out = np.empty_like(v)
-    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * h)
-    out[:, 0] = (v[:, 1] - v[:, 0]) / h
-    out[:, -1] = (v[:, -1] - v[:, -2]) / h
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (v[1] - v[0]) / h
+    out[-1] = (v[-1] - v[-2]) / h
     return out.reshape(u.grid.n)
 
 
@@ -87,13 +88,13 @@ def ref_power(a, q):
 def ref_apply(g, values):
     """The 5-point stencil summed from 0.0 in the matrix's row order."""
     x_step, y_step = 1 / (2.0 * g.hx * g.hx), 1 / g.hy
-    c = (g.x**g.alpha)[:, None]
-    u = values.reshape(g.nx, g.ny)
+    c = g.x**g.alpha
+    u = values.reshape(g.ny, g.nx)
     out = np.zeros_like(u)
-    out[1:] += -1.0 * x_step * u[:-1]
-    out[:, 1:] += c * (-1.0 * y_step) * u[:, :-1]
+    out[1:] += c * (-1.0 * y_step) * u[:-1]  # south
+    out[:, 1:] += -1.0 * x_step * u[:, :-1]  # west
     out += (2.0 * x_step + c * y_step) * u
-    out[:-1] += -1.0 * x_step * u[1:]
+    out[:, :-1] += -1.0 * x_step * u[:, 1:]  # east
     return out.reshape(g.n)
 
 
@@ -369,5 +370,5 @@ class TestPeakAllocation:
 def test_cell_sums_return_one_contiguous_cell_array():
     g = build_grid(5, 4, 0.5)
     cells = _cell_sums(signed_zero_field(g, 1))
-    assert cells.shape == (g.nx + 1, g.ny + 1)
+    assert cells.shape == (g.ny + 1, g.nx + 1)
     assert cells.flags.c_contiguous and cells.flags.owndata

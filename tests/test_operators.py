@@ -33,9 +33,9 @@ def interior_rows(grid, x_margin=1, y_lo=1, y_hi=0):
     """Flat indices of nodes at least x_margin/y_lo/y_hi nodes away from
     the respective boundaries."""
     idx = []
-    for i in range(x_margin, grid.nx - x_margin):
-        for j in range(y_lo, grid.ny - y_hi):
-            idx.append(i * grid.ny + j)
+    for j in range(y_lo, grid.ny - y_hi):
+        for i in range(x_margin, grid.nx - x_margin):
+            idx.append(j * grid.nx + i)
     return np.array(idx)
 
 
@@ -47,10 +47,10 @@ class TestAssemble:
         assert op.matrix.shape == (small_grid.n, small_grid.n)
 
     def test_upwind_row_matches_hand_stencil(self):
-        g = build_grid(5, 5, 0.5)
+        g = build_grid(5, 6, 0.5)
         op = assemble(g)
-        i, j = 2, 2
-        row = op.matrix.getrow(i * g.ny + j).toarray().ravel()
+        i, j = 2, 3
+        row = op.matrix.getrow(j * g.nx + i).toarray().ravel()
         c = g.x[i] ** 0.5
         expected = {
             (i, j): 1.0 / g.hx**2 + c / g.hy,
@@ -59,7 +59,7 @@ class TestAssemble:
             (i, j - 1): -c / g.hy,
         }
         for (ii, jj), val in expected.items():
-            assert row[ii * g.ny + jj] == pytest.approx(val, rel=1e-14)
+            assert row[jj * g.nx + ii] == pytest.approx(val, rel=1e-14)
         assert np.count_nonzero(row) == 4
 
     def test_constant_annihilated_away_from_boundary(self, small_grid):
@@ -93,8 +93,8 @@ class TestSolve:
         # same bits, zeros and their signs included
         g = build_grid(nx, ny, 0.5)
         rough = random_field(g, nx).values2d().copy()
-        rough[:, : ny // 2] = 0.0  # the first rows that couple anything sit halfway up
-        rough[::2, 1] = -0.0
+        rough[: ny // 2] = 0.0  # the first rows that couple anything sit halfway up
+        rough[1, ::2] = -0.0
         fields = [
             named_field(g, "sinsin"),
             random_field(g, ny),
@@ -104,7 +104,7 @@ class TestSolve:
         ]
         for f in fields:
             u, _ = solve_dirichlet(g, f)
-            assert g.y_rows(u.values).tobytes() == DirichletSolver(g).solve(g.y_rows(f.values)).tobytes()
+            assert u.values.tobytes() == DirichletSolver(g).solve(f.values).tobytes()
 
     def test_zero_rhs_zero_solution(self, small_grid):
         u, rep = solve_dirichlet(small_grid, GridFunction.zeros(small_grid))
@@ -216,7 +216,7 @@ class TestSolve:
         from scipy.linalg import lapack
 
         g = build_grid(80, 48, 0.5)
-        rhs = g.y_rows(random_field(g, 3).values).copy()
+        rhs = random_field(g, 3).values2d().copy()
 
         def march():
             rows = rhs.copy()
@@ -259,7 +259,7 @@ class TestSolve:
         # below the round-off floor the one march solve is checked and
         # reported, never refined
         f = GridFunction.from_callable(small_grid, lambda X, Y: np.sin(3 * X + Y))
-        u = small_grid.grid_order(DirichletSolver(small_grid).solve(small_grid.y_rows(f.values)))
+        u = DirichletSolver(small_grid).solve(f.values)
         floor = operators.euclidean_norm(_apply(small_grid, u) - f.values)
         calls = []
         original = operators._march
@@ -287,31 +287,28 @@ class TestSolve:
 
 
 def _assert_march_matches_superlu(grid, rhs, last_row=None):
-    """Forward and adjoint march solves of the y-rows rhs equal spsolve on A
-    and A^T, in the matrix's order i*ny + j, on the y-rows a solve bounded
-    by last_row reads, and are zero on the others."""
+    """Forward and adjoint march solves of the node values rhs equal
+    spsolve on A and A^T, in the matrix's order j*nx + i, on the y-rows a
+    solve bounded by last_row reads, and are zero on the others."""
     solver = DirichletSolver(grid)
     A = assemble(grid).matrix.tocsc()
     nx, ny = grid.nx, grid.ny
-    flat = grid.grid_order(rhs)
     for adjoint, got, ref in (
-        (False, solver.solve(rhs, last_row), spla.spsolve(A, flat)),
-        (True, solver.solve_adjoint(rhs, last_row), spla.spsolve(A.T.tocsc(), flat)),
+        (False, solver.solve(rhs, last_row), spla.spsolve(A, rhs)),
+        (True, solver.solve_adjoint(rhs, last_row), spla.spsolve(A.T.tocsc(), rhs)),
     ):
-        assert got.shape == rhs.shape == (ny, nx)
-        ref = grid.y_rows(ref)
+        assert got.shape == rhs.shape == (grid.n,)
         read = np.zeros((ny, nx), dtype=bool)
         read[_rows_read(adjoint, last_row)] = True
+        read = read.reshape(-1)
         assert np.linalg.norm(got[read] - ref[read]) <= 1e-12 * np.linalg.norm(ref[read])
         assert np.all(got[~read] == 0.0)
 
 
 def _random_rhs(nx, ny, alpha, seed):
-    """An nx x ny grid and a random right-hand side on it as C-contiguous
-    y-rows (ny, nx)."""
+    """An nx x ny grid and random node values on it."""
     grid = build_grid(nx, ny, alpha)
-    values = np.random.default_rng(seed).standard_normal(grid.n)
-    return grid, grid.y_rows(values)
+    return grid, np.random.default_rng(seed).standard_normal(grid.n)
 
 
 class TestYMarch:
@@ -338,29 +335,29 @@ class TestYMarch:
         # y_4, the adjoint march at y_8, and the rows before each start
         # solve to exact zeros
         grid, rhs = _random_rhs(11, 14, 0.5, 5)
-        rhs[:4] = 0.0
-        rhs[9:] = 0.0
+        rows = rhs.reshape(14, 11)
+        rows[:4] = 0.0
+        rows[9:] = 0.0
         _assert_march_matches_superlu(grid, rhs, last_row)
         solver = DirichletSolver(grid)
-        forward = solver.solve(rhs, last_row)
-        adjoint = solver.solve_adjoint(rhs, last_row)
+        forward = _solve(solver, rows, False, last_row)
+        adjoint = _solve(solver, rows, True, last_row)
         assert np.all(forward[:4] == 0.0) and np.all(forward[4] != 0.0)
         assert np.all(adjoint[9:] == 0.0) and np.all(adjoint[8] != 0.0)
 
     @pytest.mark.parametrize("last_row", [None, 2])
     def test_zero_rhs_solves_to_zero(self, last_row):
         grid = build_grid(6, 5, 0.5)
-        rhs = np.zeros((5, 6))
+        rhs = np.zeros(30)
         _assert_march_matches_superlu(grid, rhs, last_row)
         solver = DirichletSolver(grid)
         assert np.all(solver.solve(rhs, last_row) == 0.0) and np.all(solver.solve_adjoint(rhs, last_row) == 0.0)
 
-    @pytest.mark.parametrize("length", [12 * 12 - 1, 12 * 12, 2 * 12 * 12])
-    def test_flat_rhs_rejected(self, small_grid, length):
-        # a flat array, even of nx*ny entries, is no y-row layout
+    @pytest.mark.parametrize("length", [12 * 12 - 1, 12 * 12 + 1, 2 * 12 * 12])
+    def test_wrong_length_rejected(self, small_grid, length):
         solver = DirichletSolver(small_grid)
         for solve in (solver.solve, solver.solve_adjoint):
-            with pytest.raises(ValueError, match=re.escape("(ny, nx) = (12, 12)")):
+            with pytest.raises(ValueError, match=re.escape("(nx*ny,) = (144,)")):
                 solve(np.ones(length))
 
     @pytest.mark.parametrize("columns", [1, 3])
@@ -373,9 +370,10 @@ class TestYMarch:
                 solve(rhs)
 
 
-class TestYRows:
-    """A solve takes and returns y-rows, shape (ny, nx), row j holding
-    y-row j.  On a non-square grid a transposed read or write fails."""
+class TestNodeOrder:
+    """A solve takes and returns node values, flat in a field's order
+    j*nx + i, and marches them as y-rows.  On a non-square grid a
+    transposed read or write fails."""
 
     @pytest.mark.parametrize("nx,ny", [(6, 5), (5, 6)])
     @pytest.mark.parametrize("last_row", [None, 0, 3])
@@ -388,16 +386,17 @@ class TestYRows:
         g = build_grid(nx, ny, 0.5)
         f = random_field(g, nx)
         u, _ = solve_dirichlet(g, f)
-        rows = DirichletSolver(g).solve(g.y_rows(f.values))
-        assert rows.shape == (ny, nx)
-        assert rows.tobytes() == g.y_rows(u.values).tobytes()
+        got = DirichletSolver(g).solve(f.values)
+        assert got.shape == (g.n,)
+        assert got.tobytes() == u.values.tobytes()
 
     @pytest.mark.parametrize("nx,ny", [(6, 5), (5, 6)])
-    def test_flat_and_grid_shaped_rhs_rejected(self, nx, ny):
+    def test_2d_rhs_rejected(self, nx, ny):
+        # a solve takes the flat values, not either 2-D view of them
         solver = DirichletSolver(build_grid(nx, ny, 0.5))
-        for rhs in (np.ones(nx * ny), np.ones((nx, ny))):
+        for rhs in (np.ones((ny, nx)), np.ones((nx, ny))):
             for solve in (solver.solve, solver.solve_adjoint):
-                with pytest.raises(ValueError, match=re.escape(f"(ny, nx) = ({ny}, {nx})")):
+                with pytest.raises(ValueError, match=re.escape(f"(nx*ny,) = ({nx * ny},)")):
                     solve(rhs)
 
 
@@ -408,8 +407,9 @@ def _rows_read(adjoint, last_row):
     return np.s_[last_row:] if adjoint else np.s_[: last_row + 1]
 
 
-def _solve(solver, rhs, adjoint=False, last_row=None):
-    return (solver.solve_adjoint if adjoint else solver.solve)(rhs, last_row)
+def _solve(solver, rows, adjoint=False, last_row=None):
+    """The solve of the y-rows rows (ny, nx), as y-rows."""
+    return (solver.solve_adjoint if adjoint else solver.solve)(rows.reshape(-1), last_row).reshape(rows.shape)
 
 
 # bounds that are no integer: True would read as row 1, and 2.0 would pass
@@ -490,10 +490,10 @@ class TestMarchReuse:
         solver = DirichletSolver(small_grid)
         for last_row in (-1, small_grid.ny, *NO_ROW_INDEX):
             with pytest.raises(ValueError, match="last_row"):
-                solver.solve(np.ones((small_grid.ny, small_grid.nx)), last_row=last_row)
+                solver.solve(np.ones(small_grid.n), last_row=last_row)
 
     def test_numpy_integer_bound_accepted(self, small_grid):
-        rhs = small_grid.y_rows(random_field(small_grid, 8).values)
+        rhs = random_field(small_grid, 8).values2d()
         for adjoint in (False, True):
             got = _solve(DirichletSolver(small_grid), rhs, adjoint, np.int64(4))
             assert got.tobytes() == _solve(DirichletSolver(small_grid), rhs, adjoint, 4).tobytes()
@@ -505,9 +505,9 @@ class TestBoundedAdjoint:
     @pytest.mark.parametrize("last_row", range(NY))
     def test_rows_read_equal_the_unbounded_adjoint(self, last_row):
         grid = build_grid(self.NX, self.NY, 0.5)
-        rhs = grid.y_rows(random_field(grid, last_row).values)
-        b = DirichletSolver(grid).solve_adjoint(rhs, last_row=last_row)
-        f = DirichletSolver(grid).solve_adjoint(rhs)
+        rhs = random_field(grid, last_row).values2d()
+        b = _solve(DirichletSolver(grid), rhs, True, last_row)
+        f = _solve(DirichletSolver(grid), rhs, True)
         assert b[last_row:].tobytes() == f[last_row:].tobytes()
         assert np.all(b[:last_row] == 0.0)
 
@@ -521,14 +521,14 @@ class TestBoundedAdjoint:
         rhs[2:8] = np.random.default_rng(3).standard_normal((6, nx))
         for last_row, rows in ((7, 1), (4, 4), (0, 8)):
             calls.clear()
-            DirichletSolver(build_grid(nx, ny, 0.5)).solve_adjoint(rhs, last_row=last_row)
+            DirichletSolver(build_grid(nx, ny, 0.5)).solve_adjoint(rhs.reshape(-1), last_row=last_row)
             assert len(calls) == rows
 
     def test_bound_outside_the_grid_rejected(self, small_grid):
         solver = DirichletSolver(small_grid)
         for last_row in (-1, small_grid.ny, *NO_ROW_INDEX):
             with pytest.raises(ValueError, match="last_row"):
-                solver.solve_adjoint(np.ones((small_grid.ny, small_grid.nx)), last_row=last_row)
+                solver.solve_adjoint(np.ones(small_grid.n), last_row=last_row)
 
 
 class TestWeakForm:
@@ -613,7 +613,7 @@ class TestWeakForm:
         theta = 1.0
 
         def inner(a, b, exponent):
-            w = g.hx * g.hy * np.power(g.xc, exponent)[:, None] * np.exp(-theta * g.yc)[None, :]
+            w = g.hx * g.hy * np.power(g.xc, exponent)[None, :] * np.exp(-theta * g.yc)[:, None]
             return float(np.sum(w * (_cell_sums(a) * _cell_sums(b))))
 
         dphi = dy(phi)
@@ -637,10 +637,11 @@ class TestDiffAlong:
     def test_matches_moveaxis_formula(self, nx, ny, axis):
         g = build_grid(nx, ny, 0.5)
         values = random_field(g, nx + ny).values2d()
-        h = (g.hx, g.hy)[axis]
+        h = (g.hy, g.hx)[axis]
         got, ref = _diff_along(values, h, axis), _diff_along_moveaxis(values, h, axis)
         assert got.shape == ref.shape
         assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
-        # dx and dy flatten the result in the grid's C order
-        d = (dx, dy)[axis](GridFunction(g, values))
+        # dy differences along axis 0, dx along axis 1, and both flatten
+        # the result in the grid's C order
+        d = (dy, dx)[axis](GridFunction(g, values))
         assert d.values.tobytes() == np.ascontiguousarray(ref).reshape(g.n).tobytes()

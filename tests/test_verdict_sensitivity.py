@@ -61,7 +61,7 @@ def checkerboard(grid, f, u):
     """u plus a checkerboard of 0.1 max|u|.  Verify passes it: d_x, d_y and
     the cell averages of its pairings annihilate a checkerboard, so its
     residual order stays that of the true solve (1.03 on [32, 64])."""
-    i, j = np.indices((grid.nx, grid.ny))
+    j, i = np.indices((grid.ny, grid.nx))
     return GridFunction(grid, u.values + 0.1 * np.max(np.abs(u.values)) * (-1.0) ** (i + j).ravel())
 
 
@@ -88,7 +88,7 @@ def unweighted_gradient(game, i, f1, f2):
     nodes = game.follower(i)[0].nodes
     own = (f1 if i == 1 else f2).values[nodes]
     values = GRADIENT(game, i, f1, f2).values.copy()
-    values[nodes] = (values[nodes] - 2.0 * own) * game.grid.x.repeat(game.grid.ny)[nodes] ** -game.grid.alpha + 2.0 * own
+    values[nodes] = (values[nodes] - 2.0 * own) * np.tile(game.grid.x, game.grid.ny)[nodes] ** -game.grid.alpha + 2.0 * own
     return GridFunction(game.grid, values)
 
 
@@ -124,7 +124,7 @@ MUTANTS = {
     "solve-at-alpha-1": solve_mutant(lambda grid, f, u: solved_at(grid, f, 1.0)),
     "solve-at-1.2-alpha": solve_mutant(lambda grid, f, u: solved_at(grid, f, 1.2 * grid.alpha)),
     "solve-adjoint": solve_mutant(
-        lambda grid, f, u: GridFunction(grid, grid.grid_order(DirichletSolver(grid).solve_adjoint(grid.y_rows(f.values))))
+        lambda grid, f, u: GridFunction(grid, DirichletSolver(grid).solve_adjoint(f.values))
     ),
     "solve-checkerboard": solve_mutant(checkerboard),
     # exact below level 128, the true solve at 128: the last L2 order is -inf
