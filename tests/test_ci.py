@@ -56,21 +56,6 @@ def test_console_script_step_runs_the_solve_game_study_and_verify_verbs():
     assert step.rstrip().splitlines()[-1] == "cmp v1/verify_residuals.tsv v2/verify_residuals.tsv"
 
 
-def test_console_script_runs_a_non_square_game():
-    # every shipped config is square, so only this game can show a swap of
-    # nx and ny in the installed package; it writes under $RUNNER_TEMP, so
-    # the checkout stays as it was
-    (step,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Console script"]
-    config = '"$RUNNER_TEMP/game_40x24.yaml"'
-    lines = [
-        f"sed 's/nx: 64, ny: 64/nx: 40, ny: 24/' configs/benchmark_game.yaml > {config}",
-        f'grep -q "nx: 40, ny: 24" {config}',
-        f'degenash game --config {config} --out "$RUNNER_TEMP/game_40x24"',
-    ]
-    assert "\n".join(lines) in step
-    assert "grid: {nx: 64, ny: 64, alpha: 0.5}" in (ROOT / "configs" / "benchmark_game.yaml").read_text()
-
-
 def test_installed_package_is_imported_without_scipy_linalg_right_after_its_install():
     # the march's direct _flapack load, checked from the installed package
     # on each matrix Python, not only from src/

@@ -304,15 +304,14 @@ class TestNashSolve:
         assert math.isfinite(res.j1) and math.isfinite(res.j2)
 
     def test_control_just_outside_the_ball_reported_not_raised(self, monkeypatch):
-        # project_ball's output sits within round-off of M = 1e6, for the
-        # first of these draws by 1.2e-10 above it: admissible by certify's
-        # rule, though more than 1e-12 above M.  Which draw lands above M
-        # depends on the order control_norm sums in, so the draw is found
+        # project_ball's output sits within round-off of M = 1e6, for this
+        # draw by 1.16e-10 above it: admissible by certify's rule, though
+        # more than 1e-12 above M.  Which draw lands above M depends on the
+        # order control_norm sums in
         m = 1e6
         cfg = shipped_game(n=16, m1=m, m2=m)
-        draws = (1e7 * np.random.default_rng(seed).standard_normal(cfg.grid.n) for seed in range(100))
-        projected = (project_ball(GridFunction(cfg.grid, v), m, cfg.omega1, cfg.grid.alpha) for v in draws)
-        f1 = next(f for f in projected if control_norm(f, cfg.grid.alpha) > m)
+        v = 1e7 * np.random.default_rng(4).standard_normal(cfg.grid.n)
+        f1 = project_ball(GridFunction(cfg.grid, v), m, cfg.omega1, cfg.grid.alpha)
         assert control_norm(f1, cfg.grid.alpha) > m + 1e-12
         assert game_mod._admissible(cfg, 1, f1)
         zero = GridFunction.zeros(cfg.grid)
