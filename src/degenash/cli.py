@@ -185,7 +185,8 @@ def _check(rule: Rule | None, value, where: str):
 
 def _read(raw, table: dict, path: str) -> dict:
     """Read one section by its table: reject unknown keys, apply defaults,
-    convert values and check their rules.  Errors name path.key."""
+    convert values and check their rules.  A key given as null is an
+    error, also when the key has a default.  Errors name path.key."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a mapping, got {raw!r}")
     for name in raw:
@@ -194,6 +195,8 @@ def _read(raw, table: dict, path: str) -> dict:
     out = {}
     for name, key in table.items():
         where = f"{path}.{name}"
+        if name in raw and raw[name] is None:
+            raise ConfigError(f"{where}: key is null; give it a value")
         value = raw.get(name, key.default)
         if value is None:
             raise ConfigError(f"{where}: required field is missing")

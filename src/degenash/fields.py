@@ -2,7 +2,9 @@
 
 Named fields are sampled on the open grid.  Bump test functions are
 built from 1-D factors: each windowed Gaussian is an outer product of an
-x-array and a y-array, within 1e-14 * max|bump| of the 2-D formula.
+x-array and a y-array, and a bump is their sum, formed as one
+contraction over the Gaussians, within 1e-14 * max|bump| of the 2-D
+formula.
 """
 
 from __future__ import annotations
@@ -116,11 +118,14 @@ def bump_from_parameters(grid: Grid, params: dict) -> GridFunction:
     the boundary (so that all trace terms drop out exactly).
 
     Each windowed Gaussian a * exp(-((x-cx)**2 + (y-cy)**2) / (2 s s))
-    * w_x(x) * w_y(y) is separable, so it is built as the outer product
-    v (x) u, rows in y, of u = w_x * exp(-(x-cx)**2 / (2 s s)) and
+    * w_x(x) * w_y(y) is separable, so it is the outer product v (x) u,
+    rows in y, of u = w_x * exp(-(x-cx)**2 / (2 s s)) and
     v = w_y * a * exp(-(y-cy)**2 / (2 s s)): nx + ny exps per Gaussian,
-    not nx * ny.  The result lies within 1e-14 * max|bump| of the 2-D
-    formula.  The 1-D frame is computed once per grid."""
+    not nx * ny.  The bump is the sum of these outer products, formed as
+    one einsum contraction over the Gaussians into the result array; it
+    calls no BLAS routine and adds the Gaussians in their order.  The
+    result lies within 1e-14 * max|bump| of the 2-D formula.  The 1-D
+    frame is computed once per grid."""
     x, y, w_x, w_y = _bump_frame(grid)
     centers, widths, amps = (np.asarray(params[key]) for key in ("centers", "widths", "amps"))
     # row k of u and v holds the factors of Gaussian k
@@ -129,12 +134,4 @@ def bump_from_parameters(grid: Grid, params: dict) -> GridFunction:
     u *= w_x
     v = w_y * amps[:, None]
     v *= np.exp((y - centers[:, 1:]) ** 2 / q)
-    # einsum writes each outer product into its buffer without a hidden
-    # full-grid temporary and calls no BLAS routine; the terms are added
-    # in the order of the Gaussians
-    out = np.einsum("i,j->ij", v[0], u[0])
-    term = np.empty_like(out)
-    for u_k, v_k in zip(u[1:], v[1:]):
-        np.einsum("i,j->ij", v_k, u_k, out=term)
-        out += term
-    return GridFunction(grid, out)
+    return GridFunction(grid, np.einsum("ki,kj->ij", v, u))

@@ -92,7 +92,8 @@ class Follower(NamedTuple):
     """Follower i of a game: control region omega_i, observation region
     G_i, target yd_i and radius M_i, with the read-only arrays the game
     gathers on them once: yd_i on G_i's nodes, and x^-alpha (penalty and
-    deviation norms) and x^alpha (gradient) on omega_i's."""
+    deviation norms) and x^alpha (gradient) on omega_i's, the
+    powers of the grid's x-row picked by each node's column."""
 
     ctrl: RegionMask
     obs: RegionMask
@@ -161,7 +162,8 @@ class GameConfig:
         for i, (ctrl, obs, yd, m) in enumerate(
             ((self.omega1, self.g1_obs, self.yd1, self.m1), (self.omega2, self.g2_obs, self.yd2, self.m2)), 1
         ):
-            gathered = [yd.values[obs.nodes]] + [_nodal_x_power(self.grid, e)[ctrl.nodes] for e in (-alpha, alpha)]
+            column = ctrl.nodes % self.grid.nx
+            gathered = [yd.values[obs.nodes]] + [(self.grid.x**e)[column] for e in (-alpha, alpha)]
             for a in gathered:
                 a.flags.writeable = False
             followers[i] = Follower(ctrl, obs, yd, m, *gathered)
@@ -188,19 +190,11 @@ class NashResult:
     certification_margin: float
 
 
-@functools.lru_cache(maxsize=16)
-def _nodal_x_power(grid: Grid, exponent: float) -> np.ndarray:
-    """Read-only flat array of x**exponent at every interior node."""
-    w = np.tile(grid.x**exponent, grid.ny)
-    w.flags.writeable = False
-    return w
-
-
 def control_inner(u: GridFunction, v: GridFunction, alpha: float) -> float:
     """Lumped weighted inner product hx*hy * sum x^-alpha u v."""
     u._check_same_grid(v)
     g = u.grid
-    return float(g.hx * g.hy * np.sum(_nodal_x_power(g, -alpha) * u.values * v.values))
+    return float(g.hx * g.hy * np.sum(g.x**-alpha * u.values2d() * v.values2d()))
 
 
 def control_norm(f: GridFunction, alpha: float) -> float:

@@ -16,10 +16,10 @@ y-rows the Dirichlet march solves one after another, each contiguous.
 values2d() views them as (ny, nx), row j holding y-row j, and every
 module reads and writes that one layout.
 
-The x-part hx*hy * xc**exponent of the quadrature weights is computed once
-per (grid, exponent) and handed out as a read-only array; the one y-weight
-is the stabilizing exp(-theta*y), which takes a fresh array; a self-pairing
-weighted_inner(u, u, ...) is computed once per field, exponent > -1 and
+The quadrature weights hx*hy * xc**exponent * exp(-theta*yc) are computed
+once per (grid, exponent, theta) and handed out as one read-only array; at
+theta = 0, no y-weight, it is a broadcast view of one row, so no full-grid
+array is kept for it; a self-pairing weighted_inner(u, u, ...) is computed once per field, exponent > -1 and
 theta, and kept with the field as a float.  Cell averages are one fresh
 (ny+1, nx+1) array (_cell_sums), formed in a flat row layout that only
 _cell_sums knows, by contiguous passes that keep the bits of the plain
@@ -334,9 +334,10 @@ def _quadrature(w: np.ndarray, cells: np.ndarray) -> np.float64:
 
 
 @functools.lru_cache(maxsize=32)
-def _x_weights(grid: Grid, exponent: float) -> np.ndarray:
-    """Read-only hx*hy * xc**exponent broadcast to shape (ny+1, nx+1)."""
+def _weights(grid: Grid, exponent: float, theta: float) -> np.ndarray:
     w = grid.hx * grid.hy * np.power(grid.xc, exponent)
+    if theta != 0:
+        w = w * np.exp(-theta * grid.yc)[:, None]
     w.flags.writeable = False
     return np.broadcast_to(w, (grid.ny + 1, grid.nx + 1))
 
@@ -344,15 +345,13 @@ def _x_weights(grid: Grid, exponent: float) -> np.ndarray:
 def cell_weights(grid: Grid, exponent: float, theta: float = 0.0) -> np.ndarray:
     """Quadrature weights hx*hy * xc**exponent * exp(-theta*yc), shape (ny+1, nx+1).
 
-    At theta = 0 the result is a read-only view shared by every caller
-    with the same grid and exponent; otherwise it is a fresh array.  An
-    exponent that is not FINITE, or a theta that is not
-    FINITE_NONNEGATIVE, raises ValueError.
+    The result is a read-only array shared by every caller with the same
+    grid, exponent and theta, computed once; at theta = 0 it is a view of
+    one row of nx+1 weights.  An exponent that is not FINITE, or a theta
+    that is not FINITE_NONNEGATIVE, raises ValueError on every call.
     """
-    w = _x_weights(grid, FINITE.check("exponent", exponent))
-    if FINITE_NONNEGATIVE.check("theta", theta) == 0:
-        return w
-    return w * np.exp(-theta * grid.yc)[:, None]
+    FINITE.check("exponent", exponent)
+    return _weights(grid, exponent, FINITE_NONNEGATIVE.check("theta", theta))
 
 
 def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: float = 0.0) -> float:

@@ -143,6 +143,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^config.seed: required field is missing$"):
             parse_config(re.sub(r"^seed: \d+\n", "", text, flags=re.M))
 
+    # an explicit null is named as null, not as a missing key, also where
+    # the key has a default
+    NULL_KEYS = [
+        ("config.seed", re.sub(r"^seed: \d+$", "seed: null", (CONFIG_DIR / "study_coercivity.yaml").read_text(), flags=re.M)),
+        ("grid.alpha", MINIMAL_SOLVE.replace("alpha: 0.5", "alpha: null")),
+        ("solve.f.amplitude", MINIMAL_SOLVE.replace("{kind: sinsin}", "{kind: sinsin, amplitude: null}")),
+    ]
+
+    @pytest.mark.parametrize("where, text", NULL_KEYS, ids=[w for w, _ in NULL_KEYS])
+    def test_null_key_exits_2_naming_null(self, tmp_path, capsys, where, text):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: key is null; give it a value$"):
+            parse_config(text)
+        p = tmp_path / "run.yaml"
+        p.write_text(text)
+        assert main([command_of(text), "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert f"{where}: key is null" in capsys.readouterr().err
+
     def test_muckenhoupt_study_needs_no_seed(self):
         # the panel reads a fixed lattice of balls, not a draw
         assert parse_config("command: study\nstudy: {kind: muckenhoupt}\n").seed is None

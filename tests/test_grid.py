@@ -491,7 +491,8 @@ class TestQuadratureCaches:
         for a in _bump_frame(small_grid):
             with pytest.raises(ValueError):
                 a[0] = 1.0
-        # the y-weighted path hands out a fresh array
-        fresh = cell_weights(small_grid, 0.5, theta=1.0)
-        fresh[0, 0] = 1.0
-        assert cell_weights(small_grid, 0.5)[0, 0] < 1.0
+        # the y-weighted weights are cached as well, and as read-only
+        w = cell_weights(small_grid, 0.5, theta=1.0)
+        assert w is cell_weights(small_grid, 0.5, theta=1.0)
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0

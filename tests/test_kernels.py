@@ -21,7 +21,7 @@ import degenash.grid as grid
 import degenash.norms as norms
 import degenash.operators as operators
 from conftest import peak_bytes, random_field
-from degenash.fields import _FIELDS, FIELD_KINDS, bump_from_parameters, bump_parameter_sets, named_field
+from degenash.fields import _FIELDS, FIELD_KINDS, _window, bump_from_parameters, bump_parameter_sets, named_field
 from degenash.analysis import coercivity_check
 from degenash.grid import DegenerateWeightWarning, GridFunction, _cell_sums, _quadrature, build_grid, cell_weights, weighted_inner
 from degenash.norms import lq_norm, norms_of
@@ -83,6 +83,20 @@ def ref_power(a, q):
         6.0: lambda: ((a * a) * a) * ((a * a) * a),
     }
     return products[q]() if q in products else np.abs(a) ** q
+
+
+def ref_bump(g, params):
+    """The bump as the sum of its Gaussians' outer products v_k (x) u_k,
+    added one by one in the order of the Gaussians, from the same 1-D
+    factors as bump_from_parameters."""
+    x, y = g.x, g.y
+    out = np.zeros((g.ny, g.nx))
+    for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
+        q = -(2 * s * s)
+        u = np.exp((x - cx) ** 2 / q) * _window(x)
+        v = _window(y) * a * np.exp((y - cy) ** 2 / q)
+        out += np.outer(v, u)
+    return out
 
 
 def ref_apply(g, values):
@@ -149,6 +163,14 @@ class TestBitForBit:
         u, report = solve_dirichlet(g, f)
         r = ref_apply(g, u.values) - f.values
         assert report.residual_norm == math.sqrt(float(np.sum(r * r)))
+
+    @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
+    def test_bump_contraction(self, nx, ny):
+        # one contraction over the Gaussians, equal to adding their outer
+        # products one by one (np.array_equal: a zero may change sign)
+        g = build_grid(nx, ny, 0.5)
+        for params in bump_parameter_sets(5, seed=nx + 7 * ny):
+            assert np.array_equal(bump_from_parameters(g, params).values2d(), ref_bump(g, params))
 
     @pytest.mark.parametrize("kind", FIELD_KINDS)
     @pytest.mark.parametrize("amplitude", [-0.7, 0.0, -0.0])
