@@ -195,11 +195,9 @@ def _read(raw, table: dict, path: str) -> dict:
     out = {}
     for name, key in table.items():
         where = f"{path}.{name}"
-        if name in raw and raw[name] is None:
-            raise ConfigError(f"{where}: key is null; give it a value")
         value = raw.get(name, key.default)
         if value is None:
-            raise ConfigError(f"{where}: required field is missing")
+            raise ConfigError(f"{where}: key is null; give it a value" if name in raw else f"{where}: required field is missing")
         if isinstance(key.read, dict):
             value = _read(value, key.read, where)
         else:

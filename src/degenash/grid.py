@@ -19,11 +19,12 @@ module reads and writes that one layout.
 The quadrature weights hx*hy * xc**exponent * exp(-theta*yc) are computed
 once per (grid, exponent, theta) and handed out as one read-only array; at
 theta = 0, no y-weight, it is a broadcast view of one row, so no full-grid
-array is kept for it; a self-pairing weighted_inner(u, u, ...) is computed once per field, exponent > -1 and
-theta, and kept with the field as a float.  Cell averages are one fresh
-(ny+1, nx+1) array (_cell_sums), formed in a flat row layout that only
-_cell_sums knows, by contiguous passes that keep the bits of the plain
-four-corner formula; quadrature forms its weighted product in that array.
+array is kept for it.  A self-pairing weighted_inner(u, u, ...) is
+computed once per field, exponent > -1 and theta, and kept with the field
+as a float.  Cell averages are one fresh (ny+1, nx+1) array
+(_cell_sums), formed in a flat row layout that only _cell_sums knows, by
+contiguous passes that keep the bits of the plain four-corner formula;
+quadrature forms its weighted product in that array.
 
 Each input rule is a Rule, stated once in the module that owns the input
 and checked by both the library and the config; shared ones are here.
@@ -335,6 +336,7 @@ def _quadrature(w: np.ndarray, cells: np.ndarray) -> np.float64:
 
 @functools.lru_cache(maxsize=32)
 def _weights(grid: Grid, exponent: float, theta: float) -> np.ndarray:
+    """cell_weights of checked arguments, computed once per key."""
     w = grid.hx * grid.hy * np.power(grid.xc, exponent)
     if theta != 0:
         w = w * np.exp(-theta * grid.yc)[:, None]
