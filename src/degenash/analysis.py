@@ -3,9 +3,10 @@ scheme convergence, embedding ratios, and a Muckenhoupt lattice panel.
 The caps a pass-or-fail verdict is judged by are module constants, echoed in
 its thresholds, as is the inclusion study's reference norm w11_exact(alpha);
 so are the stabilizing weight exp(-THETA*y), the embedding exponents
-Q_VALUES, the sample counts COERCIVITY_SAMPLES and EMBEDDING_SAMPLES, and the
-sinsin manufactured solution of the convergence study.  Each study checks
-its inputs by the Rules the config reads (grid.Rule)."""
+Q_VALUES, the sample counts and stream seeds COERCIVITY_SAMPLES,
+EMBEDDING_SAMPLES, COERCIVITY_SEED and EMBEDDING_SEED, and the sinsin
+manufactured solution of the convergence study.  Each study checks its
+inputs by the Rules the config reads (grid.Rule)."""
 
 from __future__ import annotations
 
@@ -43,9 +44,12 @@ ORDER_THRESHOLD = 0.9
 THETA = 1.0
 # The exponents q of the embedding study's L^q/W11 ratios, each in [2, 4].
 Q_VALUES = (2.0, 3.0, 4.0)
-# The random bumps the coercivity check and the embedding study sample.
+# The random bumps the coercivity check and the embedding study sample, and
+# their streams' seeds, the shipped configs' former seeds: no table moved.
 COERCIVITY_SAMPLES = 200
 EMBEDDING_SAMPLES = 100
+COERCIVITY_SEED = 3
+EMBEDDING_SEED = 5
 
 
 def _levels(least: int) -> Rule:
@@ -153,7 +157,7 @@ def coercivity_delta(theta: float, mu: float) -> float:
     return float(np.min([math.exp(-theta), theta * math.exp(-theta) / 8.0, theta * math.exp(-theta) / (8.0 * mu)]))
 
 
-def coercivity_check(seed: int, nx: int = 64, ny: int = 64, alpha: float = 0.5) -> StudyResult:
+def coercivity_check(nx: int = 64, ny: int = 64, alpha: float = 0.5) -> StudyResult:
     """Check a(v,v) >= delta_h ||v||_W11^2 over COERCIVITY_SAMPLES random
     smooth bumps, a weighted by exp(-THETA*y).
 
@@ -167,7 +171,7 @@ def coercivity_check(seed: int, nx: int = 64, ny: int = 64, alpha: float = 0.5) 
     """
     grid = build_grid(nx, ny, alpha)
     mu_samples, form_values, w11_sqs = [], [], []
-    for p in bump_parameter_sets(COERCIVITY_SAMPLES, seed):
+    for p in bump_parameter_sets(COERCIVITY_SAMPLES, COERCIVITY_SEED):
         v = bump_from_parameters(grid, p)
         dxv = dx(v)
         l2_sq = weighted_inner(v, v, 0.0)
@@ -243,7 +247,9 @@ def observed_orders(levels: Sequence[int], errs: Sequence[float]) -> list[float]
     """The order of errs between consecutive levels, by the mesh widths
     1/(n+1): NaN where an error is not finite, and +inf or -inf where one
     vanishes or first appears under refinement, so NaN and -inf pass no threshold.
-    Levels and errs of unequal lengths raise ValueError."""
+    Levels that are not strictly increasing, each at least 2, or levels
+    and errs of unequal lengths raise ValueError."""
+    levels = _levels(2).check("levels", list(levels))
     if len(levels) != len(errs):
         raise ValueError(f"observed_orders needs one error per level, got {len(levels)} levels and {len(errs)} errors")
     out = []
@@ -284,7 +290,7 @@ def convergence_study(levels: Sequence[int], alpha: float = 0.5) -> StudyResult:
     )
 
 
-def embedding_study(levels: Sequence[int], seed: int = 0, alpha: float = 0.5) -> StudyResult:
+def embedding_study(levels: Sequence[int], alpha: float = 0.5) -> StudyResult:
     """Max L^q/W11 ratio over a fixed family of EMBEDDING_SAMPLES random
     bumps, per level and q in Q_VALUES, in the series max_ratio_q{q:g}.
 
@@ -294,7 +300,7 @@ def embedding_study(levels: Sequence[int], seed: int = 0, alpha: float = 0.5) ->
     """
     levels = LEVELS["embedding"].check("levels", list(levels))
     names = [f"max_ratio_q{q:g}" for q in Q_VALUES]
-    params = bump_parameter_sets(EMBEDDING_SAMPLES, seed)
+    params = bump_parameter_sets(EMBEDDING_SAMPLES, EMBEDDING_SEED)
     series: dict[str, list[float]] = {name: [] for name in names}
     for level in levels:
         grid = build_grid(level, level, alpha)

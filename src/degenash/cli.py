@@ -3,8 +3,8 @@
 Configs are YAML, each key in the section of the run that reads it (see
 configs/ and README for the grammar), read by libyaml's CSafeLoader when
 PyYAML has it and by SafeLoader otherwise; a game's regions must each
-hold a node of its grid, and only the coercivity and embedding studies
-read a seed: every run checks a given seed, and the others echo None.
+hold a node of its grid.  No run reads a seed: the sampling studies draw
+from fixed streams, and --seed is checked and ignored.
 A study section holds its kind, plus its levels when the kind is one of
 analysis.LEVELS.  Verify solves for the sinsin forcing and tests the
 weak form against fixed functions by the convergence study's
@@ -55,7 +55,6 @@ from .norms import norms_of
 from .operators import RESIDUAL_TOL, dy, solve_dirichlet, weak_form_residual
 
 COMMANDS = ("solve", "verify", "study", "game")
-SAMPLING_STUDY_KINDS = ("coercivity", "embedding")
 REGIONS = ("omega", "omega1", "omega2", "g1_obs", "g2_obs")
 # Rows a table writer renders and writes at a time.
 CHUNK_ROWS = 4096
@@ -113,7 +112,6 @@ def _list_of(kind) -> Callable:
 
 TOP = {
     "command": Key(_text, None, Rule.one_of(COMMANDS)),
-    "seed": Key(_integer, 0, SEED),
     "output_dir": Key(_text, "out"),
 }
 GRID = {"nx": Key(_integer, 64, NODES), "ny": Key(_integer, 64, NODES), "alpha": Key(_real, 0.5, ALPHA)}
@@ -141,7 +139,6 @@ STUDY_KIND = Key(_text, None, Rule.one_of(STUDIES))
 @dataclass
 class RunConfig:
     command: str
-    seed: int | None  # None unless the run draws from it, as the grid keys
     output_dir: str
     nx: int | None = None  # a grid key the run does not read stays None
     ny: int | None = None
@@ -214,7 +211,7 @@ def parse_config(text: str) -> RunConfig:
 
     Each section holds only the keys its run reads (a run with levels reads
     alpha alone of the grid, a muckenhoupt study no grid); unknown keys are
-    errors.  The coercivity and embedding studies require an explicit seed."""
+    errors."""
     return _parse(_mapping(text))
 
 
@@ -242,10 +239,7 @@ def _parse(raw: dict) -> RunConfig:
     tables = {"grid": {"alpha": GRID["alpha"]} if "levels" in table else GRID, command: table}
     if kind == "muckenhoupt":
         del tables["grid"]
-    keys = {**TOP, "seed": Key(_integer, None, SEED)} if kind in SAMPLING_STUDY_KINDS else TOP  # seed required
-    top = _read({k: v for k, v in raw.items() if k not in tables}, keys, "config")
-    if kind not in SAMPLING_STUDY_KINDS:
-        top["seed"] = None  # read and checked above, but this run draws nothing
+    top = _read({k: v for k, v in raw.items() if k not in tables}, TOP, "config")
     sections = {name: _read(raw.get(name, {}), table, name) for name, table in tables.items()}
     grid = sections.pop("grid", {})
     cfg = RunConfig(**top, **grid, **sections)
@@ -388,17 +382,16 @@ def _run_verify(cfg: RunConfig, out: Path) -> tuple[dict, str]:
 
 def _run_study(cfg: RunConfig, out: Path) -> tuple[dict, str]:
     """Call the kind's study with what _parse read for it: the section's
-    keys, the grid keys the run reads (those not None) and, for a
-    sampling kind, the seed.  The table is built on each call, so a study
-    name rebound in this module (by a tracer, say) is the one called."""
+    keys and the grid keys the run reads (those not None).  The table is
+    built on each call, so a study name rebound in this module (by a
+    tracer, say) is the one called."""
     kind = cfg.study["kind"]
     study = {
         "convergence": convergence_study, "energy": energy_estimate_study, "coercivity": coercivity_check,
         "inclusion": strict_inclusion_demo, "embedding": embedding_study, "muckenhoupt": muckenhoupt_study,
     }[kind]
     grid = {k: getattr(cfg, k) for k in GRID if getattr(cfg, k) is not None}
-    seed = {"seed": cfg.seed} if kind in SAMPLING_STUDY_KINDS else {}
-    result = study(**{k: v for k, v in cfg.study.items() if k != "kind"}, **grid, **seed)
+    result = study(**{k: v for k, v in cfg.study.items() if k != "kind"}, **grid)
     _study_tables(out, result)
     results = {
         "kind": kind,
@@ -484,7 +477,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="YAML run config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", type=int, default=None, help="checked, then ignored: no run reads a seed")
         p.add_argument("--level-override", type=int, default=None,
                        help="drop the levels above n (verify and the studies with levels), or set the grid "
                             "to n x n (solve, game, coercivity study); a muckenhoupt study rejects it")
@@ -500,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{args.config}: not UTF-8 text: {exc}") from None
         if args.seed is not None:
-            raw["seed"] = _check(TOP["seed"].rule, args.seed, "--seed")
+            _check(SEED, args.seed, "--seed")
         if args.out is not None:
             raw["output_dir"] = args.out
         cfg = _parse(raw)

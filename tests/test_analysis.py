@@ -70,6 +70,13 @@ def test_observed_orders_needs_one_error_per_level(levels, errs):
         observed_orders(levels, errs)
 
 
+@pytest.mark.parametrize("levels", [[16, 16], [32, 16]], ids=["repeated", "decreasing"])
+def test_observed_orders_rejects_levels_that_do_not_strictly_increase(levels):
+    # a repeated level divides by log 1, a falling list reads a coarsening as an order
+    with pytest.raises(ValueError, match="^levels must be a strictly increasing list of levels"):
+        observed_orders(levels, [1.0, 0.5])
+
+
 @pytest.mark.parametrize(
     "study, levels",
     [
@@ -144,7 +151,7 @@ class TestCoercivity:
         # a NaN form value gives a NaN margin
         monkeypatch.setattr(analysis, "stabilized_form_value", lambda v, theta: math.nan)
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 4)
-        r = coercivity_check(seed=2, nx=12, ny=12)
+        r = coercivity_check(nx=12, ny=12)
         assert r.metrics["violations"] == [4.0]
         assert r.verdict is Verdict.FAIL
 
@@ -155,7 +162,7 @@ class TestCoercivity:
         form_values = iter([1.0, math.nan, 2.0])
         monkeypatch.setattr(analysis, "stabilized_form_value", lambda v, theta: next(form_values))
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 3)
-        r = coercivity_check(seed=2, nx=12, ny=12)
+        r = coercivity_check(nx=12, ny=12)
         margins = r.samples["margin"]
         assert math.isfinite(margins[0]) and math.isnan(margins[1]) and math.isfinite(margins[2])
         assert math.isnan(r.metrics["min_margin"][0])
@@ -174,7 +181,7 @@ class TestCoercivity:
 
         monkeypatch.setattr(analysis, "weighted_inner", nan_third)
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 3)
-        r = coercivity_check(seed=2, nx=12, ny=12)
+        r = coercivity_check(nx=12, ny=12)
         assert math.isnan(r.samples["mu_sample"][1]) and math.isfinite(r.samples["mu_sample"][0])
         assert math.isnan(r.metrics["mu_h"][0]) and math.isnan(r.metrics["delta_h"][0])
         assert r.verdict is Verdict.FAIL
@@ -196,8 +203,8 @@ class TestCoercivity:
     @pytest.mark.parametrize(
         "name, run",
         [
-            ("COERCIVITY_SAMPLES", lambda: coercivity_check(seed=2, nx=8, ny=8)),
-            ("EMBEDDING_SAMPLES", lambda: embedding_study(levels=(8, 16), seed=2)),
+            ("COERCIVITY_SAMPLES", lambda: coercivity_check(nx=8, ny=8)),
+            ("EMBEDDING_SAMPLES", lambda: embedding_study(levels=(8, 16))),
         ],
         ids=["coercivity", "embedding"],
     )
@@ -213,6 +220,31 @@ class TestCoercivity:
         run()
         assert counts == [3]
 
+    @pytest.mark.parametrize(
+        "name, run",
+        [
+            ("COERCIVITY_SEED", lambda: coercivity_check(nx=8, ny=8)),
+            ("EMBEDDING_SEED", lambda: embedding_study(levels=(8, 16))),
+        ],
+        ids=["coercivity", "embedding"],
+    )
+    def test_study_draws_from_its_seed_constant_when_called(self, monkeypatch, name, run):
+        # no argument picks the stream, so a test that needs another patches the constant
+        seeds = []
+
+        def parameter_sets(n, seed):
+            seeds.append(seed)
+            return bump_parameter_sets(n, seed)
+
+        monkeypatch.setattr(analysis, "bump_parameter_sets", parameter_sets)
+        monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 3)
+        monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", 3)
+        shipped = getattr(analysis, name)
+        run()
+        monkeypatch.setattr(analysis, name, shipped + 1)
+        run()
+        assert seeds == [shipped, shipped + 1]
+
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     def test_check_reads_theta(self, monkeypatch, theta):
         # the lemma holds at any theta > 0; the check weighs its form and
@@ -226,19 +258,20 @@ class TestCoercivity:
         monkeypatch.setattr(analysis, "THETA", theta)
         monkeypatch.setattr(analysis, "stabilized_form_value", form_value)
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 6)
-        r = coercivity_check(seed=2, nx=16, ny=16)
+        r = coercivity_check(nx=16, ny=16)
         assert set(thetas) == {theta} and r.thresholds["theta"] == theta
         assert r.metrics["delta_h"] == [coercivity_delta(theta, r.metrics["mu_h"][0])]
         assert r.verdict is Verdict.PASS
 
     def test_golden_min_margin(self, monkeypatch):
+        monkeypatch.setattr(analysis, "COERCIVITY_SEED", 2)
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 20)
-        r = coercivity_check(seed=2, nx=24, ny=24)
+        r = coercivity_check(nx=24, ny=24)
         assert r.metrics["min_margin"] == [0.18998597104966217]
 
     def test_small_run_no_violations(self, monkeypatch):
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 20)
-        r = coercivity_check(seed=2, nx=24, ny=24)
+        r = coercivity_check(nx=24, ny=24)
         assert r.metrics["violations"] == [0.0]
         assert r.verdict is Verdict.PASS
         assert min(r.samples["margin"]) >= 0.0
@@ -252,7 +285,7 @@ class TestCoercivity:
         bumps = iter([v, 6.0 * v])
         monkeypatch.setattr(analysis, "bump_from_parameters", lambda grid, p: next(bumps))
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 2)
-        m1, m2 = coercivity_check(seed=2, nx=24, ny=24).samples["margin"]
+        m1, m2 = coercivity_check(nx=24, ny=24).samples["margin"]
         assert m2 == pytest.approx(m1, rel=1e-10)
 
     def test_zero_field_fails_in_the_poincare_sample(self, monkeypatch):
@@ -263,12 +296,12 @@ class TestCoercivity:
         monkeypatch.setattr(analysis, "bump_from_parameters", lambda grid, p: GridFunction.zeros(grid))
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 3)
         with pytest.raises(ZeroDivisionError):
-            coercivity_check(seed=2, nx=10, ny=10)
+            coercivity_check(nx=10, ny=10)
 
     def test_deterministic(self, monkeypatch):
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 10)
-        a = coercivity_check(seed=7, nx=16, ny=16)
-        b = coercivity_check(seed=7, nx=16, ny=16)
+        a = coercivity_check(nx=16, ny=16)
+        b = coercivity_check(nx=16, ny=16)
         assert a.metrics == b.metrics and a.samples == b.samples
 
     def test_polynomial_form_value_against_quadrature_oracle(self):
@@ -351,7 +384,7 @@ class TestStrictInclusion:
 class TestEmbeddingStudy:
     def test_small_family(self, monkeypatch):
         monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", 20)
-        r = embedding_study(levels=(24, 48), seed=5)
+        r = embedding_study(levels=(24, 48))
         assert r.verdict is Verdict.PASS
         for series in r.metrics.values():
             assert series[-1] <= 1.1 * series[0]
@@ -372,10 +405,10 @@ class TestEmbeddingStudy:
     def test_series_follow_q_values(self, monkeypatch, q_values, names):
         monkeypatch.setattr(analysis, "Q_VALUES", q_values)
         monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", 3)
-        r = embedding_study(levels=(8, 16), seed=1)
+        r = embedding_study(levels=(8, 16))
         assert list(r.metrics) == names
         grid = build_grid(16, 16, 0.5)
-        bumps = [bump_from_parameters(grid, p) for p in bump_parameter_sets(3, 1)]
+        bumps = [bump_from_parameters(grid, p) for p in bump_parameter_sets(3, analysis.EMBEDDING_SEED)]
         for name, q in zip(names, q_values):
             assert r.metrics[name][1] == max(embedding_ratio(u, q) for u in bumps)
 
@@ -389,14 +422,14 @@ class TestEmbeddingStudy:
 
         monkeypatch.setattr(analysis, "embedding_ratio", nan_second_at_q2)
         monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", 3)
-        r = embedding_study(levels=(8, 16), seed=1)
+        r = embedding_study(levels=(8, 16))
         assert math.isnan(r.metrics["max_ratio_q2"][0]) and math.isfinite(r.metrics["max_ratio_q2"][1])
         assert all(math.isfinite(v) for name in ("max_ratio_q3", "max_ratio_q4") for v in r.metrics[name])
         assert r.verdict is Verdict.FAIL
 
     def test_ratios_positive(self, monkeypatch):
         monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", 5)
-        r = embedding_study(levels=(16, 32), seed=1)
+        r = embedding_study(levels=(16, 32))
         assert all(v > 0 for s in r.metrics.values() for v in s)
 
 
@@ -422,12 +455,12 @@ class TestOneSampleAtATime:
         peaks = []
         for n in (25, 100):
             monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", n)
-            peaks.append(peak_bytes(lambda: embedding_study(levels=(8, 128), seed=1)))
+            peaks.append(peak_bytes(lambda: embedding_study(levels=(8, 128))))
         assert peaks[1] - peaks[0] < 8 * 128 * 128
 
     def test_coercivity_check(self, monkeypatch):
         peaks = []
         for n in (25, 100):
             monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", n)
-            peaks.append(peak_bytes(lambda: coercivity_check(seed=1, nx=128, ny=128)))
+            peaks.append(peak_bytes(lambda: coercivity_check(nx=128, ny=128)))
         assert peaks[1] - peaks[0] < 8 * 128 * 128

@@ -2,9 +2,10 @@
 scipy series and runs on the Python the golden table digests were
 recorded on, and its lowest Python is the package's floor.  Its installed
 package loads no scipy.linalg at import, and its console script runs a
-solve, a game, a non-square game, a study and verify under two seeds, and it checks, before
-any test, that PyYAML has the libyaml loader the CLI reads configs with,
-and, after every step, that the checkout is as it was."""
+solve, a game, a study, and the coercivity study and verify under two
+seeds each, and it checks, before any test, that PyYAML has the libyaml
+loader the CLI reads configs with, and, after every step, that the
+checkout is as it was."""
 
 import json
 import re
@@ -44,13 +45,18 @@ def test_install_step_pins_the_series_the_golden_digests_were_recorded_with():
 
 
 def test_console_script_step_runs_the_solve_game_study_and_verify_verbs():
-    # the installed entry point reaches a study verdict, also of a seeded
-    # study whose section holds only its kind, and the weak-form check,
-    # whose table is the same under two seeds
+    # the installed entry point reaches a study verdict, also of the
+    # coercivity study, whose section holds only its kind, and the
+    # weak-form check; no run reads a seed, so each table is the same
+    # under two seeds
     (step,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Console script"]
     verbs = re.findall(r"^degenash (\w+) --config configs/\S+\.yaml", step, re.M)
-    assert verbs == ["solve", "game", "study", "study", "verify", "verify"]
-    assert "\ndegenash study --config configs/study_coercivity.yaml --level-override 16\n" in step
+    assert verbs == ["solve", "game", "study", "study", "study", "verify", "verify"]
+    coercivity = "degenash study --config configs/study_coercivity.yaml --level-override 16"
+    assert (
+        f"\n{coercivity} --seed 1 --out out/c1\n{coercivity} --seed 2 --out out/c2\n"
+        "cmp out/c1/study_samples.tsv out/c2/study_samples.tsv\n"
+    ) in step
     verify = "degenash verify --config configs/verify_weak_form.yaml"
     assert f"{verify} --seed 1 --out v1\n{verify} --seed 2 --out v2\n" in step
     assert step.rstrip().splitlines()[-1] == "cmp v1/verify_residuals.tsv v2/verify_residuals.tsv"

@@ -31,7 +31,7 @@ solve:
 
 GAME = (CONFIG_DIR / "benchmark_game.yaml").read_text()
 THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-STUDY = "command: study\nseed: 1\nstudy: {{kind: {}}}\n"
+STUDY = "command: study\nstudy: {{kind: {}}}\n"
 
 # The keys each study kind's section may carry besides `kind`.
 STUDY_KEYS = {
@@ -73,7 +73,7 @@ LOWEST_LEVELS = {
 
 
 def small_study(kind: str) -> str:
-    return f"command: study\nseed: 2\n{SMALL_STUDIES[kind]}\n"
+    return f"command: study\n{SMALL_STUDIES[kind]}\n"
 
 
 def command_of(text: str) -> str:
@@ -122,7 +122,7 @@ class TestParseConfig:
     def test_defaults_applied(self):
         cfg = parse_config(MINIMAL_SOLVE)
         assert cfg.solve["tol"] == 1e-10
-        assert cfg.seed is None  # a solve reads no seed
+        assert "seed" not in dataclasses.asdict(cfg)  # no run reads a seed
         assert parse_config("command: verify\n").verify == {"levels": [32, 64]}
 
     def test_alpha_out_of_range_names_constraint(self):
@@ -138,31 +138,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="command"):
             parse_config("command: simulate")
 
-    def test_sampling_commands_require_seed(self):
-        text = (CONFIG_DIR / "study_coercivity.yaml").read_text()
-        with pytest.raises(ConfigError, match="^config.seed: required field is missing$"):
-            parse_config(re.sub(r"^seed: \d+\n", "", text, flags=re.M))
-
     # an explicit null is named as null, not as a missing key, also where
     # the key has a default
     NULL_KEYS = [
-        ("config.seed", re.sub(r"^seed: \d+$", "seed: null", (CONFIG_DIR / "study_coercivity.yaml").read_text(), flags=re.M)),
+        ("config.output_dir", MINIMAL_SOLVE + "output_dir: null\n"),
         ("grid.alpha", MINIMAL_SOLVE.replace("alpha: 0.5", "alpha: null")),
         ("solve.f.amplitude", MINIMAL_SOLVE.replace("{kind: sinsin}", "{kind: sinsin, amplitude: null}")),
     ]
 
     @pytest.mark.parametrize("where, text", NULL_KEYS, ids=[w for w, _ in NULL_KEYS])
-    def test_null_key_exits_2_naming_null(self, tmp_path, capsys, where, text):
+    def test_null_key_exits_2_naming_null(self, tmp_path, monkeypatch, capsys, where, text):
         with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: key is null; give it a value$"):
             parse_config(text)
         p = tmp_path / "run.yaml"
         p.write_text(text)
-        assert main([command_of(text), "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        # no --out, which would stand for a null output_dir
+        monkeypatch.chdir(tmp_path)
+        assert main([command_of(text), "--config", str(p)]) == 2
         assert f"{where}: key is null" in capsys.readouterr().err
-
-    def test_muckenhoupt_study_needs_no_seed(self):
-        # the panel reads a fixed lattice of balls, not a draw
-        assert parse_config("command: study\nstudy: {kind: muckenhoupt}\n").seed is None
 
     def test_unknown_study_kind(self):
         with pytest.raises(ConfigError, match="study.kind"):
@@ -214,12 +207,14 @@ class TestParseConfig:
     )
     def test_unusable_study_value_names_field(self, kind, key, value):
         with pytest.raises(ConfigError, match=f"study.{key}"):
-            parse_config(f"command: study\nseed: 1\nstudy: {{kind: {kind}, {key}: {value}}}\n")
+            parse_config(f"command: study\nstudy: {{kind: {kind}, {key}: {value}}}\n")
 
     @pytest.mark.parametrize(
         "text, path",
         [
             pytest.param(MINIMAL_SOLVE + "tolerance: 1.0e-8\n", "config.tolerance", id="config"),
+            # the sampling studies draw from fixed streams, so no run reads a seed
+            pytest.param("seed: 3\n" + STUDY.format("coercivity"), "config.seed", id="seed"),
             pytest.param(MINIMAL_SOLVE + "study: {kind: energy}\n", "config.study", id="config-other-section"),
             pytest.param(MINIMAL_SOLVE.replace("alpha: 0.5}", "alpha: 0.5, nz: 4}"), "grid.nz", id="grid"),
             pytest.param(MINIMAL_SOLVE.replace("sinsin}", "sinsin, scale: 2}"), "solve.f.scale", id="solve-field"),
@@ -282,6 +277,9 @@ class TestParseConfig:
             *[pytest.param(f"grid: {{{key}: 32}}\n" + STUDY.format(kind), f"grid.{key}", id=f"{kind}-{key}")
               for kind in ("convergence", "energy", "inclusion", "embedding") for key in ("nx", "ny")],
             pytest.param("grid: {alpha: 0.5}\n" + STUDY.format("muckenhoupt"), "config.grid", id="muckenhoupt-grid"),
+            # and no run reads a seed: the sampling studies draw from fixed streams
+            *[pytest.param("seed: 3\n" + (CONFIG_DIR / f"study_{kind}.yaml").read_text(), "config.seed", id=f"{kind}-seed")
+              for kind in ("coercivity", "embedding")],
         ],
     )
     def test_key_outside_the_run_that_reads_it_exits_2(self, tmp_path, capsys, text, path):
@@ -295,8 +293,6 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "text, path",
         [
-            pytest.param(STUDY.format("muckenhoupt").replace("seed: 1", "seed: -1"), "config.seed", id="seed-negative"),
-            pytest.param(STUDY.format("muckenhoupt").replace("seed: 1", "seed: 1.5"), "config.seed", id="seed"),
             pytest.param(MINIMAL_SOLVE.replace("nx: 16", "nx: 16.5"), "grid.nx", id="nx"),
             pytest.param(MINIMAL_SOLVE.replace("ny: 16", "ny: 2.7"), "grid.ny", id="ny"),
         ],
@@ -638,14 +634,14 @@ class TestRun:
 
     # What each small study's run reads: its section's keys with their
     # defaults, the grid keys of the run (alpha alone with levels, none
-    # for muckenhoupt) and the seed of a sampling kind; the coercivity
-    # study runs under --level-override 8.
+    # for muckenhoupt), never a seed; the coercivity study runs under
+    # --level-override 8.
     DISPATCH = {
         "convergence": ("convergence_study", {"levels": [8, 16, 24], "alpha": 0.5}),
         "energy": ("energy_estimate_study", {"levels": [8, 16], "alpha": 0.5}),
-        "coercivity": ("coercivity_check", {"nx": 8, "ny": 8, "alpha": 0.5, "seed": 2}),
+        "coercivity": ("coercivity_check", {"nx": 8, "ny": 8, "alpha": 0.5}),
         "inclusion": ("strict_inclusion_demo", {"levels": [16, 32, 48], "alpha": 0.5}),
-        "embedding": ("embedding_study", {"levels": [8, 16], "alpha": 0.5, "seed": 2}),
+        "embedding": ("embedding_study", {"levels": [8, 16], "alpha": 0.5}),
         "muckenhoupt": ("muckenhoupt_study", {}),
     }
 
@@ -700,7 +696,7 @@ class TestDeterminism:
 
     @pytest.mark.usefixtures("few_samples")
     def test_coercivity_tables_byte_identical(self, tmp_path):
-        text = "command: study\nseed: 4\ngrid: {nx: 16, ny: 16, alpha: 0.5}\nstudy: {kind: coercivity}\n"
+        text = "command: study\ngrid: {nx: 16, ny: 16, alpha: 0.5}\nstudy: {kind: coercivity}\n"
         self._run_twice(text, tmp_path, ["study_levels.tsv", "study_samples.tsv"])
 
     def test_game_tables_byte_identical(self, tmp_path):
@@ -1003,34 +999,22 @@ class TestMain:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_verify_reads_no_seed(self, tmp_path):
-        # verify's test functions are fixed, so its table is the same under
-        # any seed or none; it still takes --seed, which perfbench/run.py passes
-        p = tmp_path / "verify.yaml"
-        p.write_text("command: verify\nverify: {levels: [6, 12]}\n")
-        tables = set()
-        for name, flags in [("s1", ["--seed", "1"]), ("s2", ["--seed", "2"]), ("none", [])]:
-            out = tmp_path / name
-            assert main(["verify", "--config", str(p), "--out", str(out), *flags]) == 0
-            tables.add((out / "verify_residuals.tsv").read_bytes())
-        assert len(tables) == 1
-
-    def test_game_reads_no_seed(self, tmp_path):
-        # certify draws from game.DEVIATION_SEED's stream, so the active
-        # game, whose margin moved with the seed, is the same under any seed
-        p = tmp_path / "game.yaml"
-        p.write_text(GAME.replace("m1: 1.0", "m1: 1.0e-4").replace("m2: 1.0", "m2: 1.0e-4"))
+    # no run reads a seed: the sampling studies draw from the fixed streams
+    # analysis.COERCIVITY_SEED and EMBEDDING_SEED, certify from
+    # game.DEVIATION_SEED's; every run still takes --seed, which
+    # perfbench/run.py passes to every verb alike
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem)
+    def test_tables_are_the_same_under_any_seed_flag(self, tmp_path, path):
+        verb = command_of(path.read_text())
+        override = ["--level-override", "16"] if verb == "game" else []
         runs = set()
         for name, flags in [("s1", ["--seed", "1"]), ("s2", ["--seed", "2"]), ("none", [])]:
             out = tmp_path / name
-            assert main(["game", "--config", str(p), "--out", str(out), "--level-override", "16", *flags]) == 0
-            report = json.loads((out / "report.json").read_text())
-            # the config echo, less where the run wrote, names no seed either
-            config = {k: v for k, v in report["config"].items() if k != "output_dir"}
-            tables = tuple((out / f).read_bytes() for f in ("game_residuals.tsv", "game_fields.tsv"))
-            runs.add((json.dumps(report["results"], sort_keys=True), json.dumps(config, sort_keys=True), tables))
-        assert len(runs) == 1
-        assert 0 < json.loads(runs.pop()[0])["certification_margin"] < 1e-6
+            assert main([verb, "--config", str(path), "--out", str(out), *override, *flags]) == 0
+            assert "seed" not in json.loads((out / "report.json").read_text())["config"]
+            runs.add(tuple((table.name, table.read_bytes()) for table in sorted(out.glob("*.tsv"))))
+        (tables,) = runs
+        assert tables
 
     def test_level_override_keeps_the_levels_up_to_it(self, tmp_path):
         # the shipped [16, 32, 64, 128, 256] runs as [16, 32]
@@ -1038,38 +1022,6 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["study", "--config", str(p), "--out", str(out), "--level-override", "32"]) == 0
         assert json.loads((out / "report.json").read_text())["results"]["levels"] == [16, 32]
-
-    def test_shipped_configs_state_a_seed_exactly_where_the_run_requires_one(self):
-        seeded, required = set(), set()
-        for path in CONFIG_DIR.glob("*.yaml"):
-            raw = yaml.safe_load(path.read_text())
-            if "seed" in raw:
-                seeded.add(path.stem)
-            try:
-                cli_mod._parse({k: v for k, v in raw.items() if k != "seed"})
-            except ConfigError as exc:
-                assert str(exc).startswith("config.seed: ")
-                required.add(path.stem)
-        assert seeded == required == {"study_coercivity", "study_embedding"}
-
-    # the game and a muckenhoupt study need no seed, but still take --seed,
-    # which perfbench/run.py passes to every verb alike; only a run that
-    # draws from the seed echoes it
-    @pytest.mark.parametrize("run", ["game", *cli_mod.SAMPLING_STUDY_KINDS, "muckenhoupt"])
-    @pytest.mark.usefixtures("few_samples")
-    def test_seed_flag_is_the_explicit_seed(self, tmp_path, run):
-        if run == "game":
-            text, flags = GAME, ["--level-override", "12"]
-        else:
-            text, flags = small_study(run), []
-        text = re.sub(r"^seed: \d+\n", "", text, flags=re.M)
-        assert "seed" not in text
-        p = tmp_path / "config.yaml"
-        p.write_text(text)
-        out = tmp_path / "out"
-        assert main([command_of(text), "--config", str(p), "--out", str(out), "--seed", "4", *flags]) == 0
-        echo = json.loads((out / "report.json").read_text())["config"]["seed"]
-        assert echo == (4 if run in cli_mod.SAMPLING_STUDY_KINDS else None)
 
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
@@ -1088,8 +1040,8 @@ class TestMain:
         assert main(["solve", "--config", str(p)]) == 0
         flags = json.loads((tmp_path / "flags" / "report.json").read_text())["config"]
         plain = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
-        assert (flags["seed"], flags["output_dir"], flags["nx"]) == (None, "flags", 8)
-        assert (plain["seed"], plain["output_dir"], plain["nx"], plain["ny"]) == (None, "out", 16, 16)
+        assert (flags["output_dir"], flags["nx"]) == ("flags", 8)
+        assert (plain["output_dir"], plain["nx"], plain["ny"]) == ("out", 16, 16)
 
     def test_parser_is_built_once(self, tmp_path):
         p = tmp_path / "study.yaml"
@@ -1112,17 +1064,6 @@ class TestMain:
             main(["solve"])
         assert exit_.value.code == 2
         assert "--config" in capsys.readouterr().err
-
-    @pytest.mark.usefixtures("few_samples")
-    def test_seed_override(self, tmp_path):
-        p = tmp_path / "study.yaml"
-        p.write_text(small_study("coercivity"))
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["study", "--config", str(p), "--out", str(out_a), "--seed", "42"])
-        main(["study", "--config", str(p), "--out", str(out_b), "--seed", "43"])
-        ta = (out_a / "study_samples.tsv").read_bytes()
-        tb = (out_b / "study_samples.tsv").read_bytes()
-        assert ta != tb
 
 
 class TestScripts:

@@ -1,8 +1,7 @@
 """Byte-identical tables (acceptance criterion 10 across changes).
 
-Every shipped config runs through the CLI as shipped, at its own seed
-if it reads one, except the game, which runs at --level-override 24 to keep the test
-short.  The solve example also runs at --level-override 512, the grid
+Every shipped config runs through the CLI as shipped, except the game,
+which runs at --level-override 24 to keep the test short.  The solve example also runs at --level-override 512, the grid
 the solve benchmark times.  The sha256 of every TSV it writes must equal
 the digest recorded here, and the results of its report.json, less the
 solve's wall time, must equal those recorded here; the results also hold

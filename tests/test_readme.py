@@ -19,7 +19,7 @@ CONSTANTS = {
     **dict.fromkeys(("BR_TOL", "BR_MAX_ITERS", "INNER_TOL", "INNER_MAX_ITERS", "DEVIATION_SAMPLES", "DEVIATION_SEED"), game),
     **dict.fromkeys(
         ("RATIO_CAP", "SAFETY", "GROWTH_CAP", "ORDER_THRESHOLD", "THETA", "Q_VALUES", "COERCIVITY_SAMPLES",
-         "EMBEDDING_SAMPLES"),
+         "EMBEDDING_SAMPLES", "COERCIVITY_SEED", "EMBEDDING_SEED"),
         analysis,
     ),
     "RESIDUAL_TOL": operators,

@@ -20,7 +20,6 @@ import degenash.grid as grid
 import degenash.norms as norms
 from conftest import CONFIG_DIR, shipped_game
 from degenash.analysis import (
-    coercivity_check,
     convergence_study,
     embedding_study,
     energy_estimate_study,
@@ -40,7 +39,7 @@ ONE = GridFunction(G, np.ones(G.n))
 
 
 def study(kind, **keys):
-    return {"command": "study", "seed": 1, "study": {"kind": kind, **keys}}
+    return {"command": "study", "study": {"kind": kind, **keys}}
 
 
 STUDY_CALLS = {
@@ -72,12 +71,6 @@ CASES = {
         for kind, call in STUDY_CALLS.items()
     },
     "levels-verify": (VERIFY, "verify.levels", [32], STUDY_CALLS["energy"], "levels", analysis.LEVELS["energy"]),
-    "seed": (
-        study("embedding"), "seed", -1, lambda v: embedding_study(levels=(8, 16), seed=v), "seed", grid.SEED,
-    ),
-    "seed-bumps": (
-        study("coercivity"), "seed", -1, lambda v: coercivity_check(seed=v, nx=8, ny=8), "seed", grid.SEED,
-    ),
     "m1": (
         GAME, "game.m1", -1.0, lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1",
         grid.FINITE_NONNEGATIVE,
@@ -116,13 +109,10 @@ def test_manufactured_kind_rule_rejects_an_unknown_pair():
 
 
 @pytest.mark.parametrize("seed", [True, 1.5])
-@pytest.mark.parametrize(
-    "call", [lambda s: bump_parameter_sets(2, s), lambda s: embedding_study(levels=(8, 16), seed=s)]
-)
-def test_seed_rule_rejects_what_numpy_would_take_or_misname(call, seed):
+def test_seed_rule_rejects_what_numpy_would_take_or_misname(seed):
     # numpy seeds with True as with 1, and fails on 1.5 with its own TypeError
     with pytest.raises(ValueError, match=f"^seed {grid.SEED.text}, got {seed!r}$"):
-        call(seed)
+        bump_parameter_sets(2, seed)
 
 
 # A library call per numeric rule, and the parameter its error names; each
@@ -181,7 +171,6 @@ SHARED = {
     "field.kind": (cli.FIELD["kind"].rule, fields.FIELD_KIND),
     "field.amplitude": (cli.FIELD["amplitude"].rule, grid.FINITE),
     "verify.levels": (cli.SECTIONS["verify"]["levels"].rule, analysis.LEVELS["energy"]),
-    "config.seed": (cli.TOP["seed"].rule, grid.SEED),
     "solve.tol": (cli.SECTIONS["solve"]["tol"].rule, grid.FINITE_POSITIVE),
     **{f"{kind}.levels": (cli.STUDIES[kind]["levels"].rule, rule) for kind, rule in analysis.LEVELS.items()},
 }
