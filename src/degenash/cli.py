@@ -47,7 +47,7 @@ from .analysis import (
     strict_inclusion_demo,
 )
 from .fields import FIELD_KIND, named_field
-from .game import GameConfig, NashResult, control_norm, nash_solve
+from .game import REGIONS, GameConfig, NashResult, control_norm, nash_solve
 from .grid import (
     ALPHA, FINITE, FINITE_POSITIVE, NODES, RECT, SEED, Grid, GridFunction, Rule, build_grid, rect_mask,
 )
@@ -55,7 +55,6 @@ from .norms import norms_of
 from .operators import RESIDUAL_TOL, dy, solve_dirichlet, weak_form_residual
 
 COMMANDS = ("solve", "verify", "study", "game")
-REGIONS = ("omega", "omega1", "omega2", "g1_obs", "g2_obs")
 # Rows a table writer renders and writes at a time.
 CHUNK_ROWS = 4096
 

@@ -1,6 +1,8 @@
 """Nodal field constructors shared by the studies, the game, and the tests.
 
-Named fields are sampled on the open grid.  Bump test functions are
+Named fields, and the one manufactured pair the convergence study
+solves for (u* = sin(pi x) sin(pi y) and its forcing), are sampled on the
+open grid.  Bump test functions are
 built from 1-D factors: each windowed Gaussian is an outer product of an
 x-array and a y-array, and a bump is their sum, formed as one
 contraction over the Gaussians, within 1e-14 * max|bump| of the 2-D
@@ -27,15 +29,8 @@ _FIELDS = {
     "xalpha_siny": lambda X, Y, alpha: X**alpha * np.sin(np.pi * Y),
     "right_half": lambda X, Y, alpha: (X > 0.5).astype(float),
 }
-# manufactured_pair's forcings f* = -1/2 u*_xx + x**alpha u*_y, by kind.
-_FORCINGS = {
-    "sinsin": lambda X, Y, alpha: (np.pi**2 / 2) * np.sin(np.pi * X) * np.sin(np.pi * Y) + X**alpha * np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y),
-    "poly": lambda X, Y, alpha: Y * (1 - Y) + X**alpha * X * (1 - X) * (1 - 2 * Y),
-}
 FIELD_KINDS = tuple(_FIELDS)
-MANUFACTURED_KINDS = tuple(_FORCINGS)
 FIELD_KIND = Rule.one_of(FIELD_KINDS)
-MANUFACTURED_KIND = Rule.one_of(MANUFACTURED_KINDS)
 
 
 def named_field(grid: Grid, kind: str, amplitude: float = 1.0) -> GridFunction:
@@ -56,15 +51,15 @@ def named_field(grid: Grid, kind: str, amplitude: float = 1.0) -> GridFunction:
     return GridFunction.from_callable(grid, scaled)
 
 
-def manufactured_pair(grid: Grid, kind: str = "sinsin") -> tuple[GridFunction, GridFunction]:
-    """Exact solution u* and forcing f* = -1/2 u*_xx + x**alpha u*_y.
+def manufactured_pair(grid: Grid) -> tuple[GridFunction, GridFunction]:
+    """The convergence study's exact solution u* = sin(pi x) sin(pi y) and
+    its forcing f* = -1/2 u*_xx + x**alpha u*_y."""
+    alpha = grid.alpha
 
-    'sinsin': u* = sin(pi x) sin(pi y);
-    'poly':   u* = x(1-x) y(1-y), whose diffusion part is exact under
-              centered differencing.
-    """
-    forcing = functools.partial(_FORCINGS[MANUFACTURED_KIND.check("kind", kind)], alpha=grid.alpha)
-    return named_field(grid, kind), GridFunction.from_callable(grid, forcing)
+    def forcing(X, Y):
+        return (np.pi**2 / 2) * np.sin(np.pi * X) * np.sin(np.pi * Y) + X**alpha * np.pi * np.sin(np.pi * X) * np.cos(np.pi * Y)
+
+    return named_field(grid, "sinsin"), GridFunction.from_callable(grid, forcing)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:

@@ -104,6 +104,10 @@ class Follower(NamedTuple):
     x_pow: np.ndarray
 
 
+# GameConfig's regions: the leader's, the followers' controls and their observations
+REGIONS = ("omega", "omega1", "omega2", "g1_obs", "g2_obs")
+
+
 @dataclass(frozen=True, eq=False)
 class GameConfig:
     """One game: its grid, regions, fields and ball radii.
@@ -131,11 +135,11 @@ class GameConfig:
         for f in fields(self):
             if "rule" in f.metadata:
                 f.metadata["rule"].check(f.name, getattr(self, f.name))
-        for name in ("omega", "omega1", "omega2", "g1_obs", "g2_obs", "g", "yd1", "yd2"):
+        for name in (*REGIONS, "g", "yd1", "yd2"):
             other = getattr(self, name).grid
             if other != self.grid:
                 raise ValueError(f"{name} lives on {other}, not on the game's grid {self.grid}")
-        for name in ("omega", "omega1", "omega2", "g1_obs", "g2_obs"):
+        for name in REGIONS:
             if getattr(self, name).count == 0:
                 raise ValueError(f"region {name} contains no interior nodes")
         if np.array_equal(self.yd1.values, self.yd2.values):
@@ -198,7 +202,7 @@ def control_inner(u: GridFunction, v: GridFunction, alpha: float) -> float:
 
 
 def control_norm(f: GridFunction, alpha: float) -> float:
-    return math.sqrt(max(control_inner(f, f, alpha), 0.0))
+    return math.sqrt(control_inner(f, f, alpha))
 
 
 def _within_ball(norm: float, m: float) -> bool:

@@ -158,9 +158,13 @@ class GridFunction:
     values is a flat float array of length nx*ny in C order of the
     (ny, nx) node lattice, i.e. entry j*nx + i holds the value at
     (x_i, y_j).  Boundary values are implicitly zero.  values is
-    read-only, as is the given array when values views it; derivatives,
-    norms and self-pairings are computed once and kept (_once).  Compares
-    and hashes by identity.
+    read-only; when values views the given array, so are that array and
+    the array that owns its memory (values.base), so no write through them
+    moves a value that a kept norm was computed from.  Another writable
+    view of that memory, made before the field, can still write it: only
+    a copy per field would close that.  Derivatives, norms and
+    self-pairings are computed once and kept (_once).  Compares and hashes
+    by identity.
     """
 
     grid: Grid
@@ -177,8 +181,8 @@ class GridFunction:
         if not np.isfinite(values).all():
             raise ValueError("GridFunction values must be finite (no NaN/Inf)")
         values.flags.writeable = False
-        if values.base is not None:  # values views the array it was built from
-            given.flags.writeable = False
+        if values.base is not None:  # values views the given array and the one that owns its memory
+            given.flags.writeable = values.base.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     def _once(self, key, compute: Callable[[], object]):
@@ -242,7 +246,10 @@ class GridFunction:
 @dataclass(frozen=True, eq=False)
 class RegionMask:
     """Boolean indicator over interior nodes (characteristic function), as
-    read-only as GridFunction's values.  Compares and hashes by identity."""
+    read-only as GridFunction's values: when the indicator views the given
+    array, that array and the one that owns its memory (indicator.base)
+    become read-only too, so the cached nodes keep agreeing with it.
+    Compares and hashes by identity."""
 
     grid: Grid
     indicator: np.ndarray
@@ -253,8 +260,8 @@ class RegionMask:
         if ind.size != self.grid.n:
             raise ValueError("indicator length does not match grid")
         ind.flags.writeable = False
-        if ind.base is not None:  # ind views the array it was built from
-            given.flags.writeable = False
+        if ind.base is not None:  # ind views the given array and the one that owns its memory
+            given.flags.writeable = ind.base.flags.writeable = False
         object.__setattr__(self, "indicator", ind)
 
     @functools.cached_property

@@ -22,11 +22,12 @@ norms_of is computed once per field and include_mixed and kept with the
 field (GridFunction._once), so embedding_ratio norms a field once for
 every q.  lq_norm(u, 2) reads the L^2 self-pairing kept with the field
 (grid.weighted_inner); lq_norm forms the cell averages again for each q
-other than 2: keeping them would keep a cell array alive per field.  A
-whole q takes |ub|**q from products in those buffers (_whole_power), not
-from pow: each carries at most about (q - 1) units of round-off, so the
-norm stays within about one unit of the pow formula, and every shipped
-table keeps its digest.
+other than 2: keeping them would keep a cell array alive per field.  The
+embedding exponents above 2, q = 3 and q = 4, take |ub|**q from products
+in those buffers, not from pow: each carries at most about (q - 1) units
+of round-off, so the norm stays within about one unit of the pow formula,
+and every shipped table keeps its digest.  Every other q takes one pow
+per cell.
 """
 
 from __future__ import annotations
@@ -94,14 +95,14 @@ def norms_of(u: GridFunction, include_mixed: bool = False) -> NormReport:
 def _norms(u: GridFunction, include_mixed: bool) -> NormReport:
     alpha = u.grid.alpha
     dxu, dyu = dx(u), dy(u)
-    l2 = math.sqrt(max(weighted_inner(u, u, 0.0), 0.0))
-    dx_l2 = math.sqrt(max(weighted_inner(dxu, dxu, 0.0), 0.0))
-    wdy = math.sqrt(max(weighted_inner(dyu, dyu, alpha), 0.0))
+    l2 = math.sqrt(weighted_inner(u, u, 0.0))
+    dx_l2 = math.sqrt(weighted_inner(dxu, dxu, 0.0))
+    wdy = math.sqrt(weighted_inner(dyu, dyu, alpha))
     w11 = math.sqrt(l2**2 + dx_l2**2 + wdy**2)
     mixed = v_norm = None
     if include_mixed:
         m = dx(dyu)
-        mixed = math.sqrt(max(weighted_inner(m, m, 0.0), 0.0))
+        mixed = math.sqrt(weighted_inner(m, m, 0.0))
         v_norm = math.sqrt(w11**2 + mixed**2)
     return NormReport(l2=l2, dx_l2=dx_l2, weighted_dy_l2=wdy, w11=w11, mixed_l2=mixed, v_norm=v_norm)
 
@@ -112,7 +113,7 @@ def l2_weighted_norm(f: GridFunction) -> float:
     A DegenerateWeightWarning fires when alpha >= 1 and f carries mass
     next to x=0.
     """
-    return math.sqrt(max(weighted_inner(f, f, -f.grid.alpha), 0.0))
+    return math.sqrt(weighted_inner(f, f, -f.grid.alpha))
 
 
 def lq_norm(u: GridFunction, q: float) -> float:
@@ -121,51 +122,33 @@ def lq_norm(u: GridFunction, q: float) -> float:
     q = 2 takes the square root of the self-pairing weighted_inner(u, u, 0.0),
     kept with u, with the bits of the general formula: |ub|**2.0 is
     numpy's ub * ub, and np.float64 ** 0.5 and float ** 0.5 are one pow.
-    A whole q forms |ub|**q from products (_whole_power): q = 3 is
-    |ub| * (ub * ub) and q = 4 is (ub * ub) * (ub * ub).  Each carries a
+    q = 3 and q = 4, the embedding exponents above 2, form |ub|**q from
+    products: q = 3 is (|ub| * |ub|) * |ub|, in one fresh array, and q = 4
+    squares ub * ub in place; an even power needs no abs.  Each carries a
     relative error of at most about (q - 1) units of round-off where pow
     rounds once (Higham 2002, sec. 3.1), so the norm, a q-th root, stays
-    within about one unit of the ** formula; q = 1 keeps its bits.  Any
-    other q takes |ub|**q by one pow per cell.  The weighted product is
-    formed in the array that holds |ub|**q.
+    within about one unit of the ** formula.  Every other q, 1, a
+    non-integer or a whole q >= 5, takes |ub|**q by one pow per cell.  The
+    weighted product is formed in the array that holds |ub|**q.
     """
     LQ_Q.check("q", q)
     if q == 2:
         return weighted_inner(u, u, 0.0) ** 0.5
     cells = _cell_sums(u)
-    if q == int(q):
-        power = _whole_power(cells, int(q))
+    if q == 4:
+        cells *= cells
+        cells *= cells
+        power = cells
     else:
-        # |ub|**q in the averages' own buffer
-        power = np.abs(cells, out=cells)
-        power **= q
-    return float(_quadrature(cell_weights(u.grid, 0.0), power) ** (1.0 / q))
-
-
-def _whole_power(cells: np.ndarray, n: int) -> np.ndarray:
-    """|cells| ** n for a whole n >= 1 by left-to-right binary powering.
-
-    A power of two squares cells in place; any other n writes its powers
-    into one fresh array of the same size, which it returns, and
-    multiplies them by cells, which an odd n first makes |cells|.  An even
-    n needs no abs: ub * ub is already non-negative, and a negative
-    product rounds as its magnitude does.
-    """
-    if n % 2:
+        # |ub| in the averages' own buffer
         np.abs(cells, out=cells)
-    if n & (n - 1) == 0:
-        while n > 1:
-            cells *= cells
-            n >>= 1
-        return cells
-    # cells**2 covers the leading one and the next bit; each later bit squares
-    power = np.multiply(cells, cells)
-    for i, bit in enumerate(bin(n)[3:]):
-        if i:
-            power *= power
-        if bit == "1":
+        if q == 3:
+            power = np.multiply(cells, cells)
             power *= cells
-    return power
+        else:
+            power = cells
+            power **= q
+    return float(_quadrature(cell_weights(u.grid, 0.0), power) ** (1.0 / q))
 
 
 def embedding_ratio(u: GridFunction, q: float) -> float:

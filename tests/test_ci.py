@@ -5,7 +5,8 @@ package loads no scipy.linalg at import, and its console script runs a
 solve, a game, a study, and the coercivity study and verify under two
 seeds each, and it checks, before any test, that PyYAML has the libyaml
 loader the CLI reads configs with, and, after every step, that the
-checkout is as it was."""
+checkout is as it was.  Its token may only read the repository's
+contents."""
 
 import json
 import re
@@ -17,7 +18,14 @@ import yaml
 from test_golden_tables import RECORDED_WITH
 
 ROOT = Path(__file__).resolve().parent.parent
-JOB = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())["jobs"]["tests"]
+WORKFLOW = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+JOB = WORKFLOW["jobs"]["tests"]
+
+
+def test_workflow_token_only_reads_the_contents():
+    # the job reads the checkout and writes nothing back to the repository
+    assert WORKFLOW["permissions"] == {"contents": "read"}
+    assert "permissions" not in JOB
 
 
 def test_benchmark_gate_loops_over_exactly_the_benchmark_workloads():

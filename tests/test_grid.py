@@ -14,7 +14,6 @@ from degenash.fields import (
     CUTOFF_HI,
     CUTOFF_LO,
     FIELD_KINDS,
-    MANUFACTURED_KINDS,
     _bump_frame,
     bump_from_parameters,
     bump_parameter_sets,
@@ -195,17 +194,24 @@ class TestValueSemantics:
         with pytest.raises(dataclasses.FrozenInstanceError):
             u.values = np.zeros(small_grid.n)
 
-    @pytest.mark.parametrize("layout", ["flat", "2d", "view"])
+    @pytest.mark.parametrize("layout", ["flat", "2d", "view", "owner"])
     def test_the_array_it_views_is_read_only(self, small_grid, layout):
+        # owner: a write to the array that owns a viewed memory once moved
+        # the values, but not the norms kept from them
         g = small_grid
+        owner = np.ones(g.n + 3)
         given = {
             "flat": np.ones(g.n),
             "2d": np.ones((g.ny, g.nx)),
-            "view": np.ones(g.n + 3)[2:-1],
+            "view": owner[2:-1],
+            "owner": owner[2:-1],
         }[layout]
         u = GridFunction(g, given)
         with pytest.raises(ValueError, match="read-only"):
-            given[(0,) * given.ndim] = 2.0
+            if layout == "owner":
+                owner[2] = 2.0
+            else:
+                given[(0,) * given.ndim] = 2.0
         assert u.values[0] == 1.0
 
     def test_a_copied_array_stays_the_callers(self, small_grid):
@@ -249,7 +255,7 @@ class TestOpenGrid:
 
         def sampled():
             out = [named_field(g, kind, -0.7) for kind in FIELD_KINDS]
-            out += [u for kind in MANUFACTURED_KINDS for u in manufactured_pair(g, kind)]
+            out += manufactured_pair(g)
             out += [gen(g) for gen in _ENERGY_FAMILY]
             out.append(GridFunction.from_callable(g, lambda X, Y: (X**2 + Y) ** 0.25))
             return [_bits(u.values) for u in out]
@@ -354,19 +360,24 @@ class TestRectMask:
         m = RegionMask(small_grid, ind)
         assert m.count == ind.sum()
 
-    @pytest.mark.parametrize("layout", ["flat", "2d", "view"])
+    @pytest.mark.parametrize("layout", ["flat", "2d", "view", "owner"])
     def test_indicator_and_the_array_it_views_are_read_only(self, small_grid, layout):
-        # a write to the caller's array once moved the indicator, but not
-        # the nodes cached from it
+        # a write to the caller's array, or to the array that owns its
+        # memory, once moved the indicator, but not the nodes cached from it
         g = small_grid
+        owner = np.zeros(g.n + 3, dtype=bool)
         given = {
             "flat": np.zeros(g.n, dtype=bool),
             "2d": np.zeros((g.ny, g.nx), dtype=bool),
-            "view": np.zeros(g.n + 3, dtype=bool)[2:-1],
+            "view": owner[2:-1],
+            "owner": owner[2:-1],
         }[layout]
         given.reshape(-1)[7] = True
         m = RegionMask(g, given)
         assert m.nodes.tolist() == [7]
+        if layout == "owner":
+            with pytest.raises(ValueError, match="read-only"):
+                owner[2] = True
         for array in (given.reshape(-1), m.indicator, rect_mask(g, 0.0, 0.5, 0.0, 1.0).indicator):
             with pytest.raises(ValueError, match="read-only"):
                 array[20] = True

@@ -4,9 +4,8 @@ for bit, and their peak allocation.
 Each reference below is the formula the kernel computed before it worked
 in place on flat buffers, written out with numpy's plain operators; the
 kernels must reproduce it to the last bit, -0.0 included.  The one
-exception is lq_norm at a whole q other than 1 and 2: its reference is
-the product it forms (ref_power), and a second test holds it near the
-pow formula.
+exception is lq_norm at q = 3 and q = 4: its reference is the product it
+forms (ref_power), and a second test holds it near the pow formula.
 """
 
 import collections
@@ -74,13 +73,11 @@ def ref_dy(u):
 
 
 def ref_power(a, q):
-    """|a|**q as lq_norm forms it: the products below for a whole q, one
+    """|a|**q as lq_norm forms it: the products below for q = 3 and 4, one
     pow per entry for any other q."""
     products = {
         3.0: lambda: (a * a) * np.abs(a),
         4.0: lambda: (a * a) * (a * a),
-        5.0: lambda: ((a * a) * (a * a)) * np.abs(a),
-        6.0: lambda: ((a * a) * a) * ((a * a) * a),
     }
     return products[q]() if q in products else np.abs(a) ** q
 
@@ -134,7 +131,7 @@ class TestBitForBit:
         assert lq_norm(u, q) == ref
 
     @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
-    @pytest.mark.parametrize("q", [3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("q", [3.0, 4.0])
     def test_lq_norm_whole_q_stays_near_the_pow_formula(self, nx, ny, q):
         g = build_grid(nx, ny, 0.5)
         u = signed_zero_field(g, nx * ny)

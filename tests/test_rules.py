@@ -26,7 +26,7 @@ from degenash.analysis import (
     strict_inclusion_demo,
 )
 from degenash.cli import ConfigError, parse_config
-from degenash.fields import bump_parameter_sets, manufactured_pair, named_field
+from degenash.fields import bump_parameter_sets, named_field
 from degenash.grid import GridFunction, build_grid, cell_weights, rect_mask, weighted_inner
 from degenash.norms import lq_norm, muckenhoupt_panel
 from degenash.operators import solve_dirichlet
@@ -100,12 +100,6 @@ def test_config_and_library_reject_by_one_rule(case):
         call(bad)
     assert type(library_error.value) is ValueError
     assert str(library_error.value).startswith(f"{name} {rule.text}, got ")
-
-
-def test_manufactured_kind_rule_rejects_an_unknown_pair():
-    # no config key reads it: the convergence study always solves for sinsin
-    with pytest.raises(ValueError, match=rf"^kind {re.escape(fields.MANUFACTURED_KIND.text)}, got 'bogus'$"):
-        manufactured_pair(G, "bogus")
 
 
 @pytest.mark.parametrize("seed", [True, 1.5])
