@@ -28,6 +28,9 @@ the two trees, is the before-and-after evidence for a change.
 tree (or --tree) in alternating order, the same seed for both runs of a
 pair and the next seed for the next pair, and writes each run's raw and
 reported op_s samples and end-to-end metrics to BENCH_pairs_<label>.json.
+Next to each tree's commit it records a sha256 of the tree's src/ files
+(src_digest), which names the code even where the commit reads null or
+-dirty.
 
 Both files are data, not gates: the script reads no reference and decides
 nothing.
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -79,6 +83,18 @@ def commit(tree: Path) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return head + ("-dirty" if dirty else "")
+
+
+def src_digest(tree: Path) -> str:
+    """sha256 of the tree's src/ files: each relative path, sorted, and its
+    bytes, skipping __pycache__; it names the code compared where the
+    commit cannot (a base copied outside git, or an uncommitted tree)."""
+    src = tree / "src"
+    digest = hashlib.sha256()
+    for path in sorted(p.relative_to(src).as_posix() for p in src.rglob("*")
+                       if p.is_file() and "__pycache__" not in p.relative_to(src).parts):
+        digest.update(path.encode() + b"\0" + (src / path).read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 @contextlib.contextmanager
@@ -262,7 +278,8 @@ def pairs_mode(args) -> dict:
         }
     return {
         "workload": args.workload, "seconds": args.seconds, "first_seed": args.seed,
-        "base_commit": commit(trees["base"]), "tree_commit": commit(trees["tree"]),
+        "base_commit": commit(trees["base"]), "base_src_sha256": src_digest(trees["base"]),
+        "tree_commit": commit(trees["tree"]), "tree_src_sha256": src_digest(trees["tree"]),
         "pairs": pairs, "summary": summary,
     }
 

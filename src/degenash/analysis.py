@@ -3,9 +3,10 @@ scheme convergence, embedding ratios, and a Muckenhoupt lattice panel.
 The caps a pass-or-fail verdict is judged by are module constants, echoed in
 its thresholds, as is the inclusion study's reference norm w11_exact(alpha);
 so are the stabilizing weight exp(-THETA*y), the embedding exponents
-Q_VALUES, the sample counts and stream seeds COERCIVITY_SAMPLES,
-EMBEDDING_SAMPLES, COERCIVITY_SEED and EMBEDDING_SEED, and the sinsin
-manufactured solution of the convergence study.  Each study checks its
+Q_VALUES (stated in norms, which accepts only them), the sample counts
+and stream seeds COERCIVITY_SAMPLES, EMBEDDING_SAMPLES, COERCIVITY_SEED
+and EMBEDDING_SEED, and the sinsin manufactured solution of the
+convergence study.  Each study checks its
 inputs by the Rules the config reads (grid.Rule)."""
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
 from .grid import ALPHA, DegenerateWeightWarning, GridFunction, Rule, build_grid, weighted_inner
-from .norms import GAUSS_NODES, _gauss_jacobi, _lattice, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
+from .norms import GAUSS_NODES, Q_VALUES, _gauss_jacobi, _lattice, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
 from .operators import _check_residual, bilinear_form, dx, dy, solve_dirichlet
 
 # The Muckenhoupt panel asks the constant weight for an A_2 constant of 1,
@@ -42,8 +43,6 @@ ORDER_THRESHOLD = 0.9
 # The stabilizing weight exp(-THETA*y) of the equivalent weak form and of
 # the coercivity lemma; verify and the coercivity check both read it.
 THETA = 1.0
-# The exponents q of the embedding study's L^q/W11 ratios, each in [2, 4].
-Q_VALUES = (2.0, 3.0, 4.0)
 # The random bumps the coercivity check and the embedding study sample, and
 # their streams' seeds, the shipped configs' former seeds: no table moved.
 COERCIVITY_SAMPLES = 200

@@ -44,8 +44,8 @@ arithmetic runs on each region's node indices (RegionMask.nodes), and
 right-hand sides and states are flat node values, the layout the solver
 marches.  Each GameConfig masks the leader's source g once
 (GameConfig.source), and keeps one record per follower
-(GameConfig.follower): its regions, target and radius, yd_i gathered on
-G_i, and x^-alpha and x^alpha gathered on omega_i.  A state solve copies
+(GameConfig.follower): its regions and radius, the target yd_i gathered
+on G_i, and x^-alpha and x^alpha gathered on omega_i.  A state solve copies
 the source and adds f1 and f2 on their own nodes; cost and gradient
 gather and scatter through the same indices.  The solver checks no
 residual; nash_solve holds its final state to the residual contract
@@ -90,14 +90,13 @@ DEVIATION_SEED = 2024
 
 class Follower(NamedTuple):
     """Follower i of a game: control region omega_i, observation region
-    G_i, target yd_i and radius M_i, with the read-only arrays the game
-    gathers on them once: yd_i on G_i's nodes, and x^-alpha (penalty and
+    G_i and radius M_i, with the read-only arrays the game gathers on
+    them once: the target yd_i on G_i's nodes, and x^-alpha (penalty and
     deviation norms) and x^alpha (gradient) on omega_i's, the
     powers of the grid's x-row picked by each node's column."""
 
     ctrl: RegionMask
     obs: RegionMask
-    yd: GridFunction
     m: float
     yd_obs: np.ndarray
     x_inv: np.ndarray
@@ -170,7 +169,7 @@ class GameConfig:
             gathered = [yd.values[obs.nodes]] + [(self.grid.x**e)[column] for e in (-alpha, alpha)]
             for a in gathered:
                 a.flags.writeable = False
-            followers[i] = Follower(ctrl, obs, yd, m, *gathered)
+            followers[i] = Follower(ctrl, obs, m, *gathered)
         return followers
 
     def follower(self, i: int) -> Follower:

@@ -164,7 +164,8 @@ class GridFunction:
     view of that memory, made before the field, can still write it: only
     a copy per field would close that.  Derivatives, norms and
     self-pairings are computed once and kept (_once).  Compares and hashes
-    by identity.
+    by identity.  As a value it needs no copy, and it keeps only the
+    arithmetic the library uses: a difference and a scale by a factor.
     """
 
     grid: Grid
@@ -220,17 +221,10 @@ class GridFunction:
         """View of the values as an (ny, nx) array indexed [j, i]: row j is y-row j."""
         return self.values.reshape(self.grid.ny, self.grid.nx)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     def _check_same_grid(self, other: "GridFunction") -> None:
         # most pairs share one Grid object; only distinct ones compare by value
         if self.grid is not other.grid and self.grid != other.grid:
             raise ValueError("GridFunctions live on different grids")
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_grid(other)

@@ -18,16 +18,18 @@ imports nothing from scipy; a panel reads a fixed lattice of balls
 (_lattice) and computes each ball's chord once for every weight
 (muckenhoupt_panel).  Quadrature weights come from grid.cell_weights,
 which caches them per (grid, exponent).
+Q_VALUES are the embedding exponents, the q at which the code reads L^q
+norms, stated here once: lq_norm and embedding_ratio accept exactly
+these (the rule Q_VALUE), and analysis's embedding study reads them.
 norms_of is computed once per field and include_mixed and kept with the
 field (GridFunction._once), so embedding_ratio norms a field once for
 every q.  lq_norm(u, 2) reads the L^2 self-pairing kept with the field
-(grid.weighted_inner); lq_norm forms the cell averages again for each q
-other than 2: keeping them would keep a cell array alive per field.  The
-embedding exponents above 2, q = 3 and q = 4, take |ub|**q from products
-in those buffers, not from pow: each carries at most about (q - 1) units
-of round-off, so the norm stays within about one unit of the pow formula,
-and every shipped table keeps its digest.  Every other q takes one pow
-per cell.
+(grid.weighted_inner); lq_norm forms the cell averages again for q = 3
+and q = 4: keeping them would keep a cell array alive per field.  Those
+two take |ub|**q from products in that buffer, not from pow: each
+carries at most about (q - 1) units of round-off, so the norm stays
+within about one unit of the pow formula, and every shipped table keeps
+its digest.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FINITE, GridFunction, Rule, _cell_sums, _number, _quadrature, cell_weights, weighted_inner
+from .grid import FINITE, GridFunction, Rule, _cell_sums, _quadrature, cell_weights, weighted_inner
 from .operators import dx, dy
 
 # The Muckenhoupt product above which a weight counts as diverged.  A ball
@@ -52,8 +54,10 @@ OVERFLOW = 1e4
 GAUSS_NODES = 16
 GRADING = 0.25
 GRADING_LEVELS = 32
-EMBEDDING_Q = Rule("must lie in [2, 4]", lambda q: 2.0 <= q <= 4.0)
-LQ_Q = _number("must lie in [1, inf)", lambda q: 1.0 <= q < math.inf)
+# The exponents q of the L^q norms and the embedding study's L^q/W11
+# ratios; the compact embedding holds for q in [2, 4].
+Q_VALUES = (2.0, 3.0, 4.0)
+Q_VALUE = Rule.one_of(Q_VALUES)
 
 
 @dataclass(frozen=True)
@@ -117,21 +121,21 @@ def l2_weighted_norm(f: GridFunction) -> float:
 
 
 def lq_norm(u: GridFunction, q: float) -> float:
-    """Unweighted L^q norm by the shared midpoint-in-cell quadrature; q by LQ_Q.
+    """Unweighted L^q norm by the shared midpoint-in-cell quadrature, for q
+    in Q_VALUES (the rule Q_VALUE).
 
     q = 2 takes the square root of the self-pairing weighted_inner(u, u, 0.0),
-    kept with u, with the bits of the general formula: |ub|**2.0 is
+    kept with u, with the bits of the formula |ub|**2.0 summed: that is
     numpy's ub * ub, and np.float64 ** 0.5 and float ** 0.5 are one pow.
-    q = 3 and q = 4, the embedding exponents above 2, form |ub|**q from
-    products: q = 3 is (|ub| * |ub|) * |ub|, in one fresh array, and q = 4
-    squares ub * ub in place; an even power needs no abs.  Each carries a
-    relative error of at most about (q - 1) units of round-off where pow
-    rounds once (Higham 2002, sec. 3.1), so the norm, a q-th root, stays
-    within about one unit of the ** formula.  Every other q, 1, a
-    non-integer or a whole q >= 5, takes |ub|**q by one pow per cell.  The
-    weighted product is formed in the array that holds |ub|**q.
+    q = 3 and q = 4 form |ub|**q from products: q = 3 is
+    (|ub| * |ub|) * |ub|, in one fresh array, and q = 4 squares ub * ub in
+    place; an even power needs no abs.  Each carries a relative error of
+    at most about (q - 1) units of round-off where pow rounds once (Higham
+    2002, sec. 3.1), so the norm, a q-th root, stays within about one unit
+    of the ** formula.  The weighted product is formed in the array that
+    holds |ub|**q.
     """
-    LQ_Q.check("q", q)
+    Q_VALUE.check("q", q)
     if q == 2:
         return weighted_inner(u, u, 0.0) ** 0.5
     cells = _cell_sums(u)
@@ -142,18 +146,14 @@ def lq_norm(u: GridFunction, q: float) -> float:
     else:
         # |ub| in the averages' own buffer
         np.abs(cells, out=cells)
-        if q == 3:
-            power = np.multiply(cells, cells)
-            power *= cells
-        else:
-            power = cells
-            power **= q
+        power = np.multiply(cells, cells)
+        power *= cells
     return float(_quadrature(cell_weights(u.grid, 0.0), power) ** (1.0 / q))
 
 
 def embedding_ratio(u: GridFunction, q: float) -> float:
-    """||u||_{L^q} / ||u||_{W11}, for q that meets EMBEDDING_Q."""
-    EMBEDDING_Q.check("q", q)
+    """||u||_{L^q} / ||u||_{W11}, for q in Q_VALUES (the rule Q_VALUE)."""
+    Q_VALUE.check("q", q)
     w11 = norms_of(u).w11
     if w11 == 0.0:
         raise ValueError("embedding ratio undefined for u = 0")
@@ -344,10 +344,9 @@ def muckenhoupt_panel(weight_exponents: tuple[float, ...]) -> list[ApEstimate]:
     weight's flag is set when any of its products exceeds OVERFLOW or is
     nonfinite, and x**e, e <= -1, is +inf on every ball that reaches
     x = 0.  least is the smallest product, at least 1 by Cauchy-Schwarz up
-    to the quadrature error (ApEstimate).  A ball that meets the square in
-    zero area, of which the lattice holds none, records the product 0.0
-    and is left out of least (inf if no ball is left).  An exponent that
-    is not FINITE raises ValueError.
+    to the quadrature error (ApEstimate).  Every ball is centred in the
+    closed square, so every one meets it in positive area.  An exponent
+    that is not FINITE raises ValueError.
     """
     for e in weight_exponents:
         FINITE.check("weight exponent", e)
@@ -355,14 +354,11 @@ def muckenhoupt_panel(weight_exponents: tuple[float, ...]) -> list[ApEstimate]:
     # the integrals of w and 1/w of each weight, in that order
     exponents = tuple(x for e in weight_exponents for x in (e, -e))
     integrals, areas = _ball_integrals(cxs, cys, rs, exponents)
-    measured = areas > 0.0
-    w_avg = np.divide(integrals[0::2], areas, out=np.zeros((len(weight_exponents), len(areas))), where=measured)
-    inv_avg = np.divide(integrals[1::2], areas, out=np.zeros_like(w_avg), where=measured)
-    products = w_avg * inv_avg
+    products = (integrals[0::2] / areas) * (integrals[1::2] / areas)
     finite = np.isfinite(products)
     diverged = np.any(~finite | (products > OVERFLOW), axis=1)
     constants = np.where(np.all(finite, axis=1), np.max(products, axis=1), math.inf)
-    least = np.min(products, axis=1, where=measured, initial=math.inf)
+    least = np.min(products, axis=1)
     return [
         ApEstimate(constant=float(c), diverged=bool(d), least=float(m))
         for c, d, m in zip(constants, diverged, least)

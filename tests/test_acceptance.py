@@ -155,9 +155,9 @@ def test_criterion_7_gradient_oracle(bench_cfg):
             d = mask.apply(GridFunction(cfg.grid, rng.standard_normal(cfg.grid.n)))
             d = d * (1.0 / control_norm(d, cfg.grid.alpha))
             if i == 1:
-                jp, jm = cost(cfg, 1, f1 + eps * d, f2), cost(cfg, 1, f1 - eps * d, f2)
+                jp, jm = (cost(cfg, 1, f1 - s * d, f2) for s in (-eps, eps))
             else:
-                jp, jm = cost(cfg, 2, f1, f2 + eps * d), cost(cfg, 2, f1, f2 - eps * d)
+                jp, jm = (cost(cfg, 2, f1, f2 - s * d) for s in (-eps, eps))
             fd = (jp - jm) / (2 * eps)
             an = control_inner(grad, d, cfg.grid.alpha)
             rel = abs(fd - an) / max(abs(fd), 1e-30)
@@ -207,8 +207,8 @@ def test_criterion_9_trivial_game_invariants():
     f2 = GridFunction(cfg.grid, rng.standard_normal(cfg.grid.n))
     leader = dataclasses.replace(cfg, g=g)
     y_all = state_solve(leader, f1, f2)
-    y_sum = state_solve(leader, z, z) + state_solve(no_leader, f1, z) + state_solve(no_leader, z, f2)
-    err = np.linalg.norm(y_all.values - y_sum.values)
+    y_sum = state_solve(leader, z, z).values + state_solve(no_leader, f1, z).values + state_solve(no_leader, z, f2).values
+    err = np.linalg.norm(y_all.values - y_sum)
     assert err <= 1e-10 * (np.linalg.norm(y_all.values) + 1.0)
     print(f"\nACCEPTANCE 9 (trivial-game invariants): PASS [superposition error {err:.2e}]")
 

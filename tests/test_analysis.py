@@ -24,7 +24,8 @@ from degenash.analysis import (
 )
 from degenash.fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
 from degenash.grid import FINITE_POSITIVE, DegenerateWeightWarning, GridFunction, build_grid
-from degenash.norms import EMBEDDING_Q, embedding_ratio, l2_weighted_norm, norms_of
+import degenash.norms as norms
+from degenash.norms import embedding_ratio, l2_weighted_norm, norms_of
 from degenash.operators import solve_dirichlet
 
 
@@ -399,13 +400,17 @@ class TestEmbeddingStudy:
         with pytest.raises(ValueError, match="levels"):
             embedding_study(levels)
 
+    def test_q_values_are_the_ones_norms_states(self):
+        assert analysis.Q_VALUES is norms.Q_VALUES
+
     def test_q_values_meet_the_embedding_rule_with_distinct_series(self):
-        # q prints by %g in its series name, so two q that print alike would share one
-        assert all(map(EMBEDDING_Q.holds, analysis.Q_VALUES))
+        # the compact embedding holds for q in [2, 4]; q prints by %g in its
+        # series name, so two q that print alike would share one
+        assert all(2.0 <= q <= 4.0 for q in analysis.Q_VALUES)
         assert len({f"{q:g}" for q in analysis.Q_VALUES}) == len(analysis.Q_VALUES) > 0
 
     @pytest.mark.parametrize(
-        "q_values, names", [((2.5,), ["max_ratio_q2.5"]), ((4.0, 2.0), ["max_ratio_q4", "max_ratio_q2"])],
+        "q_values, names", [((3.0,), ["max_ratio_q3"]), ((4.0, 2.0), ["max_ratio_q4", "max_ratio_q2"])],
     )
     def test_series_follow_q_values(self, monkeypatch, q_values, names):
         monkeypatch.setattr(analysis, "Q_VALUES", q_values)

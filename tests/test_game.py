@@ -67,9 +67,9 @@ class TestStateSolve:
         z = GridFunction.zeros(cfg.grid)
         leader = dataclasses.replace(cfg, g=g)
         y_all = state_solve(leader, f1, f2)
-        y_sum = state_solve(leader, z, z) + state_solve(no_leader, f1, z) + state_solve(no_leader, z, f2)
+        y_sum = state_solve(leader, z, z).values + state_solve(no_leader, f1, z).values + state_solve(no_leader, z, f2).values
         scale = np.linalg.norm(y_all.values) + 1.0
-        assert np.linalg.norm(y_all.values - y_sum.values) <= 1e-10 * scale
+        assert np.linalg.norm(y_all.values - y_sum) <= 1e-10 * scale
 
     def test_masked_source_outside_region_is_inert(self, no_leader):
         cfg = no_leader
@@ -149,9 +149,9 @@ class TestGradient:
                 d = mask.apply(GridFunction(cfg.grid, rng.standard_normal(cfg.grid.n)))
                 d = d * (1.0 / control_norm(d, cfg.grid.alpha))
                 if i == 1:
-                    jp, jm = cost(cfg, 1, f1 + eps * d, f2), cost(cfg, 1, f1 - eps * d, f2)
+                    jp, jm = (cost(cfg, 1, f1 - s * d, f2) for s in (-eps, eps))
                 else:
-                    jp, jm = cost(cfg, 2, f1, f2 + eps * d), cost(cfg, 2, f1, f2 - eps * d)
+                    jp, jm = (cost(cfg, 2, f1, f2 - s * d) for s in (-eps, eps))
                 fd = (jp - jm) / (2 * eps)
                 an = control_inner(grad, d, cfg.grid.alpha)
                 assert abs(fd - an) / max(abs(fd), 1e-30) < 1e-5
@@ -559,7 +559,7 @@ class TestCertify:
         cfg = mini_cfg
         res = nash_solve(cfg)
         bump = bump_from_parameters(cfg.grid, bump_parameter_sets(1, seed=55)[0])
-        bad = project_ball(res.f1_star + 0.5 * bump, cfg.m1, cfg.omega1, cfg.grid.alpha)
+        bad = project_ball(GridFunction(cfg.grid, res.f1_star.values + 0.5 * bump.values), cfg.m1, cfg.omega1, cfg.grid.alpha)
         assert control_norm(bad - res.f1_star, cfg.grid.alpha) > 1e-3
         ok, margin = certify(cfg, bad, res.f2_star)
         assert not ok
@@ -655,7 +655,7 @@ class TestCertify:
         cfg = shipped_game(n=32, m1=1e-4, m2=1e-4)
         res = nash_solve(cfg)
         for i, f in ((1, res.f1_star), (2, res.f2_star)):
-            m = cfg.follower(i)[3]
+            m = cfg.follower(i).m
             assert control_norm(f, cfg.grid.alpha) == pytest.approx(m, rel=1e-14, abs=0)
             assert _admissible(cfg, i, f)
             assert not _admissible(cfg, i, f * (1.0 + 16 * np.finfo(float).eps))
@@ -727,7 +727,7 @@ class TestGameConfigValidation:
                 omega2=rect_mask(grid, 0.5, 0.9, 0.1, 0.9),
                 g1_obs=rect_mask(grid, 0.1, 0.9, 0.1, 0.5),
                 g2_obs=rect_mask(grid, 0.1, 0.9, 0.5, 0.9),
-                g=sin, yd1=sin, yd2=sin.copy(), m1=1.0, m2=1.0,
+                g=sin, yd1=sin, yd2=GridFunction(grid, sin.values.copy()), m1=1.0, m2=1.0,
             )
 
     def test_empty_region_rejected(self):
@@ -759,7 +759,7 @@ class TestGameConfigValidation:
         assert player is mini_cfg.follower(i)
         grid, ctrl, obs = mini_cfg.grid, player.ctrl.indicator, player.obs.indicator
         x = np.tile(grid.x, grid.ny)
-        assert _bits(player.yd_obs) == _bits(player.yd.values[obs])
+        assert _bits(player.yd_obs) == _bits((mini_cfg.yd1, mini_cfg.yd2)[i - 1].values[obs])
         assert _bits(player.x_inv) == _bits(x[ctrl] ** -grid.alpha)
         assert _bits(player.x_pow) == _bits(x[ctrl] ** grid.alpha)
         assert not any(a.flags.writeable for a in (player.yd_obs, player.x_inv, player.x_pow))
@@ -795,7 +795,8 @@ def _where_rhs(cfg, f1, f2):
 
 
 def _where_cost(cfg, i, f1, f2):
-    ctrl, obs, yd, _ = cfg.follower(i)[:4]
+    ctrl, obs = cfg.follower(i)[:2]
+    yd = (cfg.yd1, cfg.yd2)[i - 1]
     grid = cfg.grid
     y = cfg.solver.solve(_where_rhs(cfg, f1, f2), last_row=obs.top_row)
     tracking = float(grid.hx * grid.hy * np.sum(np.where(obs.indicator, y - yd.values, 0.0) ** 2))
@@ -806,7 +807,8 @@ def _where_cost(cfg, i, f1, f2):
 
 
 def _where_gradient(cfg, i, f1, f2):
-    ctrl, obs, yd, _ = cfg.follower(i)[:4]
+    ctrl, obs = cfg.follower(i)[:2]
+    yd = (cfg.yd1, cfg.yd2)[i - 1]
     grid = cfg.grid
     y = cfg.solver.solve(_where_rhs(cfg, f1, f2), last_row=obs.top_row)
     p = cfg.solver.solve_adjoint(np.where(obs.indicator, 2.0 * (y - yd.values), 0.0))
@@ -824,7 +826,8 @@ def _region_weight(cfg, i, exponent):
 
 
 def _region_cost(cfg, i, f1, f2):
-    ctrl, obs, yd, _ = cfg.follower(i)[:4]
+    ctrl, obs = cfg.follower(i)[:2]
+    yd = (cfg.yd1, cfg.yd2)[i - 1]
     grid = cfg.grid
     y = cfg.solver.solve(_where_rhs(cfg, f1, f2), last_row=obs.top_row)
     tracking = grid.hx * grid.hy * np.sum((y[obs.indicator] - yd.values[obs.indicator]) ** 2)
@@ -835,7 +838,7 @@ def _region_cost(cfg, i, f1, f2):
 
 
 def _region_deviations(cfg, i, rng):
-    ctrl, _, _, m = cfg.follower(i)[:4]
+    ctrl, _, m = cfg.follower(i)[:3]
     grid = cfg.grid
     w = _region_weight(cfg, i, -grid.alpha)
     out = [np.zeros(grid.n)]
@@ -890,8 +893,8 @@ class TestArrayLevelEquivalence:
     def test_state_solve_matches_masked_sum(self, cfg16):
         g, f1, f2 = (random_field(cfg16.grid, s) for s in (1, 2, 3))
         cfg = dataclasses.replace(cfg16, g=g)
-        rhs = cfg.omega.apply(g) + cfg.omega1.apply(f1) + cfg.omega2.apply(f2)
-        expected = cfg.solver.solve(rhs.values)
+        rhs = cfg.omega.apply(g).values + cfg.omega1.apply(f1).values + cfg.omega2.apply(f2).values
+        expected = cfg.solver.solve(rhs)
         assert np.array_equal(state_solve(cfg, f1, f2).values, expected)
 
     def test_state_solve_rejects_foreign_grid(self, cfg16):
@@ -926,7 +929,7 @@ class TestArrayLevelEquivalence:
     @pytest.mark.parametrize("i", [1, 2])
     def test_deviations_sampled_on_control_region(self, cfg16, i):
         cfg = cfg16
-        region, _, _, m = cfg.follower(i)[:4]
+        region, _, m = cfg.follower(i)[:3]
         n = DEVIATION_SAMPLES
         devs = list(_feasible_deviations(cfg, i))
         assert len(devs) == n + 1

@@ -73,13 +73,14 @@ def ref_dy(u):
 
 
 def ref_power(a, q):
-    """|a|**q as lq_norm forms it: the products below for q = 3 and 4, one
-    pow per entry for any other q."""
+    """|a|**q as lq_norm forms it for q in Q_VALUES: |a|**2.0 is numpy's
+    a * a, and q = 3 and 4 are the products below."""
     products = {
+        2.0: lambda: a * a,
         3.0: lambda: (a * a) * np.abs(a),
         4.0: lambda: (a * a) * (a * a),
     }
-    return products[q]() if q in products else np.abs(a) ** q
+    return products[q]()
 
 
 def ref_bump(g, params):
@@ -123,7 +124,7 @@ class TestBitForBit:
         assert weighted_inner(u, u, exponent, theta=1.5) == ref_inner(u, u, exponent, yw)
 
     @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
-    @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0])
+    @pytest.mark.parametrize("q", norms.Q_VALUES)
     def test_lq_norm(self, nx, ny, q):
         g = build_grid(nx, ny, 0.5)
         u = signed_zero_field(g, nx * ny)
@@ -131,7 +132,7 @@ class TestBitForBit:
         assert lq_norm(u, q) == ref
 
     @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
-    @pytest.mark.parametrize("q", [3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("q", [3.0, 4.0])
     def test_lq_norm_whole_q_stays_near_the_pow_formula(self, nx, ny, q):
         g = build_grid(nx, ny, 0.5)
         u = signed_zero_field(g, nx * ny)

@@ -91,7 +91,7 @@ class TestNormsOf:
         v = random_field(g, seed + 1)
         wu, wv = norms_of(u).w11, norms_of(v).w11
         assert norms_of(c * u).w11 == pytest.approx(c * wu, rel=1e-10)
-        assert norms_of(u + v).w11 <= wu + wv + 1e-10 * (wu + wv)
+        assert norms_of(GridFunction(g, u.values + v.values)).w11 <= wu + wv + 1e-10 * (wu + wv)
 
 
 class TestWeightedDataNorm:
@@ -130,7 +130,7 @@ class TestLqNorm:
     def test_zero_and_constant(self, small_grid):
         assert lq_norm(GridFunction.zeros(small_grid), 3.0) == 0.0
         one = GridFunction(small_grid, np.ones(small_grid.n))
-        for q in (1.0, 2.0, 4.0):
+        for q in (2.0, 3.0, 4.0):
             assert lq_norm(one, q) == pytest.approx(1.0, abs=4 * small_grid.hx)
 
     def test_x_fourth_power(self):
@@ -146,13 +146,13 @@ class TestLqNorm:
             lq_norm(GridFunction.zeros(small_grid), 0.5)
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10**6), c=st.floats(0.1, 5.0), q=st.sampled_from([1.0, 2.0, 3.0]))
+    @given(seed=st.integers(0, 10**6), c=st.floats(0.1, 5.0), q=st.sampled_from([2.0, 3.0, 4.0]))
     def test_homogeneous_and_triangle(self, seed, c, q):
         g = build_grid(8, 8, 0.5)
         u = random_field(g, seed)
         v = random_field(g, seed + 1)
         assert lq_norm(c * u, q) == pytest.approx(c * lq_norm(u, q), rel=1e-10)
-        assert lq_norm(u + v, q) <= (1.0 + 1e-10) * (lq_norm(u, q) + lq_norm(v, q))
+        assert lq_norm(GridFunction(g, u.values + v.values), q) <= (1.0 + 1e-10) * (lq_norm(u, q) + lq_norm(v, q))
 
 
 class TestEmbeddingRatio:
@@ -262,20 +262,17 @@ def _draw(n_balls, seed):
 def _one_ball_at_a_time(weight_exponents, balls):
     """muckenhoupt_panel's estimates on balls from _ball_integrals of each ball alone."""
     exponents = tuple(x for e in weight_exponents for x in (e, -e))
-    n_balls = len(balls[0])
-    products = np.empty((len(weight_exponents), n_balls))
-    measured = np.empty(n_balls, dtype=bool)
+    products = np.empty((len(weight_exponents), len(balls[0])))
     for k, ball in enumerate(zip(*balls)):
         integrals, (area,) = norms_mod._ball_integrals(*(np.array([v]) for v in ball), exponents)
-        measured[k] = area > 0.0
         for w, (w_int, inv_int) in enumerate(zip(integrals[::2, 0], integrals[1::2, 0])):
-            products[w, k] = (w_int / area) * (inv_int / area) if area > 0.0 else 0.0
+            products[w, k] = (w_int / area) * (inv_int / area)
     estimates = []
     for row in products:
         finite = np.isfinite(row)
         diverged = bool(np.any(~finite) or np.any(row[finite] > norms_mod.OVERFLOW))
         constant = float(np.max(row)) if np.all(finite) else math.inf
-        least = float(np.min(row, where=measured, initial=math.inf))
+        least = float(np.min(row))
         estimates.append(norms_mod.ApEstimate(constant=constant, diverged=diverged, least=least))
     return estimates
 
@@ -321,18 +318,6 @@ class TestMuckenhoupt:
         # w and 1/w share one rule, and up to the quadrature error otherwise
         (est,) = muckenhoupt_panel((exponent,))
         assert 1.0 - 1e-12 <= est.least <= est.constant
-
-    def test_zero_area_ball_records_zero_and_is_left_out_of_least(self, monkeypatch):
-        # a ball centred at x = 5 misses the square; the lattice holds none
-        balls = (np.array([0.5, 5.0]), np.array([0.5, 0.5]), np.array([0.1, 0.1]))
-        monkeypatch.setattr(norms_mod, "_lattice", lambda: balls)
-        (est,) = muckenhoupt_panel((0.5,))
-        monkeypatch.setattr(norms_mod, "_lattice", lambda: tuple(a[:1] for a in balls))
-        (alone,) = muckenhoupt_panel((0.5,))
-        assert est.least == est.constant == alone.constant > 1.0
-        monkeypatch.setattr(norms_mod, "_lattice", lambda: tuple(a[1:] for a in balls))
-        (none,) = muckenhoupt_panel((0.5,))
-        assert (none.constant, none.least, none.diverged) == (0.0, math.inf, False)
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     @pytest.mark.parametrize("n_balls", [1, 7, 8, 9, 17, 500])
@@ -442,6 +427,11 @@ class TestMuckenhoupt:
         cx, cy, r = norms_mod._lattice()
         assert 0 < len(cx) <= 128 and cx.shape == cy.shape == r.shape
         assert np.all((0.0 <= cx) & (cx <= 1.0) & (0.0 <= cy) & (cy <= 1.0) & (r > 0.0))
+
+    def test_every_lattice_ball_has_positive_area(self):
+        # muckenhoupt_panel divides every ball's integrals by its area as it is
+        _, areas = norms_mod._ball_integrals(*norms_mod._lattice(), ())
+        assert len(areas) == 93 and np.all(areas > 0.0)
 
     @pytest.mark.parametrize("e", [0.5, 0.9])
     def test_lattice_constant_is_the_closed_form(self, e):

@@ -124,7 +124,7 @@ class TestSolve:
         g = build_grid(10, 10, 0.5)
         f1 = random_field(g, seed)
         f2 = random_field(g, seed + 1)
-        u12, _ = solve_dirichlet(g, a * f1 + b * f2)
+        u12, _ = solve_dirichlet(g, GridFunction(g, a * f1.values + b * f2.values))
         u1, _ = solve_dirichlet(g, f1)
         u2, _ = solve_dirichlet(g, f2)
         scale = abs(a) * np.linalg.norm(f1.values) + abs(b) * np.linalg.norm(f2.values) + 1.0

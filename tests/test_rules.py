@@ -117,7 +117,7 @@ BOOLEANS = {
     "amplitude": (lambda v: named_field(G, "sinsin", v), "amplitude", grid.FINITE),
     "theta": (lambda v: weighted_inner(ONE, ONE, 0.0, theta=v), "theta", grid.FINITE_NONNEGATIVE),
     "m1": (lambda v: dataclasses.replace(shipped_game(n=16), m1=v), "m1", grid.FINITE_NONNEGATIVE),
-    "q": (lambda v: lq_norm(ONE, v), "q", norms.LQ_Q),
+    "q": (lambda v: lq_norm(ONE, v), "q", norms.Q_VALUE),
     "exponent": (lambda v: cell_weights(G, v), "exponent", grid.FINITE),
     "pairing_exponent": (lambda v: weighted_inner(ONE, ONE, v), "exponent", grid.FINITE),
     "weight_exponent": (lambda v: muckenhoupt_panel((0.5, v)), "weight exponent", grid.FINITE),
@@ -144,6 +144,14 @@ def test_numeric_rule_rejects_a_boolean(case, value):
     got = re.escape(repr(seen[0](value))) if seen else r"(np\.)?True_?"
     with pytest.raises(ValueError, match=rf"^{name} {re.escape(rule.text)}, got {got}$"):
         call(value)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.5, 5.0])
+def test_lq_norm_and_embedding_ratio_reject_q_in_one_rules_words(q):
+    words = rf"^q {re.escape(norms.Q_VALUE.text)}, got {q!r}$"
+    for call in (lq_norm, norms.embedding_ratio):
+        with pytest.raises(ValueError, match=words):
+            call(ONE, q)
 
 
 # theta = 0 is the unweighted pairing, and False must not pass for it
