@@ -1077,6 +1077,38 @@ class TestScripts:
         module, _, name = scripts["degenash"].partition(":")
         assert callable(getattr(importlib.import_module(module), name))
 
+    @staticmethod
+    def _readme_command(word):
+        """The line of the README's first Scripts block that runs `degenash.cli <word>`."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Scripts", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        (line,) = [line for line in block.splitlines() if f"degenash.cli {word} " in line]
+        return line
+
+    def _run_readme_command(self, word, tmp_path):
+        """The README line run by sh in a checkout of src/ and configs/, from
+        this interpreter, with no PYTHONPATH of the caller's."""
+        root = Path(__file__).resolve().parent.parent
+        for name in ("src", "configs"):
+            (tmp_path / name).symlink_to(root / name)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        command = self._readme_command(word).replace("python -m", f"{sys.executable} -m")
+        proc = subprocess.run(
+            ["sh", "-c", command], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_readme_game_command_runs_from_source_checkout(self, tmp_path):
+        assert "verdict=pass" in self._run_readme_command("game", tmp_path)
+        report = json.loads((tmp_path / "out" / "benchmark_game" / "report.json").read_text())
+        assert report["verdict"] == "pass"
+
+    def test_readme_study_loop_runs_from_source_checkout(self, tmp_path):
+        lines = self._run_readme_command("study", tmp_path).splitlines()
+        studies = sorted((Path(__file__).resolve().parent.parent / "configs").glob("study_*.yaml"))
+        assert len(lines) == len(studies) == 6 and all("verdict=pass" in line for line in lines), lines
+
     def test_bench_levels_script_records_the_schema(self, tmp_path):
         script = Path(__file__).resolve().parent.parent / "scripts" / "bench_levels.py"
         out = tmp_path / "BENCH_levels.json"

@@ -5,7 +5,8 @@ Each reference below is the formula the kernel computed before it worked
 in place on flat buffers, written out with numpy's plain operators; the
 kernels must reproduce it to the last bit, -0.0 included.  The one
 exception is lq_norm at q = 3 and q = 4: its reference is the product it
-forms (ref_power), and a second test holds it near the pow formula.
+forms (ref_power), and a second test holds it, at every q, near the pow
+formula.
 """
 
 import collections
@@ -132,12 +133,20 @@ class TestBitForBit:
         assert lq_norm(u, q) == ref
 
     @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
-    @pytest.mark.parametrize("q", [3.0, 4.0])
+    @pytest.mark.parametrize("q", norms.Q_VALUES)
     def test_lq_norm_whole_q_stays_near_the_pow_formula(self, nx, ny, q):
         g = build_grid(nx, ny, 0.5)
         u = signed_zero_field(g, nx * ny)
         pow_ref = float(np.sum(ref_weights(g, 0.0) * np.abs(ref_averages(u)) ** q) ** (1.0 / q))
         assert lq_norm(u, q) == pytest.approx(pow_ref, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
+    @pytest.mark.parametrize("q", norms.Q_VALUES)
+    def test_embedding_ratio(self, nx, ny, q):
+        g = build_grid(nx, ny, 0.5)
+        u = signed_zero_field(g, nx + ny)
+        ref = float(np.sum(ref_weights(g, 0.0) * ref_power(ref_averages(u), q)) ** (1.0 / q))
+        assert norms.embedding_ratio(u, q) == ref / norms_of(u).w11
 
     @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
     def test_dy(self, nx, ny):

@@ -13,7 +13,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import degenash.norms as norms_mod
 from conftest import half_disk_closed_form, half_disk_constant, peak_bytes, random_field
-from degenash.grid import DegenerateWeightWarning, GridFunction, build_grid
+from degenash.grid import DegenerateWeightWarning, GridFunction, build_grid, cell_weights
 from degenash.norms import (
     embedding_ratio,
     l2_weighted_norm,
@@ -144,6 +144,17 @@ class TestLqNorm:
     def test_q_below_one_rejected(self, small_grid):
         with pytest.raises(ValueError):
             lq_norm(GridFunction.zeros(small_grid), 0.5)
+
+    # Hoelder: the quadrature is a measure of mass mu, so
+    # ||u||_p <= mu**(1/p - 1/q) ||u||_q for p < q, one round-off apart
+    @pytest.mark.parametrize("nx,ny", [(12, 12), (9, 7), (5, 16), (2, 2), (2, 9), (9, 2)])
+    def test_grows_with_q(self, nx, ny):
+        g = build_grid(nx, ny, 0.5)
+        u = random_field(g, nx * ny)
+        mu = float(np.sum(np.broadcast_to(cell_weights(g, 0.0), (g.ny + 1, g.nx + 1))))
+        qs = sorted(norms_mod.Q_VALUES)
+        for p, q in zip(qs, qs[1:]):
+            assert lq_norm(u, p) <= mu ** (1.0 / p - 1.0 / q) * lq_norm(u, q) * (1.0 + 1e-14)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), c=st.floats(0.1, 5.0), q=st.sampled_from([2.0, 3.0, 4.0]))
