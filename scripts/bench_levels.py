@@ -17,9 +17,10 @@ dpttrs calls) are counted and the time in certify is taken.  The tests read
 counting() too and pin its counts (tests/test_game.py::TestSolveCounts).
 Run as a script, it sets one BLAS thread, as perfbench/run.py does; an
 import leaves the environment as it is.  The start of a process that
-imports degenash.cli is a row of its own.  The commit and the numpy and
-scipy versions head the file.  A levels run times one tree in one process, in whatever phase the
-host is in, so two levels files taken apart compare host phases, not
+imports degenash.cli is a row of its own.  The commit, the sha256 of the
+src/ files (src_digest), which names the code of an uncommitted tree, and
+the numpy and scipy versions head the file.  A levels run times one tree
+in one process, in whatever phase the host is in, so two levels files taken apart compare host phases, not
 trees: nash_solve at 64 x 64 read 94.0 ms in BENCH_levels_d572267.json
 and 54.8 ms in BENCH_levels.json on the same game code.  A pairs run, which alternates
 the two trees, is the before-and-after evidence for a change.
@@ -229,7 +230,7 @@ def levels_mode(args) -> dict:
             rows.append(row)
             print(f"{target} @ {level}: exit {row['exit_code']}, {row['wall_s']:.4f} s", file=sys.stderr)
     return {
-        "commit": commit(ROOT), "python": platform.python_version(), "numpy": np.__version__,
+        "commit": commit(ROOT), "src_sha256": src_digest(ROOT), "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__, "machine": platform.machine(), "cpus": os.cpu_count(),
         "thread_env": {v: os.environ.get(v) for v in THREAD_ENV}, "repeats": args.repeats, "rows": rows,
     }

@@ -44,8 +44,6 @@ from .operators import (
     DirichletSolver,
     SolveReport,
     SolverError,
-    SparseOperator,
-    assemble,
     solve_dirichlet,
     weak_form_residual,
 )

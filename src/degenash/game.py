@@ -139,7 +139,7 @@ class GameConfig:
             if other != self.grid:
                 raise ValueError(f"{name} lives on {other}, not on the game's grid {self.grid}")
         for name in REGIONS:
-            if getattr(self, name).count == 0:
+            if getattr(self, name).nodes.size == 0:
                 raise ValueError(f"region {name} contains no interior nodes")
         if np.array_equal(self.yd1.values, self.yd2.values):
             warnings.warn("follower targets coincide; the game degenerates", UserWarning)

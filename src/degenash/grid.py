@@ -151,21 +151,44 @@ def build_grid(nx: int, ny: int, alpha: float) -> Grid:
     return Grid(nx, ny, alpha)
 
 
+def _node_array(grid: Grid, given, dtype: type, name: str) -> np.ndarray:
+    """given as a flat read-only dtype array, one entry per interior node;
+    name names it in the errors.
+
+    One asarray and one ravel, so no copy unless the dtype or the layout
+    asks for one.  A length other than grid.n raises ValueError, and so,
+    for a float array, does a value that is not finite; both checks run
+    before any flag is set, so a rejected array stays the caller's.  When
+    the result views the given array, that array and the one that owns
+    its memory (.base) become read-only too, so no write through them
+    moves a value that something kept with the holder was computed from.
+    Another writable view of that memory, made before the holder, can
+    still write it: only a copy per holder would close that.
+    """
+    given = np.asarray(given, dtype=dtype)
+    flat = given.ravel()
+    if flat.size != grid.n:
+        raise ValueError(f"{name} has length {flat.size}, grid has {grid.n} interior nodes")
+    if dtype is float and not np.isfinite(flat).all():
+        raise ValueError(f"{name} must be finite (no NaN/Inf)")
+    flat.flags.writeable = False
+    if flat.base is not None:  # flat views the given array and the one that owns its memory
+        given.flags.writeable = flat.base.flags.writeable = False
+    return flat
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Nodal scalar field on the interior nodes of a Grid: a read-only value.
 
     values is a flat float array of length nx*ny in C order of the
     (ny, nx) node lattice, i.e. entry j*nx + i holds the value at
-    (x_i, y_j).  Boundary values are implicitly zero.  values is
-    read-only; when values views the given array, so are that array and
-    the array that owns its memory (values.base), so no write through them
-    moves a value that a kept norm was computed from.  Another writable
-    view of that memory, made before the field, can still write it: only
-    a copy per field would close that.  Derivatives, norms and
-    self-pairings are computed once and kept (_once).  Compares and hashes
-    by identity.  As a value it needs no copy, and it keeps only the
-    arithmetic the library uses: a difference and a scale by a factor.
+    (x_i, y_j).  Boundary values are implicitly zero.  values is finite
+    and read-only by the node-array rule (_node_array).  Derivatives,
+    norms and self-pairings are computed once and kept (_once).  Compares
+    and hashes by identity.  As a value it needs no copy, and it keeps
+    only the arithmetic the library uses: a difference and a scale by a
+    factor.
     """
 
     grid: Grid
@@ -173,18 +196,7 @@ class GridFunction:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        given = np.asarray(self.values, dtype=float)
-        values = given.ravel()
-        if values.size != self.grid.n:
-            raise ValueError(
-                f"values has length {values.size}, grid has {self.grid.n} interior nodes"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("GridFunction values must be finite (no NaN/Inf)")
-        values.flags.writeable = False
-        if values.base is not None:  # values views the given array and the one that owns its memory
-            given.flags.writeable = values.base.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _node_array(self.grid, self.values, float, "GridFunction values"))
 
     def _once(self, key, compute: Callable[[], object]):
         """compute() on the first call with key; the same object on every later one."""
@@ -239,24 +251,15 @@ class GridFunction:
 
 @dataclass(frozen=True, eq=False)
 class RegionMask:
-    """Boolean indicator over interior nodes (characteristic function), as
-    read-only as GridFunction's values: when the indicator views the given
-    array, that array and the one that owns its memory (indicator.base)
-    become read-only too, so the cached nodes keep agreeing with it.
-    Compares and hashes by identity."""
+    """Boolean indicator over interior nodes (characteristic function),
+    read-only by the node-array rule (_node_array), so the cached nodes
+    and rows keep agreeing with it.  Compares and hashes by identity."""
 
     grid: Grid
     indicator: np.ndarray
 
     def __post_init__(self):
-        given = np.asarray(self.indicator, dtype=bool)
-        ind = given.ravel()
-        if ind.size != self.grid.n:
-            raise ValueError("indicator length does not match grid")
-        ind.flags.writeable = False
-        if ind.base is not None:  # ind views the given array and the one that owns its memory
-            given.flags.writeable = ind.base.flags.writeable = False
-        object.__setattr__(self, "indicator", ind)
+        object.__setattr__(self, "indicator", _node_array(self.grid, self.indicator, bool, "RegionMask indicator"))
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
@@ -265,23 +268,20 @@ class RegionMask:
         nodes.flags.writeable = False
         return nodes
 
+    @functools.cached_property
+    def _rows(self) -> tuple[int, int]:
+        """Indices j of the lowest and the highest y-row holding a node of the region."""
+        if self.nodes.size == 0:
+            raise ValueError("region contains no interior nodes")
+        return int(self.nodes[0] // self.grid.nx), int(self.nodes[-1] // self.grid.nx)
+
     @property
-    def count(self) -> int:
-        return int(self.nodes.size)
-
-    @functools.cached_property
-    def top_row(self) -> int:
-        """Index j of the highest y-row holding a node of the region."""
-        if self.nodes.size == 0:
-            raise ValueError("region contains no interior nodes")
-        return int(self.nodes[-1] // self.grid.nx)
-
-    @functools.cached_property
     def bottom_row(self) -> int:
-        """Index j of the lowest y-row holding a node of the region."""
-        if self.nodes.size == 0:
-            raise ValueError("region contains no interior nodes")
-        return int(self.nodes[0] // self.grid.nx)
+        return self._rows[0]
+
+    @property
+    def top_row(self) -> int:
+        return self._rows[1]
 
     def apply(self, u: GridFunction) -> GridFunction:
         """Multiply u by the characteristic function of the region."""

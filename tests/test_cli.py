@@ -425,7 +425,7 @@ class TestGameRegions:
         text = GAME.replace("nx: 64, ny: 64", f"nx: {nx}, ny: {ny}")
         rects = yaml.safe_load(GAME)["game"]
         grid = build_grid(nx, ny, 0.5)
-        empty = [name for name in cli_mod.REGIONS if rect_mask(grid, *rects[name]).count == 0]
+        empty = [name for name in cli_mod.REGIONS if rect_mask(grid, *rects[name]).nodes.size == 0]
         if not empty:
             assert (parse_config(text).nx, parse_config(text).ny) == (nx, ny)
             return
@@ -1120,7 +1120,8 @@ class TestScripts:
         )
         assert proc.returncode == 0, proc.stderr
         record = json.loads(out.read_text())
-        assert {"commit", "numpy", "scipy", "python", "repeats", "rows"} <= record.keys()
+        assert {"commit", "src_sha256", "numpy", "scipy", "python", "repeats", "rows"} <= record.keys()
+        assert record["src_sha256"] == load_script("bench_levels").src_digest(script.parent.parent)
         assert (record["numpy"], record["scipy"]) == (np.__version__, __import__("scipy").__version__)
         assert record["thread_env"] == dict.fromkeys(THREAD_ENV, "1")  # run as a script, it sets them
         rows = record["rows"]

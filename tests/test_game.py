@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -545,6 +546,67 @@ class TestReferenceEquilibrium:
         cfg, ref, res = shipped32
         f1, f2 = mutate(res.f1_star, res.f2_star)
         assert not matches_reference(cfg, ref, f1, f2, cost(cfg, 1, f1, f2), cost(cfg, 2, f1, f2))
+
+
+def manufactured_game(n, alpha=0.5, c=(3e-3, -2e-3)):
+    """An n x n game whose continuous equilibrium is known, and that pair
+    sampled at the nodes (the method of manufactured solutions; Roache,
+    J. Fluids Eng. 2002).
+
+    The state y* = 1e-3 sin(pi x) sin(pi y / 2) vanishes where the upwind
+    operator A = -1/2 d_xx + x^alpha d_y reads its data (x = 0, 1 and
+    y = 0), and each adjoint p_i* = c_i sin(pi x) cos(pi y / 2) where
+    A* = -1/2 d_xx - x^alpha d_y reads its own (x = 0, 1 and y = 1).  With
+    omega = G_1 = G_2 the whole square, the optimality system then sets
+    f_i* = -x^alpha p_i* / 2 on omega_i, g = A y* - f_1* - f_2* and
+    yd_i = y* - A* p_i* / 2; the radii m_i = 10 leave both balls inactive.
+    For n + 1 a power of 2 every edge of omega_i lies on a grid line."""
+    grid = build_grid(n, n, alpha)
+    pi = math.pi
+
+    def a_state(x, y):  # A y*
+        return 1e-3 * np.sin(pi * x) * (pi**2 / 2 * np.sin(pi * y / 2) + pi / 2 * x**alpha * np.cos(pi * y / 2))
+
+    def control(x, y, ci):  # f_i*, before the mask of omega_i
+        return -(x**alpha) * ci * np.sin(pi * x) * np.cos(pi * y / 2) / 2
+
+    def target(x, y, ci):  # yd_i = y* - A* p_i* / 2
+        a_adjoint = ci * (pi**2 / 2 * np.cos(pi * y / 2) + pi / 2 * x**alpha * np.sin(pi * y / 2))
+        return np.sin(pi * x) * (1e-3 * np.sin(pi * y / 2) - a_adjoint / 2)
+
+    square = rect_mask(grid, 0.0, 1.0, 0.0, 1.0)
+    controls = rect_mask(grid, 0.375, 0.625, 0.125, 0.375), rect_mask(grid, 0.375, 0.625, 0.625, 0.875)
+    star = [mask.apply(GridFunction.from_callable(grid, functools.partial(control, ci=ci)))
+            for mask, ci in zip(controls, c)]
+    g = GridFunction.from_callable(grid, a_state) - star[0] - star[1]
+    yd1, yd2 = (GridFunction.from_callable(grid, functools.partial(target, ci=ci)) for ci in c)
+    return GameConfig(grid, square, *controls, square, square, g, yd1, yd2, m1=10.0, m2=10.0), star
+
+
+class TestManufacturedEquilibrium:
+    """nash_solve against the continuous equilibrium of a manufactured
+    game at 63, 127 and 255 nodes a side: both control errors, relative in
+    control_norm, fall at first order, and with the adjoint march one row
+    short, as in the kill matrix's game-adjoint-one-row-short, at half that."""
+
+    @pytest.mark.parametrize("mutant,orders_hold", [
+        ("none", lambda order: order >= 0.85),  # 0.97 and 0.96 when written
+        ("game-adjoint-one-row-short", lambda order: order < 0.7),  # 0.51 and 0.50
+    ], ids=["none", "game-adjoint-one-row-short"])
+    def test_last_observed_orders(self, monkeypatch, mutant, orders_hold):
+        from test_verdict_sensitivity import MUTANTS  # imported here, as it imports this module
+
+        MUTANTS[mutant](monkeypatch)
+        errors = []
+        for n in (63, 127, 255):
+            cfg, star = manufactured_game(n)
+            res = nash_solve(cfg)
+            assert res.converged, n
+            errors.append([control_norm(f - s, cfg.grid.alpha) / control_norm(s, cfg.grid.alpha)
+                           for f, s in zip((res.f1_star, res.f2_star), star)])
+        # h halves from level to level, so an order is the log2 of an error ratio
+        orders = [math.log2(before / after) for before, after in zip(*errors[-2:])]
+        assert all(map(orders_hold, orders)), (errors, orders)
 
 
 class TestCertify:

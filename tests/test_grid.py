@@ -182,6 +182,24 @@ class TestEquality:
         assert len({left, right}) == 2
 
 
+@pytest.mark.parametrize("holder,dtype", [(GridFunction, float), (RegionMask, bool)])
+def test_a_rejected_array_stays_writable(small_grid, holder, dtype):
+    # one node-array rule builds both holders: a wrong length names both
+    # lengths, a field rejects a NaN, and a rejected array and the array
+    # that owns its memory stay the caller's to write
+    g = small_grid
+    owner = np.zeros(g.n + 4, dtype=dtype)
+    short, given = owner[2:-3], owner[2:-2]
+    with pytest.raises(ValueError, match=rf"has length {g.n - 1}, grid has {g.n} interior nodes"):
+        holder(g, short)
+    if dtype is float:
+        given[5] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            holder(g, given)
+    for array in (short, given, owner):
+        array[0] = 1  # raises ValueError when read-only
+
+
 class TestValueSemantics:
     """A GridFunction is a read-only value whose derivatives and norms are
     computed once and kept with it."""
@@ -321,7 +339,7 @@ class TestRectMask:
         # exactly the x=0.25 column (x=0.5 lies on the open boundary).
         g = build_grid(3, 3, 0.5)
         m = rect_mask(g, 0.0, 0.5, 0.0, 1.0)
-        assert m.count == 3
+        assert m.nodes.size == 3
         expected = {0, 3, 6}  # i=0 column, flat index j*nx + i
         assert set(np.flatnonzero(m.indicator)) == expected
 
@@ -359,7 +377,7 @@ class TestRectMask:
         ind = np.zeros(small_grid.n, dtype=bool)
         ind[::3] = True
         m = RegionMask(small_grid, ind)
-        assert m.count == ind.sum()
+        assert m.nodes.size == ind.sum()
 
     @pytest.mark.parametrize("layout", ["flat", "2d", "view", "owner"])
     def test_indicator_and_the_array_it_views_are_read_only(self, small_grid, layout):
@@ -388,7 +406,7 @@ class TestRectMask:
         given = np.zeros(small_grid.n, dtype=int)  # not bool: the indicator is a copy
         m = RegionMask(small_grid, given)
         given[20] = 1
-        assert m.count == 0
+        assert m.nodes.size == 0
 
 
 class TestWeightedInner:
