@@ -11,7 +11,8 @@ counts beside the times, and run perfbench in alternating pairs of two trees.
 ``--level-override L`` and nash_solve directly on the shipped game at L x L.
 A run's row holds the median wall time of its repeats, its exit code and
 its calls of DirichletSolver.solve and solve_adjoint, solve_dirichlet, cost
-and gradient, counted by counting() in one more run made for counting only,
+and gradient, and its runs of the difference and cell-average kernels,
+counted by counting() in one more run made for counting only,
 in which the rows the solver's forward and adjoint solves march (their
 dpttrs calls) are counted and the time in certify is taken.  The tests read
 counting() too and pin its counts (tests/test_game.py::TestSolveCounts).
@@ -67,11 +68,12 @@ if __name__ == "__main__":  # before numpy loads its BLAS
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from degenash import cli, game, operators  # noqa: E402
+from degenash import cli, game, grid, operators  # noqa: E402
 
 END_TO_END = ("setup_s", "op_s_p50", "wall_s", "peak_rss_mb")
 COUNTS = ("forward_solves", "adjoint_solves", "one_shot_solves", "cost_calls", "gradient_calls",
-          "certify_forward_solves", "certify_cost_calls", "forward_rows", "adjoint_rows")
+          "certify_forward_solves", "certify_cost_calls", "forward_rows", "adjoint_rows",
+          "difference_runs", "cell_average_runs")
 
 
 def commit(tree: Path) -> str | None:
@@ -100,9 +102,11 @@ def src_digest(tree: Path) -> str:
 
 @contextlib.contextmanager
 def counting():
-    """Count solves and game calls at every binding site in degenash;
-    certify_* counts those made inside certify, whose time goes to
-    certify_s, and *_rows the dpttrs calls made inside a solver's solves."""
+    """Count solves, game calls and the runs of the two field kernels,
+    operators._diff_along (difference_runs) and grid._cell_sums
+    (cell_average_runs), at every binding site in degenash; certify_*
+    counts those made inside certify, whose time goes to certify_s, and
+    *_rows the dpttrs calls made inside a solver's solves."""
     counts, certifying, marching = Counter(), [], []
 
     def counted(name, fn):
@@ -142,6 +146,8 @@ def counting():
         game.cost: counted("cost_calls", game.cost),
         game.gradient: counted("gradient_calls", game.gradient),
         game.certify: certify,
+        operators._diff_along: counted("difference_runs", operators._diff_along),
+        grid._cell_sums: counted("cell_average_runs", grid._cell_sums),
     }
     solver = operators.DirichletSolver
     patches = [(solver, "solve", rows_of("forward_rows", counted("forward_solves", solver.solve))),

@@ -21,10 +21,14 @@ once per (grid, exponent, theta) and handed out as one read-only array; at
 theta = 0, no y-weight, it is a broadcast view of one row, so no full-grid
 array is kept for it.  A self-pairing weighted_inner(u, u, ...) is
 computed once per field, exponent > -1 and theta, and kept with the field
-as a float.  Cell averages are one fresh (ny+1, nx+1) array
-(_cell_sums), formed in a flat row layout that only _cell_sums knows, by
-contiguous passes that keep the bits of the plain four-corner formula;
-quadrature forms its weighted product in that array.
+as a float, under one key (_keep_self_pairing).  One cell pass serves
+more than one of them: a y-weighted self-pairing also keeps the
+unweighted one at its exponent, and the L^q power sums (_power_sums)
+keep the unweighted L^2 one, each from the squared averages already
+formed.  Cell averages are one fresh (ny+1, nx+1) array (_cell_sums),
+formed in a flat row layout that only _cell_sums knows, by contiguous
+passes that keep the bits of the plain four-corner formula; quadrature
+forms its weighted product in that array.  Cell averages are not kept.
 
 Each input rule is a Rule, stated once in the module that owns the input
 and checked by both the library and the config; shared ones are here.
@@ -357,6 +361,13 @@ def cell_weights(grid: Grid, exponent: float, theta: float = 0.0) -> np.ndarray:
     return _weights(grid, exponent, FINITE_NONNEGATIVE.check("theta", theta))
 
 
+def _keep_self_pairing(u: GridFunction, exponent: float, theta: float, compute: Callable[[], float]) -> float:
+    """The self-pairing weighted_inner(u, u, exponent, theta), exponent > -1,
+    kept with u under the one key every self-pairing shares: compute() on
+    the first call, the kept float on every later one."""
+    return u._once(("weighted_inner", exponent, theta), compute)
+
+
 def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: float = 0.0) -> float:
     """Quadrature value of the weighted pairing of u and v.
 
@@ -372,11 +383,15 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: flo
     theta that is not FINITE_NONNEGATIVE, raises ValueError (cell_weights)
     on every call.  A self-pairing (v is u) with exponent > -1 is computed
     once per (exponent, theta) and kept with u (GridFunction._once); one
-    with exponent <= -1 is computed, and warns, on every call.  ub * vb
+    with exponent <= -1 is computed, and warns, on every call.  A kept
+    self-pairing with theta != 0 also keeps the unweighted (exponent, 0)
+    one, if it is not kept yet, summed from the same squared averages in
+    a second array: one more weighted sum, no second cell pass.  ub * vb
     and then the weighted product are formed in ub's own cell array.
     """
     u._check_same_grid(v)
     w = cell_weights(u.grid, exponent, theta)
+    kept = v is u and exponent > -1.0
 
     def pairing() -> float:
         # elementwise products commute exactly, so forming ub * vb in ub's
@@ -391,8 +406,36 @@ def weighted_inner(u: GridFunction, v: GridFunction, exponent: float, theta: flo
                 DegenerateWeightWarning,
                 stacklevel=3,
             )
+        if kept and theta != 0:
+            # a fresh product array sums in the order _quadrature's in-place one does
+            _keep_self_pairing(u, exponent, 0.0, lambda: float(np.multiply(cell_weights(u.grid, exponent), prod).sum()))
         return float(_quadrature(w, prod))
 
-    if v is u and exponent > -1.0:
-        return u._once(("weighted_inner", exponent, theta), pairing)
-    return pairing()
+    return _keep_self_pairing(u, exponent, theta, pairing) if kept else pairing()
+
+
+def _power_sums(u: GridFunction) -> dict[float, float]:
+    """The midpoint sums of |ub|**q for q = 2, 3 and 4, unweighted, keyed
+    by q, all from one cell pass: the sums of the L^q norms, q in
+    norms.Q_VALUES, that norms.lq_norm keeps.
+
+    The q = 2 sum is the self-pairing weighted_inner(u, u, 0.0), kept with
+    u if it is not kept yet, and read from there, so it has that
+    pairing's bits: |ub| * |ub| is ub * ub.  The squares ub * ub are one
+    array beside the averages; q = 3 is |ub| * (ub * ub), formed in the
+    averages' array, the bits of (|ub| * |ub|) * |ub| since IEEE products
+    commute, and q = 4 squares the squares in that array after its sum.
+    The q = 3 and q = 4 products carry at most about (q - 1) units of
+    round-off where pow rounds once (Higham 2002, sec. 3.1).  No cell
+    array outlives the call.
+    """
+    w = cell_weights(u.grid, 0.0)
+    cells = _cell_sums(u)
+    squares = cells * cells
+    np.abs(cells, out=cells)
+    cells *= squares
+    cube = _quadrature(w, cells)
+    np.multiply(squares, squares, out=cells)
+    fourth = _quadrature(w, cells)
+    square = _keep_self_pairing(u, 0.0, 0.0, lambda: float(_quadrature(w, squares)))
+    return {2.0: square, 3.0: cube, 4.0: fourth}

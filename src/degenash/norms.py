@@ -23,13 +23,15 @@ norms, stated here once: lq_norm and embedding_ratio accept exactly
 these (the rule Q_VALUE), and analysis's embedding study reads them.
 norms_of is computed once per field and include_mixed and kept with the
 field (GridFunction._once), so embedding_ratio norms a field once for
-every q.  lq_norm(u, 2) reads the L^2 self-pairing kept with the field
-(grid.weighted_inner); lq_norm forms the cell averages again for q = 3
-and q = 4: keeping them would keep a cell array alive per field.  Those
-two take |ub|**q from products in that buffer, not from pow: each
-carries at most about (q - 1) units of round-off, so the norm stays
-within about one unit of the pow formula, and every shipped table keeps
-its digest.
+every q.  lq_norm's first call for any q forms the field's cell
+averages once, and keeps the three L^q norms with the field as floats,
+with the L^2 self-pairing weighted_inner(u, u, 0.0) beside them
+(grid._power_sums); embedding_ratio asks for lq_norm before norms_of, so
+that norms_of reads that kept pairing.  No cell array is kept: that
+would keep one alive per field.  q = 3 and q = 4 take |ub|**q from
+products, not from pow: each carries at most about (q - 1) units of
+round-off, so the norm stays within about one unit of the pow formula,
+and every shipped table keeps its digest.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FINITE, GridFunction, Rule, _cell_sums, _quadrature, cell_weights, weighted_inner
+from .grid import FINITE, GridFunction, Rule, _power_sums, weighted_inner
 from .operators import dx, dy
 
 # The Muckenhoupt product above which a weight counts as diverged.  A ball
@@ -124,40 +126,31 @@ def lq_norm(u: GridFunction, q: float) -> float:
     """Unweighted L^q norm by the shared midpoint-in-cell quadrature, for q
     in Q_VALUES (the rule Q_VALUE).
 
-    q = 2 takes the square root of the self-pairing weighted_inner(u, u, 0.0),
-    kept with u, with the bits of the formula |ub|**2.0 summed: that is
-    numpy's ub * ub, and np.float64 ** 0.5 and float ** 0.5 are one pow.
-    q = 3 and q = 4 form |ub|**q from products: q = 3 is
-    (|ub| * |ub|) * |ub|, in one fresh array, and q = 4 squares ub * ub in
-    place; an even power needs no abs.  Each carries a relative error of
-    at most about (q - 1) units of round-off where pow rounds once (Higham
-    2002, sec. 3.1), so the norm, a q-th root, stays within about one unit
-    of the ** formula.  The weighted product is formed in the array that
-    holds |ub|**q.
+    The first call for any q forms u's cell averages once and keeps all
+    three norms with u as floats (GridFunction._once), from the sums of
+    grid._power_sums: the q = 2 sum is the self-pairing
+    weighted_inner(u, u, 0.0), kept with u too, with the bits of the
+    formula |ub|**2.0 summed, and np.float64 ** 0.5 and float ** 0.5 are
+    one pow.  q = 3 and q = 4 form |ub|**q from products, each with a
+    relative error of at most about (q - 1) units of round-off where pow
+    rounds once (Higham 2002, sec. 3.1), so the norm, a q-th root, stays
+    within about one unit of the ** formula.
     """
     Q_VALUE.check("q", q)
-    if q == 2:
-        return weighted_inner(u, u, 0.0) ** 0.5
-    cells = _cell_sums(u)
-    if q == 4:
-        cells *= cells
-        cells *= cells
-        power = cells
-    else:
-        # |ub| in the averages' own buffer
-        np.abs(cells, out=cells)
-        power = np.multiply(cells, cells)
-        power *= cells
-    return float(_quadrature(cell_weights(u.grid, 0.0), power) ** (1.0 / q))
+    return u._once("lq_norm", lambda: {p: float(s ** (1.0 / p)) for p, s in _power_sums(u).items()})[q]
 
 
 def embedding_ratio(u: GridFunction, q: float) -> float:
-    """||u||_{L^q} / ||u||_{W11}, for q in Q_VALUES (the rule Q_VALUE)."""
+    """||u||_{L^q} / ||u||_{W11}, for q in Q_VALUES (the rule Q_VALUE).
+
+    lq_norm comes first, so that its one cell pass also keeps the L^2
+    self-pairing norms_of reads."""
     Q_VALUE.check("q", q)
+    lq = lq_norm(u, q)
     w11 = norms_of(u).w11
     if w11 == 0.0:
         raise ValueError("embedding ratio undefined for u = 0")
-    return lq_norm(u, q) / w11
+    return lq / w11
 
 
 # ---------------------------------------------------------------------------

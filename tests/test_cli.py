@@ -1138,7 +1138,9 @@ class TestScripts:
         counts = nash_run["counts"]
         assert counts.keys() == {"forward_solves", "adjoint_solves", "one_shot_solves", "cost_calls",
                                  "gradient_calls", "certify_forward_solves", "certify_cost_calls",
-                                 "forward_rows", "adjoint_rows"}
+                                 "forward_rows", "adjoint_rows", "difference_runs", "cell_average_runs"}
+        # the game differentiates and averages no field
+        assert counts["difference_runs"] == counts["cell_average_runs"] == 0
         assert counts["adjoint_solves"] == counts["gradient_calls"] > 0
         # each solve marches at most its 16 rows
         assert 0 < counts["adjoint_rows"] <= 16 * counts["adjoint_solves"]
@@ -1178,10 +1180,11 @@ class TestScripts:
 
     def test_verify_and_the_studies_make_26_one_shot_solves(self):
         # the shipped configs as perfbench's studies workload runs them, with
-        # the counter scripts/bench_levels.py records
+        # the counter scripts/bench_levels.py records: the solves and the
+        # runs of the two field kernels
         bench = load_script("bench_levels")
         with bench.counting() as counts:
             for name in ["verify_weak_form", *(f"study_{kind}" for kind in cli_mod.STUDIES)]:
                 path = CONFIG_DIR / f"{name}.yaml"
                 assert bench.run_cli([command_of(path.read_text()), "--config", str(path)]) == (0, None)
-        assert dict(counts) == {"one_shot_solves": 26}
+        assert dict(counts) == {"one_shot_solves": 26, "difference_runs": 1108, "cell_average_runs": 1916}

@@ -9,7 +9,7 @@ forms (ref_power), and a second test holds it, at every q, near the pow
 formula.
 """
 
-import collections
+import itertools
 import math
 import re
 
@@ -19,8 +19,7 @@ import pytest
 import degenash.analysis as analysis
 import degenash.grid as grid
 import degenash.norms as norms
-import degenash.operators as operators
-from conftest import peak_bytes, random_field
+from conftest import load_script, peak_bytes, random_field
 from degenash.fields import _FIELDS, FIELD_KINDS, _window, bump_from_parameters, bump_parameter_sets, named_field
 from degenash.analysis import coercivity_check
 from degenash.grid import DegenerateWeightWarning, GridFunction, _cell_sums, _quadrature, build_grid, cell_weights, weighted_inner
@@ -45,6 +44,13 @@ def signed_zero_field(g, seed):
     v[rng.integers(g.ny), :] = 0.0
     v[:, rng.integers(g.nx)] = -0.0
     return GridFunction(g, v)
+
+
+def count_cell_passes(monkeypatch):
+    """The fields grid._cell_sums averages from now on, in call order."""
+    runs = []
+    monkeypatch.setattr(grid, "_cell_sums", lambda f: runs.append(f) or _cell_sums(f))
+    return runs
 
 
 def ref_averages(u):
@@ -124,13 +130,15 @@ class TestBitForBit:
         assert weighted_inner(u, v, exponent, theta=1.5) == ref_inner(u, v, exponent, yw)
         assert weighted_inner(u, u, exponent, theta=1.5) == ref_inner(u, u, exponent, yw)
 
+    # the three norms come from one pass, whichever q is asked first
     @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
-    @pytest.mark.parametrize("q", norms.Q_VALUES)
-    def test_lq_norm(self, nx, ny, q):
+    @pytest.mark.parametrize("order", list(itertools.permutations(norms.Q_VALUES)))
+    def test_lq_norm(self, nx, ny, order):
         g = build_grid(nx, ny, 0.5)
         u = signed_zero_field(g, nx * ny)
-        ref = float(np.sum(ref_weights(g, 0.0) * ref_power(ref_averages(u), q)) ** (1.0 / q))
-        assert lq_norm(u, q) == ref
+        for q in order:
+            assert lq_norm(u, q) == float(np.sum(ref_weights(g, 0.0) * ref_power(ref_averages(u), q)) ** (1.0 / q))
+        assert weighted_inner(u, u, 0.0) == ref_inner(u, u, 0.0)
 
     @pytest.mark.parametrize("nx,ny", KERNEL_SHAPES)
     @pytest.mark.parametrize("q", norms.Q_VALUES)
@@ -239,16 +247,43 @@ class TestComputedOnce:
                 weighted_inner(u, u, -1.0)
             assert [w.filename for w in record] == [__file__]
 
+    # lq_norm after norms_of: q = 2 is the kept pairing, which the one pass
+    # for the three q leaves in place
     def test_l2_norm_reads_the_kept_pairing(self, monkeypatch):
         g = build_grid(9, 7, 0.5)
         u = signed_zero_field(g, 4)
         norms_of(u)
-        runs = []
-        counted = lambda f: runs.append(f) or _cell_sums(f)
-        monkeypatch.setattr(grid, "_cell_sums", counted)
-        monkeypatch.setattr(norms, "_cell_sums", counted)
+        pairing = weighted_inner(u, u, 0.0)
+        runs = count_cell_passes(monkeypatch)
         assert lq_norm(u, 2.0) == float(np.sum(ref_weights(g, 0.0) * np.abs(ref_averages(u)) ** 2.0) ** 0.5)
-        assert runs == []
+        assert weighted_inner(u, u, 0.0) is pairing
+        assert runs == [u]
+
+    # the first lq_norm call, for any q, forms u's averages once for the
+    # three q and for the L^2 self-pairing
+    @pytest.mark.parametrize("first", norms.Q_VALUES)
+    def test_one_cell_pass_serves_every_q_and_the_l2_pairing(self, first, monkeypatch):
+        g = build_grid(9, 7, 0.5)
+        u, fresh = (signed_zero_field(g, 6) for _ in range(2))
+        runs = count_cell_passes(monkeypatch)
+        lq_norm(u, first)
+        assert runs == [u]
+        assert [repr(lq_norm(u, q)) for q in norms.Q_VALUES] == [repr(lq_norm(fresh, q)) for q in norms.Q_VALUES]
+        assert repr(weighted_inner(u, u, 0.0)) == repr(weighted_inner(fresh, fresh, 0.0))
+        assert runs == [u, fresh]
+
+    # a y-weighted self-pairing also keeps the unweighted one, from the same
+    # squared averages: no second pass, and a fresh field's bits
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, -0.5])
+    def test_y_weighted_self_pairing_keeps_the_unweighted_one(self, exponent, monkeypatch):
+        g = build_grid(9, 7, 0.5)
+        u = signed_zero_field(g, 7)
+        fresh = GridFunction(g, u.values.copy())
+        runs = count_cell_passes(monkeypatch)
+        assert weighted_inner(u, u, exponent, 1.5) == ref_inner(u, u, exponent, lambda y: np.exp(-1.5 * y))
+        assert runs == [u]
+        assert repr(weighted_inner(u, u, exponent)) == repr(weighted_inner(fresh, fresh, exponent))
+        assert runs == [u, fresh]
 
     def test_coercivity_check_repeats_itself(self, monkeypatch):
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 4)
@@ -263,11 +298,14 @@ class TestComputedOnce:
 # 1200, 15 and 140 difference runs, and coercivity and embedding 1800 and
 # 2400 cell-average runs; with
 # the norms kept but not the self-pairings, coercivity made 1600 and
-# embedding 1200 cell-average runs.
+# embedding 1200 cell-average runs; with the self-pairings kept but each
+# formed alone, coercivity made 1200 (v_y's y-weighted and unweighted
+# self-pairings one pass each) and embedding 1000 (lq_norm formed u's
+# averages again for q = 3 and q = 4).
 KERNEL_RUNS = {
-    "study_coercivity": (600, 1200),
+    "study_coercivity": (600, 1000),
     "study_convergence": (0, 0),
-    "study_embedding": (400, 1000),
+    "study_embedding": (400, 600),
     "study_energy": (40, 80),
     "study_inclusion": (10, 20),
     "study_muckenhoupt": (0, 0),
@@ -276,22 +314,11 @@ KERNEL_RUNS = {
 
 
 @pytest.mark.parametrize("name", KERNEL_RUNS)
-def test_kernel_runs_per_shipped_config(name, tmp_path, monkeypatch):
-    runs = collections.Counter()
-
-    def counted(kernel, fn):
-        def run(*args, **kwargs):
-            runs[kernel] += 1
-            return fn(*args, **kwargs)
-
-        return run
-
-    monkeypatch.setattr(operators, "_diff_along", counted("diff", operators._diff_along))
-    cell_sums = counted("cells", grid._cell_sums)
-    monkeypatch.setattr(grid, "_cell_sums", cell_sums)
-    monkeypatch.setattr(norms, "_cell_sums", cell_sums)
-    _run(tmp_path, name)
-    assert (runs["diff"], runs["cells"]) == KERNEL_RUNS[name]
+def test_kernel_runs_per_shipped_config(name, tmp_path):
+    # the counter scripts/bench_levels.py records in a levels file
+    with load_script("bench_levels").counting() as counts:
+        _run(tmp_path, name)
+    assert (counts["difference_runs"], counts["cell_average_runs"]) == KERNEL_RUNS[name]
 
 
 class TestRejectsNonFiniteWeights:
@@ -374,8 +401,8 @@ class TestPeakAllocation:
             "self_pairing": lambda: (lambda w: weighted_inner(w, w, 0.5))(GridFunction(g, u.values)),
             "pairing": lambda: weighted_inner(u, v, 0.5),
             "y_weighted": lambda: weighted_inner(u, v, 0.5, theta=1.0),
-            "lq_norm_q3": lambda: lq_norm(u, 3.0),
-            "lq_norm_q4": lambda: lq_norm(u, 4.0),
+            "lq_norm_q3": lambda: lq_norm(GridFunction(g, u.values), 3.0),
+            "lq_norm_q4": lambda: lq_norm(GridFunction(g, u.values), 4.0),
             "norms_of": lambda: norms_of(GridFunction(g, u.values)),
         }[name]
         assert peak_bytes(fn) / (8 * (g.nx + 1) * (g.ny + 1)) < PARENT_PEAKS_IN_CELLS[name]

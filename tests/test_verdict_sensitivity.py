@@ -3,9 +3,13 @@
 
 MUTANTS names each wrong program once, as an installer that monkeypatches
 it in where the program looks it up.  VERDICTS runs every config under
-configs/ through the CLI at its shipped levels (the game at 32 x 32), and
-the `oracle` column compares that game run's controls and costs with
-its exact reference equilibrium (tests/test_game.py).  KILLS is the committed table
+configs/ through the CLI at its shipped levels (the game at 32 x 32), the
+`oracle` column compares that game run's controls and costs with
+its exact reference equilibrium (tests/test_game.py), and the
+`manufactured` column solves the manufactured game, whose continuous
+equilibrium is known (tests/test_game.py::manufactured_game), at
+MANUFACTURED_LEVELS and reads the observed orders of both controls'
+errors.  KILLS is the committed table
 of what each verdict does with each mutant: a verdict that stops killing a
 mutant, or starts failing the true program, fails test_kill_matrix.  Every
 row but `none` holds a fail, and `none` passes every column.
@@ -29,11 +33,12 @@ import degenash.game as game_mod
 import degenash.norms as norms_mod
 import degenash.operators as operators_mod
 from conftest import CONFIG_DIR, half_disk_closed_form, half_disk_constant, shipped_game
-from degenash.analysis import Verdict, convergence_study, energy_estimate_study, strict_inclusion_demo
+from degenash.analysis import Verdict, convergence_study, energy_estimate_study, observed_orders, strict_inclusion_demo
 from degenash.fields import manufactured_pair
 from degenash.grid import GridFunction, build_grid, weighted_inner
 from degenash.operators import RESIDUAL_TOL, DirichletSolver, dx, solve_dirichlet
-from test_game import matches_reference, reference_equilibrium
+from degenash.game import control_norm, nash_solve
+from test_game import manufactured_game, matches_reference, reference_equilibrium
 
 
 def solve_mutant(wrong):
@@ -175,30 +180,54 @@ def oracle(out):
     return "pass" if matches_reference(GAME_32, REFERENCE_32, f1, f2, results["j1"], results["j2"]) else "fail"
 
 
-VERDICTS = {path.stem: shipped(path) for path in sorted(CONFIG_DIR.glob("*.yaml"))} | {"oracle": oracle}
+# n + 1 doubles from level to level; the true game's last orders read 0.94
+# and 0.91, and with the adjoint march one row short 0.52 and 0.50
+MANUFACTURED_LEVELS = [31, 63, 127]
+MANUFACTURED_ORDER = 0.85
+
+
+def manufactured(out):
+    """Whether nash_solve converges on the manufactured game at every level
+    of MANUFACTURED_LEVELS, and the last observed order of both controls'
+    errors, relative in control_norm, reaches MANUFACTURED_ORDER; a level
+    that does not converge fails it there.  The game runs in the library,
+    so out is not read."""
+    errors = []
+    for n in MANUFACTURED_LEVELS:
+        cfg, star = manufactured_game(n)
+        res = nash_solve(cfg)
+        if not res.converged:
+            return "fail"
+        alpha = cfg.grid.alpha
+        errors.append([control_norm(f - s, alpha) / control_norm(s, alpha) for f, s in zip((res.f1_star, res.f2_star), star)])
+    orders = [observed_orders(MANUFACTURED_LEVELS, control)[-1] for control in zip(*errors)]
+    return "pass" if all(order >= MANUFACTURED_ORDER for order in orders) else "fail"
+
+
+VERDICTS = {path.stem: shipped(path) for path in sorted(CONFIG_DIR.glob("*.yaml"))} | {"oracle": oracle, "manufactured": manufactured}
 # exit 1 is a fail in every cell but energy on solve-1e300-at-128, where the
 # overflow warning is an error under the test settings
 KILLS_TABLE = """
-mutant                      benchmark_game  solve_example  study_coercivity  study_convergence  study_embedding  study_energy  study_inclusion  study_muckenhoupt  verify_weak_form  oracle
-none                        pass            pass           pass              pass               pass             pass          pass             pass               pass              pass
-solve-zero                  pass            pass           pass              fail               pass             fail          pass             pass               fail              pass
-solve-doubled               pass            pass           pass              fail               pass             fail          pass             pass               fail              pass
-solve-at-alpha-1            pass            pass           pass              fail               pass             fail          pass             pass               fail              pass
-solve-at-1.2-alpha          pass            pass           pass              fail               pass             fail          pass             pass               fail              pass
-solve-adjoint               pass            pass           pass              fail               pass             fail          pass             pass               fail              pass
-solve-checkerboard          pass            pass           pass              fail               pass             fail          pass             pass               pass              pass
-solve-exact-below-128       pass            pass           pass              fail               pass             fail          pass             pass               fail              pass
-solve-1e300-at-128          pass            pass           pass              fail               pass             fail          pass             pass               pass              pass
-solve-times-1+1e-9          pass            pass           pass              pass               pass             fail          pass             pass               pass              pass
-norm-dx-doubled             pass            pass           pass              pass               pass             pass          fail             pass               pass              pass
-norm-dy-unweighted          pass            pass           pass              pass               pass             pass          fail             pass               pass              pass
-ball-midpoint               pass            pass           pass              pass               pass             pass          pass             fail               pass              pass
-ball-same-sign              pass            pass           pass              pass               pass             pass          pass             fail               pass              pass
-game-gradient-unweighted    fail            pass           pass              pass               pass             pass          pass             pass               pass              fail
-game-adjoint-one-row-short  pass            pass           pass              pass               pass             pass          pass             pass               pass              fail
-march-coupling-at-alpha-1   fail            fail           pass              fail               pass             fail          pass             pass               fail              fail
-march-no-coupling           fail            fail           pass              fail               pass             fail          pass             pass               fail              fail
-store-holds-every-row       fail            pass           pass              pass               pass             pass          pass             pass               pass              fail
+mutant                      benchmark_game  solve_example  study_coercivity  study_convergence  study_embedding  study_energy  study_inclusion  study_muckenhoupt  verify_weak_form  oracle  manufactured
+none                        pass            pass           pass              pass               pass             pass          pass             pass               pass              pass    pass
+solve-zero                  pass            pass           pass              fail               pass             fail          pass             pass               fail              pass    pass
+solve-doubled               pass            pass           pass              fail               pass             fail          pass             pass               fail              pass    pass
+solve-at-alpha-1            pass            pass           pass              fail               pass             fail          pass             pass               fail              pass    pass
+solve-at-1.2-alpha          pass            pass           pass              fail               pass             fail          pass             pass               fail              pass    pass
+solve-adjoint               pass            pass           pass              fail               pass             fail          pass             pass               fail              pass    pass
+solve-checkerboard          pass            pass           pass              fail               pass             fail          pass             pass               pass              pass    pass
+solve-exact-below-128       pass            pass           pass              fail               pass             fail          pass             pass               fail              pass    pass
+solve-1e300-at-128          pass            pass           pass              fail               pass             fail          pass             pass               pass              pass    pass
+solve-times-1+1e-9          pass            pass           pass              pass               pass             fail          pass             pass               pass              pass    pass
+norm-dx-doubled             pass            pass           pass              pass               pass             pass          fail             pass               pass              pass    pass
+norm-dy-unweighted          pass            pass           pass              pass               pass             pass          fail             pass               pass              pass    pass
+ball-midpoint               pass            pass           pass              pass               pass             pass          pass             fail               pass              pass    pass
+ball-same-sign              pass            pass           pass              pass               pass             pass          pass             fail               pass              pass    pass
+game-gradient-unweighted    fail            pass           pass              pass               pass             pass          pass             pass               pass              fail    fail
+game-adjoint-one-row-short  pass            pass           pass              pass               pass             pass          pass             pass               pass              fail    fail
+march-coupling-at-alpha-1   fail            fail           pass              fail               pass             fail          pass             pass               fail              fail    fail
+march-no-coupling           fail            fail           pass              fail               pass             fail          pass             pass               fail              fail    fail
+store-holds-every-row       fail            pass           pass              pass               pass             pass          pass             pass               pass              fail    pass
 """
 HEADER, *ROWS = (line.split() for line in KILLS_TABLE.strip().splitlines())
 KILLS = {name: dict(zip(HEADER[1:], cells)) for name, *cells in ROWS}
@@ -219,8 +248,8 @@ def test_kills_rows_are_the_mutants():
     assert list(KILLS) == list(MUTANTS)
 
 
-def test_kills_columns_are_the_shipped_configs_and_the_oracle():
-    assert HEADER[1:] == sorted(path.stem for path in CONFIG_DIR.glob("*.yaml")) + ["oracle"]
+def test_kills_columns_are_the_shipped_configs_and_the_game_checks():
+    assert HEADER[1:] == sorted(path.stem for path in CONFIG_DIR.glob("*.yaml")) + ["oracle", "manufactured"]
     assert all(len(row) == len(HEADER) for row in ROWS)
 
 
