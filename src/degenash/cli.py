@@ -295,17 +295,38 @@ def _write_columns(path: Path, header: list[str], columns: list) -> None:
     Renders with repr on the Python scalars of np.ravel(column).tolist():
     floats round-trip and ints print as integers.  Rows are taken, rendered
     and written CHUNK_ROWS at a time in ravel order, so memory does not
-    grow with the table; columns of unequal length raise ValueError."""
+    grow with the table; columns of unequal length raise ValueError.  A
+    broadcast column (a view with a zero stride, such as a grid
+    coordinate repeated over the nodes) is rendered once from the
+    entries it repeats, by the same _render, and its strings are
+    repeated into each chunk (_renderer)."""
     columns = [np.asarray(c) for c in columns]
     lengths = [c.size for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"{path.name}: columns must have equal lengths, got {lengths}")
+    renderers = [_renderer(c) for c in columns]
     with path.open("w") as out:
         out.write("\t".join(header) + "\n")
         for start in range(0, lengths[0] if columns else 0, CHUNK_ROWS):
-            # a flat slice copies only these rows, also of a broadcast view
-            cells = [_render(c.flat[start : start + CHUNK_ROWS]) for c in columns]
+            rows = slice(start, start + CHUNK_ROWS)
+            cells = [render(rows) for render in renderers]
             out.write("\n".join(map("\t".join, zip(*cells))) + "\n")
+
+
+def _renderer(column: np.ndarray) -> Callable[[slice], list[str]]:
+    """The renderer of a slice of column's ravel-order rows.
+
+    A flat slice copies only those rows, also of a broadcast view.  A
+    column with a zero stride repeats the entries of its source, the
+    column with each such axis cut to its first entry: those are
+    rendered once, and a slice picks their strings through the
+    broadcast index of each row's source entry."""
+    if 0 not in column.strides:
+        return lambda rows: _render(column.flat[rows])
+    source = column[tuple(slice(None) if stride else slice(1) for stride in column.strides)]
+    text = np.array(_render(source.ravel()), dtype=object)
+    index = np.broadcast_to(np.arange(source.size).reshape(source.shape), column.shape)
+    return lambda rows: text[index.flat[rows]].tolist()
 
 
 def _render(values: np.ndarray) -> list[str]:

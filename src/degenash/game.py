@@ -72,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import FINITE_NONNEGATIVE, Grid, GridFunction, RegionMask
+from .grid import FINITE_NONNEGATIVE, Grid, GridFunction, RegionMask, _x_power
 from .operators import DirichletSolver, _check_residual
 
 _FEAS_SLACK = 8 * np.finfo(float).eps
@@ -166,7 +166,7 @@ class GameConfig:
             ((self.omega1, self.g1_obs, self.yd1, self.m1), (self.omega2, self.g2_obs, self.yd2, self.m2)), 1
         ):
             column = ctrl.nodes % self.grid.nx
-            gathered = [yd.values[obs.nodes]] + [(self.grid.x**e)[column] for e in (-alpha, alpha)]
+            gathered = [yd.values[obs.nodes]] + [_x_power(self.grid, e)[column] for e in (-alpha, alpha)]
             for a in gathered:
                 a.flags.writeable = False
             followers[i] = Follower(ctrl, obs, m, *gathered)
@@ -194,10 +194,16 @@ class NashResult:
 
 
 def control_inner(u: GridFunction, v: GridFunction, alpha: float) -> float:
-    """Lumped weighted inner product hx*hy * sum x^-alpha u v."""
+    """Lumped weighted inner product hx*hy * sum x^-alpha u v.
+
+    The row x^-alpha is kept once per (grid, alpha) (grid._x_power), and
+    (x^-alpha * u) * v is formed in one array and summed: the order and
+    the bits of np.sum(x**-alpha * u * v)."""
     u._check_same_grid(v)
     g = u.grid
-    return float(g.hx * g.hy * np.sum(g.x**-alpha * u.values2d() * v.values2d()))
+    prod = _x_power(g, -alpha) * u.values2d()
+    prod *= v.values2d()
+    return float(g.hx * g.hy * prod.sum())
 
 
 def control_norm(f: GridFunction, alpha: float) -> float:
@@ -220,7 +226,7 @@ def _rhs(cfg: GameConfig, f1: GridFunction, f2: GridFunction) -> np.ndarray:
     as fresh node values."""
     rhs = cfg.source.copy()
     for name, region, f in (("f1", cfg.omega1, f1), ("f2", cfg.omega2, f2)):
-        if f.grid != cfg.grid:
+        if f.grid is not cfg.grid and f.grid != cfg.grid:
             raise ValueError(f"{name} lives on {f.grid}, not on the game's grid {cfg.grid}")
         rhs[region.nodes] += f.values[region.nodes]
     return rhs

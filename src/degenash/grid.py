@@ -349,6 +349,15 @@ def _weights(grid: Grid, exponent: float, theta: float) -> np.ndarray:
     return np.broadcast_to(w, (grid.ny + 1, grid.nx + 1))
 
 
+@functools.lru_cache(maxsize=32)
+def _x_power(grid: Grid, exponent: float) -> np.ndarray:
+    """The read-only node row grid.x**exponent, shape (nx,), computed once
+    per (grid, exponent): the lumped control weights of the game."""
+    row = grid.x**exponent
+    row.flags.writeable = False
+    return row
+
+
 def cell_weights(grid: Grid, exponent: float, theta: float = 0.0) -> np.ndarray:
     """Quadrature weights hx*hy * xc**exponent * exp(-theta*yc), shape (ny+1, nx+1).
 

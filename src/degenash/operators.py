@@ -24,12 +24,14 @@ it imports; only where that file is missing or will not load do they
 come from scipy.linalg.lapack (_pttr_routines).  The adjoint A^T is
 block upper-bidiagonal and runs the same march backward from j = ny-1.
 Row j of a march depends on the right-hand-side rows up to j only, so
-a march skips its leading zero rows (_march), a forward or adjoint solve
-given the last row its caller reads stops after that row, and a forward
-solve starts at the first row that differs from the last forward solve
-and copies the rows before it (DirichletSolver.solve).  An adjoint solve
-and a one-shot solve (solve_dirichlet) keep nothing and march their own
-copy of the rows in place.
+a march skips its leading zero rows (_march, which finds the first
+nonzero row by one any() pass over the rows, made only when the first
+row is zero), a forward or adjoint solve given the last row its caller
+reads stops after that row, and a forward solve starts at the first row
+that differs from the last forward solve and keeps the solved rows
+before it (DirichletSolver.solve).  An adjoint solve and a one-shot
+solve (solve_dirichlet) keep nothing and march their own copy of the
+rows in place.
 A field's node values are the march's own layout, node (x_i, y_j) at
 j*nx + i (grid.GridFunction), so y-row j is a contiguous run of nx
 values; the solvers take and return flat node values and march
@@ -208,13 +210,21 @@ def _march(factors: tuple, rows: np.ndarray, before: np.ndarray | None = None) -
     solution.  before is the solved row just below rows[0] in march
     order.  When it is None or zero, nothing couples in: the leading zero
     rows solve to +0.0 and are not marched (dpttrs would keep a -0.0),
-    and the first nonzero row couples nothing.  Keeps nothing.
+    and the first nonzero row couples nothing.  The first row is tested
+    on its own, and only when it is zero does one any(axis=1) pass over
+    the others find the first nonzero row, so a march that starts on a
+    nonzero row scans no further.  Keeps nothing.  dpttrs is looked up
+    in this module on every call, so a patch of operators.dpttrs counts
+    the rows marched.
     """
     c, d, e = factors
-    if before is None or not before.any():
-        first = next((j for j, row in enumerate(rows) if row.any()), len(rows))
+    if before is not None and not before.any():
+        before = None
+    if before is None and not rows[0].any():
+        nonzero = rows[1:].any(axis=1)
+        first = 1 + int(nonzero.argmax()) if nonzero.any() else len(rows)
         rows[:first] = 0.0
-        rows, before = rows[first:], None
+        rows = rows[first:]
     coupling = np.empty(len(c))
     for row in rows:
         if before is not None:
@@ -237,10 +247,15 @@ class DirichletSolver:
     and adjoint solves share the factors.  Forward solves keep the last
     right-hand side and solution, and march from the first row whose
     right-hand side differs (!=) from the kept one or that the kept
-    solution does not hold, whichever is earlier; the rows before it are
-    copied, so a repeated or partly repeated solve returns the same bits
-    as a fresh one.  The store starts holding no row; every forward solve
-    mutates it: not reentrant.  An adjoint solve keeps nothing.
+    solution does not hold, whichever is earlier.  The march reads the
+    new right-hand side's rows, and the kept solution's rows before its
+    start are copied, so a repeated or partly repeated solve returns the
+    same bits as a fresh one.  The kept right-hand side is overwritten
+    from its first differing row on only: the rows before it are equal
+    already, up to the sign of a zero, which != does not see.  The result
+    is one fresh array of the solved rows and a zeroed tail.  The store
+    starts holding no row; every forward solve mutates it: not
+    reentrant.  An adjoint solve keeps nothing.
     No residual check: solve_dirichlet carries the contract, and the game
     checks its final state (game.nash_solve).
     """
@@ -260,17 +275,20 @@ class DirichletSolver:
         ny, nx = self._shape
         stop = ny if last_row is None else last_row + 1
         kept, solution, held = self._last
-        # the first entry that differs, and so its row
+        # the first entry that differs, and so its row; the kept rows
+        # before it are already equal
         differs = (rhs != kept).reshape(-1)
         first = int(differs.argmax())
-        start = min(first // nx if differs[first] else ny, held)
-        np.copyto(kept, rhs)
+        changed = first // nx if differs[first] else ny
+        kept[changed:] = rhs[changed:]
+        start = min(changed, held)
         if start < stop:
-            solution[start:stop] = kept[start:stop]
+            solution[start:stop] = rhs[start:stop]
             _march(self._factors, solution[start:stop], solution[start - 1] if start > 0 else None)
         self._last = (kept, solution, max(start, stop))
-        out = np.zeros((ny, nx))
+        out = np.empty((ny, nx))
         out[:stop] = solution[:stop]
+        out[stop:] = 0.0
         return out.reshape(-1)
 
     def solve_adjoint(self, rhs: np.ndarray, last_row: int | None = None) -> np.ndarray:

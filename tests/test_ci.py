@@ -2,8 +2,8 @@
 scipy series and runs on the Python the golden table digests were
 recorded on, and its lowest Python is the package's floor.  Its installed
 package loads no scipy.linalg at import, and its console script runs a
-solve, a game, a study, and the coercivity study and verify under two
-seeds each, and it checks, before any test, that PyYAML has the libyaml
+solve, the game twice, a study, and the coercivity study and verify
+under two seeds each, and it checks, before any test, that PyYAML has the libyaml
 loader the CLI reads configs with, and, after every step, that the
 checkout is as it was.  Its token may only read the repository's
 contents."""
@@ -59,7 +59,7 @@ def test_console_script_step_runs_the_solve_game_study_and_verify_verbs():
     # under two seeds
     (step,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Console script"]
     verbs = re.findall(r"^degenash (\w+) --config configs/\S+\.yaml", step, re.M)
-    assert verbs == ["solve", "game", "study", "study", "study", "verify", "verify"]
+    assert verbs == ["solve", "game", "game", "study", "study", "study", "verify", "verify"]
     coercivity = "degenash study --config configs/study_coercivity.yaml --level-override 16"
     assert (
         f"\n{coercivity} --seed 1 --out out/c1\n{coercivity} --seed 2 --out out/c2\n"
@@ -68,6 +68,14 @@ def test_console_script_step_runs_the_solve_game_study_and_verify_verbs():
     verify = "degenash verify --config configs/verify_weak_form.yaml"
     assert f"{verify} --seed 1 --out v1\n{verify} --seed 2 --out v2\n" in step
     assert step.rstrip().splitlines()[-1] == "cmp v1/verify_residuals.tsv v2/verify_residuals.tsv"
+
+
+def test_console_script_step_writes_the_same_game_table_twice():
+    # the installed game's table, grid columns rendered once per column,
+    # is byte-identical in two runs
+    (step,) = [step["run"] for step in JOB["steps"] if step.get("name") == "Console script"]
+    game = "degenash game --config configs/benchmark_game.yaml --level-override 16"
+    assert f"\n{game} --out out/g1\n{game} --out out/g2\ncmp out/g1/game_fields.tsv out/g2/game_fields.tsv\n" in step
 
 
 def test_installed_package_is_imported_without_scipy_linalg_right_after_its_install():

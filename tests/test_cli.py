@@ -781,6 +781,26 @@ class TestWriteColumns:
         cli_mod._write_columns(copy, header, [np.array(c) for c in columns] + [noise])
         assert path.read_bytes() == copy.read_bytes() == self.one_shot(header, [*columns, noise]).encode()
 
+    def test_game_grid_columns_when_a_chunk_ends_inside_a_row(self, tmp_path, monkeypatch):
+        # the game table's i, j, x, y on a 97 x 50 grid: 4096 % 97 = 22, so
+        # the first chunk ends inside y-row 42; each broadcast column is
+        # rendered once, from the entries it repeats, and a full column
+        # once per chunk
+        grid = build_grid(97, 50, 0.5)
+        shape = (grid.ny, grid.nx)
+        I, X = (np.broadcast_to(a[None, :], shape) for a in (np.arange(grid.nx), grid.x))
+        J, Y = (np.broadcast_to(a[:, None], shape) for a in (np.arange(grid.ny), grid.y))
+        state = np.random.default_rng(97).standard_normal(grid.n)
+        columns, header = [I, J, X, Y, state], list("ijxys")
+        path, copy = tmp_path / "t.tsv", tmp_path / "copy.tsv"
+        rendered, render = [], cli_mod._render
+        monkeypatch.setattr(cli_mod, "_render", lambda values: rendered.append(values.size) or render(values))
+        cli_mod._write_columns(path, header, columns)
+        assert rendered == [97, 50, 97, 50, cli_mod.CHUNK_ROWS, grid.n - cli_mod.CHUNK_ROWS]
+        cli_mod._write_columns(copy, header, [np.array(c) for c in columns])
+        assert path.read_bytes() == copy.read_bytes() == self.one_shot(header, columns).encode()
+        assert peak_bytes(lambda: cli_mod._write_columns(path, header, columns)) < 3e6
+
     def test_columns_of_unequal_length_rejected(self, tmp_path):
         path = tmp_path / "t.tsv"
         with pytest.raises(ValueError, match=r"\[3, 2\]"):

@@ -34,7 +34,7 @@ from degenash.game import (
     project_ball,
     state_solve,
 )
-from degenash.grid import GridFunction, build_grid, rect_mask
+from degenash.grid import GridFunction, _x_power, build_grid, rect_mask
 from degenash.operators import assemble
 
 
@@ -977,6 +977,43 @@ class TestArrayLevelEquivalence:
         w = grid.x ** (-alpha)
         old = float(grid.hx * grid.hy * np.sum(w[None, :] * u.values2d() * v.values2d()))
         assert control_inner(u, v, alpha) == old
+
+    @pytest.mark.parametrize("shape", [(7, 12), (12, 7)])
+    @pytest.mark.parametrize("grid_alpha", [0.5, 1.0])
+    def test_control_inner_has_the_bits_of_the_full_grid_sum(self, shape, grid_alpha):
+        # at the grid's alpha and at another, in both call orders, on
+        # fields with signed zeros; the row x^-alpha is kept per (grid, alpha)
+        grid = build_grid(*shape, grid_alpha)
+        values = np.random.default_rng(6).standard_normal((2, grid.n))
+        values[0, ::3], values[0, 1::5] = -0.0, 0.0
+        u, v = (GridFunction(grid, a) for a in values)
+        for alpha in (grid_alpha, 0.3, grid_alpha, 0.3):
+            for a, b in ((u, v), (v, u), (u, u)):
+                want = grid.hx * grid.hy * np.sum(grid.x**-alpha * a.values2d() * b.values2d())
+                assert np.float64(control_inner(a, b, alpha)).tobytes() == want.tobytes()
+        row = _x_power(grid, -grid_alpha)
+        assert row is _x_power(grid, -grid_alpha) and not row.flags.writeable
+
+    def test_grids_of_one_shape_keep_their_own_row(self):
+        # a row kept for one grid is never served to another grid of the
+        # same shape with another alpha, whichever is paired first
+        a, b = build_grid(9, 6, 0.5), build_grid(9, 6, 1.0)
+        for first, second in ((a, b), (b, a)):
+            for grid in (first, second):
+                u = random_field(grid, 8)
+                want = float(grid.hx * grid.hy * np.sum(grid.x**-grid.alpha * u.values2d() * u.values2d()))
+                assert control_inner(u, u, grid.alpha) == want
+        assert _x_power(a, -a.alpha) is not _x_power(b, -b.alpha)
+        assert not np.array_equal(_x_power(a, -a.alpha), _x_power(b, -b.alpha))
+
+    def test_state_solve_accepts_an_equal_grid_object(self, cfg16):
+        # _rhs tests the grid by identity first, then by value
+        twin = build_grid(cfg16.grid.nx, cfg16.grid.ny, cfg16.grid.alpha)
+        assert twin is not cfg16.grid
+        f1 = random_field(cfg16.grid, 9)
+        want = state_solve(cfg16, f1, GridFunction.zeros(cfg16.grid)).values
+        got = state_solve(cfg16, GridFunction(twin, f1.values), GridFunction.zeros(twin)).values
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "shape_u, alpha_u, shape_v, alpha_v",

@@ -531,6 +531,63 @@ class TestBoundedAdjoint:
                 solver.solve_adjoint(np.ones(small_grid.n), last_row=last_row)
 
 
+def _row_by_row_march(factors, rows, dpttrs):
+    """The march of march-order rows (k, nx) in place, its leading zero rows
+    found one row at a time: the reference the one-pass search must match.
+    Returns the rows it marched."""
+    c, d, e = factors
+    first = next((j for j, row in enumerate(rows) if row.any()), len(rows))
+    rows[:first] = 0.0
+    before = None
+    for row in rows[first:]:
+        if before is not None:
+            row += c * before
+        dpttrs(d, e, row, 1)
+        before = row
+    return len(rows) - first
+
+
+class TestLeadingZeroRows:
+    """A march tests its first row, and only when it is zero finds the
+    first nonzero row in one pass; every solve keeps the bits and the
+    marched rows of the row-by-row search."""
+
+    NX, NY = 9, 20
+
+    @pytest.mark.parametrize("kind", ["forward", "adjoint", "one_shot", "store"])
+    @pytest.mark.parametrize("zero", ["+0.0", "-0.0", "mixed"])
+    @pytest.mark.parametrize("k", [0, 1, 14, 20])  # 14 rows are 70 % of ny
+    def test_solves_match_the_row_by_row_search(self, monkeypatch, kind, zero, k):
+        nx, ny = self.NX, self.NY
+        grid = build_grid(nx, ny, 0.5)
+        rng = np.random.default_rng(k)
+        zeros = {"+0.0": 0.0, "-0.0": -0.0, "mixed": rng.choice([0.0, -0.0], (k, nx))}[zero]
+        rhs = rng.standard_normal((ny, nx))
+        # march order: up from y = 0, or down from y = 1 for the adjoint
+        order = np.s_[::-1] if kind == "adjoint" else np.s_[:]
+        rhs[order][:k] = zeros
+        original = operators.dpttrs
+        want = rhs[order].copy()
+        want_rows = _row_by_row_march(operators._factor(grid), want, original)
+        want = want[order]
+        solver = DirichletSolver(grid)
+        if kind == "store":
+            # the last solve shares the first k // 2 zero rows and differs
+            # from the next one on, so the march starts on a zero row
+            # below which the kept solution is zero
+            last = rng.standard_normal((ny, nx))
+            last[: k // 2] = rhs[: k // 2]
+            solver.solve(last.reshape(-1))
+        calls = []
+        monkeypatch.setattr(operators, "dpttrs", lambda *args: calls.append(1) or original(*args))
+        if kind == "one_shot":
+            got = solve_dirichlet(grid, GridFunction(grid, rhs.reshape(-1).copy()))[0].values
+        else:
+            got = (solver.solve_adjoint if kind == "adjoint" else solver.solve)(rhs.reshape(-1))
+        assert got.tobytes() == want.reshape(-1).tobytes()
+        assert len(calls) == want_rows == ny - k
+
+
 class TestWeakForm:
     def test_all_zero(self, small_grid):
         z = GridFunction.zeros(small_grid)
