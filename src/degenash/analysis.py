@@ -7,7 +7,12 @@ Q_VALUES (stated in norms, which accepts only them), the sample counts
 and stream seeds COERCIVITY_SAMPLES, EMBEDDING_SAMPLES, COERCIVITY_SEED
 and EMBEDDING_SEED, and the sinsin manufactured solution of the
 convergence study.  Each study checks its
-inputs by the Rules the config reads (grid.Rule)."""
+inputs by the Rules the config reads (grid.Rule).
+
+The coercivity check and the embedding study draw their bumps as one
+family (fields.bump_family) and iterate fields.bumps over it, which forms
+the bumps' factors in chunks and yields one bump alive at a time; each
+study keeps only a few scalars per bump."""
 
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
+from .fields import bump_family, bumps, manufactured_pair, named_field
 from .grid import ALPHA, DegenerateWeightWarning, GridFunction, Rule, build_grid, weighted_inner
 from .norms import GAUSS_NODES, Q_VALUES, _gauss_jacobi, _lattice, embedding_ratio, l2_weighted_norm, muckenhoupt_panel, norms_of
 from .operators import _check_residual, bilinear_form, dx, dy, solve_dirichlet
@@ -170,8 +175,7 @@ def coercivity_check(nx: int = 64, ny: int = 64, alpha: float = 0.5) -> StudyRes
     """
     grid = build_grid(nx, ny, alpha)
     mu_samples, form_values, w11_sqs = [], [], []
-    for p in bump_parameter_sets(COERCIVITY_SAMPLES, COERCIVITY_SEED):
-        v = bump_from_parameters(grid, p)
+    for v in bumps(grid, bump_family(COERCIVITY_SAMPLES, COERCIVITY_SEED)):
         dxv = dx(v)
         l2_sq = weighted_inner(v, v, 0.0)
         dx_sq = weighted_inner(dxv, dxv, 0.0)
@@ -299,13 +303,12 @@ def embedding_study(levels: Sequence[int], alpha: float = 0.5) -> StudyResult:
     """
     levels = LEVELS["embedding"].check("levels", list(levels))
     names = [f"max_ratio_q{q:g}" for q in Q_VALUES]
-    params = bump_parameter_sets(EMBEDDING_SAMPLES, EMBEDDING_SEED)
+    family = bump_family(EMBEDDING_SAMPLES, EMBEDDING_SEED)
     series: dict[str, list[float]] = {name: [] for name in names}
     for level in levels:
         grid = build_grid(level, level, alpha)
         ratios: dict[str, list[float]] = {name: [] for name in names}
-        for p in params:
-            u = bump_from_parameters(grid, p)
+        for u in bumps(grid, family):
             for name, q in zip(names, Q_VALUES):
                 ratios[name].append(embedding_ratio(u, q))
         for name, values in ratios.items():

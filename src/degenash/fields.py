@@ -7,11 +7,20 @@ built from 1-D factors: each windowed Gaussian is an outer product of an
 x-array and a y-array, and a bump is their sum, formed as one
 contraction over the Gaussians, within 1e-14 * max|bump| of the 2-D
 formula.
+
+A bump family is one record of arrays (BumpFamily), drawn in one call
+(bump_family).  bumps(grid, family) shapes it in array passes: the 1-D
+factors of BUMP_CHUNK bumps at a time in one set of array operations
+(bump_factors), then each bump as one contraction (bump_from_factors),
+yielded with one bump alive at a time.  Every draw and every bump keeps
+the bits of drawing and forming it alone.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -83,18 +92,48 @@ def _window(t: np.ndarray) -> np.ndarray:
     return ramp(t) * ramp(1 - t)
 
 
-def bump_parameter_sets(n: int, seed: int) -> list[dict]:
-    """Draw bump parameters once so the same smooth functions can be
-    re-sampled on several grids (refinement studies); seed by SEED."""
+@dataclass(frozen=True, eq=False)
+class BumpFamily:
+    """The parameters of n bump functions, one record of arrays: row k of
+    centers (n, N_BUMPS, 2), widths (n, N_BUMPS) and amps (n, N_BUMPS)
+    holds bump k's Gaussians.  The arrays are read-only.  A slice of rows
+    is the family of those bumps; a single bump is a family of one."""
+
+    centers: np.ndarray
+    widths: np.ndarray
+    amps: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.widths)
+
+    def __getitem__(self, rows: slice) -> BumpFamily:
+        return BumpFamily(self.centers[rows], self.widths[rows], self.amps[rows])
+
+
+# A bump's parameters in the order it draws them: 2 N_BUMPS center
+# coordinates (x, y per Gaussian), N_BUMPS widths and N_BUMPS amplitudes,
+# each uniform on its range; per column, the low end and high - low.
+_DRAW_RANGES = ((0.25, 0.75), (0.05, 0.2), (-1.0, 1.0))
+_DRAW_COUNTS = (2 * N_BUMPS, N_BUMPS, N_BUMPS)
+_DRAW_LOW = np.repeat([low for low, _ in _DRAW_RANGES], _DRAW_COUNTS)
+_DRAW_SPAN = np.repeat([high - low for low, high in _DRAW_RANGES], _DRAW_COUNTS)
+
+
+def bump_family(n: int, seed: int) -> BumpFamily:
+    """n bumps drawn once, so the same smooth functions can be re-sampled
+    on several grids (refinement studies); seed by SEED.
+
+    One rng.random((n, 4 N_BUMPS)) draw, row k for bump k in the column
+    order of _DRAW_RANGES, each column scaled as low + (high - low) * U,
+    which is what Generator.uniform computes per draw: the family has the
+    bits of drawing each bump's centers, widths and amps in turn with
+    uniform, from the same stream."""
     rng = np.random.default_rng(SEED.check("seed", seed))
-    return [
-        {
-            "centers": rng.uniform(0.25, 0.75, size=(N_BUMPS, 2)),
-            "widths": rng.uniform(0.05, 0.2, size=N_BUMPS),
-            "amps": rng.uniform(-1.0, 1.0, size=N_BUMPS),
-        }
-        for _ in range(n)
-    ]
+    values = _DRAW_LOW + _DRAW_SPAN * rng.random((n, len(_DRAW_LOW)))
+    values.flags.writeable = False
+    return BumpFamily(
+        values[:, : 2 * N_BUMPS].reshape(n, N_BUMPS, 2), values[:, 2 * N_BUMPS : 3 * N_BUMPS], values[:, 3 * N_BUMPS :]
+    )
 
 
 @functools.lru_cache(maxsize=8)
@@ -108,25 +147,57 @@ def _bump_frame(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return frame
 
 
-def bump_from_parameters(grid: Grid, params: dict) -> GridFunction:
-    """Superposition of Gaussian bumps windowed to vanish identically near
-    the boundary (so that all trace terms drop out exactly).
+# Bumps whose 1-D factors one bump_factors call forms.  A chunk's factors
+# and their temporaries stay about as small as one bump, so the studies'
+# peak memory is that of one bump at a time; chunks of 16 raised it by
+# about 0.1 MB, a whole family of 200 by 1 MB.
+BUMP_CHUNK = 8
+
+
+def bump_factors(grid: Grid, family: BumpFamily) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D factors of every bump of family on grid, u of shape
+    (n, N_BUMPS, nx) and v of shape (n, N_BUMPS, ny), in one set of array
+    operations.
 
     Each windowed Gaussian a * exp(-((x-cx)**2 + (y-cy)**2) / (2 s s))
-    * w_x(x) * w_y(y) is separable, so it is the outer product v (x) u,
-    rows in y, of u = w_x * exp(-(x-cx)**2 / (2 s s)) and
-    v = w_y * a * exp(-(y-cy)**2 / (2 s s)): nx + ny exps per Gaussian,
-    not nx * ny.  The bump is the sum of these outer products, formed as
-    one einsum contraction over the Gaussians into the result array; it
-    calls no BLAS routine and adds the Gaussians in their order.  The
-    result lies within 1e-14 * max|bump| of the 2-D formula.  The 1-D
-    frame is computed once per grid."""
+    * w_x(x) * w_y(y) is separable: it is the outer product v (x) u, rows
+    in y, of u = w_x * exp(-(x-cx)**2 / (2 s s)) and
+    v = w_y * a * exp(-(y-cy)**2 / (2 s s)), so nx + ny exps per
+    Gaussian, not nx * ny.  The elementwise expressions of one bump are
+    broadcast over the family, so each bump's factors have the bits they
+    have in a family of one.  The 1-D frame is computed once per grid."""
     x, y, w_x, w_y = _bump_frame(grid)
-    centers, widths, amps = (np.asarray(params[key]) for key in ("centers", "widths", "amps"))
-    # row k of u and v holds the factors of Gaussian k
-    q = -(2 * widths * widths)[:, None]  # -(d / q) and d / -q round alike
-    u = np.exp((x - centers[:, :1]) ** 2 / q)
+    centers, widths, amps = family.centers, family.widths, family.amps
+    q = -(2 * widths * widths)[..., None]  # -(d / q) and d / -q round alike
+    u = np.exp((x - centers[..., :1]) ** 2 / q)
     u *= w_x
-    v = w_y * amps[:, None]
-    v *= np.exp((y - centers[:, 1:]) ** 2 / q)
+    v = w_y * amps[..., None]
+    v *= np.exp((y - centers[..., 1:]) ** 2 / q)
+    return u, v
+
+
+def bump_from_factors(grid: Grid, u: np.ndarray, v: np.ndarray) -> GridFunction:
+    """One bump from its factors u (N_BUMPS, nx) and v (N_BUMPS, ny), a
+    bump of bump_factors: the sum of its Gaussians' outer products, formed
+    as one einsum contraction over the Gaussians into the result array.
+    It calls no BLAS routine and adds the Gaussians in their order; the
+    result lies within 1e-14 * max|bump| of the 2-D formula."""
     return GridFunction(grid, np.einsum("ki,kj->ij", v, u))
+
+
+def bumps(grid: Grid, family: BumpFamily) -> Iterator[GridFunction]:
+    """Each bump of family on grid, in order: a superposition of Gaussian
+    bumps windowed to vanish identically near the boundary (so that all
+    trace terms drop out exactly).
+
+    A generator that holds no bump: one is alive at a time, in the
+    caller's hands.  It forms the factors BUMP_CHUNK bumps at a time
+    (bump_factors) and each bump from its factors (bump_from_factors), so
+    a traced run finds the work under those two; the span of this
+    generator covers only its creation.  The chunked factor pass serves
+    the coercivity check and the embedding study, which sample hundreds
+    of bumps per run, and goes with the sampled bump family."""
+    for start in range(0, len(family), BUMP_CHUNK):
+        u, v = bump_factors(grid, family[start : start + BUMP_CHUNK])
+        for u_k, v_k in zip(u, v):
+            yield bump_from_factors(grid, u_k, v_k)

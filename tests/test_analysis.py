@@ -22,7 +22,7 @@ from degenash.analysis import (
     strict_inclusion_demo,
     w11_exact,
 )
-from degenash.fields import bump_from_parameters, bump_parameter_sets, manufactured_pair, named_field
+from degenash.fields import bump_family, bumps, manufactured_pair, named_field
 from degenash.grid import FINITE_POSITIVE, DegenerateWeightWarning, GridFunction, build_grid
 import degenash.norms as norms
 from degenash.norms import embedding_ratio, l2_weighted_norm, norms_of
@@ -217,11 +217,11 @@ class TestCoercivity:
     def test_study_draws_its_sample_count_when_called(self, monkeypatch, name, run):
         counts = []
 
-        def parameter_sets(n, seed):
+        def family(n, seed):
             counts.append(n)
-            return bump_parameter_sets(n, seed)
+            return bump_family(n, seed)
 
-        monkeypatch.setattr(analysis, "bump_parameter_sets", parameter_sets)
+        monkeypatch.setattr(analysis, "bump_family", family)
         monkeypatch.setattr(analysis, name, 3)
         run()
         assert counts == [3]
@@ -238,11 +238,11 @@ class TestCoercivity:
         # no argument picks the stream, so a test that needs another patches the constant
         seeds = []
 
-        def parameter_sets(n, seed):
+        def family(n, seed):
             seeds.append(seed)
-            return bump_parameter_sets(n, seed)
+            return bump_family(n, seed)
 
-        monkeypatch.setattr(analysis, "bump_parameter_sets", parameter_sets)
+        monkeypatch.setattr(analysis, "bump_family", family)
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 3)
         monkeypatch.setattr(analysis, "EMBEDDING_SAMPLES", 3)
         shipped = getattr(analysis, name)
@@ -288,8 +288,8 @@ class TestCoercivity:
 
         g = build_grid(24, 24, 0.5)
         v = GridFunction.from_callable(g, lambda X, Y: X * (1 - X) * Y * (1 - Y))
-        bumps = iter([v, 6.0 * v])
-        monkeypatch.setattr(analysis, "bump_from_parameters", lambda grid, p: next(bumps))
+        pair = iter([v, 6.0 * v])
+        monkeypatch.setattr(analysis, "bumps", lambda grid, family: (next(pair) for _ in range(len(family))))
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 2)
         m1, m2 = coercivity_check(nx=24, ny=24).samples["margin"]
         assert m2 == pytest.approx(m1, rel=1e-10)
@@ -299,7 +299,7 @@ class TestCoercivity:
         # Poincare sample raises before any margin divides by that norm
         import degenash.analysis as analysis
 
-        monkeypatch.setattr(analysis, "bump_from_parameters", lambda grid, p: GridFunction.zeros(grid))
+        monkeypatch.setattr(analysis, "bumps", lambda grid, family: (GridFunction.zeros(grid) for _ in range(len(family))))
         monkeypatch.setattr(analysis, "COERCIVITY_SAMPLES", 3)
         with pytest.raises(ZeroDivisionError):
             coercivity_check(nx=10, ny=10)
@@ -418,9 +418,9 @@ class TestEmbeddingStudy:
         r = embedding_study(levels=(8, 16))
         assert list(r.metrics) == names
         grid = build_grid(16, 16, 0.5)
-        bumps = [bump_from_parameters(grid, p) for p in bump_parameter_sets(3, analysis.EMBEDDING_SEED)]
+        sampled = list(bumps(grid, bump_family(3, analysis.EMBEDDING_SEED)))
         for name, q in zip(names, q_values):
-            assert r.metrics[name][1] == max(embedding_ratio(u, q) for u in bumps)
+            assert r.metrics[name][1] == max(embedding_ratio(u, q) for u in sampled)
 
     def test_nan_ratio_at_a_later_position_is_kept(self, monkeypatch):
         ratio = analysis.embedding_ratio

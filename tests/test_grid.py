@@ -15,8 +15,8 @@ from degenash.fields import (
     CUTOFF_LO,
     FIELD_KINDS,
     _bump_frame,
-    bump_from_parameters,
-    bump_parameter_sets,
+    bump_family,
+    bumps,
     manufactured_pair,
     named_field,
 )
@@ -52,15 +52,15 @@ def window_factor(t):
     return ramp(t) * ramp(1 - t)
 
 
-def bump_formula(params):
-    """The bump function of params in factor form, a formula in (X, Y),
+def bump_formula(family, k):
+    """Bump k of family in factor form, a formula in (X, Y),
     which may be the open grid or full coordinate arrays: the sum over its
     Gaussians of u(X) v(Y), u = w(X) exp(-(X-cx)**2 / (2 s s)) and
     v = w(Y) a exp(-(Y-cy)**2 / (2 s s)), with w the window's 1-D factor."""
 
     def fn(X, Y):
         out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
-        for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
+        for (cx, cy), s, a in zip(family.centers[k], family.widths[k], family.amps[k]):
             u = window_factor(X) * np.exp(-((X - cx) ** 2) / (2 * s * s))
             v = window_factor(Y) * a * np.exp(-((Y - cy) ** 2) / (2 * s * s))
             out += u * v
@@ -69,13 +69,13 @@ def bump_formula(params):
     return fn
 
 
-def bump_formula_2d(params):
-    """The bump function of params as a 2-D formula: each Gaussian
+def bump_formula_2d(family, k):
+    """Bump k of family as a 2-D formula: each Gaussian
     a exp(-((X-cx)**2 + (Y-cy)**2) / (2 s s)), summed, times the window."""
 
     def fn(X, Y):
         out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
-        for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
+        for (cx, cy), s, a in zip(family.centers[k], family.widths[k], family.amps[k]):
             out += a * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2 * s * s))
         return out * (window_factor(X) * window_factor(Y))
 
@@ -293,16 +293,18 @@ class TestOpenGrid:
     @pytest.mark.parametrize("nx,ny", OPEN_GRID_SHAPES)
     def test_bump_matches_full_grid(self, nx, ny):
         g = build_grid(nx, ny, 0.5)
-        for params in bump_parameter_sets(3, seed=nx + ny):
-            assert _bits(bump_from_parameters(g, params).values) == _bits(full_grid(g, bump_formula(params)))
+        family = bump_family(3, seed=nx + ny)
+        for k, bump in enumerate(bumps(g, family)):
+            assert _bits(bump.values) == _bits(full_grid(g, bump_formula(family, k)))
 
     @pytest.mark.parametrize("nx,ny", OPEN_GRID_SHAPES)
     def test_bump_is_near_the_2d_formula(self, nx, ny):
         # a dropped window or a wrong Gaussian misses by O(1)
         g = build_grid(nx, ny, 0.5)
-        for params in bump_parameter_sets(20, seed=nx * ny):
-            expected = full_grid(g, bump_formula_2d(params))
-            error = np.abs(bump_from_parameters(g, params).values - expected).max()
+        family = bump_family(20, seed=nx * ny)
+        for k, bump in enumerate(bumps(g, family)):
+            expected = full_grid(g, bump_formula_2d(family, k))
+            error = np.abs(bump.values - expected).max()
             assert error <= 1e-14 * np.abs(expected).max()
 
     def test_bump_frame_holds_the_open_grid(self):
@@ -511,9 +513,10 @@ class TestQuadratureCaches:
     @pytest.mark.parametrize("nx,ny", SHAPES)
     def test_bump_matches_sampled_formula(self, nx, ny):
         g = build_grid(nx, ny, 0.5)
-        for params in bump_parameter_sets(3, seed=nx):
-            fn = bump_formula(params)
-            assert _bits(bump_from_parameters(g, params).values) == _bits(GridFunction.from_callable(g, fn).values)
+        family = bump_family(3, seed=nx)
+        for k, bump in enumerate(bumps(g, family)):
+            fn = bump_formula(family, k)
+            assert _bits(bump.values) == _bits(GridFunction.from_callable(g, fn).values)
 
     def test_cached_arrays_are_read_only(self, small_grid):
         w = cell_weights(small_grid, 0.5)

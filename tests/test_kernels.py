@@ -12,21 +12,23 @@ formula.
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 import degenash.analysis as analysis
+import degenash.fields as fields
 import degenash.grid as grid
 import degenash.norms as norms
 from conftest import load_script, peak_bytes, random_field
-from degenash.fields import _FIELDS, FIELD_KINDS, _window, bump_from_parameters, bump_parameter_sets, named_field
+from degenash.fields import _FIELDS, BUMP_CHUNK, FIELD_KINDS, _window, bump_family, bumps, named_field
 from degenash.analysis import coercivity_check
 from degenash.grid import DegenerateWeightWarning, GridFunction, _cell_sums, _quadrature, build_grid, cell_weights, weighted_inner
 from degenash.norms import lq_norm, norms_of
 from degenash.operators import _apply, assemble, dx, dy, solve_dirichlet
 from test_golden_tables import _run
-from test_grid import SHAPES
+from test_grid import SHAPES, bump_formula, full_grid
 
 KERNEL_SHAPES = SHAPES + [(2, 2), (2, 9), (9, 2)]
 
@@ -90,13 +92,13 @@ def ref_power(a, q):
     return products[q]()
 
 
-def ref_bump(g, params):
-    """The bump as the sum of its Gaussians' outer products v_k (x) u_k,
-    added one by one in the order of the Gaussians, from the same 1-D
-    factors as bump_from_parameters."""
+def ref_bump(g, family, k):
+    """Bump k of family as the sum of its Gaussians' outer products
+    v_g (x) u_g, added one by one in the order of the Gaussians, from the
+    same 1-D factors as fields.bump_factors."""
     x, y = g.x, g.y
     out = np.zeros((g.ny, g.nx))
-    for (cx, cy), s, a in zip(params["centers"], params["widths"], params["amps"]):
+    for (cx, cy), s, a in zip(family.centers[k], family.widths[k], family.amps[k]):
         q = -(2 * s * s)
         u = np.exp((x - cx) ** 2 / q) * _window(x)
         v = _window(y) * a * np.exp((y - cy) ** 2 / q)
@@ -184,8 +186,9 @@ class TestBitForBit:
         # one contraction over the Gaussians, equal to adding their outer
         # products one by one (np.array_equal: a zero may change sign)
         g = build_grid(nx, ny, 0.5)
-        for params in bump_parameter_sets(5, seed=nx + 7 * ny):
-            assert np.array_equal(bump_from_parameters(g, params).values2d(), ref_bump(g, params))
+        family = bump_family(5, seed=nx + 7 * ny)
+        for k, bump in enumerate(bumps(g, family)):
+            assert np.array_equal(bump.values2d(), ref_bump(g, family, k))
 
     @pytest.mark.parametrize("kind", FIELD_KINDS)
     @pytest.mark.parametrize("amplitude", [-0.7, 0.0, -0.0])
@@ -198,6 +201,86 @@ class TestBitForBit:
         got = named_field(g, kind, amplitude)
         assert len(built) == 1
         assert _bits(got.values) == _bits(unit.values * float(amplitude))
+
+
+def uniform_stream(n, seed):
+    """(centers, widths, amps) of n bumps drawn one bump at a time, each
+    in turn by Generator.uniform: the stream a family must keep, bit for
+    bit."""
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.uniform(0.25, 0.75, size=(4, 2)), rng.uniform(0.05, 0.2, size=4), rng.uniform(-1.0, 1.0, size=4))
+        for _ in range(n)
+    ]
+
+
+class TestBumpFamily:
+    # one draw and chunked factor passes, against each bump drawn and
+    # formed alone
+
+    @pytest.mark.parametrize("seed", [0, 3, 5, 123456])
+    @pytest.mark.parametrize("n", [1, 7, 17, 200])
+    def test_draws_are_the_per_bump_uniform_stream(self, n, seed):
+        family = bump_family(n, seed)
+        assert len(family) == n
+        for k, (centers, widths, amps) in enumerate(uniform_stream(n, seed)):
+            assert _bits(family.centers[k]) == _bits(centers)
+            assert _bits(family.widths[k]) == _bits(widths)
+            assert _bits(family.amps[k]) == _bits(amps)
+
+    def test_draws_are_read_only(self):
+        family = bump_family(3, seed=0)
+        for a in (family.centers, family.widths, family.amps, family[1:2].widths):
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
+    # sizes that end inside a chunk: one bump, one chunk and some, and one
+    # short of three chunks
+    @pytest.mark.parametrize("n", [1, BUMP_CHUNK + 3, 3 * BUMP_CHUNK - 1])
+    @pytest.mark.parametrize("nx,ny", [(37, 23), (64, 64), (128, 128)])
+    def test_every_bump_matches_the_references(self, nx, ny, n):
+        # the factor form of test_grid.bump_formula bit for bit, and the
+        # outer products added one by one (np.array_equal: a zero may change sign)
+        g = build_grid(nx, ny, 0.5)
+        family = bump_family(n, seed=nx + n)
+        formed = 0
+        for k, bump in enumerate(bumps(g, family)):
+            assert _bits(bump.values) == _bits(full_grid(g, bump_formula(family, k)))
+            assert np.array_equal(bump.values2d(), ref_bump(g, family, k))
+            formed += 1
+        assert formed == n
+
+    @pytest.mark.parametrize("nx,ny", [(37, 23), (64, 64)])
+    def test_a_bump_is_the_same_in_any_chunk(self, nx, ny):
+        # a single bump is a family of one
+        g = build_grid(nx, ny, 0.5)
+        family = bump_family(2 * BUMP_CHUNK + 1, seed=7)
+        for k, bump in enumerate(bumps(g, family)):
+            (alone,) = bumps(g, family[k : k + 1])
+            assert _bits(alone.values) == _bits(bump.values)
+
+    def test_the_generator_holds_no_bump(self):
+        # one bump alive at a time: once the caller drops it, it is gone
+        g = build_grid(16, 16, 0.5)
+        sampled = bumps(g, bump_family(3, seed=1))
+        bump = next(sampled)
+        kept = weakref.ref(bump)
+        del bump
+        assert kept() is None
+        assert len(list(sampled)) == 2
+
+    @pytest.mark.parametrize("n", [1, BUMP_CHUNK, BUMP_CHUNK + 3])
+    def test_the_work_is_in_two_public_calls_per_chunk_and_bump(self, monkeypatch, n):
+        # the generator reaches its factor pass and its contraction through
+        # the module's names, so a wrapper installed there (as perfbench's
+        # tracer installs one) sees every chunk and every bump
+        chunks, formed = [], []
+        factors, from_factors = fields.bump_factors, fields.bump_from_factors
+        monkeypatch.setattr(fields, "bump_factors", lambda g, family: chunks.append(len(family)) or factors(g, family))
+        monkeypatch.setattr(fields, "bump_from_factors", lambda g, u, v: formed.append(1) or from_factors(g, u, v))
+        assert len(list(bumps(build_grid(9, 7, 0.5), bump_family(n, seed=2)))) == n
+        assert chunks == [min(BUMP_CHUNK, n - start) for start in range(0, n, BUMP_CHUNK)]
+        assert len(formed) == n
 
 
 class TestComputedOnce:
@@ -411,12 +494,12 @@ class TestPeakAllocation:
     def test_nodal_kernels(self, name, at_128):
         g, u, _ = at_128
         f = named_field(g, "sinsin")
-        params = bump_parameter_sets(1, seed=3)[0]
+        family = bump_family(1, seed=3)
         fn = {
             "dy": lambda: dy(GridFunction(g, u.values)),
             "apply": lambda: _apply(g, u.values),
             "solve_dirichlet": lambda: solve_dirichlet(g, f),
-            "bump": lambda: bump_from_parameters(g, params),
+            "bump": lambda: next(bumps(g, family)),
             "named_field": lambda: named_field(g, "sinsin", -0.7),
         }[name]
         assert peak_bytes(fn) / (8 * g.n) < PARENT_PEAKS_IN_NODES[name]

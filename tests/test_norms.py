@@ -13,7 +13,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import degenash.norms as norms_mod
 from conftest import half_disk_closed_form, half_disk_constant, peak_bytes, random_field
-from degenash.grid import DegenerateWeightWarning, GridFunction, build_grid, cell_weights
+from degenash.grid import DegenerateWeightWarning, GridFunction, _power_sums, build_grid, cell_weights
 from degenash.norms import (
     embedding_ratio,
     l2_weighted_norm,
@@ -140,6 +140,11 @@ class TestLqNorm:
             u = GridFunction.from_callable(g, lambda X, Y: X)
             errs.append(abs(lq_norm(u, 4.0) - (1.0 / 5.0) ** 0.25))
         assert all(b < a for a, b in zip(errs, errs[1:]))
+
+    def test_power_sums_cover_exactly_the_stated_exponents(self, small_grid):
+        # norms states the exponents once (Q_VALUES) and grid's one cell
+        # pass forms their sums; either side changed alone fails here
+        assert set(_power_sums(random_field(small_grid, 3))) == set(norms_mod.Q_VALUES)
 
     def test_q_below_one_rejected(self, small_grid):
         with pytest.raises(ValueError):

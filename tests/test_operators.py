@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import degenash.operators as operators
 from conftest import random_field
-from degenash.fields import bump_parameter_sets, bump_from_parameters, manufactured_pair, named_field
+from degenash.fields import bump_family, bumps, manufactured_pair, named_field
 from degenash.grid import GridFunction, _cell_sums, build_grid, weighted_inner
 from degenash.operators import (
     DirichletSolver,
@@ -606,13 +606,13 @@ class TestWeakForm:
         assert res[2] < 0.6 * res[0]
 
     def test_solved_state_residual_decreases(self):
-        params = bump_parameter_sets(10, seed=21)
+        family = bump_family(10, seed=21)
         worst = []
         for n in (16, 32, 64):
             g = build_grid(n, n, 0.5)
             _, f = manufactured_pair(g)
             u, _ = solve_dirichlet(g, f)
-            worst.append(max(abs(weak_form_residual(u, f, bump_from_parameters(g, p))) for p in params))
+            worst.append(max(abs(weak_form_residual(u, f, bump)) for bump in bumps(g, family)))
         assert worst[1] < worst[0] and worst[2] < worst[1]
 
     @settings(max_examples=15, deadline=None)

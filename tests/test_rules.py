@@ -26,7 +26,7 @@ from degenash.analysis import (
     strict_inclusion_demo,
 )
 from degenash.cli import ConfigError, parse_config
-from degenash.fields import bump_parameter_sets, named_field
+from degenash.fields import bump_family, named_field
 from degenash.grid import GridFunction, build_grid, cell_weights, rect_mask, weighted_inner
 from degenash.norms import lq_norm, muckenhoupt_panel
 from degenash.operators import solve_dirichlet
@@ -106,7 +106,7 @@ def test_config_and_library_reject_by_one_rule(case):
 def test_seed_rule_rejects_what_numpy_would_take_or_misname(seed):
     # numpy seeds with True as with 1, and fails on 1.5 with its own TypeError
     with pytest.raises(ValueError, match=f"^seed {grid.SEED.text}, got {seed!r}$"):
-        bump_parameter_sets(2, seed)
+        bump_family(2, seed)
 
 
 # A library call per numeric rule, and the parameter its error names; each
